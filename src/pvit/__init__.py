@@ -10,7 +10,7 @@ the train-prior / train-pvit / score / eval workflow.
 
 from .data import Dataset, load_idx, make_ood, normalize, split_dataset, synth_dataset
 from .metrics import OODMetrics, auroc, evaluate, fpr_at_tpr, histogram_export
-from .model import ForwardTrace, PViTConfig, PViTModel, extract_attention, patchify
+from .model import PViTConfig, PViTModel, extract_attention, patchify
 from .priors import (
     LogitsRecord,
     MLPClassifier,
@@ -18,7 +18,6 @@ from .priors import (
     TableSource,
     export_logits,
     load_logits,
-    prior_logits,
     train_prior_model,
 )
 from .scoring import (
@@ -34,7 +33,9 @@ from .scoring import (
     max_logit,
     msp,
     pge,
+    predict_logits,
     score_dataset,
+    score_records,
 )
 from .tensor import Tape, Tensor, backward
 from .train import OptimizerState, TrainConfig, adam_step, lr_at, train
@@ -44,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset",
     "DecisionRule",
-    "ForwardTrace",
     "LogitsRecord",
     "MLPClassifier",
     "ModelSource",
@@ -81,8 +81,9 @@ __all__ = [
     "normalize",
     "patchify",
     "pge",
-    "prior_logits",
+    "predict_logits",
     "score_dataset",
+    "score_records",
     "split_dataset",
     "synth_dataset",
     "train",

@@ -16,6 +16,7 @@ its fully-resolved configuration next to its outputs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -25,7 +26,7 @@ import numpy as np
 
 from .config import RunConfig
 from .data import Dataset, load_idx, make_ood, normalize, split_dataset, synth_dataset
-from .errors import ConfigError, PvitError
+from .errors import ConfigError, FormatError, PvitError
 from .metrics import evaluate, histogram_export
 from .model import PViTConfig, PViTModel, extract_attention
 from .priors import (
@@ -35,11 +36,12 @@ from .priors import (
     accuracy,
     export_logits,
     load_logits,
-    prior_logits,
     priors_for_indices,
     train_prior_model,
 )
-from .scoring import file_sha256, read_scores, score_dataset, score_field, write_scores
+from .scoring import (
+    file_sha256, predict_logits, read_scores, score_dataset, score_field, score_records, write_scores,
+)
 from .train import TrainConfig, loss_curve_csv, train
 
 COMMANDS = ("train-prior", "train-pvit", "score", "eval", "attention-dump", "export-logits")
@@ -265,13 +267,8 @@ def cmd_train_pvit(cfg: RunConfig, out: str) -> None:
         ds = datasets[split]
         if ds.labels is None:
             return None
-        correct = 0
-        for start in range(0, len(ds), 64):
-            idx = np.arange(start, min(start + 64, len(ds)))
-            priors = priors_for_indices(prior, ds, idx)
-            outputs = model.forward_batch(ds.images[idx], priors)
-            correct += int(np.sum(np.argmax(outputs.logits.data, axis=1) == ds.labels[idx]))
-        return correct / len(ds)
+        predicted, _ = predict_logits(model, prior, ds)
+        return int(np.sum(np.argmax(predicted, axis=1) == ds.labels)) / len(ds)
 
     summary = {
         "checkpoint": ckpt,
@@ -299,14 +296,19 @@ def cmd_score(cfg: RunConfig, out: str) -> None:
     splits = _score_splits(cfg)
     predicted_dir = cfg["score.predicted_logits"]
     if predicted_dir:
-        # no-prior-token ablation: pair two logits files per split, no model
+        # no-prior-token ablation: pair two logits files per split, no model;
+        # the predicted logits files together stand in for the checkpoint
         prior_dir = _logits_dir(cfg, out)
+        source_hash = hashlib.sha256(
+            "".join(file_sha256(_logits_path(predicted_dir, split)) for split in splits).encode()
+        ).hexdigest()
         for split in splits:
             predicted = load_logits(_logits_path(predicted_dir, split))
             prior = load_logits(_logits_path(prior_dir, split))
-            records = score_dataset(predicted, prior, None, guidance)
+            ids = list(predicted.records)
+            records = score_records(ids, predicted.logits_for(ids), prior.logits_for(ids), guidance)
             path = os.path.join(out, f"scores_{split}.jsonl")
-            write_scores(path, records, guidance, 0.0, file_sha256(_logits_path(predicted_dir, split)))
+            write_scores(path, records, guidance, 0.0, source_hash)
             print(f"scores: {path} ({len(records)} records)")
         _write_resolved(cfg, out, "score")
         return
@@ -325,11 +327,18 @@ def cmd_score(cfg: RunConfig, out: str) -> None:
 
 
 def cmd_eval(cfg: RunConfig, out: str) -> None:
-    _, id_records = read_scores(os.path.join(out, "scores_id-test.jsonl"))
-    rows = []
+    id_path = os.path.join(out, "scores_id-test.jsonl")
+    id_header, id_records = read_scores(id_path)
+    ood_sets = {}
     for kind in cfg["ood.kinds"]:
-        split = f"ood-{kind}"
-        _, ood_records = read_scores(os.path.join(out, f"scores_{split}.jsonl"))
+        path = os.path.join(out, f"scores_ood-{kind}.jsonl")
+        header, ood_sets[f"ood-{kind}"] = read_scores(path)
+        differ = [key for key in ("guidance", "alpha", "checkpoint_sha256") if header.get(key) != id_header.get(key)]
+        if differ:
+            raise FormatError(f"{path} and {id_path} disagree on {', '.join(differ)}: "
+                              "eval compares scores of one checkpoint, guidance and alpha")
+    rows = []
+    for split, ood_records in ood_sets.items():
         for score_name in cfg["eval.scores"]:
             metrics = evaluate(id_records, ood_records, score_name, cfg["eval.orientation"])
             metrics_path = os.path.join(out, f"metrics_{split}_{score_name}.json")
@@ -372,15 +381,16 @@ def cmd_attention_dump(cfg: RunConfig, out: str) -> None:
     count = min(cfg["attention.max_samples"], len(ds))
     attn_dir = os.path.join(out, "attention")
     os.makedirs(attn_dir, exist_ok=True)
+    idx = np.arange(count)
+    priors = priors_for_indices(prior, ds, idx)
     summary = ["alpha,sample_id,layer,head,prior_token_mass"]
     for alpha in alphas:
-        for i in range(count):
-            sample = ds.sample(i)
-            trace = model.forward_sample(sample.image, prior_logits(prior, sample), alpha=alpha)
-            matrix, mass = extract_attention(trace, layer, head)
-            name = f"{sample.id}_alpha{alpha!r}_L{layer}H{head}.csv"
+        outputs = model.forward_batch(ds.images[idx], priors, alpha, want_attention=True)
+        matrices, masses = extract_attention(outputs, layer, head)
+        for sid, matrix, mass in zip(ds.ids[:count], matrices, masses.tolist()):
+            name = f"{sid}_alpha{alpha!r}_L{layer}H{head}.csv"
             np.savetxt(os.path.join(attn_dir, name), matrix, delimiter=",")
-            summary.append(f"{alpha!r},{sample.id},{layer},{head},{mass!r}")
+            summary.append(f"{alpha!r},{sid},{layer},{head},{mass!r}")
     summary_path = os.path.join(out, "attention_summary.csv")
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(summary) + "\n")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,13 +22,6 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 OOD_KINDS = ("uniform-noise", "pattern-shift", "inverted")
-
-
-class Sample(NamedTuple):
-    """One image with its dataset-unique identifier."""
-
-    id: str
-    image: np.ndarray  # H x W x C float64 pixels
 
 
 @dataclass
@@ -66,9 +59,6 @@ class Dataset:
     @property
     def image_shape(self) -> tuple[int, int, int]:
         return tuple(self.images.shape[1:])
-
-    def sample(self, i: int) -> Sample:
-        return Sample(self.ids[i], self.images[i])
 
 
 def load_idx(images_path: str, labels_path: Optional[str] = None, name: Optional[str] = None) -> Dataset:

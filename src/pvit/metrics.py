@@ -38,31 +38,19 @@ def _validate(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(ood_scores, dtype=np.float64).ravel()
     if a.size == 0 or b.size == 0:
         raise FormatError("metrics need nonempty ID and OOD score lists")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise FormatError("metrics need finite scores; found NaN or infinity")
     return a, b
-
-
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
 
 
 def auroc(id_scores: Sequence[float], ood_scores: Sequence[float]) -> float:
     """Probability a random ID score exceeds a random OOD score, ties half."""
     ids, oods = _validate(id_scores, ood_scores)
-    pooled = np.concatenate([ids, oods])
-    ranks = _midranks(pooled)
-    rank_sum = ranks[: len(ids)].sum()
-    u = rank_sum - len(ids) * (len(ids) + 1) / 2.0
+    pooled = np.sort(np.concatenate([ids, oods]))
+    # 1-based midranks of the ID scores in the pooled sample: ties share
+    # the average of the ranks they span
+    ranks = (np.searchsorted(pooled, ids, "left") + np.searchsorted(pooled, ids, "right") + 1) / 2
+    u = ranks.sum() - len(ids) * (len(ids) + 1) / 2.0
     return float(u / (len(ids) * len(oods)))
 
 

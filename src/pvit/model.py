@@ -1,14 +1,16 @@
 """The prior-token vision transformer.
 
-An image is cut into patches, linearly embedded, and prefixed with a
-learnable class token; positions 0..N carry learned positional
-encodings.  One extra token, built by projecting the softmax of a prior
-classifier's logits through a trained linear map and scaling by alpha,
-is appended at the end without positional encoding, giving an N+2 token
+There is one forward pass, :meth:`PViTModel.forward_batch`, over a batch
+of images and their (B, K) prior logits; a single sample is a batch of
+one.  Each image is cut into patches, linearly embedded, and prefixed
+with a learnable class token; positions 0..N carry learned positional
+encodings.  One extra token per sample, the softmax of its prior
+logits projected through a trained linear map and scaled by alpha, is
+appended at the end without positional encoding, giving an N+2 token
 sequence.  A stack of pre-layer-norm encoder blocks (multi-head
 self-attention, then a GELU MLP, both with residual connections)
-processes the sequence; the class token's final representation, layer
-normalized, feeds the classifier head.
+processes the sequences; each class token's final representation,
+layer normalized, feeds the classifier head.
 """
 
 from __future__ import annotations
@@ -76,44 +78,24 @@ class PViTConfig:
 
 
 @dataclass
-class ForwardTrace:
-    """Per-sample record of one forward pass.
-
-    ``attentions`` has one (heads, S, S) array per layer, S = N + 2;
-    ``y`` is the normalized final class-token representation; ``logits``
-    is filled in by :func:`classify`.
-    """
-
-    attentions: list[np.ndarray]
-    y: Tensor
-    logits: Optional[Tensor] = None
-
-
-@dataclass
 class BatchForward:
-    """Batched forward result used by training and scoring."""
+    """Result of the forward pass, for training, scoring and attention dumps."""
 
     logits: Tensor  # (B, K)
     y: Tensor  # (B, D)
     attentions: Optional[list[np.ndarray]] = None  # per layer (B, H, S, S)
 
 
-def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
-    """Cut an H x W x C image into N rows of row-major flattened patches."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3:
-        raise ShapeError(f"patchify expects H x W x C, got shape {image.shape}")
-    h, w, c = image.shape
+def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
+    """Cut (B, H, W, C) images into (B, N, P) rows of row-major flattened
+    patches, N patches per image in raster order."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim != 4:
+        raise ShapeError(f"patchify expects B x H x W x C, got shape {images.shape}")
+    b, h, w, c = images.shape
     p = patch_size
     if h % p or w % p:
         raise ShapeError(f"image {h}x{w} not divisible by patch size {p}")
-    blocks = image.reshape(h // p, p, w // p, p, c)
-    return np.ascontiguousarray(blocks.transpose(0, 2, 1, 3, 4)).reshape((h // p) * (w // p), p * p * c)
-
-
-def _patchify_batch(images: np.ndarray, patch_size: int) -> np.ndarray:
-    b, h, w, c = images.shape
-    p = patch_size
     blocks = images.reshape(b, h // p, p, w // p, p, c)
     return np.ascontiguousarray(blocks.transpose(0, 1, 3, 2, 4, 5)).reshape(
         b, (h // p) * (w // p), p * p * c
@@ -173,49 +155,36 @@ class PViTModel:
         return self.params[name]
 
     # ------------------------------------------------------------------
-    # forward pieces
+    # forward pass
 
     def make_prior_token(self, prior_logits, alpha: Optional[float] = None) -> Tensor:
-        """alpha * (softmax(prior logits) projected into the embedding space).
+        """(B, D) prior tokens: alpha * softmax(prior logits) @ prior_proj.
 
-        The projection is a trained parameter, so the token participates
-        in the gradient tape; the result is exactly linear in alpha.
+        ``prior_logits`` is a finite (B, K) block.  The projection is a
+        trained parameter, so the tokens join the gradient tape; they are
+        exactly linear in alpha.  With ``prior_broadcast`` "batch" every
+        row takes the first row's token.
         """
-        alpha = self.config.alpha if alpha is None else float(alpha)
-        p = prior_logits if isinstance(prior_logits, Tensor) else Tensor(prior_logits)
-        if p.shape != (self.config.num_classes,):
-            raise ShapeError(
-                f"prior logits must have length {self.config.num_classes}, got shape {p.shape}"
-            )
-        if not np.all(np.isfinite(p.data)):
+        c = self.config
+        alpha = c.alpha if alpha is None else float(alpha)
+        priors = np.asarray(prior_logits, dtype=np.float64)
+        if priors.ndim != 2 or priors.shape[1] != c.num_classes:
+            raise ShapeError(f"prior logits must be (B, {c.num_classes}), got shape {priors.shape}")
+        if not np.all(np.isfinite(priors)):
             raise ShapeError("prior logits must be finite")
-        weights = T.softmax(T.reshape(p, (1, self.config.num_classes)), axis=1)
+        if c.prior_broadcast == "batch":
+            # literal replication: every row shares the first sample's priors
+            priors = np.broadcast_to(priors[0], priors.shape)
+        weights = T.softmax(Tensor(priors), axis=1)
         return T.mul(T.matmul(weights, self._p("prior_proj")), alpha)
 
-    def embed_patches(self, patch_rows) -> Tensor:
-        rows = patch_rows if isinstance(patch_rows, Tensor) else Tensor(patch_rows)
-        return T.add(T.matmul(rows, self._p("patch_embed.weight")), self._p("patch_embed.bias"))
-
-    def assemble_sequence(self, patch_emb: Tensor, prior_token: Tensor) -> Tensor:
-        """[class token; patch embeddings] + positions, then the prior token.
-
-        The prior token sits at index N+1 and receives no positional
-        encoding.
-        """
-        n = self.config.num_patches
-        if patch_emb.shape != (n, self.config.embed_dim):
-            raise ShapeError(f"patch embeddings must be ({n}, {self.config.embed_dim}), got {patch_emb.shape}")
-        if prior_token.shape != (1, self.config.embed_dim):
-            raise ShapeError(f"prior token must be (1, {self.config.embed_dim}), got {prior_token.shape}")
-        body = T.add(T.concat([self._p("cls_token"), patch_emb], axis=0), self._p("pos_embed"))
-        return T.concat([body, prior_token], axis=0)
-
     def _encode(self, seq: Tensor, want_attention: bool) -> tuple[Tensor, list[np.ndarray]]:
-        """Shared encoder over a (..., S, D) sequence stack."""
+        """Block stack over a (B, S, D) sequence; returns the normalized
+        class-token rows and, if asked, each layer's (B, H, S, S) attention."""
         c = self.config
+        b, s = seq.shape[0], seq.shape[1]
         head_dim = c.embed_dim // c.heads
         scale = 1.0 / np.sqrt(head_dim)
-        batched = seq.ndim == 3
         attentions: list[np.ndarray] = []
         z = seq
         for i in range(c.depth):
@@ -227,59 +196,22 @@ class PViTModel:
                     T.matmul(normed, self._p(f"{blk}.attn.{proj}.weight")),
                     self._p(f"{blk}.attn.{proj}.bias"),
                 )
-                s = x.shape[-2]
-                if batched:
-                    x = T.transpose(T.reshape(x, (x.shape[0], s, c.heads, head_dim)), (0, 2, 1, 3))
-                else:
-                    x = T.transpose(T.reshape(x, (s, c.heads, head_dim)), (1, 0, 2))
-                qkv.append(x)
+                qkv.append(T.transpose(T.reshape(x, (b, s, c.heads, head_dim)), (0, 2, 1, 3)))
             q, k, v = qkv
-            scores = T.mul(T.matmul(q, T.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))), scale)
+            scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
             attn = T.softmax(scores, axis=-1)
             if want_attention:
                 attentions.append(attn.numpy())
             ctx = T.matmul(attn, v)
-            if batched:
-                merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (ctx.shape[0], ctx.shape[2], c.embed_dim))
-            else:
-                merged = T.reshape(T.transpose(ctx, (1, 0, 2)), (ctx.shape[1], c.embed_dim))
+            merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, s, c.embed_dim))
             msa = T.add(T.matmul(merged, self._p(f"{blk}.attn.out.weight")), self._p(f"{blk}.attn.out.bias"))
             z = T.add(msa, z)
             normed2 = T.layer_norm(z, self._p(f"{blk}.ln2.gain"), self._p(f"{blk}.ln2.bias"), LAYER_NORM_EPS)
             hidden = T.gelu(T.add(T.matmul(normed2, self._p(f"{blk}.mlp.fc1.weight")), self._p(f"{blk}.mlp.fc1.bias")))
             mlp = T.add(T.matmul(hidden, self._p(f"{blk}.mlp.fc2.weight")), self._p(f"{blk}.mlp.fc2.bias"))
             z = T.add(mlp, z)
-        cls_out = z[:, 0, :] if batched else z[0, :]
-        y = T.layer_norm(cls_out, self._p("final_norm.gain"), self._p("final_norm.bias"), LAYER_NORM_EPS)
+        y = T.layer_norm(z[:, 0, :], self._p("final_norm.gain"), self._p("final_norm.bias"), LAYER_NORM_EPS)
         return y, attentions
-
-    def encoder_forward(self, seq: Tensor, want_attention: bool = True) -> ForwardTrace:
-        """Run the block stack on one (N+2) x D sequence."""
-        if seq.shape != (self.config.seq_len, self.config.embed_dim):
-            raise ShapeError(
-                f"sequence must be ({self.config.seq_len}, {self.config.embed_dim}), got {seq.shape}"
-            )
-        y, attentions = self._encode(seq, want_attention)
-        return ForwardTrace(attentions=attentions, y=y)
-
-    def classify(self, trace: ForwardTrace) -> Tensor:
-        """Head logits from the final class-token representation."""
-        logits = T.add(
-            T.matmul(T.reshape(trace.y, (1, self.config.embed_dim)), self._p("head.weight")),
-            self._p("head.bias"),
-        )
-        trace.logits = T.reshape(logits, (self.config.num_classes,))
-        return trace.logits
-
-    def forward_sample(
-        self, image: np.ndarray, prior_logits, alpha: Optional[float] = None, want_attention: bool = True
-    ) -> ForwardTrace:
-        """Full per-sample pass: patchify, embed, assemble, encode, classify."""
-        patch_emb = self.embed_patches(patchify(image, self.config.patch_size))
-        token = self.make_prior_token(prior_logits, alpha)
-        trace = self.encoder_forward(self.assemble_sequence(patch_emb, token), want_attention)
-        self.classify(trace)
-        return trace
 
     def forward_batch(
         self,
@@ -288,29 +220,23 @@ class PViTModel:
         alpha: Optional[float] = None,
         want_attention: bool = False,
     ) -> BatchForward:
-        """Vectorized pass over (B, H, W, C) images and (B, K) prior logits."""
-        c = self.config
-        alpha = c.alpha if alpha is None else float(alpha)
-        images = np.asarray(images, dtype=np.float64)
-        priors = np.asarray(prior_logits, dtype=np.float64)
-        b = images.shape[0]
-        if priors.shape != (b, c.num_classes):
-            raise ShapeError(f"prior logits must be ({b}, {c.num_classes}), got {priors.shape}")
-        if not np.all(np.isfinite(priors)):
-            raise ShapeError("prior logits must be finite")
-        if c.prior_broadcast == "batch":
-            # literal replication: every row shares the first sample's priors
-            priors = np.broadcast_to(priors[0], priors.shape)
+        """The forward pass over (B, H, W, C) images and (B, K) prior logits.
 
-        patch_emb = self.embed_patches(_patchify_batch(images, c.patch_size))  # (B, N, D)
+        Each sequence is [class token; patch embeddings] plus positions,
+        then the sample's prior token at index N+1 with no positional
+        encoding.
+        """
+        c = self.config
+        patches = Tensor(patchify(images, c.patch_size))  # (B, N, P)
+        b = patches.shape[0]
+        patch_emb = T.add(T.matmul(patches, self._p("patch_embed.weight")), self._p("patch_embed.bias"))
         cls = T.broadcast_to(T.reshape(self._p("cls_token"), (1, 1, c.embed_dim)), (b, 1, c.embed_dim))
         body = T.add(T.concat([cls, patch_emb], axis=1), self._p("pos_embed"))
-        weights = T.softmax(Tensor(priors), axis=1)
-        tokens = T.mul(T.matmul(weights, self._p("prior_proj")), alpha)  # (B, D)
-        seq = T.concat([body, T.reshape(tokens, (b, 1, c.embed_dim))], axis=1)
+        tokens = self.make_prior_token(prior_logits, alpha)
+        seq = T.concat([body, T.reshape(tokens, (tokens.shape[0], 1, c.embed_dim))], axis=1)
         y, attentions = self._encode(seq, want_attention)
         logits = T.add(T.matmul(y, self._p("head.weight")), self._p("head.bias"))
-        return BatchForward(logits=logits, y=y, attentions=attentions or None)
+        return BatchForward(logits=logits, y=y, attentions=attentions if want_attention else None)
 
     def batch_loss(self, images, labels, prior_logits, alpha: Optional[float] = None):
         """(cross-entropy loss, correct-prediction count) for one batch."""
@@ -360,13 +286,15 @@ def predicted_class(logits: np.ndarray) -> int:
     return int(np.argmax(np.asarray(logits)))
 
 
-def extract_attention(trace: ForwardTrace, layer: int, head: int) -> tuple[np.ndarray, float]:
-    """One stored attention matrix plus the class-token row's weight on the
-    prior token (the last column)."""
-    if not 0 <= layer < len(trace.attentions):
-        raise ShapeError(f"layer {layer} out of range, valid 0..{len(trace.attentions) - 1}")
-    per_layer = trace.attentions[layer]
-    if not 0 <= head < per_layer.shape[0]:
-        raise ShapeError(f"head {head} out of range, valid 0..{per_layer.shape[0] - 1}")
-    matrix = per_layer[head]
-    return matrix, float(matrix[0, -1])
+def extract_attention(out: BatchForward, layer: int, head: int) -> tuple[np.ndarray, np.ndarray]:
+    """One head's (B, S, S) attention matrices from a ``want_attention``
+    forward pass, plus each class-token row's weight on the prior token
+    (the last column)."""
+    layers = out.attentions or []
+    if not 0 <= layer < len(layers):
+        raise ShapeError(f"layer {layer} out of range, valid 0..{len(layers) - 1}")
+    per_layer = layers[layer]
+    if not 0 <= head < per_layer.shape[1]:
+        raise ShapeError(f"head {head} out of range, valid 0..{per_layer.shape[1] - 1}")
+    matrices = per_layer[:, head]
+    return matrices, matrices[:, 0, -1]

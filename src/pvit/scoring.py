@@ -8,6 +8,12 @@ prediction (KL), or the Euclidean distance between the raw logit
 vectors (ED).  MSP, MaxLogit and negative energy ride along as
 baselines on the predicted logits.
 
+There is one scoring path: :func:`predict_logits` runs the model over a
+dataset, batch by batch, and :func:`score_records` builds every record
+in one vectorised pass over the (N, K) predicted and prior logits.  The
+scalar functions (:func:`energy`, :func:`msp`, :func:`guidance_ce`, ...)
+score one logit vector and are the reference the records match.
+
 Probabilities are clamped at 1e-12 before any log: near-one-hot priors
 otherwise send -log q to infinity and poison downstream AUROC.
 """
@@ -22,8 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset
-from .errors import FormatError, MissingPriorError, ShapeError
-from .priors import PriorSource, TableSource, priors_for_indices
+from .errors import FormatError, ShapeError
+from .priors import PriorSource, priors_for_indices
 
 PROB_CLAMP = 1e-12
 
@@ -90,6 +96,11 @@ def _softmax_clamped(z: np.ndarray) -> np.ndarray:
     return np.maximum(e / e.sum(), PROB_CLAMP)
 
 
+def _softmax_rows_clamped(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return np.maximum(e / e.sum(axis=1, keepdims=True), PROB_CLAMP)
+
+
 def guidance_ce(prior_logits, predicted_class: int) -> float:
     """-log of the prior probability assigned to the predicted class."""
     p = _finite(prior_logits, "prior logits")
@@ -144,86 +155,79 @@ def decide(score: float, rule: DecisionRule) -> str:
     return "ID" if oriented >= rule.threshold else "OOD"
 
 
-def _guidance_value(kind: str, prior_row: np.ndarray, pred_row: np.ndarray, pred_class: int) -> float:
-    if kind == "ce":
-        return guidance_ce(prior_row, pred_class)
-    if kind == "kl":
-        return guidance_kl(prior_row, pred_row)
-    if kind == "ed":
-        return guidance_ed(prior_row, pred_row)
-    raise FormatError(f"unknown guidance kind {kind!r}; expected one of {GUIDANCE_KINDS}")
+def score_records(ids, predicted, priors, guidance_kind: str = "ce") -> list[ScoreRecord]:
+    """One record per row of the (N, K) predicted and prior logit blocks.
+
+    Row for row, every field equals the scalar functions above applied
+    to that row's logits, to the last bit.
+    """
+    if guidance_kind not in GUIDANCE_KINDS:
+        raise FormatError(f"unknown guidance kind {guidance_kind!r}; expected one of {GUIDANCE_KINDS}")
+    z = _finite(predicted, "predicted logits")
+    p = _finite(priors, "prior logits")
+    if z.ndim != 2 or z.shape != p.shape or len(z) != len(ids):
+        raise ShapeError(
+            f"need matching (N, K) logit blocks for {len(ids)} ids, got {z.shape} and {p.shape}"
+        )
+    pred_class = np.argmax(z, axis=1)
+    top = z.max(axis=1)
+    e = np.exp(z - top[:, None])
+    total = e.sum(axis=1)
+    lse = top + np.log(total)
+    msp_values = (e / total[:, None]).max(axis=1)
+    if guidance_kind == "ed":
+        guidance = np.sqrt(np.sum((p - z) ** 2, axis=1))
+    else:
+        pp = _softmax_rows_clamped(p)
+        if guidance_kind == "ce":
+            guidance = -np.log(pp[np.arange(len(pp)), pred_class])
+        else:
+            qq = _softmax_rows_clamped(z)
+            guidance = np.sum(pp * np.log(pp / qq), axis=1)
+    return [
+        ScoreRecord(
+            id=sid,
+            base=base,
+            guidance=g,
+            pge=pge(base, g),
+            predicted_class=k,
+            # energy is oriented so that higher means in-distribution
+            baselines={"msp": m, "max_logit": x, "energy": base},
+        )
+        for sid, base, g, k, m, x in zip(
+            ids, lse.tolist(), guidance.tolist(), pred_class.tolist(), msp_values.tolist(), top.tolist()
+        )
+    ]
 
 
-def _record_from_rows(sid: str, pred_row: np.ndarray, prior_row: np.ndarray, kind: str) -> ScoreRecord:
-    pred_class = int(np.argmax(pred_row))
-    base = base_score(pred_row)
-    guidance = _guidance_value(kind, prior_row, pred_row, pred_class)
-    return ScoreRecord(
-        id=sid,
-        base=base,
-        guidance=guidance,
-        pge=pge(base, guidance),
-        predicted_class=pred_class,
-        baselines={
-            "msp": msp(pred_row),
-            "max_logit": max_logit(pred_row),
-            # oriented so that higher means in-distribution
-            "energy": -energy(pred_row),
-        },
-    )
+def predict_logits(model, prior_source: PriorSource, dataset: Dataset, alpha: Optional[float] = None,
+                   batch_size: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """(predicted, prior) logits, each (N, K), over the whole dataset.
+
+    Batch by batch, the priors are resolved and then passed through
+    ``model.forward_batch(images, priors, alpha)``.
+    """
+    empty = np.empty((0, prior_source.num_classes))
+    predicted, priors = [empty], [empty]
+    for start in range(0, len(dataset), batch_size):
+        idx = np.arange(start, min(start + batch_size, len(dataset)))
+        batch_priors = priors_for_indices(prior_source, dataset, idx)
+        predicted.append(model.forward_batch(dataset.images[idx], batch_priors, alpha).logits.data)
+        priors.append(batch_priors)
+    return np.concatenate(predicted), np.concatenate(priors)
 
 
 def score_dataset(
     model,
     prior_source: PriorSource,
-    dataset: Optional[Dataset],
+    dataset: Dataset,
     guidance_kind: str = "ce",
     alpha: Optional[float] = None,
     batch_size: int = 64,
 ) -> list[ScoreRecord]:
-    """Score every sample: transformer forward, then base/guidance/composite.
-
-    ``model`` may instead be a loaded logits table (:class:`TableSource`),
-    in which case predicted logits come from the table by sample id and no
-    forward pass runs; with ``dataset`` None the table's own record order
-    defines the samples.  That path drives the no-prior-token ablation
-    from two logits files alone.
-    """
-    if guidance_kind not in GUIDANCE_KINDS:
-        raise FormatError(f"unknown guidance kind {guidance_kind!r}; expected one of {GUIDANCE_KINDS}")
-    records: list[ScoreRecord] = []
-    if isinstance(model, TableSource):
-        if dataset is None:
-            sample_ids = list(model.records)
-        else:
-            sample_ids = list(dataset.ids)
-        prior_table = prior_source
-        if not isinstance(prior_table, TableSource):
-            raise FormatError("logits-table scoring needs a table prior source")
-        for sid in sample_ids:
-            pred = model.records.get(sid)
-            if pred is None:
-                raise MissingPriorError(f"no predicted logits for sample id {sid!r}")
-            prior = prior_table.records.get(sid)
-            if prior is None:
-                raise MissingPriorError(f"no prior logits for sample id {sid!r}")
-            records.append(
-                _record_from_rows(sid, np.asarray(pred.logits), np.asarray(prior.logits), guidance_kind)
-            )
-        return records
-
-    if dataset is None:
-        raise FormatError("model scoring needs a dataset")
-    n = len(dataset)
-    for start in range(0, n, batch_size):
-        idx = np.arange(start, min(start + batch_size, n))
-        priors = priors_for_indices(prior_source, dataset, idx)
-        out = model.forward_batch(dataset.images[idx], priors, alpha)
-        for j, i in enumerate(idx):
-            records.append(
-                _record_from_rows(dataset.ids[int(i)], out.logits.data[j], priors[j], guidance_kind)
-            )
-    return records
+    """Score every sample: transformer forward, then base/guidance/composite."""
+    predicted, priors = predict_logits(model, prior_source, dataset, alpha, batch_size)
+    return score_records(dataset.ids, predicted, priors, guidance_kind)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from pvit.cli import main
 from pvit.data import make_ood, split_dataset, synth_dataset
 from pvit.metrics import auroc, evaluate, fpr_at_tpr
 from pvit.model import PViTConfig, PViTModel
-from pvit.priors import accuracy, priors_for_indices, train_prior_model
-from pvit.scoring import base_score, cefe_expand, energy, read_scores, score_dataset
+from pvit.priors import accuracy, train_prior_model
+from pvit.scoring import base_score, cefe_expand, energy, predict_logits, read_scores, score_dataset
 from pvit.tensor import (
     Tape,
     Tensor,
@@ -225,7 +225,7 @@ def test_prior_token_linearity():
     config = PViTConfig(image_h=8, image_w=8, patch_size=4, embed_dim=16,
                         depth=1, heads=2, mlp_dim=24, num_classes=3)
     model = PViTModel(config, seed=3)
-    logits = np.array([0.9, -0.3, 0.4])
+    logits = np.array([[0.9, -0.3, 0.4]])
     for alpha in (0.1, 0.37):
         one = model.make_prior_token(logits, alpha=alpha)
         two = model.make_prior_token(logits, alpha=2 * alpha)
@@ -334,13 +334,8 @@ def test_end_to_end_desk_experiment():
                       weight_decay=1e-3, seed=33))
 
     def model_accuracy(ds):
-        correct = 0
-        for s in range(0, len(ds), 64):
-            idx = np.arange(s, min(s + 64, len(ds)))
-            priors = priors_for_indices(prior, ds, idx)
-            out = model.forward_batch(ds.images[idx], priors)
-            correct += int(np.sum(np.argmax(out.logits.data, axis=1) == ds.labels[idx]))
-        return correct / len(ds)
+        predicted, _ = predict_logits(model, prior, ds)
+        return int(np.sum(np.argmax(predicted, axis=1) == ds.labels)) / len(ds)
 
     model_acc = model_accuracy(id_test)
     assert model_acc >= prior_acc - 0.05, f"model {model_acc} vs prior {prior_acc}"

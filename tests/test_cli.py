@@ -9,7 +9,7 @@ import pytest
 
 from pvit.cli import main
 from pvit.checkpoint import load_checkpoint
-from pvit.scoring import read_scores
+from pvit.scoring import ScoreRecord, read_scores, write_scores
 
 SMALL_CFG = """
 out.dir = {out}
@@ -197,6 +197,43 @@ class TestErrors:
 
     def test_missing_config_file(self, capsys):
         assert main(["train-prior", "--config", "/nonexistent/run.cfg"]) == 1
+
+
+def write_score_set(out, guidance="ce", nan_split=None):
+    """Score files for id-test and the default OOD sets, with one NaN pge
+    in ``nan_split`` if given."""
+    os.makedirs(out, exist_ok=True)
+    for i, split in enumerate(["id-test"] + SPLITS[2:]):
+        records = []
+        for j in range(6):
+            base = 1.0 + 0.1 * j - 0.5 * i
+            pge = float("nan") if split == nan_split and j == 3 else base * 0.5
+            records.append(ScoreRecord(f"{split}-{j}", base, 0.5, pge, 0, {"msp": 0.5}))
+        write_scores(os.path.join(out, f"scores_{split}.jsonl"), records, guidance, 0.1, "ab" * 32)
+
+
+class TestEvalInputs:
+    def test_hand_written_score_set_evaluates(self, tmp_path):
+        cfg, out = write_cfg(tmp_path)
+        write_score_set(out)
+        assert main(["eval", "--config", cfg]) == 0
+
+    def test_nan_score_exits_2(self, tmp_path, capsys):
+        cfg, out = write_cfg(tmp_path)
+        write_score_set(out, nan_split="ood-pattern-shift")
+        assert main(["eval", "--config", cfg]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_mismatched_guidance_header_exits_2(self, tmp_path, capsys):
+        cfg, out = write_cfg(tmp_path)
+        write_score_set(out, guidance="ce")
+        _, records = read_scores(os.path.join(out, "scores_ood-inverted.jsonl"))
+        write_scores(os.path.join(out, "scores_ood-inverted.jsonl"), records, "kl", 0.1, "ab" * 32)
+        assert main(["eval", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "scores_ood-inverted.jsonl" in err and "scores_id-test.jsonl" in err
+        assert "guidance" in err
+        assert not os.path.exists(os.path.join(out, "eval_summary.csv"))
 
 
 class TestLogitsPriorInterchangeability:

@@ -5,9 +5,14 @@ pair is checked against an exhaustive sweep over all observed score
 values.  Random instances deliberately include ties.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import pvit
 from pvit.errors import FormatError
 from pvit.metrics import OODMetrics, auroc, evaluate, fpr_at_tpr, histogram_export
 from pvit.scoring import ScoreRecord
@@ -89,6 +94,13 @@ class TestAuroc:
         ids, oods = random_instance(rng)
         assert abs(auroc(ids, oods) + auroc(-ids, -oods) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(FormatError, match="finite"):
+            auroc([0.1, bad, 0.5], [0.2, 0.3])
+        with pytest.raises(FormatError, match="finite"):
+            auroc([0.1, 0.5], [0.2, bad])
+
 
 class TestFprAtTpr:
     def test_perfect_separation(self):
@@ -123,6 +135,13 @@ class TestFprAtTpr:
     def test_bad_target_rejected(self):
         with pytest.raises(FormatError):
             fpr_at_tpr([1.0], [0.0], 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(FormatError, match="finite"):
+            fpr_at_tpr([0.1, bad, 0.5], [0.2, 0.3])
+        with pytest.raises(FormatError, match="finite"):
+            fpr_at_tpr([0.1, 0.5], [bad, 0.3])
 
 
 class TestEvaluate:
@@ -205,3 +224,20 @@ class TestHistogramExport:
     def test_too_few_bins(self, tmp_path):
         with pytest.raises(FormatError):
             histogram_export([1.0], [2.0], 1, str(tmp_path / "x.csv"))
+
+    def test_non_finite_rejected(self, tmp_path):
+        path = tmp_path / "x.csv"
+        with pytest.raises(FormatError, match="finite"):
+            histogram_export([1.0, np.nan], [2.0], 4, str(path))
+        with pytest.raises(FormatError, match="finite"):
+            histogram_export([1.0], [2.0, -np.inf], 4, str(path))
+        assert not path.exists()
+
+
+def test_import_does_not_load_scipy_stats():
+    """scipy.stats costs most of a second to import; pvit's startup must not pay it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pvit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, pvit; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

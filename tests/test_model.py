@@ -1,5 +1,8 @@
 """Transformer architecture tests: sequence assembly, prior token,
-encoder invariants, attention extraction, checkpoint round trip."""
+encoder invariants, attention extraction, checkpoint round trip.
+
+A single sample is a batch of one; per-sample checks run through
+``forward_batch`` with B=1 and compare against B=n."""
 
 import numpy as np
 import pytest
@@ -28,63 +31,77 @@ def tiny_config(**overrides):
 RNG = np.random.default_rng(77)
 
 
+def encoder_input(model, images, priors, alpha=None):
+    """The (B, S, D) sequence ``forward_batch`` feeds to the block stack:
+    the input of the first layer norm recorded on the tape."""
+    with Tape() as tape:
+        model.forward_batch(images, priors, alpha)
+    first = next(n for n in tape.nodes if n.grad_fn.__qualname__.startswith("layer_norm"))
+    return first.inputs[0].data
+
+
 class TestPatchify:
     def test_28x28_p7_shape(self):
-        out = patchify(np.zeros((28, 28, 1)), 7)
-        assert out.shape == (16, 49)
+        out = patchify(np.zeros((1, 28, 28, 1)), 7)
+        assert out.shape == (1, 16, 49)
 
     def test_single_patch_equals_flattened_image(self):
-        img = RNG.random((28, 28, 1))
+        img = RNG.random((1, 28, 28, 1))
         out = patchify(img, 28)
-        assert out.shape == (1, 784)
-        np.testing.assert_array_equal(out[0], img.reshape(-1))
+        assert out.shape == (1, 1, 784)
+        np.testing.assert_array_equal(out[0, 0], img.reshape(-1))
 
     def test_constant_image(self):
-        out = patchify(np.full((8, 8, 2), 0.3), 4)
+        out = patchify(np.full((1, 8, 8, 2), 0.3), 4)
         assert np.all(out == 0.3)
 
     def test_indivisible_dims_rejected(self):
         with pytest.raises(ShapeError):
-            patchify(np.zeros((10, 10, 1)), 4)
+            patchify(np.zeros((1, 10, 10, 1)), 4)
 
     def test_raster_order(self):
         # pixel value encodes (row, col); patch 1 must be the top-right block
-        img = np.arange(16, dtype=np.float64).reshape(4, 4, 1)
+        img = np.arange(16, dtype=np.float64).reshape(1, 4, 4, 1)
         out = patchify(img, 2)
-        np.testing.assert_array_equal(out[1], [2, 3, 6, 7])
+        np.testing.assert_array_equal(out[0, 1], [2, 3, 6, 7])
 
 
 class TestPriorToken:
     def test_alpha_zero_gives_zero_token(self):
         model = PViTModel(tiny_config(), seed=0)
-        token = model.make_prior_token([1.0, -2.0, 0.5], alpha=0.0)
+        token = model.make_prior_token([[1.0, -2.0, 0.5]], alpha=0.0)
         assert token.shape == (1, 16)
         assert np.all(token.data == 0.0)
 
     def test_linear_in_alpha(self):
         model = PViTModel(tiny_config(), seed=1)
-        one = model.make_prior_token([0.3, 0.1, -0.7], alpha=0.4)
-        two = model.make_prior_token([0.3, 0.1, -0.7], alpha=0.8)
+        one = model.make_prior_token([[0.3, 0.1, -0.7]], alpha=0.4)
+        two = model.make_prior_token([[0.3, 0.1, -0.7]], alpha=0.8)
         np.testing.assert_allclose(two.data, 2.0 * one.data, atol=1e-15)
 
     def test_identity_padded_projection(self):
         cfg = tiny_config(num_classes=4, embed_dim=8, heads=2)
         model = PViTModel(cfg, seed=2)
         model.params["prior_proj"].data = np.eye(4, 8)
-        token = model.make_prior_token(np.zeros(4), alpha=2.0)
+        token = model.make_prior_token(np.zeros((1, 4)), alpha=2.0)
         expected = np.zeros(8)
         expected[:4] = 2.0 / 4
         np.testing.assert_allclose(token.data[0], expected, atol=1e-15)
 
     def test_wrong_length_rejected(self):
         model = PViTModel(tiny_config(), seed=0)
-        with pytest.raises(ShapeError, match="length 3"):
-            model.make_prior_token([1.0, 2.0])
+        with pytest.raises(ShapeError, match=r"\(B, 3\)"):
+            model.make_prior_token([[1.0, 2.0]])
+
+    def test_non_finite_rejected(self):
+        model = PViTModel(tiny_config(), seed=0)
+        with pytest.raises(ShapeError, match="finite"):
+            model.make_prior_token([[1.0, np.nan, 0.0]])
 
     def test_projection_is_trained(self):
         model = PViTModel(tiny_config(), seed=3)
         with Tape():
-            token = model.make_prior_token([1.0, 0.0, -1.0], alpha=1.0)
+            token = model.make_prior_token([[1.0, 0.0, -1.0]], alpha=1.0)
             loss = reshape(token @ Tensor(np.ones((16, 1))), ())
         backward(loss)
         assert model.params["prior_proj"].grad is not None
@@ -96,48 +113,44 @@ class TestAssembleSequence:
         cfg = PViTConfig(image_h=28, image_w=28, patch_size=7, embed_dim=16,
                          depth=1, heads=2, mlp_dim=24, num_classes=3)
         model = PViTModel(cfg, seed=0)
-        patches = model.embed_patches(patchify(RNG.random((28, 28, 1)), 7))
-        seq = model.assemble_sequence(patches, model.make_prior_token([0.0, 0.0, 0.0]))
-        assert seq.shape == (18, 16)
+        seq = encoder_input(model, RNG.random((1, 28, 28, 1)), [[0.0, 0.0, 0.0]])
+        assert seq.shape == (1, 18, 16)
 
     def test_zero_prior_token_leaves_last_row_zero(self):
         model = PViTModel(tiny_config(), seed=4)
-        patches = model.embed_patches(patchify(RNG.random((8, 8, 1)), 4))
-        seq = model.assemble_sequence(patches, model.make_prior_token([1.0, 2.0, 3.0], alpha=0.0))
-        assert np.all(seq.data[-1] == 0.0)
+        seq = encoder_input(model, RNG.random((1, 8, 8, 1)), [[1.0, 2.0, 3.0]], alpha=0.0)
+        assert np.all(seq[0, -1] == 0.0)
 
     def test_priors_change_only_last_row(self):
         model = PViTModel(tiny_config(), seed=5)
-        img = RNG.random((8, 8, 1))
-        patches = model.embed_patches(patchify(img, 4))
-        a = model.assemble_sequence(patches, model.make_prior_token([1.0, 0.0, 0.0]))
-        b = model.assemble_sequence(patches, model.make_prior_token([0.0, 0.0, 9.0]))
-        np.testing.assert_array_equal(a.data[:-1], b.data[:-1])
-        assert np.any(a.data[-1] != b.data[-1])
+        img = RNG.random((1, 8, 8, 1))
+        a = encoder_input(model, img, [[1.0, 0.0, 0.0]])[0]
+        b = encoder_input(model, img, [[0.0, 0.0, 9.0]])[0]
+        np.testing.assert_array_equal(a[:-1], b[:-1])
+        assert np.any(a[-1] != b[-1])
 
 
 class TestEncoder:
     def test_depth_zero_is_layer_norm_of_first_row(self):
         model = PViTModel(tiny_config(depth=0), seed=6)
-        seq = Tensor(RNG.random((6, 16)))
-        trace = model.encoder_forward(seq)
-        row = seq.data[0]
+        out = model.forward_batch(RNG.random((1, 8, 8, 1)), [[0.5, 0.0, -1.0]], want_attention=True)
+        row = model.params["cls_token"].data[0] + model.params["pos_embed"].data[0]
         mu, var = row.mean(), row.var()
         expected = (row - mu) / np.sqrt(var + 1e-5)
-        np.testing.assert_allclose(trace.y.data, expected, atol=1e-12)
-        assert trace.attentions == []
+        np.testing.assert_allclose(out.y.data[0], expected, atol=1e-12)
+        assert out.attentions == []
 
     def test_attention_rows_sum_to_one(self):
         model = PViTModel(tiny_config(), seed=7)
-        trace = model.forward_sample(RNG.random((8, 8, 1)), [0.2, -0.4, 1.0])
-        for layer_attn in trace.attentions:
+        out = model.forward_batch(RNG.random((1, 8, 8, 1)), [[0.2, -0.4, 1.0]], want_attention=True)
+        for layer_attn in out.attentions:
             np.testing.assert_allclose(layer_attn.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_repeat_bit_identical(self):
         model = PViTModel(tiny_config(), seed=8)
-        img = RNG.random((8, 8, 1))
-        a = model.forward_sample(img, [1.0, 2.0, 3.0])
-        b = model.forward_sample(img, [1.0, 2.0, 3.0])
+        img = RNG.random((1, 8, 8, 1))
+        a = model.forward_batch(img, [[1.0, 2.0, 3.0]], want_attention=True)
+        b = model.forward_batch(img, [[1.0, 2.0, 3.0]], want_attention=True)
         assert a.logits.data.tobytes() == b.logits.data.tobytes()
         for x, y in zip(a.attentions, b.attentions):
             assert x.tobytes() == y.tobytes()
@@ -146,10 +159,12 @@ class TestEncoder:
         model = PViTModel(tiny_config(), seed=9)
         imgs = RNG.random((3, 8, 8, 1))
         priors = RNG.normal(size=(3, 3))
-        out = model.forward_batch(imgs, priors)
+        out = model.forward_batch(imgs, priors, want_attention=True)
         for i in range(3):
-            trace = model.forward_sample(imgs[i], priors[i])
-            np.testing.assert_allclose(out.logits.data[i], trace.logits.data, atol=1e-12)
+            one = model.forward_batch(imgs[i : i + 1], priors[i : i + 1], want_attention=True)
+            np.testing.assert_allclose(out.logits.data[i], one.logits.data[0], atol=1e-12)
+            for batched, single in zip(out.attentions, one.attentions):
+                np.testing.assert_allclose(batched[i], single[0], atol=1e-12)
 
 
 class TestClassify:
@@ -157,8 +172,8 @@ class TestClassify:
         model = PViTModel(tiny_config(), seed=10)
         model.params["head.weight"].data = np.zeros((16, 3))
         model.params["head.bias"].data = np.array([0.5, -1.0, 2.0])
-        trace = model.forward_sample(RNG.random((8, 8, 1)), [0.0, 0.0, 0.0])
-        np.testing.assert_allclose(trace.logits.data, [0.5, -1.0, 2.0], atol=1e-15)
+        out = model.forward_batch(RNG.random((1, 8, 8, 1)), [[0.0, 0.0, 0.0]])
+        np.testing.assert_allclose(out.logits.data[0], [0.5, -1.0, 2.0], atol=1e-15)
 
     def test_argmax(self):
         assert predicted_class([1.0, 3.0, 2.0]) == 1
@@ -170,27 +185,29 @@ class TestClassify:
 class TestExtractAttention:
     def test_rows_sum_to_one(self):
         model = PViTModel(tiny_config(), seed=11)
-        trace = model.forward_sample(RNG.random((8, 8, 1)), [1.0, 0.0, 0.0])
-        matrix, mass = extract_attention(trace, 1, 0)
-        np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-9)
-        assert 0.0 <= mass <= 1.0
+        out = model.forward_batch(RNG.random((1, 8, 8, 1)), [[1.0, 0.0, 0.0]], want_attention=True)
+        matrices, masses = extract_attention(out, 1, 0)
+        assert matrices.shape == (1, 6, 6) and masses.shape == (1,)
+        np.testing.assert_allclose(matrices[0].sum(axis=1), 1.0, atol=1e-9)
+        assert masses[0] == matrices[0, 0, -1]
+        assert 0.0 <= masses[0] <= 1.0
 
     def test_layer_out_of_range(self):
         model = PViTModel(tiny_config(depth=2), seed=12)
-        trace = model.forward_sample(RNG.random((8, 8, 1)), [0.0, 0.0, 0.0])
+        out = model.forward_batch(RNG.random((1, 8, 8, 1)), [[0.0, 0.0, 0.0]], want_attention=True)
         with pytest.raises(ShapeError, match="valid 0..1"):
-            extract_attention(trace, 2, 0)
+            extract_attention(out, 2, 0)
         with pytest.raises(ShapeError, match="head"):
-            extract_attention(trace, 0, 5)
+            extract_attention(out, 0, 5)
 
     def test_prior_mass_depends_on_alpha(self):
         model = PViTModel(tiny_config(), seed=13)
-        img = RNG.random((8, 8, 1))
-        low = model.forward_sample(img, [3.0, 0.0, -1.0], alpha=0.0)
-        high = model.forward_sample(img, [3.0, 0.0, -1.0], alpha=10.0)
+        img = RNG.random((1, 8, 8, 1))
+        low = model.forward_batch(img, [[3.0, 0.0, -1.0]], alpha=0.0, want_attention=True)
+        high = model.forward_batch(img, [[3.0, 0.0, -1.0]], alpha=10.0, want_attention=True)
         _, mass_low = extract_attention(low, 1, 0)
         _, mass_high = extract_attention(high, 1, 0)
-        assert mass_low != mass_high  # recorded difference, no direction asserted
+        assert mass_low[0] != mass_high[0]  # recorded difference, no direction asserted
 
 
 class TestGradients:
@@ -264,9 +281,9 @@ class TestCheckpoint:
         loaded, header, extra = PViTModel.load(path)
         assert header["step"] == 12 and header["epoch"] == 3
         assert extra == {}
-        img = RNG.random((8, 8, 1))
-        a = model.forward_sample(img, [1.0, -1.0, 0.0]).logits.data
-        b = loaded.forward_sample(img, [1.0, -1.0, 0.0]).logits.data
+        img = RNG.random((1, 8, 8, 1))
+        a = model.forward_batch(img, [[1.0, -1.0, 0.0]]).logits.data
+        b = loaded.forward_batch(img, [[1.0, -1.0, 0.0]]).logits.data
         assert np.max(np.abs(a - b)) <= 1e-6
 
     def test_corrupted_magic_names_file(self, tmp_path):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pvit.data import Dataset, Sample
+from pvit.data import Dataset
 from pvit.errors import FormatError, MissingPriorError
 from pvit.priors import (
     LogitsRecord,
@@ -16,7 +16,7 @@ from pvit.priors import (
     accuracy,
     export_logits,
     load_logits,
-    prior_logits,
+    priors_for_indices,
     train_prior_model,
 )
 from pvit.rng import philox
@@ -45,20 +45,22 @@ class TestLookup:
     def test_present_id_returns_stored_vector(self):
         rec = LogitsRecord("a", 1, [0.5, -1.0, 2.0])
         src = table([rec])
-        got = prior_logits(src, Sample("a", np.zeros((2, 2, 1))))
-        np.testing.assert_array_equal(got, [0.5, -1.0, 2.0])
+        ds = Dataset("d", np.zeros((1, 2, 2, 1)), ids=["a"])
+        got = priors_for_indices(src, ds, np.array([0]))
+        np.testing.assert_array_equal(got, [[0.5, -1.0, 2.0]])
 
     def test_absent_id_raises(self):
         src = table([LogitsRecord("a", None, [0.0, 0.0, 0.0])])
+        ds = Dataset("d", np.zeros((1, 2, 2, 1)), ids=["b"])
         with pytest.raises(MissingPriorError, match="'b'"):
-            prior_logits(src, Sample("b", np.zeros((2, 2, 1))))
+            priors_for_indices(src, ds, np.array([0]))
 
     def test_model_source_deterministic(self):
         model = MLPClassifier(MLPConfig(input_dim=16, hidden_dim=8, num_classes=3), seed=4)
         src = ModelSource(model)
-        sample = Sample("x", np.full((4, 4, 1), 0.3))
-        a = prior_logits(src, sample)
-        b = prior_logits(src, sample)
+        ds = Dataset("d", np.full((1, 4, 4, 1), 0.3), ids=["x"])
+        a = priors_for_indices(src, ds, np.array([0]))
+        b = priors_for_indices(src, ds, np.array([0]))
         assert a.tobytes() == b.tobytes()
 
 

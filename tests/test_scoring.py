@@ -27,6 +27,7 @@ from pvit.scoring import (
     read_scores,
     score_dataset,
     score_field,
+    score_records,
     write_scores,
 )
 from pvit.train import TrainConfig
@@ -273,7 +274,8 @@ class TestScoreDataset:
     def test_ed_zero_when_prior_equals_predictions(self):
         records = {f"s{i}": LogitsRecord(f"s{i}", None, [float(i), 1.0, -0.5]) for i in range(4)}
         tbl = TableSource(records=dict(records), num_classes=3)
-        out = score_dataset(tbl, tbl, None, "ed")
+        ids = list(tbl.records)
+        out = score_records(ids, tbl.logits_for(ids), tbl.logits_for(ids), "ed")
         assert len(out) == 4
         for rec in out:
             assert rec.guidance == 0.0
@@ -294,6 +296,53 @@ class TestScoreDataset:
         model, prior, ds = trained_setup(5)
         with pytest.raises(FormatError, match="guidance kind"):
             score_dataset(model, prior, ds, "cosine")
+
+
+def scalar_record(sid, pred_row, prior_row, kind):
+    """One score record from the scalar functions: the oracle for score_records."""
+    k = int(np.argmax(pred_row))
+    base = base_score(pred_row)
+    if kind == "ce":
+        guidance = guidance_ce(prior_row, k)
+    elif kind == "kl":
+        guidance = guidance_kl(prior_row, pred_row)
+    else:
+        guidance = guidance_ed(prior_row, pred_row)
+    baselines = {"msp": msp(pred_row), "max_logit": max_logit(pred_row), "energy": -energy(pred_row)}
+    return ScoreRecord(sid, base, guidance, pge(base, guidance), k, baselines)
+
+
+class TestScoreRecords:
+    @pytest.mark.parametrize("kind", ["ce", "kl", "ed"])
+    @pytest.mark.parametrize("k", [2, 4, 17])
+    def test_matches_scalar_oracle_record_by_record(self, kind, k):
+        rng = np.random.default_rng(k)
+        n = 400
+        predicted = rng.uniform(-6.0, 6.0, (n, k))
+        priors = rng.uniform(-6.0, 6.0, (n, k))
+        predicted[n // 2 :] *= 10.0
+        # near-one-hot priors: the smallest probabilities fall below the 1e-12 clamp
+        priors[::3] *= 40.0
+        # tied argmax rows: the lowest tied class wins
+        predicted[1::5, :2] = predicted[1::5].max(axis=1, keepdims=True) + 1.0
+        ids = [f"s{i}" for i in range(n)]
+        for i, rec in enumerate(score_records(ids, predicted, priors, kind)):
+            assert repr(rec) == repr(scalar_record(ids[i], predicted[i], priors[i], kind))
+
+    def test_non_finite_logits_rejected(self):
+        block = np.zeros((2, 3))
+        bad = block.copy()
+        bad[1, 2] = np.nan
+        with pytest.raises(ShapeError, match="finite"):
+            score_records(["a", "b"], bad, block, "ce")
+        with pytest.raises(ShapeError, match="finite"):
+            score_records(["a", "b"], block, bad, "kl")
+
+    def test_mismatched_blocks_rejected(self):
+        with pytest.raises(ShapeError):
+            score_records(["a", "b"], np.zeros((2, 3)), np.zeros((2, 4)), "ed")
+        with pytest.raises(ShapeError):
+            score_records(["a"], np.zeros((2, 3)), np.zeros((2, 3)), "ed")
 
 
 class TestScoreFile:
