@@ -12,13 +12,16 @@ the model kind, its configuration, and training progress counters.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import struct
+import typing
 from typing import Mapping
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 
 MAGIC = b"PVIT"
 FORMAT_VERSION = 1
@@ -44,45 +47,70 @@ def save_checkpoint(path: str, header: dict, tensors: Mapping[str, np.ndarray]) 
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read header and tensors back; values are upcast to float64."""
+    """Read header and tensors back; values are upcast to float64.  Any
+    defect, a truncated file or trailing bytes included, is a FormatError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic {data[:4]!r}, expected {MAGIC!r}")
     off = 4
 
-    def read_u32() -> int:
+    def take(count: int) -> bytes:
         nonlocal off
-        if off + 4 > len(data):
+        if off + count > len(data):
             raise FormatError(f"{path}: truncated checkpoint")
-        value = struct.unpack_from("<I", data, off)[0]
-        off += 4
-        return value
+        off += count
+        return data[off - count : off]
+
+    def read_u32() -> int:
+        return struct.unpack("<I", take(4))[0]
 
     version = read_u32()
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    json_len = read_u32()
-    if off + json_len > len(data):
-        raise FormatError(f"{path}: truncated checkpoint header")
-    try:
-        header = json.loads(data[off : off + json_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from None
-    off += json_len
-
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(read_u32()):
-        name_len = read_u32()
-        name = data[off : off + name_len].decode("utf-8")
-        off += name_len
-        rank = read_u32()
-        dims = [read_u32() for _ in range(rank)]
-        count = int(np.prod(dims)) if dims else 1
-        end = off + 4 * count
-        if end > len(data):
-            raise FormatError(f"{path}: truncated tensor {name!r}")
-        arr = np.frombuffer(data[off:end], dtype="<f4").astype(np.float64).reshape(dims)
-        off = end
-        tensors[name] = arr
+    try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        header = json.loads(take(read_u32()).decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError("not a JSON object")
+        for _ in range(read_u32()):
+            name = take(read_u32()).decode("utf-8")
+            dims = [read_u32() for _ in range(read_u32())]
+            raw = take(4 * math.prod(dims))
+            tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims)
+    except ValueError as exc:
+        raise FormatError(f"{path}: corrupt checkpoint: {exc}") from None
+    if off != len(data):
+        raise FormatError(f"{path}: {len(data) - off} trailing bytes after the last tensor")
     return header, tensors
+
+
+def load_model(path: str, kind: str, config_cls, make):
+    """(``make(config)`` with its ``params`` read back, header, leftover
+    tensors) from a ``kind`` checkpoint whose config names exactly
+    ``config_cls``'s fields, less its ``retired_keys`` holding their value."""
+    header, tensors = load_checkpoint(path)
+    if header.get("kind") != kind:
+        raise FormatError(f"{path}: checkpoint kind {header.get('kind')!r} is not {kind!r}")
+    config = header.get("config")
+    if not isinstance(config, dict):
+        raise FormatError(f"{path}: checkpoint header has no config object")
+    retired = getattr(config_cls, "retired_keys", {})
+    config = {key: value for key, value in config.items() if key not in retired or value != retired[key]}
+    fields = [f.name for f in dataclasses.fields(config_cls)]
+    unknown_or_missing = sorted(set(config) ^ set(fields))
+    if unknown_or_missing:
+        raise FormatError(f"{path}: checkpoint config keys {unknown_or_missing} are not {config_cls.__name__}'s fields")
+    hints = typing.get_type_hints(config_cls)
+    for key in fields:
+        if type(config[key]) not in ((int, float) if hints[key] is float else (hints[key],)):
+            raise FormatError(f"{path}: checkpoint config {key!r} = {config[key]!r} is not a {hints[key].__name__}")
+    try:
+        model = make(config_cls(**config))
+    except ShapeError as exc:
+        raise FormatError(f"{path}: invalid checkpoint config: {exc}") from None
+    for name, param in model.params.items():
+        if name not in tensors or tensors[name].shape != param.shape:
+            raise FormatError(f"{path}: checkpoint has no tensor {name!r} of shape {param.shape}")
+        param.data = np.ascontiguousarray(tensors.pop(name))
+    return model, header, tensors

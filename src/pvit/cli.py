@@ -1,12 +1,12 @@
 """Command-line entry point.
 
 Subcommands mirror the workflow: ``train-prior`` fits the prior
-classifier and exports its logits for every split, ``train-pvit`` fits
-the transformer with per-sample prior tokens, ``score`` writes score
-records per dataset, ``eval`` turns them into AUROC/FPR95 reports plus
-histograms, ``attention-dump`` exports attention matrices and the
-prior-token attention mass, and ``export-logits`` re-exports logits
-from a saved prior checkpoint.
+classifier, saves it and exports the saved prior's logits for every
+split, ``train-pvit`` fits the transformer with per-sample prior
+tokens, ``score`` writes score records per dataset, ``eval`` turns
+them into AUROC/FPR95 reports plus histograms, ``attention-dump``
+exports attention matrices and the prior-token attention mass, and
+``export-logits`` re-exports logits from a saved prior checkpoint.
 
 Exit codes: 0 success, 1 usage/config error, 2 data or format error.
 All outputs are plain text (JSONL / CSV / JSON); every command writes
@@ -36,7 +36,6 @@ from .priors import (
     accuracy,
     export_logits,
     load_logits,
-    priors_for_indices,
     train_prior_model,
 )
 from .scoring import (
@@ -143,7 +142,6 @@ def _pvit_config(cfg: RunConfig, datasets) -> PViTConfig:
         mlp_dim=cfg["model.mlp_dim"],
         num_classes=cfg["data.classes"],
         alpha=cfg["model.alpha"],
-        prior_broadcast=cfg["model.prior_broadcast"],
     )
 
 
@@ -177,30 +175,28 @@ def _logits_path(directory: str, split: str) -> str:
 
 
 def _prior_source(cfg: RunConfig, out: str, splits) -> TableSource | ModelSource:
-    """Model-backed or logits-file-backed priors, interchangeable everywhere."""
+    """Model-backed or logits-file-backed priors, bitwise interchangeable:
+    each logits file holds what the saved prior resolves its split to."""
     if cfg["prior.source"] == "model":
         return ModelSource(MLPClassifier.load(_prior_ckpt_path(cfg, out)))
     if cfg["prior.source"] != "logits":
         raise ConfigError(f"config key 'prior.source': expected model or logits, got {cfg['prior.source']!r}")
-    directory = _logits_dir(cfg, out)
-    merged: dict = {}
-    k = None
-    for split in splits:
-        table = load_logits(_logits_path(directory, split))
-        if k is None:
-            k = table.num_classes
-        merged.update(table.records)
-    return TableSource(records=merged, num_classes=k or cfg["data.classes"], name="logits-files")
+    tables = [load_logits(_logits_path(_logits_dir(cfg, out), split)) for split in splits]
+    merged = {sid: record for table in tables for sid, record in table.records.items()}
+    return TableSource(records=merged, num_classes=tables[0].num_classes, name="logits-files")
 
 
-def _export_all_logits(source, datasets, directory: str) -> list[str]:
-    os.makedirs(directory, exist_ok=True)
-    written = []
-    for split, ds in datasets.items():
-        path = _logits_path(directory, split)
+def _export_all_logits(cfg: RunConfig, out: str, datasets) -> tuple[ModelSource, list[str]]:
+    """Write every split's logits file from the prior as saved in its
+    checkpoint, float32, not from float64 weights still in memory, so the
+    files hold what a model-backed source resolves; returns that prior
+    and the files written."""
+    source = ModelSource(MLPClassifier.load(_prior_ckpt_path(cfg, out)))
+    os.makedirs(_logits_dir(cfg, out), exist_ok=True)
+    written = [_logits_path(_logits_dir(cfg, out), split) for split in datasets]
+    for path, ds in zip(written, datasets.values()):
         export_logits(source, ds, path)
-        written.append(path)
-    return written
+    return source, written
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +218,9 @@ def cmd_train_prior(cfg: RunConfig, out: str) -> None:
     if result is not None:
         with open(os.path.join(out, "prior_loss.csv"), "w", encoding="utf-8") as fh:
             fh.write(loss_curve_csv(result.curve))
-    train_acc = accuracy(source, datasets["id-train"])
-    test_acc = accuracy(source, datasets["id-test"]) if datasets["id-test"].labels is not None else float("nan")
-    written = _export_all_logits(source, datasets, _logits_dir(cfg, out))
+    saved, written = _export_all_logits(cfg, out, datasets)
+    train_acc = accuracy(saved, datasets["id-train"])
+    test_acc = accuracy(saved, datasets["id-test"]) if datasets["id-test"].labels is not None else float("nan")
     _write_resolved(cfg, out, "train-prior")
     print(f"prior checkpoint: {ckpt}")
     print(f"prior id-train accuracy: {train_acc:.4f}")
@@ -234,9 +230,7 @@ def cmd_train_prior(cfg: RunConfig, out: str) -> None:
 
 
 def cmd_export_logits(cfg: RunConfig, out: str) -> None:
-    datasets = build_datasets(cfg)
-    source = ModelSource(MLPClassifier.load(_prior_ckpt_path(cfg, out)))
-    written = _export_all_logits(source, datasets, _logits_dir(cfg, out))
+    _, written = _export_all_logits(cfg, out, build_datasets(cfg))
     _write_resolved(cfg, out, "export-logits")
     for path in written:
         print(f"logits: {path}")
@@ -337,19 +331,22 @@ def cmd_eval(cfg: RunConfig, out: str) -> None:
         if differ:
             raise FormatError(f"{path} and {id_path} disagree on {', '.join(differ)}: "
                               "eval compares scores of one checkpoint, guidance and alpha")
+
+    def columns(records) -> dict[str, np.ndarray]:
+        return {name: np.array([score_field(r, name) for r in records], dtype=np.float64)
+                for name in cfg["eval.scores"]}
+
+    id_columns = columns(id_records)
     rows = []
     for split, ood_records in ood_sets.items():
+        ood_columns = columns(ood_records)
         for score_name in cfg["eval.scores"]:
-            metrics = evaluate(id_records, ood_records, score_name, cfg["eval.orientation"])
+            ids, oods = id_columns[score_name], ood_columns[score_name]
+            metrics = evaluate(ids, oods, score_name, cfg["eval.orientation"])
             metrics_path = os.path.join(out, f"metrics_{split}_{score_name}.json")
             with open(metrics_path, "w", encoding="utf-8") as fh:
                 fh.write(metrics.to_json())
-            histogram_export(
-                [score_field(r, score_name) for r in id_records],
-                [score_field(r, score_name) for r in ood_records],
-                cfg["eval.bins"],
-                os.path.join(out, f"hist_{split}_{score_name}.csv"),
-            )
+            histogram_export(ids, oods, cfg["eval.bins"], os.path.join(out, f"hist_{split}_{score_name}.csv"))
             rows.append((split, score_name, metrics))
             print(
                 f"{split:24s} {score_name:10s} auroc={metrics.auroc:.4f} "
@@ -381,11 +378,10 @@ def cmd_attention_dump(cfg: RunConfig, out: str) -> None:
     count = min(cfg["attention.max_samples"], len(ds))
     attn_dir = os.path.join(out, "attention")
     os.makedirs(attn_dir, exist_ok=True)
-    idx = np.arange(count)
-    priors = priors_for_indices(prior, ds, idx)
+    priors = prior.resolve(ds)[:count]
     summary = ["alpha,sample_id,layer,head,prior_token_mass"]
     for alpha in alphas:
-        outputs = model.forward_batch(ds.images[idx], priors, alpha, want_attention=True)
+        outputs = model.forward_batch(ds.images[:count], priors, alpha, want_attention=True)
         matrices, masses = extract_attention(outputs, layer, head)
         for sid, matrix, mass in zip(ds.ids[:count], matrices, masses.tolist()):
             name = f"{sid}_alpha{alpha!r}_L{layer}H{head}.csv"

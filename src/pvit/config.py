@@ -49,7 +49,6 @@ SCHEMA: dict[str, tuple[str, Any]] = {
     "model.heads": ("int", 4),
     "model.mlp_dim": ("int", 128),
     "model.alpha": ("float", 0.1),
-    "model.prior_broadcast": ("str", "sample"),
     "model.seed": ("int", 55),
     # prior classifier
     "prior.hidden": ("int", 128),

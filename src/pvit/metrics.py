@@ -43,15 +43,20 @@ def _validate(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def auroc(id_scores: Sequence[float], ood_scores: Sequence[float]) -> float:
-    """Probability a random ID score exceeds a random OOD score, ties half."""
-    ids, oods = _validate(id_scores, ood_scores)
+def _mann_whitney_u(ids: np.ndarray, oods: np.ndarray) -> float:
+    """(ID, OOD) pairs whose ID score is the larger, ties half: a sum of half-integers,
+    so exact, and the negated scores' count is exactly ``len(ids) * len(oods) - u``."""
     pooled = np.sort(np.concatenate([ids, oods]))
     # 1-based midranks of the ID scores in the pooled sample: ties share
     # the average of the ranks they span
     ranks = (np.searchsorted(pooled, ids, "left") + np.searchsorted(pooled, ids, "right") + 1) / 2
-    u = ranks.sum() - len(ids) * (len(ids) + 1) / 2.0
-    return float(u / (len(ids) * len(oods)))
+    return ranks.sum() - len(ids) * (len(ids) + 1) / 2.0
+
+
+def auroc(id_scores: Sequence[float], ood_scores: Sequence[float]) -> float:
+    """Probability a random ID score exceeds a random OOD score, ties half."""
+    ids, oods = _validate(id_scores, ood_scores)
+    return float(_mann_whitney_u(ids, oods) / (len(ids) * len(oods)))
 
 
 def fpr_at_tpr(
@@ -85,7 +90,8 @@ def evaluate(
 
     ``orientation_policy``: "as-is" and "negated" apply that orientation;
     "auto" picks whichever gives AUROC >= 0.5 and reports the choice.
-    Record lists may also be plain score sequences.
+    Record lists may also be plain score sequences.  The pooled scores
+    are ranked once, for both orientations.
     """
     from .scoring import ScoreRecord, score_field
 
@@ -94,26 +100,19 @@ def evaluate(
             return np.asarray([score_field(r, score_name) for r in records])
         return np.asarray(records, dtype=np.float64)
 
-    ids = extract(id_records)
-    oods = extract(ood_records)
     if orientation_policy not in ("as-is", "negated", "auto"):
         raise FormatError(f"unknown orientation policy {orientation_policy!r}")
+    ids, oods = _validate(extract(id_records), extract(ood_records))
+    pairs = len(ids) * len(oods)
+    u = _mann_whitney_u(ids, oods)
     orientation = orientation_policy
     if orientation_policy == "auto":
-        orientation = "as-is" if auroc(ids, oods) >= 0.5 else "negated"
+        orientation = "as-is" if u / pairs >= 0.5 else "negated"
     if orientation == "negated":
-        ids, oods = -ids, -oods
-    area = auroc(ids, oods)
+        ids, oods, u = -ids, -oods, pairs - u
     fpr, gamma = fpr_at_tpr(ids, oods, tpr_target)
-    return OODMetrics(
-        auroc=area,
-        fpr95=fpr,
-        threshold=gamma,
-        n_id=len(ids),
-        n_ood=len(oods),
-        orientation=orientation,
-        tpr_target=tpr_target,
-    )
+    return OODMetrics(auroc=float(u / pairs), fpr95=fpr, threshold=gamma, n_id=len(ids), n_ood=len(oods),
+                      orientation=orientation, tpr_target=tpr_target)
 
 
 def histogram_export(

@@ -16,13 +16,13 @@ layer normalized, feeds the classifier head.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import FormatError, ShapeError
+from .checkpoint import load_model, save_checkpoint
+from .errors import ShapeError
 from .rng import philox, truncated_normal
 from .tensor import Tensor
 
@@ -33,10 +33,9 @@ LAYER_NORM_EPS = 1e-5
 class PViTConfig:
     """Architecture hyperparameters.
 
-    ``alpha`` scales the prior token; ``prior_broadcast`` selects whether
-    each batch element gets a token from its own prior logits
-    ("sample", the default) or the whole batch shares the first
-    element's token ("batch").
+    ``alpha`` scales the prior token.  Each sample's token comes from its
+    own prior logits alone, so no sample's output depends on the rest of
+    its batch.
     """
 
     image_h: int = 28
@@ -49,7 +48,10 @@ class PViTConfig:
     mlp_dim: int = 128
     num_classes: int = 4
     alpha: float = 0.1
-    prior_broadcast: str = "sample"
+
+    # checkpoints written while prior_broadcast was an option name it;
+    # "sample" is what every model now does, so those still load
+    retired_keys: ClassVar[dict] = {"prior_broadcast": "sample"}
 
     def __post_init__(self):
         if self.image_h % self.patch_size or self.image_w % self.patch_size:
@@ -60,8 +62,6 @@ class PViTConfig:
             raise ShapeError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if self.alpha < 0:
             raise ShapeError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.prior_broadcast not in ("sample", "batch"):
-            raise ShapeError(f"prior_broadcast must be 'sample' or 'batch', got {self.prior_broadcast!r}")
 
     @property
     def num_patches(self) -> int:
@@ -160,10 +160,10 @@ class PViTModel:
     def make_prior_token(self, prior_logits, alpha: Optional[float] = None) -> Tensor:
         """(B, D) prior tokens: alpha * softmax(prior logits) @ prior_proj.
 
-        ``prior_logits`` is a finite (B, K) block.  The projection is a
+        ``prior_logits`` is a finite (B, K) block, one row per sample, and
+        row i of the result depends on row i alone.  The projection is a
         trained parameter, so the tokens join the gradient tape; they are
-        exactly linear in alpha.  With ``prior_broadcast`` "batch" every
-        row takes the first row's token.
+        exactly linear in alpha.
         """
         c = self.config
         alpha = c.alpha if alpha is None else float(alpha)
@@ -172,9 +172,6 @@ class PViTModel:
             raise ShapeError(f"prior logits must be (B, {c.num_classes}), got shape {priors.shape}")
         if not np.all(np.isfinite(priors)):
             raise ShapeError("prior logits must be finite")
-        if c.prior_broadcast == "batch":
-            # literal replication: every row shares the first sample's priors
-            priors = np.broadcast_to(priors[0], priors.shape)
         weights = T.softmax(Tensor(priors), axis=1)
         return T.mul(T.matmul(weights, self._p("prior_proj")), alpha)
 
@@ -263,22 +260,7 @@ class PViTModel:
     @classmethod
     def load(cls, path: str) -> tuple["PViTModel", dict, dict[str, np.ndarray]]:
         """Returns (model, header, leftover tensors such as optimizer state)."""
-        header, tensors = load_checkpoint(path)
-        if header.get("kind") != "pvit":
-            raise FormatError(f"{path}: checkpoint kind {header.get('kind')!r} is not a pvit model")
-        model = cls(PViTConfig(**header["config"]))
-        extra: dict[str, np.ndarray] = {}
-        for name, arr in tensors.items():
-            if name in model.params:
-                if model.params[name].shape != arr.shape:
-                    raise FormatError(f"{path}: tensor {name!r} has shape {arr.shape}, expected {model.params[name].shape}")
-                model.params[name].data = np.ascontiguousarray(arr)
-            else:
-                extra[name] = arr
-        missing = set(model.params) - set(tensors)
-        if missing:
-            raise FormatError(f"{path}: checkpoint is missing tensors {sorted(missing)}")
-        return model, header, extra
+        return load_model(path, "pvit", PViTConfig, cls)
 
 
 def predicted_class(logits: np.ndarray) -> int:

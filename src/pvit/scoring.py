@@ -8,11 +8,12 @@ prediction (KL), or the Euclidean distance between the raw logit
 vectors (ED).  MSP, MaxLogit and negative energy ride along as
 baselines on the predicted logits.
 
-There is one scoring path: :func:`predict_logits` runs the model over a
-dataset, batch by batch, and :func:`score_records` builds every record
-in one vectorised pass over the (N, K) predicted and prior logits.  The
-scalar functions (:func:`energy`, :func:`msp`, :func:`guidance_ce`, ...)
-score one logit vector and are the reference the records match.
+There is one scoring path: :func:`predict_logits` resolves a dataset's
+priors once and runs the model over it, batch by batch, and
+:func:`score_records` builds every record in one vectorised pass over
+the (N, K) predicted and prior logits.  The scalar functions
+(:func:`energy`, :func:`msp`, :func:`guidance_ce`, ...) score one logit
+vector and are the reference the records match.
 
 Probabilities are clamped at 1e-12 before any log: near-one-hot priors
 otherwise send -log q to infinity and poison downstream AUROC.
@@ -29,11 +30,12 @@ import numpy as np
 
 from .data import Dataset
 from .errors import FormatError, ShapeError
-from .priors import PriorSource, priors_for_indices
+from .priors import PriorSource
 
 PROB_CLAMP = 1e-12
 
 GUIDANCE_KINDS = ("ce", "kl", "ed")
+NUMBER_TYPES = frozenset({int, float})  # what JSON numbers parse to
 
 
 @dataclass
@@ -204,17 +206,16 @@ def predict_logits(model, prior_source: PriorSource, dataset: Dataset, alpha: Op
                    batch_size: int = 64) -> tuple[np.ndarray, np.ndarray]:
     """(predicted, prior) logits, each (N, K), over the whole dataset.
 
-    Batch by batch, the priors are resolved and then passed through
+    The dataset's priors are resolved once into an (N, K) block; batch by
+    batch, its rows and the images go through
     ``model.forward_batch(images, priors, alpha)``.
     """
-    empty = np.empty((0, prior_source.num_classes))
-    predicted, priors = [empty], [empty]
+    priors = prior_source.resolve(dataset)
+    predicted = [np.empty((0, prior_source.num_classes))]
     for start in range(0, len(dataset), batch_size):
-        idx = np.arange(start, min(start + batch_size, len(dataset)))
-        batch_priors = priors_for_indices(prior_source, dataset, idx)
-        predicted.append(model.forward_batch(dataset.images[idx], batch_priors, alpha).logits.data)
-        priors.append(batch_priors)
-    return np.concatenate(predicted), np.concatenate(priors)
+        batch = slice(start, start + batch_size)
+        predicted.append(model.forward_batch(dataset.images[batch], priors[batch], alpha).logits.data)
+    return np.concatenate(predicted), priors
 
 
 def score_dataset(
@@ -263,29 +264,32 @@ def write_scores(path: str, records: list[ScoreRecord], guidance_kind: str, alph
 
 
 def read_scores(path: str) -> tuple[dict, list[ScoreRecord]]:
+    """Header and records of a score file: JSON objects, with numbers for
+    scores, or :class:`FormatError` naming ``file:line``."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise FormatError(f"{path}: empty score file")
-    header = json.loads(lines[0])
     records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+    for lineno, line in enumerate(lines, start=1):
+        if lineno > 1 and not line.strip():
             continue
         try:
             obj = json.loads(line)
-            records.append(
-                ScoreRecord(
-                    id=obj["id"],
-                    base=obj["base"],
-                    guidance=obj["guidance"],
-                    pge=obj["pge"],
-                    predicted_class=obj["predicted_class"],
-                    baselines=obj["baselines"],
-                )
-            )
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise FormatError(f"{path}:{lineno}: malformed score line: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}:{lineno}: malformed JSON: {exc}") from None
+        if type(obj) is not dict:
+            raise FormatError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
+        if lineno == 1:
+            header = obj
+            continue
+        baselines = obj.get("baselines")
+        if not (type(obj.get("id")) is str and type(obj.get("predicted_class")) is int
+                and {type(obj.get("base")), type(obj.get("guidance")), type(obj.get("pge"))} <= NUMBER_TYPES
+                and type(baselines) is dict and set(map(type, baselines.values())) <= NUMBER_TYPES):
+            raise FormatError(f"{path}:{lineno}: score line lacks a field or has a non-numeric score")
+        records.append(ScoreRecord(obj["id"], obj["base"], obj["guidance"], obj["pge"],
+                                   obj["predicted_class"], baselines))
     return header, records
 
 

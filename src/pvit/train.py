@@ -175,14 +175,10 @@ def run_training(
             idx = order[b * config.batch_size : (b + 1) * config.batch_size]
             images = dataset.images[idx]
             labels = dataset.labels[idx]
-            priors = None if priors_for is None else priors_for(idx)
+            priors = () if priors_for is None else (priors_for(idx),)
             trainable.zero_grad()
-            tape = Tape()
-            with tape:
-                if priors is None:
-                    loss, correct = trainable.batch_loss(images, labels)
-                else:
-                    loss, correct = trainable.batch_loss(images, labels, priors)
+            with Tape():
+                loss, correct = trainable.batch_loss(images, labels, *priors)
             loss_value = loss.item()
             if not math.isfinite(loss_value):
                 raise TrainingError(f"non-finite loss {loss_value} at step {step + 1}")
@@ -214,16 +210,10 @@ def train(model, dataset: Dataset, prior_source, config: TrainConfig, start_step
           optimizer_tensors: Optional[dict[str, np.ndarray]] = None) -> TrainResult:
     """Train the prior-token transformer on a labeled dataset.
 
-    Each batch element gets the prior logits resolved for its own sample
-    id (or computed from its pixels, for model-backed sources).
+    The dataset's (N, K) prior-logits block is resolved once; each batch
+    takes its rows, so a sample's prior is the same in every batch and
+    under either kind of prior source.
     """
-    from .priors import priors_for_indices  # local import to avoid a cycle
-
-    return run_training(
-        model,
-        dataset,
-        config,
-        priors_for=lambda idx: priors_for_indices(prior_source, dataset, idx),
-        start_step=start_step,
-        optimizer_tensors=optimizer_tensors,
-    )
+    priors = prior_source.resolve(dataset)
+    return run_training(model, dataset, config, priors_for=lambda idx: priors[idx],
+                        start_step=start_step, optimizer_tensors=optimizer_tensors)

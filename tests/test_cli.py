@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from pvit.cli import main
-from pvit.checkpoint import load_checkpoint
+from pvit.checkpoint import load_checkpoint, save_checkpoint
+from pvit.model import PViTConfig, PViTModel
 from pvit.scoring import ScoreRecord, read_scores, write_scores
 
 SMALL_CFG = """
@@ -116,6 +117,15 @@ class TestReproducibility:
             again = open(os.path.join(out, "logits", f"logits_{split}.jsonl"), "rb").read()
             assert first[split] == again, split
 
+    def test_export_logits_after_train_prior_is_identical(self, tmp_path):
+        """train-prior exports from the saved checkpoint, as export-logits does."""
+        cfg, out = write_cfg(tmp_path)
+        assert main(["train-prior", "--config", cfg]) == 0
+        paths = [os.path.join(out, "logits", f"logits_{split}.jsonl") for split in SPLITS]
+        first = [open(path, "rb").read() for path in paths]
+        assert main(["export-logits", "--config", cfg]) == 0
+        assert [open(path, "rb").read() for path in paths] == first
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg, out = write_cfg(tmp_path)
         assert main(["train-prior", "--config", cfg]) == 0
@@ -198,6 +208,23 @@ class TestErrors:
     def test_missing_config_file(self, capsys):
         assert main(["train-prior", "--config", "/nonexistent/run.cfg"]) == 1
 
+    def test_removed_prior_broadcast_key_exits_1(self, tmp_path, capsys):
+        cfg, _ = write_cfg(tmp_path, model__prior_broadcast="sample")
+        assert main(["train-prior", "--config", cfg]) == 1
+        assert "model.prior_broadcast" in capsys.readouterr().err
+
+    def test_unknown_checkpoint_config_key_exits_2(self, tmp_path, capsys):
+        cfg, out = write_cfg(tmp_path)
+        os.makedirs(out, exist_ok=True)
+        path = os.path.join(out, "pvit.ckpt")
+        PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=1, heads=2, mlp_dim=24)).save(path)
+        header, tensors = load_checkpoint(path)
+        header["config"]["width"] = 64
+        save_checkpoint(path, header, tensors)
+        assert main(["score", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "pvit.ckpt" in err and "'width'" in err
+
 
 def write_score_set(out, guidance="ce", nan_split=None):
     """Score files for id-test and the default OOD sets, with one NaN pge
@@ -235,15 +262,32 @@ class TestEvalInputs:
         assert "guidance" in err
         assert not os.path.exists(os.path.join(out, "eval_summary.csv"))
 
+    @pytest.mark.parametrize(
+        "split,lineno,text",
+        [
+            ("id-test", 1, "{not json"),
+            ("ood-uniform-noise", 3, "[1, 2, 3]"),
+            ("ood-inverted", 4, '{"id": "x", "base": 1.0, "guidance": 0.5, "pge": "x", '
+                                '"predicted_class": 0, "baselines": {"msp": 0.5}}'),
+        ],
+    )
+    def test_malformed_score_file_exits_2(self, tmp_path, capsys, split, lineno, text):
+        cfg, out = write_cfg(tmp_path)
+        write_score_set(out)
+        path = os.path.join(out, f"scores_{split}.jsonl")
+        lines = open(path).read().splitlines()
+        lines[lineno - 1] = text
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert main(["eval", "--config", cfg]) == 2
+        assert f"scores_{split}.jsonl:{lineno}:" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "eval_summary.csv"))
+
 
 class TestLogitsPriorInterchangeability:
     def test_logits_file_priors_train_like_model_priors(self, tmp_path):
-        """Table-backed and model-backed priors are interchangeable.
-
-        Exact bytes may differ (the file holds whole-dataset-batch logits,
-        the model recomputes in training-batch shapes, and BLAS blocking
-        differs in the last ulp), so compare the start of the trajectory.
-        """
+        """Table-backed and model-backed priors train alike: the start of
+        the loss trajectory agrees (the test below pins every byte)."""
         cfg, out = write_cfg(tmp_path)
         assert main(["train-prior", "--config", cfg]) == 0
         assert main(["train-pvit", "--config", cfg]) == 0
@@ -258,3 +302,26 @@ class TestLogitsPriorInterchangeability:
             loss_a, loss_b = float(a.split(",")[3]), float(b.split(",")[3])
             assert abs(loss_a - loss_b) <= 1e-9
         assert main(["score", "--config", logits_cfg]) == 0
+
+    def test_model_and_logits_pipelines_write_identical_artifacts(self, tmp_path):
+        """Both prior sources resolve whole datasets from the same saved
+        prior, so the two pipelines agree to the byte."""
+        shared = {"paths__prior_checkpoint": str(tmp_path / "prior.ckpt"),
+                  "paths__logits_dir": str(tmp_path / "prior_logits")}
+        outs = []
+        for source in ("model", "logits"):
+            run_dir = tmp_path / source
+            run_dir.mkdir()
+            cfg, out = write_cfg(run_dir, prior__source=source, **shared)
+            if source == "model":
+                assert main(["train-prior", "--config", cfg]) == 0
+            for command in ("train-pvit", "score", "eval"):
+                assert main([command, "--config", cfg]) == 0, (source, command)
+            outs.append(out)
+        names = ["pvit.ckpt", "pvit_loss.csv", "eval_summary.csv"]
+        names += [f"scores_{split}.jsonl" for split in SPLITS[1:]]
+        names += [f for f in os.listdir(outs[0]) if f.startswith(("metrics_", "hist_"))]
+        assert len(names) == 3 + 4 + 6
+        for name in names:
+            a, b = (open(os.path.join(out, name), "rb").read() for out in outs)
+            assert a == b, name

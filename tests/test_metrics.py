@@ -186,6 +186,21 @@ class TestEvaluate:
         )
         assert via_field == manual
 
+    @pytest.mark.parametrize("decimals", [None, 2, 0])
+    def test_negated_area_equals_reranked_auroc(self, decimals):
+        """One ranking serves both orientations: the negated AUROC is the
+        complement of the same pair count, bit for bit."""
+        rng = np.random.default_rng(9)
+        ids, oods = rng.normal(0.0, 1.0, 3000), rng.normal(0.3, 1.0, 2000)
+        if decimals is not None:
+            ids, oods = np.round(ids, decimals), np.round(oods, decimals)
+        negated = evaluate(ids, oods, orientation_policy="negated")
+        assert negated.auroc == auroc(-ids, -oods)
+        auto = evaluate(ids, oods, orientation_policy="auto")
+        assert auto.orientation == "negated"
+        assert auto == negated
+        assert evaluate(ids, oods, orientation_policy="as-is").auroc == auroc(ids, oods)
+
     def test_counts_recorded(self):
         metrics = evaluate([1.0, 2.0, 3.0], [0.0], orientation_policy="as-is")
         assert (metrics.n_id, metrics.n_ood) == (3, 1)

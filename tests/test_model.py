@@ -261,18 +261,6 @@ class TestGradients:
                 assert abs(got - fd) <= 1e-4 * max(1.0, abs(fd)), f"{name}[{ci}]: {got} vs {fd}"
 
 
-class TestBatchBroadcastMode:
-    def test_batch_mode_shares_first_sample_priors(self):
-        cfg = tiny_config(prior_broadcast="batch")
-        model = PViTModel(cfg, seed=16)
-        imgs = RNG.random((3, 8, 8, 1))
-        priors = RNG.normal(size=(3, 3))
-        out = model.forward_batch(imgs, priors)
-        shared = np.broadcast_to(priors[0], priors.shape).copy()
-        expected = model.forward_batch(imgs, shared)
-        np.testing.assert_array_equal(out.logits.data, expected.logits.data)
-
-
 class TestCheckpoint:
     def test_round_trip_logits(self, tmp_path):
         model = PViTModel(tiny_config(), seed=17)
@@ -308,3 +296,106 @@ class TestCheckpoint:
         assert header["kind"] == "test"
         assert list(loaded) == ["a", "b"]
         np.testing.assert_allclose(loaded["a"], tensors["a"], atol=1e-6)
+
+
+def rewrite_config(path, **changes):
+    """Rewrite a checkpoint's header config in place, keeping its tensors."""
+    header, tensors = load_checkpoint(path)
+    header["config"].update(changes)
+    save_checkpoint(path, header, tensors)
+
+
+class TestCheckpointHeader:
+    """Checkpoint files are outside input: every defect is a FormatError."""
+
+    def saved(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        PViTModel(tiny_config(), seed=19).save(path)
+        return path
+
+    def test_unknown_config_key_names_key(self, tmp_path):
+        path = self.saved(tmp_path)
+        rewrite_config(path, width=64)
+        with pytest.raises(FormatError, match="'width'"):
+            PViTModel.load(path)
+
+    def test_missing_config_key_names_key(self, tmp_path):
+        path = self.saved(tmp_path)
+        header, tensors = load_checkpoint(path)
+        del header["config"]["heads"]
+        save_checkpoint(path, header, tensors)
+        with pytest.raises(FormatError, match="'heads'"):
+            PViTModel.load(path)
+
+    @pytest.mark.parametrize("key,value", [("heads", "2"), ("depth", 2.0), ("alpha", True), ("alpha", None)])
+    def test_mistyped_config_value_names_key(self, tmp_path, key, value):
+        path = self.saved(tmp_path)
+        rewrite_config(path, **{key: value})
+        with pytest.raises(FormatError, match=repr(key)):
+            PViTModel.load(path)
+
+    def test_invalid_config_value_is_format_error(self, tmp_path):
+        path = self.saved(tmp_path)
+        rewrite_config(path, alpha=-1.0)
+        with pytest.raises(FormatError, match="alpha"):
+            PViTModel.load(path)
+
+    def test_retired_prior_broadcast_sample_loads(self, tmp_path):
+        path = self.saved(tmp_path)
+        model, _, _ = PViTModel.load(path)
+        rewrite_config(path, prior_broadcast="sample")
+        old, _, _ = PViTModel.load(path)
+        assert old.config == model.config
+        img = RNG.random((2, 8, 8, 1))
+        priors = RNG.normal(size=(2, 3))
+        np.testing.assert_array_equal(old.forward_batch(img, priors).logits.data,
+                                      model.forward_batch(img, priors).logits.data)
+
+    def test_retired_prior_broadcast_batch_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        rewrite_config(path, prior_broadcast="batch")
+        with pytest.raises(FormatError, match="prior_broadcast"):
+            PViTModel.load(path)
+
+    def test_header_without_config_rejected(self, tmp_path):
+        path = str(tmp_path / "c.ckpt")
+        save_checkpoint(path, {"kind": "pvit"}, {})
+        with pytest.raises(FormatError, match="config"):
+            PViTModel.load(path)
+
+    def test_appended_byte_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        with open(path, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(FormatError, match="1 trailing byte"):
+            PViTModel.load(path)
+
+    def test_every_truncation_rejected(self, tmp_path):
+        path = str(tmp_path / "tiny.ckpt")
+        save_checkpoint(path, {"kind": "test", "config": {}}, {"w": np.ones((2, 3)), "s": np.array(1.5)})
+        data = open(path, "rb").read()
+        cut = str(tmp_path / "cut.ckpt")
+        for size in range(len(data)):
+            with open(cut, "wb") as fh:
+                fh.write(data[:size])
+            with pytest.raises(FormatError):
+                load_checkpoint(cut)
+        assert load_checkpoint(path)[0]["kind"] == "test"
+
+    def test_non_utf8_tensor_name_rejected(self, tmp_path):
+        path = str(tmp_path / "c.ckpt")
+        save_checkpoint(path, {"kind": "test", "config": {}}, {"ab": np.ones(2)})
+        data = open(path, "rb").read()
+        at = data.index(b"ab")
+        with open(path, "wb") as fh:
+            fh.write(data[:at] + b"\xff\xfe" + data[at + 2:])
+        with pytest.raises(FormatError, match="corrupt checkpoint"):
+            load_checkpoint(path)
+
+    def test_wrong_tensor_shape_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        header, tensors = load_checkpoint(path)
+        tensors["head.weight"] = np.zeros((3, 16))
+        save_checkpoint(path, header, tensors)
+        with pytest.raises(FormatError, match="head.weight"):
+            PViTModel.load(path)

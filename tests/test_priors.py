@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from pvit.checkpoint import load_checkpoint, save_checkpoint
 from pvit.data import Dataset
 from pvit.errors import FormatError, MissingPriorError
 from pvit.priors import (
@@ -62,6 +63,41 @@ class TestLookup:
         a = priors_for_indices(src, ds, np.array([0]))
         b = priors_for_indices(src, ds, np.array([0]))
         assert a.tobytes() == b.tobytes()
+
+
+class TestResolve:
+    """``resolve`` gives a whole dataset's (N, K) block, aligned with its ids."""
+
+    def test_table_resolves_in_dataset_order(self):
+        src = table([LogitsRecord("a", None, [1.0, 0.0, 0.0]), LogitsRecord("b", None, [0.0, 2.0, 0.0])])
+        ds = Dataset("d", np.zeros((3, 2, 2, 1)), ids=["b", "a", "b"])
+        np.testing.assert_array_equal(src.resolve(ds), [[0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+
+    def test_exported_table_resolves_bit_identical_to_model(self, tmp_path):
+        ds = blobs_dataset(per_class=40, seed=10)
+        src = ModelSource(MLPClassifier(MLPConfig(input_dim=16, hidden_dim=8, num_classes=2), seed=3))
+        path = str(tmp_path / "logits.jsonl")
+        export_logits(src, ds, path)
+        assert load_logits(path).resolve(ds).tobytes() == src.resolve(ds).tobytes()
+
+    def test_batch_rows_match_whole_dataset_block_closely(self):
+        ds = blobs_dataset(per_class=40, seed=11)
+        src = ModelSource(MLPClassifier(MLPConfig(input_dim=16, hidden_dim=8, num_classes=2), seed=4))
+        idx = np.array([5, 0, 33])
+        np.testing.assert_allclose(priors_for_indices(src, ds, idx), src.resolve(ds)[idx], rtol=0, atol=1e-12)
+
+    def test_empty_dataset_resolves_to_zero_rows(self):
+        src = ModelSource(MLPClassifier(MLPConfig(input_dim=4, hidden_dim=8, num_classes=3), seed=5))
+        empty = Dataset("e", np.zeros((0, 2, 2, 1)), ids=[])
+        assert src.resolve(empty).shape == (0, 3)
+        assert table([]).resolve(empty).shape == (0, 3)
+
+    def test_accuracy_takes_either_source(self, tmp_path):
+        ds = blobs_dataset(per_class=30, seed=12)
+        src = ModelSource(MLPClassifier(MLPConfig(input_dim=16, hidden_dim=8, num_classes=2), seed=6))
+        path = str(tmp_path / "logits.jsonl")
+        export_logits(src, ds, path)
+        assert accuracy(load_logits(path), ds) == accuracy(src, ds)
 
 
 class TestTrainPriorModel:
@@ -153,3 +189,29 @@ class TestLogitsFile:
         export_logits(src, ds, path)
         back = load_logits(path)
         assert back.records["a"].logits[0] == value
+
+
+class TestPriorCheckpoint:
+    def test_round_trip_bit_identical_logits(self, tmp_path):
+        model = MLPClassifier(MLPConfig(input_dim=16, hidden_dim=8, num_classes=3), seed=7)
+        path = str(tmp_path / "prior.ckpt")
+        model.save(path)
+        ds = blobs_dataset(per_class=5, seed=13)
+        once = ModelSource(MLPClassifier.load(path)).resolve(ds)
+        MLPClassifier.load(path).save(path)
+        assert ModelSource(MLPClassifier.load(path)).resolve(ds).tobytes() == once.tobytes()
+
+    def test_unknown_config_key_names_key(self, tmp_path):
+        path = str(tmp_path / "prior.ckpt")
+        MLPClassifier(MLPConfig(input_dim=16, hidden_dim=8, num_classes=3), seed=8).save(path)
+        header, tensors = load_checkpoint(path)
+        header["config"]["dropout"] = 0.1
+        save_checkpoint(path, header, tensors)
+        with pytest.raises(FormatError, match="'dropout'"):
+            MLPClassifier.load(path)
+
+    def test_wrong_kind_rejected(self, tmp_path):
+        path = str(tmp_path / "prior.ckpt")
+        save_checkpoint(path, {"kind": "pvit", "config": {}}, {})
+        with pytest.raises(FormatError, match="kind"):
+            MLPClassifier.load(path)

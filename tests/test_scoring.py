@@ -1,6 +1,7 @@
 """Score-function tests: closed-form cases, extended-precision oracles,
 the factored/expanded score identity, decision rule, dataset scoring."""
 
+import json
 import math
 
 import mpmath
@@ -10,7 +11,7 @@ import pytest
 from pvit.data import synth_dataset
 from pvit.errors import FormatError, MissingPriorError, ShapeError
 from pvit.model import PViTConfig, PViTModel
-from pvit.priors import LogitsRecord, TableSource, train_prior_model
+from pvit.priors import LogitsRecord, TableSource, export_logits, load_logits, train_prior_model
 from pvit.scoring import (
     DecisionRule,
     ScoreRecord,
@@ -24,6 +25,7 @@ from pvit.scoring import (
     max_logit,
     msp,
     pge,
+    predict_logits,
     read_scores,
     score_dataset,
     score_field,
@@ -257,6 +259,21 @@ class TestScoreDataset:
         for x, y in zip(a, b):
             assert (x.base, x.guidance, x.pge, x.baselines) == (y.base, y.guidance, y.pge, y.baselines)
 
+    def test_model_and_exported_table_priors_score_identically(self, tmp_path):
+        """Scoring resolves the whole dataset's priors once, so a model-backed
+        source and the logits file exported from it give the same records."""
+        model, prior, _ = trained_setup(8)
+        ds = synth_dataset(3, 90, size=8, seed=9, name="big")
+        path = str(tmp_path / "logits.jsonl")
+        export_logits(prior, ds, path)
+        table = load_logits(path)
+        for batch_size in (7, 64):
+            by_model = predict_logits(model, prior, ds, batch_size=batch_size)
+            by_table = predict_logits(model, table, ds, batch_size=batch_size)
+            assert [a.tobytes() for a in by_model] == [b.tobytes() for b in by_table]
+            assert score_dataset(model, prior, ds, "kl", batch_size=batch_size) == score_records(
+                ds.ids, *by_table, "kl")
+
     def test_pge_is_exact_product(self):
         model, prior, ds = trained_setup(1)
         for rec in score_dataset(model, prior, ds, "kl"):
@@ -363,3 +380,50 @@ class TestScoreFile:
         assert score_field(rec, "msp") == 0.7
         with pytest.raises(FormatError):
             score_field(rec, "mahalanobis")
+
+
+GOOD_SCORE_LINE = {"id": "a", "base": 1.5, "guidance": 2, "pge": 3.0, "predicted_class": 0,
+                   "baselines": {"msp": 0.5}}
+
+
+def score_file(tmp_path, header, *lines):
+    path = tmp_path / "scores.jsonl"
+    body = [header if isinstance(header, str) else json.dumps(header)]
+    body += [line if isinstance(line, str) else json.dumps(line) for line in lines]
+    path.write_text("\n".join(body) + "\n")
+    return str(path)
+
+
+class TestReadScoresValidation:
+    HEADER = {"guidance": "ce", "alpha": 0.1, "checkpoint_sha256": ""}
+
+    def test_valid_file_reads(self, tmp_path):
+        header, records = read_scores(score_file(tmp_path, self.HEADER, GOOD_SCORE_LINE, "", GOOD_SCORE_LINE))
+        assert header == self.HEADER
+        assert len(records) == 2 and records[0].guidance == 2
+
+    @pytest.mark.parametrize("header", ["{not json", "[1, 2]", "", "7"])
+    def test_bad_header_names_line_1(self, tmp_path, header):
+        with pytest.raises(FormatError, match=r"scores\.jsonl:1: "):
+            read_scores(score_file(tmp_path, header, GOOD_SCORE_LINE))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "{oops",
+            "[1, 2]",
+            '"a string"',
+            "null",
+            {**GOOD_SCORE_LINE, "pge": "x"},
+            {**GOOD_SCORE_LINE, "base": None},
+            {**GOOD_SCORE_LINE, "guidance": True},
+            {**GOOD_SCORE_LINE, "id": 3},
+            {**GOOD_SCORE_LINE, "predicted_class": 1.0},
+            {**GOOD_SCORE_LINE, "baselines": [0.5]},
+            {**GOOD_SCORE_LINE, "baselines": {"msp": "0.5"}},
+            {key: value for key, value in GOOD_SCORE_LINE.items() if key != "pge"},
+        ],
+    )
+    def test_bad_record_names_line(self, tmp_path, line):
+        with pytest.raises(FormatError, match=r"scores\.jsonl:3: "):
+            read_scores(score_file(tmp_path, self.HEADER, GOOD_SCORE_LINE, line))
