@@ -189,10 +189,7 @@ class PViTModel:
             normed = T.layer_norm(z, self._p(f"{blk}.ln1.gain"), self._p(f"{blk}.ln1.bias"), LAYER_NORM_EPS)
             qkv = []
             for proj in ("q", "k", "v"):
-                x = T.add(
-                    T.matmul(normed, self._p(f"{blk}.attn.{proj}.weight")),
-                    self._p(f"{blk}.attn.{proj}.bias"),
-                )
+                x = T.linear(normed, self._p(f"{blk}.attn.{proj}.weight"), self._p(f"{blk}.attn.{proj}.bias"))
                 qkv.append(T.transpose(T.reshape(x, (b, s, c.heads, head_dim)), (0, 2, 1, 3)))
             q, k, v = qkv
             scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
@@ -201,11 +198,11 @@ class PViTModel:
                 attentions.append(attn.numpy())
             ctx = T.matmul(attn, v)
             merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, s, c.embed_dim))
-            msa = T.add(T.matmul(merged, self._p(f"{blk}.attn.out.weight")), self._p(f"{blk}.attn.out.bias"))
+            msa = T.linear(merged, self._p(f"{blk}.attn.out.weight"), self._p(f"{blk}.attn.out.bias"))
             z = T.add(msa, z)
             normed2 = T.layer_norm(z, self._p(f"{blk}.ln2.gain"), self._p(f"{blk}.ln2.bias"), LAYER_NORM_EPS)
-            hidden = T.gelu(T.add(T.matmul(normed2, self._p(f"{blk}.mlp.fc1.weight")), self._p(f"{blk}.mlp.fc1.bias")))
-            mlp = T.add(T.matmul(hidden, self._p(f"{blk}.mlp.fc2.weight")), self._p(f"{blk}.mlp.fc2.bias"))
+            hidden = T.gelu(T.linear(normed2, self._p(f"{blk}.mlp.fc1.weight"), self._p(f"{blk}.mlp.fc1.bias")))
+            mlp = T.linear(hidden, self._p(f"{blk}.mlp.fc2.weight"), self._p(f"{blk}.mlp.fc2.bias"))
             z = T.add(mlp, z)
         y = T.layer_norm(z[:, 0, :], self._p("final_norm.gain"), self._p("final_norm.bias"), LAYER_NORM_EPS)
         return y, attentions
@@ -226,13 +223,13 @@ class PViTModel:
         c = self.config
         patches = Tensor(patchify(images, c.patch_size))  # (B, N, P)
         b = patches.shape[0]
-        patch_emb = T.add(T.matmul(patches, self._p("patch_embed.weight")), self._p("patch_embed.bias"))
+        patch_emb = T.linear(patches, self._p("patch_embed.weight"), self._p("patch_embed.bias"))
         cls = T.broadcast_to(T.reshape(self._p("cls_token"), (1, 1, c.embed_dim)), (b, 1, c.embed_dim))
         body = T.add(T.concat([cls, patch_emb], axis=1), self._p("pos_embed"))
         tokens = self.make_prior_token(prior_logits, alpha)
         seq = T.concat([body, T.reshape(tokens, (tokens.shape[0], 1, c.embed_dim))], axis=1)
         y, attentions = self._encode(seq, want_attention)
-        logits = T.add(T.matmul(y, self._p("head.weight")), self._p("head.bias"))
+        logits = T.linear(y, self._p("head.weight"), self._p("head.bias"))
         return BatchForward(logits=logits, y=y, attentions=attentions if want_attention else None)
 
     def batch_loss(self, images, labels, prior_logits, alpha: Optional[float] = None):

@@ -34,6 +34,8 @@ from .rng import philox, truncated_normal
 from .tensor import Tensor
 from .train import run_training
 
+NUMBER_TYPES = frozenset({int, float})  # what JSON numbers parse to
+
 
 @dataclass
 class LogitsRecord:
@@ -77,8 +79,8 @@ class MLPClassifier:
         flat = x.reshape(x.shape[0], int(np.prod(x.shape[1:])))  # also for zero rows
         if flat.shape[1] != self.config.input_dim:
             raise FormatError(f"prior model expects {self.config.input_dim} pixels, got {flat.shape[1]}")
-        hidden = T.gelu(T.add(T.matmul(Tensor(flat), self.params["fc1.weight"]), self.params["fc1.bias"]))
-        return T.add(T.matmul(hidden, self.params["fc2.weight"]), self.params["fc2.bias"])
+        hidden = T.gelu(T.linear(Tensor(flat), self.params["fc1.weight"], self.params["fc1.bias"]))
+        return T.linear(hidden, self.params["fc2.weight"], self.params["fc2.bias"])
 
     def batch_loss(self, images, labels):
         out = self.logits(images)
@@ -189,8 +191,9 @@ def export_logits(source: PriorSource, dataset: Dataset, path: str) -> None:
 
 
 def load_logits(path: str) -> TableSource:
-    """Parse a logits file; validates header, per-line K, id uniqueness,
-    and that every logits vector is finite."""
+    """Parse a logits file; validates header, field types, per-line K, id
+    uniqueness, and that every logits vector is finite.  Any malformed
+    line raises :class:`FormatError` naming ``file:line``."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -201,7 +204,9 @@ def load_logits(path: str) -> TableSource:
         raise FormatError(f"{path}:1: bad header: {exc}") from None
     if not isinstance(header, dict) or "k" not in header:
         raise FormatError(f"{path}:1: header must be an object with a 'k' field")
-    k = int(header["k"])
+    k = header["k"]
+    if type(k) is not int or k < 1:
+        raise FormatError(f"{path}:1: header 'k' must be a positive integer, got {k!r}")
     records: dict[str, LogitsRecord] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -214,6 +219,10 @@ def load_logits(path: str) -> TableSource:
             sid, label, logits = obj["id"], obj["label"], obj["logits"]
         except (KeyError, TypeError):
             raise FormatError(f"{path}:{lineno}: line needs id/label/logits fields") from None
+        if type(sid) is not str or not (label is None or type(label) is int):
+            raise FormatError(f"{path}:{lineno}: id must be a string and label an integer or null")
+        if type(logits) is not list or not set(map(type, logits)) <= NUMBER_TYPES:
+            raise FormatError(f"{path}:{lineno}: logits must be a list of numbers")
         if len(logits) != k:
             raise FormatError(f"{path}:{lineno}: expected {k} logits, got {len(logits)}")
         values = np.asarray(logits, dtype=np.float64)
@@ -221,5 +230,5 @@ def load_logits(path: str) -> TableSource:
             raise FormatError(f"{path}:{lineno}: non-finite logits")
         if sid in records:
             raise FormatError(f"{path}:{lineno}: duplicate id {sid!r}")
-        records[sid] = LogitsRecord(id=sid, label=None if label is None else int(label), logits=[float(v) for v in logits])
+        records[sid] = LogitsRecord(id=sid, label=label, logits=[float(v) for v in logits])
     return TableSource(records=records, num_classes=k, dataset=str(header.get("dataset", "")), name=str(header.get("model", "table")))

@@ -30,12 +30,11 @@ import numpy as np
 
 from .data import Dataset
 from .errors import FormatError, ShapeError
-from .priors import PriorSource
+from .priors import NUMBER_TYPES, PriorSource
 
 PROB_CLAMP = 1e-12
 
 GUIDANCE_KINDS = ("ce", "kl", "ed")
-NUMBER_TYPES = frozenset({int, float})  # what JSON numbers parse to
 
 
 @dataclass

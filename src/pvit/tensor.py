@@ -16,9 +16,14 @@ Usage sketch::
     backward(loss)          # w.grad now holds d(loss)/d(w)
 
 A tape is single-owner, is rebuilt for every forward pass, and supports
-exactly one backward call.  Tensors are value-like once constructed;
-optimizers mutate parameter buffers in place between tapes, never during
-one.  All computation is float64.
+exactly one backward call.  Once that call has accumulated the gradients,
+it frees the graph: each node drops its inputs, output and gradient rule,
+so the step's activations go away by reference counting as soon as the
+caller lets go of the loss.  A tape that never reaches backward still
+holds reference cycles (tensor to node to tensor) and is left to Python's
+cyclic collector.  Tensors are value-like once constructed; optimizers
+mutate parameter buffers in place between tapes, never during one.  All
+computation is float64.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ __all__ = [
     "neg",
     "mul",
     "matmul",
+    "linear",
     "reshape",
     "transpose",
     "broadcast_to",
@@ -181,15 +187,22 @@ class Tape:
             raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         self._consumed = True
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(self.nodes):
-            out_grad = node.output.grad
-            if out_grad is None:
-                continue  # not reachable from the loss
-            in_grads = node.grad_fn(out_grad)
-            for tensor, grad in zip(node.inputs, in_grads):
-                if grad is None or not tensor.requires_grad:
-                    continue
-                tensor.grad = grad if tensor.grad is None else tensor.grad + grad
+        try:
+            for node in reversed(self.nodes):
+                out_grad = node.output.grad
+                if out_grad is None:
+                    continue  # not reachable from the loss
+                in_grads = node.grad_fn(out_grad)
+                for tensor, grad in zip(node.inputs, in_grads):
+                    if grad is None or not tensor.requires_grad:
+                        continue
+                    tensor.grad = grad if tensor.grad is None else tensor.grad + grad
+        finally:
+            # break every tensor -> node -> tensor cycle, so the graph is freed by
+            # reference counting rather than left to the cyclic collector
+            for node in self.nodes:
+                node.inputs = node.output = node.grad_fn = None
+            self.nodes.clear()
 
 
 _LOCAL = threading.local()
@@ -328,6 +341,38 @@ def matmul(a, b) -> Tensor:
         return ga, gb
 
     return _record((a, b), out, grad_fn)
+
+
+def linear(x, weight, bias) -> Tensor:
+    """Affine map ``x @ weight + bias`` recorded as one node.
+
+    ``weight`` is (D_in, D_out) and ``bias`` (D_out,); leading axes of
+    ``x`` are batch axes.  Values and gradients are bitwise those of
+    ``add(matmul(x, weight), bias)``, with one node and no intermediate
+    product kept on the tape.
+    """
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    if x.ndim < 2 or weight.ndim != 2 or bias.shape != weight.shape[1:]:
+        raise ShapeError(
+            f"linear needs rank >= 2 input, a 2-D weight and a matching bias, got shapes "
+            f"{x.shape}, {weight.shape} and {bias.shape}"
+        )
+    if x.shape[-1] != weight.shape[0]:
+        raise ShapeError(f"linear: inner dimensions disagree for shapes {x.shape} and {weight.shape}")
+    out = x.data @ weight.data
+    out += bias.data
+
+    def grad_fn(g):
+        gx = gw = gb = None
+        if x.requires_grad:
+            gx = g @ weight.data.T
+        if weight.requires_grad:
+            gw = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, weight.shape)
+        if bias.requires_grad:
+            gb = _unbroadcast(g, bias.shape)
+        return gx, gw, gb
+
+    return _record((x, weight, bias), out, grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from pvit.tensor import (
     cross_entropy,
     gelu,
     layer_norm,
+    linear,
     logsumexp,
     matmul,
     mul,
@@ -102,6 +103,10 @@ def _op_cases(rng):
     w38 = rng.normal(size=(3, 8))
     w3 = rng.normal(size=(3,))
 
+    # linear reuses drawn arrays, so the draws feeding the model check below stay put
+    batched = np.stack([a, a[::-1]])  # (2, 3, 4)
+    w233 = np.stack([w33, w33.T])
+
     def scalarize(t, w):
         flat = reshape(mul(t, Tensor(w)), (1, t.size))
         return reshape(matmul(flat, Tensor(np.ones((t.size, 1)))), ())
@@ -113,6 +118,8 @@ def _op_cases(rng):
         ("mul", lambda x, y: scalarize(mul(x, y), w34), (a, rng.uniform(-2, 2, (3, 4)))),
         ("mul-broadcast", lambda x, y: scalarize(mul(x, y), w34), (a, v)),
         ("matmul", lambda x, y: scalarize(matmul(x, y), w33), (a, b)),
+        ("linear", lambda x, y, z: scalarize(linear(x, y, z), w33), (a, b, w3)),
+        ("linear-batched", lambda x, y, z: scalarize(linear(x, y, z), w233), (batched, b, w3)),
         ("reshape", lambda x: scalarize(reshape(x, (4, 3)), w34.T), (a,)),
         ("transpose", lambda x: scalarize(transpose(x, (1, 0)), w34.T), (a,)),
         ("getitem", lambda x: scalarize(x[1:3, :2], w22), (a,)),

@@ -284,6 +284,50 @@ class TestEvalInputs:
         assert not os.path.exists(os.path.join(out, "eval_summary.csv"))
 
 
+def write_logits_set(directory, splits):
+    """Hand-written three-class logits files, two records each."""
+    os.makedirs(directory, exist_ok=True)
+    for split in splits:
+        with open(os.path.join(directory, f"logits_{split}.jsonl"), "w") as fh:
+            fh.write(json.dumps({"k": 3, "dataset": split, "model": "mlp"}) + "\n")
+            for j in range(2):
+                fh.write(json.dumps({"id": f"{split}-{j}", "label": j, "logits": [0.5 * j, 0.1, -0.2]}) + "\n")
+
+
+class TestLogitsInputs:
+    """Consumers of logits files (``prior.source = logits`` training and
+    the two-file scoring ablation) exit 2 on a malformed line, naming it."""
+
+    @pytest.mark.parametrize(
+        "lineno,text",
+        [
+            (1, '{"k": "x", "dataset": "d", "model": "mlp"}'),
+            (2, '{"id": "a", "label": "z", "logits": [0.1, 0.2, 0.3]}'),
+            (3, '{"id": "b", "label": 0, "logits": "abc"}'),
+            (3, '{"id": "b", "label": 0, "logits": 3}'),
+            (2, '{"id": ["a"], "label": 0, "logits": [0.1, 0.2, 0.3]}'),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["train-pvit", "score"])
+    def test_malformed_logits_file_exits_2(self, tmp_path, capsys, command, lineno, text):
+        if command == "train-pvit":
+            cfg, out = write_cfg(tmp_path, prior__source="logits")
+            split = "id-train"
+        else:
+            predicted = str(tmp_path / "predicted")
+            write_logits_set(predicted, SPLITS[1:])
+            cfg, out = write_cfg(tmp_path, score__predicted_logits=predicted)
+            split = "id-test"
+        write_logits_set(os.path.join(out, "logits"), SPLITS)
+        path = os.path.join(out, "logits", f"logits_{split}.jsonl")
+        lines = open(path).read().splitlines()
+        lines[lineno - 1] = text
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert main([command, "--config", cfg]) == 2
+        assert f"logits_{split}.jsonl:{lineno}:" in capsys.readouterr().err
+
+
 class TestLogitsPriorInterchangeability:
     def test_logits_file_priors_train_like_model_priors(self, tmp_path):
         """Table-backed and model-backed priors train alike: the start of

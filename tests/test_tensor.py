@@ -1,13 +1,18 @@
 """Autodiff engine tests: forward values against independent oracles,
-gradients against central finite differences."""
+gradients against central finite differences, and the graph's lifetime."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import assert_close_rel, central_difference
+from pvit import tensor as T
 from pvit.errors import ShapeError, TapeError
+from pvit.model import PViTConfig, PViTModel
 from pvit.tensor import (
     Tape,
     Tensor,
@@ -18,6 +23,7 @@ from pvit.tensor import (
     cross_entropy,
     gelu,
     layer_norm,
+    linear,
     logsumexp,
     matmul,
     mul,
@@ -88,6 +94,47 @@ class TestMatmul:
         fb = central_difference(lambda y: float(np.sum((a @ y) * w)), b)
         assert_close_rel(ga, fa, 1e-4, "matmul dA")
         assert_close_rel(gb, fb, 1e-4, "matmul dB")
+
+
+class TestLinear:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.integers(0, 3),  # 0: a 2-D (S, D_in) input
+        seq=st.integers(1, 6),
+        d_in=st.integers(1, 9),
+        d_out=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_matmul_plus_bias_exactly(self, batch, seq, d_in, d_out, seed):
+        """One node, yet bitwise the forward value and all three gradients
+        of the add(matmul(x, W), b) composition."""
+        rng = np.random.default_rng(seed)
+        lead = (batch, seq) if batch else (seq,)
+        x = rng.normal(size=lead + (d_in,))
+        w = rng.normal(size=(d_in, d_out))
+        b = rng.normal(size=(d_out,))
+        upstream = rng.normal(size=lead + (d_out,))
+        fused = linear(Tensor(x), Tensor(w), Tensor(b))
+        composed = add(matmul(Tensor(x), Tensor(w)), Tensor(b))
+        assert fused.data.tobytes() == composed.data.tobytes()
+        got = tape_grad(lambda *t: weighted_sum(linear(*t), upstream), x, w, b)
+        want = tape_grad(lambda tx, tw, tb: weighted_sum(add(matmul(tx, tw), tb), upstream), x, w, b)
+        for g, h in zip(got, want):
+            np.testing.assert_array_equal(g, h)
+
+    def test_records_one_node(self):
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        with Tape() as tape:
+            linear(Tensor(np.ones((4, 3))), w, Tensor(np.zeros(2)))
+        assert len(tape.nodes) == 1
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError):
+            linear(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
 
 
 class TestSoftmax:
@@ -344,3 +391,60 @@ class TestBackward:
         x = Tensor(3.0, requires_grad=True)
         y = mul(x, x)
         assert y.node is None and not y.requires_grad
+
+
+def desk_step(model):
+    """One desk-shaped training step's loss (B=32, 28x28, D=64, depth 4)."""
+    rng = np.random.default_rng(21)
+    images = rng.uniform(0, 1, (32, 28, 28, 1))
+    labels = rng.integers(0, 4, 32)
+    priors = rng.normal(size=(32, 4))
+    model.zero_grad()
+    with Tape() as tape:
+        loss, _ = model.batch_loss(images, labels, priors)
+    return loss, tape
+
+
+class TestGraphRelease:
+    """backward frees the graph by reference counting alone."""
+
+    @pytest.fixture
+    def collector_off(self):
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if was_enabled:
+            gc.enable()
+
+    def test_step_leaves_no_cyclic_garbage(self, collector_off):
+        model = PViTModel(PViTConfig(), seed=0)
+        loss, tape = desk_step(model)
+        backward(loss)
+        del loss, tape
+        assert gc.collect() == 0
+
+    def test_intermediate_dies_with_the_loss(self, collector_off):
+        model = PViTModel(PViTConfig(), seed=0)
+        loss, tape = desk_step(model)
+        gelu_node = next(n for n in tape.nodes if n.grad_fn.__qualname__.startswith("gelu"))
+        ref = weakref.ref(gelu_node.output.data)
+        del gelu_node
+        backward(loss)
+        assert not tape.nodes
+        del loss
+        assert ref() is None
+
+    def test_parameter_grads_match_unfused_graph_bitwise(self, monkeypatch):
+        """Releasing the graph and fusing each affine map into one linear
+        node leave every parameter gradient bitwise as the add(matmul)
+        graph computes it."""
+        grads = []
+        for fused in (True, False):
+            if not fused:
+                monkeypatch.setattr(T, "linear", lambda x, w, b: add(matmul(x, w), b))
+            model = PViTModel(PViTConfig(), seed=0)
+            loss, _ = desk_step(model)
+            backward(loss)
+            grads.append({name: p.grad.tobytes() for name, p in model.params.items()})
+        assert grads[0] == grads[1]
