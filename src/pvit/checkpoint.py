@@ -21,6 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .artifacts import write_artifact
 from .errors import FormatError, ShapeError
 
 MAGIC = b"PVIT"
@@ -30,20 +31,16 @@ FORMAT_VERSION = 1
 def save_checkpoint(path: str, header: dict, tensors: Mapping[str, np.ndarray]) -> None:
     """Write tensors in the mapping's iteration order (the declared order)."""
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            arr = np.asarray(arr)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f4").tobytes())
+    write_artifact(path, _checkpoint_chunks(blob, tensors))
+
+
+def _checkpoint_chunks(blob: bytes, tensors: Mapping[str, np.ndarray]):
+    yield MAGIC + struct.pack("<II", FORMAT_VERSION, len(blob)) + blob + struct.pack("<I", len(tensors))
+    for name, arr in tensors.items():
+        encoded = name.encode("utf-8")
+        arr = np.asarray(arr)
+        yield struct.pack(f"<I{len(encoded)}sI{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape)
+        yield arr.astype("<f4").tobytes()
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:

@@ -2,15 +2,17 @@
 
 Subcommands mirror the workflow: ``train-prior`` fits the prior
 classifier, saves it and exports the saved prior's logits for every
-split, ``train-pvit`` fits the transformer with per-sample prior
-tokens, ``score`` writes score records per dataset, ``eval`` turns
-them into AUROC/FPR95 reports plus histograms, ``attention-dump``
-exports attention matrices and the prior-token attention mass, and
-``export-logits`` re-exports logits from a saved prior checkpoint.
+split (``export-logits`` re-exports them from the checkpoint),
+``train-pvit`` fits the transformer with per-sample prior tokens,
+``score`` writes score records per dataset, ``eval`` turns them into
+AUROC/FPR95 reports plus histograms, and ``attention-dump`` exports
+attention matrices and the prior-token attention mass.  Priors cross
+commands only as the logits files ``logits_<split>.jsonl``.
 
 Exit codes: 0 success, 1 usage/config error, 2 data or format error.
-All outputs are plain text (JSONL / CSV / JSON); every command writes
-its fully-resolved configuration next to its outputs.
+All outputs are plain text (JSONL / CSV / JSON), each replaced
+atomically; every command writes its fully-resolved configuration next
+to its outputs.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from .artifacts import write_artifact
 from .config import RunConfig
 from .data import Dataset, load_idx, make_ood, normalize, split_dataset, synth_dataset
 from .errors import ConfigError, FormatError, PvitError
@@ -38,12 +41,8 @@ from .priors import (
     load_logits,
     train_prior_model,
 )
-from .scoring import (
-    file_sha256, predict_logits, read_scores, score_dataset, score_field, score_records, write_scores,
-)
+from .scoring import file_sha256, predict_logits, read_scores, score_field, score_records, write_scores
 from .train import TrainConfig, loss_curve_csv, train
-
-COMMANDS = ("train-prior", "train-pvit", "score", "eval", "attention-dump", "export-logits")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,8 +75,7 @@ def _resolve(args) -> tuple[RunConfig, str]:
 
 
 def _write_resolved(cfg: RunConfig, out: str, command: str) -> None:
-    with open(os.path.join(out, f"{command}.resolved.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(cfg.resolved_text())
+    write_artifact(os.path.join(out, f"{command}.resolved.cfg"), [cfg.resolved_text()])
 
 
 # ---------------------------------------------------------------------------
@@ -174,23 +172,17 @@ def _logits_path(directory: str, split: str) -> str:
     return os.path.join(directory, f"logits_{split}.jsonl")
 
 
-def _prior_source(cfg: RunConfig, out: str, splits) -> TableSource | ModelSource:
-    """Model-backed or logits-file-backed priors, bitwise interchangeable:
-    each logits file holds what the saved prior resolves its split to."""
-    if cfg["prior.source"] == "model":
-        return ModelSource(MLPClassifier.load(_prior_ckpt_path(cfg, out)))
-    if cfg["prior.source"] != "logits":
-        raise ConfigError(f"config key 'prior.source': expected model or logits, got {cfg['prior.source']!r}")
+def _logits_priors(cfg: RunConfig, out: str, splits) -> TableSource:
+    """The splits' priors as their logits files hold them, the one way
+    priors reach a command other than train-prior and export-logits."""
     tables = [load_logits(_logits_path(_logits_dir(cfg, out), split)) for split in splits]
     merged = {sid: record for table in tables for sid, record in table.records.items()}
     return TableSource(records=merged, num_classes=tables[0].num_classes, name="logits-files")
 
 
 def _export_all_logits(cfg: RunConfig, out: str, datasets) -> tuple[ModelSource, list[str]]:
-    """Write every split's logits file from the prior as saved in its
-    checkpoint, float32, not from float64 weights still in memory, so the
-    files hold what a model-backed source resolves; returns that prior
-    and the files written."""
+    """Write every split's logits file from the prior as loaded back from
+    its checkpoint (float32); returns that prior and the files written."""
     source = ModelSource(MLPClassifier.load(_prior_ckpt_path(cfg, out)))
     os.makedirs(_logits_dir(cfg, out), exist_ok=True)
     written = [_logits_path(_logits_dir(cfg, out), split) for split in datasets]
@@ -216,8 +208,7 @@ def cmd_train_prior(cfg: RunConfig, out: str) -> None:
     ckpt = _prior_ckpt_path(cfg, out)
     source.model.save(ckpt, step=result.final_step if result else 0)
     if result is not None:
-        with open(os.path.join(out, "prior_loss.csv"), "w", encoding="utf-8") as fh:
-            fh.write(loss_curve_csv(result.curve))
+        write_artifact(os.path.join(out, "prior_loss.csv"), [loss_curve_csv(result.curve)])
     saved, written = _export_all_logits(cfg, out, datasets)
     train_acc = accuracy(saved, datasets["id-train"])
     test_acc = accuracy(saved, datasets["id-test"]) if datasets["id-test"].labels is not None else float("nan")
@@ -238,7 +229,7 @@ def cmd_export_logits(cfg: RunConfig, out: str) -> None:
 
 def cmd_train_pvit(cfg: RunConfig, out: str) -> None:
     datasets = build_datasets(cfg)
-    prior = _prior_source(cfg, out, ["id-train", "id-test"])
+    prior = _logits_priors(cfg, out, ["id-train", "id-test"])
     config = _train_config(cfg, "train")
     start_step = 0
     optimizer_tensors: dict[str, np.ndarray] = {}
@@ -254,8 +245,7 @@ def cmd_train_pvit(cfg: RunConfig, out: str) -> None:
     ckpt = _pvit_ckpt_path(cfg, out)
     model.save(ckpt, step=result.final_step, epoch=config.epochs,
                extra_tensors=result.optimizer_tensors)
-    with open(os.path.join(out, "pvit_loss.csv"), "w", encoding="utf-8") as fh:
-        fh.write(loss_curve_csv(result.curve))
+    write_artifact(os.path.join(out, "pvit_loss.csv"), [loss_curve_csv(result.curve)])
 
     def id_accuracy(split: str):
         ds = datasets[split]
@@ -272,8 +262,7 @@ def cmd_train_pvit(cfg: RunConfig, out: str) -> None:
         "id_test_accuracy": id_accuracy("id-test"),
         "final_loss": result.curve[-1].loss if result.curve else None,
     }
-    with open(os.path.join(out, "pvit_train.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_artifact(os.path.join(out, "pvit_train.json"), [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
     _write_resolved(cfg, out, "train-pvit")
     print(f"pvit checkpoint: {ckpt}")
     for split in ("id-train", "id-test"):
@@ -281,41 +270,35 @@ def cmd_train_pvit(cfg: RunConfig, out: str) -> None:
         print(f"pvit {split} accuracy: " + ("n/a" if value is None else f"{value:.4f}"))
 
 
-def _score_splits(cfg: RunConfig) -> list[str]:
-    return ["id-test"] + [f"ood-{kind}" for kind in cfg["ood.kinds"]]
-
-
 def cmd_score(cfg: RunConfig, out: str) -> None:
     guidance = cfg["score.guidance"]
-    splits = _score_splits(cfg)
+    splits = ["id-test"] + [f"ood-{kind}" for kind in cfg["ood.kinds"]]
     predicted_dir = cfg["score.predicted_logits"]
     if predicted_dir:
-        # no-prior-token ablation: pair two logits files per split, no model;
-        # the predicted logits files together stand in for the checkpoint
-        prior_dir = _logits_dir(cfg, out)
+        # no-prior-token ablation: predicted logits files stand in for model and checkpoint
+        alpha = 0.0
         source_hash = hashlib.sha256(
             "".join(file_sha256(_logits_path(predicted_dir, split)) for split in splits).encode()
         ).hexdigest()
-        for split in splits:
-            predicted = load_logits(_logits_path(predicted_dir, split))
-            prior = load_logits(_logits_path(prior_dir, split))
-            ids = list(predicted.records)
-            records = score_records(ids, predicted.logits_for(ids), prior.logits_for(ids), guidance)
-            path = os.path.join(out, f"scores_{split}.jsonl")
-            write_scores(path, records, guidance, 0.0, source_hash)
-            print(f"scores: {path} ({len(records)} records)")
-        _write_resolved(cfg, out, "score")
-        return
 
-    datasets = build_datasets(cfg)
-    ckpt = _pvit_ckpt_path(cfg, out)
-    model, _, _ = PViTModel.load(ckpt)
-    ckpt_hash = file_sha256(ckpt)
-    prior = _prior_source(cfg, out, splits)
+        def predict(split: str):
+            table = load_logits(_logits_path(predicted_dir, split))
+            ids = list(table.records)
+            return ids, table.logits_for(ids)
+    else:
+        datasets = build_datasets(cfg)
+        ckpt = _pvit_ckpt_path(cfg, out)
+        model, _, _ = PViTModel.load(ckpt)
+        alpha, source_hash = model.config.alpha, file_sha256(ckpt)
+
+        def predict(split: str):
+            return datasets[split].ids, predict_logits(model, prior, datasets[split])[0]
+    prior = _logits_priors(cfg, out, splits)
     for split in splits:
-        records = score_dataset(model, prior, datasets[split], guidance)
+        ids, predicted = predict(split)
+        records = score_records(ids, predicted, prior.logits_for(ids), guidance)
         path = os.path.join(out, f"scores_{split}.jsonl")
-        write_scores(path, records, guidance, model.config.alpha, ckpt_hash)
+        write_scores(path, records, guidance, alpha, source_hash)
         print(f"scores: {path} ({len(records)} records)")
     _write_resolved(cfg, out, "score")
 
@@ -337,28 +320,22 @@ def cmd_eval(cfg: RunConfig, out: str) -> None:
                 for name in cfg["eval.scores"]}
 
     id_columns = columns(id_records)
-    rows = []
+    summary = ["ood_dataset,score,auroc,fpr95,threshold,orientation"]
     for split, ood_records in ood_sets.items():
         ood_columns = columns(ood_records)
         for score_name in cfg["eval.scores"]:
             ids, oods = id_columns[score_name], ood_columns[score_name]
             metrics = evaluate(ids, oods, score_name, cfg["eval.orientation"])
             metrics_path = os.path.join(out, f"metrics_{split}_{score_name}.json")
-            with open(metrics_path, "w", encoding="utf-8") as fh:
-                fh.write(metrics.to_json())
+            write_artifact(metrics_path, [metrics.to_json()])
             histogram_export(ids, oods, cfg["eval.bins"], os.path.join(out, f"hist_{split}_{score_name}.csv"))
-            rows.append((split, score_name, metrics))
+            summary.append(f"{split},{score_name},{metrics.auroc!r},{metrics.fpr95!r},"
+                           f"{metrics.threshold!r},{metrics.orientation}")
             print(
                 f"{split:24s} {score_name:10s} auroc={metrics.auroc:.4f} "
                 f"fpr95={metrics.fpr95:.4f} threshold={metrics.threshold:.4f} ({metrics.orientation})"
             )
-    with open(os.path.join(out, "eval_summary.csv"), "w", encoding="utf-8") as fh:
-        fh.write("ood_dataset,score,auroc,fpr95,threshold,orientation\n")
-        for split, score_name, metrics in rows:
-            fh.write(
-                f"{split},{score_name},{metrics.auroc!r},{metrics.fpr95!r},"
-                f"{metrics.threshold!r},{metrics.orientation}\n"
-            )
+    write_artifact(os.path.join(out, "eval_summary.csv"), [line + "\n" for line in summary])
     _write_resolved(cfg, out, "eval")
 
 
@@ -369,7 +346,7 @@ def cmd_attention_dump(cfg: RunConfig, out: str) -> None:
         raise ConfigError(f"config key 'attention.dataset': no dataset named {split!r}")
     ds = datasets[split]
     model, _, _ = PViTModel.load(_pvit_ckpt_path(cfg, out))
-    prior = _prior_source(cfg, out, [split])
+    prior = _logits_priors(cfg, out, [split])
     layer = cfg["attention.layer"]
     if layer < 0:
         layer = model.config.depth + layer
@@ -383,16 +360,26 @@ def cmd_attention_dump(cfg: RunConfig, out: str) -> None:
     for alpha in alphas:
         outputs = model.forward_batch(ds.images[:count], priors, alpha, want_attention=True)
         matrices, masses = extract_attention(outputs, layer, head)
+        row_format = ",".join(["%.18e"] * matrices.shape[-1]) + "\n"  # np.savetxt's default
         for sid, matrix, mass in zip(ds.ids[:count], matrices, masses.tolist()):
             name = f"{sid}_alpha{alpha!r}_L{layer}H{head}.csv"
-            np.savetxt(os.path.join(attn_dir, name), matrix, delimiter=",")
+            write_artifact(os.path.join(attn_dir, name), [row_format % tuple(row) for row in matrix])
             summary.append(f"{alpha!r},{sid},{layer},{head},{mass!r}")
     summary_path = os.path.join(out, "attention_summary.csv")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(summary) + "\n")
+    write_artifact(summary_path, [line + "\n" for line in summary])
     _write_resolved(cfg, out, "attention-dump")
     print(f"attention matrices: {attn_dir} ({count} samples x {len(alphas)} alphas)")
     print(f"attention summary: {summary_path}")
+
+
+COMMANDS = {
+    "train-prior": cmd_train_prior,
+    "train-pvit": cmd_train_pvit,
+    "score": cmd_score,
+    "eval": cmd_eval,
+    "attention-dump": cmd_attention_dump,
+    "export-logits": cmd_export_logits,
+}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -403,15 +390,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         cfg, out = _resolve(args)
-        handler = {
-            "train-prior": cmd_train_prior,
-            "train-pvit": cmd_train_pvit,
-            "score": cmd_score,
-            "eval": cmd_eval,
-            "attention-dump": cmd_attention_dump,
-            "export-logits": cmd_export_logits,
-        }[args.command]
-        handler(cfg, out)
+        COMMANDS[args.command](cfg, out)
         return 0
     except ConfigError as exc:
         print(f"pvit: usage error: {exc}", file=sys.stderr)

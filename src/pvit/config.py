@@ -58,7 +58,6 @@ SCHEMA: dict[str, tuple[str, Any]] = {
     "prior.warmup_epochs": ("int", 1),
     "prior.weight_decay": ("float", 0.0),
     "prior.seed": ("int", 21),
-    "prior.source": ("str", "model"),  # model | logits
     # transformer training
     "train.epochs": ("int", 10),
     "train.batch_size": ("int", 32),

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifacts import write_artifact
 from .errors import FormatError
 
 
@@ -132,5 +133,4 @@ def histogram_export(
     lines = ["bin_left,bin_right,id_count,ood_count"]
     for i in range(bins):
         lines.append(f"{edges[i]!r},{edges[i + 1]!r},{id_counts[i]},{ood_counts[i]}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_artifact(path, [line + "\n" for line in lines])

@@ -2,11 +2,12 @@
 
 A prior source answers "what does the prior classifier think of these
 samples": ``resolve(dataset)`` returns the whole dataset's (N, K) block
-of raw logits in ``dataset.ids`` order, by running a small in-repo MLP
-on the pixels or by looking the ids up in a logits file.  Consumers
-resolve a dataset once and slice the block, so the two sources agree
-to the bit: a logits file holds the block the saved MLP gives for its
-split, and JSON round-trips a float64 exactly.  Logits stay raw
+of raw logits in ``dataset.ids`` order.  :class:`ModelSource` runs the
+small in-repo MLP on the pixels; it backs ``train-prior`` and
+``export-logits``, which write each split's block to a logits file from
+the prior as saved.  :class:`TableSource` looks ids up in those files,
+the one way priors reach every other command; JSON round-trips a
+float64 exactly, so the two agree to the bit.  Logits stay raw
 (pre-softmax) because the energy and max-logit baselines need them.
 
 Logits file format (UTF-8 JSON Lines):
@@ -20,21 +21,19 @@ Numbers are serialized with full round-trip precision.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 from typing import Optional, Union
 
 import numpy as np
 
 from . import tensor as T
+from .artifacts import NUMBER_TYPES, read_jsonl, write_jsonl
 from .checkpoint import load_model, save_checkpoint
 from .data import Dataset, subset
 from .errors import FormatError, MissingPriorError, TrainingError
 from .rng import philox, truncated_normal
 from .tensor import Tensor
 from .train import run_training
-
-NUMBER_TYPES = frozenset({int, float})  # what JSON numbers parse to
 
 
 @dataclass
@@ -182,42 +181,27 @@ def accuracy(source: PriorSource, dataset: Dataset) -> float:
 def export_logits(source: PriorSource, dataset: Dataset, path: str) -> None:
     """Write one logits line per dataset sample, after a k/dataset header."""
     all_logits = source.resolve(dataset)
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {"k": source.num_classes, "dataset": dataset.name, "model": source.name}
-        fh.write(json.dumps(header) + "\n")
-        for i, sid in enumerate(dataset.ids):
-            label = None if dataset.labels is None else int(dataset.labels[i])
-            fh.write(json.dumps({"id": sid, "label": label, "logits": [float(v) for v in all_logits[i]]}) + "\n")
+    labels = [None] * len(dataset) if dataset.labels is None else dataset.labels.tolist()
+    header = {"k": source.num_classes, "dataset": dataset.name, "model": source.name}
+    write_jsonl(path, header, (
+        {"id": sid, "label": label, "logits": row.tolist()}
+        for sid, label, row in zip(dataset.ids, labels, all_logits)
+    ))
 
 
 def load_logits(path: str) -> TableSource:
     """Parse a logits file; validates header, field types, per-line K, id
     uniqueness, and that every logits vector is finite.  Any malformed
     line raises :class:`FormatError` naming ``file:line``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty file, expected a header line")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}:1: bad header: {exc}") from None
-    if not isinstance(header, dict) or "k" not in header:
-        raise FormatError(f"{path}:1: header must be an object with a 'k' field")
-    k = header["k"]
+    header, rows = read_jsonl(path)
+    k = header.get("k")
     if type(k) is not int or k < 1:
         raise FormatError(f"{path}:1: header 'k' must be a positive integer, got {k!r}")
     records: dict[str, LogitsRecord] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}:{lineno}: malformed line: {exc}") from None
+    for lineno, obj in rows:
         try:
             sid, label, logits = obj["id"], obj["label"], obj["logits"]
-        except (KeyError, TypeError):
+        except KeyError:
             raise FormatError(f"{path}:{lineno}: line needs id/label/logits fields") from None
         if type(sid) is not str or not (label is None or type(label) is int):
             raise FormatError(f"{path}:{lineno}: id must be a string and label an integer or null")

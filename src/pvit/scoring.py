@@ -22,15 +22,15 @@ otherwise send -log q to infinity and poison downstream AUROC.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .artifacts import NUMBER_TYPES, read_jsonl, write_jsonl
 from .data import Dataset
 from .errors import FormatError, ShapeError
-from .priors import NUMBER_TYPES, PriorSource
+from .priors import PriorSource
 
 PROB_CLAMP = 1e-12
 
@@ -243,45 +243,18 @@ def file_sha256(path: str) -> str:
 
 
 def write_scores(path: str, records: list[ScoreRecord], guidance_kind: str, alpha: float, checkpoint_hash: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {"guidance": guidance_kind, "alpha": float(alpha), "checkpoint_sha256": checkpoint_hash}
-        fh.write(json.dumps(header) + "\n")
-        for rec in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": rec.id,
-                        "base": rec.base,
-                        "guidance": rec.guidance,
-                        "pge": rec.pge,
-                        "predicted_class": rec.predicted_class,
-                        "baselines": rec.baselines,
-                    }
-                )
-                + "\n"
-            )
+    header = {"guidance": guidance_kind, "alpha": float(alpha), "checkpoint_sha256": checkpoint_hash}
+    # a dict per line, not vars(rec): that would give every record a lasting __dict__
+    write_jsonl(path, header, ({"id": r.id, "base": r.base, "guidance": r.guidance, "pge": r.pge,
+                                "predicted_class": r.predicted_class, "baselines": r.baselines} for r in records))
 
 
 def read_scores(path: str) -> tuple[dict, list[ScoreRecord]]:
     """Header and records of a score file: JSON objects, with numbers for
     scores, or :class:`FormatError` naming ``file:line``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty score file")
+    header, rows = read_jsonl(path)
     records = []
-    for lineno, line in enumerate(lines, start=1):
-        if lineno > 1 and not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}:{lineno}: malformed JSON: {exc}") from None
-        if type(obj) is not dict:
-            raise FormatError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
-        if lineno == 1:
-            header = obj
-            continue
+    for lineno, obj in rows:
         baselines = obj.get("baselines")
         if not (type(obj.get("id")) is str and type(obj.get("predicted_class")) is int
                 and {type(obj.get("base")), type(obj.get("guidance")), type(obj.get("pge"))} <= NUMBER_TYPES

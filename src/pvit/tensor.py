@@ -5,7 +5,7 @@ backward passes need: broadcast arithmetic, (batched) matrix products,
 shape manipulation, softmax, logsumexp, layer normalization, exact-erf
 GELU, and cross-entropy.  Operations executed inside a ``with Tape():``
 block are recorded on that tape; :func:`backward` replays the tape in
-reverse and accumulates total derivatives into ``Tensor.grad``.
+reverse and accumulates total derivatives into leaf tensors' ``grad``.
 
 Usage sketch::
 
@@ -16,14 +16,15 @@ Usage sketch::
     backward(loss)          # w.grad now holds d(loss)/d(w)
 
 A tape is single-owner, is rebuilt for every forward pass, and supports
-exactly one backward call.  Once that call has accumulated the gradients,
-it frees the graph: each node drops its inputs, output and gradient rule,
-so the step's activations go away by reference counting as soon as the
-caller lets go of the loss.  A tape that never reaches backward still
-holds reference cycles (tensor to node to tensor) and is left to Python's
-cyclic collector.  Tensors are value-like once constructed; optimizers
-mutate parameter buffers in place between tapes, never during one.  All
-computation is float64.
+exactly one backward call, which keeps only leaf gradients: a recorded
+output's gradient is dropped once its node's rule has consumed it.  When
+done, the call frees the graph: each node drops its inputs, output and
+gradient rule, so the step's activations go away by reference counting
+as soon as the caller lets go of the loss.  A tape that never reaches
+backward still holds reference cycles (tensor to node to tensor) and is
+left to Python's cyclic collector.  Tensors are value-like once
+constructed; optimizers mutate parameter buffers in place between tapes,
+never during one.  All computation is float64.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 class Tensor:
     """N-dimensional float64 array, optionally tracked for gradients.
 
-    ``data`` is a contiguous row-major numpy array.  ``grad``, once
-    populated by :func:`backward`, matches ``data``'s shape.  The shape
-    never changes in place; :func:`reshape` returns a new tensor.
+    ``data`` is a contiguous row-major numpy array.  ``grad``, which
+    :func:`backward` fills for leaves only, matches ``data``'s shape.
+    The shape never changes in place; :func:`reshape` returns a new tensor.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node", "tape")
@@ -193,6 +194,7 @@ class Tape:
                 if out_grad is None:
                     continue  # not reachable from the loss
                 in_grads = node.grad_fn(out_grad)
+                node.output.grad = None  # nothing reads it again; leaves keep theirs
                 for tensor, grad in zip(node.inputs, in_grads):
                     if grad is None or not tensor.requires_grad:
                         continue
@@ -221,7 +223,8 @@ def _active_tape() -> Optional[Tape]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into ``t.grad`` for every tensor on the tape.
+    """Accumulate d(loss)/d(t) into ``t.grad`` for every leaf ``t`` on the
+    tape; recorded outputs, the loss included, are left with ``grad`` None.
 
     The loss must be a scalar recorded on a live tape.  Each tape supports
     one backward pass; a second call raises :class:`TapeError`.

@@ -7,10 +7,13 @@ import os
 import numpy as np
 import pytest
 
-from pvit.cli import main
+from pvit.cli import _pvit_config, _train_config, build_datasets, main
 from pvit.checkpoint import load_checkpoint, save_checkpoint
+from pvit.config import RunConfig
 from pvit.model import PViTConfig, PViTModel
-from pvit.scoring import ScoreRecord, read_scores, write_scores
+from pvit.priors import MLPClassifier, ModelSource
+from pvit.scoring import ScoreRecord, file_sha256, read_scores, score_dataset, write_scores
+from pvit.train import loss_curve_csv, train
 
 SMALL_CFG = """
 out.dir = {out}
@@ -102,6 +105,38 @@ class TestPipeline:
         assert header["alpha"] == 0.1
         assert len(header["checkpoint_sha256"]) == 64
         assert len(records) == 30  # 3 classes x 10 test per class
+
+
+def artifact_bytes(out):
+    """Every file under ``out`` by relative path, less the resolved configs
+    and pvit_train.json's checkpoint path, which name the directory."""
+    found = {}
+    for root, _, files in os.walk(out):
+        for name in files:
+            path = os.path.join(root, name)
+            found[os.path.relpath(path, out)] = open(path, "rb").read()
+    summary = json.loads(found.pop("pvit_train.json"))
+    del summary["checkpoint"]
+    found["pvit_train.json"] = json.dumps(summary, sort_keys=True).encode()
+    return {name: data for name, data in found.items() if not name.endswith(".resolved.cfg")}
+
+
+class TestPriorOnlyThroughLogitsFiles:
+    def test_pipeline_runs_without_the_prior_checkpoint(self, tmp_path, pipeline):
+        """Past train-prior, commands read priors from the logits files
+        alone: with prior.ckpt deleted, the pipeline writes the same bytes."""
+        cfg, out = write_cfg(tmp_path)
+        assert main(["train-prior", "--config", cfg]) == 0
+        os.remove(os.path.join(out, "prior.ckpt"))
+        for command in ("train-pvit", "score", "eval", "attention-dump"):
+            assert main([command, "--config", cfg]) == 0, command
+        expected = artifact_bytes(pipeline[1])
+        del expected["prior.ckpt"]
+        got = artifact_bytes(out)
+        assert sorted(got) == sorted(expected)
+        assert len([name for name in got if name.startswith("attention" + os.sep)]) == 8
+        for name in expected:
+            assert got[name] == expected[name], name
 
 
 class TestReproducibility:
@@ -213,6 +248,11 @@ class TestErrors:
         assert main(["train-prior", "--config", cfg]) == 1
         assert "model.prior_broadcast" in capsys.readouterr().err
 
+    def test_removed_prior_source_key_exits_1(self, tmp_path, capsys):
+        cfg, _ = write_cfg(tmp_path, prior__source="logits")
+        assert main(["train-pvit", "--config", cfg]) == 1
+        assert "prior.source" in capsys.readouterr().err
+
     def test_unknown_checkpoint_config_key_exits_2(self, tmp_path, capsys):
         cfg, out = write_cfg(tmp_path)
         os.makedirs(out, exist_ok=True)
@@ -295,8 +335,8 @@ def write_logits_set(directory, splits):
 
 
 class TestLogitsInputs:
-    """Consumers of logits files (``prior.source = logits`` training and
-    the two-file scoring ablation) exit 2 on a malformed line, naming it."""
+    """Consumers of logits files (every command past train-prior, and the
+    two-file scoring ablation) exit 2 on a malformed line, naming it."""
 
     @pytest.mark.parametrize(
         "lineno,text",
@@ -311,7 +351,7 @@ class TestLogitsInputs:
     @pytest.mark.parametrize("command", ["train-pvit", "score"])
     def test_malformed_logits_file_exits_2(self, tmp_path, capsys, command, lineno, text):
         if command == "train-pvit":
-            cfg, out = write_cfg(tmp_path, prior__source="logits")
+            cfg, out = write_cfg(tmp_path)
             split = "id-train"
         else:
             predicted = str(tmp_path / "predicted")
@@ -327,40 +367,72 @@ class TestLogitsInputs:
         assert main([command, "--config", cfg]) == 2
         assert f"logits_{split}.jsonl:{lineno}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train-pvit", "score"])
+    def test_missing_logits_file_exits_2(self, tmp_path, capsys, command):
+        cfg, out = write_cfg(tmp_path)
+        write_logits_set(os.path.join(out, "logits"), [split for split in SPLITS if split != "id-test"])
+        PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=1, heads=2, mlp_dim=24)).save(
+            os.path.join(out, "pvit.ckpt"))
+        assert main([command, "--config", cfg]) == 2
+        assert os.path.join(out, "logits", "logits_id-test.jsonl") in capsys.readouterr().err
+
+
+def library_run(cfg_path, out):
+    """train-pvit and score as the CLI runs them, but driven through the
+    library with a prior model loaded from prior.ckpt instead of the
+    logits files: writes pvit.ckpt, pvit_loss.csv and the score files."""
+    cfg = RunConfig.load(cfg_path, {"out.dir": out})
+    os.makedirs(out, exist_ok=True)
+    datasets = build_datasets(cfg)
+    prior = ModelSource(MLPClassifier.load(cfg["paths.prior_checkpoint"]))
+    config = _train_config(cfg, "train")
+    model = PViTModel(_pvit_config(cfg, datasets), seed=cfg.seed_for("model.seed"))
+    result = train(model, datasets["id-train"], prior, config)
+    ckpt = os.path.join(out, "pvit.ckpt")
+    model.save(ckpt, step=result.final_step, epoch=config.epochs, extra_tensors=result.optimizer_tensors)
+    with open(os.path.join(out, "pvit_loss.csv"), "w") as fh:
+        fh.write(loss_curve_csv(result.curve))
+    loaded, _, _ = PViTModel.load(ckpt)
+    for split in SPLITS[1:]:
+        records = score_dataset(loaded, prior, datasets[split], "ce")
+        write_scores(os.path.join(out, f"scores_{split}.jsonl"), records, "ce", loaded.config.alpha, file_sha256(ckpt))
+
 
 class TestLogitsPriorInterchangeability:
     def test_logits_file_priors_train_like_model_priors(self, tmp_path):
-        """Table-backed and model-backed priors train alike: the start of
-        the loss trajectory agrees (the test below pins every byte)."""
-        cfg, out = write_cfg(tmp_path)
+        """Table-backed (CLI) and model-backed (library) priors train alike:
+        the start of the loss trajectory agrees (the test below pins every byte)."""
+        cfg, out = write_cfg(tmp_path, paths__prior_checkpoint=str(tmp_path / "prior.ckpt"))
         assert main(["train-prior", "--config", cfg]) == 0
         assert main(["train-pvit", "--config", cfg]) == 0
-        model_curve = open(os.path.join(out, "pvit_loss.csv")).read().splitlines()
-
-        logits_cfg, _ = write_cfg(tmp_path, name="logits.cfg", prior__source="logits")
-        assert main(["train-pvit", "--config", logits_cfg]) == 0
         table_curve = open(os.path.join(out, "pvit_loss.csv")).read().splitlines()
+
+        library_run(cfg, str(tmp_path / "library"))
+        model_curve = open(tmp_path / "library" / "pvit_loss.csv").read().splitlines()
 
         assert len(model_curve) == len(table_curve)
         for a, b in zip(model_curve[1:4], table_curve[1:4]):
             loss_a, loss_b = float(a.split(",")[3]), float(b.split(",")[3])
             assert abs(loss_a - loss_b) <= 1e-9
-        assert main(["score", "--config", logits_cfg]) == 0
+        assert main(["score", "--config", cfg]) == 0
 
     def test_model_and_logits_pipelines_write_identical_artifacts(self, tmp_path):
-        """Both prior sources resolve whole datasets from the same saved
-        prior, so the two pipelines agree to the byte."""
+        """The logits files hold what the saved prior resolves each split to,
+        so the CLI and the library with the prior model agree to the byte."""
         shared = {"paths__prior_checkpoint": str(tmp_path / "prior.ckpt"),
                   "paths__logits_dir": str(tmp_path / "prior_logits")}
         outs = []
         for source in ("model", "logits"):
             run_dir = tmp_path / source
             run_dir.mkdir()
-            cfg, out = write_cfg(run_dir, prior__source=source, **shared)
+            cfg, out = write_cfg(run_dir, **shared)
             if source == "model":
                 assert main(["train-prior", "--config", cfg]) == 0
-            for command in ("train-pvit", "score", "eval"):
-                assert main([command, "--config", cfg]) == 0, (source, command)
+                library_run(cfg, out)
+            else:
+                for command in ("train-pvit", "score"):
+                    assert main([command, "--config", cfg]) == 0, command
+            assert main(["eval", "--config", cfg]) == 0, source
             outs.append(out)
         names = ["pvit.ckpt", "pvit_loss.csv", "eval_summary.csv"]
         names += [f"scores_{split}.jsonl" for split in SPLITS[1:]]

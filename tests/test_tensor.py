@@ -435,6 +435,27 @@ class TestGraphRelease:
         del loss
         assert ref() is None
 
+    def test_only_leaves_keep_grads(self):
+        """backward drops each recorded output's gradient once its node's
+        rule has run, and the parameter gradients stay bitwise those of a
+        sweep that keeps every gradient."""
+        model = PViTModel(PViTConfig(), seed=0)
+        loss, tape = desk_step(model)
+        loss.grad = np.ones_like(loss.data)
+        for node in reversed(tape.nodes):  # the sweep, every gradient kept
+            if node.output.grad is None:
+                continue
+            for tensor, grad in zip(node.inputs, node.grad_fn(node.output.grad)):
+                if grad is not None and tensor.requires_grad:
+                    tensor.grad = grad if tensor.grad is None else tensor.grad + grad
+        kept = {name: p.grad.tobytes() for name, p in model.params.items()}
+
+        loss, tape = desk_step(model)
+        outputs = [node.output for node in tape.nodes]
+        backward(loss)
+        assert loss in outputs and all(out.grad is None for out in outputs)
+        assert {name: p.grad.tobytes() for name, p in model.params.items()} == kept
+
     def test_parameter_grads_match_unfused_graph_bitwise(self, monkeypatch):
         """Releasing the graph and fusing each affine map into one linear
         node leave every parameter gradient bitwise as the add(matmul)
