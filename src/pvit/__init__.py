@@ -12,7 +12,6 @@ from .data import Dataset, load_idx, make_ood, normalize, split_dataset, synth_d
 from .metrics import OODMetrics, auroc, evaluate, fpr_at_tpr, histogram_export
 from .model import PViTConfig, PViTModel, extract_attention, patchify
 from .priors import (
-    LogitsRecord,
     MLPClassifier,
     ModelSource,
     TableSource,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset",
     "DecisionRule",
-    "LogitsRecord",
     "MLPClassifier",
     "ModelSource",
     "OODMetrics",

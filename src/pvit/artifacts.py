@@ -6,9 +6,11 @@ one object per non-blank line.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
+import stat
 from typing import Iterable, Iterator, Union
 
 from .errors import FormatError
@@ -20,7 +22,9 @@ def write_artifact(path: str, chunks: Union[Iterable[str], Iterable[bytes]]) -> 
     """Stream str chunks (UTF-8) or bytes chunks into a temporary file beside
     ``path``, then ``os.replace`` ``path`` with it: an exception or a crash
     leaves the previous file or none, never a half-written one (no fsync, so
-    not across a power loss).  A new file gets a plain ``open``'s mode."""
+    not across a power loss).  A rewrite keeps the target's permission bits;
+    a new file gets a plain ``open``'s mode.  A writer killed mid-write
+    leaves ``<path>.<12 hex digits>.tmp`` beside ``path``."""
     chunks = iter(chunks)
     first = next(chunks, "")
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"  # beside path, and named after it in errors
@@ -28,6 +32,8 @@ def write_artifact(path: str, chunks: Union[Iterable[str], Iterable[bytes]]) -> 
     try:
         with open(fd, "wb") if isinstance(first, bytes) else open(fd, "w", encoding="utf-8") as fh:
             fh.writelines(itertools.chain([first], chunks))
+        with contextlib.suppress(FileNotFoundError):  # no target yet: keep the umask's mode
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

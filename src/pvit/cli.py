@@ -105,7 +105,6 @@ def build_datasets(cfg: RunConfig) -> dict[str, Dataset]:
         )
         labels_path = cfg["data.idx_test_labels"] or None
         id_test = load_idx(cfg.require_path("data.idx_test_images"), labels_path, name="idx-test")
-        id_train.role, id_test.role = "ID-train", "ID-test"
     else:
         raise ConfigError(f"config key 'data.kind': unknown kind {kind!r} (synth or idx)")
 

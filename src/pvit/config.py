@@ -8,7 +8,7 @@ that file alone.
 
 The global ``seed`` is added to every component seed (data, model,
 prior, training, ood), so overriding it shifts the whole run while the
-components keep distinct streams.
+components keep distinct streams.  Every seed is a U64, in [0, 2**64).
 """
 
 from __future__ import annotations
@@ -117,6 +117,11 @@ def _format_value(tag: str, value) -> str:
 class RunConfig:
     values: dict[str, Any]
 
+    def __post_init__(self):
+        for key, value in self.values.items():
+            if key.endswith("seed") and not 0 <= value < 2**64:
+                raise ConfigError(f"config key {key!r}: a seed must be a U64 in [0, 2**64), got {value}")
+
     def __getitem__(self, key: str):
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
@@ -157,16 +162,14 @@ class RunConfig:
     @classmethod
     def load(cls, path: Optional[str] = None, overrides: Optional[dict[str, Any]] = None) -> "RunConfig":
         if path is None:
-            cfg = cls({key: default for key, (_, default) in SCHEMA.items()})
+            values = {key: default for key, (_, default) in SCHEMA.items()}
         else:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
-                    cfg = cls.from_text(fh.read(), source=path)
+                    values = cls.from_text(fh.read(), source=path).values
             except OSError as exc:
                 raise ConfigError(f"cannot read config {path!r}: {exc}") from None
-        if overrides:
-            for key, value in overrides.items():
-                if key not in SCHEMA:
-                    raise ConfigError(f"unknown config key {key!r}")
-                cfg.values[key] = value
-        return cfg
+        for key in overrides or {}:
+            if key not in SCHEMA:
+                raise ConfigError(f"unknown config key {key!r}")
+        return cls({**values, **(overrides or {})})

@@ -9,6 +9,8 @@ datasets are bit-identical across runs and platforms.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -28,16 +30,14 @@ OOD_KINDS = ("uniform-noise", "pattern-shift", "inverted")
 class Dataset:
     """Immutable image collection with optional labels.
 
-    ``images`` is (n, H, W, C) float64; pixel range is [0, 1] unless a
-    normalization transform has been applied (recorded in ``meta``).
+    ``images`` is (n, H, W, C) float64; pixel range is [0, 1] unless
+    :func:`normalize` has been applied.
     """
 
     name: str
     images: np.ndarray
     labels: Optional[np.ndarray] = None
-    role: str = "ID-train"  # ID-train | ID-test | OOD-test
     ids: list[str] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.images.ndim != 4:
@@ -61,37 +61,38 @@ class Dataset:
         return tuple(self.images.shape[1:])
 
 
+def _read_idx(path: str, magic: int, kind: str, ndim: int) -> tuple[list[int], bytes]:
+    """(dims, payload) of an IDX file of unsigned bytes.  The magic, nonzero
+    row/column counts and a file length of exactly header plus declared
+    payload are checked before the payload is read."""
+    header_size = 4 * (1 + ndim)
+    with open(path, "rb") as fh:
+        header = fh.read(header_size)
+        if len(header) < header_size:
+            raise FormatError(f"{path}: truncated IDX header")
+        found, *dims = struct.unpack(f">{1 + ndim}I", header)
+        if found != magic:
+            raise FormatError(f"{path}: bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}")
+        if 0 in dims[1:]:
+            raise FormatError(f"{path}: zero row or column count in header dims {dims}")
+        declared = math.prod(dims)
+        held = os.fstat(fh.fileno()).st_size - header_size
+        if held < declared:
+            raise FormatError(f"{path}: truncated payload, header declares {declared} bytes, file holds {held}")
+        if held > declared:
+            raise FormatError(f"{path}: {held - declared} trailing bytes after the {declared}-byte payload")
+        return dims, fh.read(declared)
+
+
 def load_idx(images_path: str, labels_path: Optional[str] = None, name: Optional[str] = None) -> Dataset:
     """Parse big-endian IDX files into a dataset; pixels scale to [0, 1]."""
-    with open(images_path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) < 16:
-            raise FormatError(f"{images_path}: truncated IDX header")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != IDX_IMAGES_MAGIC:
-            raise FormatError(
-                f"{images_path}: bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}"
-            )
-        payload = fh.read(count * rows * cols)
-        if len(payload) != count * rows * cols:
-            raise FormatError(f"{images_path}: truncated payload, expected {count * rows * cols} bytes")
+    (count, rows, cols), payload = _read_idx(images_path, IDX_IMAGES_MAGIC, "image", 3)
     images = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
     images = images.reshape(count, rows, cols, 1)
 
     labels = None
     if labels_path is not None:
-        with open(labels_path, "rb") as fh:
-            header = fh.read(8)
-            if len(header) < 8:
-                raise FormatError(f"{labels_path}: truncated IDX header")
-            magic, n_labels = struct.unpack(">II", header)
-            if magic != IDX_LABELS_MAGIC:
-                raise FormatError(
-                    f"{labels_path}: bad label magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}"
-                )
-            raw = fh.read(n_labels)
-            if len(raw) != n_labels:
-                raise FormatError(f"{labels_path}: truncated payload")
+        (n_labels,), raw = _read_idx(labels_path, IDX_LABELS_MAGIC, "label", 1)
         if n_labels != count:
             raise FormatError(f"{labels_path}: {n_labels} labels for {count} images")
         labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
@@ -149,7 +150,7 @@ def synth_dataset(
             images[i] = np.clip(noisy, 0.0, 1.0)
             labels[i] = c
             i += 1
-    return Dataset(name, images, labels, role="ID-train")
+    return Dataset(name, images, labels)
 
 
 def make_ood(
@@ -172,7 +173,7 @@ def make_ood(
     if kind == "uniform-noise":
         gen = philox(seed, 0x00D)
         images = gen.random((n, size, size, channels))
-        return Dataset(name, images, None, role="OOD-test")
+        return Dataset(name, images, None)
     if kind == "pattern-shift":
         ds = synth_dataset(
             classes,
@@ -184,46 +185,20 @@ def make_ood(
             name=name,
             shifted=True,
         )
-        return Dataset(name, ds.images[:n], None, role="OOD-test")
+        return Dataset(name, ds.images[:n], None)
     if kind == "inverted":
         if source is None:
             raise FormatError("inverted OOD needs a source dataset")
         take = min(n, len(source))
-        return Dataset(name, 1.0 - source.images[:take], None, role="OOD-test")
+        return Dataset(name, 1.0 - source.images[:take], None)
     raise FormatError(f"unknown OOD kind {kind!r}; expected one of {OOD_KINDS}")
 
 
 def normalize(dataset: Dataset, mean: float, std: float) -> Dataset:
-    """Shift and scale pixels; the transform is recorded in metadata so
-    scoring can verify it uses the training preprocessing."""
+    """Shift and scale pixels: ``(x - mean) / std``."""
     if std == 0:
         raise FormatError("normalize: std must be nonzero")
-    meta = dict(dataset.meta)
-    meta["normalize"] = {"mean": float(mean), "std": float(std)}
-    return Dataset(
-        dataset.name,
-        (dataset.images - mean) / std,
-        dataset.labels,
-        role=dataset.role,
-        ids=list(dataset.ids),
-        meta=meta,
-    )
-
-
-def denormalize(dataset: Dataset) -> Dataset:
-    """Invert the recorded normalization transform."""
-    t = dataset.meta.get("normalize")
-    if t is None:
-        return dataset
-    meta = {k: v for k, v in dataset.meta.items() if k != "normalize"}
-    return Dataset(
-        dataset.name,
-        dataset.images * t["std"] + t["mean"],
-        dataset.labels,
-        role=dataset.role,
-        ids=list(dataset.ids),
-        meta=meta,
-    )
+    return Dataset(dataset.name, (dataset.images - mean) / std, dataset.labels, ids=list(dataset.ids))
 
 
 def split_dataset(dataset: Dataset, train_count: int, seed: int = 0) -> tuple[Dataset, Dataset]:
@@ -233,18 +208,7 @@ def split_dataset(dataset: Dataset, train_count: int, seed: int = 0) -> tuple[Da
         raise FormatError(f"split needs 0 < train_count < {n}, got {train_count}")
     perm = philox(seed, 0x5917).permutation(n)
     tr, te = np.sort(perm[:train_count]), np.sort(perm[train_count:])
-
-    def take(idx: np.ndarray, role: str, suffix: str) -> Dataset:
-        return Dataset(
-            f"{dataset.name}-{suffix}",
-            dataset.images[idx],
-            None if dataset.labels is None else dataset.labels[idx],
-            role=role,
-            ids=[dataset.ids[i] for i in idx],
-            meta=dict(dataset.meta),
-        )
-
-    return take(tr, "ID-train", "train"), take(te, "ID-test", "test")
+    return subset(dataset, tr, f"{dataset.name}-train"), subset(dataset, te, f"{dataset.name}-test")
 
 
 def subset(dataset: Dataset, indices: Sequence[int], name: Optional[str] = None) -> Dataset:
@@ -253,7 +217,5 @@ def subset(dataset: Dataset, indices: Sequence[int], name: Optional[str] = None)
         name or dataset.name,
         dataset.images[idx],
         None if dataset.labels is None else dataset.labels[idx],
-        role=dataset.role,
         ids=[dataset.ids[i] for i in idx],
-        meta=dict(dataset.meta),
     )

@@ -68,11 +68,6 @@ class PViTConfig:
         return (self.image_h * self.image_w) // (self.patch_size**2)
 
     @property
-    def seq_len(self) -> int:
-        # class token + patches + prior token
-        return self.num_patches + 2
-
-    @property
     def patch_dim(self) -> int:
         return self.patch_size * self.patch_size * self.channels
 
@@ -82,7 +77,6 @@ class BatchForward:
     """Result of the forward pass, for training, scoring and attention dumps."""
 
     logits: Tensor  # (B, K)
-    y: Tensor  # (B, D)
     attentions: Optional[list[np.ndarray]] = None  # per layer (B, H, S, S)
 
 
@@ -230,7 +224,7 @@ class PViTModel:
         seq = T.concat([body, T.reshape(tokens, (tokens.shape[0], 1, c.embed_dim))], axis=1)
         y, attentions = self._encode(seq, want_attention)
         logits = T.linear(y, self._p("head.weight"), self._p("head.bias"))
-        return BatchForward(logits=logits, y=y, attentions=attentions if want_attention else None)
+        return BatchForward(logits=logits, attentions=attentions if want_attention else None)
 
     def batch_loss(self, images, labels, prior_logits, alpha: Optional[float] = None):
         """(cross-entropy loss, correct-prediction count) for one batch."""
@@ -258,11 +252,6 @@ class PViTModel:
     def load(cls, path: str) -> tuple["PViTModel", dict, dict[str, np.ndarray]]:
         """Returns (model, header, leftover tensors such as optimizer state)."""
         return load_model(path, "pvit", PViTConfig, cls)
-
-
-def predicted_class(logits: np.ndarray) -> int:
-    """Argmax with ties broken to the lowest class index."""
-    return int(np.argmax(np.asarray(logits)))
 
 
 def extract_attention(out: BatchForward, layer: int, head: int) -> tuple[np.ndarray, np.ndarray]:

@@ -36,15 +36,6 @@ from .tensor import Tensor
 from .train import run_training
 
 
-@dataclass
-class LogitsRecord:
-    """One sample's identifier, optional label, and K-vector of logits."""
-
-    id: str
-    label: Optional[int]
-    logits: list[float]
-
-
 @dataclass(frozen=True)
 class MLPConfig:
     input_dim: int
@@ -117,11 +108,12 @@ class ModelSource:
 
 @dataclass
 class TableSource:
-    """Prior source backed by a loaded logits table; resolves by sample id."""
+    """Prior source backed by a loaded logits table; resolves by sample id.
 
-    records: dict[str, LogitsRecord]
+    ``records`` maps each sample id to its (K,) float64 logits row."""
+
+    records: dict[str, np.ndarray]
     num_classes: int
-    dataset: str = ""
     name: str = "table"
 
     def logits_for(self, ids) -> np.ndarray:
@@ -129,7 +121,7 @@ class TableSource:
         missing = [sid for sid in ids if sid not in self.records]
         if missing:
             raise MissingPriorError(f"no prior logits for sample id {missing[0]!r}")
-        rows = [self.records[sid].logits for sid in ids]
+        rows = [self.records[sid] for sid in ids]
         return np.asarray(rows or np.empty((0, self.num_classes)), dtype=np.float64)
 
     def resolve(self, dataset: Dataset) -> np.ndarray:
@@ -153,8 +145,9 @@ def train_prior_model(train_set: Dataset, config, hidden_dim: int = 128, seed: i
     """Fit the MLP prior on a labeled dataset; returns (source, result).
 
     ``config`` is a :class:`pvit.train.TrainConfig`.  The returned result
-    carries the loss curve and per-epoch accuracy.  ``num_classes``
-    defaults to the largest label plus one.
+    carries the loss curve, whose last point per epoch holds that epoch's
+    training accuracy.  ``num_classes`` defaults to the largest label
+    plus one.
     """
     if len(train_set) == 0:
         raise TrainingError("train_prior_model needs a nonempty dataset")
@@ -192,12 +185,13 @@ def export_logits(source: PriorSource, dataset: Dataset, path: str) -> None:
 def load_logits(path: str) -> TableSource:
     """Parse a logits file; validates header, field types, per-line K, id
     uniqueness, and that every logits vector is finite.  Any malformed
-    line raises :class:`FormatError` naming ``file:line``."""
+    line raises :class:`FormatError` naming ``file:line``.  Labels are
+    checked, not kept: a prior source answers by sample id alone."""
     header, rows = read_jsonl(path)
     k = header.get("k")
     if type(k) is not int or k < 1:
         raise FormatError(f"{path}:1: header 'k' must be a positive integer, got {k!r}")
-    records: dict[str, LogitsRecord] = {}
+    records: dict[str, np.ndarray] = {}
     for lineno, obj in rows:
         try:
             sid, label, logits = obj["id"], obj["label"], obj["logits"]
@@ -214,5 +208,5 @@ def load_logits(path: str) -> TableSource:
             raise FormatError(f"{path}:{lineno}: non-finite logits")
         if sid in records:
             raise FormatError(f"{path}:{lineno}: duplicate id {sid!r}")
-        records[sid] = LogitsRecord(id=sid, label=label, logits=[float(v) for v in logits])
-    return TableSource(records=records, num_classes=k, dataset=str(header.get("dataset", "")), name=str(header.get("model", "table")))
+        records[sid] = values
+    return TableSource(records=records, num_classes=k, name=str(header.get("model", "table")))

@@ -92,10 +92,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -109,42 +105,8 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # operator sugar; all routes through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ShapeError("division is supported by scalar constants only")
-        return mul(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return _getitem(self, key)
-
-    def reshape(self, *shape):
-        return reshape(self, *shape)
-
-    def transpose(self, *axes):
-        return transpose(self, *axes)
 
 
 class _Node:
@@ -304,7 +266,7 @@ def neg(a) -> Tensor:
     a = _as_tensor(a)
 
     def grad_fn(g):
-        return (-g,) if a.requires_grad else (None,)
+        return (-g,)
 
     return _record((a,), -a.data, grad_fn)
 
@@ -392,7 +354,7 @@ def reshape(x, *shape) -> Tensor:
         raise ShapeError(f"cannot reshape {x.shape} into {shape}: {exc}") from None
 
     def grad_fn(g):
-        return (g.reshape(x.shape),) if x.requires_grad else (None,)
+        return (g.reshape(x.shape),)
 
     return _record((x,), out, grad_fn)
 
@@ -407,7 +369,7 @@ def transpose(x, *axes) -> Tensor:
     inv = np.argsort(perm)
 
     def grad_fn(g):
-        return (np.transpose(g, inv),) if x.requires_grad else (None,)
+        return (np.transpose(g, inv),)
 
     return _record((x,), np.transpose(x.data, perm), grad_fn)
 
@@ -420,7 +382,7 @@ def broadcast_to(x, shape) -> Tensor:
         raise ShapeError(f"cannot broadcast {x.shape} to {tuple(shape)}: {exc}") from None
 
     def grad_fn(g):
-        return (_unbroadcast(g, x.shape),) if x.requires_grad else (None,)
+        return (_unbroadcast(g, x.shape),)
 
     return _record((x,), np.ascontiguousarray(out), grad_fn)
 
@@ -431,8 +393,6 @@ def _getitem(x: Tensor, key) -> Tensor:
     out = out.copy() if isinstance(out, np.ndarray) else np.asarray(out)
 
     def grad_fn(g):
-        if not x.requires_grad:
-            return (None,)
         gx = np.zeros_like(x.data)
         gx[key] = g
         return (gx,)
@@ -471,8 +431,6 @@ def softmax(x, axis: int = -1) -> Tensor:
     out = e / np.sum(e, axis=ax, keepdims=True)
 
     def grad_fn(g):
-        if not x.requires_grad:
-            return (None,)
         inner = np.sum(g * out, axis=ax, keepdims=True)
         return ((g - inner) * out,)
 
@@ -488,8 +446,6 @@ def logsumexp(x, axis: int = -1) -> Tensor:
     out = np.squeeze(m, axis=ax) + np.log(np.sum(e, axis=ax))
 
     def grad_fn(g):
-        if not x.requires_grad:
-            return (None,)
         s = e / np.sum(e, axis=ax, keepdims=True)
         return (np.expand_dims(g, ax) * s,)
 
@@ -540,8 +496,6 @@ def gelu(x) -> Tensor:
     out = 0.5 * x.data * (1.0 + e)
 
     def grad_fn(g):
-        if not x.requires_grad:
-            return (None,)
         pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
         return (g * (0.5 * (1.0 + e) + x.data * pdf),)
 
@@ -569,8 +523,6 @@ def cross_entropy(logits, targets) -> Tensor:
     out = np.mean(lse - logits.data[np.arange(batch), t])
 
     def grad_fn(g):
-        if not logits.requires_grad:
-            return (None,)
         p = e / e.sum(axis=1, keepdims=True)
         p[np.arange(batch), t] -= 1.0
         return (p * (float(g) / batch),)

@@ -118,7 +118,6 @@ class CurvePoint:
 @dataclass
 class TrainResult:
     curve: list[CurvePoint]
-    epoch_accuracy: list[float]
     final_step: int
     # Adam moments keyed opt.m.<param> / opt.v.<param>, for checkpointing
     optimizer_tensors: dict[str, np.ndarray] = field(default_factory=dict)
@@ -166,7 +165,6 @@ def run_training(
                 state.m[name] = np.ascontiguousarray(optimizer_tensors[f"opt.m.{name}"])
                 state.v[name] = np.ascontiguousarray(optimizer_tensors[f"opt.v.{name}"])
     curve: list[CurvePoint] = []
-    epoch_accuracy: list[float] = []
     step = start_step
     for epoch in range(config.epochs):
         order = gen.permutation(n)
@@ -196,14 +194,12 @@ def run_training(
             curve.append(point)
             if on_step is not None:
                 on_step(point)
-        epoch_accuracy.append(correct_total / seen)
     moments: dict[str, np.ndarray] = {}
     for name in params:
         if name in state.m:
             moments[f"opt.m.{name}"] = state.m[name]
             moments[f"opt.v.{name}"] = state.v[name]
-    return TrainResult(curve=curve, epoch_accuracy=epoch_accuracy, final_step=step,
-                       optimizer_tensors=moments)
+    return TrainResult(curve=curve, final_step=step, optimizer_tensors=moments)
 
 
 def train(model, dataset: Dataset, prior_source, config: TrainConfig, start_step: int = 0,

@@ -108,8 +108,8 @@ def _op_cases(rng):
     w233 = np.stack([w33, w33.T])
 
     def scalarize(t, w):
-        flat = reshape(mul(t, Tensor(w)), (1, t.size))
-        return reshape(matmul(flat, Tensor(np.ones((t.size, 1)))), ())
+        flat = reshape(mul(t, Tensor(w)), (1, t.data.size))
+        return reshape(matmul(flat, Tensor(np.ones((t.data.size, 1)))), ())
 
     return [
         ("add", lambda x, y: scalarize(add(x, y), w34), (a, rng.uniform(-2, 2, (3, 4)))),

@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import re
+import stat
 
 import pytest
 
@@ -54,6 +55,19 @@ class TestWriteArtifact:
         finally:
             os.umask(previous)
         assert (tmp_path / "artifact.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o444])
+    def test_rewrite_keeps_the_target_mode(self, tmp_path, mode):
+        path = tmp_path / "scores.jsonl"
+        write_artifact(str(path), ["old\n"])
+        path.chmod(mode)
+        previous = os.umask(0o022)
+        try:
+            write_artifact(str(path), ["new\n"])
+        finally:
+            os.umask(previous)
+        assert path.read_text() == "new\n"
+        assert stat.S_IMODE(path.stat().st_mode) == mode
 
     @pytest.mark.parametrize("chunks", [["café,", "", "x\n"], [b"\x00\x01", b"", b"\xff\n"], []])
     def test_str_or_bytes_chunks_replace_the_target(self, tmp_path, chunks):

@@ -10,8 +10,9 @@ import pytest
 from pvit.cli import _pvit_config, _train_config, build_datasets, main
 from pvit.checkpoint import load_checkpoint, save_checkpoint
 from pvit.config import RunConfig
+from pvit.data import make_ood, normalize, split_dataset, synth_dataset
 from pvit.model import PViTConfig, PViTModel
-from pvit.priors import MLPClassifier, ModelSource
+from pvit.priors import MLPClassifier, ModelSource, export_logits
 from pvit.scoring import ScoreRecord, file_sha256, read_scores, score_dataset, write_scores
 from pvit.train import loss_curve_csv, train
 
@@ -179,6 +180,32 @@ class TestReproducibility:
         assert baseline == again
 
 
+class TestNormalization:
+    def test_train_prior_exports_logits_of_normalized_datasets(self, tmp_path):
+        """With data.normalize_* set, every split reaches the prior normalized:
+        the logits files equal export_logits over the library's normalize()."""
+        cfg_path, out = write_cfg(tmp_path, data__normalize_mean=0.1, data__normalize_std=0.9)
+        assert main(["train-prior", "--config", cfg_path]) == 0
+        cfg = RunConfig.load(cfg_path)
+        combined = synth_dataset(classes=3, per_class=30, size=28, noise_sigma=0.2,
+                                 seed=cfg.seed_for("data.seed"), name="synth")
+        id_train, id_test = split_dataset(combined, 60, seed=cfg.seed_for("data.split_seed"))
+        datasets = {"id-train": id_train, "id-test": id_test}
+        for kind in ("uniform-noise", "pattern-shift", "inverted"):
+            datasets[f"ood-{kind}"] = make_ood(kind, 30, seed=cfg.seed_for("ood.seed"), size=28,
+                                               classes=3, source=id_test)
+        prior = ModelSource(MLPClassifier.load(os.path.join(out, "prior.ckpt")))
+        (tmp_path / "plain").mkdir()
+        plain_cfg, plain_out = write_cfg(tmp_path / "plain")
+        assert main(["train-prior", "--config", plain_cfg]) == 0
+        for split in SPLITS:
+            expected = str(tmp_path / f"expected_{split}.jsonl")
+            export_logits(prior, normalize(datasets[split], 0.1, 0.9), expected)
+            written = open(os.path.join(out, "logits", f"logits_{split}.jsonl"), "rb").read()
+            assert written == open(expected, "rb").read(), split
+            assert written != open(os.path.join(plain_out, "logits", f"logits_{split}.jsonl"), "rb").read(), split
+
+
 class TestResume:
     def test_resume_continues_step_counter(self, tmp_path):
         cfg, out = write_cfg(tmp_path)
@@ -252,6 +279,20 @@ class TestErrors:
         cfg, _ = write_cfg(tmp_path, prior__source="logits")
         assert main(["train-pvit", "--config", cfg]) == 1
         assert "prior.source" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("seed", -1), ("train.seed", -3), ("data.split_seed", 2**64)])
+    def test_out_of_range_config_seed_exits_1(self, tmp_path, capsys, key, value):
+        cfg, out = write_cfg(tmp_path, **{key.replace(".", "__"): value})
+        assert main(["train-prior", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and "U64" in err and "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "prior.ckpt"))
+
+    def test_negative_seed_flag_exits_1(self, tmp_path, capsys):
+        cfg, _ = write_cfg(tmp_path)
+        assert main(["train-prior", "--config", cfg, "--seed", "-20"]) == 1
+        err = capsys.readouterr().err
+        assert "'seed'" in err and "U64" in err and "Traceback" not in err
 
     def test_unknown_checkpoint_config_key_exits_2(self, tmp_path, capsys):
         cfg, out = write_cfg(tmp_path)

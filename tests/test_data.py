@@ -1,6 +1,7 @@
 """Dataset loaders and generators: format errors, determinism, OOD construction."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from pvit.data import (
     load_idx,
     make_ood,
     normalize,
-    denormalize,
     split_dataset,
     stripe_parameters,
     synth_dataset,
@@ -63,6 +63,43 @@ class TestLoadIdx:
         path.write_bytes(struct.pack(">IIII", 0x00000803, 2, 4, 4) + bytes(10))
         with pytest.raises(FormatError, match="truncated"):
             load_idx(str(path))
+
+    def test_trailing_image_bytes_rejected(self, tmp_path):
+        ip, _ = write_idx_pair(tmp_path, np.zeros((3, 4, 4), dtype=np.uint8))
+        with open(ip, "ab") as fh:
+            fh.write(bytes(5))
+        with pytest.raises(FormatError, match="5 trailing bytes") as info:
+            load_idx(ip)
+        assert ip in str(info.value)
+
+    def test_trailing_label_bytes_rejected(self, tmp_path):
+        ip, lp = write_idx_pair(tmp_path, np.zeros((3, 4, 4), dtype=np.uint8), [0, 1, 2])
+        with open(lp, "ab") as fh:
+            fh.write(bytes(7))
+        with pytest.raises(FormatError, match="7 trailing bytes") as info:
+            load_idx(ip, lp)
+        assert lp in str(info.value)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 4), (4, 0)])
+    def test_zero_row_or_column_count_rejected(self, tmp_path, rows, cols):
+        path = tmp_path / "flat.idx"
+        path.write_bytes(struct.pack(">IIII", 0x00000803, 3, rows, cols))
+        with pytest.raises(FormatError, match="zero row or column count") as info:
+            load_idx(str(path))
+        assert str(path) in str(info.value)
+
+    def test_count_beyond_file_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "huge.idx"
+        path.write_bytes(struct.pack(">IIII", 0x00000803, 2**31, 1, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated payload") as info:
+                load_idx(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(path) in str(info.value)
+        assert peak < 2**20  # the declared 2 GiB is never asked for
 
 
 class TestSynth:
@@ -121,7 +158,8 @@ class TestNormalize:
         ds = synth_dataset(2, 2, size=8, seed=7)
         out = normalize(ds, 0.0, 1.0)
         np.testing.assert_array_equal(out.images, ds.images)
-        assert out.meta["normalize"] == {"mean": 0.0, "std": 1.0}
+        np.testing.assert_array_equal(out.labels, ds.labels)
+        assert out.ids == ds.ids
 
     def test_constant_image(self):
         ds = Dataset("const", np.full((1, 4, 4, 1), 0.75))
@@ -130,8 +168,8 @@ class TestNormalize:
 
     def test_round_trip(self):
         ds = synth_dataset(2, 2, size=8, seed=8)
-        back = denormalize(normalize(ds, 0.13, 0.71))
-        np.testing.assert_allclose(back.images, ds.images, atol=1e-12)
+        back = normalize(ds, 0.13, 0.71).images * 0.71 + 0.13
+        np.testing.assert_allclose(back, ds.images, atol=1e-12)
 
     def test_zero_std_rejected(self):
         ds = synth_dataset(2, 1, size=8, seed=8)
@@ -148,4 +186,5 @@ class TestSplit:
         assert set(tr1.ids) | set(te1.ids) == set(ds.ids)
         assert tr1.ids == tr2.ids and te1.ids == te2.ids
         assert tr1.images.tobytes() == tr2.images.tobytes()
-        assert tr1.role == "ID-train" and te1.role == "ID-test"
+        assert tr1.name == "synth-train" and te1.name == "synth-test"
+        np.testing.assert_array_equal(tr1.labels, [ds.labels[ds.ids.index(sid)] for sid in tr1.ids])

@@ -14,9 +14,8 @@ from pvit.model import (
     PViTModel,
     extract_attention,
     patchify,
-    predicted_class,
 )
-from pvit.tensor import Tape, Tensor, backward, reshape
+from pvit.tensor import Tape, Tensor, backward, matmul, reshape
 
 
 def tiny_config(**overrides):
@@ -102,7 +101,7 @@ class TestPriorToken:
         model = PViTModel(tiny_config(), seed=3)
         with Tape():
             token = model.make_prior_token([[1.0, 0.0, -1.0]], alpha=1.0)
-            loss = reshape(token @ Tensor(np.ones((16, 1))), ())
+            loss = reshape(matmul(token, Tensor(np.ones((16, 1)))), ())
         backward(loss)
         assert model.params["prior_proj"].grad is not None
         assert np.any(model.params["prior_proj"].grad != 0)
@@ -133,11 +132,13 @@ class TestAssembleSequence:
 class TestEncoder:
     def test_depth_zero_is_layer_norm_of_first_row(self):
         model = PViTModel(tiny_config(depth=0), seed=6)
+        model.params["head.weight"].data = np.random.default_rng(6).normal(size=(16, 3))
         out = model.forward_batch(RNG.random((1, 8, 8, 1)), [[0.5, 0.0, -1.0]], want_attention=True)
         row = model.params["cls_token"].data[0] + model.params["pos_embed"].data[0]
         mu, var = row.mean(), row.var()
         expected = (row - mu) / np.sqrt(var + 1e-5)
-        np.testing.assert_allclose(out.y.data[0], expected, atol=1e-12)
+        head = model.params["head.weight"].data, model.params["head.bias"].data
+        np.testing.assert_allclose(out.logits.data[0], expected @ head[0] + head[1], atol=1e-12)
         assert out.attentions == []
 
     def test_attention_rows_sum_to_one(self):
@@ -174,12 +175,6 @@ class TestClassify:
         model.params["head.bias"].data = np.array([0.5, -1.0, 2.0])
         out = model.forward_batch(RNG.random((1, 8, 8, 1)), [[0.0, 0.0, 0.0]])
         np.testing.assert_allclose(out.logits.data[0], [0.5, -1.0, 2.0], atol=1e-15)
-
-    def test_argmax(self):
-        assert predicted_class([1.0, 3.0, 2.0]) == 1
-
-    def test_tie_breaks_low(self):
-        assert predicted_class([2.0, 2.0]) == 0
 
 
 class TestExtractAttention:

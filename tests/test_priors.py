@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from pvit.artifacts import read_jsonl
 from pvit.checkpoint import load_checkpoint, save_checkpoint
 from pvit.data import Dataset
 from pvit.errors import FormatError, MissingPriorError
 from pvit.priors import (
-    LogitsRecord,
     MLPClassifier,
     MLPConfig,
     ModelSource,
@@ -24,8 +24,9 @@ from pvit.rng import philox
 from pvit.train import TrainConfig
 
 
-def table(records, k=3):
-    return TableSource(records={r.id: r for r in records}, num_classes=k)
+def table(rows, k=3):
+    """A table source holding ``rows``, a mapping of sample id to logits."""
+    return TableSource(records={sid: np.asarray(row, dtype=np.float64) for sid, row in rows.items()}, num_classes=k)
 
 
 def blobs_dataset(per_class=100, seed=0):
@@ -44,14 +45,13 @@ def blobs_dataset(per_class=100, seed=0):
 
 class TestLookup:
     def test_present_id_returns_stored_vector(self):
-        rec = LogitsRecord("a", 1, [0.5, -1.0, 2.0])
-        src = table([rec])
+        src = table({"a": [0.5, -1.0, 2.0]})
         ds = Dataset("d", np.zeros((1, 2, 2, 1)), ids=["a"])
         got = priors_for_indices(src, ds, np.array([0]))
         np.testing.assert_array_equal(got, [[0.5, -1.0, 2.0]])
 
     def test_absent_id_raises(self):
-        src = table([LogitsRecord("a", None, [0.0, 0.0, 0.0])])
+        src = table({"a": [0.0, 0.0, 0.0]})
         ds = Dataset("d", np.zeros((1, 2, 2, 1)), ids=["b"])
         with pytest.raises(MissingPriorError, match="'b'"):
             priors_for_indices(src, ds, np.array([0]))
@@ -69,7 +69,7 @@ class TestResolve:
     """``resolve`` gives a whole dataset's (N, K) block, aligned with its ids."""
 
     def test_table_resolves_in_dataset_order(self):
-        src = table([LogitsRecord("a", None, [1.0, 0.0, 0.0]), LogitsRecord("b", None, [0.0, 2.0, 0.0])])
+        src = table({"a": [1.0, 0.0, 0.0], "b": [0.0, 2.0, 0.0]})
         ds = Dataset("d", np.zeros((3, 2, 2, 1)), ids=["b", "a", "b"])
         np.testing.assert_array_equal(src.resolve(ds), [[0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
 
@@ -90,7 +90,7 @@ class TestResolve:
         src = ModelSource(MLPClassifier(MLPConfig(input_dim=4, hidden_dim=8, num_classes=3), seed=5))
         empty = Dataset("e", np.zeros((0, 2, 2, 1)), ids=[])
         assert src.resolve(empty).shape == (0, 3)
-        assert table([]).resolve(empty).shape == (0, 3)
+        assert table({}).resolve(empty).shape == (0, 3)
 
     def test_accuracy_takes_either_source(self, tmp_path):
         ds = blobs_dataset(per_class=30, seed=12)
@@ -107,7 +107,7 @@ class TestTrainPriorModel:
                              weight_decay=0.0, seed=1)
         src, result = train_prior_model(ds, config, hidden_dim=16, seed=2)
         assert accuracy(src, ds) >= 0.99
-        assert result.epoch_accuracy[-1] >= 0.99
+        assert result.curve[-1].accuracy >= 0.99
 
     def test_zero_epochs_is_chance_level(self):
         ds = blobs_dataset(per_class=200, seed=3)
@@ -136,12 +136,15 @@ class TestLogitsFile:
         export_logits(src, ds, path)
         loaded = load_logits(path)
         assert loaded.num_classes == 2
-        assert loaded.dataset == "blobs"
         assert len(loaded.records) == len(ds)
         direct = model.logits(ds.images).data
         for i, sid in enumerate(ds.ids):
-            np.testing.assert_array_equal(loaded.records[sid].logits, direct[i])
-            assert loaded.records[sid].label == int(ds.labels[i])
+            assert loaded.records[sid].dtype == np.float64
+            np.testing.assert_array_equal(loaded.records[sid], direct[i])
+        # the file names its dataset and each line's label, which loading checks but does not keep
+        header, rows = read_jsonl(path)
+        assert header["dataset"] == "blobs"
+        assert [obj["label"] for _, obj in rows] == ds.labels.tolist()
 
     def test_short_logits_line_names_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -182,13 +185,12 @@ class TestLogitsFile:
 
     def test_full_precision_round_trip(self, tmp_path):
         value = 0.1 + 0.2  # not representable in short decimal
-        rec = LogitsRecord("a", None, [value, -value])
-        src = table([rec], k=2)
+        src = table({"a": [value, -value]}, k=2)
         ds = Dataset("tiny", np.zeros((1, 2, 2, 1)), ids=["a"])
         path = str(tmp_path / "prec.jsonl")
         export_logits(src, ds, path)
         back = load_logits(path)
-        assert back.records["a"].logits[0] == value
+        assert back.records["a"][0] == value
 
 
 class TestPriorCheckpoint:

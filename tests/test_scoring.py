@@ -11,7 +11,7 @@ import pytest
 from pvit.data import synth_dataset
 from pvit.errors import FormatError, MissingPriorError, ShapeError
 from pvit.model import PViTConfig, PViTModel
-from pvit.priors import LogitsRecord, TableSource, export_logits, load_logits, train_prior_model
+from pvit.priors import TableSource, export_logits, load_logits, train_prior_model
 from pvit.scoring import (
     DecisionRule,
     ScoreRecord,
@@ -289,8 +289,8 @@ class TestScoreDataset:
             assert a.guidance != b.guidance or a.guidance == 0.0
 
     def test_ed_zero_when_prior_equals_predictions(self):
-        records = {f"s{i}": LogitsRecord(f"s{i}", None, [float(i), 1.0, -0.5]) for i in range(4)}
-        tbl = TableSource(records=dict(records), num_classes=3)
+        records = {f"s{i}": np.array([float(i), 1.0, -0.5]) for i in range(4)}
+        tbl = TableSource(records=records, num_classes=3)
         ids = list(tbl.records)
         out = score_records(ids, tbl.logits_for(ids), tbl.logits_for(ids), "ed")
         assert len(out) == 4
@@ -345,6 +345,14 @@ class TestScoreRecords:
         ids = [f"s{i}" for i in range(n)]
         for i, rec in enumerate(score_records(ids, predicted, priors, kind)):
             assert repr(rec) == repr(scalar_record(ids[i], predicted[i], priors[i], kind))
+
+    def test_predicted_class_is_argmax(self):
+        (rec,) = score_records(["a"], np.array([[1.0, 3.0, 2.0]]), np.zeros((1, 3)), "ce")
+        assert rec.predicted_class == 1
+
+    def test_predicted_class_tie_breaks_low(self):
+        (rec,) = score_records(["a"], np.array([[2.0, 2.0]]), np.zeros((1, 2)), "ce")
+        assert rec.predicted_class == 0
 
     def test_non_finite_logits_rejected(self):
         block = np.zeros((2, 3))

@@ -46,8 +46,8 @@ def tape_grad(build, *arrays):
 def weighted_sum(out, weights):
     """Project a tensor to a scalar with fixed weights so FD checks apply."""
     w = Tensor(weights)
-    flat = reshape(mul(out, w), (1, out.size))
-    ones = Tensor(np.ones((out.size, 1)))
+    flat = reshape(mul(out, w), (1, out.data.size))
+    ones = Tensor(np.ones((out.data.size, 1)))
     return reshape(matmul(flat, ones), ())
 
 
