@@ -98,13 +98,15 @@ def build_datasets(cfg: RunConfig) -> dict[str, Dataset]:
         train_count = cfg["data.classes"] * cfg["data.train_per_class"]
         id_train, id_test = split_dataset(combined, train_count, seed=cfg.seed_for("data.split_seed"))
     elif kind == "idx":
-        id_train = load_idx(
-            cfg.require_path("data.idx_train_images"),
-            cfg.require_path("data.idx_train_labels"),
-            name="idx-train",
-        )
-        labels_path = cfg["data.idx_test_labels"] or None
-        id_test = load_idx(cfg.require_path("data.idx_test_images"), labels_path, name="idx-test")
+        train_images = cfg.require_path("data.idx_train_images")
+        train_labels = cfg.require_path("data.idx_train_labels")
+        id_train = load_idx(train_images, train_labels, name="idx-train")
+        test_labels = cfg["data.idx_test_labels"] or None
+        id_test = load_idx(cfg.require_path("data.idx_test_images"), test_labels, name="idx-test")
+        for path, ds in ((train_labels, id_train), (test_labels, id_test)):
+            if ds.labels is not None and len(ds.labels) and ds.labels.max() >= cfg["data.classes"]:
+                raise FormatError(f"{path}: label {ds.labels.max()} is outside the "
+                                  f"{cfg['data.classes']} classes of data.classes")
     else:
         raise ConfigError(f"config key 'data.kind': unknown kind {kind!r} (synth or idx)")
 

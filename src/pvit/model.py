@@ -173,25 +173,18 @@ class PViTModel:
         """Block stack over a (B, S, D) sequence; returns the normalized
         class-token rows and, if asked, each layer's (B, H, S, S) attention."""
         c = self.config
-        b, s = seq.shape[0], seq.shape[1]
-        head_dim = c.embed_dim // c.heads
-        scale = 1.0 / np.sqrt(head_dim)
         attentions: list[np.ndarray] = []
         z = seq
         for i in range(c.depth):
             blk = f"blocks.{i}"
             normed = T.layer_norm(z, self._p(f"{blk}.ln1.gain"), self._p(f"{blk}.ln1.bias"), LAYER_NORM_EPS)
-            qkv = []
-            for proj in ("q", "k", "v"):
-                x = T.linear(normed, self._p(f"{blk}.attn.{proj}.weight"), self._p(f"{blk}.attn.{proj}.bias"))
-                qkv.append(T.transpose(T.reshape(x, (b, s, c.heads, head_dim)), (0, 2, 1, 3)))
-            q, k, v = qkv
-            scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
-            attn = T.softmax(scores, axis=-1)
+            q, k, v = (
+                T.linear(normed, self._p(f"{blk}.attn.{proj}.weight"), self._p(f"{blk}.attn.{proj}.bias"))
+                for proj in ("q", "k", "v")
+            )
+            merged, attn = T.attention(q, k, v, c.heads)
             if want_attention:
-                attentions.append(attn.numpy())
-            ctx = T.matmul(attn, v)
-            merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, s, c.embed_dim))
+                attentions.append(attn)
             msa = T.linear(merged, self._p(f"{blk}.attn.out.weight"), self._p(f"{blk}.attn.out.bias"))
             z = T.add(msa, z)
             normed2 = T.layer_norm(z, self._p(f"{blk}.ln2.gain"), self._p(f"{blk}.ln2.bias"), LAYER_NORM_EPS)

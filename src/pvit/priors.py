@@ -101,9 +101,7 @@ class ModelSource:
 
     def resolve(self, dataset: Dataset) -> np.ndarray:
         """(N, K) prior logits: one MLP pass over all of the dataset's images."""
-        # on a copy, as the per-batch gathers this replaced made: freeing one that large
-        # raises glibc's mmap threshold, else later forward passes page-fault (~30 % slower)
-        return self.model.logits(np.array(dataset.images)).data
+        return self.model.logits(dataset.images).data
 
 
 @dataclass

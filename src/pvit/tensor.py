@@ -2,8 +2,10 @@
 
 The engine covers exactly the operation set the transformer forward and
 backward passes need: broadcast arithmetic, (batched) matrix products,
-shape manipulation, softmax, logsumexp, layer normalization, exact-erf
-GELU, and cross-entropy.  Operations executed inside a ``with Tape():``
+the affine map ``linear``, shape manipulation, softmax, logsumexp,
+multi-head scaled dot-product ``attention`` (one node, which also
+returns its (B, H, S, S) weights), layer normalization, exact-erf GELU,
+and cross-entropy.  Operations executed inside a ``with Tape():``
 block are recorded on that tape; :func:`backward` replays the tape in
 reverse and accumulates total derivatives into leaf tensors' ``grad``.
 
@@ -25,10 +27,18 @@ backward still holds reference cycles (tensor to node to tensor) and is
 left to Python's cyclic collector.  Tensors are value-like once
 constructed; optimizers mutate parameter buffers in place between tapes,
 never during one.  All computation is float64.
+
+The first op a process runs allocates and frees one 16 MiB block, once.
+Under glibc this raises malloc's mmap and trim thresholds, so the
+megabyte-sized arrays of each step are recycled within the heap instead
+of being mapped, page-faulted in and unmapped again on every step;
+elsewhere it costs one untouched allocation.  Importing the module does
+not do it.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -53,6 +63,7 @@ __all__ = [
     "concat",
     "softmax",
     "logsumexp",
+    "attention",
     "layer_norm",
     "gelu",
     "cross_entropy",
@@ -200,7 +211,25 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+# glibc's malloc serves a block above its mmap threshold (128 KiB at start)
+# with a fresh mapping and unmaps it on free, so a tape's outputs would be
+# page-faulted in anew on every step.  Freeing one mapped block raises the
+# threshold to that block's size, and the trim threshold to twice it
+# (mallopt(3), dynamic mmap threshold); after one 16 MiB block has come and
+# gone, the engine's buffers are recycled within the heap.
+_heap_settled = False
+
+
+def _settle_heap() -> None:
+    global _heap_settled
+    _heap_settled = True
+    block = np.empty(2**21)  # 16 MiB of float64, never touched
+    del block
+
+
 def _record(inputs: tuple[Tensor, ...], out_data: Array, grad_fn: Callable) -> Tensor:
+    if not _heap_settled:
+        _settle_heap()
     tape = _active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=track)
@@ -288,13 +317,22 @@ def matmul(a, b) -> Tensor:
     """Matrix product; leading axes broadcast as batch dimensions.
 
     Gradients follow dA = dC @ B^T and dB = A^T @ dC on the trailing two
-    axes, summed over broadcast batch axes.
+    axes, summed over broadcast batch axes.  A 2-D ``b`` multiplies all
+    rows of ``a`` at once, so the product and both gradients are single
+    2-D GEMMs, as in :func:`linear`.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got shapes {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
+    if b.ndim == 2:
+        out = (_rows(a.data) @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+
+        def grad_fn(g):
+            return _flat_grads(g, a, b)
+
+        return _record((a, b), out, grad_fn)
     out = a.data @ b.data
 
     def grad_fn(g):
@@ -308,13 +346,31 @@ def matmul(a, b) -> Tensor:
     return _record((a, b), out, grad_fn)
 
 
+def _rows(x: Array) -> Array:
+    """``x`` as a 2-D (rows, last axis) view."""
+    return x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+
+
+def _flat_grads(g: Array, x: Tensor, weight: Tensor) -> tuple[Optional[Array], Optional[Array]]:
+    """(dX, dW) of ``x @ weight`` for a 2-D ``weight``, as 2-D GEMMs over
+    the rows of ``x``: dX = dY W^T and dW = X^T dY, one product each."""
+    g2 = _rows(g)
+    gx = gw = None
+    if x.requires_grad:
+        gx = (g2 @ weight.data.T).reshape(x.shape)
+    if weight.requires_grad:
+        gw = _rows(x.data).T @ g2
+    return gx, gw
+
+
 def linear(x, weight, bias) -> Tensor:
     """Affine map ``x @ weight + bias`` recorded as one node.
 
     ``weight`` is (D_in, D_out) and ``bias`` (D_out,); leading axes of
-    ``x`` are batch axes.  Values and gradients are bitwise those of
-    ``add(matmul(x, weight), bias)``, with one node and no intermediate
-    product kept on the tape.
+    ``x`` are batch axes, flattened so that the forward product and both
+    matrix gradients are single 2-D GEMMs.  Values and gradients are
+    bitwise those of ``add(matmul(x, weight), bias)``, with one node and
+    no intermediate product kept on the tape.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.ndim < 2 or weight.ndim != 2 or bias.shape != weight.shape[1:]:
@@ -324,20 +380,14 @@ def linear(x, weight, bias) -> Tensor:
         )
     if x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear: inner dimensions disagree for shapes {x.shape} and {weight.shape}")
-    out = x.data @ weight.data
+    out = _rows(x.data) @ weight.data
     out += bias.data
 
     def grad_fn(g):
-        gx = gw = gb = None
-        if x.requires_grad:
-            gx = g @ weight.data.T
-        if weight.requires_grad:
-            gw = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, weight.shape)
-        if bias.requires_grad:
-            gb = _unbroadcast(g, bias.shape)
-        return gx, gw, gb
+        gb = _unbroadcast(g, bias.shape) if bias.requires_grad else None
+        return (*_flat_grads(g, x, weight), gb)
 
-    return _record((x, weight, bias), out, grad_fn)
+    return _record((x, weight, bias), out.reshape(x.shape[:-1] + bias.shape), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +502,62 @@ def logsumexp(x, axis: int = -1) -> Tensor:
     return _record((x,), out, grad_fn)
 
 
+def attention(q, k, v, heads: int) -> tuple[Tensor, Array]:
+    """Multi-head scaled dot-product attention, recorded as one node.
+
+    ``q``, ``k`` and ``v`` are (B, S, D) projections whose last axis
+    splits into ``heads`` heads of D / heads columns.  Per head,
+    P = softmax(q k^T / sqrt(D / heads)) over the key axis and the
+    context is P v; the heads' contexts merge back into (B, S, D).
+    Returns the context and the (B, H, S, S) weights P.  The node keeps
+    P for its backward pass, so the weights come back read-only.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(
+            f"attention needs three equal (B, S, D) shapes, got {q.shape}, {k.shape} and {v.shape}"
+        )
+    b, s, d = q.shape
+    if heads < 1 or d % heads:
+        raise ShapeError(f"attention: {d} columns do not split into {heads} heads")
+    hd = d // heads
+    scale = 1.0 / math.sqrt(hd)
+
+    def split(x: Array) -> Array:  # (B, S, D) -> (B, H, S, D/H), a view
+        return x.reshape(b, s, heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(x: Array) -> Array:  # (B, H, S, D/H) -> (B, S, D), a copy
+        return x.transpose(0, 2, 1, 3).reshape(b, s, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    probs = qh @ kh.transpose(0, 1, 3, 2)
+    probs *= scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    probs.flags.writeable = False
+    out = merge(probs @ vh)
+
+    def grad_fn(g):
+        gh = split(g)
+        gq = gk = gv = None
+        if v.requires_grad:
+            gv = merge(probs.transpose(0, 1, 3, 2) @ gh)
+        if q.requires_grad or k.requires_grad:
+            # softmax backward: dS = P * (dP - rowsum(dP * P)), then the scale
+            ds = gh @ vh.transpose(0, 1, 3, 2)
+            ds -= np.einsum("bhij,bhij->bhi", ds, probs)[..., None]
+            ds *= probs
+            ds *= scale
+            if q.requires_grad:
+                gq = merge(ds @ kh)
+            if k.requires_grad:
+                gk = merge(ds.transpose(0, 1, 3, 2) @ qh)
+        return gq, gk, gv
+
+    return _record((q, k, v), out, grad_fn), probs
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Zero-mean unit-variance normalization of the last axis, then affine.
 
@@ -459,45 +565,58 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     normalize to zero instead of dividing by zero.
     """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    if x.ndim < 1:
-        raise ShapeError("layer_norm needs at least one axis")
+    _check_axis(x, -1, "layer_norm")
     n = x.shape[-1]
     if gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError(
             f"layer_norm: gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    scale = np.sqrt(var + eps)
-    xhat = centered / scale
-    out = xhat * gain.data + bias.data
+    rows = _rows(x.data)
+    inv_n = np.full(n, 1.0 / n)
+    xhat = rows - (rows @ inv_n)[:, None]
+    var = np.einsum("ij,ij->i", xhat, xhat) / n
+    rstd = (1.0 / np.sqrt(var + eps))[:, None]
+    xhat *= rstd
+    out = xhat * gain.data
+    out += bias.data
 
     def grad_fn(g):
+        g2 = _rows(g)
         gx = ggain = gbias = None
         if x.requires_grad:
-            gg = g * gain.data
-            m1 = gg.mean(axis=-1, keepdims=True)
-            m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-            gx = (gg - m1 - xhat * m2) / scale
+            gx = g2 * gain.data
+            m2 = np.einsum("ij,ij->i", gx, xhat) / n
+            gx -= (gx @ inv_n)[:, None]
+            gx -= xhat * m2[:, None]
+            gx *= rstd
+            gx = gx.reshape(x.shape)
         if gain.requires_grad:
-            ggain = (g * xhat).reshape(-1, n).sum(axis=0)
+            ggain = np.einsum("ij,ij->j", g2, xhat)
         if bias.requires_grad:
-            gbias = g.reshape(-1, n).sum(axis=0)
+            gbias = np.ones(len(g2)) @ g2
         return gx, ggain, gbias
 
-    return _record((x, gain, bias), out, grad_fn)
+    return _record((x, gain, bias), out.reshape(x.shape), grad_fn)
 
 
 def gelu(x) -> Tensor:
     """Exact-erf GELU, elementwise: 0.5 x (1 + erf(x / sqrt 2))."""
     x = _as_tensor(x)
-    e = erf(x.data * _INV_SQRT2)
-    out = 0.5 * x.data * (1.0 + e)
+    cdf = x.data * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5  # the normal CDF, kept for the backward pass
+    out = x.data * cdf
 
     def grad_fn(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        return (g * (0.5 * (1.0 + e) + x.data * pdf),)
+        dy = x.data * x.data
+        dy *= -0.5
+        np.exp(dy, out=dy)
+        dy *= _INV_SQRT2PI
+        dy *= x.data  # x * pdf(x)
+        dy += cdf
+        dy *= g
+        return (dy,)
 
     return _record((x,), out, grad_fn)
 
@@ -516,7 +635,7 @@ def cross_entropy(logits, targets) -> Tensor:
     if t.shape[0] != batch:
         raise ShapeError(f"cross_entropy: {batch} logit rows but {t.shape[0]} targets")
     if t.size and (t.min() < 0 or t.max() >= k):
-        raise ValueError(f"cross_entropy: target out of range [0, {k})")
+        raise ShapeError(f"cross_entropy: target out of range [0, {k})")
     m = logits.data.max(axis=1, keepdims=True)
     e = np.exp(logits.data - m)
     lse = m[:, 0] + np.log(e.sum(axis=1))

@@ -28,6 +28,7 @@ from pvit.tensor import (
     Tape,
     Tensor,
     add,
+    attention,
     backward,
     broadcast_to,
     concat,
@@ -103,9 +104,11 @@ def _op_cases(rng):
     w38 = rng.normal(size=(3, 8))
     w3 = rng.normal(size=(3,))
 
-    # linear reuses drawn arrays, so the draws feeding the model check below stay put
+    # linear and attention reuse drawn arrays, so the draws feeding the model check below stay put
     batched = np.stack([a, a[::-1]])  # (2, 3, 4)
     w233 = np.stack([w33, w33.T])
+    w234 = np.stack([w34, w34[::-1]])
+    keys, values = batched[:, ::-1].copy(), batched[::-1].copy()
 
     def scalarize(t, w):
         flat = reshape(mul(t, Tensor(w)), (1, t.data.size))
@@ -127,6 +130,7 @@ def _op_cases(rng):
         ("broadcast_to", lambda x: scalarize(broadcast_to(x, (3, 4)), w34), (v,)),
         ("softmax", lambda x: scalarize(softmax(x, axis=1), w34), (a,)),
         ("logsumexp", lambda x: scalarize(logsumexp(x, axis=1), w3), (a,)),
+        ("attention", lambda q, k, v: scalarize(attention(q, k, v, 2)[0], w234), (batched, keys, values)),
         ("layer_norm", lambda x, g, bb: scalarize(layer_norm(x, g, bb), w25), (row, gain, bias)),
         ("gelu", lambda x: scalarize(gelu(x), w34), (a,)),
         ("cross_entropy", lambda x: cross_entropy(x, targets), (a,)),

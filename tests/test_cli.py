@@ -15,6 +15,7 @@ from pvit.model import PViTConfig, PViTModel
 from pvit.priors import MLPClassifier, ModelSource, export_logits
 from pvit.scoring import ScoreRecord, file_sha256, read_scores, score_dataset, write_scores
 from pvit.train import loss_curve_csv, train
+from test_data import write_idx_pair
 
 SMALL_CFG = """
 out.dir = {out}
@@ -245,6 +246,17 @@ class TestErrors:
         cfg, _ = write_cfg(tmp_path, data__kind="idx")
         assert main(["train-prior", "--config", cfg]) == 1
         assert "data.idx_train_images" in capsys.readouterr().err
+
+    def test_idx_label_outside_classes_exits_2(self, tmp_path, capsys):
+        images = np.random.default_rng(0).integers(0, 256, (12, 28, 28))
+        img_path, lbl_path = write_idx_pair(tmp_path, images, np.arange(12) % 6)
+        cfg, out = write_cfg(tmp_path, data__kind="idx", data__classes=4,
+                             data__idx_train_images=img_path, data__idx_train_labels=lbl_path,
+                             data__idx_test_images=img_path, data__idx_test_labels=lbl_path)
+        assert main(["train-prior", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert lbl_path in err and "label 5" in err and "4 classes" in err and "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "prior.ckpt"))
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -7,6 +7,8 @@ A single sample is a batch of one; per-sample checks run through
 import numpy as np
 import pytest
 
+from conftest import assert_close_rel
+from pvit import tensor as T
 from pvit.checkpoint import load_checkpoint, save_checkpoint
 from pvit.errors import FormatError, ShapeError
 from pvit.model import (
@@ -16,6 +18,7 @@ from pvit.model import (
     patchify,
 )
 from pvit.tensor import Tape, Tensor, backward, matmul, reshape
+from test_tensor import composed_attention
 
 
 def tiny_config(**overrides):
@@ -146,6 +149,20 @@ class TestEncoder:
         out = model.forward_batch(RNG.random((1, 8, 8, 1)), [[0.2, -0.4, 1.0]], want_attention=True)
         for layer_attn in out.attentions:
             np.testing.assert_allclose(layer_attn.sum(axis=-1), 1.0, atol=1e-9)
+
+    def test_attention_matrices_match_composed_softmax(self, monkeypatch):
+        """``want_attention`` returns the fused node's weights, which equal
+        the softmax of the composed attention chain at every layer."""
+        model = PViTModel(tiny_config(), seed=7)
+        imgs, priors = RNG.random((3, 8, 8, 1)), RNG.normal(size=(3, 3))
+        fused = model.forward_batch(imgs, priors, want_attention=True)
+        monkeypatch.setattr(T, "attention", composed_attention)
+        composed = model.forward_batch(imgs, priors, want_attention=True)
+        assert len(fused.attentions) == len(composed.attentions) == 2
+        for got, want in zip(fused.attentions, composed.attentions):
+            assert_close_rel(got, want, 1e-12, "attention weights")
+            np.testing.assert_allclose(got.sum(axis=-1), 1.0, atol=1e-12)
+        assert_close_rel(fused.logits.data, composed.logits.data, 1e-12, "logits")
 
     def test_repeat_bit_identical(self):
         model = PViTModel(tiny_config(), seed=8)

@@ -3,7 +3,13 @@ gradients against central finite differences, and the graph's lifetime."""
 
 import gc
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ from pvit.tensor import (
     Tape,
     Tensor,
     add,
+    attention,
     backward,
     broadcast_to,
     concat,
@@ -209,6 +216,68 @@ class TestLogsumexp:
         assert_close_rel(g, central_difference(f, x), 1e-4, "logsumexp")
 
 
+def composed_attention(q, k, v, heads):
+    """Reference for the fused op: the attention core composed of plain
+    ops (split heads, scaled q k^T, softmax, weights times v, merge)."""
+    b, s, d = q.shape
+    hd = d // heads
+
+    def split(t):
+        return transpose(reshape(t, (b, s, heads, hd)), (0, 2, 1, 3))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    weights = softmax(mul(matmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(hd)), axis=-1)
+    ctx = matmul(weights, vh)
+    return reshape(transpose(ctx, (0, 2, 1, 3)), (b, s, d)), weights.data
+
+
+class TestAttention:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batch=st.integers(1, 3),
+        seq=st.integers(1, 7),
+        heads=st.integers(1, 3),
+        head_dim=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_composed_chain(self, batch, seq, heads, head_dim, seed):
+        """Forward value, weights and all three input gradients agree with
+        the composed chain within 1e-12 relative."""
+        rng = np.random.default_rng(seed)
+        shape = (batch, seq, heads * head_dim)
+        q, k, v = (rng.normal(scale=2.0, size=shape) for _ in range(3))
+        upstream = rng.normal(size=shape)
+        fused, weights = attention(Tensor(q), Tensor(k), Tensor(v), heads)
+        composed, want_weights = composed_attention(Tensor(q), Tensor(k), Tensor(v), heads)
+        assert_close_rel(fused.data, composed.data, 1e-12, "attention forward")
+        assert_close_rel(weights, want_weights, 1e-12, "attention weights")
+        got = tape_grad(lambda *t: weighted_sum(attention(*t, heads)[0], upstream), q, k, v)
+        want = tape_grad(lambda *t: weighted_sum(composed_attention(*t, heads)[0], upstream), q, k, v)
+        for g, h, name in zip(got, want, "qkv"):
+            assert_close_rel(g, h, 1e-12, f"attention d{name}")
+
+    def test_weights_are_row_stochastic_and_read_only(self):
+        rng = np.random.default_rng(13)
+        q, k, v = (Tensor(rng.normal(scale=30.0, size=(2, 5, 6))) for _ in range(3))
+        _, weights = attention(q, k, v, 3)
+        assert weights.shape == (2, 3, 5, 5)
+        assert np.all(weights >= 0)
+        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
+        with pytest.raises(ValueError):
+            weights[0, 0, 0, 0] = 0.5
+
+    def test_shape_errors(self):
+        x = Tensor(np.zeros((1, 2, 4)))
+        with pytest.raises(ShapeError, match="heads"):
+            attention(x, x, x, 3)
+        with pytest.raises(ShapeError, match="heads"):
+            attention(x, x, x, 0)
+        with pytest.raises(ShapeError, match=r"\(1, 2, 4\).*\(1, 3, 4\)"):
+            attention(x, Tensor(np.zeros((1, 3, 4))), x, 2)
+        with pytest.raises(ShapeError):
+            attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))), 2)
+
+
 class TestLayerNorm:
     def test_three_values(self):
         out = layer_norm(Tensor([1.0, 2.0, 3.0]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
@@ -275,7 +344,7 @@ class TestCrossEntropy:
         assert loss.item() <= 1e-12
 
     def test_target_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError, match=r"out of range \[0, 2\)"):
             cross_entropy(Tensor([[0.0, 0.0]]), [2])
 
     def test_gradient(self):
@@ -403,6 +472,53 @@ def desk_step(model):
     with Tape() as tape:
         loss, _ = model.batch_loss(images, labels, priors)
     return loss, tape
+
+
+class TestDeskStep:
+    def test_tape_records_61_nodes(self):
+        """The desk step's tape, node by node: one attention node per layer,
+        one linear node per affine map."""
+        _, tape = desk_step(PViTModel(PViTConfig(), seed=0))
+        ops = Counter(node.grad_fn.__qualname__.split(".", 1)[0] for node in tape.nodes)
+        assert ops == {
+            "linear": 26, "layer_norm": 9, "add": 9, "attention": 4, "gelu": 4, "reshape": 2, "concat": 2,
+            "matmul": 1, "mul": 1, "broadcast_to": 1, "_getitem": 1, "cross_entropy": 1,
+        }
+        assert len(tape.nodes) == 61
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+        reason="the heap settle targets glibc's dynamic mmap threshold",
+    )
+    def test_steps_in_a_fresh_process_do_not_page_fault(self):
+        """After warm-up, desk steps reuse heap memory instead of mapping
+        and faulting in fresh pages on every step."""
+        script = textwrap.dedent(
+            """
+            import resource
+            import pvit.tensor
+            from pvit.model import PViTConfig, PViTModel
+            from test_tensor import desk_step
+
+            assert not pvit.tensor._heap_settled, "settled at import"
+            model = PViTModel(PViTConfig(), seed=0)
+            for step in range(13):
+                if step == 3:
+                    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                loss, _ = desk_step(model)
+                pvit.tensor.backward(loss)
+                del loss
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / 10)
+            """
+        )
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(here), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]), OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        faults = float(done.stdout.strip())
+        assert faults < 100, f"{faults} minor page faults per step"
 
 
 class TestGraphRelease:
