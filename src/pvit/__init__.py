@@ -3,13 +3,15 @@
 A self-contained desk-scale stack: a float64 autodiff engine, the
 transformer with a prior-knowledge token, prior-logits providers, Adam
 training with a warmup/linear-decay schedule, the guided energy scoring
-family with MSP / MaxLogit / energy baselines, and an AUROC / FPR95
-evaluation harness.  The ``pvit`` command line wires the pieces into
-the train-prior / train-pvit / score / eval workflow.
+family with MSP / MaxLogit / energy baselines (scored a whole (N, K)
+logit block at a time), and an AUROC / FPR95 evaluation harness whose
+inclusive threshold rule is :func:`decide`.  The ``pvit`` command line
+wires the pieces into the train-prior / train-pvit / score / eval
+workflow.
 """
 
 from .data import Dataset, load_idx, make_ood, normalize, split_dataset, synth_dataset
-from .metrics import OODMetrics, auroc, evaluate, fpr_at_tpr, histogram_export
+from .metrics import OODMetrics, auroc, decide, evaluate, fpr_at_tpr, histogram_export
 from .model import PViTConfig, PViTModel, extract_attention, patchify
 from .priors import (
     MLPClassifier,
@@ -19,23 +21,7 @@ from .priors import (
     load_logits,
     train_prior_model,
 )
-from .scoring import (
-    DecisionRule,
-    ScoreRecord,
-    base_score,
-    cefe_expand,
-    decide,
-    energy,
-    guidance_ce,
-    guidance_ed,
-    guidance_kl,
-    max_logit,
-    msp,
-    pge,
-    predict_logits,
-    score_dataset,
-    score_records,
-)
+from .scoring import ScoreRecord, predict_logits, score_dataset, score_records
 from .tensor import Tape, Tensor, backward
 from .train import OptimizerState, TrainConfig, adam_step, lr_at, train
 
@@ -43,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset",
-    "DecisionRule",
     "MLPClassifier",
     "ModelSource",
     "OODMetrics",
@@ -58,27 +43,18 @@ __all__ = [
     "adam_step",
     "auroc",
     "backward",
-    "base_score",
-    "cefe_expand",
     "decide",
-    "energy",
     "evaluate",
     "export_logits",
     "extract_attention",
     "fpr_at_tpr",
-    "guidance_ce",
-    "guidance_ed",
-    "guidance_kl",
     "histogram_export",
     "load_idx",
     "load_logits",
     "lr_at",
     "make_ood",
-    "max_logit",
-    "msp",
     "normalize",
     "patchify",
-    "pge",
     "predict_logits",
     "score_dataset",
     "score_records",

@@ -28,9 +28,9 @@ import numpy as np
 
 from .artifacts import write_artifact
 from .config import RunConfig
-from .data import Dataset, load_idx, make_ood, normalize, split_dataset, synth_dataset
+from .data import OOD_KINDS, Dataset, load_idx, make_ood, normalize, split_dataset, synth_dataset
 from .errors import ConfigError, FormatError, PvitError
-from .metrics import evaluate, histogram_export
+from .metrics import ORIENTATION_POLICIES, evaluate, histogram_export
 from .model import PViTConfig, PViTModel, extract_attention
 from .priors import (
     MLPClassifier,
@@ -41,7 +41,16 @@ from .priors import (
     load_logits,
     train_prior_model,
 )
-from .scoring import file_sha256, predict_logits, read_scores, score_field, score_records, write_scores
+from .scoring import (
+    GUIDANCE_KINDS,
+    file_sha256,
+    predict_logits,
+    read_scores,
+    score_dataset,
+    score_field,
+    score_records,
+    write_scores,
+)
 from .train import TrainConfig, loss_curve_csv, train
 
 
@@ -69,6 +78,16 @@ def _resolve(args) -> tuple[RunConfig, str]:
     if args.out is not None:
         overrides["out.dir"] = args.out
     cfg = RunConfig.load(args.config, overrides)
+    # closed-set values fail here, as config errors, before any command reads data or writes a file
+    closed_sets = (("score.guidance", [cfg["score.guidance"]], GUIDANCE_KINDS),
+                   ("eval.orientation", [cfg["eval.orientation"]], ORIENTATION_POLICIES),
+                   ("ood.kinds", cfg["ood.kinds"], OOD_KINDS))
+    for key, values, allowed in closed_sets:
+        for value in values:
+            if value not in allowed:
+                raise ConfigError(f"config key {key!r}: unknown value {value!r}; expected one of {allowed}")
+    if cfg["eval.bins"] < 2:
+        raise ConfigError(f"config key 'eval.bins': a histogram needs at least 2 bins, got {cfg['eval.bins']}")
     out = cfg["out.dir"]
     os.makedirs(out, exist_ok=True)
     return cfg, out
@@ -282,22 +301,21 @@ def cmd_score(cfg: RunConfig, out: str) -> None:
             "".join(file_sha256(_logits_path(predicted_dir, split)) for split in splits).encode()
         ).hexdigest()
 
-        def predict(split: str):
+        def score(split: str):
             table = load_logits(_logits_path(predicted_dir, split))
             ids = list(table.records)
-            return ids, table.logits_for(ids)
+            return score_records(ids, table.logits_for(ids), prior.logits_for(ids), guidance)
     else:
         datasets = build_datasets(cfg)
         ckpt = _pvit_ckpt_path(cfg, out)
         model, _, _ = PViTModel.load(ckpt)
         alpha, source_hash = model.config.alpha, file_sha256(ckpt)
 
-        def predict(split: str):
-            return datasets[split].ids, predict_logits(model, prior, datasets[split])[0]
+        def score(split: str):
+            return score_dataset(model, prior, datasets[split], guidance)
     prior = _logits_priors(cfg, out, splits)
     for split in splits:
-        ids, predicted = predict(split)
-        records = score_records(ids, predicted, prior.logits_for(ids), guidance)
+        records = score(split)
         path = os.path.join(out, f"scores_{split}.jsonl")
         write_scores(path, records, guidance, alpha, source_hash)
         print(f"scores: {path} ({len(records)} records)")

@@ -2,9 +2,10 @@
 score-distribution export.
 
 Convention: higher score means in-distribution, and the threshold test
-is inclusive (score >= gamma is ID).  AUROC uses the rank (Mann-Whitney)
-formulation with ties counted half, so it equals the fraction of
-(ID, OOD) pairs the score orders correctly.
+is inclusive (score >= gamma is ID); :func:`decide` is that rule, and
+:func:`fpr_at_tpr` counts false positives through it.  AUROC uses the
+rank (Mann-Whitney) formulation with ties counted half, so it equals
+the fraction of (ID, OOD) pairs the score orders correctly.
 """
 
 from __future__ import annotations
@@ -18,6 +19,11 @@ import numpy as np
 
 from .artifacts import write_artifact
 from .errors import FormatError
+
+
+ORIENTATIONS = ("as-is", "negated")
+# what evaluate's orientation_policy (and eval.orientation) accepts: "auto" picks one of ORIENTATIONS
+ORIENTATION_POLICIES = ORIENTATIONS + ("auto",)
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,19 @@ def _validate(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise FormatError("metrics need finite scores; found NaN or infinity")
     return a, b
+
+
+def decide(scores, threshold: float, orientation: str = "as-is") -> np.ndarray:
+    """Bool mask, True for in-distribution: the oriented score is >= ``threshold``.
+
+    ``OODMetrics.threshold`` and ``.orientation`` plug in as they are.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    if not np.all(np.isfinite(s)):
+        raise FormatError("decide needs finite scores; found NaN or infinity")
+    if orientation not in ORIENTATIONS:
+        raise FormatError(f"unknown orientation {orientation!r}; expected one of {ORIENTATIONS}")
+    return (-s if orientation == "negated" else s) >= threshold
 
 
 def _mann_whitney_u(ids: np.ndarray, oods: np.ndarray) -> float:
@@ -76,7 +95,7 @@ def fpr_at_tpr(
     m = math.ceil(tpr_target * n - 1e-9)
     m = min(max(m, 1), n)
     gamma = float(np.sort(ids)[n - m])
-    fpr = float(np.mean(oods >= gamma))
+    fpr = float(np.mean(decide(oods, gamma)))
     return fpr, gamma
 
 
@@ -101,7 +120,7 @@ def evaluate(
             return np.asarray([score_field(r, score_name) for r in records])
         return np.asarray(records, dtype=np.float64)
 
-    if orientation_policy not in ("as-is", "negated", "auto"):
+    if orientation_policy not in ORIENTATION_POLICIES:
         raise FormatError(f"unknown orientation policy {orientation_policy!r}")
     ids, oods = _validate(extract(id_records), extract(ood_records))
     pairs = len(ids) * len(oods)

@@ -11,9 +11,9 @@ baselines on the predicted logits.
 There is one scoring path: :func:`predict_logits` resolves a dataset's
 priors once and runs the model over it, batch by batch, and
 :func:`score_records` builds every record in one vectorised pass over
-the (N, K) predicted and prior logits.  The scalar functions
-(:func:`energy`, :func:`msp`, :func:`guidance_ce`, ...) score one logit
-vector and are the reference the records match.
+the (N, K) predicted and prior logits.  Nothing here scores a single
+logit vector; the tests keep per-vector reference scorers as the oracle
+the records match.
 
 Probabilities are clamped at 1e-12 before any log: near-one-hot priors
 otherwise send -log q to infinity and poison downstream AUROC.
@@ -49,14 +49,6 @@ class ScoreRecord:
     baselines: dict[str, float] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class DecisionRule:
-    """Threshold rule: oriented score >= gamma means in-distribution."""
-
-    threshold: float
-    orientation: str = "as-is"  # as-is | negated
-
-
 def _finite(z: np.ndarray, what: str) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
@@ -64,104 +56,15 @@ def _finite(z: np.ndarray, what: str) -> np.ndarray:
     return z
 
 
-def _lse(z: np.ndarray) -> float:
-    m = float(z.max())
-    return m + float(np.log(np.exp(z - m).sum()))
-
-
-def energy(logits) -> float:
-    """Negative logsumexp of the logits; low for confident predictions."""
-    z = _finite(logits, "logits")
-    return -_lse(z)
-
-
-def base_score(logits) -> float:
-    """Negative energy: the logsumexp itself, higher for confident rows."""
-    return -energy(logits)
-
-
-def msp(logits) -> float:
-    """Maximum softmax probability."""
-    z = _finite(logits, "logits")
-    e = np.exp(z - z.max())
-    return float((e / e.sum()).max())
-
-
-def max_logit(logits) -> float:
-    """Largest raw logit."""
-    return float(_finite(logits, "logits").max())
-
-
-def _softmax_clamped(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return np.maximum(e / e.sum(), PROB_CLAMP)
-
-
 def _softmax_rows_clamped(z: np.ndarray) -> np.ndarray:
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return np.maximum(e / e.sum(axis=1, keepdims=True), PROB_CLAMP)
 
 
-def guidance_ce(prior_logits, predicted_class: int) -> float:
-    """-log of the prior probability assigned to the predicted class."""
-    p = _finite(prior_logits, "prior logits")
-    k = int(predicted_class)
-    if not 0 <= k < len(p):
-        raise ShapeError(f"predicted class {k} out of range [0, {len(p)})")
-    return float(-np.log(_softmax_clamped(p)[k]))
-
-
-def guidance_kl(prior_logits, predicted_logits) -> float:
-    """KL(prior distribution || predicted distribution), both clamped."""
-    p = _finite(prior_logits, "prior logits")
-    q = _finite(predicted_logits, "predicted logits")
-    if p.shape != q.shape:
-        raise ShapeError(f"logit vectors disagree in length: {p.shape} vs {q.shape}")
-    pp = _softmax_clamped(p)
-    qq = _softmax_clamped(q)
-    return float(np.sum(pp * np.log(pp / qq)))
-
-
-def guidance_ed(prior_logits, predicted_logits) -> float:
-    """Euclidean distance between the raw logit vectors."""
-    p = _finite(prior_logits, "prior logits")
-    q = _finite(predicted_logits, "predicted logits")
-    if p.shape != q.shape:
-        raise ShapeError(f"logit vectors disagree in length: {p.shape} vs {q.shape}")
-    return float(np.sqrt(np.sum((p - q) ** 2)))
-
-
-def pge(base: float, guidance: float) -> float:
-    """Exact product of the base confidence and the guidance term."""
-    return base * guidance
-
-
-def cefe_expand(z, k: int) -> tuple[float, float]:
-    """Both sides of the score expansion identity for logits ``z``, class ``k``:
-    (-z_k + LSE) * LSE must equal -z_k * LSE + LSE^2."""
-    z = _finite(z, "logits")
-    if not 0 <= k < len(z):
-        raise ShapeError(f"class {k} out of range [0, {len(z)})")
-    lse = _lse(z)
-    factored = (-float(z[k]) + lse) * lse
-    expanded = -float(z[k]) * lse + lse * lse
-    return factored, expanded
-
-
-def decide(score: float, rule: DecisionRule) -> str:
-    """'ID' when the oriented score clears the threshold, else 'OOD'."""
-    if not np.isfinite(score):
-        raise ShapeError("decide needs a finite score")
-    oriented = -score if rule.orientation == "negated" else score
-    return "ID" if oriented >= rule.threshold else "OOD"
-
-
 def score_records(ids, predicted, priors, guidance_kind: str = "ce") -> list[ScoreRecord]:
-    """One record per row of the (N, K) predicted and prior logit blocks.
-
-    Row for row, every field equals the scalar functions above applied
-    to that row's logits, to the last bit.
-    """
+    """One record per row of the (N, K) predicted and prior logit blocks:
+    base is the predicted row's logsumexp, the predicted class its argmax
+    (lowest index on ties) and ``pge`` exactly ``base * guidance``."""
     if guidance_kind not in GUIDANCE_KINDS:
         raise FormatError(f"unknown guidance kind {guidance_kind!r}; expected one of {GUIDANCE_KINDS}")
     z = _finite(predicted, "predicted logits")
@@ -190,7 +93,7 @@ def score_records(ids, predicted, priors, guidance_kind: str = "ce") -> list[Sco
             id=sid,
             base=base,
             guidance=g,
-            pge=pge(base, g),
+            pge=base * g,
             predicted_class=k,
             # energy is oriented so that higher means in-distribution
             baselines={"msp": m, "max_logit": x, "energy": base},

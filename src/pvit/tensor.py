@@ -1,11 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The engine covers exactly the operation set the transformer forward and
-backward passes need: broadcast arithmetic, (batched) matrix products,
-the affine map ``linear``, shape manipulation, softmax, logsumexp,
+The engine covers the operation set the transformer forward and
+backward passes need: broadcast ``add`` and ``mul``, (batched) matrix
+products, the affine map ``linear``, shape manipulation, softmax,
 multi-head scaled dot-product ``attention`` (one node, which also
 returns its (B, H, S, S) weights), layer normalization, exact-erf GELU,
-and cross-entropy.  Operations executed inside a ``with Tape():``
+and cross-entropy.  ``transpose`` and batched ``matmul`` also let the
+tests compose attention from plain ops, the reference for the fused
+node.  Operations executed inside a ``with Tape():``
 block are recorded on that tape; :func:`backward` replays the tape in
 reverse and accumulates total derivatives into leaf tensors' ``grad``.
 
@@ -52,8 +54,6 @@ __all__ = [
     "Tape",
     "backward",
     "add",
-    "sub",
-    "neg",
     "mul",
     "matmul",
     "linear",
@@ -62,7 +62,6 @@ __all__ = [
     "broadcast_to",
     "concat",
     "softmax",
-    "logsumexp",
     "attention",
     "layer_norm",
     "gelu",
@@ -279,27 +278,6 @@ def add(a, b) -> Tensor:
     return _record((a, b), out, grad_fn)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data - b.data
-
-    def grad_fn(g):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g, b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _record((a, b), out, grad_fn)
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def grad_fn(g):
-        return (-g,)
-
-    return _record((a,), -a.data, grad_fn)
-
-
 def mul(a, b) -> Tensor:
     """Elementwise (broadcasting) product; either side may be a scalar."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -483,21 +461,6 @@ def softmax(x, axis: int = -1) -> Tensor:
     def grad_fn(g):
         inner = np.sum(g * out, axis=ax, keepdims=True)
         return ((g - inner) * out,)
-
-    return _record((x,), out, grad_fn)
-
-
-def logsumexp(x, axis: int = -1) -> Tensor:
-    """log of the summed exponentials along ``axis``, max-shifted; drops the axis."""
-    x = _as_tensor(x)
-    ax = _check_axis(x, axis, "logsumexp")
-    m = np.max(x.data, axis=ax, keepdims=True)
-    e = np.exp(x.data - m)
-    out = np.squeeze(m, axis=ax) + np.log(np.sum(e, axis=ax))
-
-    def grad_fn(g):
-        s = e / np.sum(e, axis=ax, keepdims=True)
-        return (np.expand_dims(g, ax) * s,)
 
     return _record((x,), out, grad_fn)
 

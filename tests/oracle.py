@@ -1,0 +1,120 @@
+"""Per-vector reference scorers: the oracle :func:`pvit.scoring.score_records` matches.
+
+Each function scores one logit vector the plain way, one formula at a
+time: negative energy (the logsumexp), MSP, MaxLogit, the CE / KL / ED
+guidance terms and their product.  ``score_records`` computes the same
+fields for a whole (N, K) block in one vectorised pass; the tests hold
+it to these functions record by record, to the last bit.
+:func:`cefe_expand` gives both sides of the score-expansion identity.
+
+Probabilities are clamped at the package's ``PROB_CLAMP`` before any
+log, as ``score_records`` does.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from pvit.errors import ShapeError
+from pvit.scoring import PROB_CLAMP, ScoreRecord
+
+
+def _finite(z, what: str) -> np.ndarray:
+    z = np.asarray(z, dtype=np.float64)
+    if not np.all(np.isfinite(z)):
+        raise ShapeError(f"{what} must be finite")
+    return z
+
+
+def _lse(z: np.ndarray) -> float:
+    m = float(z.max())
+    return m + float(np.log(np.exp(z - m).sum()))
+
+
+def energy(logits) -> float:
+    """Negative logsumexp of the logits; low for confident predictions."""
+    z = _finite(logits, "logits")
+    return -_lse(z)
+
+
+def base_score(logits) -> float:
+    """Negative energy: the logsumexp itself, higher for confident rows."""
+    return -energy(logits)
+
+
+def msp(logits) -> float:
+    """Maximum softmax probability."""
+    z = _finite(logits, "logits")
+    e = np.exp(z - z.max())
+    return float((e / e.sum()).max())
+
+
+def max_logit(logits) -> float:
+    """Largest raw logit."""
+    return float(_finite(logits, "logits").max())
+
+
+def _softmax_clamped(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max())
+    return np.maximum(e / e.sum(), PROB_CLAMP)
+
+
+def guidance_ce(prior_logits, predicted_class: int) -> float:
+    """-log of the prior probability assigned to the predicted class."""
+    p = _finite(prior_logits, "prior logits")
+    k = int(predicted_class)
+    if not 0 <= k < len(p):
+        raise ShapeError(f"predicted class {k} out of range [0, {len(p)})")
+    return float(-np.log(_softmax_clamped(p)[k]))
+
+
+def guidance_kl(prior_logits, predicted_logits) -> float:
+    """KL(prior distribution || predicted distribution), both clamped."""
+    p = _finite(prior_logits, "prior logits")
+    q = _finite(predicted_logits, "predicted logits")
+    if p.shape != q.shape:
+        raise ShapeError(f"logit vectors disagree in length: {p.shape} vs {q.shape}")
+    pp = _softmax_clamped(p)
+    qq = _softmax_clamped(q)
+    return float(np.sum(pp * np.log(pp / qq)))
+
+
+def guidance_ed(prior_logits, predicted_logits) -> float:
+    """Euclidean distance between the raw logit vectors."""
+    p = _finite(prior_logits, "prior logits")
+    q = _finite(predicted_logits, "predicted logits")
+    if p.shape != q.shape:
+        raise ShapeError(f"logit vectors disagree in length: {p.shape} vs {q.shape}")
+    return float(np.sqrt(np.sum((p - q) ** 2)))
+
+
+def pge(base: float, guidance: float) -> float:
+    """Exact product of the base confidence and the guidance term."""
+    return base * guidance
+
+
+def cefe_expand(z, k: int) -> tuple[float, float]:
+    """Both sides of the score expansion identity for logits ``z``, class ``k``:
+    (-z_k + LSE) * LSE must equal -z_k * LSE + LSE^2."""
+    z = _finite(z, "logits")
+    if not 0 <= k < len(z):
+        raise ShapeError(f"class {k} out of range [0, {len(z)})")
+    lse = _lse(z)
+    factored = (-float(z[k]) + lse) * lse
+    expanded = -float(z[k]) * lse + lse * lse
+    return factored, expanded
+
+
+def scalar_record(sid, pred_row, prior_row, kind) -> ScoreRecord:
+    """One score record from the functions above: what ``score_records``
+    must produce for this row."""
+    k = int(np.argmax(pred_row))
+    base = base_score(pred_row)
+    if kind == "ce":
+        guidance = guidance_ce(prior_row, k)
+    elif kind == "kl":
+        guidance = guidance_kl(prior_row, pred_row)
+    else:
+        guidance = guidance_ed(prior_row, pred_row)
+    baselines = {"msp": msp(pred_row), "max_logit": max_logit(pred_row), "energy": -energy(pred_row)}
+    return ScoreRecord(sid, base, guidance, pge(base, guidance), k, baselines)

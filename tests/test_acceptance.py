@@ -18,12 +18,13 @@ import time
 import numpy as np
 
 from conftest import central_difference
+from oracle import cefe_expand
 from pvit.cli import main
 from pvit.data import make_ood, split_dataset, synth_dataset
 from pvit.metrics import auroc, evaluate, fpr_at_tpr
 from pvit.model import PViTConfig, PViTModel
 from pvit.priors import accuracy, train_prior_model
-from pvit.scoring import base_score, cefe_expand, energy, predict_logits, read_scores, score_dataset
+from pvit.scoring import predict_logits, read_scores, score_dataset, score_records
 from pvit.tensor import (
     Tape,
     Tensor,
@@ -36,13 +37,10 @@ from pvit.tensor import (
     gelu,
     layer_norm,
     linear,
-    logsumexp,
     matmul,
     mul,
-    neg,
     reshape,
     softmax,
-    sub,
     transpose,
 )
 from pvit.train import TrainConfig, train
@@ -109,16 +107,17 @@ def _op_cases(rng):
     w233 = np.stack([w33, w33.T])
     w234 = np.stack([w34, w34[::-1]])
     keys, values = batched[:, ::-1].copy(), batched[::-1].copy()
+    add_b = rng.uniform(-2, 2, (3, 4))
+    rng.uniform(-2, 2, (3, 4))  # unused draw: keeps the later cases' and the model check's inputs as pinned
+    mul_b = rng.uniform(-2, 2, (3, 4))
 
     def scalarize(t, w):
         flat = reshape(mul(t, Tensor(w)), (1, t.data.size))
         return reshape(matmul(flat, Tensor(np.ones((t.data.size, 1)))), ())
 
     return [
-        ("add", lambda x, y: scalarize(add(x, y), w34), (a, rng.uniform(-2, 2, (3, 4)))),
-        ("sub", lambda x, y: scalarize(sub(x, y), w34), (a, rng.uniform(-2, 2, (3, 4)))),
-        ("neg", lambda x: scalarize(neg(x), w34), (a,)),
-        ("mul", lambda x, y: scalarize(mul(x, y), w34), (a, rng.uniform(-2, 2, (3, 4)))),
+        ("add", lambda x, y: scalarize(add(x, y), w34), (a, add_b)),
+        ("mul", lambda x, y: scalarize(mul(x, y), w34), (a, mul_b)),
         ("mul-broadcast", lambda x, y: scalarize(mul(x, y), w34), (a, v)),
         ("matmul", lambda x, y: scalarize(matmul(x, y), w33), (a, b)),
         ("linear", lambda x, y, z: scalarize(linear(x, y, z), w33), (a, b, w3)),
@@ -129,7 +128,6 @@ def _op_cases(rng):
         ("concat", lambda x, y: scalarize(concat([x, y], axis=1), w38), (a, a[:, ::-1].copy())),
         ("broadcast_to", lambda x: scalarize(broadcast_to(x, (3, 4)), w34), (v,)),
         ("softmax", lambda x: scalarize(softmax(x, axis=1), w34), (a,)),
-        ("logsumexp", lambda x: scalarize(logsumexp(x, axis=1), w3), (a,)),
         ("attention", lambda q, k, v: scalarize(attention(q, k, v, 2)[0], w234), (batched, keys, values)),
         ("layer_norm", lambda x, g, bb: scalarize(layer_norm(x, g, bb), w25), (row, gain, bias)),
         ("gelu", lambda x: scalarize(gelu(x), w34), (a,)),
@@ -222,9 +220,12 @@ def test_energy_identities():
     for _ in range(200):
         z = rng.uniform(-20, 20, int(rng.integers(2, 11)))
         c = float(rng.uniform(-50, 50))
-        assert abs(base_score(z + c) - (base_score(z) + c)) <= 1e-10
+        shifted, plain = score_records(["shifted", "plain"], np.stack([z + c, z]), np.zeros((2, len(z))))
+        assert abs(shifted.base - (plain.base + c)) <= 1e-10
     for k in (2, 10, 1000):
-        assert abs(energy([0.0] * k) + math.log(k)) <= 1e-12
+        (uniform,) = score_records(["uniform"], np.zeros((1, k)), np.zeros((1, k)))
+        # the energy baseline is the negative energy
+        assert abs(uniform.baselines["energy"] - math.log(k)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

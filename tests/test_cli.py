@@ -306,6 +306,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "'seed'" in err and "U64" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("score", "score.guidance", "cosine"),
+        ("eval", "eval.orientation", "sideways"),
+        ("train-prior", "ood.kinds", "uniform-noise,sideways"),
+        ("eval", "eval.bins", 1),
+    ])
+    def test_bad_closed_set_value_exits_1_before_writing(self, tmp_path, capsys, command, key, value):
+        cfg, out = write_cfg(tmp_path, **{key.replace(".", "__"): value})
+        write_score_set(out)
+        before = sorted(os.listdir(out))
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and "Traceback" not in err
+        assert sorted(os.listdir(out)) == before
+
     def test_unknown_checkpoint_config_key_exits_2(self, tmp_path, capsys):
         cfg, out = write_cfg(tmp_path)
         os.makedirs(out, exist_ok=True)

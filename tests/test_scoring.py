@@ -1,5 +1,7 @@
-"""Score-function tests: closed-form cases, extended-precision oracles,
-the factored/expanded score identity, decision rule, dataset scoring."""
+"""Scoring tests: closed-form cases and extended-precision oracles run on
+rows of ``score_records``, the path the CLI scores with; the records
+match the per-vector oracle to the last bit; the factored/expanded score
+identity; the threshold decision rule; dataset scoring and score files."""
 
 import json
 import math
@@ -8,23 +10,14 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracle import cefe_expand, guidance_ce, guidance_kl, scalar_record
 from pvit.data import synth_dataset
 from pvit.errors import FormatError, MissingPriorError, ShapeError
+from pvit.metrics import decide, evaluate
 from pvit.model import PViTConfig, PViTModel
 from pvit.priors import TableSource, export_logits, load_logits, train_prior_model
 from pvit.scoring import (
-    DecisionRule,
     ScoreRecord,
-    base_score,
-    cefe_expand,
-    decide,
-    energy,
-    guidance_ce,
-    guidance_ed,
-    guidance_kl,
-    max_logit,
-    msp,
-    pge,
     predict_logits,
     read_scores,
     score_dataset,
@@ -41,82 +34,105 @@ def mp_lse(values):
     return float(mpmath.log(mpmath.fsum(mpmath.e**mpmath.mpf(v) for v in values)))
 
 
+def rows(predicted, priors=None, kind="ce"):
+    """Score records of the logit rows ``predicted`` (N, K) against ``priors``
+    (the predicted rows themselves if omitted)."""
+    predicted = np.asarray(predicted, dtype=np.float64)
+    priors = predicted if priors is None else np.asarray(priors, dtype=np.float64)
+    return score_records([f"s{i}" for i in range(len(predicted))], predicted, priors, kind)
+
+
+def row(predicted, prior=None, kind="ce"):
+    """The score record of one logit vector."""
+    (rec,) = rows([predicted], None if prior is None else [prior], kind)
+    return rec
+
+
 class TestEnergy:
+    """The energy baseline is oriented so higher means ID: it is -energy, the logsumexp."""
+
     def test_four_zeros(self):
-        assert abs(energy([0.0, 0.0, 0.0, 0.0]) + math.log(4)) <= 1e-12
+        assert abs(row([0.0, 0.0, 0.0, 0.0]).baselines["energy"] - math.log(4)) <= 1e-12
 
     def test_singleton(self):
-        assert energy([2.5]) == -2.5
+        assert row([2.5]).baselines["energy"] == 2.5
 
     def test_shift_identity(self):
         rng = np.random.default_rng(0)
         z = rng.uniform(-5, 5, 6)
         c = 3.7
-        assert abs(energy(z + c) - (energy(z) - c)) <= 1e-10
+        shifted, plain = rows([z + c, z])
+        assert abs(shifted.baselines["energy"] - (plain.baselines["energy"] + c)) <= 1e-10
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ShapeError):
-            energy([1.0, np.inf])
+        with pytest.raises(ShapeError, match="finite"):
+            row([1.0, np.inf], [0.0, 0.0])
 
 
 class TestBaseScore:
     def test_ln2(self):
-        assert abs(base_score([0.0, 0.0]) - math.log(2)) <= 1e-12
+        assert abs(row([0.0, 0.0]).base - math.log(2)) <= 1e-12
 
     def test_monotone_in_each_logit(self):
         z = np.array([0.1, -0.4, 1.2])
-        before = base_score(z)
-        for i in range(3):
-            bumped = z.copy()
-            bumped[i] += 0.5
-            assert base_score(bumped) > before
+        bumped = z + 0.5 * np.eye(3)
+        before, *after = rows(np.vstack([z, bumped]))
+        assert all(rec.base > before.base for rec in after)
 
     def test_matches_extended_precision_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             z = rng.uniform(-20, 20, rng.integers(2, 12))
-            assert abs(base_score(z) - mp_lse(z)) <= 1e-12
+            assert abs(row(z).base - mp_lse(z)) <= 1e-12
 
 
 class TestMsp:
     def test_half(self):
-        assert abs(msp([0.0, 0.0]) - 0.5) <= 1e-12
+        assert abs(row([0.0, 0.0]).baselines["msp"] - 0.5) <= 1e-12
 
     def test_confident(self):
-        assert msp([100.0, 0.0]) >= 1.0 - 1e-12
+        assert row([100.0, 0.0]).baselines["msp"] >= 1.0 - 1e-12
 
     def test_shift_invariant(self):
         rng = np.random.default_rng(2)
         z = rng.uniform(-3, 3, 5)
-        assert abs(msp(z) - msp(z + 11.0)) <= 1e-12
+        plain, shifted = rows([z, z + 11.0])
+        assert abs(plain.baselines["msp"] - shifted.baselines["msp"]) <= 1e-12
 
 
 class TestMaxLogit:
     def test_max(self):
-        assert max_logit([1.0, 3.0, 2.0]) == 3.0
+        assert row([1.0, 3.0, 2.0]).baselines["max_logit"] == 3.0
 
     def test_shift(self):
-        assert max_logit(np.array([1.0, 3.0, 2.0]) + 4.0) == 7.0
+        assert row(np.array([1.0, 3.0, 2.0]) + 4.0).baselines["max_logit"] == 7.0
 
     def test_agrees_with_msp_argmax(self):
         z = np.array([0.3, 2.2, -1.0])
-        assert max_logit(z) == z[int(np.argmax(z))]
+        rec = row(z)
+        assert rec.baselines["max_logit"] == z[rec.predicted_class] == z[int(np.argmax(z))]
+
+
+def predicting(k, num_classes):
+    """A logit vector whose argmax is class ``k``."""
+    return np.eye(num_classes)[k]
 
 
 class TestGuidanceCe:
     def test_uniform_prior(self):
-        assert abs(guidance_ce([0.0] * 4, 2) - math.log(4)) <= 1e-12
+        assert abs(row(predicting(2, 4), [0.0] * 4).guidance - math.log(4)) <= 1e-12
 
     def test_agreement_is_near_zero(self):
-        assert guidance_ce([100.0, 0.0], 0) <= 1e-12
+        assert row(predicting(0, 2), [100.0, 0.0]).guidance <= 1e-12
 
     def test_disagreement_clamped(self):
         # prior prob of class 1 is ~e^-100, far below the 1e-12 clamp
-        value = guidance_ce([100.0, 0.0], 1)
+        value = row(predicting(1, 2), [100.0, 0.0]).guidance
         assert abs(value - (-math.log(1e-12))) <= 1e-9
         assert value <= -math.log(1e-12) + 1e-9
 
     def test_class_out_of_range(self):
+        # records take the class from the argmax; only the oracle's signature can name a bad one
         with pytest.raises(ShapeError):
             guidance_ce([0.0, 0.0], 2)
 
@@ -124,19 +140,20 @@ class TestGuidanceCe:
         rng = np.random.default_rng(3)
         for _ in range(200):
             z = rng.uniform(-50, 50, rng.integers(2, 8))
-            v = guidance_ce(z, int(rng.integers(0, len(z))))
-            assert 0.0 <= v <= -math.log(1e-12) + 1e-9
+            rec = row(predicting(int(rng.integers(0, len(z))), len(z)), z)
+            assert 0.0 <= rec.guidance <= -math.log(1e-12) + 1e-9
 
 
 class TestGuidanceKl:
     def test_identical_distributions(self):
-        assert guidance_kl([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) <= 1e-15
+        assert row([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], "kl").guidance <= 1e-15
 
     def test_nonnegative(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             k = rng.integers(2, 8)
-            assert guidance_kl(rng.uniform(-5, 5, k), rng.uniform(-5, 5, k)) >= -1e-15
+            prior, predicted = rng.uniform(-5, 5, k), rng.uniform(-5, 5, k)
+            assert row(predicted, prior, "kl").guidance >= -1e-15
 
     def test_matches_term_by_term_oracle(self):
         p_logits = [0.3, -1.2, 2.0]
@@ -150,48 +167,62 @@ class TestGuidanceKl:
         p = mp_softmax(p_logits)
         q = mp_softmax(q_logits)
         oracle = float(mpmath.fsum(pi * mpmath.log(pi / qi) for pi, qi in zip(p, q)))
-        assert abs(guidance_kl(p_logits, q_logits) - oracle) <= 1e-12
+        assert abs(row(q_logits, p_logits, "kl").guidance - oracle) <= 1e-12
 
     def test_length_mismatch(self):
+        # records reject mismatched blocks in TestScoreRecords; this is the oracle's own check
         with pytest.raises(ShapeError):
             guidance_kl([0.0, 0.0], [0.0, 0.0, 0.0])
 
 
 class TestGuidanceEd:
     def test_identical(self):
-        assert guidance_ed([1.0, 2.0], [1.0, 2.0]) == 0.0
+        assert row([1.0, 2.0], [1.0, 2.0], "ed").guidance == 0.0
 
     def test_three_four_five(self):
-        assert abs(guidance_ed([0.0, 0.0], [3.0, 4.0]) - 5.0) <= 1e-12
+        assert abs(row([3.0, 4.0], [0.0, 0.0], "ed").guidance - 5.0) <= 1e-12
 
     def test_symmetric(self):
         rng = np.random.default_rng(5)
         a, b = rng.uniform(-4, 4, 5), rng.uniform(-4, 4, 5)
-        assert guidance_ed(a, b) == guidance_ed(b, a)
+        assert row(a, b, "ed").guidance == row(b, a, "ed").guidance
 
     def test_positive_unless_equal(self):
-        assert guidance_ed([0.0, 1.0], [0.0, 1.0 + 1e-9]) > 0.0
+        assert row([0.0, 1.0 + 1e-9], [0.0, 1.0], "ed").guidance > 0.0
 
 
 class TestPge:
     def test_product(self):
-        assert pge(2.0, 3.0) == 6.0
+        rng = np.random.default_rng(8)
+        predicted, priors = rng.uniform(-6, 6, (100, 5)), rng.uniform(-6, 6, (100, 5))
+        for kind in ("ce", "kl", "ed"):
+            for rec in rows(predicted, priors, kind):
+                assert rec.pge == rec.base * rec.guidance
 
     def test_zero_guidance(self):
-        assert pge(123.0, 0.0) == 0.0
+        rng = np.random.default_rng(9)
+        block = rng.uniform(-3, 3, (20, 4))
+        for rec in rows(block, block, "ed"):
+            assert rec.guidance == 0.0 and rec.pge == 0.0 and rec.base != 0.0
 
     def test_sign_rule(self):
         rng = np.random.default_rng(6)
-        for _ in range(50):
-            b, g = rng.uniform(-3, 3), rng.uniform(-3, 3)
-            assert np.sign(pge(b, g)) == np.sign(b) * np.sign(g)
+        # shifted logits give negative as well as positive bases
+        records = rows(rng.uniform(-3, 3, (50, 3)) + rng.uniform(-6, 3, (50, 1)), rng.uniform(-3, 3, (50, 3)))
+        assert {np.sign(r.base) for r in records} == {-1.0, 1.0}
+        for rec in records:
+            assert np.sign(rec.pge) == np.sign(rec.base) * np.sign(rec.guidance)
 
 
 class TestCefeExpand:
+    """The oracle's expansion identity, and the records' pge as its factored side:
+    with the predicted row as its own prior, CE guidance is -z_k + LSE for k = argmax."""
+
     def test_two_zeros(self):
         factored, expanded = cefe_expand([0.0, 0.0], 0)
         assert factored == expanded
         assert abs(factored - math.log(2) ** 2) <= 1e-12
+        assert abs(row([0.0, 0.0]).pge - factored) <= 1e-12
 
     def test_fixed_vector_against_extended_precision(self):
         z = [1.0, 2.0, 3.0]
@@ -200,6 +231,7 @@ class TestCefeExpand:
         factored, expanded = cefe_expand(z, 2)
         assert abs(factored - oracle) <= 1e-12
         assert abs(expanded - oracle) <= 1e-10
+        assert abs(row(z).pge - oracle) <= 1e-12
 
     def test_identity_sweep(self):
         rng = np.random.default_rng(7)
@@ -208,6 +240,8 @@ class TestCefeExpand:
             z = rng.uniform(-20, 20, k)
             factored, expanded = cefe_expand(z, int(rng.integers(0, k)))
             assert abs(factored - expanded) <= 1e-10 * max(1.0, abs(factored))
+            top, _ = cefe_expand(z, int(np.argmax(z)))
+            assert abs(row(z).pge - top) <= 1e-10 * max(1.0, abs(top))
 
     def test_index_out_of_range(self):
         with pytest.raises(ShapeError):
@@ -215,25 +249,41 @@ class TestCefeExpand:
 
 
 class TestDecide:
+    """``pvit.metrics.decide``: the inclusive threshold rule ``fpr_at_tpr`` counts with."""
+
     def test_boundary_is_id(self):
-        rule = DecisionRule(threshold=1.5)
-        assert decide(1.5, rule) == "ID"
+        assert decide([1.5], 1.5).tolist() == [True]
 
     def test_below_boundary_is_ood(self):
-        rule = DecisionRule(threshold=1.5)
-        assert decide(1.5 - 1e-9, rule) == "OOD"
+        assert decide([1.5 - 1e-9], 1.5).tolist() == [False]
 
     def test_negated_orientation(self):
-        rule = DecisionRule(threshold=2.0, orientation="negated")
-        assert decide(-2.0, rule) == "ID"
-        assert decide(-2.0 + 1e-9, rule) == "OOD"
+        assert decide([-2.0, -2.0 + 1e-9], 2.0, "negated").tolist() == [True, False]
 
     def test_monotone(self):
-        rule = DecisionRule(threshold=0.0)
-        labels = [decide(s, rule) for s in np.linspace(-1, 1, 21)]
-        first_id = labels.index("ID")
-        assert all(v == "OOD" for v in labels[:first_id])
-        assert all(v == "ID" for v in labels[first_id:])
+        labels = decide(np.linspace(-1, 1, 21), 0.0).tolist()
+        first_id = labels.index(True)
+        assert not any(labels[:first_id])
+        assert all(labels[first_id:])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(FormatError, match="finite"):
+            decide([0.5, bad], 0.0)
+
+    def test_unknown_orientation_rejected(self):
+        with pytest.raises(FormatError, match="orientation"):
+            decide([0.5], 0.0, "auto")
+
+    @pytest.mark.parametrize("policy", ["as-is", "negated", "auto"])
+    def test_reproduces_evaluated_rates(self, policy):
+        """An OODMetrics' threshold and orientation, fed back to decide on the
+        raw scores, give its FPR and a TPR at or above its target."""
+        rng = np.random.default_rng(10)
+        ids, oods = rng.normal(0.0, 1.0, 200), rng.normal(1.0, 1.0, 150)  # OOD scores higher: auto negates
+        metrics = evaluate(ids, oods, orientation_policy=policy)
+        assert np.mean(decide(oods, metrics.threshold, metrics.orientation)) == metrics.fpr95
+        assert np.mean(decide(ids, metrics.threshold, metrics.orientation)) >= metrics.tpr_target
 
 
 def trained_setup(seed=0):
@@ -313,20 +363,6 @@ class TestScoreDataset:
         model, prior, ds = trained_setup(5)
         with pytest.raises(FormatError, match="guidance kind"):
             score_dataset(model, prior, ds, "cosine")
-
-
-def scalar_record(sid, pred_row, prior_row, kind):
-    """One score record from the scalar functions: the oracle for score_records."""
-    k = int(np.argmax(pred_row))
-    base = base_score(pred_row)
-    if kind == "ce":
-        guidance = guidance_ce(prior_row, k)
-    elif kind == "kl":
-        guidance = guidance_kl(prior_row, pred_row)
-    else:
-        guidance = guidance_ed(prior_row, pred_row)
-    baselines = {"msp": msp(pred_row), "max_logit": max_logit(pred_row), "energy": -energy(pred_row)}
-    return ScoreRecord(sid, base, guidance, pge(base, guidance), k, baselines)
 
 
 class TestScoreRecords:

@@ -31,7 +31,6 @@ from pvit.tensor import (
     gelu,
     layer_norm,
     linear,
-    logsumexp,
     matmul,
     mul,
     reshape,
@@ -182,38 +181,6 @@ class TestSoftmax:
 
         (g,) = tape_grad(lambda t: weighted_sum(softmax(t, axis=1), w), x)
         assert_close_rel(g, central_difference(f, x), 1e-4, "softmax")
-
-
-class TestLogsumexp:
-    def test_ln2(self):
-        assert abs(logsumexp(Tensor([0.0, 0.0]), axis=0).item() - math.log(2)) <= 1e-12
-
-    def test_large_inputs_stable(self):
-        out = logsumexp(Tensor([1000.0, 1000.0]), axis=0)
-        assert abs(out.item() - (1000.0 + math.log(2))) <= 1e-12
-
-    def test_singleton(self):
-        assert logsumexp(Tensor([3.25]), axis=0).item() == 3.25
-
-    def test_bounds_property(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            z = rng.uniform(-100, 100, rng.integers(1, 20))
-            v = logsumexp(Tensor(z), axis=0).item()
-            assert v >= z.max() - 1e-12
-            assert v <= z.max() + math.log(len(z)) + 1e-12
-
-    def test_gradient(self):
-        rng = np.random.default_rng(6)
-        x = rng.uniform(-2, 2, (4, 6))
-        w = rng.normal(size=(4,))
-
-        def f(arr):
-            m = arr.max(axis=1, keepdims=True)
-            return float(np.sum((m[:, 0] + np.log(np.exp(arr - m).sum(axis=1))) * w))
-
-        (g,) = tape_grad(lambda t: weighted_sum(logsumexp(t, axis=1), w), x)
-        assert_close_rel(g, central_difference(f, x), 1e-4, "logsumexp")
 
 
 def composed_attention(q, k, v, heads):
