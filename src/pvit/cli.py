@@ -21,6 +21,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from typing import Optional
 
@@ -29,7 +30,7 @@ import numpy as np
 from .artifacts import write_artifact
 from .config import RunConfig
 from .data import OOD_KINDS, Dataset, load_idx, make_ood, normalize, split_dataset, synth_dataset
-from .errors import ConfigError, FormatError, PvitError
+from .errors import ConfigError, FormatError, PvitError, ShapeError
 from .metrics import ORIENTATION_POLICIES, evaluate, histogram_export
 from .model import PViTConfig, PViTModel, extract_attention
 from .priors import (
@@ -43,6 +44,7 @@ from .priors import (
 )
 from .scoring import (
     GUIDANCE_KINDS,
+    SCORE_FIELDS,
     file_sha256,
     predict_logits,
     read_scores,
@@ -81,13 +83,18 @@ def _resolve(args) -> tuple[RunConfig, str]:
     # closed-set values fail here, as config errors, before any command reads data or writes a file
     closed_sets = (("score.guidance", [cfg["score.guidance"]], GUIDANCE_KINDS),
                    ("eval.orientation", [cfg["eval.orientation"]], ORIENTATION_POLICIES),
-                   ("ood.kinds", cfg["ood.kinds"], OOD_KINDS))
+                   ("ood.kinds", cfg["ood.kinds"], OOD_KINDS),
+                   ("eval.scores", cfg["eval.scores"], SCORE_FIELDS))
     for key, values, allowed in closed_sets:
         for value in values:
             if value not in allowed:
                 raise ConfigError(f"config key {key!r}: unknown value {value!r}; expected one of {allowed}")
     if cfg["eval.bins"] < 2:
         raise ConfigError(f"config key 'eval.bins': a histogram needs at least 2 bins, got {cfg['eval.bins']}")
+    if cfg["data.classes"] < 2:
+        raise ConfigError(f"config key 'data.classes': a classifier needs at least 2 classes, got {cfg['data.classes']}")
+    if cfg["data.normalize_std"] == 0:
+        raise ConfigError("config key 'data.normalize_std': pixels cannot be divided by a std of 0")
     out = cfg["out.dir"]
     os.makedirs(out, exist_ok=True)
     return cfg, out
@@ -147,33 +154,30 @@ def build_datasets(cfg: RunConfig) -> dict[str, Dataset]:
     return datasets
 
 
+def _from_keys(cls, cfg: RunConfig, keys: dict[str, str], **fields):
+    """``cls`` built from the config values ``keys`` maps its fields to,
+    plus ``fields``.  A value the class rejects is a config error naming
+    the keys of the fields its message names."""
+    try:
+        return cls(**{name: cfg[key] for name, key in keys.items()}, **fields)
+    except ShapeError as exc:
+        named = [repr(key) for name, key in keys.items() if re.search(rf"\b{name}\b", str(exc))]
+        raise ConfigError(f"config key {', '.join(named)}: {exc}") from None
+
+
 def _pvit_config(cfg: RunConfig, datasets) -> PViTConfig:
     h, w, c = datasets["id-test"].image_shape
-    return PViTConfig(
-        image_h=h,
-        image_w=w,
-        channels=c,
-        patch_size=cfg["model.patch"],
-        embed_dim=cfg["model.dim"],
-        depth=cfg["model.depth"],
-        heads=cfg["model.heads"],
-        mlp_dim=cfg["model.mlp_dim"],
-        num_classes=cfg["data.classes"],
-        alpha=cfg["model.alpha"],
-    )
+    keys = {"patch_size": "model.patch", "embed_dim": "model.dim", "depth": "model.depth",
+            "heads": "model.heads", "mlp_dim": "model.mlp_dim", "num_classes": "data.classes",
+            "alpha": "model.alpha"}
+    return _from_keys(PViTConfig, cfg, keys, image_h=h, image_w=w, channels=c)
 
 
 def _train_config(cfg: RunConfig, prefix: str) -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg[f"{prefix}.epochs"],
-        batch_size=cfg[f"{prefix}.batch_size"],
-        base_lr=cfg[f"{prefix}.base_lr"],
-        warmup_epochs=cfg[f"{prefix}.warmup_epochs"],
-        beta1=cfg["train.beta1"],
-        beta2=cfg["train.beta2"],
-        weight_decay=cfg[f"{prefix}.weight_decay"],
-        seed=cfg.seed_for(f"{prefix}.seed"),
-    )
+    keys = {name: f"{prefix}.{name}" for name in ("epochs", "batch_size", "base_lr", "warmup_epochs",
+                                                  "weight_decay")}
+    keys.update(beta1="train.beta1", beta2="train.beta2")
+    return _from_keys(TrainConfig, cfg, keys, seed=cfg.seed_for(f"{prefix}.seed"))
 
 
 def _prior_ckpt_path(cfg: RunConfig, out: str) -> str:
@@ -226,9 +230,8 @@ def cmd_train_prior(cfg: RunConfig, out: str) -> None:
         num_classes=cfg["data.classes"],
     )
     ckpt = _prior_ckpt_path(cfg, out)
-    source.model.save(ckpt, step=result.final_step if result else 0)
-    if result is not None:
-        write_artifact(os.path.join(out, "prior_loss.csv"), [loss_curve_csv(result.curve)])
+    source.model.save(ckpt, step=result.final_step)
+    write_artifact(os.path.join(out, "prior_loss.csv"), [loss_curve_csv(result.curve)])
     saved, written = _export_all_logits(cfg, out, datasets)
     train_acc = accuracy(saved, datasets["id-train"])
     test_acc = accuracy(saved, datasets["id-test"]) if datasets["id-test"].labels is not None else float("nan")
@@ -249,7 +252,6 @@ def cmd_export_logits(cfg: RunConfig, out: str) -> None:
 
 def cmd_train_pvit(cfg: RunConfig, out: str) -> None:
     datasets = build_datasets(cfg)
-    prior = _logits_priors(cfg, out, ["id-train", "id-test"])
     config = _train_config(cfg, "train")
     start_step = 0
     optimizer_tensors: dict[str, np.ndarray] = {}
@@ -259,6 +261,7 @@ def cmd_train_pvit(cfg: RunConfig, out: str) -> None:
         optimizer_tensors = extra
     else:
         model = PViTModel(_pvit_config(cfg, datasets), seed=cfg.seed_for("model.seed"))
+    prior = _logits_priors(cfg, out, ["id-train", "id-test"])
 
     result = train(model, datasets["id-train"], prior, config, start_step=start_step,
                    optimizer_tensors=optimizer_tensors)
@@ -365,11 +368,15 @@ def cmd_attention_dump(cfg: RunConfig, out: str) -> None:
         raise ConfigError(f"config key 'attention.dataset': no dataset named {split!r}")
     ds = datasets[split]
     model, _, _ = PViTModel.load(_pvit_ckpt_path(cfg, out))
-    prior = _logits_priors(cfg, out, [split])
+    depth, heads = model.config.depth, model.config.heads
     layer = cfg["attention.layer"]
-    if layer < 0:
-        layer = model.config.depth + layer
+    if not -depth <= layer < depth:
+        raise ConfigError(f"config key 'attention.layer': {layer} is outside the model's {depth} layers")
+    layer %= depth
     head = cfg["attention.head"]
+    if not 0 <= head < heads:
+        raise ConfigError(f"config key 'attention.head': {head} is outside the model's {heads} heads")
+    prior = _logits_priors(cfg, out, [split])
     alphas = cfg["attention.alphas"] or [model.config.alpha]
     count = min(cfg["attention.max_samples"], len(ds))
     attn_dir = os.path.join(out, "attention")

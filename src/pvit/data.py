@@ -161,15 +161,14 @@ def make_ood(
     channels: int = 1,
     classes: int = 4,
     source: Optional[Dataset] = None,
-    name: Optional[str] = None,
 ) -> Dataset:
-    """Unlabeled OOD test set of the requested kind.
+    """Unlabeled OOD test set of the requested kind, named ``ood-<kind>``.
 
     ``uniform-noise`` draws i.i.d. pixels; ``pattern-shift`` reuses the
     stripe generator on the disjoint parameter band; ``inverted`` maps
     x to 1 - x over the images of ``source`` (required for that kind).
     """
-    name = name or f"ood-{kind}"
+    name = f"ood-{kind}"
     if kind == "uniform-noise":
         gen = philox(seed, 0x00D)
         images = gen.random((n, size, size, channels))

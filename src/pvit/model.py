@@ -26,8 +26,6 @@ from .errors import ShapeError
 from .rng import philox, truncated_normal
 from .tensor import Tensor
 
-LAYER_NORM_EPS = 1e-5
-
 
 @dataclass(frozen=True)
 class PViTConfig:
@@ -56,7 +54,7 @@ class PViTConfig:
     def __post_init__(self):
         if self.image_h % self.patch_size or self.image_w % self.patch_size:
             raise ShapeError(
-                f"image {self.image_h}x{self.image_w} not divisible by patch size {self.patch_size}"
+                f"image {self.image_h}x{self.image_w} not divisible by patch_size {self.patch_size}"
             )
         if self.embed_dim % self.heads:
             raise ShapeError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
@@ -107,7 +105,7 @@ class PViTModel:
 
         def param(name: str, shape: tuple[int, ...], init: str = "trunc") -> None:
             if init == "trunc":
-                value = truncated_normal(gen, shape, std=0.02)
+                value = truncated_normal(gen, shape)
             elif init == "zeros":
                 value = np.zeros(shape)
             else:
@@ -145,9 +143,6 @@ class PViTModel:
         for p in self.params.values():
             p.grad = None
 
-    def _p(self, name: str) -> Tensor:
-        return self.params[name]
-
     # ------------------------------------------------------------------
     # forward pass
 
@@ -167,31 +162,31 @@ class PViTModel:
         if not np.all(np.isfinite(priors)):
             raise ShapeError("prior logits must be finite")
         weights = T.softmax(Tensor(priors), axis=1)
-        return T.mul(T.matmul(weights, self._p("prior_proj")), alpha)
+        return T.mul(T.matmul(weights, self.params["prior_proj"]), alpha)
 
     def _encode(self, seq: Tensor, want_attention: bool) -> tuple[Tensor, list[np.ndarray]]:
         """Block stack over a (B, S, D) sequence; returns the normalized
         class-token rows and, if asked, each layer's (B, H, S, S) attention."""
-        c = self.config
+        c, p = self.config, self.params
         attentions: list[np.ndarray] = []
         z = seq
         for i in range(c.depth):
             blk = f"blocks.{i}"
-            normed = T.layer_norm(z, self._p(f"{blk}.ln1.gain"), self._p(f"{blk}.ln1.bias"), LAYER_NORM_EPS)
+            normed = T.layer_norm(z, p[f"{blk}.ln1.gain"], p[f"{blk}.ln1.bias"])
             q, k, v = (
-                T.linear(normed, self._p(f"{blk}.attn.{proj}.weight"), self._p(f"{blk}.attn.{proj}.bias"))
+                T.linear(normed, p[f"{blk}.attn.{proj}.weight"], p[f"{blk}.attn.{proj}.bias"])
                 for proj in ("q", "k", "v")
             )
             merged, attn = T.attention(q, k, v, c.heads)
             if want_attention:
                 attentions.append(attn)
-            msa = T.linear(merged, self._p(f"{blk}.attn.out.weight"), self._p(f"{blk}.attn.out.bias"))
+            msa = T.linear(merged, p[f"{blk}.attn.out.weight"], p[f"{blk}.attn.out.bias"])
             z = T.add(msa, z)
-            normed2 = T.layer_norm(z, self._p(f"{blk}.ln2.gain"), self._p(f"{blk}.ln2.bias"), LAYER_NORM_EPS)
-            hidden = T.gelu(T.linear(normed2, self._p(f"{blk}.mlp.fc1.weight"), self._p(f"{blk}.mlp.fc1.bias")))
-            mlp = T.linear(hidden, self._p(f"{blk}.mlp.fc2.weight"), self._p(f"{blk}.mlp.fc2.bias"))
+            normed2 = T.layer_norm(z, p[f"{blk}.ln2.gain"], p[f"{blk}.ln2.bias"])
+            hidden = T.gelu(T.linear(normed2, p[f"{blk}.mlp.fc1.weight"], p[f"{blk}.mlp.fc1.bias"]))
+            mlp = T.linear(hidden, p[f"{blk}.mlp.fc2.weight"], p[f"{blk}.mlp.fc2.bias"])
             z = T.add(mlp, z)
-        y = T.layer_norm(z[:, 0, :], self._p("final_norm.gain"), self._p("final_norm.bias"), LAYER_NORM_EPS)
+        y = T.layer_norm(z[:, 0, :], p["final_norm.gain"], p["final_norm.bias"])
         return y, attentions
 
     def forward_batch(
@@ -207,21 +202,21 @@ class PViTModel:
         then the sample's prior token at index N+1 with no positional
         encoding.
         """
-        c = self.config
+        c, p = self.config, self.params
         patches = Tensor(patchify(images, c.patch_size))  # (B, N, P)
         b = patches.shape[0]
-        patch_emb = T.linear(patches, self._p("patch_embed.weight"), self._p("patch_embed.bias"))
-        cls = T.broadcast_to(T.reshape(self._p("cls_token"), (1, 1, c.embed_dim)), (b, 1, c.embed_dim))
-        body = T.add(T.concat([cls, patch_emb], axis=1), self._p("pos_embed"))
+        patch_emb = T.linear(patches, p["patch_embed.weight"], p["patch_embed.bias"])
+        cls = T.broadcast_to(T.reshape(p["cls_token"], (1, 1, c.embed_dim)), (b, 1, c.embed_dim))
+        body = T.add(T.concat([cls, patch_emb], axis=1), p["pos_embed"])
         tokens = self.make_prior_token(prior_logits, alpha)
         seq = T.concat([body, T.reshape(tokens, (tokens.shape[0], 1, c.embed_dim))], axis=1)
         y, attentions = self._encode(seq, want_attention)
-        logits = T.linear(y, self._p("head.weight"), self._p("head.bias"))
+        logits = T.linear(y, p["head.weight"], p["head.bias"])
         return BatchForward(logits=logits, attentions=attentions if want_attention else None)
 
-    def batch_loss(self, images, labels, prior_logits, alpha: Optional[float] = None):
+    def batch_loss(self, images, labels, prior_logits):
         """(cross-entropy loss, correct-prediction count) for one batch."""
-        out = self.forward_batch(images, prior_logits, alpha)
+        out = self.forward_batch(images, prior_logits)
         loss = T.cross_entropy(out.logits, labels)
         correct = int(np.sum(np.argmax(out.logits.data, axis=1) == np.asarray(labels)))
         return loss, correct

@@ -50,9 +50,9 @@ class MLPClassifier:
         self.config = config
         gen = philox(seed, 0x3117)
         self.params = {
-            "fc1.weight": Tensor(truncated_normal(gen, (config.input_dim, config.hidden_dim), std=0.02), requires_grad=True),
+            "fc1.weight": Tensor(truncated_normal(gen, (config.input_dim, config.hidden_dim)), requires_grad=True),
             "fc1.bias": Tensor(np.zeros(config.hidden_dim), requires_grad=True),
-            "fc2.weight": Tensor(truncated_normal(gen, (config.hidden_dim, config.num_classes), std=0.02), requires_grad=True),
+            "fc2.weight": Tensor(truncated_normal(gen, (config.hidden_dim, config.num_classes)), requires_grad=True),
             "fc2.bias": Tensor(np.zeros(config.num_classes), requires_grad=True),
         }
 
@@ -144,8 +144,8 @@ def train_prior_model(train_set: Dataset, config, hidden_dim: int = 128, seed: i
 
     ``config`` is a :class:`pvit.train.TrainConfig`.  The returned result
     carries the loss curve, whose last point per epoch holds that epoch's
-    training accuracy.  ``num_classes`` defaults to the largest label
-    plus one.
+    training accuracy; with 0 epochs the curve is empty and the final
+    step 0.  ``num_classes`` defaults to the largest label plus one.
     """
     if len(train_set) == 0:
         raise TrainingError("train_prior_model needs a nonempty dataset")
@@ -154,10 +154,7 @@ def train_prior_model(train_set: Dataset, config, hidden_dim: int = 128, seed: i
     k = int(train_set.labels.max()) + 1 if num_classes is None else int(num_classes)
     h, w, c = train_set.image_shape
     model = MLPClassifier(MLPConfig(input_dim=h * w * c, hidden_dim=hidden_dim, num_classes=k), seed=seed)
-    result = None
-    if config.epochs > 0:
-        result = run_training(model, train_set, config)
-    return ModelSource(model=model), result
+    return ModelSource(model=model), run_training(model, train_set, config)
 
 
 def accuracy(source: PriorSource, dataset: Dataset) -> float:

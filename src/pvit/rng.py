@@ -14,6 +14,9 @@ import numpy as np
 
 __all__ = ["philox", "gaussian", "truncated_normal"]
 
+TRUNC_STD = 0.02
+TRUNC_CUTOFF = 2.0
+
 
 def philox(seed: int, *tags: int) -> np.random.Generator:
     """Counter-based generator for ``seed``, optionally keyed by stream tags.
@@ -37,16 +40,12 @@ def gaussian(gen: np.random.Generator, shape: tuple[int, ...] | int) -> np.ndarr
     return z[:n].reshape(shape)
 
 
-def truncated_normal(
-    gen: np.random.Generator,
-    shape: tuple[int, ...],
-    std: float = 0.02,
-    cutoff: float = 2.0,
-) -> np.ndarray:
-    """Normal draws redrawn until within ``cutoff`` standard units, then scaled."""
+def truncated_normal(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Normal draws redrawn until within :data:`TRUNC_CUTOFF` standard
+    units, then scaled by :data:`TRUNC_STD`."""
     out = gaussian(gen, shape)
-    bad = np.abs(out) > cutoff
+    bad = np.abs(out) > TRUNC_CUTOFF
     while np.any(bad):
         out[bad] = gaussian(gen, int(bad.sum()))
-        bad = np.abs(out) > cutoff
-    return out * std
+        bad = np.abs(out) > TRUNC_CUTOFF
+    return out * TRUNC_STD

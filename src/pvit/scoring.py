@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -35,6 +34,9 @@ from .priors import PriorSource
 PROB_CLAMP = 1e-12
 
 GUIDANCE_KINDS = ("ce", "kl", "ed")
+
+# every score a record holds: its own fields, then its baselines
+SCORE_FIELDS = ("pge", "base", "guidance", "msp", "max_logit", "energy")
 
 
 @dataclass
@@ -104,32 +106,26 @@ def score_records(ids, predicted, priors, guidance_kind: str = "ce") -> list[Sco
     ]
 
 
-def predict_logits(model, prior_source: PriorSource, dataset: Dataset, alpha: Optional[float] = None,
+def predict_logits(model, prior_source: PriorSource, dataset: Dataset,
                    batch_size: int = 64) -> tuple[np.ndarray, np.ndarray]:
     """(predicted, prior) logits, each (N, K), over the whole dataset.
 
     The dataset's priors are resolved once into an (N, K) block; batch by
     batch, its rows and the images go through
-    ``model.forward_batch(images, priors, alpha)``.
+    ``model.forward_batch(images, priors)``, at the model's own alpha.
     """
     priors = prior_source.resolve(dataset)
     predicted = [np.empty((0, prior_source.num_classes))]
     for start in range(0, len(dataset), batch_size):
         batch = slice(start, start + batch_size)
-        predicted.append(model.forward_batch(dataset.images[batch], priors[batch], alpha).logits.data)
+        predicted.append(model.forward_batch(dataset.images[batch], priors[batch]).logits.data)
     return np.concatenate(predicted), priors
 
 
-def score_dataset(
-    model,
-    prior_source: PriorSource,
-    dataset: Dataset,
-    guidance_kind: str = "ce",
-    alpha: Optional[float] = None,
-    batch_size: int = 64,
-) -> list[ScoreRecord]:
+def score_dataset(model, prior_source: PriorSource, dataset: Dataset, guidance_kind: str = "ce",
+                  batch_size: int = 64) -> list[ScoreRecord]:
     """Score every sample: transformer forward, then base/guidance/composite."""
-    predicted, priors = predict_logits(model, prior_source, dataset, alpha, batch_size)
+    predicted, priors = predict_logits(model, prior_source, dataset, batch_size)
     return score_records(dataset.ids, predicted, priors, guidance_kind)
 
 
@@ -169,7 +165,8 @@ def read_scores(path: str) -> tuple[dict, list[ScoreRecord]]:
 
 
 def score_field(record: ScoreRecord, name: str) -> float:
-    """Extract a named score from a record; baseline names included."""
+    """Extract a named score from a record, one of :data:`SCORE_FIELDS`;
+    a baseline the record does not hold raises :class:`FormatError`."""
     if name in ("pge", "base", "guidance"):
         return getattr(record, name)
     if name in record.baselines:

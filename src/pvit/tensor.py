@@ -7,9 +7,10 @@ multi-head scaled dot-product ``attention`` (one node, which also
 returns its (B, H, S, S) weights), layer normalization, exact-erf GELU,
 and cross-entropy.  ``transpose`` and batched ``matmul`` also let the
 tests compose attention from plain ops, the reference for the fused
-node.  Operations executed inside a ``with Tape():``
-block are recorded on that tape; :func:`backward` replays the tape in
-reverse and accumulates total derivatives into leaf tensors' ``grad``.
+node.  Operations executed inside a ``with Tape():`` block, in the
+thread that opened it, are recorded on that tape, and each recorded
+output's ``tape`` names it; :func:`backward` replays the tape in reverse
+and accumulates total derivatives into leaf tensors' ``grad``.
 
 Usage sketch::
 
@@ -25,10 +26,10 @@ output's gradient is dropped once its node's rule has consumed it.  When
 done, the call frees the graph: each node drops its inputs, output and
 gradient rule, so the step's activations go away by reference counting
 as soon as the caller lets go of the loss.  A tape that never reaches
-backward still holds reference cycles (tensor to node to tensor) and is
-left to Python's cyclic collector.  Tensors are value-like once
-constructed; optimizers mutate parameter buffers in place between tapes,
-never during one.  All computation is float64.
+backward still holds reference cycles (tensor to tape to node to
+tensor) and is left to Python's cyclic collector.  Tensors are
+value-like once constructed; optimizers mutate parameter buffers in
+place between tapes, never during one.  All computation is float64.
 
 The first op a process runs allocates and frees one 16 MiB block, once.
 Under glibc this raises malloc's mmap and trim thresholds, so the
@@ -70,6 +71,8 @@ __all__ = [
 
 Array = np.ndarray
 
+LAYER_NORM_EPS = 1e-5
+
 _INV_SQRT2 = float(np.sqrt(0.5))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
@@ -82,7 +85,7 @@ class Tensor:
     The shape never changes in place; :func:`reshape` returns a new tensor.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node", "tape")
+    __slots__ = ("data", "requires_grad", "grad", "tape")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -91,8 +94,7 @@ class Tensor:
         self.data: Array = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[Array] = None
-        self.node: Optional["_Node"] = None
-        self.tape: Optional["Tape"] = None
+        self.tape: Optional["Tape"] = None  # set when an op records this tensor
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -106,10 +108,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> Array:
-        """Copy of the underlying values, detached from any tape."""
-        return self.data.copy()
 
     def __repr__(self) -> str:  # pragma: no cover
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -145,53 +143,21 @@ class Tape:
         self._consumed = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _OPEN.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _tape_stack().pop()
-
-    def backward(self, loss: Tensor) -> None:
-        if self._consumed:
-            raise TapeError("backward already ran on this tape; build a fresh graph for another pass")
-        if loss.tape is not self or loss.node is None:
-            raise TapeError("loss tensor is not recorded on this tape (detached root)")
-        if loss.data.size != 1:
-            raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        self._consumed = True
-        loss.grad = np.ones_like(loss.data)
-        try:
-            for node in reversed(self.nodes):
-                out_grad = node.output.grad
-                if out_grad is None:
-                    continue  # not reachable from the loss
-                in_grads = node.grad_fn(out_grad)
-                node.output.grad = None  # nothing reads it again; leaves keep theirs
-                for tensor, grad in zip(node.inputs, in_grads):
-                    if grad is None or not tensor.requires_grad:
-                        continue
-                    tensor.grad = grad if tensor.grad is None else tensor.grad + grad
-        finally:
-            # break every tensor -> node -> tensor cycle, so the graph is freed by
-            # reference counting rather than left to the cyclic collector
-            for node in self.nodes:
-                node.inputs = node.output = node.grad_fn = None
-            self.nodes.clear()
+        _OPEN.tapes.pop()
 
 
-_LOCAL = threading.local()
+class _OpenTapes(threading.local):
+    """The calling thread's open tapes, innermost last."""
+
+    def __init__(self):
+        self.tapes: list[Tape] = []
 
 
-def _tape_stack() -> list[Tape]:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = _LOCAL.stack = []
-    return stack
-
-
-def _active_tape() -> Optional[Tape]:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+_OPEN = _OpenTapes()
 
 
 def backward(loss: Tensor) -> None:
@@ -201,9 +167,32 @@ def backward(loss: Tensor) -> None:
     The loss must be a scalar recorded on a live tape.  Each tape supports
     one backward pass; a second call raises :class:`TapeError`.
     """
-    if loss.tape is None or loss.node is None:
+    tape = loss.tape
+    if tape is None:
         raise TapeError("loss tensor is detached: it was not produced under an active tape")
-    loss.tape.backward(loss)
+    if tape._consumed:
+        raise TapeError("backward already ran on this tape; build a fresh graph for another pass")
+    if loss.data.size != 1:
+        raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+    tape._consumed = True
+    loss.grad = np.ones_like(loss.data)
+    try:
+        for node in reversed(tape.nodes):
+            out_grad = node.output.grad
+            if out_grad is None:
+                continue  # not reachable from the loss
+            in_grads = node.grad_fn(out_grad)
+            node.output.grad = None  # nothing reads it again; leaves keep theirs
+            for tensor, grad in zip(node.inputs, in_grads):
+                if grad is None or not tensor.requires_grad:
+                    continue
+                tensor.grad = grad if tensor.grad is None else tensor.grad + grad
+    finally:
+        # break every tensor -> node -> tensor cycle, so the graph is freed by
+        # reference counting rather than left to the cyclic collector
+        for node in tape.nodes:
+            node.inputs = node.output = node.grad_fn = None
+        tape.nodes.clear()
 
 
 def _as_tensor(value) -> Tensor:
@@ -229,13 +218,12 @@ def _settle_heap() -> None:
 def _record(inputs: tuple[Tensor, ...], out_data: Array, grad_fn: Callable) -> Tensor:
     if not _heap_settled:
         _settle_heap()
-    tape = _active_tape()
-    track = tape is not None and any(t.requires_grad for t in inputs)
+    tapes = _OPEN.tapes
+    track = bool(tapes) and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
-        out.tape = tape
-        out.node = _Node(inputs, out, grad_fn)
-        tape.nodes.append(out.node)
+        out.tape = tapes[-1]
+        out.tape.nodes.append(_Node(inputs, out, grad_fn))
     return out
 
 
@@ -372,10 +360,8 @@ def linear(x, weight, bias) -> Tensor:
 # shape manipulation
 
 
-def reshape(x, *shape) -> Tensor:
+def reshape(x, shape: tuple[int, ...]) -> Tensor:
     x = _as_tensor(x)
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
     try:
         out = x.data.reshape(shape)
     except ValueError as exc:
@@ -387,19 +373,17 @@ def reshape(x, *shape) -> Tensor:
     return _record((x,), out, grad_fn)
 
 
-def transpose(x, *axes) -> Tensor:
+def transpose(x, axes: tuple[int, ...]) -> Tensor:
+    """Permute the axes of ``x``: output axis i is input axis ``axes[i]``."""
     x = _as_tensor(x)
-    if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-        axes = tuple(axes[0])
-    perm = tuple(axes) if axes else tuple(reversed(range(x.ndim)))
-    if sorted(perm) != list(range(x.ndim)):
-        raise ShapeError(f"transpose: {perm} is not a permutation of axes for shape {x.shape}")
-    inv = np.argsort(perm)
+    if sorted(axes) != list(range(x.ndim)):
+        raise ShapeError(f"transpose: {axes} is not a permutation of axes for shape {x.shape}")
+    inv = np.argsort(axes)
 
     def grad_fn(g):
         return (np.transpose(g, inv),)
 
-    return _record((x,), np.transpose(x.data, perm), grad_fn)
+    return _record((x,), np.transpose(x.data, axes), grad_fn)
 
 
 def broadcast_to(x, shape) -> Tensor:
@@ -521,11 +505,11 @@ def attention(q, k, v, heads: int) -> tuple[Tensor, Array]:
     return _record((q, k, v), out, grad_fn), probs
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Zero-mean unit-variance normalization of the last axis, then affine.
 
-    Uses the population variance, stabilized by ``eps``, so constant rows
-    normalize to zero instead of dividing by zero.
+    Uses the population variance, stabilized by :data:`LAYER_NORM_EPS`, so
+    constant rows normalize to zero instead of dividing by zero.
     """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     _check_axis(x, -1, "layer_norm")
@@ -538,7 +522,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     inv_n = np.full(n, 1.0 / n)
     xhat = rows - (rows @ inv_n)[:, None]
     var = np.einsum("ij,ij->i", xhat, xhat) / n
-    rstd = (1.0 / np.sqrt(var + eps))[:, None]
+    rstd = (1.0 / np.sqrt(var + LAYER_NORM_EPS))[:, None]
     xhat *= rstd
     out = xhat * gain.data
     out += bias.data

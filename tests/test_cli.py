@@ -311,15 +311,43 @@ class TestErrors:
         ("eval", "eval.orientation", "sideways"),
         ("train-prior", "ood.kinds", "uniform-noise,sideways"),
         ("eval", "eval.bins", 1),
+        ("eval", "eval.scores", "pge,mahalanobis"),
+        ("attention-dump", "attention.layer", 1),
+        ("attention-dump", "attention.layer", -2),
+        ("attention-dump", "attention.head", 2),
     ])
     def test_bad_closed_set_value_exits_1_before_writing(self, tmp_path, capsys, command, key, value):
         cfg, out = write_cfg(tmp_path, **{key.replace(".", "__"): value})
         write_score_set(out)
+        # attention-dump checks attention.layer and attention.head against this one-layer, two-head model
+        PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=1, heads=2, mlp_dim=24)).save(
+            os.path.join(out, "pvit.ckpt"))
         before = sorted(os.listdir(out))
         assert main([command, "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert f"'{key}'" in err and "Traceback" not in err
         assert sorted(os.listdir(out)) == before
+
+    @pytest.mark.parametrize("command, key, value, keys", [
+        ("train-pvit", "train.batch_size", 0, ["train.batch_size"]),
+        ("train-pvit", "train.base_lr", 0, ["train.base_lr"]),
+        ("train-pvit", "train.warmup_epochs", 3, ["train.warmup_epochs", "train.epochs"]),
+        ("train-prior", "prior.batch_size", 0, ["prior.batch_size"]),
+        ("train-prior", "prior.base_lr", 0, ["prior.base_lr"]),
+        ("train-prior", "prior.warmup_epochs", 4, ["prior.warmup_epochs", "prior.epochs"]),
+        ("train-pvit", "model.heads", 3, ["model.heads", "model.dim"]),
+        ("train-pvit", "model.patch", 5, ["model.patch"]),
+        ("train-pvit", "model.alpha", -1, ["model.alpha"]),
+        ("train-prior", "data.classes", 1, ["data.classes"]),
+        ("train-prior", "data.normalize_std", 0, ["data.normalize_std"]),
+    ])
+    def test_value_the_library_rejects_exits_1_naming_its_keys(self, tmp_path, capsys, command, key, value, keys):
+        cfg, out = write_cfg(tmp_path, **{key.replace(".", "__"): value})
+        os.makedirs(out)
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert all(f"'{k}'" in err for k in keys) and "Traceback" not in err, err
+        assert os.listdir(out) == []
 
     def test_unknown_checkpoint_config_key_exits_2(self, tmp_path, capsys):
         cfg, out = write_cfg(tmp_path)

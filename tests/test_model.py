@@ -230,13 +230,13 @@ class TestGradients:
 
         model.zero_grad()
         with Tape():
-            loss, _ = model.batch_loss(imgs, [0, 1], priors, alpha=0.0)
+            loss = T.cross_entropy(model.forward_batch(imgs, priors, 0.0).logits, [0, 1])
         backward(loss)
         assert np.all(model.params["prior_proj"].grad == 0.0)
 
         model.zero_grad()
         with Tape():
-            loss, _ = model.batch_loss(imgs, [0, 1], priors, alpha=0.5)
+            loss = T.cross_entropy(model.forward_batch(imgs, priors, 0.5).logits, [0, 1])
         backward(loss)
         assert np.any(model.params["prior_proj"].grad != 0.0)
 

@@ -8,6 +8,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import threading
 import weakref
 from collections import Counter
 
@@ -426,7 +427,30 @@ class TestBackward:
     def test_no_recording_outside_tape(self):
         x = Tensor(3.0, requires_grad=True)
         y = mul(x, x)
-        assert y.node is None and not y.requires_grad
+        assert y.tape is None and not y.requires_grad
+
+    def test_tape_belongs_to_the_thread_that_built_it(self):
+        x = Tensor(3.0, requires_grad=True)
+        made = {}
+
+        def in_other_thread():
+            made["outside"] = mul(x, x)
+            with Tape() as own:
+                made["own"] = mul(x, x)
+            made["own_tape"] = own
+
+        with Tape() as tape:
+            y = mul(x, x)
+            worker = threading.Thread(target=in_other_thread)
+            worker.start()
+            worker.join(timeout=30)
+            z = mul(y, x)
+        assert not worker.is_alive()
+        assert [node.output for node in tape.nodes] == [y, z]
+        assert made["outside"].tape is None and not made["outside"].requires_grad
+        assert made["own"].tape is made["own_tape"] and len(made["own_tape"].nodes) == 1
+        backward(z)
+        assert x.grad == 27.0
 
 
 def desk_step(model):
