@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -53,7 +54,7 @@ from .scoring import (
     score_records,
     write_scores,
 )
-from .train import TrainConfig, loss_curve_csv, train
+from .train import OptimizerState, TrainConfig, loss_curve_csv, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -207,7 +208,12 @@ def _logits_priors(cfg: RunConfig, out: str, splits) -> TableSource:
 def _export_all_logits(cfg: RunConfig, out: str, datasets) -> tuple[ModelSource, list[str]]:
     """Write every split's logits file from the prior as loaded back from
     its checkpoint (float32); returns that prior and the files written."""
-    source = ModelSource(MLPClassifier.load(_prior_ckpt_path(cfg, out)))
+    ckpt = _prior_ckpt_path(cfg, out)
+    source = ModelSource(MLPClassifier.load(ckpt))
+    pixels = math.prod(datasets["id-test"].image_shape)
+    if source.model.config.input_dim != pixels:
+        raise FormatError(f"{ckpt}: the prior takes {source.model.config.input_dim} pixels per image, but "
+                          f"data.image_size and data.channels give {pixels}")
     os.makedirs(_logits_dir(cfg, out), exist_ok=True)
     written = [_logits_path(_logits_dir(cfg, out), split) for split in datasets]
     for path, ds in zip(written, datasets.values()):
@@ -235,7 +241,6 @@ def cmd_train_prior(cfg: RunConfig, out: str) -> None:
     saved, written = _export_all_logits(cfg, out, datasets)
     train_acc = accuracy(saved, datasets["id-train"])
     test_acc = accuracy(saved, datasets["id-test"]) if datasets["id-test"].labels is not None else float("nan")
-    _write_resolved(cfg, out, "train-prior")
     print(f"prior checkpoint: {ckpt}")
     print(f"prior id-train accuracy: {train_acc:.4f}")
     print(f"prior id-test accuracy: {test_acc:.4f}")
@@ -245,29 +250,45 @@ def cmd_train_prior(cfg: RunConfig, out: str) -> None:
 
 def cmd_export_logits(cfg: RunConfig, out: str) -> None:
     _, written = _export_all_logits(cfg, out, build_datasets(cfg))
-    _write_resolved(cfg, out, "export-logits")
     for path in written:
         print(f"logits: {path}")
+
+
+def _resumed(path: str) -> tuple[PViTModel, OptimizerState]:
+    """The model and training state a ``train.resume`` checkpoint holds:
+    its ``step`` is the state's ``t``, a non-negative integer, and its
+    tensors past the parameters are the state's moments, ``opt.m.<param>``
+    and ``opt.v.<param>`` pairs each shaped like its parameter."""
+    model, header, moments = PViTModel.load(path)
+    step = header.get("step")
+    if type(step) is not int or step < 0:
+        raise FormatError(f"{path}: checkpoint key 'step' must be a non-negative integer, got {step!r}")
+    shapes = {f"opt.{kind}.{name}": p.shape for name, p in model.params.items() for kind in "mv"}
+    for key, moment in moments.items():
+        if key not in shapes:
+            raise FormatError(f"{path}: checkpoint tensor {key!r} is not an opt.m./opt.v. moment of a parameter")
+        if moment.shape != shapes[key]:
+            raise FormatError(f"{path}: checkpoint tensor {key!r} has shape {moment.shape}, "
+                              f"its parameter {shapes[key]}")
+        partner = ("opt.v." if key.startswith("opt.m.") else "opt.m.") + key[len("opt.m."):]
+        if partner not in moments:
+            raise FormatError(f"{path}: checkpoint tensor {key!r} has no partner {partner!r}")
+    return model, OptimizerState(moments=moments, t=step)
 
 
 def cmd_train_pvit(cfg: RunConfig, out: str) -> None:
     datasets = build_datasets(cfg)
     config = _train_config(cfg, "train")
-    start_step = 0
-    optimizer_tensors: dict[str, np.ndarray] = {}
     if cfg["train.resume"]:
-        model, header, extra = PViTModel.load(cfg["train.resume"])
-        start_step = int(header.get("step", 0))
-        optimizer_tensors = extra
+        model, state = _resumed(cfg["train.resume"])
     else:
         model = PViTModel(_pvit_config(cfg, datasets), seed=cfg.seed_for("model.seed"))
+        state = OptimizerState()
     prior = _logits_priors(cfg, out, ["id-train", "id-test"])
 
-    result = train(model, datasets["id-train"], prior, config, start_step=start_step,
-                   optimizer_tensors=optimizer_tensors)
+    result = train(model, datasets["id-train"], prior, config, state)
     ckpt = _pvit_ckpt_path(cfg, out)
-    model.save(ckpt, step=result.final_step, epoch=config.epochs,
-               extra_tensors=result.optimizer_tensors)
+    model.save(ckpt, step=state.t, epoch=config.epochs, extra_tensors=state.moments)
     write_artifact(os.path.join(out, "pvit_loss.csv"), [loss_curve_csv(result.curve)])
 
     def id_accuracy(split: str):
@@ -279,14 +300,13 @@ def cmd_train_pvit(cfg: RunConfig, out: str) -> None:
 
     summary = {
         "checkpoint": ckpt,
-        "steps": result.final_step,
+        "steps": state.t,
         "alpha": model.config.alpha,
         "id_train_accuracy": id_accuracy("id-train"),
         "id_test_accuracy": id_accuracy("id-test"),
         "final_loss": result.curve[-1].loss if result.curve else None,
     }
     write_artifact(os.path.join(out, "pvit_train.json"), [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
-    _write_resolved(cfg, out, "train-pvit")
     print(f"pvit checkpoint: {ckpt}")
     for split in ("id-train", "id-test"):
         value = summary[f"{split.replace('-', '_')}_accuracy"]
@@ -322,29 +342,31 @@ def cmd_score(cfg: RunConfig, out: str) -> None:
         path = os.path.join(out, f"scores_{split}.jsonl")
         write_scores(path, records, guidance, alpha, source_hash)
         print(f"scores: {path} ({len(records)} records)")
-    _write_resolved(cfg, out, "score")
 
 
 def cmd_eval(cfg: RunConfig, out: str) -> None:
+    def read_columns(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+        """A score file's header and its ``eval.scores`` columns."""
+        header, records = read_scores(path)
+        try:
+            return header, {name: np.array([score_field(r, name) for r in records], dtype=np.float64)
+                            for name in cfg["eval.scores"]}
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+
     id_path = os.path.join(out, "scores_id-test.jsonl")
-    id_header, id_records = read_scores(id_path)
+    id_header, id_columns = read_columns(id_path)
     ood_sets = {}
     for kind in cfg["ood.kinds"]:
         path = os.path.join(out, f"scores_ood-{kind}.jsonl")
-        header, ood_sets[f"ood-{kind}"] = read_scores(path)
+        header, ood_sets[f"ood-{kind}"] = read_columns(path)
         differ = [key for key in ("guidance", "alpha", "checkpoint_sha256") if header.get(key) != id_header.get(key)]
         if differ:
             raise FormatError(f"{path} and {id_path} disagree on {', '.join(differ)}: "
                               "eval compares scores of one checkpoint, guidance and alpha")
 
-    def columns(records) -> dict[str, np.ndarray]:
-        return {name: np.array([score_field(r, name) for r in records], dtype=np.float64)
-                for name in cfg["eval.scores"]}
-
-    id_columns = columns(id_records)
     summary = ["ood_dataset,score,auroc,fpr95,threshold,orientation"]
-    for split, ood_records in ood_sets.items():
-        ood_columns = columns(ood_records)
+    for split, ood_columns in ood_sets.items():
         for score_name in cfg["eval.scores"]:
             ids, oods = id_columns[score_name], ood_columns[score_name]
             metrics = evaluate(ids, oods, score_name, cfg["eval.orientation"])
@@ -358,7 +380,6 @@ def cmd_eval(cfg: RunConfig, out: str) -> None:
                 f"fpr95={metrics.fpr95:.4f} threshold={metrics.threshold:.4f} ({metrics.orientation})"
             )
     write_artifact(os.path.join(out, "eval_summary.csv"), [line + "\n" for line in summary])
-    _write_resolved(cfg, out, "eval")
 
 
 def cmd_attention_dump(cfg: RunConfig, out: str) -> None:
@@ -393,7 +414,6 @@ def cmd_attention_dump(cfg: RunConfig, out: str) -> None:
             summary.append(f"{alpha!r},{sid},{layer},{head},{mass!r}")
     summary_path = os.path.join(out, "attention_summary.csv")
     write_artifact(summary_path, [line + "\n" for line in summary])
-    _write_resolved(cfg, out, "attention-dump")
     print(f"attention matrices: {attn_dir} ({count} samples x {len(alphas)} alphas)")
     print(f"attention summary: {summary_path}")
 
@@ -417,6 +437,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 1
         cfg, out = _resolve(args)
         COMMANDS[args.command](cfg, out)
+        _write_resolved(cfg, out, args.command)
         return 0
     except ConfigError as exc:
         print(f"pvit: usage error: {exc}", file=sys.stderr)

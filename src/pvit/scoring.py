@@ -171,4 +171,4 @@ def score_field(record: ScoreRecord, name: str) -> float:
         return getattr(record, name)
     if name in record.baselines:
         return record.baselines[name]
-    raise FormatError(f"unknown score field {name!r}")
+    raise FormatError(f"record {record.id!r} holds no score {name!r}")

@@ -46,7 +46,6 @@ import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ShapeError, TapeError
 
@@ -548,6 +547,10 @@ def layer_norm(x, gain, bias) -> Tensor:
 
 def gelu(x) -> Tensor:
     """Exact-erf GELU, elementwise: 0.5 x (1 + erf(x / sqrt 2))."""
+    # imported here, not at module level: scipy.special is most of the cost
+    # of `import pvit`, and commands that run no model (eval) never need it
+    from scipy.special import erf
+
     x = _as_tensor(x)
     cdf = x.data * _INV_SQRT2
     erf(cdf, out=cdf)

@@ -5,6 +5,14 @@ prior classifier and the transformer.
 Determinism contract: (seed, data, config) fully determine every weight
 after training.  Batch order comes from a Philox counter-based
 generator, so loss trajectories are reproducible across platforms.
+
+The training state is one :class:`OptimizerState`: its ``t`` counts the
+Adam updates applied, which is the training step, and its ``moments``
+are keyed as a checkpoint stores them, so a checkpoint's ``step`` and
+leftover tensors are the state a resumed run continues from.  Every step
+applies an update, even at learning rate 0 (the last step of a decaying
+schedule), which leaves the parameters unchanged and folds the gradient
+into the moments.
 """
 
 from __future__ import annotations
@@ -45,10 +53,10 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """Per-parameter first/second moment accumulators and the step counter."""
+    """The updates applied so far, ``t``, and each parameter's first and
+    second moments, keyed ``opt.m.<param>`` and ``opt.v.<param>``."""
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    moments: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
 
 
@@ -62,10 +70,12 @@ def adam_step(
     """One bias-corrected Adam update, in place.
 
     Weight decay is decoupled: parameters shrink by (1 - lr * decay)
-    before the gradient step.  Non-finite gradients abort training.
+    before the gradient step.  At lr 0 the parameters keep their values
+    while ``t`` and the moments advance.  Non-finite gradients abort
+    training.
     """
-    if lr <= 0:
-        raise ShapeError(f"adam_step needs lr > 0, got {lr}")
+    if lr < 0:
+        raise ShapeError(f"adam_step needs lr >= 0, got {lr}")
     state.t += 1
     correction1 = 1.0 - config.beta1**state.t
     correction2 = 1.0 - config.beta2**state.t
@@ -77,8 +87,8 @@ def adam_step(
             raise ShapeError(f"gradient for {name!r} has shape {g.shape}, parameter is {p.data.shape}")
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient in {name!r} at step {state.t}")
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
+        m = state.moments.setdefault(f"opt.m.{name}", np.zeros_like(p.data))
+        v = state.moments.setdefault(f"opt.v.{name}", np.zeros_like(p.data))
         m *= config.beta1
         m += (1.0 - config.beta1) * g
         v *= config.beta2
@@ -118,9 +128,8 @@ class CurvePoint:
 @dataclass
 class TrainResult:
     curve: list[CurvePoint]
-    final_step: int
-    # Adam moments keyed opt.m.<param> / opt.v.<param>, for checkpointing
-    optimizer_tensors: dict[str, np.ndarray] = field(default_factory=dict)
+    final_step: int  # the state's t
+    optimizer_tensors: dict[str, np.ndarray] = field(default_factory=dict)  # the state's moments
 
 
 def loss_curve_csv(curve: Iterable[CurvePoint]) -> str:
@@ -135,8 +144,7 @@ def run_training(
     dataset: Dataset,
     config: TrainConfig,
     priors_for: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    start_step: int = 0,
-    optimizer_tensors: Optional[dict[str, np.ndarray]] = None,
+    state: Optional[OptimizerState] = None,
     on_step: Optional[Callable[[CurvePoint], None]] = None,
 ) -> TrainResult:
     """Seeded epoch driver shared by the prior classifier and the transformer.
@@ -144,28 +152,21 @@ def run_training(
     ``trainable`` exposes ``parameters()``, ``zero_grad()`` and
     ``batch_loss(images, labels, priors)``; ``priors_for`` maps an index
     array to a (B, K) prior-logits block (None for models that take no
-    priors).  ``start_step`` and ``optimizer_tensors`` resume a previous
-    run: the step counter continues monotonically and the Adam moments
-    are restored.  Returns the per-step loss curve; aborts on non-finite
-    loss.
+    priors).  ``state``, updated in place, resumes a previous run: its
+    ``t`` is the step the run continues from and its moments carry on.
+    Returns the per-step loss curve; aborts on non-finite loss.
     """
     if dataset.labels is None:
         raise TrainingError("training needs a labeled dataset")
     n = len(dataset)
     if n == 0:
         raise TrainingError("training needs a nonempty dataset")
+    state = OptimizerState() if state is None else state
     steps_per_epoch = math.ceil(n / config.batch_size)
-    total_steps = steps_per_epoch * config.epochs + start_step
+    total_steps = steps_per_epoch * config.epochs + state.t
     gen = philox(config.seed, 0x5EED)
-    state = OptimizerState(t=start_step)
     params = trainable.parameters()
-    if optimizer_tensors:
-        for name in params:
-            if f"opt.m.{name}" in optimizer_tensors:
-                state.m[name] = np.ascontiguousarray(optimizer_tensors[f"opt.m.{name}"])
-                state.v[name] = np.ascontiguousarray(optimizer_tensors[f"opt.v.{name}"])
     curve: list[CurvePoint] = []
-    step = start_step
     for epoch in range(config.epochs):
         order = gen.permutation(n)
         seen = correct_total = 0
@@ -179,37 +180,28 @@ def run_training(
                 loss, correct = trainable.batch_loss(images, labels, *priors)
             loss_value = loss.item()
             if not math.isfinite(loss_value):
-                raise TrainingError(f"non-finite loss {loss_value} at step {step + 1}")
+                raise TrainingError(f"non-finite loss {loss_value} at step {state.t + 1}")
             backward(loss)
-            step += 1
-            lr = lr_at(step, total_steps, config)
+            lr = lr_at(state.t + 1, total_steps, config)
             grads = {name: p.grad for name, p in params.items() if p.grad is not None}
-            if lr > 0:
-                adam_step(params, grads, state, lr, config)
-            # the schedule hits exactly 0 on the final step; that update
-            # would be a no-op, so it is skipped rather than applied
+            adam_step(params, grads, state, lr, config)
             seen += len(idx)
             correct_total += correct
-            point = CurvePoint(step, epoch, lr, loss_value, correct_total / seen)
+            point = CurvePoint(state.t, epoch, lr, loss_value, correct_total / seen)
             curve.append(point)
             if on_step is not None:
                 on_step(point)
-    moments: dict[str, np.ndarray] = {}
-    for name in params:
-        if name in state.m:
-            moments[f"opt.m.{name}"] = state.m[name]
-            moments[f"opt.v.{name}"] = state.v[name]
-    return TrainResult(curve=curve, final_step=step, optimizer_tensors=moments)
+    return TrainResult(curve=curve, final_step=state.t, optimizer_tensors=state.moments)
 
 
-def train(model, dataset: Dataset, prior_source, config: TrainConfig, start_step: int = 0,
-          optimizer_tensors: Optional[dict[str, np.ndarray]] = None) -> TrainResult:
-    """Train the prior-token transformer on a labeled dataset.
+def train(model, dataset: Dataset, prior_source, config: TrainConfig,
+          state: Optional[OptimizerState] = None) -> TrainResult:
+    """Train the prior-token transformer on a labeled dataset, from
+    ``state`` if given (see :func:`run_training`).
 
     The dataset's (N, K) prior-logits block is resolved once; each batch
     takes its rows, so a sample's prior is the same in every batch and
     under either kind of prior source.
     """
     priors = prior_source.resolve(dataset)
-    return run_training(model, dataset, config, priors_for=lambda idx: priors[idx],
-                        start_step=start_step, optimizer_tensors=optimizer_tensors)
+    return run_training(model, dataset, config, priors_for=lambda idx: priors[idx], state=state)

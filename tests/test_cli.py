@@ -3,16 +3,17 @@ exit codes, reproducibility, and output formats."""
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from pvit.cli import _pvit_config, _train_config, build_datasets, main
-from pvit.checkpoint import load_checkpoint, save_checkpoint
+from pvit.cli import _pvit_config, _resumed, _train_config, build_datasets, main
+from pvit.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from pvit.config import RunConfig
 from pvit.data import make_ood, normalize, split_dataset, synth_dataset
 from pvit.model import PViTConfig, PViTModel
-from pvit.priors import MLPClassifier, ModelSource, export_logits
+from pvit.priors import MLPClassifier, MLPConfig, ModelSource, export_logits
 from pvit.scoring import ScoreRecord, file_sha256, read_scores, score_dataset, write_scores
 from pvit.train import loss_curve_csv, train
 from test_data import write_idx_pair
@@ -223,6 +224,45 @@ class TestResume:
         header2, tensors = load_checkpoint(os.path.join(out, "pvit.ckpt"))
         assert header2["step"] == 2 * first_steps
         assert any(name.startswith("opt.m.") for name in tensors)
+        curve = open(os.path.join(out, "pvit_loss.csv")).read().splitlines()
+        assert curve[1].startswith(f"{first_steps + 1},0,")
+
+    def test_resumed_state_is_the_checkpoint_step_and_moments(self, tmp_path):
+        path = str(tmp_path / "resume.ckpt")
+        model = PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=1, heads=2, mlp_dim=24))
+        moments = {f"opt.{kind}.{name}": np.full(p.shape, 0.25) for name, p in model.params.items() for kind in "mv"}
+        model.save(path, step=7, extra_tensors=moments)
+        _, state = _resumed(path)
+        assert state.t == 7
+        assert list(state.moments) == list(moments)
+        assert all(np.array_equal(state.moments[key], value) for key, value in moments.items())
+
+    @pytest.mark.parametrize("key, change", [
+        ("opt.v.head.bias", lambda header, tensors: tensors.pop("opt.v.head.bias")),
+        ("opt.m.head.weight", lambda header, tensors: tensors.update({"opt.m.head.weight": np.zeros((3, 16))})),
+        ("opt.m.head.gain", lambda header, tensors: tensors.update({"opt.m.head.gain": np.zeros(3)})),
+        ("step", lambda header, tensors: header.update(step="12")),
+        ("step", lambda header, tensors: header.update(step=2.5)),
+        ("step", lambda header, tensors: header.update(step=-5)),
+        ("step", lambda header, tensors: header.pop("step")),
+    ], ids=["moment-without-partner", "moment-shaped-unlike-parameter", "moment-of-no-parameter",
+            "string-step", "float-step", "negative-step", "no-step"])
+    def test_bad_resume_checkpoint_exits_2_naming_it_and_the_key(self, tmp_path, capsys, key, change):
+        """A resumed state is a non-negative integer step and opt.m./opt.v.
+        pairs shaped like their parameters; anything else fails before any
+        file is written."""
+        path = str(tmp_path / "resume.ckpt")
+        model = PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=1, heads=2, mlp_dim=24))
+        moments = {f"opt.{kind}.{name}": np.ones(p.shape) for name, p in model.params.items() for kind in "mv"}
+        model.save(path, step=4, extra_tensors=moments)
+        header, tensors = load_checkpoint(path)
+        change(header, tensors)
+        save_checkpoint(path, header, tensors)
+        cfg, out = write_cfg(tmp_path, train__resume=path)
+        assert main(["train-pvit", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert path in err and f"'{key}'" in err and "Traceback" not in err, err
+        assert os.listdir(out) == []
 
 
 class TestGuidanceSwitch:
@@ -315,6 +355,8 @@ class TestErrors:
         ("attention-dump", "attention.layer", 1),
         ("attention-dump", "attention.layer", -2),
         ("attention-dump", "attention.head", 2),
+        ("train-prior", "data.kind", "npz"),
+        ("attention-dump", "attention.dataset", "ood-sideways"),
     ])
     def test_bad_closed_set_value_exits_1_before_writing(self, tmp_path, capsys, command, key, value):
         cfg, out = write_cfg(tmp_path, **{key.replace(".", "__"): value})
@@ -349,6 +391,58 @@ class TestErrors:
         assert all(f"'{k}'" in err for k in keys) and "Traceback" not in err, err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("line, named", [
+        ("data.classes = three", "'data.classes'"),
+        ("data.classes 3", "bad.cfg:2:"),
+    ])
+    def test_unparsable_config_line_exits_1_naming_it(self, tmp_path, capsys, line, named):
+        path = tmp_path / "bad.cfg"
+        out = tmp_path / "out"
+        path.write_text(f"out.dir = {out}\n{line}\n")
+        assert main(["train-prior", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err, err
+        assert not out.exists()
+
+    def test_out_flag_overrides_the_config_directory(self, tmp_path):
+        cfg, out = write_cfg(tmp_path)
+        other = str(tmp_path / "other")
+        write_score_set(other)
+        assert main(["eval", "--config", cfg, "--out", other]) == 0
+        assert os.path.exists(os.path.join(other, "eval_summary.csv"))
+        assert f"out.dir = {other}\n" in open(os.path.join(other, "eval.resolved.cfg")).read()
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("defect, message", [
+        ("version", "unsupported checkpoint version 2"),
+        ("header", "not a JSON object"),
+    ])
+    def test_unreadable_checkpoint_header_exits_2_naming_file(self, tmp_path, capsys, defect, message):
+        cfg, out = write_cfg(tmp_path)
+        os.makedirs(out)
+        path = os.path.join(out, "pvit.ckpt")
+        if defect == "version":
+            PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=1, heads=2, mlp_dim=24)).save(path)
+            data = bytearray(open(path, "rb").read())
+            data[4:8] = struct.pack("<I", FORMAT_VERSION + 1)
+        else:
+            data = MAGIC + struct.pack("<II", FORMAT_VERSION, 3) + b"[1]" + struct.pack("<I", 0)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        assert main(["score", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert path in err and message in err and "Traceback" not in err, err
+
+    def test_export_logits_with_prior_of_another_image_size_exits_2(self, tmp_path, capsys):
+        cfg, out = write_cfg(tmp_path)
+        os.makedirs(out)
+        path = os.path.join(out, "prior.ckpt")
+        MLPClassifier(MLPConfig(input_dim=14 * 14, hidden_dim=8, num_classes=3)).save(path)
+        assert main(["export-logits", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert path in err and "data.image_size" in err and "Traceback" not in err, err
+        assert os.listdir(out) == ["prior.ckpt"]
+
     def test_unknown_checkpoint_config_key_exits_2(self, tmp_path, capsys):
         cfg, out = write_cfg(tmp_path)
         os.makedirs(out, exist_ok=True)
@@ -380,6 +474,14 @@ class TestEvalInputs:
         cfg, out = write_cfg(tmp_path)
         write_score_set(out)
         assert main(["eval", "--config", cfg]) == 0
+
+    def test_score_a_record_lacks_exits_2_naming_file_and_record(self, tmp_path, capsys):
+        cfg, out = write_cfg(tmp_path, eval__scores="pge,energy")
+        write_score_set(out)
+        assert main(["eval", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "scores_id-test.jsonl" in err and "'id-test-0'" in err and "'energy'" in err, err
+        assert not os.path.exists(os.path.join(out, "eval_summary.csv"))
 
     def test_nan_score_exits_2(self, tmp_path, capsys):
         cfg, out = write_cfg(tmp_path)
@@ -442,6 +544,9 @@ class TestLogitsInputs:
             (3, '{"id": "b", "label": 0, "logits": "abc"}'),
             (3, '{"id": "b", "label": 0, "logits": 3}'),
             (2, '{"id": ["a"], "label": 0, "logits": [0.1, 0.2, 0.3]}'),
+            (2, '{"label": 0, "logits": [0.1, 0.2, 0.3]}'),
+            (2, '{"id": "a", "logits": [0.1, 0.2, 0.3]}'),
+            (3, '{"id": "b", "label": 0}'),
         ],
     )
     @pytest.mark.parametrize("command", ["train-pvit", "score"])

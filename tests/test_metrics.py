@@ -249,10 +249,21 @@ class TestHistogramExport:
         assert not path.exists()
 
 
-def test_import_does_not_load_scipy_stats():
-    """scipy.stats costs most of a second to import; pvit's startup must not pay it."""
+def loaded_by_import_pvit(module: str) -> bool:
+    """Whether a fresh interpreter has ``module`` loaded after ``import pvit``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(pvit.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, pvit; print('scipy.stats' in sys.modules)"
+    code = f"import sys, pvit; print({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_import_does_not_load_scipy_stats():
+    """scipy.stats costs most of a second to import; pvit's startup must not pay it."""
+    assert not loaded_by_import_pvit("scipy.stats")
+
+
+def test_import_does_not_load_scipy_special():
+    """scipy.special is most of the rest of ``import pvit``, and only a
+    model's GELU needs it: a command that runs no model must not pay it."""
+    assert not loaded_by_import_pvit("scipy.special")

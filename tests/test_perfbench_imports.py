@@ -1,13 +1,18 @@
 """The benchmark's hold on the package: every name ``perfbench`` imports
-from ``pvit`` still resolves, and every call ``perfbench`` makes to such a
-name still binds to its signature, so removing a name or a parameter the
+from ``pvit`` still resolves, every call ``perfbench`` makes to such a
+name still binds to its signature, and each workload, run at the tiny
+sizes of ``perfbench``'s own tests, passes its output checks.  So
+removing or changing a name, a parameter or a result attribute the
 benchmark uses fails this suite, which ``perfbench``'s own tests are not
 part of."""
 
 import ast
 import importlib
 import inspect
+import math
 import pathlib
+
+import pytest
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -92,3 +97,34 @@ def test_every_call_perfbench_makes_into_pvit_binds():
         except TypeError as exc:
             unbound.append(f"{at}: {target.__qualname__}: {exc}")
     assert unbound == []
+
+
+def tiny_workload(name: str):
+    """``name``'s workload at the sizes ``perfbench/tests`` runs it at."""
+    from pvit import PViTConfig
+    from perfbench.workloads import EvalLarge, ScoreBulk, TrainDesk
+
+    small = PViTConfig(embed_dim=16, depth=1, heads=2, mlp_dim=32, num_classes=4)
+    if name == "train-desk":
+        return TrainDesk(per_class=40, train_count=128, check_count=32, prior_epochs=2, vit_epochs=1,
+                         config=small, loss_reference=math.log(4), loss_tolerance=0.1, min_auroc=0.5)
+    if name == "score-bulk":
+        return ScoreBulk(per_class=16, ood_count=64, config=small)
+    return EvalLarge(n_id=3000, n_ood=2000)
+
+
+@pytest.mark.parametrize("name", ["train-desk", "score-bulk", "eval-large"])
+def test_tiny_workload_passes_its_checks(name, tmp_path, monkeypatch):
+    """setup, operate, check and the traced run's layer timings, as the
+    benchmark calls them, with tracing off."""
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent))
+    from perfbench.clock import LapClock
+    from perfbench.trace import Tracer
+
+    workload, tracer = tiny_workload(name), Tracer(enabled=False)
+    state = workload.setup(0, str(tmp_path), tracer)
+    result = workload.operate(state, tracer, LapClock(tracer))
+    assert workload.check(state, result.outputs) == []
+    assert result.samples > 0 and result.steps_ms
+    layers = workload.time_layers(state, result.outputs)
+    assert layers and all(math.isfinite(value) and value > 0 for value in layers.values())

@@ -82,6 +82,29 @@ class TestAdamStep:
         with pytest.raises(TrainingError, match="non-finite"):
             adam_step(p, {"x": np.array([1.0, np.nan])}, OptimizerState(), lr=0.1, config=cfg())
 
+    def test_zero_lr_keeps_parameters_and_advances_state(self):
+        """The final step's update runs at lr 0: the parameters, decayed or
+        not, stay bitwise equal while t and the moments take the gradient."""
+        config = cfg(weight_decay=0.01)
+        p = {"x": Tensor(np.array([0.3, -1.7, 2.5]), requires_grad=True)}
+        state = OptimizerState()
+        adam_step(p, {"x": np.array([0.5, -0.2, 0.1])}, state, lr=0.1, config=config)
+        before = p["x"].data.copy()
+        moments = {key: value.copy() for key, value in state.moments.items()}
+        g = np.array([-0.4, 0.9, 0.0])
+        adam_step(p, {"x": g}, state, lr=0.0, config=config)
+        assert p["x"].data.tobytes() == before.tobytes()
+        assert state.t == 2 and sorted(state.moments) == ["opt.m.x", "opt.v.x"]
+        np.testing.assert_array_equal(state.moments["opt.m.x"],
+                                      config.beta1 * moments["opt.m.x"] + (1 - config.beta1) * g)
+        np.testing.assert_array_equal(state.moments["opt.v.x"],
+                                      config.beta2 * moments["opt.v.x"] + (1 - config.beta2) * (g * g))
+
+    def test_negative_lr_rejected(self):
+        p = {"x": Tensor(np.array([1.0]), requires_grad=True)}
+        with pytest.raises(ShapeError, match="lr >= 0"):
+            adam_step(p, {"x": np.array([0.5])}, OptimizerState(), lr=-1e-3, config=cfg())
+
     def test_step_counter_increments(self):
         p = {"x": Tensor(np.array([1.0]), requires_grad=True)}
         state = OptimizerState()
@@ -185,6 +208,21 @@ class TestTrainLoop:
             cfg(epochs=500, batch_size=1, base_lr=1e-3, warmup_epochs=0, weight_decay=0.0),
         )
         assert min(pt.loss for pt in result.curve) < 0.01
+
+    def test_state_t_counts_every_step_and_moments_are_the_result(self):
+        """t is the training step: every step applies an update, the last at
+        lr 0, and a given state carries on from its own t."""
+        ds = synth_dataset(2, 5, size=8, seed=15)
+        model = tiny_model(seed=16)
+        state = OptimizerState()
+        result = train(model, ds, self._prior(ds), cfg(epochs=2, batch_size=4), state)
+        assert state.t == result.final_step == len(result.curve) == 6
+        assert [pt.step for pt in result.curve] == [1, 2, 3, 4, 5, 6]
+        assert result.curve[-1].lr == 0.0
+        assert result.optimizer_tensors is state.moments
+        assert sorted(state.moments) == sorted(f"opt.{kind}.{name}" for name in model.params for kind in "mv")
+        again = train(model, ds, self._prior(ds), cfg(epochs=1, batch_size=4), state)
+        assert [pt.step for pt in again.curve] == [7, 8, 9] and state.t == again.final_step == 9
 
     def test_unlabeled_dataset_rejected(self):
         ds = synth_dataset(2, 4, size=8, seed=12)
