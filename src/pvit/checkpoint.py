@@ -85,15 +85,13 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
 def load_model(path: str, kind: str, config_cls, make):
     """(``make(config)`` with its ``params`` read back, header, leftover
     tensors) from a ``kind`` checkpoint whose config names exactly
-    ``config_cls``'s fields, less its ``retired_keys`` holding their value."""
+    ``config_cls``'s fields."""
     header, tensors = load_checkpoint(path)
     if header.get("kind") != kind:
         raise FormatError(f"{path}: checkpoint kind {header.get('kind')!r} is not {kind!r}")
     config = header.get("config")
     if not isinstance(config, dict):
         raise FormatError(f"{path}: checkpoint header has no config object")
-    retired = getattr(config_cls, "retired_keys", {})
-    config = {key: value for key, value in config.items() if key not in retired or value != retired[key]}
     fields = [f.name for f in dataclasses.fields(config_cls)]
     unknown_or_missing = sorted(set(config) ^ set(fields))
     if unknown_or_missing:

@@ -22,7 +22,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import sys
 from typing import Optional
 
@@ -30,9 +29,9 @@ import numpy as np
 
 from .artifacts import write_artifact
 from .config import RunConfig
-from .data import OOD_KINDS, Dataset, load_idx, make_ood, normalize, split_dataset, synth_dataset
-from .errors import ConfigError, FormatError, PvitError, ShapeError
-from .metrics import ORIENTATION_POLICIES, evaluate, histogram_export
+from .data import Dataset, load_idx, make_ood, normalize, split_dataset, synth_dataset
+from .errors import ConfigError, FormatError, PvitError
+from .metrics import evaluate, histogram_export
 from .model import PViTConfig, PViTModel, extract_attention
 from .priors import (
     MLPClassifier,
@@ -43,17 +42,7 @@ from .priors import (
     load_logits,
     train_prior_model,
 )
-from .scoring import (
-    GUIDANCE_KINDS,
-    SCORE_FIELDS,
-    file_sha256,
-    predict_logits,
-    read_scores,
-    score_dataset,
-    score_field,
-    score_records,
-    write_scores,
-)
+from .scoring import file_sha256, predict_logits, read_scores, score_dataset, score_field, score_records, write_scores
 from .train import OptimizerState, TrainConfig, loss_curve_csv, train
 
 
@@ -80,22 +69,7 @@ def _resolve(args) -> tuple[RunConfig, str]:
         overrides["seed"] = int(args.seed)
     if args.out is not None:
         overrides["out.dir"] = args.out
-    cfg = RunConfig.load(args.config, overrides)
-    # closed-set values fail here, as config errors, before any command reads data or writes a file
-    closed_sets = (("score.guidance", [cfg["score.guidance"]], GUIDANCE_KINDS),
-                   ("eval.orientation", [cfg["eval.orientation"]], ORIENTATION_POLICIES),
-                   ("ood.kinds", cfg["ood.kinds"], OOD_KINDS),
-                   ("eval.scores", cfg["eval.scores"], SCORE_FIELDS))
-    for key, values, allowed in closed_sets:
-        for value in values:
-            if value not in allowed:
-                raise ConfigError(f"config key {key!r}: unknown value {value!r}; expected one of {allowed}")
-    if cfg["eval.bins"] < 2:
-        raise ConfigError(f"config key 'eval.bins': a histogram needs at least 2 bins, got {cfg['eval.bins']}")
-    if cfg["data.classes"] < 2:
-        raise ConfigError(f"config key 'data.classes': a classifier needs at least 2 classes, got {cfg['data.classes']}")
-    if cfg["data.normalize_std"] == 0:
-        raise ConfigError("config key 'data.normalize_std': pixels cannot be divided by a std of 0")
+    cfg = RunConfig.load(args.config, overrides)  # a value breaking a SCHEMA rule or RELATIONS fails here
     out = cfg["out.dir"]
     os.makedirs(out, exist_ok=True)
     return cfg, out
@@ -111,8 +85,7 @@ def _write_resolved(cfg: RunConfig, out: str, command: str) -> None:
 
 def build_datasets(cfg: RunConfig) -> dict[str, Dataset]:
     """id-train, id-test and the configured OOD sets, ready for any command."""
-    kind = cfg["data.kind"]
-    if kind == "synth":
+    if cfg["data.kind"] == "synth":
         combined = synth_dataset(
             classes=cfg["data.classes"],
             per_class=cfg["data.train_per_class"] + cfg["data.test_per_class"],
@@ -124,7 +97,7 @@ def build_datasets(cfg: RunConfig) -> dict[str, Dataset]:
         )
         train_count = cfg["data.classes"] * cfg["data.train_per_class"]
         id_train, id_test = split_dataset(combined, train_count, seed=cfg.seed_for("data.split_seed"))
-    elif kind == "idx":
+    else:
         train_images = cfg.require_path("data.idx_train_images")
         train_labels = cfg.require_path("data.idx_train_labels")
         id_train = load_idx(train_images, train_labels, name="idx-train")
@@ -134,8 +107,6 @@ def build_datasets(cfg: RunConfig) -> dict[str, Dataset]:
             if ds.labels is not None and len(ds.labels) and ds.labels.max() >= cfg["data.classes"]:
                 raise FormatError(f"{path}: label {ds.labels.max()} is outside the "
                                   f"{cfg['data.classes']} classes of data.classes")
-    else:
-        raise ConfigError(f"config key 'data.kind': unknown kind {kind!r} (synth or idx)")
 
     h, w, c = id_test.image_shape
     datasets = {"id-train": id_train, "id-test": id_test}
@@ -155,30 +126,23 @@ def build_datasets(cfg: RunConfig) -> dict[str, Dataset]:
     return datasets
 
 
-def _from_keys(cls, cfg: RunConfig, keys: dict[str, str], **fields):
-    """``cls`` built from the config values ``keys`` maps its fields to,
-    plus ``fields``.  A value the class rejects is a config error naming
-    the keys of the fields its message names."""
-    try:
-        return cls(**{name: cfg[key] for name, key in keys.items()}, **fields)
-    except ShapeError as exc:
-        named = [repr(key) for name, key in keys.items() if re.search(rf"\b{name}\b", str(exc))]
-        raise ConfigError(f"config key {', '.join(named)}: {exc}") from None
+# PViTConfig field -> the config key that sets it; the image shape comes from the datasets
+_MODEL_KEYS = {"patch_size": "model.patch", "embed_dim": "model.dim", "depth": "model.depth",
+               "heads": "model.heads", "mlp_dim": "model.mlp_dim", "num_classes": "data.classes",
+               "alpha": "model.alpha"}
 
 
 def _pvit_config(cfg: RunConfig, datasets) -> PViTConfig:
     h, w, c = datasets["id-test"].image_shape
-    keys = {"patch_size": "model.patch", "embed_dim": "model.dim", "depth": "model.depth",
-            "heads": "model.heads", "mlp_dim": "model.mlp_dim", "num_classes": "data.classes",
-            "alpha": "model.alpha"}
-    return _from_keys(PViTConfig, cfg, keys, image_h=h, image_w=w, channels=c)
+    if h % cfg["model.patch"] or w % cfg["model.patch"]:
+        raise ConfigError(f"config key 'model.patch': {cfg['model.patch']} does not divide the {h}x{w} images")
+    return PViTConfig(**{name: cfg[key] for name, key in _MODEL_KEYS.items()}, image_h=h, image_w=w, channels=c)
 
 
 def _train_config(cfg: RunConfig, prefix: str) -> TrainConfig:
-    keys = {name: f"{prefix}.{name}" for name in ("epochs", "batch_size", "base_lr", "warmup_epochs",
-                                                  "weight_decay")}
-    keys.update(beta1="train.beta1", beta2="train.beta2")
-    return _from_keys(TrainConfig, cfg, keys, seed=cfg.seed_for(f"{prefix}.seed"))
+    names = ("epochs", "batch_size", "base_lr", "warmup_epochs", "weight_decay")
+    return TrainConfig(**{name: cfg[f"{prefix}.{name}"] for name in names}, beta1=cfg["train.beta1"],
+                       beta2=cfg["train.beta2"], seed=cfg.seed_for(f"{prefix}.seed"))
 
 
 def _prior_ckpt_path(cfg: RunConfig, out: str) -> str:
@@ -254,6 +218,15 @@ def cmd_export_logits(cfg: RunConfig, out: str) -> None:
         print(f"logits: {path}")
 
 
+def _check_images(model: PViTModel, path: str, datasets) -> None:
+    """A FormatError naming ``path`` unless ``model`` takes the datasets' images."""
+    takes = (model.config.image_h, model.config.image_w, model.config.channels)
+    given = datasets["id-test"].image_shape
+    if takes != given:
+        raise FormatError(f"{path}: the model takes {'x'.join(map(str, takes))} images, but the data's are "
+                          f"{'x'.join(map(str, given))}")
+
+
 def _resumed(path: str) -> tuple[PViTModel, OptimizerState]:
     """The model and training state a ``train.resume`` checkpoint holds:
     its ``step`` is the state's ``t``, a non-negative integer, and its
@@ -281,6 +254,12 @@ def cmd_train_pvit(cfg: RunConfig, out: str) -> None:
     config = _train_config(cfg, "train")
     if cfg["train.resume"]:
         model, state = _resumed(cfg["train.resume"])
+        _check_images(model, cfg["train.resume"], datasets)
+        differ = [f"{key!r} = {cfg[key]!r} but the checkpoint has {getattr(model.config, name)!r}"
+                  for name, key in _MODEL_KEYS.items() if cfg[key] != getattr(model.config, name)]
+        if differ:
+            raise ConfigError(f"{cfg['train.resume']}: the config disagrees with the checkpoint it resumes: "
+                              + "; ".join(differ))
     else:
         model = PViTModel(_pvit_config(cfg, datasets), seed=cfg.seed_for("model.seed"))
         state = OptimizerState()
@@ -332,6 +311,7 @@ def cmd_score(cfg: RunConfig, out: str) -> None:
         datasets = build_datasets(cfg)
         ckpt = _pvit_ckpt_path(cfg, out)
         model, _, _ = PViTModel.load(ckpt)
+        _check_images(model, ckpt, datasets)
         alpha, source_hash = model.config.alpha, file_sha256(ckpt)
 
         def score(split: str):
@@ -388,7 +368,9 @@ def cmd_attention_dump(cfg: RunConfig, out: str) -> None:
     if split not in datasets:
         raise ConfigError(f"config key 'attention.dataset': no dataset named {split!r}")
     ds = datasets[split]
-    model, _, _ = PViTModel.load(_pvit_ckpt_path(cfg, out))
+    ckpt = _pvit_ckpt_path(cfg, out)
+    model, _, _ = PViTModel.load(ckpt)
+    _check_images(model, ckpt, datasets)
     depth, heads = model.config.depth, model.config.heads
     layer = cfg["attention.layer"]
     if not -depth <= layer < depth:

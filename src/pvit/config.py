@@ -1,10 +1,11 @@
 """Plain-text run configuration.
 
-Files hold ``key = value`` lines with ``#`` comments.  Every key is
-declared in the schema below; unknown keys are rejected so typos fail
-loudly.  Each command writes its fully-resolved configuration (all
-defaults filled in) next to its outputs, and a run is reproducible from
-that file alone.
+Files hold ``key = value`` lines with ``#`` comments.  :data:`SCHEMA`
+declares every key's type, default and rule, :data:`RELATIONS` the rules
+that tie keys together; an unknown key or a value breaking a rule fails
+loudly, naming the key.  Each command writes its fully-resolved
+configuration next to its outputs, and a run is reproducible from that
+file alone.
 
 The global ``seed`` is added to every component seed (data, model,
 prior, training, ood), so overriding it shifts the whole run while the
@@ -13,96 +14,128 @@ components keep distinct streams.  Every seed is a U64, in [0, 2**64).
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from .data import OOD_KINDS
 from .errors import ConfigError
+from .metrics import ORIENTATION_POLICIES
+from .scoring import GUIDANCE_KINDS, SCORE_FIELDS
 
-# key -> (type tag, default); tags: int, float, str, list_str, list_float
-SCHEMA: dict[str, tuple[str, Any]] = {
-    "out.dir": ("str", "runs"),
-    "seed": ("int", 7),
+
+def _at_least(low):
+    return (lambda value: value >= low), f"at least {low}"
+
+
+def _one_of(allowed):
+    return (lambda value: value in allowed), f"one of {', '.join(allowed)}"
+
+
+POSITIVE = (lambda value: value > 0), "greater than 0"
+FRACTION = (lambda value: 0 <= value < 1), "in [0, 1)"
+NONZERO = (lambda value: value != 0), "not 0"
+U64 = (lambda value: 0 <= value < 2**64), "a U64, in [0, 2**64)"
+
+# key -> (type tag, default, rule or None).  Tags: int, float (finite), str, list_str, list_float;
+# a rule is (test that every value or list entry must pass, what passing values are).
+SCHEMA: dict[str, tuple[str, Any, Optional[tuple]]] = {
+    "out.dir": ("str", "runs", None),
+    "seed": ("int", 7, U64),
     # dataset construction
-    "data.kind": ("str", "synth"),  # synth | idx
-    "data.classes": ("int", 4),
-    "data.image_size": ("int", 28),
-    "data.channels": ("int", 1),
-    "data.train_per_class": ("int", 500),
-    "data.test_per_class": ("int", 100),
-    "data.noise_sigma": ("float", 0.2),
-    "data.seed": ("int", 11),
-    "data.split_seed": ("int", 12),
-    "data.idx_train_images": ("str", ""),
-    "data.idx_train_labels": ("str", ""),
-    "data.idx_test_images": ("str", ""),
-    "data.idx_test_labels": ("str", ""),
-    "data.normalize_mean": ("float", 0.0),
-    "data.normalize_std": ("float", 1.0),
+    "data.kind": ("str", "synth", _one_of(("synth", "idx"))),
+    "data.classes": ("int", 4, _at_least(2)),
+    "data.image_size": ("int", 28, _at_least(1)),
+    "data.channels": ("int", 1, _at_least(1)),
+    "data.train_per_class": ("int", 500, _at_least(1)),
+    "data.test_per_class": ("int", 100, _at_least(1)),
+    "data.noise_sigma": ("float", 0.2, _at_least(0)),
+    "data.seed": ("int", 11, U64),
+    "data.split_seed": ("int", 12, U64),
+    "data.idx_train_images": ("str", "", None),
+    "data.idx_train_labels": ("str", "", None),
+    "data.idx_test_images": ("str", "", None),
+    "data.idx_test_labels": ("str", "", None),
+    "data.normalize_mean": ("float", 0.0, None),
+    "data.normalize_std": ("float", 1.0, NONZERO),
     # OOD test sets
-    "ood.kinds": ("list_str", ["uniform-noise", "pattern-shift", "inverted"]),
-    "ood.count": ("int", 400),
-    "ood.seed": ("int", 99),
+    "ood.kinds": ("list_str", ["uniform-noise", "pattern-shift", "inverted"], _one_of(OOD_KINDS)),
+    "ood.count": ("int", 400, _at_least(1)),
+    "ood.seed": ("int", 99, U64),
     # transformer architecture
-    "model.patch": ("int", 7),
-    "model.dim": ("int", 64),
-    "model.depth": ("int", 4),
-    "model.heads": ("int", 4),
-    "model.mlp_dim": ("int", 128),
-    "model.alpha": ("float", 0.1),
-    "model.seed": ("int", 55),
+    "model.patch": ("int", 7, _at_least(1)),
+    "model.dim": ("int", 64, _at_least(1)),
+    "model.depth": ("int", 4, _at_least(0)),
+    "model.heads": ("int", 4, _at_least(1)),
+    "model.mlp_dim": ("int", 128, _at_least(1)),
+    "model.alpha": ("float", 0.1, _at_least(0)),
+    "model.seed": ("int", 55, U64),
     # prior classifier
-    "prior.hidden": ("int", 128),
-    "prior.epochs": ("int", 8),
-    "prior.batch_size": ("int", 64),
-    "prior.base_lr": ("float", 3e-3),
-    "prior.warmup_epochs": ("int", 1),
-    "prior.weight_decay": ("float", 0.0),
-    "prior.seed": ("int", 21),
+    "prior.hidden": ("int", 128, _at_least(1)),
+    "prior.epochs": ("int", 8, _at_least(0)),
+    "prior.batch_size": ("int", 64, _at_least(1)),
+    "prior.base_lr": ("float", 3e-3, POSITIVE),
+    "prior.warmup_epochs": ("int", 1, _at_least(0)),
+    "prior.weight_decay": ("float", 0.0, _at_least(0)),
+    "prior.seed": ("int", 21, U64),
     # transformer training
-    "train.epochs": ("int", 10),
-    "train.batch_size": ("int", 32),
-    "train.base_lr": ("float", 3e-4),
-    "train.warmup_epochs": ("int", 1),
-    "train.beta1": ("float", 0.9),
-    "train.beta2": ("float", 0.999),
-    "train.weight_decay": ("float", 1e-3),
-    "train.seed": ("int", 33),
-    "train.resume": ("str", ""),
+    "train.epochs": ("int", 10, _at_least(0)),
+    "train.batch_size": ("int", 32, _at_least(1)),
+    "train.base_lr": ("float", 3e-4, POSITIVE),
+    "train.warmup_epochs": ("int", 1, _at_least(0)),
+    "train.beta1": ("float", 0.9, FRACTION),
+    "train.beta2": ("float", 0.999, FRACTION),
+    "train.weight_decay": ("float", 1e-3, _at_least(0)),
+    "train.seed": ("int", 33, U64),
+    "train.resume": ("str", "", None),
     # artifact locations (empty means: derive from the output directory)
-    "paths.prior_checkpoint": ("str", ""),
-    "paths.pvit_checkpoint": ("str", ""),
-    "paths.logits_dir": ("str", ""),
+    "paths.prior_checkpoint": ("str", "", None),
+    "paths.pvit_checkpoint": ("str", "", None),
+    "paths.logits_dir": ("str", "", None),
     # scoring and evaluation
-    "score.guidance": ("str", "ce"),
-    "score.predicted_logits": ("str", ""),  # dir of logits files: no-prior-token ablation
-    "eval.scores": ("list_str", ["pge"]),
-    "eval.orientation": ("str", "auto"),
-    "eval.bins": ("int", 30),
+    "score.guidance": ("str", "ce", _one_of(GUIDANCE_KINDS)),
+    "score.predicted_logits": ("str", "", None),  # dir of logits files: no-prior-token ablation
+    "eval.scores": ("list_str", ["pge"], _one_of(SCORE_FIELDS)),
+    "eval.orientation": ("str", "auto", _one_of(ORIENTATION_POLICIES)),
+    "eval.bins": ("int", 30, _at_least(2)),
     # attention dumps
-    "attention.layer": ("int", -1),
-    "attention.head": ("int", 0),
-    "attention.alphas": ("list_float", []),
-    "attention.max_samples": ("int", 8),
-    "attention.dataset": ("str", "id-test"),
+    "attention.layer": ("int", -1, None),
+    "attention.head": ("int", 0, None),
+    "attention.alphas": ("list_float", [], _at_least(0)),
+    "attention.max_samples": ("int", 8, _at_least(1)),
+    "attention.dataset": ("str", "id-test", None),
+}
+
+# (keys, test over their values, what must hold)
+RELATIONS = (
+    (("model.dim", "model.heads"), lambda dim, heads: dim % heads == 0, "the dim must split evenly into the heads"),
+    (("prior.warmup_epochs", "prior.epochs"), operator.le, "warmup cannot outlast training"),
+    (("train.warmup_epochs", "train.epochs"), operator.le, "warmup cannot outlast training"),
+)
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+_PARSERS = {
+    "int": int,
+    "float": _finite,
+    "str": str,
+    "list_str": lambda raw: [part.strip() for part in raw.split(",") if part.strip()],
+    "list_float": lambda raw: [_finite(part) for part in raw.split(",") if part.strip()],
 }
 
 
 def _parse_value(key: str, tag: str, raw: str):
-    raw = raw.strip()
     try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return float(raw)
-        if tag == "str":
-            return raw
-        if tag == "list_str":
-            return [part.strip() for part in raw.split(",") if part.strip()]
-        if tag == "list_float":
-            return [float(part) for part in raw.split(",") if part.strip()]
+        return _PARSERS[tag](raw.strip())
     except ValueError:
-        raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {tag}") from None
-    raise ConfigError(f"config key {key!r}: unknown type tag {tag!r}")
+        raise ConfigError(f"config key {key!r}: {raw.strip()!r} is not a valid {tag}") from None
 
 
 def _format_value(tag: str, value) -> str:
@@ -118,9 +151,15 @@ class RunConfig:
     values: dict[str, Any]
 
     def __post_init__(self):
-        for key, value in self.values.items():
-            if key.endswith("seed") and not 0 <= value < 2**64:
-                raise ConfigError(f"config key {key!r}: a seed must be a U64 in [0, 2**64), got {value}")
+        for key, (_, _, rule) in SCHEMA.items():
+            value = self.values[key]
+            for entry in value if isinstance(value, list) else [value]:
+                if rule and not rule[0](entry):
+                    raise ConfigError(f"config key {key!r}: {entry!r} is not {rule[1]}")
+        for keys, test, must in RELATIONS:
+            if not test(*(self.values[key] for key in keys)):
+                named = ", ".join(f"{key!r} = {self.values[key]!r}" for key in keys)
+                raise ConfigError(f"config keys {named}: {must}")
 
     def __getitem__(self, key: str):
         if key not in SCHEMA:
@@ -139,13 +178,13 @@ class RunConfig:
 
     def resolved_text(self) -> str:
         lines = ["# fully resolved run configuration"]
-        for key, (tag, _) in SCHEMA.items():
+        for key, (tag, _, _) in SCHEMA.items():
             lines.append(f"{key} = {_format_value(tag, self.values[key])}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "RunConfig":
-        values = {key: default for key, (_, default) in SCHEMA.items()}
+        values = {key: default for key, (_, default, _) in SCHEMA.items()}
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -162,7 +201,7 @@ class RunConfig:
     @classmethod
     def load(cls, path: Optional[str] = None, overrides: Optional[dict[str, Any]] = None) -> "RunConfig":
         if path is None:
-            values = {key: default for key, (_, default) in SCHEMA.items()}
+            values = {key: default for key, (_, default, _) in SCHEMA.items()}
         else:
             try:
                 with open(path, "r", encoding="utf-8") as fh:

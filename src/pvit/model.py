@@ -16,7 +16,7 @@ layer normalized, feeds the classifier head.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from typing import ClassVar, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -46,10 +46,6 @@ class PViTConfig:
     mlp_dim: int = 128
     num_classes: int = 4
     alpha: float = 0.1
-
-    # checkpoints written while prior_broadcast was an option name it;
-    # "sample" is what every model now does, so those still load
-    retired_keys: ClassVar[dict] = {"prior_broadcast": "sample"}
 
     def __post_init__(self):
         if self.image_h % self.patch_size or self.image_w % self.patch_size:

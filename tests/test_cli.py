@@ -264,6 +264,19 @@ class TestResume:
         assert path in err and f"'{key}'" in err and "Traceback" not in err, err
         assert os.listdir(out) == []
 
+    def test_resume_with_another_architecture_exits_1_naming_keys_and_values(self, tmp_path, capsys):
+        cfg, out = write_cfg(tmp_path)
+        assert main(["train-prior", "--config", cfg]) == 0
+        assert main(["train-pvit", "--config", cfg]) == 0
+        ckpt = os.path.join(out, "pvit.ckpt")
+        before, ckpt_bytes = sorted(os.listdir(out)), open(ckpt, "rb").read()
+        resume_cfg, _ = write_cfg(tmp_path, name="resume.cfg", train__resume=ckpt, model__dim=32, model__alpha=5.0)
+        assert main(["train-pvit", "--config", resume_cfg]) == 1
+        err = capsys.readouterr().err
+        assert "'model.dim' = 32" in err and "has 16" in err, err
+        assert "'model.alpha' = 5.0" in err and "has 0.1" in err and "Traceback" not in err, err
+        assert sorted(os.listdir(out)) == before and open(ckpt, "rb").read() == ckpt_bytes
+
 
 class TestGuidanceSwitch:
     def test_ce_vs_ed_same_base_different_guidance(self, tmp_path):
@@ -297,6 +310,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert lbl_path in err and "label 5" in err and "4 classes" in err and "Traceback" not in err
         assert not os.path.exists(os.path.join(out, "prior.ckpt"))
+
+    def test_idx_image_side_not_divisible_by_patch_exits_1(self, tmp_path, capsys):
+        """An IDX file's image side is known only once the file is read,
+        so this patch check runs after the config's own rules, still
+        before any file is written."""
+        images = np.random.default_rng(0).integers(0, 256, (12, 30, 30))
+        img_path, lbl_path = write_idx_pair(tmp_path, images, np.arange(12) % 3)
+        cfg, out = write_cfg(tmp_path, data__kind="idx", model__patch=7,
+                             data__idx_train_images=img_path, data__idx_train_labels=lbl_path,
+                             data__idx_test_images=img_path, data__idx_test_labels=lbl_path)
+        os.makedirs(out)
+        assert main(["train-pvit", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "'model.patch'" in err and "30x30" in err and "Traceback" not in err, err
+        assert os.listdir(out) == []
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -382,6 +410,17 @@ class TestErrors:
         ("train-pvit", "model.alpha", -1, ["model.alpha"]),
         ("train-prior", "data.classes", 1, ["data.classes"]),
         ("train-prior", "data.normalize_std", 0, ["data.normalize_std"]),
+        ("train-prior", "data.image_size", 0, ["data.image_size"]),
+        ("train-pvit", "train.beta1", 1.0, ["train.beta1"]),
+        ("train-pvit", "train.beta2", 1.5, ["train.beta2"]),
+        ("train-pvit", "train.weight_decay", -5, ["train.weight_decay"]),
+        ("train-prior", "ood.count", 0, ["ood.count"]),
+        ("train-prior", "data.train_per_class", 0, ["data.train_per_class"]),
+        ("attention-dump", "attention.max_samples", 0, ["attention.max_samples"]),
+        ("attention-dump", "attention.alphas", -1, ["attention.alphas"]),
+        ("attention-dump", "attention.alphas", "nan,1.0", ["attention.alphas"]),
+        ("train-prior", "prior.weight_decay", "nan", ["prior.weight_decay"]),
+        ("train-pvit", "model.alpha", "inf", ["model.alpha"]),
     ])
     def test_value_the_library_rejects_exits_1_naming_its_keys(self, tmp_path, capsys, command, key, value, keys):
         cfg, out = write_cfg(tmp_path, **{key.replace(".", "__"): value})
@@ -442,6 +481,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert path in err and "data.image_size" in err and "Traceback" not in err, err
         assert os.listdir(out) == ["prior.ckpt"]
+
+    @pytest.mark.parametrize("command", ["train-pvit", "score", "attention-dump"])
+    def test_pvit_checkpoint_of_another_image_size_exits_2(self, tmp_path, capsys, command):
+        path = str(tmp_path / "out" / "pvit.ckpt")
+        cfg, out = write_cfg(tmp_path, data__image_size=14, train__resume=path)
+        os.makedirs(out)
+        PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=2, heads=2, mlp_dim=24)).save(path, step=0)
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert path in err and "28x28x1" in err and "14x14x1" in err and "Traceback" not in err, err
+        assert os.listdir(out) == ["pvit.ckpt"]
 
     def test_unknown_checkpoint_config_key_exits_2(self, tmp_path, capsys):
         cfg, out = write_cfg(tmp_path)

@@ -352,17 +352,6 @@ class TestCheckpointHeader:
         with pytest.raises(FormatError, match="alpha"):
             PViTModel.load(path)
 
-    def test_retired_prior_broadcast_sample_loads(self, tmp_path):
-        path = self.saved(tmp_path)
-        model, _, _ = PViTModel.load(path)
-        rewrite_config(path, prior_broadcast="sample")
-        old, _, _ = PViTModel.load(path)
-        assert old.config == model.config
-        img = RNG.random((2, 8, 8, 1))
-        priors = RNG.normal(size=(2, 3))
-        np.testing.assert_array_equal(old.forward_batch(img, priors).logits.data,
-                                      model.forward_batch(img, priors).logits.data)
-
     def test_retired_prior_broadcast_batch_rejected(self, tmp_path):
         path = self.saved(tmp_path)
         rewrite_config(path, prior_broadcast="batch")
