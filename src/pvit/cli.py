@@ -30,7 +30,7 @@ import numpy as np
 from .artifacts import write_artifact
 from .config import RunConfig
 from .data import Dataset, load_idx, make_ood, normalize, split_dataset, synth_dataset
-from .errors import ConfigError, FormatError, PvitError
+from .errors import ConfigError, FormatError, MissingPriorError, PvitError, ShapeError
 from .metrics import evaluate, histogram_export
 from .model import PViTConfig, PViTModel, extract_attention
 from .priors import (
@@ -304,9 +304,13 @@ def cmd_score(cfg: RunConfig, out: str) -> None:
         ).hexdigest()
 
         def score(split: str):
-            table = load_logits(_logits_path(predicted_dir, split))
+            path = _logits_path(predicted_dir, split)
+            table = load_logits(path)
             ids = list(table.records)
-            return score_records(ids, table.logits_for(ids), prior.logits_for(ids), guidance)
+            try:
+                return score_records(ids, table.logits_for(ids), prior.logits_for(ids), guidance)
+            except (MissingPriorError, ShapeError) as exc:
+                raise type(exc)(f"{path}: {exc}") from None
     else:
         datasets = build_datasets(cfg)
         ckpt = _pvit_ckpt_path(cfg, out)

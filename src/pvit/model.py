@@ -32,8 +32,10 @@ class PViTConfig:
     """Architecture hyperparameters.
 
     ``alpha`` scales the prior token.  Each sample's token comes from its
-    own prior logits alone, so no sample's output depends on the rest of
-    its batch.
+    own prior logits alone, so at a fixed batch shape a sample's logits
+    and attention are bitwise independent of the other rows.  Across
+    batch shapes BLAS may pick other kernels, and a sample's outputs then
+    agree only to the last bits.
     """
 
     image_h: int = 28
@@ -157,7 +159,7 @@ class PViTModel:
             raise ShapeError(f"prior logits must be (B, {c.num_classes}), got shape {priors.shape}")
         if not np.all(np.isfinite(priors)):
             raise ShapeError("prior logits must be finite")
-        weights = T.softmax(Tensor(priors), axis=1)
+        weights = Tensor(T.softmax_rows(priors))
         return T.mul(T.matmul(weights, self.params["prior_proj"]), alpha)
 
     def _encode(self, seq: Tensor, want_attention: bool) -> tuple[Tensor, list[np.ndarray]]:

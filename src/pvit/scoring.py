@@ -30,6 +30,7 @@ from .artifacts import NUMBER_TYPES, read_jsonl, write_jsonl
 from .data import Dataset
 from .errors import FormatError, ShapeError
 from .priors import PriorSource
+from .tensor import softmax_rows
 
 PROB_CLAMP = 1e-12
 
@@ -58,11 +59,6 @@ def _finite(z: np.ndarray, what: str) -> np.ndarray:
     return z
 
 
-def _softmax_rows_clamped(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return np.maximum(e / e.sum(axis=1, keepdims=True), PROB_CLAMP)
-
-
 def score_records(ids, predicted, priors, guidance_kind: str = "ce") -> list[ScoreRecord]:
     """One record per row of the (N, K) predicted and prior logit blocks:
     base is the predicted row's logsumexp, the predicted class its argmax
@@ -84,11 +80,11 @@ def score_records(ids, predicted, priors, guidance_kind: str = "ce") -> list[Sco
     if guidance_kind == "ed":
         guidance = np.sqrt(np.sum((p - z) ** 2, axis=1))
     else:
-        pp = _softmax_rows_clamped(p)
+        pp = np.maximum(softmax_rows(p), PROB_CLAMP)
         if guidance_kind == "ce":
             guidance = -np.log(pp[np.arange(len(pp)), pred_class])
         else:
-            qq = _softmax_rows_clamped(z)
+            qq = np.maximum(softmax_rows(z), PROB_CLAMP)
             guidance = np.sum(pp * np.log(pp / qq), axis=1)
     return [
         ScoreRecord(

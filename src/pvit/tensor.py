@@ -1,16 +1,17 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The engine covers the operation set the transformer forward and
-backward passes need: broadcast ``add`` and ``mul``, (batched) matrix
-products, the affine map ``linear``, shape manipulation, softmax,
-multi-head scaled dot-product ``attention`` (one node, which also
-returns its (B, H, S, S) weights), layer normalization, exact-erf GELU,
-and cross-entropy.  ``transpose`` and batched ``matmul`` also let the
-tests compose attention from plain ops, the reference for the fused
-node.  Operations executed inside a ``with Tape():`` block, in the
-thread that opened it, are recorded on that tape, and each recorded
-output's ``tape`` names it; :func:`backward` replays the tape in reverse
-and accumulates total derivatives into leaf tensors' ``grad``.
+backward passes differentiate: broadcast ``add`` and ``mul``, matrix
+products with a 2-D right operand, the affine map ``linear``, shape
+manipulation, multi-head scaled dot-product ``attention`` (one node,
+which also returns its (B, H, S, S) weights), layer normalization,
+exact-erf GELU, and cross-entropy.  The tests' reference ops, from which
+they compose attention as the oracle for the fused node, are built on
+:func:`_record` in ``tests/oracle.py``.  :func:`softmax_rows` is plain
+numpy and records nothing.  Operations executed inside a ``with Tape():``
+block, in the thread that opened it, are recorded on that tape, and each
+recorded output's ``tape`` names it; :func:`backward` replays the tape
+in reverse and accumulates total derivatives into leaf tensors' ``grad``.
 
 Usage sketch::
 
@@ -58,10 +59,8 @@ __all__ = [
     "matmul",
     "linear",
     "reshape",
-    "transpose",
     "broadcast_to",
     "concat",
-    "softmax",
     "attention",
     "layer_norm",
     "gelu",
@@ -238,17 +237,6 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad
 
 
-def _check_axis(x: Tensor, axis: int, op: str) -> int:
-    if x.ndim == 0:
-        raise ShapeError(f"{op}: rank-0 tensor has no axes")
-    ax = axis + x.ndim if axis < 0 else axis
-    if not 0 <= ax < x.ndim:
-        raise ShapeError(f"{op}: axis {axis} out of range for shape {x.shape}")
-    if x.shape[ax] == 0:
-        raise ShapeError(f"{op}: axis {axis} of shape {x.shape} is empty")
-    return ax
-
-
 # ---------------------------------------------------------------------------
 # arithmetic
 
@@ -279,34 +267,21 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; leading axes broadcast as batch dimensions.
+    """Matrix product of a rank >= 2 ``a`` with a 2-D ``b``.
 
-    Gradients follow dA = dC @ B^T and dB = A^T @ dC on the trailing two
-    axes, summed over broadcast batch axes.  A 2-D ``b`` multiplies all
-    rows of ``a`` at once, so the product and both gradients are single
-    2-D GEMMs, as in :func:`linear`.
+    All rows of ``a`` multiply ``b`` at once, so the product and both
+    gradients (dA = dC B^T, dB = A^T dC) are single 2-D GEMMs, as in
+    :func:`linear`.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs rank >= 2 operands, got shapes {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    if a.ndim < 2 or b.ndim != 2:
+        raise ShapeError(f"matmul needs a rank >= 2 left and a 2-D right operand, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
-    if b.ndim == 2:
-        out = (_rows(a.data) @ b.data).reshape(a.shape[:-1] + b.shape[1:])
-
-        def grad_fn(g):
-            return _flat_grads(g, a, b)
-
-        return _record((a, b), out, grad_fn)
-    out = a.data @ b.data
+    out = (_rows(a.data) @ b.data).reshape(a.shape[:-1] + b.shape[1:])
 
     def grad_fn(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
+        return _flat_grads(g, a, b)
 
     return _record((a, b), out, grad_fn)
 
@@ -372,19 +347,6 @@ def reshape(x, shape: tuple[int, ...]) -> Tensor:
     return _record((x,), out, grad_fn)
 
 
-def transpose(x, axes: tuple[int, ...]) -> Tensor:
-    """Permute the axes of ``x``: output axis i is input axis ``axes[i]``."""
-    x = _as_tensor(x)
-    if sorted(axes) != list(range(x.ndim)):
-        raise ShapeError(f"transpose: {axes} is not a permutation of axes for shape {x.shape}")
-    inv = np.argsort(axes)
-
-    def grad_fn(g):
-        return (np.transpose(g, inv),)
-
-    return _record((x,), np.transpose(x.data, axes), grad_fn)
-
-
 def broadcast_to(x, shape) -> Tensor:
     x = _as_tensor(x)
     try:
@@ -433,19 +395,14 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
 # nonlinear ops
 
 
-def softmax(x, axis: int = -1) -> Tensor:
-    """Exponential normalization along ``axis``; max-shifted for stability."""
-    x = _as_tensor(x)
-    ax = _check_axis(x, axis, "softmax")
-    shifted = x.data - np.max(x.data, axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    out = e / np.sum(e, axis=ax, keepdims=True)
+def softmax_rows(z: Array) -> Array:
+    """Max-shifted softmax over the last axis of a plain array.
 
-    def grad_fn(g):
-        inner = np.sum(g * out, axis=ax, keepdims=True)
-        return ((g - inner) * out,)
-
-    return _record((x,), out, grad_fn)
+    Records nothing: the prior token's weights and the scores'
+    probabilities both come from constant logits.
+    """
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def attention(q, k, v, heads: int) -> tuple[Tensor, Array]:
@@ -511,7 +468,8 @@ def layer_norm(x, gain, bias) -> Tensor:
     constant rows normalize to zero instead of dividing by zero.
     """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    _check_axis(x, -1, "layer_norm")
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ShapeError(f"layer_norm needs a non-empty last axis, got shape {x.shape}")
     n = x.shape[-1]
     if gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError(

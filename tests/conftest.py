@@ -1,6 +1,9 @@
-"""Shared test helpers: finite-difference gradient oracle and tolerances."""
+"""Shared test helpers: finite-difference gradient oracle, tolerances,
+and the fixed-weight projection that makes a tensor a scalar loss."""
 
 import numpy as np
+
+from pvit.tensor import Tensor, matmul, mul, reshape
 
 
 def central_difference(f, x, h=1e-5):
@@ -31,3 +34,9 @@ def assert_close_rel(actual, expected, rtol, context=""):
         f"{context} max error {err.max():.3e} exceeds bound "
         f"(rtol={rtol}, worst expected={expected.flat[np.argmax(err)]:.6g})"
     )
+
+
+def weighted_sum(out, weights):
+    """Project a tensor to a scalar with fixed weights so FD checks apply."""
+    flat = reshape(mul(out, Tensor(weights)), (1, out.data.size))
+    return reshape(matmul(flat, Tensor(np.ones((out.data.size, 1)))), ())

@@ -1,8 +1,15 @@
-"""Per-vector reference scorers: the oracle :func:`pvit.scoring.score_records` matches.
+"""Reference ops and scorers: the oracles the package's fused code matches.
 
-Each function scores one logit vector the plain way, one formula at a
-time: negative energy (the logsumexp), MSP, MaxLogit, the CE / KL / ED
-guidance terms and their product.  ``score_records`` computes the same
+``transpose``, ``bmatmul`` (batched matrix product) and ``softmax`` are
+recorded on the gradient tape like the engine's own ops, so the tests
+can compose attention from them; that chain, and its gradients, is the
+reference for the fused :func:`pvit.tensor.attention` node.
+
+The per-vector scorers are the oracle
+:func:`pvit.scoring.score_records` matches.  Each scores one logit
+vector the plain way, one formula at a time: negative energy (the
+logsumexp), MSP, MaxLogit, the CE / KL / ED guidance terms and their
+product.  ``score_records`` computes the same
 fields for a whole (N, K) block in one vectorised pass; the tests hold
 it to these functions record by record, to the last bit.
 :func:`cefe_expand` gives both sides of the score-expansion identity.
@@ -17,6 +24,81 @@ import numpy as np
 
 from pvit.errors import ShapeError
 from pvit.scoring import PROB_CLAMP, ScoreRecord
+from pvit.tensor import Tensor, _record, _unbroadcast, mul, reshape
+
+
+# ---------------------------------------------------------------------------
+# recorded reference ops
+
+
+def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
+    """Permute the axes of ``x``: output axis i is input axis ``axes[i]``."""
+    if sorted(axes) != list(range(x.ndim)):
+        raise ShapeError(f"transpose: {axes} is not a permutation of axes for shape {x.shape}")
+    inv = np.argsort(axes)
+
+    def grad_fn(g):
+        return (np.transpose(g, inv),)
+
+    return _record((x,), np.transpose(x.data, axes), grad_fn)
+
+
+def bmatmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product on the trailing two axes; leading axes broadcast as
+    batch dimensions.  dA = dC B^T and dB = A^T dC, summed over broadcast
+    batch axes."""
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"bmatmul: shapes {a.shape} and {b.shape} do not multiply")
+
+    def grad_fn(g):
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
+        return ga, gb
+
+    return _record((a, b), a.data @ b.data, grad_fn)
+
+
+def _check_axis(x: Tensor, axis: int, op: str) -> int:
+    if x.ndim == 0:
+        raise ShapeError(f"{op}: rank-0 tensor has no axes")
+    ax = axis + x.ndim if axis < 0 else axis
+    if not 0 <= ax < x.ndim:
+        raise ShapeError(f"{op}: axis {axis} out of range for shape {x.shape}")
+    if x.shape[ax] == 0:
+        raise ShapeError(f"{op}: axis {axis} of shape {x.shape} is empty")
+    return ax
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Exponential normalization along ``axis``; max-shifted for stability."""
+    ax = _check_axis(x, axis, "softmax")
+    e = np.exp(x.data - np.max(x.data, axis=ax, keepdims=True))
+    out = e / np.sum(e, axis=ax, keepdims=True)
+
+    def grad_fn(g):
+        inner = np.sum(g * out, axis=ax, keepdims=True)
+        return ((g - inner) * out,)
+
+    return _record((x,), out, grad_fn)
+
+
+def composed_attention(q, k, v, heads):
+    """Reference for the fused op: the attention core composed of plain
+    ops (split heads, scaled q k^T, softmax, weights times v, merge)."""
+    b, s, d = q.shape
+    hd = d // heads
+
+    def split(t):
+        return transpose(reshape(t, (b, s, heads, hd)), (0, 2, 1, 3))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    weights = softmax(mul(bmatmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(hd)), axis=-1)
+    ctx = bmatmul(weights, vh)
+    return reshape(transpose(ctx, (0, 2, 1, 3)), (b, s, d)), weights.data
+
+
+# ---------------------------------------------------------------------------
+# per-vector scorers
 
 
 def _finite(z, what: str) -> np.ndarray:

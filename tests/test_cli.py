@@ -618,6 +618,28 @@ class TestLogitsInputs:
         assert main([command, "--config", cfg]) == 2
         assert f"logits_{split}.jsonl:{lineno}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            (['{"k": 4, "dataset": "d", "model": "mlp"}', '{"id": "id-test-0", "label": 0, "logits": [1, 2, 3, 4]}'],
+             "need matching (N, K) logit blocks for 1 ids, got (1, 4) and (1, 3)"),
+            (['{"k": 3, "dataset": "d", "model": "mlp"}', '{"id": "other-00003", "label": 0, "logits": [1, 2, 3]}'],
+             "no prior logits for sample id 'other-00003'"),
+        ],
+        ids=["k-disagrees", "id-missing"],
+    )
+    def test_predicted_logits_disagreeing_with_priors_exits_2_naming_the_file(self, tmp_path, capsys, lines,
+                                                                              message):
+        predicted = str(tmp_path / "predicted")
+        write_logits_set(predicted, SPLITS[1:])
+        path = os.path.join(predicted, "logits_id-test.jsonl")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        cfg, out = write_cfg(tmp_path, score__predicted_logits=predicted)
+        write_logits_set(os.path.join(out, "logits"), SPLITS)
+        assert main(["score", "--config", cfg]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["train-pvit", "score"])
     def test_missing_logits_file_exits_2(self, tmp_path, capsys, command):
         cfg, out = write_cfg(tmp_path)

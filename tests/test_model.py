@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_close_rel
+from oracle import composed_attention
 from pvit import tensor as T
 from pvit.checkpoint import load_checkpoint, save_checkpoint
 from pvit.errors import FormatError, ShapeError
@@ -18,7 +19,6 @@ from pvit.model import (
     patchify,
 )
 from pvit.tensor import Tape, Tensor, backward, matmul, reshape
-from test_tensor import composed_attention
 
 
 def tiny_config(**overrides):
@@ -172,6 +172,21 @@ class TestEncoder:
         assert a.logits.data.tobytes() == b.logits.data.tobytes()
         for x, y in zip(a.attentions, b.attentions):
             assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("batch", [7, 32, 64])
+    def test_row_is_bitwise_independent_of_the_other_rows(self, batch):
+        """At a fixed batch shape, row 0's logits and attention matrices stay
+        bitwise equal when every other row's image and priors change."""
+        model = PViTModel(PViTConfig(), seed=12)
+        rng = np.random.default_rng(batch)
+        imgs, priors = rng.random((batch, 28, 28, 1)), rng.normal(size=(batch, 4))
+        first = model.forward_batch(imgs, priors, want_attention=True)
+        imgs[1:], priors[1:] = rng.random((batch - 1, 28, 28, 1)), rng.normal(size=(batch - 1, 4))
+        second = model.forward_batch(imgs, priors, want_attention=True)
+        assert first.logits.data[0].tobytes() == second.logits.data[0].tobytes()
+        assert first.logits.data[1].tobytes() != second.logits.data[1].tobytes()
+        for a, b in zip(first.attentions, second.attentions, strict=True):
+            assert a[0].tobytes() == b[0].tobytes()
 
     def test_batched_matches_per_sample(self):
         model = PViTModel(tiny_config(), seed=9)

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_close_rel, central_difference
+from conftest import assert_close_rel, central_difference, weighted_sum
+from oracle import composed_attention, softmax, transpose
 from pvit import tensor as T
 from pvit.errors import ShapeError, TapeError
 from pvit.model import PViTConfig, PViTModel
@@ -35,8 +36,7 @@ from pvit.tensor import (
     matmul,
     mul,
     reshape,
-    softmax,
-    transpose,
+    softmax_rows,
 )
 
 
@@ -48,14 +48,6 @@ def tape_grad(build, *arrays):
         loss = build(*tensors)
     backward(loss)
     return [t.grad for t in tensors]
-
-
-def weighted_sum(out, weights):
-    """Project a tensor to a scalar with fixed weights so FD checks apply."""
-    w = Tensor(weights)
-    flat = reshape(mul(out, w), (1, out.data.size))
-    ones = Tensor(np.ones((out.data.size, 1)))
-    return reshape(matmul(flat, ones), ())
 
 
 class TestMatmul:
@@ -83,6 +75,8 @@ class TestMatmul:
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+        with pytest.raises(ShapeError, match=r"\(2, 2, 3\).*\(2, 3, 4\)"):
+            matmul(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 3, 4))))
 
     def test_batched_broadcast(self):
         rng = np.random.default_rng(1)
@@ -145,6 +139,9 @@ class TestLinear:
 
 
 class TestSoftmax:
+    """The recorded reference softmax of the tests' oracle, and the package's
+    plain ``softmax_rows``, which must be its forward value."""
+
     def test_uniform(self):
         out = softmax(Tensor([0.0, 0.0, 0.0]), axis=0)
         np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
@@ -165,6 +162,13 @@ class TestSoftmax:
         assert np.all(out.data >= 0)
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_plain_rows_are_the_recorded_forward(self):
+        """``softmax_rows``, the package's one softmax, is bitwise the
+        forward value of the recorded reference op."""
+        rng = np.random.default_rng(5)
+        for x in (rng.uniform(-1e3, 1e3, (10, 7)), rng.normal(size=(4, 1)), np.full((2, 3), 1000.0)):
+            assert softmax_rows(x).tobytes() == softmax(Tensor(x), axis=1).data.tobytes()
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ShapeError):
             softmax(Tensor(np.zeros((0,))), axis=0)
@@ -182,21 +186,6 @@ class TestSoftmax:
 
         (g,) = tape_grad(lambda t: weighted_sum(softmax(t, axis=1), w), x)
         assert_close_rel(g, central_difference(f, x), 1e-4, "softmax")
-
-
-def composed_attention(q, k, v, heads):
-    """Reference for the fused op: the attention core composed of plain
-    ops (split heads, scaled q k^T, softmax, weights times v, merge)."""
-    b, s, d = q.shape
-    hd = d // heads
-
-    def split(t):
-        return transpose(reshape(t, (b, s, heads, hd)), (0, 2, 1, 3))
-
-    qh, kh, vh = split(q), split(k), split(v)
-    weights = softmax(mul(matmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(hd)), axis=-1)
-    ctx = matmul(weights, vh)
-    return reshape(transpose(ctx, (0, 2, 1, 3)), (b, s, d)), weights.data
 
 
 class TestAttention:
@@ -258,6 +247,10 @@ class TestLayerNorm:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)))
+        with pytest.raises(ShapeError, match=r"last axis.*\(\)"):
+            layer_norm(Tensor(0.0), Tensor(np.ones(1)), Tensor(np.zeros(1)))
+        with pytest.raises(ShapeError, match=r"last axis.*\(2, 0\)"):
+            layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.ones(0)), Tensor(np.zeros(0)))
 
     def test_gradient_all_inputs(self):
         rng = np.random.default_rng(7)
@@ -468,7 +461,7 @@ def desk_step(model):
 class TestDeskStep:
     def test_tape_records_61_nodes(self):
         """The desk step's tape, node by node: one attention node per layer,
-        one linear node per affine map."""
+        one linear node per affine map, and every op the engine exports."""
         _, tape = desk_step(PViTModel(PViTConfig(), seed=0))
         ops = Counter(node.grad_fn.__qualname__.split(".", 1)[0] for node in tape.nodes)
         assert ops == {
@@ -476,6 +469,8 @@ class TestDeskStep:
             "matmul": 1, "mul": 1, "broadcast_to": 1, "_getitem": 1, "cross_entropy": 1,
         }
         assert len(tape.nodes) == 61
+        engine_ops = {name for name in T.__all__ if name[0].islower()} - {"backward"}
+        assert set(ops) - {"_getitem"} == engine_ops, "every op the engine exports is one a step records"
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
