@@ -30,19 +30,11 @@ import numpy as np
 from .artifacts import write_artifact
 from .config import RunConfig
 from .data import Dataset, load_idx, make_ood, normalize, split_dataset, synth_dataset
-from .errors import ConfigError, FormatError, MissingPriorError, PvitError, ShapeError
+from .errors import ConfigError, FormatError, MissingPriorError, PvitError
 from .metrics import evaluate, histogram_export
 from .model import PViTConfig, PViTModel, extract_attention
-from .priors import (
-    MLPClassifier,
-    ModelSource,
-    TableSource,
-    accuracy,
-    export_logits,
-    load_logits,
-    train_prior_model,
-)
-from .scoring import file_sha256, predict_logits, read_scores, score_dataset, score_field, score_records, write_scores
+from .priors import MLPClassifier, ModelSource, export_logits, load_logits, train_prior_model
+from .scoring import file_sha256, predict_logits, read_scores, score_field, score_records, write_scores
 from .train import OptimizerState, TrainConfig, loss_curve_csv, train
 
 
@@ -161,28 +153,51 @@ def _logits_path(directory: str, split: str) -> str:
     return os.path.join(directory, f"logits_{split}.jsonl")
 
 
-def _logits_priors(cfg: RunConfig, out: str, splits) -> TableSource:
-    """The splits' priors as their logits files hold them, the one way
-    priors reach a command other than train-prior and export-logits."""
-    tables = [load_logits(_logits_path(_logits_dir(cfg, out), split)) for split in splits]
-    merged = {sid: record for table in tables for sid, record in table.records.items()}
-    return TableSource(records=merged, num_classes=tables[0].num_classes, name="logits-files")
-
-
-def _export_all_logits(cfg: RunConfig, out: str, datasets) -> tuple[ModelSource, list[str]]:
+def _export_all_logits(cfg: RunConfig, out: str, datasets) -> dict[str, np.ndarray]:
     """Write every split's logits file from the prior as loaded back from
-    its checkpoint (float32); returns that prior and the files written."""
+    its checkpoint (float32); returns each split's (N, K) block."""
     ckpt = _prior_ckpt_path(cfg, out)
     source = ModelSource(MLPClassifier.load(ckpt))
     pixels = math.prod(datasets["id-test"].image_shape)
     if source.model.config.input_dim != pixels:
         raise FormatError(f"{ckpt}: the prior takes {source.model.config.input_dim} pixels per image, but "
                           f"data.image_size and data.channels give {pixels}")
-    os.makedirs(_logits_dir(cfg, out), exist_ok=True)
-    written = [_logits_path(_logits_dir(cfg, out), split) for split in datasets]
-    for path, ds in zip(written, datasets.values()):
-        export_logits(source, ds, path)
-    return source, written
+    directory = _logits_dir(cfg, out)
+    os.makedirs(directory, exist_ok=True)
+    return {split: export_logits(source, ds, _logits_path(directory, split)) for split, ds in datasets.items()}
+
+
+class _LogitsFile:
+    """A split's logits file in ``directory``, parsed whole when made: a
+    malformed line, or a K other than ``data.classes``, raises
+    FormatError naming the file."""
+
+    def __init__(self, cfg: RunConfig, directory: str, split: str):
+        self.path = _logits_path(directory, split)
+        self.table = load_logits(self.path)
+        if self.table.num_classes != cfg["data.classes"]:
+            raise FormatError(f"{self.path}: holds {self.table.num_classes} logits per sample, "
+                              f"but data.classes is {cfg['data.classes']}")
+
+    def rows(self, ids, named: Optional[str] = None) -> np.ndarray:
+        """The (len(ids), K) block for ``ids``; an id the file lacks raises
+        MissingPriorError naming ``named`` (the ids' file) or else this one."""
+        try:
+            return self.table.logits_for(ids)
+        except MissingPriorError as exc:
+            raise MissingPriorError(f"{named or self.path}: {exc}") from None
+
+
+def _split_priors(cfg: RunConfig, out: str, datasets, splits) -> dict[str, np.ndarray]:
+    """Each split's (N, K) prior block, looked up by its sample ids in its
+    logits file, every file parsed before any id is looked up."""
+    files = {split: _LogitsFile(cfg, _logits_dir(cfg, out), split) for split in splits}
+    return {split: files[split].rows(datasets[split].ids) for split in splits}
+
+
+def _accuracy(logits: np.ndarray, labels: Optional[np.ndarray]) -> Optional[float]:
+    """Fraction of labels the logits' argmax matches; None without labels."""
+    return None if labels is None else int(np.sum(np.argmax(logits, axis=1) == labels)) / len(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -202,20 +217,18 @@ def cmd_train_prior(cfg: RunConfig, out: str) -> None:
     ckpt = _prior_ckpt_path(cfg, out)
     source.model.save(ckpt, step=result.final_step)
     write_artifact(os.path.join(out, "prior_loss.csv"), [loss_curve_csv(result.curve)])
-    saved, written = _export_all_logits(cfg, out, datasets)
-    train_acc = accuracy(saved, datasets["id-train"])
-    test_acc = accuracy(saved, datasets["id-test"]) if datasets["id-test"].labels is not None else float("nan")
+    blocks = _export_all_logits(cfg, out, datasets)
     print(f"prior checkpoint: {ckpt}")
-    print(f"prior id-train accuracy: {train_acc:.4f}")
-    print(f"prior id-test accuracy: {test_acc:.4f}")
-    for path in written:
-        print(f"logits: {path}")
+    for split in ("id-train", "id-test"):
+        value = _accuracy(blocks[split], datasets[split].labels)
+        print(f"prior {split} accuracy: " + ("n/a" if value is None else f"{value:.4f}"))
+    for split in blocks:
+        print(f"logits: {_logits_path(_logits_dir(cfg, out), split)}")
 
 
 def cmd_export_logits(cfg: RunConfig, out: str) -> None:
-    _, written = _export_all_logits(cfg, out, build_datasets(cfg))
-    for path in written:
-        print(f"logits: {path}")
+    for split in _export_all_logits(cfg, out, build_datasets(cfg)):
+        print(f"logits: {_logits_path(_logits_dir(cfg, out), split)}")
 
 
 def _check_images(model: PViTModel, path: str, datasets) -> None:
@@ -263,32 +276,25 @@ def cmd_train_pvit(cfg: RunConfig, out: str) -> None:
     else:
         model = PViTModel(_pvit_config(cfg, datasets), seed=cfg.seed_for("model.seed"))
         state = OptimizerState()
-    prior = _logits_priors(cfg, out, ["id-train", "id-test"])
+    priors = _split_priors(cfg, out, datasets, ["id-train", "id-test"])
 
-    result = train(model, datasets["id-train"], prior, config, state)
+    result = train(model, datasets["id-train"], priors["id-train"], config, state)
     ckpt = _pvit_ckpt_path(cfg, out)
     model.save(ckpt, step=state.t, epoch=config.epochs, extra_tensors=state.moments)
     write_artifact(os.path.join(out, "pvit_loss.csv"), [loss_curve_csv(result.curve)])
-
-    def id_accuracy(split: str):
-        ds = datasets[split]
-        if ds.labels is None:
-            return None
-        predicted, _ = predict_logits(model, prior, ds)
-        return int(np.sum(np.argmax(predicted, axis=1) == ds.labels)) / len(ds)
-
+    accuracies = {split: _accuracy(predict_logits(model, datasets[split].images, priors[split]),
+                                   datasets[split].labels) for split in priors}
     summary = {
         "checkpoint": ckpt,
         "steps": state.t,
         "alpha": model.config.alpha,
-        "id_train_accuracy": id_accuracy("id-train"),
-        "id_test_accuracy": id_accuracy("id-test"),
+        "id_train_accuracy": accuracies["id-train"],
+        "id_test_accuracy": accuracies["id-test"],
         "final_loss": result.curve[-1].loss if result.curve else None,
     }
     write_artifact(os.path.join(out, "pvit_train.json"), [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
     print(f"pvit checkpoint: {ckpt}")
-    for split in ("id-train", "id-test"):
-        value = summary[f"{split.replace('-', '_')}_accuracy"]
+    for split, value in accuracies.items():
         print(f"pvit {split} accuracy: " + ("n/a" if value is None else f"{value:.4f}"))
 
 
@@ -302,27 +308,22 @@ def cmd_score(cfg: RunConfig, out: str) -> None:
         source_hash = hashlib.sha256(
             "".join(file_sha256(_logits_path(predicted_dir, split)) for split in splits).encode()
         ).hexdigest()
-
-        def score(split: str):
-            path = _logits_path(predicted_dir, split)
-            table = load_logits(path)
-            ids = list(table.records)
-            try:
-                return score_records(ids, table.logits_for(ids), prior.logits_for(ids), guidance)
-            except (MissingPriorError, ShapeError) as exc:
-                raise type(exc)(f"{path}: {exc}") from None
+        files = {split: _LogitsFile(cfg, _logits_dir(cfg, out), split) for split in splits}
+        predicted_files = {split: _LogitsFile(cfg, predicted_dir, split) for split in splits}
+        ids = {split: list(file.table.records) for split, file in predicted_files.items()}
+        priors = {split: files[split].rows(ids[split], predicted_files[split].path) for split in splits}
+        predicted = {split: file.rows(ids[split]) for split, file in predicted_files.items()}
     else:
         datasets = build_datasets(cfg)
         ckpt = _pvit_ckpt_path(cfg, out)
         model, _, _ = PViTModel.load(ckpt)
         _check_images(model, ckpt, datasets)
         alpha, source_hash = model.config.alpha, file_sha256(ckpt)
-
-        def score(split: str):
-            return score_dataset(model, prior, datasets[split], guidance)
-    prior = _logits_priors(cfg, out, splits)
+        ids = {split: datasets[split].ids for split in splits}
+        priors = _split_priors(cfg, out, datasets, splits)
+        predicted = {split: predict_logits(model, datasets[split].images, priors[split]) for split in splits}
     for split in splits:
-        records = score(split)
+        records = score_records(ids[split], predicted[split], priors[split], guidance)
         path = os.path.join(out, f"scores_{split}.jsonl")
         write_scores(path, records, guidance, alpha, source_hash)
         print(f"scores: {path} ({len(records)} records)")
@@ -383,12 +384,11 @@ def cmd_attention_dump(cfg: RunConfig, out: str) -> None:
     head = cfg["attention.head"]
     if not 0 <= head < heads:
         raise ConfigError(f"config key 'attention.head': {head} is outside the model's {heads} heads")
-    prior = _logits_priors(cfg, out, [split])
     alphas = cfg["attention.alphas"] or [model.config.alpha]
     count = min(cfg["attention.max_samples"], len(ds))
+    priors = _split_priors(cfg, out, datasets, [split])[split][:count]
     attn_dir = os.path.join(out, "attention")
     os.makedirs(attn_dir, exist_ok=True)
-    priors = prior.resolve(ds)[:count]
     summary = ["alpha,sample_id,layer,head,prior_token_mass"]
     for alpha in alphas:
         outputs = model.forward_batch(ds.images[:count], priors, alpha, want_attention=True)

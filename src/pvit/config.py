@@ -39,7 +39,7 @@ NONZERO = (lambda value: value != 0), "not 0"
 U64 = (lambda value: 0 <= value < 2**64), "a U64, in [0, 2**64)"
 
 # key -> (type tag, default, rule or None).  Tags: int, float (finite), str, list_str, list_float;
-# a rule is (test that every value or list entry must pass, what passing values are).
+# a rule is (test that every value or list entry must pass, what passing values are); list entries differ.
 SCHEMA: dict[str, tuple[str, Any, Optional[tuple]]] = {
     "out.dir": ("str", "runs", None),
     "seed": ("int", 7, U64),
@@ -151,11 +151,13 @@ class RunConfig:
     values: dict[str, Any]
 
     def __post_init__(self):
-        for key, (_, _, rule) in SCHEMA.items():
-            value = self.values[key]
-            for entry in value if isinstance(value, list) else [value]:
+        for key, (tag, _, rule) in SCHEMA.items():
+            entries = self.values[key] if tag.startswith("list_") else [self.values[key]]
+            for i, entry in enumerate(entries):
                 if rule and not rule[0](entry):
                     raise ConfigError(f"config key {key!r}: {entry!r} is not {rule[1]}")
+                if entry in entries[:i]:
+                    raise ConfigError(f"config key {key!r}: {entry!r} is repeated")
         for keys, test, must in RELATIONS:
             if not test(*(self.values[key] for key in keys)):
                 named = ", ".join(f"{key!r} = {self.values[key]!r}" for key in keys)

@@ -157,17 +157,13 @@ def train_prior_model(train_set: Dataset, config, hidden_dim: int = 128, seed: i
     return ModelSource(model=model), run_training(model, train_set, config)
 
 
-def accuracy(source: PriorSource, dataset: Dataset) -> float:
-    """Fraction of dataset labels matched by the argmax of the prior logits."""
-    return float(np.mean(np.argmax(source.resolve(dataset), axis=1) == dataset.labels))
-
-
 # ---------------------------------------------------------------------------
 # logits file round trip
 
 
-def export_logits(source: PriorSource, dataset: Dataset, path: str) -> None:
-    """Write one logits line per dataset sample, after a k/dataset header."""
+def export_logits(source: PriorSource, dataset: Dataset, path: str) -> np.ndarray:
+    """Write one logits line per dataset sample, after a k/dataset header;
+    returns the (N, K) block written."""
     all_logits = source.resolve(dataset)
     labels = [None] * len(dataset) if dataset.labels is None else dataset.labels.tolist()
     header = {"k": source.num_classes, "dataset": dataset.name, "model": source.name}
@@ -175,6 +171,7 @@ def export_logits(source: PriorSource, dataset: Dataset, path: str) -> None:
         {"id": sid, "label": label, "logits": row.tolist()}
         for sid, label, row in zip(dataset.ids, labels, all_logits)
     ))
+    return all_logits
 
 
 def load_logits(path: str) -> TableSource:

@@ -8,10 +8,11 @@ prediction (KL), or the Euclidean distance between the raw logit
 vectors (ED).  MSP, MaxLogit and negative energy ride along as
 baselines on the predicted logits.
 
-There is one scoring path: :func:`predict_logits` resolves a dataset's
-priors once and runs the model over it, batch by batch, and
+There is one scoring path: :func:`predict_logits` runs the model over
+images and their (N, K) prior-logits block, batch by batch, and
 :func:`score_records` builds every record in one vectorised pass over
-the (N, K) predicted and prior logits.  Nothing here scores a single
+the predicted and prior blocks; :func:`score_dataset` resolves a prior
+source into the block once and feeds both.  Nothing here scores a single
 logit vector; the tests keep per-vector reference scorers as the oracle
 the records match.
 
@@ -102,27 +103,25 @@ def score_records(ids, predicted, priors, guidance_kind: str = "ce") -> list[Sco
     ]
 
 
-def predict_logits(model, prior_source: PriorSource, dataset: Dataset,
-                   batch_size: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """(predicted, prior) logits, each (N, K), over the whole dataset.
-
-    The dataset's priors are resolved once into an (N, K) block; batch by
-    batch, its rows and the images go through
-    ``model.forward_batch(images, priors)``, at the model's own alpha.
-    """
-    priors = prior_source.resolve(dataset)
-    predicted = [np.empty((0, prior_source.num_classes))]
-    for start in range(0, len(dataset), batch_size):
+def predict_logits(model, images: np.ndarray, priors: np.ndarray, batch_size: int = 64) -> np.ndarray:
+    """(N, K) predicted logits: batch by batch, (N, H, W, C) images and the
+    rows of their (N, K) prior-logits block go through
+    ``model.forward_batch(images, priors)``, at the model's own alpha."""
+    if len(priors) != len(images):
+        raise ShapeError(f"need one prior-logits row per image: {len(images)} images, {len(priors)} rows")
+    predicted = [np.empty((0, priors.shape[1]))]
+    for start in range(0, len(images), batch_size):
         batch = slice(start, start + batch_size)
-        predicted.append(model.forward_batch(dataset.images[batch], priors[batch]).logits.data)
-    return np.concatenate(predicted), priors
+        predicted.append(model.forward_batch(images[batch], priors[batch]).logits.data)
+    return np.concatenate(predicted)
 
 
 def score_dataset(model, prior_source: PriorSource, dataset: Dataset, guidance_kind: str = "ce",
                   batch_size: int = 64) -> list[ScoreRecord]:
-    """Score every sample: transformer forward, then base/guidance/composite."""
-    predicted, priors = predict_logits(model, prior_source, dataset, batch_size)
-    return score_records(dataset.ids, predicted, priors, guidance_kind)
+    """Score every sample: its priors resolved once, then predicted, then scored."""
+    priors = prior_source.resolve(dataset)
+    return score_records(dataset.ids, predict_logits(model, dataset.images, priors, batch_size), priors,
+                         guidance_kind)
 
 
 # ---------------------------------------------------------------------------

@@ -194,14 +194,15 @@ def run_training(
     return TrainResult(curve=curve, final_step=state.t, optimizer_tensors=state.moments)
 
 
-def train(model, dataset: Dataset, prior_source, config: TrainConfig,
+def train(model, dataset: Dataset, priors: np.ndarray, config: TrainConfig,
           state: Optional[OptimizerState] = None) -> TrainResult:
     """Train the prior-token transformer on a labeled dataset, from
     ``state`` if given (see :func:`run_training`).
 
-    The dataset's (N, K) prior-logits block is resolved once; each batch
-    takes its rows, so a sample's prior is the same in every batch and
-    under either kind of prior source.
+    ``priors`` is the dataset's (N, K) prior-logits block, row i for
+    sample i; each batch takes its rows, so a sample's prior is the same
+    in every batch.
     """
-    priors = prior_source.resolve(dataset)
+    if len(priors) != len(dataset):
+        raise ShapeError(f"need one prior-logits row per sample: {len(dataset)} samples, {len(priors)} rows")
     return run_training(model, dataset, config, priors_for=lambda idx: priors[idx], state=state)

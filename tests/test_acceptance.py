@@ -13,17 +13,18 @@ import functools
 import json
 import math
 import os
+import pathlib
 import time
 
 import numpy as np
 
 from conftest import central_difference, weighted_sum
 from oracle import bmatmul, cefe_expand, softmax, transpose
-from pvit.cli import main
+from pvit.cli import _accuracy, main
 from pvit.data import make_ood, split_dataset, synth_dataset
 from pvit.metrics import auroc, evaluate, fpr_at_tpr
 from pvit.model import PViTConfig, PViTModel
-from pvit.priors import accuracy, train_prior_model
+from pvit.priors import train_prior_model
 from pvit.scoring import predict_logits, read_scores, score_dataset, score_records
 from pvit.tensor import (
     Tape,
@@ -252,7 +253,7 @@ def test_prior_token_linearity():
         seed=6,
     )
     before = zero_model.params["prior_proj"].data.copy()
-    train(zero_model, ds, prior,
+    train(zero_model, ds, prior.resolve(ds),
           TrainConfig(epochs=1, batch_size=6, base_lr=1e-3, warmup_epochs=0,
                       weight_decay=0.0, seed=7))
     grad = zero_model.params["prior_proj"].grad
@@ -301,8 +302,8 @@ def test_training_determinism(tmp_path):
         assert main(["train-pvit", "--config", str(cfg_path)]) == 0
         outputs.append(
             (
-                open(os.path.join(out, "pvit.ckpt"), "rb").read(),
-                open(os.path.join(out, "pvit_loss.csv"), "rb").read(),
+                pathlib.Path(out, "pvit.ckpt").read_bytes(),
+                pathlib.Path(out, "pvit_loss.csv").read_bytes(),
             )
         )
     assert outputs[0][0] == outputs[1][0], "checkpoints differ"
@@ -330,21 +331,17 @@ def test_end_to_end_desk_experiment():
         hidden_dim=128,
         seed=22,
     )
-    prior_acc = accuracy(prior, id_test)
+    prior_acc = _accuracy(prior.resolve(id_test), id_test.labels)
     assert prior_acc >= 0.90, f"prior test accuracy {prior_acc}"
 
     model = PViTModel(PViTConfig(num_classes=4, alpha=0.1), seed=55)
     assert model.config.embed_dim == 64 and model.config.depth == 4
     assert model.config.heads == 4 and model.config.alpha == 0.1
-    train(model, id_train, prior,
+    train(model, id_train, prior.resolve(id_train),
           TrainConfig(epochs=10, batch_size=32, base_lr=3e-4, warmup_epochs=1,
                       weight_decay=1e-3, seed=33))
 
-    def model_accuracy(ds):
-        predicted, _ = predict_logits(model, prior, ds)
-        return int(np.sum(np.argmax(predicted, axis=1) == ds.labels)) / len(ds)
-
-    model_acc = model_accuracy(id_test)
+    model_acc = _accuracy(predict_logits(model, id_test.images, prior.resolve(id_test)), id_test.labels)
     assert model_acc >= prior_acc - 0.05, f"model {model_acc} vs prior {prior_acc}"
 
     id_records = score_dataset(model, prior, id_test, "ce")
@@ -420,7 +417,7 @@ def test_ablation_harness(tmp_path):
         assert header["guidance"] == kind
         assert len(records) == 45
         assert main(["eval", "--config", str(ablate_cfg)]) == 0
-        metrics = json.load(open(os.path.join(out, "metrics_ood-uniform-noise_pge.json")))
+        metrics = json.loads(pathlib.Path(out, "metrics_ood-uniform-noise_pge.json").read_text())
         assert 0.0 <= metrics["auroc"] <= 1.0
         assert 0.0 <= metrics["fpr95"] <= 1.0
 
@@ -431,7 +428,7 @@ def test_ablation_harness(tmp_path):
         + "\nattention.alphas = 0.1,1,10\nattention.max_samples = 4\n"
     )
     assert main(["attention-dump", "--config", str(sweep_cfg)]) == 0
-    summary_lines = open(os.path.join(out, "attention_summary.csv")).read().strip().splitlines()
+    summary_lines = pathlib.Path(out, "attention_summary.csv").read_text().strip().splitlines()
     assert len(summary_lines) == 1 + 3 * 4
     alphas_seen = {line.split(",")[0] for line in summary_lines[1:]}
     assert alphas_seen == {"0.1", "1.0", "10.0"}

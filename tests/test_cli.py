@@ -3,6 +3,8 @@ exit codes, reproducibility, and output formats."""
 
 import json
 import os
+import pathlib
+import shutil
 import struct
 
 import numpy as np
@@ -73,14 +75,14 @@ class TestPipeline:
         for command in ("train-prior", "train-pvit", "score", "eval", "attention-dump"):
             path = os.path.join(out, f"{command}.resolved.cfg")
             assert os.path.exists(path)
-            text = open(path).read()
+            text = pathlib.Path(path).read_text()
             assert "model.alpha = 0.1" in text
 
     def test_alpha_from_config_reaches_model(self, pipeline):
         _, out = pipeline
         header, _ = load_checkpoint(os.path.join(out, "pvit.ckpt"))
         assert header["config"]["alpha"] == 0.1
-        summary = json.load(open(os.path.join(out, "pvit_train.json")))
+        summary = json.loads(pathlib.Path(out, "pvit_train.json").read_text())
         assert summary["alpha"] == 0.1
 
     def test_eval_writes_one_json_per_ood_set_plus_summary(self, pipeline):
@@ -88,7 +90,7 @@ class TestPipeline:
         jsons = [f for f in os.listdir(out) if f.startswith("metrics_") and f.endswith(".json")]
         assert len(jsons) == 3  # one per OOD set with the default single score
         assert os.path.exists(os.path.join(out, "eval_summary.csv"))
-        summary = open(os.path.join(out, "eval_summary.csv")).read().strip().splitlines()
+        summary = pathlib.Path(out, "eval_summary.csv").read_text().strip().splitlines()
         assert summary[0] == "ood_dataset,score,auroc,fpr95,threshold,orientation"
         assert len(summary) == 1 + 3
 
@@ -117,7 +119,7 @@ def artifact_bytes(out):
     for root, _, files in os.walk(out):
         for name in files:
             path = os.path.join(root, name)
-            found[os.path.relpath(path, out)] = open(path, "rb").read()
+            found[os.path.relpath(path, out)] = pathlib.Path(path).read_bytes()
     summary = json.loads(found.pop("pvit_train.json"))
     del summary["checkpoint"]
     found["pvit_train.json"] = json.dumps(summary, sort_keys=True).encode()
@@ -147,12 +149,12 @@ class TestReproducibility:
         cfg, out = write_cfg(tmp_path)
         assert main(["train-prior", "--config", cfg]) == 0
         first = {
-            split: open(os.path.join(out, "logits", f"logits_{split}.jsonl"), "rb").read()
+            split: pathlib.Path(out, "logits", f"logits_{split}.jsonl").read_bytes()
             for split in SPLITS
         }
         assert main(["train-prior", "--config", cfg]) == 0
         for split in SPLITS:
-            again = open(os.path.join(out, "logits", f"logits_{split}.jsonl"), "rb").read()
+            again = pathlib.Path(out, "logits", f"logits_{split}.jsonl").read_bytes()
             assert first[split] == again, split
 
     def test_export_logits_after_train_prior_is_identical(self, tmp_path):
@@ -160,25 +162,25 @@ class TestReproducibility:
         cfg, out = write_cfg(tmp_path)
         assert main(["train-prior", "--config", cfg]) == 0
         paths = [os.path.join(out, "logits", f"logits_{split}.jsonl") for split in SPLITS]
-        first = [open(path, "rb").read() for path in paths]
+        first = [pathlib.Path(path).read_bytes() for path in paths]
         assert main(["export-logits", "--config", cfg]) == 0
-        assert [open(path, "rb").read() for path in paths] == first
+        assert [pathlib.Path(path).read_bytes() for path in paths] == first
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg, out = write_cfg(tmp_path)
         assert main(["train-prior", "--config", cfg]) == 0
-        baseline = open(os.path.join(out, "logits", "logits_id-test.jsonl"), "rb").read()
+        baseline = pathlib.Path(out, "logits", "logits_id-test.jsonl").read_bytes()
         assert main(["train-prior", "--config", cfg, "--seed", "99"]) == 0
-        shifted = open(os.path.join(out, "logits", "logits_id-test.jsonl"), "rb").read()
+        shifted = pathlib.Path(out, "logits", "logits_id-test.jsonl").read_bytes()
         assert baseline != shifted
 
     def test_resolved_config_alone_reproduces_run(self, tmp_path):
         cfg, out = write_cfg(tmp_path)
         assert main(["train-prior", "--config", cfg]) == 0
-        baseline = open(os.path.join(out, "logits", "logits_id-test.jsonl"), "rb").read()
+        baseline = pathlib.Path(out, "logits", "logits_id-test.jsonl").read_bytes()
         resolved = os.path.join(out, "train-prior.resolved.cfg")
         assert main(["train-prior", "--config", resolved]) == 0
-        again = open(os.path.join(out, "logits", "logits_id-test.jsonl"), "rb").read()
+        again = pathlib.Path(out, "logits", "logits_id-test.jsonl").read_bytes()
         assert baseline == again
 
 
@@ -203,9 +205,9 @@ class TestNormalization:
         for split in SPLITS:
             expected = str(tmp_path / f"expected_{split}.jsonl")
             export_logits(prior, normalize(datasets[split], 0.1, 0.9), expected)
-            written = open(os.path.join(out, "logits", f"logits_{split}.jsonl"), "rb").read()
-            assert written == open(expected, "rb").read(), split
-            assert written != open(os.path.join(plain_out, "logits", f"logits_{split}.jsonl"), "rb").read(), split
+            written = pathlib.Path(out, "logits", f"logits_{split}.jsonl").read_bytes()
+            assert written == pathlib.Path(expected).read_bytes(), split
+            assert written != pathlib.Path(plain_out, "logits", f"logits_{split}.jsonl").read_bytes(), split
 
 
 class TestResume:
@@ -224,7 +226,7 @@ class TestResume:
         header2, tensors = load_checkpoint(os.path.join(out, "pvit.ckpt"))
         assert header2["step"] == 2 * first_steps
         assert any(name.startswith("opt.m.") for name in tensors)
-        curve = open(os.path.join(out, "pvit_loss.csv")).read().splitlines()
+        curve = pathlib.Path(out, "pvit_loss.csv").read_text().splitlines()
         assert curve[1].startswith(f"{first_steps + 1},0,")
 
     def test_resumed_state_is_the_checkpoint_step_and_moments(self, tmp_path):
@@ -269,13 +271,13 @@ class TestResume:
         assert main(["train-prior", "--config", cfg]) == 0
         assert main(["train-pvit", "--config", cfg]) == 0
         ckpt = os.path.join(out, "pvit.ckpt")
-        before, ckpt_bytes = sorted(os.listdir(out)), open(ckpt, "rb").read()
+        before, ckpt_bytes = sorted(os.listdir(out)), pathlib.Path(ckpt).read_bytes()
         resume_cfg, _ = write_cfg(tmp_path, name="resume.cfg", train__resume=ckpt, model__dim=32, model__alpha=5.0)
         assert main(["train-pvit", "--config", resume_cfg]) == 1
         err = capsys.readouterr().err
         assert "'model.dim' = 32" in err and "has 16" in err, err
         assert "'model.alpha' = 5.0" in err and "has 0.1" in err and "Traceback" not in err, err
-        assert sorted(os.listdir(out)) == before and open(ckpt, "rb").read() == ckpt_bytes
+        assert sorted(os.listdir(out)) == before and pathlib.Path(ckpt).read_bytes() == ckpt_bytes
 
 
 class TestGuidanceSwitch:
@@ -398,6 +400,19 @@ class TestErrors:
         assert f"'{key}'" in err and "Traceback" not in err
         assert sorted(os.listdir(out)) == before
 
+    @pytest.mark.parametrize("command, key, value, entry", [
+        ("score", "ood.kinds", "inverted,pattern-shift,inverted", "'inverted'"),
+        ("eval", "eval.scores", "pge,msp,pge", "'pge'"),
+        ("attention-dump", "attention.alphas", "0.1,0.1", "0.1"),
+    ])
+    def test_repeated_list_entry_exits_1_naming_key_and_entry(self, tmp_path, capsys, command, key, value, entry):
+        """A repeated entry would write one output twice over, or one row twice."""
+        cfg, out = write_cfg(tmp_path, **{key.replace(".", "__"): value})
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"config key '{key}': {entry} is repeated" in err and "Traceback" not in err, err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("command, key, value, keys", [
         ("train-pvit", "train.batch_size", 0, ["train.batch_size"]),
         ("train-pvit", "train.base_lr", 0, ["train.base_lr"]),
@@ -449,7 +464,7 @@ class TestErrors:
         write_score_set(other)
         assert main(["eval", "--config", cfg, "--out", other]) == 0
         assert os.path.exists(os.path.join(other, "eval_summary.csv"))
-        assert f"out.dir = {other}\n" in open(os.path.join(other, "eval.resolved.cfg")).read()
+        assert f"out.dir = {other}\n" in pathlib.Path(other, "eval.resolved.cfg").read_text()
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("defect, message", [
@@ -462,7 +477,7 @@ class TestErrors:
         path = os.path.join(out, "pvit.ckpt")
         if defect == "version":
             PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=1, heads=2, mlp_dim=24)).save(path)
-            data = bytearray(open(path, "rb").read())
+            data = bytearray(pathlib.Path(path).read_bytes())
             data[4:8] = struct.pack("<I", FORMAT_VERSION + 1)
         else:
             data = MAGIC + struct.pack("<II", FORMAT_VERSION, 3) + b"[1]" + struct.pack("<I", 0)
@@ -563,7 +578,7 @@ class TestEvalInputs:
         cfg, out = write_cfg(tmp_path)
         write_score_set(out)
         path = os.path.join(out, f"scores_{split}.jsonl")
-        lines = open(path).read().splitlines()
+        lines = pathlib.Path(path).read_text().splitlines()
         lines[lineno - 1] = text
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -572,14 +587,15 @@ class TestEvalInputs:
         assert not os.path.exists(os.path.join(out, "eval_summary.csv"))
 
 
-def write_logits_set(directory, splits):
-    """Hand-written three-class logits files, two records each."""
+def write_logits_set(directory, splits, k=3):
+    """Hand-written ``k``-class logits files, two records each."""
     os.makedirs(directory, exist_ok=True)
     for split in splits:
         with open(os.path.join(directory, f"logits_{split}.jsonl"), "w") as fh:
-            fh.write(json.dumps({"k": 3, "dataset": split, "model": "mlp"}) + "\n")
+            fh.write(json.dumps({"k": k, "dataset": split, "model": "mlp"}) + "\n")
             for j in range(2):
-                fh.write(json.dumps({"id": f"{split}-{j}", "label": j, "logits": [0.5 * j, 0.1, -0.2]}) + "\n")
+                logits = [0.5 * j, 0.1, -0.2] + [0.0] * (k - 3)
+                fh.write(json.dumps({"id": f"{split}-{j}", "label": j, "logits": logits}) + "\n")
 
 
 class TestLogitsInputs:
@@ -611,7 +627,7 @@ class TestLogitsInputs:
             split = "id-test"
         write_logits_set(os.path.join(out, "logits"), SPLITS)
         path = os.path.join(out, "logits", f"logits_{split}.jsonl")
-        lines = open(path).read().splitlines()
+        lines = pathlib.Path(path).read_text().splitlines()
         lines[lineno - 1] = text
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -622,7 +638,7 @@ class TestLogitsInputs:
         "lines,message",
         [
             (['{"k": 4, "dataset": "d", "model": "mlp"}', '{"id": "id-test-0", "label": 0, "logits": [1, 2, 3, 4]}'],
-             "need matching (N, K) logit blocks for 1 ids, got (1, 4) and (1, 3)"),
+             "holds 4 logits per sample, but data.classes is 3"),
             (['{"k": 3, "dataset": "d", "model": "mlp"}', '{"id": "other-00003", "label": 0, "logits": [1, 2, 3]}'],
              "no prior logits for sample id 'other-00003'"),
         ],
@@ -650,6 +666,54 @@ class TestLogitsInputs:
         assert os.path.join(out, "logits", "logits_id-test.jsonl") in capsys.readouterr().err
 
 
+class TestLogitsFilesPerSplit:
+    """Each command reads every logits file it needs, checks its K against
+    data.classes and looks up every sample id before it writes anything;
+    a wrong K or a missing id exits 2 naming the file."""
+
+    @pytest.mark.parametrize("command", ["train-pvit", "score", "attention-dump"])
+    def test_logits_of_another_k_exit_2_naming_the_file_and_data_classes(self, tmp_path, capsys, command):
+        cfg, out = write_cfg(tmp_path)
+        write_logits_set(os.path.join(out, "logits"), SPLITS, k=4)
+        PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=1, heads=2, mlp_dim=24)).save(
+            os.path.join(out, "pvit.ckpt"))
+        before = sorted(os.listdir(out))
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        split = "id-train" if command == "train-pvit" else "id-test"
+        assert os.path.join(out, "logits", f"logits_{split}.jsonl") in err, err
+        assert "data.classes is 3" in err and "Traceback" not in err, err
+        assert sorted(os.listdir(out)) == before
+
+    def test_ood_count_past_the_exported_logits_exits_2_before_any_score_file(self, tmp_path, capsys, pipeline):
+        """A stale logits file names itself, and the splits before it keep
+        their score files: every id is looked up before any file is written."""
+        out = str(tmp_path / "out")
+        shutil.copytree(pipeline[1], out)
+        cfg, _ = write_cfg(tmp_path, ood__count=31)
+        scores = pathlib.Path(out, "scores_id-test.jsonl").read_bytes()
+        assert main(["score", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert os.path.join(out, "logits", "logits_ood-uniform-noise.jsonl") in err, err
+        assert "'ood-uniform-noise-00030'" in err and "Traceback" not in err, err
+        assert pathlib.Path(out, "scores_id-test.jsonl").read_bytes() == scores
+
+
+class TestPvitCheckpointPath:
+    def test_commands_write_and_read_the_checkpoint_at_paths_pvit_checkpoint(self, tmp_path, pipeline):
+        ckpt = str(tmp_path / "elsewhere" / "model.ckpt")
+        os.makedirs(os.path.dirname(ckpt))
+        cfg, out = write_cfg(tmp_path, paths__pvit_checkpoint=ckpt)
+        for command in ("train-prior", "train-pvit", "score", "attention-dump"):
+            assert main([command, "--config", cfg]) == 0, command
+        assert os.path.exists(ckpt) and not os.path.exists(os.path.join(out, "pvit.ckpt"))
+        assert json.loads(pathlib.Path(out, "pvit_train.json").read_text())["checkpoint"] == ckpt
+        header, _ = read_scores(os.path.join(out, "scores_id-test.jsonl"))
+        assert header["checkpoint_sha256"] == file_sha256(ckpt)
+        for name in ["scores_id-test.jsonl", "attention_summary.csv"]:
+            assert pathlib.Path(out, name).read_bytes() == pathlib.Path(pipeline[1], name).read_bytes(), name
+
+
 def library_run(cfg_path, out):
     """train-pvit and score as the CLI runs them, but driven through the
     library with a prior model loaded from prior.ckpt instead of the
@@ -660,7 +724,7 @@ def library_run(cfg_path, out):
     prior = ModelSource(MLPClassifier.load(cfg["paths.prior_checkpoint"]))
     config = _train_config(cfg, "train")
     model = PViTModel(_pvit_config(cfg, datasets), seed=cfg.seed_for("model.seed"))
-    result = train(model, datasets["id-train"], prior, config)
+    result = train(model, datasets["id-train"], prior.resolve(datasets["id-train"]), config)
     ckpt = os.path.join(out, "pvit.ckpt")
     model.save(ckpt, step=result.final_step, epoch=config.epochs, extra_tensors=result.optimizer_tensors)
     with open(os.path.join(out, "pvit_loss.csv"), "w") as fh:
@@ -678,10 +742,10 @@ class TestLogitsPriorInterchangeability:
         cfg, out = write_cfg(tmp_path, paths__prior_checkpoint=str(tmp_path / "prior.ckpt"))
         assert main(["train-prior", "--config", cfg]) == 0
         assert main(["train-pvit", "--config", cfg]) == 0
-        table_curve = open(os.path.join(out, "pvit_loss.csv")).read().splitlines()
+        table_curve = pathlib.Path(out, "pvit_loss.csv").read_text().splitlines()
 
         library_run(cfg, str(tmp_path / "library"))
-        model_curve = open(tmp_path / "library" / "pvit_loss.csv").read().splitlines()
+        model_curve = pathlib.Path(tmp_path / "library" / "pvit_loss.csv").read_text().splitlines()
 
         assert len(model_curve) == len(table_curve)
         for a, b in zip(model_curve[1:4], table_curve[1:4]):
@@ -712,5 +776,5 @@ class TestLogitsPriorInterchangeability:
         names += [f for f in os.listdir(outs[0]) if f.startswith(("metrics_", "hist_"))]
         assert len(names) == 3 + 4 + 6
         for name in names:
-            a, b = (open(os.path.join(out, name), "rb").read() for out in outs)
+            a, b = (pathlib.Path(out, name).read_bytes() for out in outs)
             assert a == b, name

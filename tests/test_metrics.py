@@ -6,6 +6,7 @@ values.  Random instances deliberately include ties.
 """
 
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -214,7 +215,7 @@ class TestHistogramExport:
         oods = rng.normal(0, 1, 60)
         path = str(tmp_path / "hist.csv")
         histogram_export(ids, oods, 12, path)
-        rows = [line.split(",") for line in open(path).read().strip().splitlines()[1:]]
+        rows = [line.split(",") for line in pathlib.Path(path).read_text().strip().splitlines()[1:]]
         assert len(rows) == 12
         assert sum(int(r[2]) for r in rows) == 100
         assert sum(int(r[3]) for r in rows) == 60
@@ -222,7 +223,7 @@ class TestHistogramExport:
     def test_single_value_single_bin(self, tmp_path):
         path = str(tmp_path / "hist.csv")
         histogram_export([1.0] * 5, [1.0] * 3, 8, path)
-        rows = [line.split(",") for line in open(path).read().strip().splitlines()[1:]]
+        rows = [line.split(",") for line in pathlib.Path(path).read_text().strip().splitlines()[1:]]
         occupied = [r for r in rows if int(r[2]) + int(r[3]) > 0]
         assert len(occupied) == 1
         assert int(occupied[0][2]) == 5 and int(occupied[0][3]) == 3
@@ -234,7 +235,7 @@ class TestHistogramExport:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         histogram_export(ids, oods, 10, p1)
         histogram_export(ids, oods, 10, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert pathlib.Path(p1).read_bytes() == pathlib.Path(p2).read_bytes()
 
     def test_too_few_bins(self, tmp_path):
         with pytest.raises(FormatError):

@@ -4,6 +4,8 @@ encoder invariants, attention extraction, checkpoint round trip.
 A single sample is a batch of one; per-sample checks run through
 ``forward_batch`` with B=1 and compare against B=n."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -389,7 +391,7 @@ class TestCheckpointHeader:
     def test_every_truncation_rejected(self, tmp_path):
         path = str(tmp_path / "tiny.ckpt")
         save_checkpoint(path, {"kind": "test", "config": {}}, {"w": np.ones((2, 3)), "s": np.array(1.5)})
-        data = open(path, "rb").read()
+        data = pathlib.Path(path).read_bytes()
         cut = str(tmp_path / "cut.ckpt")
         for size in range(len(data)):
             with open(cut, "wb") as fh:
@@ -401,7 +403,7 @@ class TestCheckpointHeader:
     def test_non_utf8_tensor_name_rejected(self, tmp_path):
         path = str(tmp_path / "c.ckpt")
         save_checkpoint(path, {"kind": "test", "config": {}}, {"ab": np.ones(2)})
-        data = open(path, "rb").read()
+        data = pathlib.Path(path).read_bytes()
         at = data.index(b"ab")
         with open(path, "wb") as fh:
             fh.write(data[:at] + b"\xff\xfe" + data[at + 2:])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pvit.artifacts import read_jsonl
+from pvit.cli import _accuracy
 from pvit.checkpoint import load_checkpoint, save_checkpoint
 from pvit.data import Dataset
 from pvit.errors import FormatError, MissingPriorError
@@ -14,7 +15,6 @@ from pvit.priors import (
     MLPConfig,
     ModelSource,
     TableSource,
-    accuracy,
     export_logits,
     load_logits,
     priors_for_indices,
@@ -96,8 +96,9 @@ class TestResolve:
         ds = blobs_dataset(per_class=30, seed=12)
         src = ModelSource(MLPClassifier(MLPConfig(input_dim=16, hidden_dim=8, num_classes=2), seed=6))
         path = str(tmp_path / "logits.jsonl")
-        export_logits(src, ds, path)
-        assert accuracy(load_logits(path), ds) == accuracy(src, ds)
+        exported = export_logits(src, ds, path)
+        assert _accuracy(load_logits(path).resolve(ds), ds.labels) == _accuracy(src.resolve(ds), ds.labels)
+        assert _accuracy(exported, ds.labels) == _accuracy(src.resolve(ds), ds.labels)
 
 
 class TestTrainPriorModel:
@@ -106,7 +107,7 @@ class TestTrainPriorModel:
         config = TrainConfig(epochs=5, batch_size=20, base_lr=3e-2, warmup_epochs=1,
                              weight_decay=0.0, seed=1)
         src, result = train_prior_model(ds, config, hidden_dim=16, seed=2)
-        assert accuracy(src, ds) >= 0.99
+        assert _accuracy(src.resolve(ds), ds.labels) >= 0.99
         assert result.curve[-1].accuracy >= 0.99
 
     def test_zero_epochs_is_chance_level(self):
@@ -114,7 +115,7 @@ class TestTrainPriorModel:
         config = TrainConfig(epochs=0, batch_size=20, base_lr=1e-3, warmup_epochs=0, seed=1)
         src, result = train_prior_model(ds, config, hidden_dim=16, seed=5)
         assert result.curve == [] and result.final_step == 0
-        assert abs(accuracy(src, ds) - 0.5) <= 0.15
+        assert abs(_accuracy(src.resolve(ds), ds.labels) - 0.5) <= 0.15
 
     def test_fixed_seed_identical_weights(self):
         ds = blobs_dataset(per_class=30, seed=6)

@@ -315,14 +315,22 @@ class TestScoreDataset:
         model, prior, _ = trained_setup(8)
         ds = synth_dataset(3, 90, size=8, seed=9, name="big")
         path = str(tmp_path / "logits.jsonl")
-        export_logits(prior, ds, path)
-        table = load_logits(path)
+        model_priors = prior.resolve(ds)
+        assert export_logits(prior, ds, path).tobytes() == model_priors.tobytes()
+        table_priors = load_logits(path).resolve(ds)
+        assert table_priors.tobytes() == model_priors.tobytes()
         for batch_size in (7, 64):
-            by_model = predict_logits(model, prior, ds, batch_size=batch_size)
-            by_table = predict_logits(model, table, ds, batch_size=batch_size)
-            assert [a.tobytes() for a in by_model] == [b.tobytes() for b in by_table]
+            by_model = predict_logits(model, ds.images, model_priors, batch_size=batch_size)
+            by_table = predict_logits(model, ds.images, table_priors, batch_size=batch_size)
+            assert by_model.tobytes() == by_table.tobytes()
             assert score_dataset(model, prior, ds, "kl", batch_size=batch_size) == score_records(
-                ds.ids, *by_table, "kl")
+                ds.ids, by_table, table_priors, "kl")
+
+    @pytest.mark.parametrize("rows", [35, 37])
+    def test_prior_block_of_another_length_rejected(self, rows):
+        model, _, ds = trained_setup(7)
+        with pytest.raises(ShapeError, match=f"36 images, {rows} rows"):
+            predict_logits(model, ds.images, np.zeros((rows, 3)))
 
     def test_pge_is_exact_product(self):
         model, prior, ds = trained_setup(1)

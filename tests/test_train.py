@@ -165,15 +165,16 @@ class TestTrainLoop:
         ds = synth_dataset(2, 1, size=8, noise_sigma=0.0, seed=1)
         return Dataset("one", ds.images[:1], ds.labels[:1])
 
-    def _prior(self, dataset, num_classes=None):
+    def _priors(self, dataset, num_classes=None):
+        """The dataset's (N, K) prior block, from an untrained MLP prior."""
         src, _ = train_prior_model(dataset, cfg(epochs=0, warmup_epochs=0), hidden_dim=8,
                                    seed=2, num_classes=num_classes)
-        return src
+        return src.resolve(dataset)
 
     def test_single_sample_loss_decreases_after_warmup(self):
         ds = self._one_sample_dataset()
         model = tiny_model(seed=3)
-        result = train(model, ds, self._prior(ds, num_classes=2), cfg(epochs=50, batch_size=1, warmup_epochs=5))
+        result = train(model, ds, self._priors(ds, num_classes=2), cfg(epochs=50, batch_size=1, warmup_epochs=5))
         losses = [pt.loss for pt in result.curve]
         assert len(losses) == 50
         for i in range(5, 49):
@@ -181,11 +182,11 @@ class TestTrainLoop:
 
     def test_fixed_seed_bit_identical_trajectory(self):
         ds = synth_dataset(2, 8, size=8, seed=5)
-        prior = self._prior(ds)
+        priors = self._priors(ds)
         curves = []
         for _ in range(2):
             model = tiny_model(seed=6)
-            result = train(model, ds, prior, cfg(epochs=3, batch_size=4, seed=11))
+            result = train(model, ds, priors, cfg(epochs=3, batch_size=4, seed=11))
             curves.append(loss_curve_csv(result.curve))
         assert curves[0] == curves[1]
 
@@ -193,7 +194,7 @@ class TestTrainLoop:
         ds = synth_dataset(2, 6, size=8, seed=7)
         model = tiny_model(seed=8, alpha=0.0)
         before = model.params["prior_proj"].data.copy()
-        train(model, ds, self._prior(ds), cfg(epochs=2, batch_size=3, weight_decay=0.0))
+        train(model, ds, self._priors(ds), cfg(epochs=2, batch_size=3, weight_decay=0.0))
         np.testing.assert_array_equal(model.params["prior_proj"].data, before)
 
     def test_single_sample_overfit_under_500_steps_on_desk_config(self):
@@ -202,9 +203,9 @@ class TestTrainLoop:
         ds = synth_dataset(4, 1, size=28, noise_sigma=0.1, seed=9)
         one = Dataset("one", ds.images[:1], ds.labels[:1])
         model = PViTModel(PViTConfig(), seed=10)
-        prior = self._prior(one, num_classes=4)
+        priors = self._priors(one, num_classes=4)
         result = train(
-            model, one, prior,
+            model, one, priors,
             cfg(epochs=500, batch_size=1, base_lr=1e-3, warmup_epochs=0, weight_decay=0.0),
         )
         assert min(pt.loss for pt in result.curve) < 0.01
@@ -215,14 +216,21 @@ class TestTrainLoop:
         ds = synth_dataset(2, 5, size=8, seed=15)
         model = tiny_model(seed=16)
         state = OptimizerState()
-        result = train(model, ds, self._prior(ds), cfg(epochs=2, batch_size=4), state)
+        result = train(model, ds, self._priors(ds), cfg(epochs=2, batch_size=4), state)
         assert state.t == result.final_step == len(result.curve) == 6
         assert [pt.step for pt in result.curve] == [1, 2, 3, 4, 5, 6]
         assert result.curve[-1].lr == 0.0
         assert result.optimizer_tensors is state.moments
         assert sorted(state.moments) == sorted(f"opt.{kind}.{name}" for name in model.params for kind in "mv")
-        again = train(model, ds, self._prior(ds), cfg(epochs=1, batch_size=4), state)
+        again = train(model, ds, self._priors(ds), cfg(epochs=1, batch_size=4), state)
         assert [pt.step for pt in again.curve] == [7, 8, 9] and state.t == again.final_step == 9
+
+    @pytest.mark.parametrize("rows", [4, 6])
+    def test_prior_block_of_another_length_rejected(self, rows):
+        ds = synth_dataset(2, 4, size=8, seed=12)
+        priors = np.zeros((rows, 2))
+        with pytest.raises(ShapeError, match=f"8 samples, {rows} rows"):
+            train(tiny_model(), ds, priors, cfg())
 
     def test_unlabeled_dataset_rejected(self):
         ds = synth_dataset(2, 4, size=8, seed=12)
@@ -233,7 +241,7 @@ class TestTrainLoop:
     def test_curve_csv_format(self):
         ds = synth_dataset(2, 4, size=8, seed=13)
         model = tiny_model(seed=14)
-        result = train(model, ds, self._prior(ds), cfg(epochs=1, batch_size=4))
+        result = train(model, ds, self._priors(ds), cfg(epochs=1, batch_size=4))
         csv = loss_curve_csv(result.curve)
         lines = csv.strip().splitlines()
         assert lines[0] == "step,epoch,lr,loss,accuracy"
