@@ -9,6 +9,11 @@ AUROC/FPR95 reports plus histograms, and ``attention-dump`` exports
 attention matrices and the prior-token attention mass.  Priors cross
 commands only as the logits files ``logits_<split>.jsonl``.
 
+Every checkpoint a command loads must agree with the config the run
+would build: an image shape or prior pixel count that is not the data's
+exits 2, and a field set by a config key that differs exits 1 naming the
+key and both values, so a resolved configuration records what ran.
+
 Exit codes: 0 success, 1 usage/config error, 2 data or format error.
 All outputs are plain text (JSONL / CSV / JSON), each replaced
 atomically; every command writes its fully-resolved configuration next
@@ -33,9 +38,9 @@ from .data import Dataset, load_idx, make_ood, normalize, split_dataset, synth_d
 from .errors import ConfigError, FormatError, MissingPriorError, PvitError
 from .metrics import evaluate, histogram_export
 from .model import PViTConfig, PViTModel, extract_attention
-from .priors import MLPClassifier, ModelSource, export_logits, load_logits, train_prior_model
+from .priors import MLPClassifier, MLPConfig, ModelSource, export_logits, load_logits, train_prior_model
 from .scoring import file_sha256, predict_logits, read_scores, score_field, score_records, write_scores
-from .train import OptimizerState, TrainConfig, loss_curve_csv, train
+from .train import OptimizerState, TrainConfig, loss_curve_csv, resume_state, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,17 +123,39 @@ def build_datasets(cfg: RunConfig) -> dict[str, Dataset]:
     return datasets
 
 
-# PViTConfig field -> the config key that sets it; the image shape comes from the datasets
-_MODEL_KEYS = {"patch_size": "model.patch", "embed_dim": "model.dim", "depth": "model.depth",
-               "heads": "model.heads", "mlp_dim": "model.mlp_dim", "num_classes": "data.classes",
-               "alpha": "model.alpha"}
+# a checkpoint config's field -> the config key that sets it; the fields not named come from
+# the datasets: the transformer's image shape and the prior's pixel count
+_MODEL_KEYS = {PViTConfig: {"patch_size": "model.patch", "embed_dim": "model.dim", "depth": "model.depth",
+                            "heads": "model.heads", "mlp_dim": "model.mlp_dim", "num_classes": "data.classes",
+                            "alpha": "model.alpha"},
+               MLPConfig: {"hidden_dim": "prior.hidden", "num_classes": "data.classes"}}
 
 
 def _pvit_config(cfg: RunConfig, datasets) -> PViTConfig:
     h, w, c = datasets["id-test"].image_shape
     if h % cfg["model.patch"] or w % cfg["model.patch"]:
         raise ConfigError(f"config key 'model.patch': {cfg['model.patch']} does not divide the {h}x{w} images")
-    return PViTConfig(**{name: cfg[key] for name, key in _MODEL_KEYS.items()}, image_h=h, image_w=w, channels=c)
+    return PViTConfig(**{name: cfg[key] for name, key in _MODEL_KEYS[PViTConfig].items()},
+                      image_h=h, image_w=w, channels=c)
+
+
+def _load_checked(path: str, wanted):
+    """The model, header and leftover tensors of the checkpoint at ``path``
+    once its config is ``wanted``, the PViTConfig or MLPConfig the run
+    builds; commands load checkpoints here alone (see the module docstring)."""
+    model, header, tensors = (PViTModel.load(path) if isinstance(wanted, PViTConfig)
+                              else (MLPClassifier.load(path), {}, {}))
+    keys = _MODEL_KEYS[type(wanted)]
+    shaped = [name for name in vars(wanted) if name not in keys]
+    takes, given = ("x".join(str(getattr(config, name)) for name in shaped) for config in (model.config, wanted))
+    if takes != given:
+        raise FormatError(f"{path}: the checkpoint takes {takes} inputs, but the data "
+                          f"(data.image_size, data.channels) give {given}")
+    differ = [f"{key!r} = {getattr(wanted, name)!r} but the checkpoint has {getattr(model.config, name)!r}"
+              for name, key in keys.items() if getattr(wanted, name) != getattr(model.config, name)]
+    if differ:
+        raise ConfigError(f"{path}: the config disagrees with the checkpoint: " + "; ".join(differ))
+    return model, header, tensors
 
 
 def _train_config(cfg: RunConfig, prefix: str) -> TrainConfig:
@@ -156,12 +183,9 @@ def _logits_path(directory: str, split: str) -> str:
 def _export_all_logits(cfg: RunConfig, out: str, datasets) -> dict[str, np.ndarray]:
     """Write every split's logits file from the prior as loaded back from
     its checkpoint (float32); returns each split's (N, K) block."""
-    ckpt = _prior_ckpt_path(cfg, out)
-    source = ModelSource(MLPClassifier.load(ckpt))
-    pixels = math.prod(datasets["id-test"].image_shape)
-    if source.model.config.input_dim != pixels:
-        raise FormatError(f"{ckpt}: the prior takes {source.model.config.input_dim} pixels per image, but "
-                          f"data.image_size and data.channels give {pixels}")
+    wanted = MLPConfig(input_dim=math.prod(datasets["id-test"].image_shape),
+                       **{name: cfg[key] for name, key in _MODEL_KEYS[MLPConfig].items()})
+    source = ModelSource(_load_checked(_prior_ckpt_path(cfg, out), wanted)[0])
     directory = _logits_dir(cfg, out)
     os.makedirs(directory, exist_ok=True)
     return {split: export_logits(source, ds, _logits_path(directory, split)) for split, ds in datasets.items()}
@@ -231,56 +255,20 @@ def cmd_export_logits(cfg: RunConfig, out: str) -> None:
         print(f"logits: {_logits_path(_logits_dir(cfg, out), split)}")
 
 
-def _check_images(model: PViTModel, path: str, datasets) -> None:
-    """A FormatError naming ``path`` unless ``model`` takes the datasets' images."""
-    takes = (model.config.image_h, model.config.image_w, model.config.channels)
-    given = datasets["id-test"].image_shape
-    if takes != given:
-        raise FormatError(f"{path}: the model takes {'x'.join(map(str, takes))} images, but the data's are "
-                          f"{'x'.join(map(str, given))}")
-
-
-def _resumed(path: str) -> tuple[PViTModel, OptimizerState]:
-    """The model and training state a ``train.resume`` checkpoint holds:
-    its ``step`` is the state's ``t``, a non-negative integer, and its
-    tensors past the parameters are the state's moments, ``opt.m.<param>``
-    and ``opt.v.<param>`` pairs each shaped like its parameter."""
-    model, header, moments = PViTModel.load(path)
-    step = header.get("step")
-    if type(step) is not int or step < 0:
-        raise FormatError(f"{path}: checkpoint key 'step' must be a non-negative integer, got {step!r}")
-    shapes = {f"opt.{kind}.{name}": p.shape for name, p in model.params.items() for kind in "mv"}
-    for key, moment in moments.items():
-        if key not in shapes:
-            raise FormatError(f"{path}: checkpoint tensor {key!r} is not an opt.m./opt.v. moment of a parameter")
-        if moment.shape != shapes[key]:
-            raise FormatError(f"{path}: checkpoint tensor {key!r} has shape {moment.shape}, "
-                              f"its parameter {shapes[key]}")
-        partner = ("opt.v." if key.startswith("opt.m.") else "opt.m.") + key[len("opt.m."):]
-        if partner not in moments:
-            raise FormatError(f"{path}: checkpoint tensor {key!r} has no partner {partner!r}")
-    return model, OptimizerState(moments=moments, t=step)
-
-
 def cmd_train_pvit(cfg: RunConfig, out: str) -> None:
     datasets = build_datasets(cfg)
     config = _train_config(cfg, "train")
+    wanted = _pvit_config(cfg, datasets)
     if cfg["train.resume"]:
-        model, state = _resumed(cfg["train.resume"])
-        _check_images(model, cfg["train.resume"], datasets)
-        differ = [f"{key!r} = {cfg[key]!r} but the checkpoint has {getattr(model.config, name)!r}"
-                  for name, key in _MODEL_KEYS.items() if cfg[key] != getattr(model.config, name)]
-        if differ:
-            raise ConfigError(f"{cfg['train.resume']}: the config disagrees with the checkpoint it resumes: "
-                              + "; ".join(differ))
+        model, header, moments = _load_checked(cfg["train.resume"], wanted)
+        state, epochs_run = resume_state(cfg["train.resume"], header, moments, model.params)
     else:
-        model = PViTModel(_pvit_config(cfg, datasets), seed=cfg.seed_for("model.seed"))
-        state = OptimizerState()
+        model, state, epochs_run = PViTModel(wanted, seed=cfg.seed_for("model.seed")), OptimizerState(), 0
     priors = _split_priors(cfg, out, datasets, ["id-train", "id-test"])
 
     result = train(model, datasets["id-train"], priors["id-train"], config, state)
     ckpt = _pvit_ckpt_path(cfg, out)
-    model.save(ckpt, step=state.t, epoch=config.epochs, extra_tensors=state.moments)
+    model.save(ckpt, step=state.t, epoch=epochs_run + config.epochs, extra_tensors=state.moments)
     write_artifact(os.path.join(out, "pvit_loss.csv"), [loss_curve_csv(result.curve)])
     accuracies = {split: _accuracy(predict_logits(model, datasets[split].images, priors[split]),
                                    datasets[split].labels) for split in priors}
@@ -316,8 +304,7 @@ def cmd_score(cfg: RunConfig, out: str) -> None:
     else:
         datasets = build_datasets(cfg)
         ckpt = _pvit_ckpt_path(cfg, out)
-        model, _, _ = PViTModel.load(ckpt)
-        _check_images(model, ckpt, datasets)
+        model, _, _ = _load_checked(ckpt, _pvit_config(cfg, datasets))
         alpha, source_hash = model.config.alpha, file_sha256(ckpt)
         ids = {split: datasets[split].ids for split in splits}
         priors = _split_priors(cfg, out, datasets, splits)
@@ -373,9 +360,7 @@ def cmd_attention_dump(cfg: RunConfig, out: str) -> None:
     if split not in datasets:
         raise ConfigError(f"config key 'attention.dataset': no dataset named {split!r}")
     ds = datasets[split]
-    ckpt = _pvit_ckpt_path(cfg, out)
-    model, _, _ = PViTModel.load(ckpt)
-    _check_images(model, ckpt, datasets)
+    model, _, _ = _load_checked(_pvit_ckpt_path(cfg, out), _pvit_config(cfg, datasets))
     depth, heads = model.config.depth, model.config.heads
     layer = cfg["attention.layer"]
     if not -depth <= layer < depth:

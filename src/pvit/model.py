@@ -223,16 +223,8 @@ class PViTModel:
     # persistence
 
     def save(self, path: str, step: int = 0, epoch: int = 0, extra_tensors: Optional[dict] = None) -> None:
-        header = {
-            "kind": "pvit",
-            "config": asdict(self.config),
-            "step": int(step),
-            "epoch": int(epoch),
-        }
-        tensors: dict[str, np.ndarray] = {name: p.data for name, p in self.params.items()}
-        if extra_tensors:
-            tensors.update(extra_tensors)
-        save_checkpoint(path, header, tensors)
+        header = {"kind": "pvit", "config": asdict(self.config), "step": int(step), "epoch": int(epoch)}
+        save_checkpoint(path, header, {**{name: p.data for name, p in self.params.items()}, **(extra_tensors or {})})
 
     @classmethod
     def load(cls, path: str) -> tuple["PViTModel", dict, dict[str, np.ndarray]]:

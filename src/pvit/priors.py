@@ -84,8 +84,7 @@ class MLPClassifier:
 
     @classmethod
     def load(cls, path: str) -> "MLPClassifier":
-        model, _, _ = load_model(path, "mlp-prior", MLPConfig, cls)
-        return model
+        return load_model(path, "mlp-prior", MLPConfig, cls)[0]
 
 
 @dataclass

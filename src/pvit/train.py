@@ -9,10 +9,10 @@ generator, so loss trajectories are reproducible across platforms.
 The training state is one :class:`OptimizerState`: its ``t`` counts the
 Adam updates applied, which is the training step, and its ``moments``
 are keyed as a checkpoint stores them, so a checkpoint's ``step`` and
-leftover tensors are the state a resumed run continues from.  Every step
-applies an update, even at learning rate 0 (the last step of a decaying
-schedule), which leaves the parameters unchanged and folds the gradient
-into the moments.
+leftover tensors, read back by :func:`resume_state`, are the state a
+resumed run continues from.  Every step applies an update, even at
+learning rate 0 (the last step of a decaying schedule), which leaves the
+parameters unchanged and folds the gradient into the moments.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .data import Dataset
-from .errors import ShapeError, TrainingError
+from .errors import FormatError, ShapeError, TrainingError
 from .rng import philox
 from .tensor import Tape, Tensor, backward
 
@@ -98,6 +98,28 @@ def adam_step(
         m_hat = m / correction1
         v_hat = v / correction2
         p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def resume_state(path: str, header: dict, moments: dict[str, np.ndarray],
+                 params: dict[str, Tensor]) -> tuple[OptimizerState, int]:
+    """The training state and epoch count of the checkpoint at ``path``:
+    its non-negative integers ``step`` (the state's ``t``) and ``epoch``,
+    and past ``params`` its ``moments``, opt.m./opt.v. pairs each shaped
+    like its parameter; else a FormatError naming ``path`` and the key."""
+    for key in ("step", "epoch"):
+        if type(header.get(key)) is not int or header[key] < 0:
+            raise FormatError(f"{path}: checkpoint key {key!r} must be a non-negative integer, got {header.get(key)!r}")
+    shapes = {f"opt.{kind}.{name}": p.shape for name, p in params.items() for kind in "mv"}
+    for key, moment in moments.items():
+        if key not in shapes:
+            raise FormatError(f"{path}: checkpoint tensor {key!r} is not an opt.m./opt.v. moment of a parameter")
+        if moment.shape != shapes[key]:
+            raise FormatError(f"{path}: checkpoint tensor {key!r} has shape {moment.shape}, "
+                              f"its parameter {shapes[key]}")
+        partner = ("opt.v." if key.startswith("opt.m.") else "opt.m.") + key[len("opt.m."):]
+        if partner not in moments:
+            raise FormatError(f"{path}: checkpoint tensor {key!r} has no partner {partner!r}")
+    return OptimizerState(moments=moments, t=header["step"]), header["epoch"]
 
 
 def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:

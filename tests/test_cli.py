@@ -1,6 +1,8 @@
 """End-to-end command-line tests: the full train/score/eval workflow,
 exit codes, reproducibility, and output formats."""
 
+import ast
+import dataclasses
 import json
 import os
 import pathlib
@@ -10,14 +12,16 @@ import struct
 import numpy as np
 import pytest
 
-from pvit.cli import _pvit_config, _resumed, _train_config, build_datasets, main
+import pvit.cli
+from pvit.cli import _pvit_config, _train_config, build_datasets, main
 from pvit.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from pvit.config import RunConfig
 from pvit.data import make_ood, normalize, split_dataset, synth_dataset
 from pvit.model import PViTConfig, PViTModel
 from pvit.priors import MLPClassifier, MLPConfig, ModelSource, export_logits
 from pvit.scoring import ScoreRecord, file_sha256, read_scores, score_dataset, write_scores
-from pvit.train import loss_curve_csv, train
+from pvit.errors import FormatError
+from pvit.train import loss_curve_csv, resume_state, train
 from test_data import write_idx_pair
 
 SMALL_CFG = """
@@ -217,7 +221,7 @@ class TestResume:
         assert main(["train-pvit", "--config", cfg]) == 0
         header, _ = load_checkpoint(os.path.join(out, "pvit.ckpt"))
         first_steps = header["step"]
-        assert first_steps > 0
+        assert first_steps > 0 and header["epoch"] == 2
 
         resume_cfg, _ = write_cfg(
             tmp_path, name="resume.cfg", train__resume=os.path.join(out, "pvit.ckpt")
@@ -225,6 +229,7 @@ class TestResume:
         assert main(["train-pvit", "--config", resume_cfg]) == 0
         header2, tensors = load_checkpoint(os.path.join(out, "pvit.ckpt"))
         assert header2["step"] == 2 * first_steps
+        assert header2["epoch"] == 4
         assert any(name.startswith("opt.m.") for name in tensors)
         curve = pathlib.Path(out, "pvit_loss.csv").read_text().splitlines()
         assert curve[1].startswith(f"{first_steps + 1},0,")
@@ -233,9 +238,10 @@ class TestResume:
         path = str(tmp_path / "resume.ckpt")
         model = PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=1, heads=2, mlp_dim=24))
         moments = {f"opt.{kind}.{name}": np.full(p.shape, 0.25) for name, p in model.params.items() for kind in "mv"}
-        model.save(path, step=7, extra_tensors=moments)
-        _, state = _resumed(path)
-        assert state.t == 7
+        model.save(path, step=7, epoch=3, extra_tensors=moments)
+        _, header, tensors = PViTModel.load(path)
+        state, epochs = resume_state(path, header, tensors, model.params)
+        assert state.t == 7 and epochs == 3
         assert list(state.moments) == list(moments)
         assert all(np.array_equal(state.moments[key], value) for key, value in moments.items())
 
@@ -247,20 +253,26 @@ class TestResume:
         ("step", lambda header, tensors: header.update(step=2.5)),
         ("step", lambda header, tensors: header.update(step=-5)),
         ("step", lambda header, tensors: header.pop("step")),
+        ("epoch", lambda header, tensors: header.update(epoch="2")),
+        ("epoch", lambda header, tensors: header.update(epoch=-1)),
+        ("epoch", lambda header, tensors: header.pop("epoch")),
     ], ids=["moment-without-partner", "moment-shaped-unlike-parameter", "moment-of-no-parameter",
-            "string-step", "float-step", "negative-step", "no-step"])
+            "string-step", "float-step", "negative-step", "no-step", "string-epoch", "negative-epoch", "no-epoch"])
     def test_bad_resume_checkpoint_exits_2_naming_it_and_the_key(self, tmp_path, capsys, key, change):
-        """A resumed state is a non-negative integer step and opt.m./opt.v.
-        pairs shaped like their parameters; anything else fails before any
-        file is written."""
+        """A resumed state is non-negative integer step and epoch counts and
+        opt.m./opt.v. pairs shaped like their parameters; anything else
+        fails before any file is written."""
         path = str(tmp_path / "resume.ckpt")
         model = PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=1, heads=2, mlp_dim=24))
         moments = {f"opt.{kind}.{name}": np.ones(p.shape) for name, p in model.params.items() for kind in "mv"}
-        model.save(path, step=4, extra_tensors=moments)
+        model.save(path, step=4, epoch=2, extra_tensors=moments)
         header, tensors = load_checkpoint(path)
         change(header, tensors)
         save_checkpoint(path, header, tensors)
-        cfg, out = write_cfg(tmp_path, train__resume=path)
+        _, header, tensors = PViTModel.load(path)
+        with pytest.raises(FormatError, match=f"'{key}'"):
+            resume_state(path, header, tensors, model.params)
+        cfg, out = write_cfg(tmp_path, train__resume=path, model__depth=1)  # the checkpoint's one layer
         assert main(["train-pvit", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert path in err and f"'{key}'" in err and "Traceback" not in err, err
@@ -278,6 +290,68 @@ class TestResume:
         assert "'model.dim' = 32" in err and "has 16" in err, err
         assert "'model.alpha' = 5.0" in err and "has 0.1" in err and "Traceback" not in err, err
         assert sorted(os.listdir(out)) == before and pathlib.Path(ckpt).read_bytes() == ckpt_bytes
+
+
+class TestCheckpointAgreesWithConfig:
+    """Every command that loads a checkpoint checks it against the config
+    the run would build: a config key that disagrees exits 1 naming the key
+    with both values, and nothing is written."""
+
+    FIELDS = {"prior.hidden": "hidden_dim", "data.classes": "num_classes", "model.alpha": "alpha",
+              "model.depth": "depth", "model.dim": "embed_dim"}
+
+    @pytest.mark.parametrize("command, key, ours, theirs", [
+        ("export-logits", "prior.hidden", 64, 32),
+        ("export-logits", "data.classes", 3, 4),
+        ("score", "model.alpha", 1.0, 0.1),
+        ("score", "model.depth", 3, 2),
+        ("score", "data.classes", 3, 4),
+        ("attention-dump", "model.alpha", 1.0, 0.1),
+        ("attention-dump", "model.depth", 3, 2),
+        ("attention-dump", "data.classes", 3, 4),
+        ("train-pvit", "model.dim", 32, 16),
+        ("train-pvit", "model.alpha", 5.0, 0.1),
+    ])
+    def test_config_key_disagreeing_with_the_checkpoint_exits_1_writing_nothing(self, tmp_path, capsys, command,
+                                                                                 key, ours, theirs):
+        """``ours`` is the config's value, ``theirs`` the checkpoint's; the
+        checkpoint otherwise matches SMALL_CFG (train.resume is read by
+        train-pvit alone)."""
+        name = "prior.ckpt" if command == "export-logits" else "pvit.ckpt"
+        ckpt = str(tmp_path / "out" / name)
+        cfg, out = write_cfg(tmp_path, train__resume=ckpt, **{key.replace(".", "__"): ours})
+        os.makedirs(out)
+        if command == "export-logits":
+            config = MLPConfig(input_dim=28 * 28, hidden_dim=32, num_classes=3)
+            MLPClassifier(dataclasses.replace(config, **{self.FIELDS[key]: theirs})).save(ckpt)
+        else:
+            config = PViTConfig(num_classes=3, embed_dim=16, depth=2, heads=2, mlp_dim=24, alpha=0.1)
+            PViTModel(dataclasses.replace(config, **{self.FIELDS[key]: theirs})).save(ckpt)
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert ckpt in err and f"'{key}' = {ours!r} but the checkpoint has {theirs!r}" in err, err
+        assert "Traceback" not in err, err
+        assert os.listdir(out) == [name]
+        assert not os.path.exists(os.path.join(out, f"{command}.resolved.cfg"))
+
+    def test_cli_loads_checkpoints_through_the_checked_loader_alone(self):
+        """An AST walk over ``pvit.cli``: ``PViTModel.load`` and
+        ``MLPClassifier.load`` appear only inside ``_load_checked``, and the
+        lower-level checkpoint readers not at all, so a command cannot read
+        a checkpoint that was not checked against the config."""
+        tree = ast.parse(pathlib.Path(pvit.cli.__file__).read_text())
+
+        def loads(node):
+            return sorted(f"{n.value.id}.load:{n.lineno}" for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                          and n.attr == "load" and isinstance(n.value, ast.Name)
+                          and n.value.id in ("PViTModel", "MLPClassifier"))
+
+        checked = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_load_checked")
+        assert [entry.split(":")[0] for entry in loads(checked)] == ["MLPClassifier.load", "PViTModel.load"]
+        assert loads(tree) == loads(checked)
+        readers = [f"{n.id}:{n.lineno}" for n in ast.walk(tree)
+                   if isinstance(n, ast.Name) and n.id in ("load_checkpoint", "load_model")]
+        assert readers == []
 
 
 class TestGuidanceSwitch:
@@ -389,7 +463,7 @@ class TestErrors:
         ("attention-dump", "attention.dataset", "ood-sideways"),
     ])
     def test_bad_closed_set_value_exits_1_before_writing(self, tmp_path, capsys, command, key, value):
-        cfg, out = write_cfg(tmp_path, **{key.replace(".", "__"): value})
+        cfg, out = write_cfg(tmp_path, model__depth=1, **{key.replace(".", "__"): value})
         write_score_set(out)
         # attention-dump checks attention.layer and attention.head against this one-layer, two-head model
         PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=1, heads=2, mlp_dim=24)).save(
@@ -658,7 +732,7 @@ class TestLogitsInputs:
 
     @pytest.mark.parametrize("command", ["train-pvit", "score"])
     def test_missing_logits_file_exits_2(self, tmp_path, capsys, command):
-        cfg, out = write_cfg(tmp_path)
+        cfg, out = write_cfg(tmp_path, model__depth=1)  # the saved checkpoint's one layer
         write_logits_set(os.path.join(out, "logits"), [split for split in SPLITS if split != "id-test"])
         PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=1, heads=2, mlp_dim=24)).save(
             os.path.join(out, "pvit.ckpt"))
@@ -673,7 +747,7 @@ class TestLogitsFilesPerSplit:
 
     @pytest.mark.parametrize("command", ["train-pvit", "score", "attention-dump"])
     def test_logits_of_another_k_exit_2_naming_the_file_and_data_classes(self, tmp_path, capsys, command):
-        cfg, out = write_cfg(tmp_path)
+        cfg, out = write_cfg(tmp_path, model__depth=1)  # the saved checkpoint's one layer
         write_logits_set(os.path.join(out, "logits"), SPLITS, k=4)
         PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=1, heads=2, mlp_dim=24)).save(
             os.path.join(out, "pvit.ckpt"))
