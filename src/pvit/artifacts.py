@@ -7,6 +7,7 @@ one object per non-blank line.
 from __future__ import annotations
 
 import contextlib
+import glob
 import itertools
 import json
 import os
@@ -24,7 +25,13 @@ def write_artifact(path: str, chunks: Union[Iterable[str], Iterable[bytes]]) -> 
     leaves the previous file or none, never a half-written one (no fsync, so
     not across a power loss).  A rewrite keeps the target's permission bits;
     a new file gets a plain ``open``'s mode.  A writer killed mid-write
-    leaves ``<path>.<12 hex digits>.tmp`` beside ``path``."""
+    leaves ``<path>.<12 hex digits>.tmp`` beside ``path``; the next write
+    of ``path`` deletes every such file of its own (12 lowercase hex
+    digits exactly) and no other, so two processes must not write one
+    ``path`` at once."""
+    for stale in glob.glob(glob.escape(path) + "." + "[0-9a-f]" * 12 + ".tmp"):
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(stale)
     chunks = iter(chunks)
     first = next(chunks, "")
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"  # beside path, and named after it in errors

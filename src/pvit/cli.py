@@ -180,6 +180,15 @@ def _logits_path(directory: str, split: str) -> str:
     return os.path.join(directory, f"logits_{split}.jsonl")
 
 
+def _scored_splits(cfg: RunConfig) -> list[str]:
+    """What ``score`` writes and ``eval`` reads: id-test, then each ``ood.kinds`` set."""
+    return ["id-test"] + [f"ood-{kind}" for kind in cfg["ood.kinds"]]
+
+
+def _scores_path(out: str, split: str) -> str:
+    return os.path.join(out, f"scores_{split}.jsonl")
+
+
 def _export_all_logits(cfg: RunConfig, out: str, datasets) -> dict[str, np.ndarray]:
     """Write every split's logits file from the prior as loaded back from
     its checkpoint (float32); returns each split's (N, K) block."""
@@ -288,7 +297,7 @@ def cmd_train_pvit(cfg: RunConfig, out: str) -> None:
 
 def cmd_score(cfg: RunConfig, out: str) -> None:
     guidance = cfg["score.guidance"]
-    splits = ["id-test"] + [f"ood-{kind}" for kind in cfg["ood.kinds"]]
+    splits = _scored_splits(cfg)
     predicted_dir = cfg["score.predicted_logits"]
     if predicted_dir:
         # no-prior-token ablation: predicted logits files stand in for model and checkpoint
@@ -311,46 +320,57 @@ def cmd_score(cfg: RunConfig, out: str) -> None:
         predicted = {split: predict_logits(model, datasets[split].images, priors[split]) for split in splits}
     for split in splits:
         records = score_records(ids[split], predicted[split], priors[split], guidance)
-        path = os.path.join(out, f"scores_{split}.jsonl")
+        path = _scores_path(out, split)
         write_scores(path, records, guidance, alpha, source_hash)
         print(f"scores: {path} ({len(records)} records)")
 
 
-def cmd_eval(cfg: RunConfig, out: str) -> None:
-    def read_columns(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-        """A score file's header and its ``eval.scores`` columns."""
-        header, records = read_scores(path)
-        try:
-            return header, {name: np.array([score_field(r, name) for r in records], dtype=np.float64)
-                            for name in cfg["eval.scores"]}
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+def _read_columns(path: str, names) -> tuple[dict, dict[str, np.ndarray]]:
+    """A score file's header and its columns ``names``; FormatError naming
+    the file when it holds no records, a record lacks one of the scores,
+    or a score is NaN or infinite (naming the first such record)."""
+    header, records = read_scores(path)
+    if not records:
+        raise FormatError(f"{path}: holds no score records; metrics need nonempty ID and OOD score lists")
+    try:
+        columns = {name: np.array([score_field(r, name) for r in records], dtype=np.float64) for name in names}
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    finite = np.logical_and.reduce([np.isfinite(column) for column in columns.values()])
+    if not finite.all():
+        raise FormatError(f"{path}: record {records[int(np.argmin(finite))].id!r} holds a NaN or infinite "
+                          "score; metrics need finite scores")
+    return header, columns
 
-    id_path = os.path.join(out, "scores_id-test.jsonl")
-    id_header, id_columns = read_columns(id_path)
-    ood_sets = {}
-    for kind in cfg["ood.kinds"]:
-        path = os.path.join(out, f"scores_ood-{kind}.jsonl")
-        header, ood_sets[f"ood-{kind}"] = read_columns(path)
+
+def cmd_eval(cfg: RunConfig, out: str) -> None:
+    """Every score file is read and checked, and every report computed,
+    before the first file is written."""
+    names, ood_splits = cfg["eval.scores"], _scored_splits(cfg)[1:]
+    id_path = _scores_path(out, "id-test")
+    id_header, id_columns = _read_columns(id_path, names)
+    ood_columns = {}
+    for split in ood_splits:
+        path = _scores_path(out, split)
+        header, ood_columns[split] = _read_columns(path, names)
         differ = [key for key in ("guidance", "alpha", "checkpoint_sha256") if header.get(key) != id_header.get(key)]
         if differ:
             raise FormatError(f"{path} and {id_path} disagree on {', '.join(differ)}: "
                               "eval compares scores of one checkpoint, guidance and alpha")
+    reports = {(split, name): evaluate(id_columns[name], ood_columns[split][name], name, cfg["eval.orientation"])
+               for split in ood_splits for name in names}
 
     summary = ["ood_dataset,score,auroc,fpr95,threshold,orientation"]
-    for split, ood_columns in ood_sets.items():
-        for score_name in cfg["eval.scores"]:
-            ids, oods = id_columns[score_name], ood_columns[score_name]
-            metrics = evaluate(ids, oods, score_name, cfg["eval.orientation"])
-            metrics_path = os.path.join(out, f"metrics_{split}_{score_name}.json")
-            write_artifact(metrics_path, [metrics.to_json()])
-            histogram_export(ids, oods, cfg["eval.bins"], os.path.join(out, f"hist_{split}_{score_name}.csv"))
-            summary.append(f"{split},{score_name},{metrics.auroc!r},{metrics.fpr95!r},"
-                           f"{metrics.threshold!r},{metrics.orientation}")
-            print(
-                f"{split:24s} {score_name:10s} auroc={metrics.auroc:.4f} "
-                f"fpr95={metrics.fpr95:.4f} threshold={metrics.threshold:.4f} ({metrics.orientation})"
-            )
+    for (split, score_name), metrics in reports.items():
+        write_artifact(os.path.join(out, f"metrics_{split}_{score_name}.json"), [metrics.to_json()])
+        histogram_export(id_columns[score_name], ood_columns[split][score_name], cfg["eval.bins"],
+                         os.path.join(out, f"hist_{split}_{score_name}.csv"))
+        summary.append(f"{split},{score_name},{metrics.auroc!r},{metrics.fpr95!r},"
+                       f"{metrics.threshold!r},{metrics.orientation}")
+        print(
+            f"{split:24s} {score_name:10s} auroc={metrics.auroc:.4f} "
+            f"fpr95={metrics.fpr95:.4f} threshold={metrics.threshold:.4f} ({metrics.orientation})"
+        )
     write_artifact(os.path.join(out, "eval_summary.csv"), [line + "\n" for line in summary])
 
 

@@ -1,5 +1,6 @@
-"""OOD evaluation: AUROC, FPR at fixed TPR, threshold calibration,
-score-distribution export.
+"""OOD evaluation: AUROC, FPR95 (the false-positive rate at the fixed 95 %
+ID TPR of :data:`TPR_PERCENT`), threshold calibration, score-distribution
+export.
 
 Convention: higher score means in-distribution, and the threshold test
 is inclusive (score >= gamma is ID); :func:`decide` is that rule, and
@@ -11,7 +12,6 @@ the fraction of (ID, OOD) pairs the score orders correctly.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, asdict
 from typing import Sequence
 
@@ -24,6 +24,7 @@ from .errors import FormatError
 ORIENTATIONS = ("as-is", "negated")
 # what evaluate's orientation_policy (and eval.orientation) accepts: "auto" picks one of ORIENTATIONS
 ORIENTATION_POLICIES = ORIENTATIONS + ("auto",)
+TPR_PERCENT = 95  # the ID true-positive rate, in percent, that FPR95 and its threshold are read at
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class OODMetrics:
     n_id: int
     n_ood: int
     orientation: str  # orientation actually applied to the scores
-    tpr_target: float = 0.95
+    tpr_target: float = TPR_PERCENT / 100
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
@@ -79,34 +80,21 @@ def auroc(id_scores: Sequence[float], ood_scores: Sequence[float]) -> float:
     return float(_mann_whitney_u(ids, oods) / (len(ids) * len(oods)))
 
 
-def fpr_at_tpr(
-    id_scores: Sequence[float], ood_scores: Sequence[float], tpr_target: float = 0.95
-) -> tuple[float, float]:
-    """(FPR, threshold) at the largest threshold keeping ID TPR >= target.
+def fpr_at_tpr(id_scores: Sequence[float], ood_scores: Sequence[float]) -> tuple[float, float]:
+    """(FPR, threshold) at the largest threshold keeping ID TPR >= 95 %.
 
-    The threshold is the m-th largest ID score with m = ceil(target * n_id),
-    the largest value whose inclusive count still reaches the target.
+    The threshold is the m-th largest ID score with m = ceil(0.95 * n_id),
+    the largest value whose inclusive count still reaches 95 %.
     """
     ids, oods = _validate(id_scores, ood_scores)
-    if not 0.0 < tpr_target <= 1.0:
-        raise FormatError(f"tpr_target must be in (0, 1], got {tpr_target}")
     n = len(ids)
-    # tiny guard so exact multiples like 0.95 * 20 do not ceil to m + 1
-    m = math.ceil(tpr_target * n - 1e-9)
-    m = min(max(m, 1), n)
+    m = (TPR_PERCENT * n + 99) // 100  # ceil(0.95 n) in exact integers, so 1 <= m <= n
     gamma = float(np.sort(ids)[n - m])
-    fpr = float(np.mean(decide(oods, gamma)))
-    return fpr, gamma
+    return float(np.mean(decide(oods, gamma))), gamma
 
 
-def evaluate(
-    id_records,
-    ood_records,
-    score_name: str = "pge",
-    orientation_policy: str = "auto",
-    tpr_target: float = 0.95,
-) -> OODMetrics:
-    """Metrics for one score field over ID and OOD record lists.
+def evaluate(id_records, ood_records, score_name: str = "pge", orientation_policy: str = "auto") -> OODMetrics:
+    """AUROC and FPR95 for one score field over ID and OOD record lists.
 
     ``orientation_policy``: "as-is" and "negated" apply that orientation;
     "auto" picks whichever gives AUROC >= 0.5 and reports the choice.
@@ -130,9 +118,9 @@ def evaluate(
         orientation = "as-is" if u / pairs >= 0.5 else "negated"
     if orientation == "negated":
         ids, oods, u = -ids, -oods, pairs - u
-    fpr, gamma = fpr_at_tpr(ids, oods, tpr_target)
+    fpr, gamma = fpr_at_tpr(ids, oods)
     return OODMetrics(auroc=float(u / pairs), fpr95=fpr, threshold=gamma, n_id=len(ids), n_ood=len(oods),
-                      orientation=orientation, tpr_target=tpr_target)
+                      orientation=orientation)
 
 
 def histogram_export(

@@ -144,16 +144,19 @@ def write_scores(path: str, records: list[ScoreRecord], guidance_kind: str, alph
 
 
 def read_scores(path: str) -> tuple[dict, list[ScoreRecord]]:
-    """Header and records of a score file: JSON objects, with numbers for
-    scores, or :class:`FormatError` naming ``file:line``."""
+    """Header and records of a score file: JSON objects with numbers for
+    scores, one per id, or :class:`FormatError` naming ``file:line``."""
     header, rows = read_jsonl(path)
-    records = []
+    records, seen = [], set()
     for lineno, obj in rows:
         baselines = obj.get("baselines")
         if not (type(obj.get("id")) is str and type(obj.get("predicted_class")) is int
                 and {type(obj.get("base")), type(obj.get("guidance")), type(obj.get("pge"))} <= NUMBER_TYPES
                 and type(baselines) is dict and set(map(type, baselines.values())) <= NUMBER_TYPES):
             raise FormatError(f"{path}:{lineno}: score line lacks a field or has a non-numeric score")
+        if obj["id"] in seen:
+            raise FormatError(f"{path}:{lineno}: duplicate id {obj['id']!r}")
+        seen.add(obj["id"])
         records.append(ScoreRecord(obj["id"], obj["base"], obj["guidance"], obj["pge"],
                                    obj["predicted_class"], baselines))
     return header, records

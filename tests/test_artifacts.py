@@ -76,6 +76,18 @@ class TestWriteArtifact:
         write_artifact(str(path), iter(chunks))
         assert path.read_bytes() == b"".join(c if isinstance(c, bytes) else c.encode("utf-8") for c in chunks)
 
+    def test_write_deletes_its_own_stale_temps_and_no_other_file(self, tmp_path):
+        """A killed writer's ``<target>.<12 hex>.tmp`` goes at the target's
+        next write; another target's temp and look-alikes stay."""
+        stale = ["scores.jsonl.0123456789ab.tmp", "scores.jsonl.ffffffffffff.tmp"]
+        kept = ["hist.csv.0123456789ab.tmp", "scores.jsonl.0123456789a.tmp", "scores.jsonl.0123456789AB.tmp",
+                "scores.jsonl.0123456789abc.tmp", "scores.jsonl.0123456789ab.tmp.bak", "xscores.jsonl.0123456789ab.tmp"]
+        for name in stale + kept:
+            (tmp_path / name).write_text("partial")
+        write_artifact(str(tmp_path / "scores.jsonl"), ["new\n"])
+        assert sorted(os.listdir(tmp_path)) == sorted(kept + ["scores.jsonl"])
+        assert (tmp_path / "scores.jsonl").read_text() == "new\n"
+
     def test_jsonl_round_trip(self, tmp_path):
         path = str(tmp_path / "rows.jsonl")
         rows = [{"id": "a", "x": 0.1 + 0.2}, {"id": "b", "x": [1, 2]}]

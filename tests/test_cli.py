@@ -8,6 +8,8 @@ import os
 import pathlib
 import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,28 +24,9 @@ from pvit.priors import MLPClassifier, MLPConfig, ModelSource, export_logits
 from pvit.scoring import ScoreRecord, file_sha256, read_scores, score_dataset, write_scores
 from pvit.errors import FormatError
 from pvit.train import loss_curve_csv, resume_state, train
+from recipe import SMALL_CFG
 from test_data import write_idx_pair
 
-SMALL_CFG = """
-out.dir = {out}
-seed = 5
-data.classes = 3
-data.train_per_class = 20
-data.test_per_class = 10
-data.image_size = 28
-data.noise_sigma = 0.2
-ood.count = 30
-model.dim = 16
-model.depth = 2
-model.heads = 2
-model.mlp_dim = 24
-model.alpha = 0.1
-prior.hidden = 32
-prior.epochs = 3
-prior.base_lr = 1e-2
-train.epochs = 2
-train.batch_size = 16
-"""
 
 SPLITS = ["id-train", "id-test", "ood-uniform-noise", "ood-pattern-shift", "ood-inverted"]
 
@@ -186,6 +169,22 @@ class TestReproducibility:
         assert main(["train-prior", "--config", resolved]) == 0
         again = pathlib.Path(out, "logits", "logits_id-test.jsonl").read_bytes()
         assert baseline == again
+
+
+class TestRecipe:
+    def test_manifest_is_independent_of_directory_and_hash_seed(self, tmp_path):
+        """Every command, run by ``tests/recipe.py`` in two processes under
+        PYTHONHASHSEED 1 and 2 into two directories, writes the same bytes."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pvit.cli.__file__)))
+        recipe = os.path.join(os.path.dirname(os.path.abspath(__file__)), "recipe.py")
+        runs = [subprocess.Popen([sys.executable, recipe, str(tmp_path / f"hash-seed-{seed}")], stdout=subprocess.PIPE,
+                                 env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.pathsep.join(
+                                     filter(None, [src, os.environ.get("PYTHONPATH")])))) for seed in (1, 2)]
+        outputs = [run.communicate()[0] for run in runs]
+        assert [run.returncode for run in runs] == [0, 0]
+        first, second = (json.loads(output) for output in outputs)
+        assert len(first) == 89  # 55 files of the main run, 33 of the ablation, and stdout
+        assert first == second
 
 
 class TestNormalization:
@@ -622,11 +621,20 @@ class TestEvalInputs:
         assert "scores_id-test.jsonl" in err and "'id-test-0'" in err and "'energy'" in err, err
         assert not os.path.exists(os.path.join(out, "eval_summary.csv"))
 
-    def test_nan_score_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("defect,named", [("nan", "'ood-pattern-shift-3' holds a NaN or infinite score"),
+                                               ("header-only", "holds no score records")], ids=["nan", "header-only"])
+    def test_nan_score_exits_2(self, tmp_path, capsys, defect, named):
+        """A split after the first OOD set fails eval before any output is
+        written, naming its file."""
         cfg, out = write_cfg(tmp_path)
-        write_score_set(out, nan_split="ood-pattern-shift")
+        write_score_set(out, nan_split="ood-pattern-shift" if defect == "nan" else None)
+        path = os.path.join(out, "scores_ood-pattern-shift.jsonl")
+        if defect == "header-only":
+            pathlib.Path(path).write_text(pathlib.Path(path).read_text().splitlines()[0] + "\n")
         assert main(["eval", "--config", cfg]) == 2
-        assert "finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and named in err, err
+        assert not [name for name in os.listdir(out) if name.startswith(("metrics_", "hist_", "eval_summary"))]
 
     def test_mismatched_guidance_header_exits_2(self, tmp_path, capsys):
         cfg, out = write_cfg(tmp_path)
@@ -646,6 +654,8 @@ class TestEvalInputs:
             ("ood-uniform-noise", 3, "[1, 2, 3]"),
             ("ood-inverted", 4, '{"id": "x", "base": 1.0, "guidance": 0.5, "pge": "x", '
                                 '"predicted_class": 0, "baselines": {"msp": 0.5}}'),
+            ("ood-pattern-shift", 5, '{"id": "ood-pattern-shift-0", "base": 1.0, "guidance": 0.5, "pge": 0.5, '
+                                     '"predicted_class": 0, "baselines": {"msp": 0.5}}'),
         ],
     )
     def test_malformed_score_file_exits_2(self, tmp_path, capsys, split, lineno, text):

@@ -124,18 +124,15 @@ class TestFprAtTpr:
             assert abs(got_fpr - want_fpr) <= 1e-12
 
     def test_monotone_in_target(self):
+        """The FPR at the fixed 95 % lies between the sweep's FPRs at lower
+        and at higher targets, which rise with the target."""
         rng = np.random.default_rng(5)
         ids = rng.normal(1, 1, 50)
         oods = rng.normal(0, 1, 50)
-        previous = -1.0
-        for target in (0.5, 0.7, 0.9, 0.95, 0.99, 1.0):
-            fpr, _ = fpr_at_tpr(ids, oods, target)
-            assert fpr >= previous
-            previous = fpr
-
-    def test_bad_target_rejected(self):
-        with pytest.raises(FormatError):
-            fpr_at_tpr([1.0], [0.0], 0.0)
+        lower = [sweep_fpr_at_tpr(ids, oods, target)[0] for target in (0.5, 0.7, 0.9)]
+        higher = [sweep_fpr_at_tpr(ids, oods, target)[0] for target in (0.99, 1.0)]
+        assert lower == sorted(lower) and higher == sorted(higher)
+        assert lower[-1] <= fpr_at_tpr(ids, oods)[0] <= higher[0]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):

@@ -450,9 +450,17 @@ class TestReadScoresValidation:
     HEADER = {"guidance": "ce", "alpha": 0.1, "checkpoint_sha256": ""}
 
     def test_valid_file_reads(self, tmp_path):
-        header, records = read_scores(score_file(tmp_path, self.HEADER, GOOD_SCORE_LINE, "", GOOD_SCORE_LINE))
+        second = {**GOOD_SCORE_LINE, "id": "b"}
+        header, records = read_scores(score_file(tmp_path, self.HEADER, GOOD_SCORE_LINE, "", second))
         assert header == self.HEADER
         assert len(records) == 2 and records[0].guidance == 2
+
+    def test_repeated_id_names_line_and_id(self, tmp_path):
+        """A repeated id would count one sample twice in every metric."""
+        path = score_file(tmp_path, self.HEADER, GOOD_SCORE_LINE, {**GOOD_SCORE_LINE, "id": "b"}, "",
+                          {**GOOD_SCORE_LINE, "pge": 4.0})
+        with pytest.raises(FormatError, match=r"scores\.jsonl:5: duplicate id 'a'"):
+            read_scores(path)
 
     @pytest.mark.parametrize("header", ["{not json", "[1, 2]", "", "7"])
     def test_bad_header_names_line_1(self, tmp_path, header):
