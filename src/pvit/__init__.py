@@ -12,7 +12,7 @@ workflow.
 
 from .data import Dataset, load_idx, make_ood, normalize, split_dataset, synth_dataset
 from .metrics import OODMetrics, auroc, decide, evaluate, fpr_at_tpr, histogram_export
-from .model import PViTConfig, PViTModel, extract_attention, patchify
+from .model import PViTConfig, PViTModel, patchify
 from .priors import (
     MLPClassifier,
     ModelSource,
@@ -46,7 +46,6 @@ __all__ = [
     "decide",
     "evaluate",
     "export_logits",
-    "extract_attention",
     "fpr_at_tpr",
     "histogram_export",
     "load_idx",

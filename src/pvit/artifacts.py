@@ -7,10 +7,10 @@ one object per non-blank line.
 from __future__ import annotations
 
 import contextlib
-import glob
 import itertools
 import json
 import os
+import re
 import stat
 from typing import Iterable, Iterator, Union
 
@@ -25,11 +25,12 @@ def write_artifact(path: str, chunks: Union[Iterable[str], Iterable[bytes]]) -> 
     leaves the previous file or none, never a half-written one (no fsync, so
     not across a power loss).  A rewrite keeps the target's permission bits;
     a new file gets a plain ``open``'s mode.  A writer killed mid-write
-    leaves ``<path>.<12 hex digits>.tmp`` beside ``path``; the next write
-    of ``path`` deletes every such file of its own (12 lowercase hex
-    digits exactly) and no other, so two processes must not write one
-    ``path`` at once."""
-    for stale in glob.glob(glob.escape(path) + "." + "[0-9a-f]" * 12 + ".tmp"):
+    leaves ``<path>.<12 hex digits>.tmp`` beside ``path``.  A process lists
+    such files (12 lowercase hex digits exactly) once per directory, at its
+    first write there, and its first write of ``path`` deletes the ones of
+    ``path`` so listed and no other file; later ones stay for the next
+    process.  Two processes must still not write one ``path`` at once."""
+    for stale in _listed_temps(path):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(stale)
     chunks = iter(chunks)
@@ -45,6 +46,23 @@ def write_artifact(path: str, chunks: Union[Iterable[str], Iterable[bytes]]) -> 
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+_TEMP_NAME = re.compile(r"(.+)\.[0-9a-f]{12}\.tmp")  # group 1 is the target's name
+_TEMPS: dict[str, dict[str, list[str]]] = {}  # directory -> target name -> its temporaries as first listed
+
+
+def _listed_temps(path: str) -> list[str]:
+    """``path``'s temporaries in this process's one listing of its directory, each returned once."""
+    directory, name = os.path.split(os.path.abspath(path))
+    if directory not in _TEMPS:
+        _TEMPS[directory] = {}
+        with contextlib.suppress(FileNotFoundError):  # no directory: write_artifact's open names path
+            for entry in os.listdir(directory):
+                match = _TEMP_NAME.fullmatch(entry)
+                if match:
+                    _TEMPS[directory].setdefault(match[1], []).append(entry)
+    return [os.path.join(directory, entry) for entry in _TEMPS[directory].pop(name, [])]
 
 
 def write_jsonl(path: str, header: dict, rows: Iterable[dict]) -> None:

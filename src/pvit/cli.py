@@ -37,7 +37,7 @@ from .config import RunConfig
 from .data import Dataset, load_idx, make_ood, normalize, split_dataset, synth_dataset
 from .errors import ConfigError, FormatError, MissingPriorError, PvitError
 from .metrics import evaluate, histogram_export
-from .model import PViTConfig, PViTModel, extract_attention
+from .model import PViTConfig, PViTModel
 from .priors import MLPClassifier, MLPConfig, ModelSource, export_logits, load_logits, train_prior_model
 from .scoring import file_sha256, predict_logits, read_scores, score_field, score_records, write_scores
 from .train import OptimizerState, TrainConfig, loss_curve_csv, resume_state, train
@@ -70,10 +70,6 @@ def _resolve(args) -> tuple[RunConfig, str]:
     out = cfg["out.dir"]
     os.makedirs(out, exist_ok=True)
     return cfg, out
-
-
-def _write_resolved(cfg: RunConfig, out: str, command: str) -> None:
-    write_artifact(os.path.join(out, f"{command}.resolved.cfg"), [cfg.resolved_text()])
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +342,9 @@ def _read_columns(path: str, names) -> tuple[dict, dict[str, np.ndarray]]:
 def cmd_eval(cfg: RunConfig, out: str) -> None:
     """Every score file is read and checked, and every report computed,
     before the first file is written."""
+    for key in ("eval.scores", "ood.kinds"):
+        if not cfg[key]:
+            raise ConfigError(f"config key {key!r} is empty: eval has nothing to evaluate")
     names, ood_splits = cfg["eval.scores"], _scored_splits(cfg)[1:]
     id_path = _scores_path(out, "id-test")
     id_header, id_columns = _read_columns(id_path, names)
@@ -396,10 +395,9 @@ def cmd_attention_dump(cfg: RunConfig, out: str) -> None:
     os.makedirs(attn_dir, exist_ok=True)
     summary = ["alpha,sample_id,layer,head,prior_token_mass"]
     for alpha in alphas:
-        outputs = model.forward_batch(ds.images[:count], priors, alpha, want_attention=True)
-        matrices, masses = extract_attention(outputs, layer, head)
+        matrices = model.forward_batch(ds.images[:count], priors, alpha).attentions[layer][:, head]
         row_format = ",".join(["%.18e"] * matrices.shape[-1]) + "\n"  # np.savetxt's default
-        for sid, matrix, mass in zip(ds.ids[:count], matrices, masses.tolist()):
+        for sid, matrix, mass in zip(ds.ids[:count], matrices, matrices[:, 0, -1].tolist()):
             name = f"{sid}_alpha{alpha!r}_L{layer}H{head}.csv"
             write_artifact(os.path.join(attn_dir, name), [row_format % tuple(row) for row in matrix])
             summary.append(f"{alpha!r},{sid},{layer},{head},{mass!r}")
@@ -428,7 +426,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 1
         cfg, out = _resolve(args)
         COMMANDS[args.command](cfg, out)
-        _write_resolved(cfg, out, args.command)
+        write_artifact(os.path.join(out, f"{args.command}.resolved.cfg"), [cfg.resolved_text()])
         return 0
     except ConfigError as exc:
         print(f"pvit: usage error: {exc}", file=sys.stderr)

@@ -10,7 +10,9 @@ appended at the end without positional encoding, giving an N+2 token
 sequence.  A stack of pre-layer-norm encoder blocks (multi-head
 self-attention, then a GELU MLP, both with residual connections)
 processes the sequences; each class token's final representation,
-layer normalized, feeds the classifier head.
+layer normalized, feeds the classifier head.  The pass also returns
+every layer's attention weights, which the attention kernel computes
+anyway; without a gradient tape they live until the pass returns.
 """
 
 from __future__ import annotations
@@ -70,10 +72,12 @@ class PViTConfig:
 
 @dataclass
 class BatchForward:
-    """Result of the forward pass, for training, scoring and attention dumps."""
+    """Result of the forward pass: the (B, K) logits and, per layer, the
+    read-only (B, H, S, S) attention weights (``[:, h, 0, -1]`` is head h's
+    class-token mass on the prior token)."""
 
-    logits: Tensor  # (B, K)
-    attentions: Optional[list[np.ndarray]] = None  # per layer (B, H, S, S)
+    logits: Tensor
+    attentions: list[np.ndarray]
 
 
 def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
@@ -162,9 +166,9 @@ class PViTModel:
         weights = Tensor(T.softmax_rows(priors))
         return T.mul(T.matmul(weights, self.params["prior_proj"]), alpha)
 
-    def _encode(self, seq: Tensor, want_attention: bool) -> tuple[Tensor, list[np.ndarray]]:
+    def _encode(self, seq: Tensor) -> tuple[Tensor, list[np.ndarray]]:
         """Block stack over a (B, S, D) sequence; returns the normalized
-        class-token rows and, if asked, each layer's (B, H, S, S) attention."""
+        class-token rows and each layer's (B, H, S, S) attention."""
         c, p = self.config, self.params
         attentions: list[np.ndarray] = []
         z = seq
@@ -176,8 +180,7 @@ class PViTModel:
                 for proj in ("q", "k", "v")
             )
             merged, attn = T.attention(q, k, v, c.heads)
-            if want_attention:
-                attentions.append(attn)
+            attentions.append(attn)
             msa = T.linear(merged, p[f"{blk}.attn.out.weight"], p[f"{blk}.attn.out.bias"])
             z = T.add(msa, z)
             normed2 = T.layer_norm(z, p[f"{blk}.ln2.gain"], p[f"{blk}.ln2.bias"])
@@ -187,13 +190,8 @@ class PViTModel:
         y = T.layer_norm(z[:, 0, :], p["final_norm.gain"], p["final_norm.bias"])
         return y, attentions
 
-    def forward_batch(
-        self,
-        images: np.ndarray,
-        prior_logits: np.ndarray,
-        alpha: Optional[float] = None,
-        want_attention: bool = False,
-    ) -> BatchForward:
+    def forward_batch(self, images: np.ndarray, prior_logits: np.ndarray,
+                      alpha: Optional[float] = None) -> BatchForward:
         """The forward pass over (B, H, W, C) images and (B, K) prior logits.
 
         Each sequence is [class token; patch embeddings] plus positions,
@@ -208,9 +206,8 @@ class PViTModel:
         body = T.add(T.concat([cls, patch_emb], axis=1), p["pos_embed"])
         tokens = self.make_prior_token(prior_logits, alpha)
         seq = T.concat([body, T.reshape(tokens, (tokens.shape[0], 1, c.embed_dim))], axis=1)
-        y, attentions = self._encode(seq, want_attention)
-        logits = T.linear(y, p["head.weight"], p["head.bias"])
-        return BatchForward(logits=logits, attentions=attentions if want_attention else None)
+        y, attentions = self._encode(seq)
+        return BatchForward(T.linear(y, p["head.weight"], p["head.bias"]), attentions)
 
     def batch_loss(self, images, labels, prior_logits):
         """(cross-entropy loss, correct-prediction count) for one batch."""
@@ -231,16 +228,3 @@ class PViTModel:
         """Returns (model, header, leftover tensors such as optimizer state)."""
         return load_model(path, "pvit", PViTConfig, cls)
 
-
-def extract_attention(out: BatchForward, layer: int, head: int) -> tuple[np.ndarray, np.ndarray]:
-    """One head's (B, S, S) attention matrices from a ``want_attention``
-    forward pass, plus each class-token row's weight on the prior token
-    (the last column)."""
-    layers = out.attentions or []
-    if not 0 <= layer < len(layers):
-        raise ShapeError(f"layer {layer} out of range, valid 0..{len(layers) - 1}")
-    per_layer = layers[layer]
-    if not 0 <= head < per_layer.shape[1]:
-        raise ShapeError(f"head {head} out of range, valid 0..{per_layer.shape[1] - 1}")
-    matrices = per_layer[:, head]
-    return matrices, matrices[:, 0, -1]

@@ -16,14 +16,25 @@ is replaced by ``<root>`` before hashing, so runs in different
 directories can be compared.  Usage, printing the manifest as JSON::
 
     PYTHONPATH=src python tests/recipe.py DIR
+
+With ``--against REV`` the recipe also runs, in a fresh process, on the
+``src/pvit`` of git revision REV (a ``git archive`` copy), into
+``DIR/rev``; each manifest entry is printed as identical, differing or
+found on one side only, and the exit code is 0 only when all are
+identical::
+
+    PYTHONPATH=src python tests/recipe.py DIR --against HEAD~1
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
+import tempfile
 
 from pvit.cli import main
 
@@ -89,5 +100,46 @@ def run_recipe(root: str) -> dict[str, str]:
     return {key: hashlib.sha256(data).hexdigest() for key, data in sorted(manifest.items())}
 
 
+def compare(here: dict[str, str], there: dict[str, str], rev: str) -> dict[str, str]:
+    """Each entry of either manifest -> ``identical``, ``differs``, ``only here``
+    or ``only at REV``."""
+    def status(key):
+        if key not in there:
+            return "only here"
+        if key not in here:
+            return f"only at {rev}"
+        return "identical" if here[key] == there[key] else "differs"
+    return {key: status(key) for key in sorted(here.keys() | there.keys())}
+
+
+def run_at_revision(root: str, rev: str) -> dict[str, str]:
+    """The manifest of this recipe run in a fresh process on REV's ``src/pvit``."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    archive = subprocess.run(["git", "-C", repo, "archive", rev, "src/pvit"], capture_output=True)
+    if archive.returncode != 0:
+        raise SystemExit(f"recipe: git archive {rev}: {archive.stderr.decode().strip()}")
+    with tempfile.TemporaryDirectory() as copy:
+        subprocess.run(["tar", "-x", "-C", copy], input=archive.stdout, check=True)
+        run = subprocess.run([sys.executable, os.path.abspath(__file__), root], stdout=subprocess.PIPE,
+                             env=dict(os.environ, PYTHONPATH=os.path.join(copy, "src")))
+    if run.returncode != 0:
+        raise SystemExit(f"recipe: the run at {rev} exited {run.returncode}")
+    return json.loads(run.stdout)
+
+
 if __name__ == "__main__":
-    print(json.dumps(run_recipe(os.path.abspath(sys.argv[1])), indent=1))
+    parser = argparse.ArgumentParser(description="Run the byte-identity recipe and print its manifest.")
+    parser.add_argument("dir")
+    parser.add_argument("--against", metavar="REV", help="also run REV's src/pvit and compare the manifests")
+    args = parser.parse_args()
+    root = os.path.abspath(args.dir)
+    here = run_recipe(root)
+    if args.against is None:
+        print(json.dumps(here, indent=1))
+        sys.exit(0)
+    statuses = compare(here, run_at_revision(os.path.join(root, "rev"), args.against), args.against)
+    for key, status in statuses.items():
+        print(f"{status}: {key}")
+    same = sum(status == "identical" for status in statuses.values())
+    print(f"{same} of {len(statuses)} entries identical to {args.against}")
+    sys.exit(0 if same == len(statuses) else 1)

@@ -88,6 +88,21 @@ class TestWriteArtifact:
         assert sorted(os.listdir(tmp_path)) == sorted(kept + ["scores.jsonl"])
         assert (tmp_path / "scores.jsonl").read_text() == "new\n"
 
+    def test_a_directory_is_listed_once_and_later_temps_stay(self, tmp_path, monkeypatch):
+        """200 writes into one directory list it once; a stale temp found
+        by that listing goes at its target's write, one made after it stays."""
+        listed = []
+        listdir = os.listdir
+        monkeypatch.setattr(os, "listdir", lambda path=".": listed.append(path) or listdir(path))
+        (tmp_path / "sample-7.csv.0123456789ab.tmp").write_text("partial")
+        for i in range(200):
+            write_artifact(str(tmp_path / f"sample-{i}.csv"), [f"{i}\n"])
+            if i == 0:
+                (tmp_path / "sample-9.csv.0123456789ab.tmp").write_text("another writer's")
+        assert listed == [str(tmp_path)]
+        assert sorted(listdir(tmp_path)) == sorted([f"sample-{i}.csv" for i in range(200)]
+                                                   + ["sample-9.csv.0123456789ab.tmp"])
+
     def test_jsonl_round_trip(self, tmp_path):
         path = str(tmp_path / "rows.jsonl")
         rows = [{"id": "a", "x": 0.1 + 0.2}, {"id": "b", "x": [1, 2]}]

@@ -20,11 +20,11 @@ from pvit.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpo
 from pvit.config import RunConfig
 from pvit.data import make_ood, normalize, split_dataset, synth_dataset
 from pvit.model import PViTConfig, PViTModel
-from pvit.priors import MLPClassifier, MLPConfig, ModelSource, export_logits
+from pvit.priors import MLPClassifier, MLPConfig, ModelSource, export_logits, load_logits
 from pvit.scoring import ScoreRecord, file_sha256, read_scores, score_dataset, write_scores
 from pvit.errors import FormatError
 from pvit.train import loss_curve_csv, resume_state, train
-from recipe import SMALL_CFG
+from recipe import SMALL_CFG, compare
 from test_data import write_idx_pair
 
 
@@ -185,6 +185,13 @@ class TestRecipe:
         first, second = (json.loads(output) for output in outputs)
         assert len(first) == 89  # 55 files of the main run, 33 of the ablation, and stdout
         assert first == second
+
+    def test_compare_reports_each_entry_of_either_manifest(self):
+        here = {"<stdout>": "aa", "run/pvit.ckpt": "bb", "run/new.csv": "cc"}
+        there = {"<stdout>": "aa", "run/pvit.ckpt": "bd", "run/old.csv": "cc"}
+        assert compare(here, there, "HEAD~1") == {"<stdout>": "identical", "run/new.csv": "only here",
+                                                  "run/old.csv": "only at HEAD~1", "run/pvit.ckpt": "differs"}
+        assert set(compare(here, dict(here), "HEAD~1").values()) == {"identical"}
 
 
 class TestNormalization:
@@ -636,6 +643,20 @@ class TestEvalInputs:
         assert f"{path}: " in err and named in err, err
         assert not [name for name in os.listdir(out) if name.startswith(("metrics_", "hist_", "eval_summary"))]
 
+    @pytest.mark.parametrize("key", ["eval.scores", "ood.kinds"])
+    def test_empty_list_exits_1_naming_it_and_keeps_the_summary(self, tmp_path, capsys, key):
+        """With no score or no OOD set there is nothing to evaluate: eval
+        fails before it reads or writes anything, and an earlier summary stays."""
+        cfg, out = write_cfg(tmp_path)
+        write_score_set(out)
+        assert main(["eval", "--config", cfg]) == 0
+        before = {name: pathlib.Path(out, name).read_bytes() for name in os.listdir(out)}
+        cfg, _ = write_cfg(tmp_path, name="empty.cfg", **{key.replace(".", "__"): ""})
+        assert main(["eval", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"config key '{key}' is empty" in err and "Traceback" not in err, err
+        assert {name: pathlib.Path(out, name).read_bytes() for name in os.listdir(out)} == before
+
     def test_mismatched_guidance_header_exits_2(self, tmp_path, capsys):
         cfg, out = write_cfg(tmp_path)
         write_score_set(out, guidance="ce")
@@ -781,6 +802,28 @@ class TestLogitsFilesPerSplit:
         assert os.path.join(out, "logits", "logits_ood-uniform-noise.jsonl") in err, err
         assert "'ood-uniform-noise-00030'" in err and "Traceback" not in err, err
         assert pathlib.Path(out, "scores_id-test.jsonl").read_bytes() == scores
+
+
+class TestAttentionDump:
+    def test_negative_layer_dumps_the_last_layer(self, tmp_path, pipeline):
+        """``attention.layer = -1`` names and dumps layer depth - 1: every CSV
+        matrix and summary mass is that layer's forward_batch attention."""
+        out = str(tmp_path / "out")
+        shutil.copytree(pipeline[1], out)
+        cfg, _ = write_cfg(tmp_path, attention__layer=-1, attention__head=1, attention__alphas="0.1,1.0")
+        assert main(["attention-dump", "--config", cfg]) == 0
+        model, _, _ = PViTModel.load(os.path.join(out, "pvit.ckpt"))
+        ds = build_datasets(RunConfig.load(cfg))["id-test"]
+        ids = ds.ids[:8]
+        priors = load_logits(os.path.join(out, "logits", "logits_id-test.jsonl")).logits_for(ids)
+        rows = iter(pathlib.Path(out, "attention_summary.csv").read_text().splitlines()[1:])
+        for alpha in (0.1, 1.0):
+            matrices = model.forward_batch(ds.images[:8], priors, alpha).attentions[-1][:, 1]
+            for sid, matrix in zip(ids, matrices, strict=True):
+                dumped = np.loadtxt(os.path.join(out, "attention", f"{sid}_alpha{alpha!r}_L1H1.csv"), delimiter=",")
+                np.testing.assert_array_equal(dumped, matrix)
+                assert next(rows) == f"{alpha!r},{sid},1,1,{float(matrix[0, -1])!r}"
+        assert next(rows, None) is None
 
 
 class TestPvitCheckpointPath:

@@ -1,5 +1,5 @@
 """Transformer architecture tests: sequence assembly, prior token,
-encoder invariants, attention extraction, checkpoint round trip.
+encoder invariants, attention weights, checkpoint round trip.
 
 A single sample is a batch of one; per-sample checks run through
 ``forward_batch`` with B=1 and compare against B=n."""
@@ -14,12 +14,7 @@ from oracle import composed_attention
 from pvit import tensor as T
 from pvit.checkpoint import load_checkpoint, save_checkpoint
 from pvit.errors import FormatError, ShapeError
-from pvit.model import (
-    PViTConfig,
-    PViTModel,
-    extract_attention,
-    patchify,
-)
+from pvit.model import PViTConfig, PViTModel, patchify
 from pvit.tensor import Tape, Tensor, backward, matmul, reshape
 
 
@@ -138,7 +133,7 @@ class TestEncoder:
     def test_depth_zero_is_layer_norm_of_first_row(self):
         model = PViTModel(tiny_config(depth=0), seed=6)
         model.params["head.weight"].data = np.random.default_rng(6).normal(size=(16, 3))
-        out = model.forward_batch(RNG.random((1, 8, 8, 1)), [[0.5, 0.0, -1.0]], want_attention=True)
+        out = model.forward_batch(RNG.random((1, 8, 8, 1)), [[0.5, 0.0, -1.0]])
         row = model.params["cls_token"].data[0] + model.params["pos_embed"].data[0]
         mu, var = row.mean(), row.var()
         expected = (row - mu) / np.sqrt(var + 1e-5)
@@ -148,18 +143,18 @@ class TestEncoder:
 
     def test_attention_rows_sum_to_one(self):
         model = PViTModel(tiny_config(), seed=7)
-        out = model.forward_batch(RNG.random((1, 8, 8, 1)), [[0.2, -0.4, 1.0]], want_attention=True)
+        out = model.forward_batch(RNG.random((1, 8, 8, 1)), [[0.2, -0.4, 1.0]])
         for layer_attn in out.attentions:
             np.testing.assert_allclose(layer_attn.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_attention_matrices_match_composed_softmax(self, monkeypatch):
-        """``want_attention`` returns the fused node's weights, which equal
+        """The forward pass returns the fused node's weights, which equal
         the softmax of the composed attention chain at every layer."""
         model = PViTModel(tiny_config(), seed=7)
         imgs, priors = RNG.random((3, 8, 8, 1)), RNG.normal(size=(3, 3))
-        fused = model.forward_batch(imgs, priors, want_attention=True)
+        fused = model.forward_batch(imgs, priors)
         monkeypatch.setattr(T, "attention", composed_attention)
-        composed = model.forward_batch(imgs, priors, want_attention=True)
+        composed = model.forward_batch(imgs, priors)
         assert len(fused.attentions) == len(composed.attentions) == 2
         for got, want in zip(fused.attentions, composed.attentions):
             assert_close_rel(got, want, 1e-12, "attention weights")
@@ -169,8 +164,8 @@ class TestEncoder:
     def test_repeat_bit_identical(self):
         model = PViTModel(tiny_config(), seed=8)
         img = RNG.random((1, 8, 8, 1))
-        a = model.forward_batch(img, [[1.0, 2.0, 3.0]], want_attention=True)
-        b = model.forward_batch(img, [[1.0, 2.0, 3.0]], want_attention=True)
+        a = model.forward_batch(img, [[1.0, 2.0, 3.0]])
+        b = model.forward_batch(img, [[1.0, 2.0, 3.0]])
         assert a.logits.data.tobytes() == b.logits.data.tobytes()
         for x, y in zip(a.attentions, b.attentions):
             assert x.tobytes() == y.tobytes()
@@ -182,9 +177,9 @@ class TestEncoder:
         model = PViTModel(PViTConfig(), seed=12)
         rng = np.random.default_rng(batch)
         imgs, priors = rng.random((batch, 28, 28, 1)), rng.normal(size=(batch, 4))
-        first = model.forward_batch(imgs, priors, want_attention=True)
+        first = model.forward_batch(imgs, priors)
         imgs[1:], priors[1:] = rng.random((batch - 1, 28, 28, 1)), rng.normal(size=(batch - 1, 4))
-        second = model.forward_batch(imgs, priors, want_attention=True)
+        second = model.forward_batch(imgs, priors)
         assert first.logits.data[0].tobytes() == second.logits.data[0].tobytes()
         assert first.logits.data[1].tobytes() != second.logits.data[1].tobytes()
         for a, b in zip(first.attentions, second.attentions, strict=True):
@@ -194,9 +189,9 @@ class TestEncoder:
         model = PViTModel(tiny_config(), seed=9)
         imgs = RNG.random((3, 8, 8, 1))
         priors = RNG.normal(size=(3, 3))
-        out = model.forward_batch(imgs, priors, want_attention=True)
+        out = model.forward_batch(imgs, priors)
         for i in range(3):
-            one = model.forward_batch(imgs[i : i + 1], priors[i : i + 1], want_attention=True)
+            one = model.forward_batch(imgs[i : i + 1], priors[i : i + 1])
             np.testing.assert_allclose(out.logits.data[i], one.logits.data[0], atol=1e-12)
             for batched, single in zip(out.attentions, one.attentions):
                 np.testing.assert_allclose(batched[i], single[0], atol=1e-12)
@@ -211,31 +206,23 @@ class TestClassify:
         np.testing.assert_allclose(out.logits.data[0], [0.5, -1.0, 2.0], atol=1e-15)
 
 
-class TestExtractAttention:
+class TestPriorTokenMass:
     def test_rows_sum_to_one(self):
         model = PViTModel(tiny_config(), seed=11)
-        out = model.forward_batch(RNG.random((1, 8, 8, 1)), [[1.0, 0.0, 0.0]], want_attention=True)
-        matrices, masses = extract_attention(out, 1, 0)
+        out = model.forward_batch(RNG.random((1, 8, 8, 1)), [[1.0, 0.0, 0.0]])
+        matrices = out.attentions[1][:, 0]
+        masses = matrices[:, 0, -1]
         assert matrices.shape == (1, 6, 6) and masses.shape == (1,)
         np.testing.assert_allclose(matrices[0].sum(axis=1), 1.0, atol=1e-9)
         assert masses[0] == matrices[0, 0, -1]
         assert 0.0 <= masses[0] <= 1.0
 
-    def test_layer_out_of_range(self):
-        model = PViTModel(tiny_config(depth=2), seed=12)
-        out = model.forward_batch(RNG.random((1, 8, 8, 1)), [[0.0, 0.0, 0.0]], want_attention=True)
-        with pytest.raises(ShapeError, match="valid 0..1"):
-            extract_attention(out, 2, 0)
-        with pytest.raises(ShapeError, match="head"):
-            extract_attention(out, 0, 5)
-
     def test_prior_mass_depends_on_alpha(self):
         model = PViTModel(tiny_config(), seed=13)
         img = RNG.random((1, 8, 8, 1))
-        low = model.forward_batch(img, [[3.0, 0.0, -1.0]], alpha=0.0, want_attention=True)
-        high = model.forward_batch(img, [[3.0, 0.0, -1.0]], alpha=10.0, want_attention=True)
-        _, mass_low = extract_attention(low, 1, 0)
-        _, mass_high = extract_attention(high, 1, 0)
+        low = model.forward_batch(img, [[3.0, 0.0, -1.0]], alpha=0.0)
+        high = model.forward_batch(img, [[3.0, 0.0, -1.0]], alpha=10.0)
+        mass_low, mass_high = (out.attentions[1][:, 0, 0, -1] for out in (low, high))
         assert mass_low[0] != mass_high[0]  # recorded difference, no direction asserted
 
 
