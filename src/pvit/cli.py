@@ -7,7 +7,8 @@ split (``export-logits`` re-exports them from the checkpoint),
 ``score`` writes score records per dataset, ``eval`` turns them into
 AUROC/FPR95 reports plus histograms, and ``attention-dump`` exports
 attention matrices and the prior-token attention mass.  Priors cross
-commands only as the logits files ``logits_<split>.jsonl``.
+commands only as the logits files ``logits_<split>.jsonl``, read through
+``_split_priors`` alone; inference runs in ``forward_batches`` of 64.
 
 Every checkpoint a command loads must agree with the config the run
 would build: an image shape or prior pixel count that is not the data's
@@ -35,11 +36,11 @@ import numpy as np
 from .artifacts import write_artifact
 from .config import RunConfig
 from .data import Dataset, load_idx, make_ood, normalize, split_dataset, synth_dataset
-from .errors import ConfigError, FormatError, MissingPriorError, PvitError
+from .errors import ConfigError, FormatError, PvitError
 from .metrics import evaluate, histogram_export
 from .model import PViTConfig, PViTModel
-from .priors import MLPClassifier, MLPConfig, ModelSource, export_logits, load_logits, train_prior_model
-from .scoring import file_sha256, predict_logits, read_scores, score_field, score_records, write_scores
+from .priors import MLPClassifier, MLPConfig, ModelSource, TableSource, export_logits, load_logits, train_prior_model
+from .scoring import file_sha256, forward_batches, predict_logits, read_scores, score_field, score_records, write_scores
 from .train import OptimizerState, TrainConfig, loss_curve_csv, resume_state, train
 
 
@@ -196,32 +197,21 @@ def _export_all_logits(cfg: RunConfig, out: str, datasets) -> dict[str, np.ndarr
     return {split: export_logits(source, ds, _logits_path(directory, split)) for split, ds in datasets.items()}
 
 
-class _LogitsFile:
-    """A split's logits file in ``directory``, parsed whole when made: a
-    malformed line, or a K other than ``data.classes``, raises
-    FormatError naming the file."""
-
-    def __init__(self, cfg: RunConfig, directory: str, split: str):
-        self.path = _logits_path(directory, split)
-        self.table = load_logits(self.path)
-        if self.table.num_classes != cfg["data.classes"]:
-            raise FormatError(f"{self.path}: holds {self.table.num_classes} logits per sample, "
-                              f"but data.classes is {cfg['data.classes']}")
-
-    def rows(self, ids, named: Optional[str] = None) -> np.ndarray:
-        """The (len(ids), K) block for ``ids``; an id the file lacks raises
-        MissingPriorError naming ``named`` (the ids' file) or else this one."""
-        try:
-            return self.table.logits_for(ids)
-        except MissingPriorError as exc:
-            raise MissingPriorError(f"{named or self.path}: {exc}") from None
+def _logits_table(cfg: RunConfig, directory: str, split: str) -> TableSource:
+    """A split's logits file in ``directory``, parsed whole: a malformed
+    line or a K other than ``data.classes`` raises FormatError naming the
+    file, and a lookup of an id it lacks MissingPriorError naming it."""
+    table = load_logits(_logits_path(directory, split))
+    if table.num_classes != cfg["data.classes"]:
+        raise FormatError(f"{table.path}: holds {table.num_classes} logits per sample, "
+                          f"but data.classes is {cfg['data.classes']}")
+    return table
 
 
-def _split_priors(cfg: RunConfig, out: str, datasets, splits) -> dict[str, np.ndarray]:
-    """Each split's (N, K) prior block, looked up by its sample ids in its
-    logits file, every file parsed before any id is looked up."""
-    files = {split: _LogitsFile(cfg, _logits_dir(cfg, out), split) for split in splits}
-    return {split: files[split].rows(datasets[split].ids) for split in splits}
+def _split_priors(cfg: RunConfig, out: str, ids: dict[str, list[str]]) -> dict[str, np.ndarray]:
+    """Each split's (N, K) prior block for its ``ids``, every logits file parsed before any id is looked up."""
+    tables = {split: _logits_table(cfg, _logits_dir(cfg, out), split) for split in ids}
+    return {split: table.logits_for(ids[split]) for split, table in tables.items()}
 
 
 def _accuracy(logits: np.ndarray, labels: Optional[np.ndarray]) -> Optional[float]:
@@ -269,7 +259,7 @@ def cmd_train_pvit(cfg: RunConfig, out: str) -> None:
         state, epochs_run = resume_state(cfg["train.resume"], header, moments, model.params)
     else:
         model, state, epochs_run = PViTModel(wanted, seed=cfg.seed_for("model.seed")), OptimizerState(), 0
-    priors = _split_priors(cfg, out, datasets, ["id-train", "id-test"])
+    priors = _split_priors(cfg, out, {split: datasets[split].ids for split in ("id-train", "id-test")})
 
     result = train(model, datasets["id-train"], priors["id-train"], config, state)
     ckpt = _pvit_ckpt_path(cfg, out)
@@ -301,18 +291,17 @@ def cmd_score(cfg: RunConfig, out: str) -> None:
         source_hash = hashlib.sha256(
             "".join(file_sha256(_logits_path(predicted_dir, split)) for split in splits).encode()
         ).hexdigest()
-        files = {split: _LogitsFile(cfg, _logits_dir(cfg, out), split) for split in splits}
-        predicted_files = {split: _LogitsFile(cfg, predicted_dir, split) for split in splits}
-        ids = {split: list(file.table.records) for split, file in predicted_files.items()}
-        priors = {split: files[split].rows(ids[split], predicted_files[split].path) for split in splits}
-        predicted = {split: file.rows(ids[split]) for split, file in predicted_files.items()}
+        tables = {split: _logits_table(cfg, predicted_dir, split) for split in splits}
+        ids = {split: list(table.records) for split, table in tables.items()}
+        predicted = {split: table.logits_for(ids[split]) for split, table in tables.items()}
+        priors = _split_priors(cfg, out, ids)
     else:
         datasets = build_datasets(cfg)
         ckpt = _pvit_ckpt_path(cfg, out)
         model, _, _ = _load_checked(ckpt, _pvit_config(cfg, datasets))
         alpha, source_hash = model.config.alpha, file_sha256(ckpt)
         ids = {split: datasets[split].ids for split in splits}
-        priors = _split_priors(cfg, out, datasets, splits)
+        priors = _split_priors(cfg, out, ids)
         predicted = {split: predict_logits(model, datasets[split].images, priors[split]) for split in splits}
     for split in splits:
         records = score_records(ids[split], predicted[split], priors[split], guidance)
@@ -390,17 +379,18 @@ def cmd_attention_dump(cfg: RunConfig, out: str) -> None:
         raise ConfigError(f"config key 'attention.head': {head} is outside the model's {heads} heads")
     alphas = cfg["attention.alphas"] or [model.config.alpha]
     count = min(cfg["attention.max_samples"], len(ds))
-    priors = _split_priors(cfg, out, datasets, [split])[split][:count]
+    ids, priors = ds.ids[:count], _split_priors(cfg, out, {split: ds.ids})[split][:count]
     attn_dir = os.path.join(out, "attention")
     os.makedirs(attn_dir, exist_ok=True)
     summary = ["alpha,sample_id,layer,head,prior_token_mass"]
     for alpha in alphas:
-        matrices = model.forward_batch(ds.images[:count], priors, alpha).attentions[layer][:, head]
-        row_format = ",".join(["%.18e"] * matrices.shape[-1]) + "\n"  # np.savetxt's default
-        for sid, matrix, mass in zip(ds.ids[:count], matrices, matrices[:, 0, -1].tolist()):
-            name = f"{sid}_alpha{alpha!r}_L{layer}H{head}.csv"
-            write_artifact(os.path.join(attn_dir, name), [row_format % tuple(row) for row in matrix])
-            summary.append(f"{alpha!r},{sid},{layer},{head},{mass!r}")
+        for rows, outputs in forward_batches(model, ds.images[:count], priors, alpha):
+            matrices = outputs.attentions[layer][:, head]
+            row_format = ",".join(["%.18e"] * matrices.shape[-1]) + "\n"  # np.savetxt's default
+            for sid, matrix, mass in zip(ids[rows], matrices, matrices[:, 0, -1].tolist()):
+                name = f"{sid}_alpha{alpha!r}_L{layer}H{head}.csv"
+                write_artifact(os.path.join(attn_dir, name), [row_format % tuple(row) for row in matrix])
+                summary.append(f"{alpha!r},{sid},{layer},{head},{mass!r}")
     summary_path = os.path.join(out, "attention_summary.csv")
     write_artifact(summary_path, [line + "\n" for line in summary])
     print(f"attention matrices: {attn_dir} ({count} samples x {len(alphas)} alphas)")

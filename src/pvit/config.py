@@ -2,10 +2,10 @@
 
 Files hold ``key = value`` lines with ``#`` comments.  :data:`SCHEMA`
 declares every key's type, default and rule, :data:`RELATIONS` the rules
-that tie keys together; an unknown key or a value breaking a rule fails
-loudly, naming the key.  Each command writes its fully-resolved
-configuration next to its outputs, and a run is reproducible from that
-file alone.
+that tie keys together; an unknown key, a key set twice or a value
+breaking a rule fails loudly, naming the key.  Each command writes its
+fully-resolved configuration next to its outputs, and a run is
+reproducible from that file alone.
 
 The global ``seed`` is added to every component seed (data, model,
 prior, training, ood), so overriding it shifts the whole run while the
@@ -187,6 +187,7 @@ class RunConfig:
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "RunConfig":
         values = {key: default for key, (_, default, _) in SCHEMA.items()}
+        set_on: dict[str, int] = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -197,6 +198,8 @@ class RunConfig:
             key = key.strip()
             if key not in SCHEMA:
                 raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
+            if set_on.setdefault(key, lineno) != lineno:
+                raise ConfigError(f"{source}: config key {key!r} is set twice, on lines {set_on[key]} and {lineno}")
             values[key] = _parse_value(key, SCHEMA[key][0], raw)
         return cls(values)
 

@@ -5,10 +5,10 @@ samples": ``resolve(dataset)`` returns the whole dataset's (N, K) block
 of raw logits in ``dataset.ids`` order.  :class:`ModelSource` runs the
 small in-repo MLP on the pixels; it backs ``train-prior`` and
 ``export-logits``, which write each split's block to a logits file from
-the prior as saved.  :class:`TableSource` looks ids up in those files,
-the one way priors reach every other command; JSON round-trips a
-float64 exactly, so the two agree to the bit.  Logits stay raw
-(pre-softmax) because the energy and max-logit baselines need them.
+the prior as saved.  :class:`TableSource` looks ids up in a file that
+:func:`load_logits` read, the one way priors reach every other command;
+JSON round-trips a float64 exactly, so the two agree to the bit.  Logits
+stay raw (pre-softmax) because the energy and max-logit baselines need them.
 
 Logits file format (UTF-8 JSON Lines):
 
@@ -22,7 +22,7 @@ Numbers are serialized with full round-trip precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -107,17 +107,20 @@ class ModelSource:
 class TableSource:
     """Prior source backed by a loaded logits table; resolves by sample id.
 
-    ``records`` maps each sample id to its (K,) float64 logits row."""
+    ``records`` maps each sample id to its (K,) float64 logits row;
+    ``path`` is the file :func:`load_logits` read it from."""
 
     records: dict[str, np.ndarray]
     num_classes: int
     name: str = "table"
+    path: str = "<table>"
 
     def logits_for(self, ids) -> np.ndarray:
-        """(len(ids), K) logits looked up by sample id."""
+        """(len(ids), K) logits looked up by sample id; an id the table
+        lacks raises MissingPriorError naming ``path``."""
         missing = [sid for sid in ids if sid not in self.records]
         if missing:
-            raise MissingPriorError(f"no prior logits for sample id {missing[0]!r}")
+            raise MissingPriorError(f"{self.path}: no prior logits for sample id {missing[0]!r}")
         rows = [self.records[sid] for sid in ids]
         return np.asarray(rows or np.empty((0, self.num_classes)), dtype=np.float64)
 
@@ -126,10 +129,7 @@ class TableSource:
         return self.logits_for(dataset.ids)
 
 
-PriorSource = Union[ModelSource, TableSource]
-
-
-def priors_for_indices(source: PriorSource, dataset: Dataset, indices: np.ndarray) -> np.ndarray:
+def priors_for_indices(source: ModelSource | TableSource, dataset: Dataset, indices: np.ndarray) -> np.ndarray:
     """(B, K) prior logits for a batch of dataset indices, resolved as a
     dataset of its own: for a model-backed source the rows can differ from
     ``source.resolve(dataset)[indices]`` in the last bits (BLAS blocks a
@@ -160,7 +160,7 @@ def train_prior_model(train_set: Dataset, config, hidden_dim: int = 128, seed: i
 # logits file round trip
 
 
-def export_logits(source: PriorSource, dataset: Dataset, path: str) -> np.ndarray:
+def export_logits(source: ModelSource | TableSource, dataset: Dataset, path: str) -> np.ndarray:
     """Write one logits line per dataset sample, after a k/dataset header;
     returns the (N, K) block written."""
     all_logits = source.resolve(dataset)
@@ -174,10 +174,10 @@ def export_logits(source: PriorSource, dataset: Dataset, path: str) -> np.ndarra
 
 
 def load_logits(path: str) -> TableSource:
-    """Parse a logits file; validates header, field types, per-line K, id
-    uniqueness, and that every logits vector is finite.  Any malformed
-    line raises :class:`FormatError` naming ``file:line``.  Labels are
-    checked, not kept: a prior source answers by sample id alone."""
+    """Parse a logits file into a table that keeps ``path``; validates the
+    header, field types, per-line K, id uniqueness, and that every logits
+    vector is finite: a malformed line raises :class:`FormatError` naming
+    ``file:line``.  Labels are checked, not kept."""
     header, rows = read_jsonl(path)
     k = header.get("k")
     if type(k) is not int or k < 1:
@@ -200,4 +200,4 @@ def load_logits(path: str) -> TableSource:
         if sid in records:
             raise FormatError(f"{path}:{lineno}: duplicate id {sid!r}")
         records[sid] = values
-    return TableSource(records=records, num_classes=k, name=str(header.get("model", "table")))
+    return TableSource(records=records, num_classes=k, name=str(header.get("model", "table")), path=path)

@@ -8,13 +8,13 @@ prediction (KL), or the Euclidean distance between the raw logit
 vectors (ED).  MSP, MaxLogit and negative energy ride along as
 baselines on the predicted logits.
 
-There is one scoring path: :func:`predict_logits` runs the model over
-images and their (N, K) prior-logits block, batch by batch, and
-:func:`score_records` builds every record in one vectorised pass over
-the predicted and prior blocks; :func:`score_dataset` resolves a prior
-source into the block once and feeds both.  Nothing here scores a single
-logit vector; the tests keep per-vector reference scorers as the oracle
-the records match.
+There is one scoring path: :func:`predict_logits` joins the logits of
+:func:`forward_batches`, the one batch loop over images and their (N, K)
+prior-logits block, and :func:`score_records` builds every record in one
+vectorised pass over the predicted and prior blocks; :func:`score_dataset`
+resolves a prior source into the block once and feeds both.  Nothing
+here scores a single logit vector; the tests keep per-vector reference
+scorers as the oracle the records match.
 
 Probabilities are clamped at 1e-12 before any log: near-one-hot priors
 otherwise send -log q to infinity and poison downstream AUROC.
@@ -30,7 +30,6 @@ import numpy as np
 from .artifacts import NUMBER_TYPES, read_jsonl, write_jsonl
 from .data import Dataset
 from .errors import FormatError, ShapeError
-from .priors import PriorSource
 from .tensor import softmax_rows
 
 PROB_CLAMP = 1e-12
@@ -103,22 +102,29 @@ def score_records(ids, predicted, priors, guidance_kind: str = "ce") -> list[Sco
     ]
 
 
-def predict_logits(model, images: np.ndarray, priors: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    """(N, K) predicted logits: batch by batch, (N, H, W, C) images and the
-    rows of their (N, K) prior-logits block go through
-    ``model.forward_batch(images, priors)``, at the model's own alpha."""
+def forward_batches(model, images: np.ndarray, priors: np.ndarray, alpha=None, batch_size: int = 64):
+    """Yield ``(rows, model.forward_batch(images[rows], priors[rows], alpha))`` for consecutive
+    row slices of at most ``batch_size`` (N, H, W, C) images and their (N, K) prior-logits rows."""
     if len(priors) != len(images):
         raise ShapeError(f"need one prior-logits row per image: {len(images)} images, {len(priors)} rows")
-    predicted = [np.empty((0, priors.shape[1]))]
     for start in range(0, len(images), batch_size):
-        batch = slice(start, start + batch_size)
-        predicted.append(model.forward_batch(images[batch], priors[batch]).logits.data)
+        rows = slice(start, start + batch_size)
+        yield rows, model.forward_batch(images[rows], priors[rows], alpha)
+
+
+def predict_logits(model, images: np.ndarray, priors: np.ndarray, batch_size: int = 64) -> np.ndarray:
+    """(N, K) predicted logits at the model's own alpha, joined from
+    :func:`forward_batches`."""
+    predicted = [np.empty((0, priors.shape[1]))]
+    for _, out in forward_batches(model, images, priors, batch_size=batch_size):
+        predicted.append(out.logits.data)
+        del out  # the batch's attention weights go before the next batch runs
     return np.concatenate(predicted)
 
 
-def score_dataset(model, prior_source: PriorSource, dataset: Dataset, guidance_kind: str = "ce",
+def score_dataset(model, prior_source, dataset: Dataset, guidance_kind: str = "ce",
                   batch_size: int = 64) -> list[ScoreRecord]:
-    """Score every sample: its priors resolved once, then predicted, then scored."""
+    """Score every sample: its priors resolved once (``prior_source.resolve``), then predicted, then scored."""
     priors = prior_source.resolve(dataset)
     return score_records(dataset.ids, predict_logits(model, dataset.images, priors, batch_size), priors,
                          guidance_kind)

@@ -21,7 +21,7 @@ from pvit.config import RunConfig
 from pvit.data import make_ood, normalize, split_dataset, synth_dataset
 from pvit.model import PViTConfig, PViTModel
 from pvit.priors import MLPClassifier, MLPConfig, ModelSource, export_logits, load_logits
-from pvit.scoring import ScoreRecord, file_sha256, read_scores, score_dataset, write_scores
+from pvit.scoring import ScoreRecord, file_sha256, forward_batches, read_scores, score_dataset, write_scores
 from pvit.errors import FormatError
 from pvit.train import loss_curve_csv, resume_state, train
 from recipe import SMALL_CFG, compare
@@ -32,12 +32,14 @@ SPLITS = ["id-train", "id-test", "ood-uniform-noise", "ood-pattern-shift", "ood-
 
 
 def write_cfg(tmp_path, text=SMALL_CFG, name="run.cfg", **extra):
+    """``text`` with each ``extra`` key (``__`` for ``.``) set on its own
+    line, in place of the line that set it there: a file sets a key once."""
     out = str(tmp_path / "out")
-    body = text.format(out=out)
+    lines = {line.split("=")[0].strip(): line for line in text.format(out=out).splitlines() if line.strip()}
     for key, value in extra.items():
-        body += f"\n{key.replace('__', '.')} = {value}\n"
+        lines[key.replace("__", ".")] = f"{key.replace('__', '.')} = {value}"
     path = tmp_path / name
-    path.write_text(body)
+    path.write_text("\n".join(lines.values()) + "\n")
     return str(path), out
 
 
@@ -360,6 +362,23 @@ class TestCheckpointAgreesWithConfig:
         assert readers == []
 
 
+class TestOnePriorLookupAndBatchLoop:
+    def test_cli_reads_logits_through_one_table_and_never_calls_forward_batch(self):
+        """An AST walk over ``pvit.cli``: ``load_logits`` is called only inside
+        ``_logits_table``, and no command calls ``.forward_batch(`` itself, so
+        every model pass goes through ``forward_batches``' batches."""
+        tree = ast.parse(pathlib.Path(pvit.cli.__file__).read_text())
+
+        def calls(node, name):
+            return [f"{name}:{n.lineno}" for n in ast.walk(node) if isinstance(n, ast.Call)
+                    and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+
+        table = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_logits_table")
+        assert len(calls(table, "load_logits")) == 1
+        assert calls(tree, "load_logits") == calls(table, "load_logits")
+        assert calls(tree, "forward_batch") == []
+
+
 class TestGuidanceSwitch:
     def test_ce_vs_ed_same_base_different_guidance(self, tmp_path):
         cfg, out = write_cfg(tmp_path)
@@ -537,6 +556,20 @@ class TestErrors:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err, err
         assert not out.exists()
+
+    def test_key_set_twice_exits_1_naming_it_and_both_lines(self, tmp_path, capsys):
+        """A second line for a key used to win silently (``seed = 5`` then
+        ``seed = 6`` ran seed 6); the flags still override a key set once."""
+        path, out = tmp_path / "twice.cfg", tmp_path / "out"
+        path.write_text(f"out.dir = {out}\nseed = 5\n# seed = 4\n\nseed = 6\n")
+        for flags in ([], ["--seed", "9"]):
+            assert main(["train-prior", "--config", str(path), *flags]) == 1
+            err = capsys.readouterr().err
+            assert f"{path}: config key 'seed' is set twice, on lines 2 and 5" in err and "Traceback" not in err, err
+        assert not out.exists()
+        path.write_text(f"out.dir = {out}\nseed = 5\n")
+        cfg = RunConfig.load(str(path), {"seed": 9, "out.dir": str(tmp_path / "other")})
+        assert (cfg["seed"], cfg["out.dir"]) == (9, str(tmp_path / "other"))
 
     def test_out_flag_overrides_the_config_directory(self, tmp_path):
         cfg, out = write_cfg(tmp_path)
@@ -740,26 +773,27 @@ class TestLogitsInputs:
         assert f"logits_{split}.jsonl:{lineno}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "lines,message",
+        "lines,message,named",
         [
             (['{"k": 4, "dataset": "d", "model": "mlp"}', '{"id": "id-test-0", "label": 0, "logits": [1, 2, 3, 4]}'],
-             "holds 4 logits per sample, but data.classes is 3"),
+             "holds 4 logits per sample, but data.classes is 3", "predicted"),
             (['{"k": 3, "dataset": "d", "model": "mlp"}', '{"id": "other-00003", "label": 0, "logits": [1, 2, 3]}'],
-             "no prior logits for sample id 'other-00003'"),
+             "no prior logits for sample id 'other-00003'", "out/logits"),
         ],
         ids=["k-disagrees", "id-missing"],
     )
     def test_predicted_logits_disagreeing_with_priors_exits_2_naming_the_file(self, tmp_path, capsys, lines,
-                                                                              message):
+                                                                              message, named):
+        """A predicted file of another K names itself; an id the run's
+        logits file lacks names that file, ``named`` under ``tmp_path``."""
         predicted = str(tmp_path / "predicted")
         write_logits_set(predicted, SPLITS[1:])
-        path = os.path.join(predicted, "logits_id-test.jsonl")
-        with open(path, "w") as fh:
+        with open(os.path.join(predicted, "logits_id-test.jsonl"), "w") as fh:
             fh.write("\n".join(lines) + "\n")
         cfg, out = write_cfg(tmp_path, score__predicted_logits=predicted)
         write_logits_set(os.path.join(out, "logits"), SPLITS)
         assert main(["score", "--config", cfg]) == 2
-        assert f"{path}: {message}" in capsys.readouterr().err
+        assert f"{tmp_path / named / 'logits_id-test.jsonl'}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train-pvit", "score"])
     def test_missing_logits_file_exits_2(self, tmp_path, capsys, command):
@@ -824,6 +858,40 @@ class TestAttentionDump:
                 np.testing.assert_array_equal(dumped, matrix)
                 assert next(rows) == f"{alpha!r},{sid},1,1,{float(matrix[0, -1])!r}"
         assert next(rows, None) is None
+
+    def test_samples_run_in_batches_of_64(self, tmp_path, pipeline, monkeypatch):
+        """130 samples at two alphas make batches of 64, 64 and 2 per alpha;
+        every CSV matrix and summary row is its batch's ``forward_batches``
+        attention."""
+        out = str(tmp_path / "out")
+        shutil.copytree(pipeline[1], out)
+        cfg, _ = write_cfg(tmp_path, data__test_per_class=50, attention__max_samples=130,
+                           attention__alphas="0.1,1.0")
+        assert main(["export-logits", "--config", cfg]) == 0  # the copied prior's logits for 150 id-test samples
+        calls, forward_batch = [], PViTModel.forward_batch
+
+        def spy(self, images, prior_logits, alpha=None):
+            calls.append(len(images))
+            return forward_batch(self, images, prior_logits, alpha)
+
+        monkeypatch.setattr(PViTModel, "forward_batch", spy)
+        assert main(["attention-dump", "--config", cfg]) == 0
+        monkeypatch.undo()
+        assert calls == [64, 64, 2] * 2
+        model, _, _ = PViTModel.load(os.path.join(out, "pvit.ckpt"))
+        ds = build_datasets(RunConfig.load(cfg))["id-test"]
+        ids = ds.ids[:130]
+        priors = load_logits(os.path.join(out, "logits", "logits_id-test.jsonl")).logits_for(ids)
+        summary = []
+        for alpha in (0.1, 1.0):
+            for rows, outputs in forward_batches(model, ds.images[:130], priors, alpha):
+                for sid, matrix in zip(ids[rows], outputs.attentions[-1][:, 0], strict=True):
+                    dumped = np.loadtxt(os.path.join(out, "attention", f"{sid}_alpha{alpha!r}_L1H0.csv"),
+                                        delimiter=",")
+                    np.testing.assert_array_equal(dumped, matrix)
+                    summary.append(f"{alpha!r},{sid},1,0,{float(matrix[0, -1])!r}")
+        assert len(summary) == 2 * 130
+        assert pathlib.Path(out, "attention_summary.csv").read_text().splitlines()[1:] == summary
 
 
 class TestPvitCheckpointPath:
