@@ -6,8 +6,9 @@ Layout, all integers little-endian u32:
     | tensor count | per tensor: name length, name, rank, dims..., f32 data
 
 Compute stays float64; storage is float32, so a save/load round trip
-reproduces model outputs to f32 quantization.  The JSON header carries
-the model kind, its configuration, and training progress counters.
+reproduces model outputs to f32 quantization.  Both models save through
+:class:`Checkpointed`, so every JSON header holds exactly the model's
+``kind``, its ``config`` and the training progress counters ``step`` and ``epoch``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import math
 import struct
 import typing
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -82,30 +83,49 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     return header, tensors
 
 
-def load_model(path: str, kind: str, config_cls, make):
-    """(``make(config)`` with its ``params`` read back, header, leftover
-    tensors) from a ``kind`` checkpoint whose config names exactly
-    ``config_cls``'s fields."""
-    header, tensors = load_checkpoint(path)
-    if header.get("kind") != kind:
-        raise FormatError(f"{path}: checkpoint kind {header.get('kind')!r} is not {kind!r}")
-    config = header.get("config")
-    if not isinstance(config, dict):
-        raise FormatError(f"{path}: checkpoint header has no config object")
-    fields = [f.name for f in dataclasses.fields(config_cls)]
-    unknown_or_missing = sorted(set(config) ^ set(fields))
-    if unknown_or_missing:
-        raise FormatError(f"{path}: checkpoint config keys {unknown_or_missing} are not {config_cls.__name__}'s fields")
-    hints = typing.get_type_hints(config_cls)
-    for key in fields:
-        if type(config[key]) not in ((int, float) if hints[key] is float else (hints[key],)):
-            raise FormatError(f"{path}: checkpoint config {key!r} = {config[key]!r} is not a {hints[key].__name__}")
-    try:
-        model = make(config_cls(**config))
-    except ShapeError as exc:
-        raise FormatError(f"{path}: invalid checkpoint config: {exc}") from None
-    for name, param in model.params.items():
-        if name not in tensors or tensors[name].shape != param.shape:
-            raise FormatError(f"{path}: checkpoint has no tensor {name!r} of shape {param.shape}")
-        param.data = np.ascontiguousarray(tensors.pop(name))
-    return model, header, tensors
+class Checkpointed:
+    """Base of both models: ``__init__(config)`` sets ``config``, a ``CONFIG``
+    dataclass, and ``params``, the named parameter tensors; saved as ``KIND``."""
+
+    KIND: str
+    CONFIG: type
+
+    def parameters(self) -> dict:
+        return self.params
+
+    def zero_grad(self) -> None:
+        for p in self.params.values():
+            p.grad = None
+
+    def save(self, path: str, step: int = 0, epoch: int = 0, extra_tensors: Optional[dict] = None) -> None:
+        header = {"kind": self.KIND, "config": dataclasses.asdict(self.config), "step": int(step), "epoch": int(epoch)}
+        save_checkpoint(path, header, {**{name: p.data for name, p in self.params.items()}, **(extra_tensors or {})})
+
+    @classmethod
+    def load(cls, path: str) -> tuple["Checkpointed", dict, dict[str, np.ndarray]]:
+        """(model, header, leftover tensors such as optimizer state) from a ``KIND``
+        checkpoint whose config names exactly ``CONFIG``'s fields."""
+        header, tensors = load_checkpoint(path)
+        if header.get("kind") != cls.KIND:
+            raise FormatError(f"{path}: checkpoint kind {header.get('kind')!r} is not {cls.KIND!r}")
+        config = header.get("config")
+        if not isinstance(config, dict):
+            raise FormatError(f"{path}: checkpoint header has no config object")
+        fields = [f.name for f in dataclasses.fields(cls.CONFIG)]
+        unknown_or_missing = sorted(set(config) ^ set(fields))
+        if unknown_or_missing:
+            raise FormatError(f"{path}: checkpoint config keys {unknown_or_missing} "
+                              f"are not {cls.CONFIG.__name__}'s fields")
+        hints = typing.get_type_hints(cls.CONFIG)
+        for key in fields:
+            if type(config[key]) not in ((int, float) if hints[key] is float else (hints[key],)):
+                raise FormatError(f"{path}: checkpoint config {key!r} = {config[key]!r} is not a {hints[key].__name__}")
+        try:
+            model = cls(cls.CONFIG(**config))
+        except ShapeError as exc:
+            raise FormatError(f"{path}: invalid checkpoint config: {exc}") from None
+        for name, param in model.params.items():
+            if name not in tensors or tensors[name].shape != param.shape:
+                raise FormatError(f"{path}: checkpoint has no tensor {name!r} of shape {param.shape}")
+            param.data = np.ascontiguousarray(tensors.pop(name))
+        return model, header, tensors

@@ -103,6 +103,9 @@ def build_datasets(cfg: RunConfig) -> dict[str, Dataset]:
                                   f"{cfg['data.classes']} classes of data.classes")
 
     h, w, c = id_test.image_shape
+    if h != w and {"uniform-noise", "pattern-shift"} & set(cfg["ood.kinds"]):  # only IDX images can be non-square
+        raise ConfigError(f"config key 'ood.kinds': uniform-noise and pattern-shift sets are generated square, "
+                          f"but {cfg['data.idx_test_images']} holds {h}x{w} images")
     datasets = {"id-train": id_train, "id-test": id_test}
     for ood_kind in cfg["ood.kinds"]:
         datasets[f"ood-{ood_kind}"] = make_ood(
@@ -120,19 +123,19 @@ def build_datasets(cfg: RunConfig) -> dict[str, Dataset]:
     return datasets
 
 
-# a checkpoint config's field -> the config key that sets it; the fields not named come from
-# the datasets: the transformer's image shape and the prior's pixel count
-_MODEL_KEYS = {PViTConfig: {"patch_size": "model.patch", "embed_dim": "model.dim", "depth": "model.depth",
-                            "heads": "model.heads", "mlp_dim": "model.mlp_dim", "num_classes": "data.classes",
-                            "alpha": "model.alpha"},
-               MLPConfig: {"hidden_dim": "prior.hidden", "num_classes": "data.classes"}}
+# a checkpoint config class -> its model class and, per field, the config key that sets it; the
+# fields not named come from the datasets: the transformer's image shape and the prior's pixel count
+_MODELS = {PViTConfig: (PViTModel, {"patch_size": "model.patch", "embed_dim": "model.dim", "depth": "model.depth",
+                                    "heads": "model.heads", "mlp_dim": "model.mlp_dim",
+                                    "num_classes": "data.classes", "alpha": "model.alpha"}),
+           MLPConfig: (MLPClassifier, {"hidden_dim": "prior.hidden", "num_classes": "data.classes"})}
 
 
 def _pvit_config(cfg: RunConfig, datasets) -> PViTConfig:
     h, w, c = datasets["id-test"].image_shape
     if h % cfg["model.patch"] or w % cfg["model.patch"]:
         raise ConfigError(f"config key 'model.patch': {cfg['model.patch']} does not divide the {h}x{w} images")
-    return PViTConfig(**{name: cfg[key] for name, key in _MODEL_KEYS[PViTConfig].items()},
+    return PViTConfig(**{name: cfg[key] for name, key in _MODELS[PViTConfig][1].items()},
                       image_h=h, image_w=w, channels=c)
 
 
@@ -140,9 +143,8 @@ def _load_checked(path: str, wanted):
     """The model, header and leftover tensors of the checkpoint at ``path``
     once its config is ``wanted``, the PViTConfig or MLPConfig the run
     builds; commands load checkpoints here alone (see the module docstring)."""
-    model, header, tensors = (PViTModel.load(path) if isinstance(wanted, PViTConfig)
-                              else (MLPClassifier.load(path), {}, {}))
-    keys = _MODEL_KEYS[type(wanted)]
+    model_cls, keys = _MODELS[type(wanted)]
+    model, header, tensors = model_cls.load(path)
     shaped = [name for name in vars(wanted) if name not in keys]
     takes, given = ("x".join(str(getattr(config, name)) for name in shaped) for config in (model.config, wanted))
     if takes != given:
@@ -161,12 +163,9 @@ def _train_config(cfg: RunConfig, prefix: str) -> TrainConfig:
                        beta2=cfg["train.beta2"], seed=cfg.seed_for(f"{prefix}.seed"))
 
 
-def _prior_ckpt_path(cfg: RunConfig, out: str) -> str:
-    return cfg["paths.prior_checkpoint"] or os.path.join(out, "prior.ckpt")
-
-
-def _pvit_ckpt_path(cfg: RunConfig, out: str) -> str:
-    return cfg["paths.pvit_checkpoint"] or os.path.join(out, "pvit.ckpt")
+def _ckpt_path(cfg: RunConfig, out: str, model: str) -> str:
+    """Where the ``model`` ("prior" or "pvit") checkpoint is written and read."""
+    return cfg[f"paths.{model}_checkpoint"] or os.path.join(out, f"{model}.ckpt")
 
 
 def _logits_dir(cfg: RunConfig, out: str) -> str:
@@ -190,8 +189,8 @@ def _export_all_logits(cfg: RunConfig, out: str, datasets) -> dict[str, np.ndarr
     """Write every split's logits file from the prior as loaded back from
     its checkpoint (float32); returns each split's (N, K) block."""
     wanted = MLPConfig(input_dim=math.prod(datasets["id-test"].image_shape),
-                       **{name: cfg[key] for name, key in _MODEL_KEYS[MLPConfig].items()})
-    source = ModelSource(_load_checked(_prior_ckpt_path(cfg, out), wanted)[0])
+                       **{name: cfg[key] for name, key in _MODELS[MLPConfig][1].items()})
+    source = ModelSource(_load_checked(_ckpt_path(cfg, out, "prior"), wanted)[0])
     directory = _logits_dir(cfg, out)
     os.makedirs(directory, exist_ok=True)
     return {split: export_logits(source, ds, _logits_path(directory, split)) for split, ds in datasets.items()}
@@ -233,8 +232,8 @@ def cmd_train_prior(cfg: RunConfig, out: str) -> None:
         seed=cfg.seed_for("prior.seed"),
         num_classes=cfg["data.classes"],
     )
-    ckpt = _prior_ckpt_path(cfg, out)
-    source.model.save(ckpt, step=result.final_step)
+    ckpt = _ckpt_path(cfg, out, "prior")
+    source.model.save(ckpt, step=result.final_step, epoch=config.epochs)
     write_artifact(os.path.join(out, "prior_loss.csv"), [loss_curve_csv(result.curve)])
     blocks = _export_all_logits(cfg, out, datasets)
     print(f"prior checkpoint: {ckpt}")
@@ -262,7 +261,7 @@ def cmd_train_pvit(cfg: RunConfig, out: str) -> None:
     priors = _split_priors(cfg, out, {split: datasets[split].ids for split in ("id-train", "id-test")})
 
     result = train(model, datasets["id-train"], priors["id-train"], config, state)
-    ckpt = _pvit_ckpt_path(cfg, out)
+    ckpt = _ckpt_path(cfg, out, "pvit")
     model.save(ckpt, step=state.t, epoch=epochs_run + config.epochs, extra_tensors=state.moments)
     write_artifact(os.path.join(out, "pvit_loss.csv"), [loss_curve_csv(result.curve)])
     accuracies = {split: _accuracy(predict_logits(model, datasets[split].images, priors[split]),
@@ -297,7 +296,7 @@ def cmd_score(cfg: RunConfig, out: str) -> None:
         priors = _split_priors(cfg, out, ids)
     else:
         datasets = build_datasets(cfg)
-        ckpt = _pvit_ckpt_path(cfg, out)
+        ckpt = _ckpt_path(cfg, out, "pvit")
         model, _, _ = _load_checked(ckpt, _pvit_config(cfg, datasets))
         alpha, source_hash = model.config.alpha, file_sha256(ckpt)
         ids = {split: datasets[split].ids for split in splits}
@@ -368,7 +367,7 @@ def cmd_attention_dump(cfg: RunConfig, out: str) -> None:
     if split not in datasets:
         raise ConfigError(f"config key 'attention.dataset': no dataset named {split!r}")
     ds = datasets[split]
-    model, _, _ = _load_checked(_pvit_ckpt_path(cfg, out), _pvit_config(cfg, datasets))
+    model, _, _ = _load_checked(_ckpt_path(cfg, out, "pvit"), _pvit_config(cfg, datasets))
     depth, heads = model.config.depth, model.config.heads
     layer = cfg["attention.layer"]
     if not -depth <= layer < depth:

@@ -17,13 +17,13 @@ anyway; without a gradient tape they live until the pass returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_model, save_checkpoint
+from .checkpoint import Checkpointed
 from .errors import ShapeError
 from .rng import philox, truncated_normal
 from .tensor import Tensor
@@ -52,6 +52,9 @@ class PViTConfig:
     alpha: float = 0.1
 
     def __post_init__(self):
+        sizes = [size for name, size in vars(self).items() if name not in ("alpha", "depth")]
+        if min(sizes) < 1 or self.depth < 0:
+            raise ShapeError(f"sizes must be at least 1 (depth at least 0), got {self}")
         if self.image_h % self.patch_size or self.image_w % self.patch_size:
             raise ShapeError(
                 f"image {self.image_h}x{self.image_w} not divisible by patch_size {self.patch_size}"
@@ -96,8 +99,11 @@ def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
     )
 
 
-class PViTModel:
+class PViTModel(Checkpointed):
     """Parameter set plus forward passes for the prior-token transformer."""
+
+    KIND = "pvit"
+    CONFIG = PViTConfig
 
     def __init__(self, config: PViTConfig, seed: int = 0):
         self.config = config
@@ -137,13 +143,6 @@ class PViTModel:
         param("head.weight", (c.embed_dim, c.num_classes))
         param("head.bias", (c.num_classes,), "zeros")
         self.params = params
-
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
 
     # ------------------------------------------------------------------
     # forward pass
@@ -215,16 +214,3 @@ class PViTModel:
         loss = T.cross_entropy(out.logits, labels)
         correct = int(np.sum(np.argmax(out.logits.data, axis=1) == np.asarray(labels)))
         return loss, correct
-
-    # ------------------------------------------------------------------
-    # persistence
-
-    def save(self, path: str, step: int = 0, epoch: int = 0, extra_tensors: Optional[dict] = None) -> None:
-        header = {"kind": "pvit", "config": asdict(self.config), "step": int(step), "epoch": int(epoch)}
-        save_checkpoint(path, header, {**{name: p.data for name, p in self.params.items()}, **(extra_tensors or {})})
-
-    @classmethod
-    def load(cls, path: str) -> tuple["PViTModel", dict, dict[str, np.ndarray]]:
-        """Returns (model, header, leftover tensors such as optimizer state)."""
-        return load_model(path, "pvit", PViTConfig, cls)
-

@@ -9,6 +9,8 @@ the prior as saved.  :class:`TableSource` looks ids up in a file that
 :func:`load_logits` read, the one way priors reach every other command;
 JSON round-trips a float64 exactly, so the two agree to the bit.  Logits
 stay raw (pre-softmax) because the energy and max-logit baselines need them.
+The MLP is :class:`pvit.checkpoint.Checkpointed`, as the transformer is, so
+``prior.ckpt``'s header holds ``pvit.ckpt``'s keys: kind, config, step and epoch.
 
 Logits file format (UTF-8 JSON Lines):
 
@@ -21,16 +23,16 @@ Numbers are serialized with full round-trip precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
 from .artifacts import NUMBER_TYPES, read_jsonl, write_jsonl
-from .checkpoint import load_model, save_checkpoint
+from .checkpoint import Checkpointed
 from .data import Dataset, subset
-from .errors import FormatError, MissingPriorError, TrainingError
+from .errors import FormatError, MissingPriorError, ShapeError, TrainingError
 from .rng import philox, truncated_normal
 from .tensor import Tensor
 from .train import run_training
@@ -42,9 +44,16 @@ class MLPConfig:
     hidden_dim: int = 128
     num_classes: int = 4
 
+    def __post_init__(self):
+        if min(vars(self).values()) < 1:
+            raise ShapeError(f"sizes must be at least 1, got {self}")
 
-class MLPClassifier:
+
+class MLPClassifier(Checkpointed):
     """Two-layer GELU MLP over flattened pixels; the desk-scale prior model."""
+
+    KIND = "mlp-prior"
+    CONFIG = MLPConfig
 
     def __init__(self, config: MLPConfig, seed: int = 0):
         self.config = config
@@ -55,13 +64,6 @@ class MLPClassifier:
             "fc2.weight": Tensor(truncated_normal(gen, (config.hidden_dim, config.num_classes)), requires_grad=True),
             "fc2.bias": Tensor(np.zeros(config.num_classes), requires_grad=True),
         }
-
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
 
     def logits(self, images: np.ndarray) -> Tensor:
         """Batched forward over (B, H, W, C) images (or pre-flattened rows)."""
@@ -77,14 +79,6 @@ class MLPClassifier:
         loss = T.cross_entropy(out, labels)
         correct = int(np.sum(np.argmax(out.data, axis=1) == np.asarray(labels)))
         return loss, correct
-
-    def save(self, path: str, step: int = 0) -> None:
-        header = {"kind": "mlp-prior", "config": asdict(self.config), "step": int(step)}
-        save_checkpoint(path, header, {name: p.data for name, p in self.params.items()})
-
-    @classmethod
-    def load(cls, path: str) -> "MLPClassifier":
-        return load_model(path, "mlp-prior", MLPConfig, cls)[0]
 
 
 @dataclass

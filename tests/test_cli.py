@@ -210,7 +210,7 @@ class TestNormalization:
         for kind in ("uniform-noise", "pattern-shift", "inverted"):
             datasets[f"ood-{kind}"] = make_ood(kind, 30, seed=cfg.seed_for("ood.seed"), size=28,
                                                classes=3, source=id_test)
-        prior = ModelSource(MLPClassifier.load(os.path.join(out, "prior.ckpt")))
+        prior = ModelSource(MLPClassifier.load(os.path.join(out, "prior.ckpt"))[0])
         (tmp_path / "plain").mkdir()
         plain_cfg, plain_out = write_cfg(tmp_path / "plain")
         assert main(["train-prior", "--config", plain_cfg]) == 0
@@ -343,23 +343,59 @@ class TestCheckpointAgreesWithConfig:
         assert not os.path.exists(os.path.join(out, f"{command}.resolved.cfg"))
 
     def test_cli_loads_checkpoints_through_the_checked_loader_alone(self):
-        """An AST walk over ``pvit.cli``: ``PViTModel.load`` and
-        ``MLPClassifier.load`` appear only inside ``_load_checked``, and the
-        lower-level checkpoint readers not at all, so a command cannot read
-        a checkpoint that was not checked against the config."""
+        """An AST walk over ``pvit.cli``: the one ``.load(`` call on a model
+        class (``RunConfig.load`` reads the run config) is inside
+        ``_load_checked``, which takes the class from its table, and the
+        lower-level checkpoint reader appears not at all, so a command
+        cannot read a checkpoint that was not checked against the config."""
         tree = ast.parse(pathlib.Path(pvit.cli.__file__).read_text())
 
         def loads(node):
-            return sorted(f"{n.value.id}.load:{n.lineno}" for n in ast.walk(node) if isinstance(n, ast.Attribute)
-                          and n.attr == "load" and isinstance(n.value, ast.Name)
-                          and n.value.id in ("PViTModel", "MLPClassifier"))
+            return sorted(f"{ast.unparse(n.func)}:{n.lineno}" for n in ast.walk(node)
+                          if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "load"
+                          and ast.unparse(n.func.value) != "RunConfig")
 
         checked = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_load_checked")
-        assert [entry.split(":")[0] for entry in loads(checked)] == ["MLPClassifier.load", "PViTModel.load"]
+        assert len(loads(checked)) == 1
         assert loads(tree) == loads(checked)
         readers = [f"{n.id}:{n.lineno}" for n in ast.walk(tree)
                    if isinstance(n, ast.Name) and n.id in ("load_checkpoint", "load_model")]
         assert readers == []
+
+    def test_checkpoint_headers_hold_the_same_keys_and_the_prior_records_its_epochs(self, pipeline):
+        """Both kinds save through one base: the run's ``prior.ckpt`` and
+        ``pvit.ckpt`` headers hold exactly kind, config, step and epoch, and
+        the prior's epoch is ``prior.epochs``."""
+        cfg, out = pipeline
+        headers = {name: load_checkpoint(os.path.join(out, name))[0] for name in ("prior.ckpt", "pvit.ckpt")}
+        for name, header in headers.items():
+            assert sorted(header) == ["config", "epoch", "kind", "step"], name
+        run = RunConfig.load(cfg)
+        assert headers["prior.ckpt"]["epoch"] == run["prior.epochs"] == 3
+        assert headers["pvit.ckpt"]["epoch"] == run["train.epochs"]
+
+    @pytest.mark.parametrize("command, name, field, value", [
+        ("score", "pvit.ckpt", "heads", 0),
+        ("score", "pvit.ckpt", "patch_size", 0),
+        ("attention-dump", "pvit.ckpt", "depth", -1),
+        ("export-logits", "prior.ckpt", "hidden_dim", -16),
+    ])
+    def test_checkpoint_size_that_cannot_work_exits_2_naming_the_file_writing_nothing(self, tmp_path, capsys,
+                                                                                       command, name, field, value):
+        cfg, out = write_cfg(tmp_path)
+        os.makedirs(out)
+        path = os.path.join(out, name)
+        if name == "prior.ckpt":
+            MLPClassifier(MLPConfig(input_dim=28 * 28, hidden_dim=32, num_classes=3)).save(path)
+        else:
+            PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=2, heads=2, mlp_dim=24)).save(path)
+        header, tensors = load_checkpoint(path)
+        header["config"][field] = value
+        save_checkpoint(path, header, tensors)
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert path in err and f"{field}={value}" in err and "Traceback" not in err, err
+        assert os.listdir(out) == [name]
 
 
 class TestOnePriorLookupAndBatchLoop:
@@ -426,6 +462,24 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "'model.patch'" in err and "30x30" in err and "Traceback" not in err, err
         assert os.listdir(out) == []
+
+    def test_non_square_idx_with_generated_ood_sets_exits_1_before_any_write(self, tmp_path, capsys):
+        """The uniform-noise and pattern-shift sets are drawn square, so
+        non-square IDX images take the inverted set alone."""
+        images = np.random.default_rng(0).integers(0, 256, (12, 14, 21))
+        img_path, lbl_path = write_idx_pair(tmp_path, images, np.arange(12) % 3)
+        idx_keys = dict(data__kind="idx", data__idx_train_images=img_path, data__idx_train_labels=lbl_path,
+                        data__idx_test_images=img_path, data__idx_test_labels=lbl_path)
+        cfg, out = write_cfg(tmp_path, **idx_keys)
+        os.makedirs(out)
+        assert main(["train-prior", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "'ood.kinds'" in err and img_path in err and "14x21" in err and "Traceback" not in err, err
+        assert os.listdir(out) == []
+        cfg, out = write_cfg(tmp_path, ood__kinds="inverted", **idx_keys)
+        assert main(["train-prior", "--config", cfg]) == 0
+        assert sorted(os.listdir(os.path.join(out, "logits"))) == ["logits_id-test.jsonl", "logits_id-train.jsonl",
+                                                                   "logits_ood-inverted.jsonl"]
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -916,7 +970,7 @@ def library_run(cfg_path, out):
     cfg = RunConfig.load(cfg_path, {"out.dir": out})
     os.makedirs(out, exist_ok=True)
     datasets = build_datasets(cfg)
-    prior = ModelSource(MLPClassifier.load(cfg["paths.prior_checkpoint"]))
+    prior = ModelSource(MLPClassifier.load(cfg["paths.prior_checkpoint"])[0])
     config = _train_config(cfg, "train")
     model = PViTModel(_pvit_config(cfg, datasets), seed=cfg.seed_for("model.seed"))
     result = train(model, datasets["id-train"], prior.resolve(datasets["id-train"]), config)

@@ -4,6 +4,7 @@ encoder invariants, attention weights, checkpoint round trip.
 A single sample is a batch of one; per-sample checks run through
 ``forward_batch`` with B=1 and compare against B=n."""
 
+import ast
 import pathlib
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from conftest import assert_close_rel
 from oracle import composed_attention
+import pvit
 from pvit import tensor as T
 from pvit.checkpoint import load_checkpoint, save_checkpoint
 from pvit.errors import FormatError, ShapeError
@@ -404,3 +406,23 @@ class TestCheckpointHeader:
         save_checkpoint(path, header, tensors)
         with pytest.raises(FormatError, match="head.weight"):
             PViTModel.load(path)
+
+
+class TestOneCheckpointedBase:
+    def test_models_inherit_persistence_and_only_the_checkpoint_module_reads_or_writes_files(self):
+        """An AST walk over ``src/pvit``: ``save_checkpoint`` and
+        ``load_checkpoint`` are called in ``pvit/checkpoint.py`` alone, and
+        neither model class defines the persistence or parameter methods
+        that ``Checkpointed`` gives both."""
+        package = pathlib.Path(pvit.__file__).parent
+        callers, defined = set(), {}
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            callers |= {path.name for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                        and n.func.id in ("save_checkpoint", "load_checkpoint")}
+            defined |= {n.name: sorted(f.name for f in n.body if isinstance(f, ast.FunctionDef))
+                        for n in tree.body if isinstance(n, ast.ClassDef) and n.name in ("MLPClassifier", "PViTModel")}
+        assert callers == {"checkpoint.py"}
+        assert sorted(defined) == ["MLPClassifier", "PViTModel"]
+        for name, methods in defined.items():
+            assert not {"save", "load", "parameters", "zero_grad"} & set(methods), (name, methods)

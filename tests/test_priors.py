@@ -200,9 +200,9 @@ class TestPriorCheckpoint:
         path = str(tmp_path / "prior.ckpt")
         model.save(path)
         ds = blobs_dataset(per_class=5, seed=13)
-        once = ModelSource(MLPClassifier.load(path)).resolve(ds)
-        MLPClassifier.load(path).save(path)
-        assert ModelSource(MLPClassifier.load(path)).resolve(ds).tobytes() == once.tobytes()
+        once = ModelSource(MLPClassifier.load(path)[0]).resolve(ds)
+        MLPClassifier.load(path)[0].save(path)
+        assert ModelSource(MLPClassifier.load(path)[0]).resolve(ds).tobytes() == once.tobytes()
 
     def test_unknown_config_key_names_key(self, tmp_path):
         path = str(tmp_path / "prior.ckpt")
