@@ -95,8 +95,13 @@ def build_datasets(cfg: RunConfig) -> dict[str, Dataset]:
         train_images = cfg.require_path("data.idx_train_images")
         train_labels = cfg.require_path("data.idx_train_labels")
         id_train = load_idx(train_images, train_labels, name="idx-train")
+        test_images = cfg.require_path("data.idx_test_images")
         test_labels = cfg["data.idx_test_labels"] or None
-        id_test = load_idx(cfg.require_path("data.idx_test_images"), test_labels, name="idx-test")
+        id_test = load_idx(test_images, test_labels, name="idx-test")
+        if id_train.image_shape != id_test.image_shape:
+            train_shape, test_shape = ("x".join(map(str, ds.image_shape)) for ds in (id_train, id_test))
+            raise FormatError(f"{train_images} holds {train_shape} images but {test_images} holds "
+                              f"{test_shape}; one model takes the train and test images alike")
         for path, ds in ((train_labels, id_train), (test_labels, id_test)):
             if ds.labels is not None and len(ds.labels) and ds.labels.max() >= cfg["data.classes"]:
                 raise FormatError(f"{path}: label {ds.labels.max()} is outside the "
@@ -139,7 +144,7 @@ def _pvit_config(cfg: RunConfig, datasets) -> PViTConfig:
                       image_h=h, image_w=w, channels=c)
 
 
-def _load_checked(path: str, wanted):
+def _load_checked(cfg: RunConfig, path: str, wanted):
     """The model, header and leftover tensors of the checkpoint at ``path``
     once its config is ``wanted``, the PViTConfig or MLPConfig the run
     builds; commands load checkpoints here alone (see the module docstring)."""
@@ -148,8 +153,9 @@ def _load_checked(path: str, wanted):
     shaped = [name for name in vars(wanted) if name not in keys]
     takes, given = ("x".join(str(getattr(config, name)) for name in shaped) for config in (model.config, wanted))
     if takes != given:
-        raise FormatError(f"{path}: the checkpoint takes {takes} inputs, but the data "
-                          f"(data.image_size, data.channels) give {given}")
+        source = (f"the images of data.idx_test_images ({cfg['data.idx_test_images']})"
+                  if cfg["data.kind"] == "idx" else "the data (data.image_size, data.channels)")
+        raise FormatError(f"{path}: the checkpoint takes {takes} inputs, but {source} give {given}")
     differ = [f"{key!r} = {getattr(wanted, name)!r} but the checkpoint has {getattr(model.config, name)!r}"
               for name, key in keys.items() if getattr(wanted, name) != getattr(model.config, name)]
     if differ:
@@ -190,7 +196,7 @@ def _export_all_logits(cfg: RunConfig, out: str, datasets) -> dict[str, np.ndarr
     its checkpoint (float32); returns each split's (N, K) block."""
     wanted = MLPConfig(input_dim=math.prod(datasets["id-test"].image_shape),
                        **{name: cfg[key] for name, key in _MODELS[MLPConfig][1].items()})
-    source = ModelSource(_load_checked(_ckpt_path(cfg, out, "prior"), wanted)[0])
+    source = ModelSource(_load_checked(cfg, _ckpt_path(cfg, out, "prior"), wanted)[0])
     directory = _logits_dir(cfg, out)
     os.makedirs(directory, exist_ok=True)
     return {split: export_logits(source, ds, _logits_path(directory, split)) for split, ds in datasets.items()}
@@ -254,7 +260,7 @@ def cmd_train_pvit(cfg: RunConfig, out: str) -> None:
     config = _train_config(cfg, "train")
     wanted = _pvit_config(cfg, datasets)
     if cfg["train.resume"]:
-        model, header, moments = _load_checked(cfg["train.resume"], wanted)
+        model, header, moments = _load_checked(cfg, cfg["train.resume"], wanted)
         state, epochs_run = resume_state(cfg["train.resume"], header, moments, model.params)
     else:
         model, state, epochs_run = PViTModel(wanted, seed=cfg.seed_for("model.seed")), OptimizerState(), 0
@@ -297,7 +303,7 @@ def cmd_score(cfg: RunConfig, out: str) -> None:
     else:
         datasets = build_datasets(cfg)
         ckpt = _ckpt_path(cfg, out, "pvit")
-        model, _, _ = _load_checked(ckpt, _pvit_config(cfg, datasets))
+        model, _, _ = _load_checked(cfg, ckpt, _pvit_config(cfg, datasets))
         alpha, source_hash = model.config.alpha, file_sha256(ckpt)
         ids = {split: datasets[split].ids for split in splits}
         priors = _split_priors(cfg, out, ids)
@@ -367,7 +373,7 @@ def cmd_attention_dump(cfg: RunConfig, out: str) -> None:
     if split not in datasets:
         raise ConfigError(f"config key 'attention.dataset': no dataset named {split!r}")
     ds = datasets[split]
-    model, _, _ = _load_checked(_ckpt_path(cfg, out, "pvit"), _pvit_config(cfg, datasets))
+    model, _, _ = _load_checked(cfg, _ckpt_path(cfg, out, "pvit"), _pvit_config(cfg, datasets))
     depth, heads = model.config.depth, model.config.heads
     layer = cfg["attention.layer"]
     if not -depth <= layer < depth:

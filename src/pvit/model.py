@@ -148,12 +148,13 @@ class PViTModel(Checkpointed):
     # forward pass
 
     def make_prior_token(self, prior_logits, alpha: Optional[float] = None) -> Tensor:
-        """(B, D) prior tokens: alpha * softmax(prior logits) @ prior_proj.
+        """(B, 1, D) prior tokens: alpha * softmax(prior logits) @ prior_proj,
+        each sample's one-token sequence that :meth:`forward_batch` appends.
 
         ``prior_logits`` is a finite (B, K) block, one row per sample, and
-        row i of the result depends on row i alone.  The projection is a
-        trained parameter, so the tokens join the gradient tape; they are
-        exactly linear in alpha.
+        token i depends on row i alone.  The projection is a trained
+        parameter, so the tokens join the gradient tape; they are exactly
+        linear in alpha.
         """
         c = self.config
         alpha = c.alpha if alpha is None else float(alpha)
@@ -162,8 +163,8 @@ class PViTModel(Checkpointed):
             raise ShapeError(f"prior logits must be (B, {c.num_classes}), got shape {priors.shape}")
         if not np.all(np.isfinite(priors)):
             raise ShapeError("prior logits must be finite")
-        weights = Tensor(T.softmax_rows(priors))
-        return T.mul(T.matmul(weights, self.params["prior_proj"]), alpha)
+        weights = Tensor(T.softmax_rows(priors)[:, None, :])  # (B, 1, K)
+        return T.mul(T.linear(weights, self.params["prior_proj"]), alpha)
 
     def _encode(self, seq: Tensor) -> tuple[Tensor, list[np.ndarray]]:
         """Block stack over a (B, S, D) sequence; returns the normalized
@@ -201,10 +202,9 @@ class PViTModel(Checkpointed):
         patches = Tensor(patchify(images, c.patch_size))  # (B, N, P)
         b = patches.shape[0]
         patch_emb = T.linear(patches, p["patch_embed.weight"], p["patch_embed.bias"])
-        cls = T.broadcast_to(T.reshape(p["cls_token"], (1, 1, c.embed_dim)), (b, 1, c.embed_dim))
+        cls = T.broadcast_to(p["cls_token"], (b, 1, c.embed_dim))
         body = T.add(T.concat([cls, patch_emb], axis=1), p["pos_embed"])
-        tokens = self.make_prior_token(prior_logits, alpha)
-        seq = T.concat([body, T.reshape(tokens, (tokens.shape[0], 1, c.embed_dim))], axis=1)
+        seq = T.concat([body, self.make_prior_token(prior_logits, alpha)], axis=1)
         y, attentions = self._encode(seq)
         return BatchForward(T.linear(y, p["head.weight"], p["head.bias"]), attentions)
 

@@ -76,7 +76,7 @@ def score_records(ids, predicted, priors, guidance_kind: str = "ce") -> list[Sco
     e = np.exp(z - top[:, None])
     total = e.sum(axis=1)
     lse = top + np.log(total)
-    msp_values = (e / total[:, None]).max(axis=1)
+    probs = e / total[:, None]
     if guidance_kind == "ed":
         guidance = np.sqrt(np.sum((p - z) ** 2, axis=1))
     else:
@@ -84,7 +84,7 @@ def score_records(ids, predicted, priors, guidance_kind: str = "ce") -> list[Sco
         if guidance_kind == "ce":
             guidance = -np.log(pp[np.arange(len(pp)), pred_class])
         else:
-            qq = np.maximum(softmax_rows(z), PROB_CLAMP)
+            qq = np.maximum(probs, PROB_CLAMP)
             guidance = np.sum(pp * np.log(pp / qq), axis=1)
     return [
         ScoreRecord(
@@ -97,7 +97,7 @@ def score_records(ids, predicted, priors, guidance_kind: str = "ce") -> list[Sco
             baselines={"msp": m, "max_logit": x, "energy": base},
         )
         for sid, base, g, k, m, x in zip(
-            ids, lse.tolist(), guidance.tolist(), pred_class.tolist(), msp_values.tolist(), top.tolist()
+            ids, lse.tolist(), guidance.tolist(), pred_class.tolist(), probs.max(axis=1).tolist(), top.tolist()
         )
     ]
 

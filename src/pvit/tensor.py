@@ -1,9 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The engine covers the operation set the transformer forward and
-backward passes differentiate: broadcast ``add`` and ``mul``, matrix
-products with a 2-D right operand, the affine map ``linear``, shape
-manipulation, multi-head scaled dot-product ``attention`` (one node,
+backward passes differentiate: broadcast ``add`` and ``mul``, the one
+matrix product ``linear`` (a 2-D weight, the bias optional),
+``broadcast_to``, ``concat`` and indexing, multi-head scaled
+dot-product ``attention`` (one node,
 which also returns its (B, H, S, S) weights), layer normalization,
 exact-erf GELU, and cross-entropy.  The tests' reference ops, from which
 they compose attention as the oracle for the fused node, are built on
@@ -18,7 +19,7 @@ Usage sketch::
     w = Tensor(weights, requires_grad=True)
     tape = Tape()
     with tape:
-        loss = cross_entropy(matmul(x, w), targets)
+        loss = cross_entropy(linear(x, w), targets)
     backward(loss)          # w.grad now holds d(loss)/d(w)
 
 A tape is single-owner, is rebuilt for every forward pass, and supports
@@ -56,9 +57,7 @@ __all__ = [
     "backward",
     "add",
     "mul",
-    "matmul",
     "linear",
-    "reshape",
     "broadcast_to",
     "concat",
     "attention",
@@ -80,7 +79,7 @@ class Tensor:
 
     ``data`` is a contiguous row-major numpy array.  ``grad``, which
     :func:`backward` fills for leaves only, matches ``data``'s shape.
-    The shape never changes in place; :func:`reshape` returns a new tensor.
+    The shape never changes in place.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "tape")
@@ -266,85 +265,46 @@ def mul(a, b) -> Tensor:
     return _record((a, b), out, grad_fn)
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product of a rank >= 2 ``a`` with a 2-D ``b``.
-
-    All rows of ``a`` multiply ``b`` at once, so the product and both
-    gradients (dA = dC B^T, dB = A^T dC) are single 2-D GEMMs, as in
-    :func:`linear`.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs a rank >= 2 left and a 2-D right operand, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
-    out = (_rows(a.data) @ b.data).reshape(a.shape[:-1] + b.shape[1:])
-
-    def grad_fn(g):
-        return _flat_grads(g, a, b)
-
-    return _record((a, b), out, grad_fn)
-
-
 def _rows(x: Array) -> Array:
     """``x`` as a 2-D (rows, last axis) view."""
     return x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
 
 
-def _flat_grads(g: Array, x: Tensor, weight: Tensor) -> tuple[Optional[Array], Optional[Array]]:
-    """(dX, dW) of ``x @ weight`` for a 2-D ``weight``, as 2-D GEMMs over
-    the rows of ``x``: dX = dY W^T and dW = X^T dY, one product each."""
-    g2 = _rows(g)
-    gx = gw = None
-    if x.requires_grad:
-        gx = (g2 @ weight.data.T).reshape(x.shape)
-    if weight.requires_grad:
-        gw = _rows(x.data).T @ g2
-    return gx, gw
+def linear(x, weight, bias=None) -> Tensor:
+    """Matrix product ``x @ weight``, plus ``bias`` when given, as one node.
 
-
-def linear(x, weight, bias) -> Tensor:
-    """Affine map ``x @ weight + bias`` recorded as one node.
-
-    ``weight`` is (D_in, D_out) and ``bias`` (D_out,); leading axes of
-    ``x`` are batch axes, flattened so that the forward product and both
-    matrix gradients are single 2-D GEMMs.  Values and gradients are
-    bitwise those of ``add(matmul(x, weight), bias)``, with one node and
-    no intermediate product kept on the tape.
+    ``weight`` is (D_in, D_out) and ``bias``, if any, (D_out,); leading
+    axes of ``x`` are batch axes, flattened so that the forward product
+    and both matrix gradients (dX = dY W^T, dW = X^T dY) are single 2-D
+    GEMMs.  With a bias, values and gradients are bitwise those of
+    ``add(linear(x, weight), bias)``, with one node and no intermediate
+    product kept on the tape.
     """
-    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    if x.ndim < 2 or weight.ndim != 2 or bias.shape != weight.shape[1:]:
-        raise ShapeError(
-            f"linear needs rank >= 2 input, a 2-D weight and a matching bias, got shapes "
-            f"{x.shape}, {weight.shape} and {bias.shape}"
-        )
+    x, weight = _as_tensor(x), _as_tensor(weight)
+    bias = None if bias is None else _as_tensor(bias)
+    if x.ndim < 2 or weight.ndim != 2 or (bias is not None and bias.shape != weight.shape[1:]):
+        shapes = ", ".join(str(t.shape) for t in (x, weight, bias) if t is not None)
+        raise ShapeError(f"linear needs rank >= 2 input, a 2-D weight and a matching bias, got shapes {shapes}")
     if x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear: inner dimensions disagree for shapes {x.shape} and {weight.shape}")
     out = _rows(x.data) @ weight.data
-    out += bias.data
+    if bias is not None:
+        out += bias.data
 
     def grad_fn(g):
-        gb = _unbroadcast(g, bias.shape) if bias.requires_grad else None
-        return (*_flat_grads(g, x, weight), gb)
+        g2 = _rows(g)
+        gx = (g2 @ weight.data.T).reshape(x.shape) if x.requires_grad else None
+        gw = _rows(x.data).T @ g2 if weight.requires_grad else None
+        if bias is None:
+            return gx, gw
+        return gx, gw, _unbroadcast(g, bias.shape) if bias.requires_grad else None
 
-    return _record((x, weight, bias), out.reshape(x.shape[:-1] + bias.shape), grad_fn)
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return _record(inputs, out.reshape(x.shape[:-1] + weight.shape[1:]), grad_fn)
 
 
 # ---------------------------------------------------------------------------
 # shape manipulation
-
-
-def reshape(x, shape: tuple[int, ...]) -> Tensor:
-    x = _as_tensor(x)
-    try:
-        out = x.data.reshape(shape)
-    except ValueError as exc:
-        raise ShapeError(f"cannot reshape {x.shape} into {shape}: {exc}") from None
-
-    def grad_fn(g):
-        return (g.reshape(x.shape),)
-
-    return _record((x,), out, grad_fn)
 
 
 def broadcast_to(x, shape) -> Tensor:

@@ -3,7 +3,8 @@ and the fixed-weight projection that makes a tensor a scalar loss."""
 
 import numpy as np
 
-from pvit.tensor import Tensor, matmul, mul, reshape
+from oracle import reshape
+from pvit.tensor import Tensor, linear, mul
 
 
 def central_difference(f, x, h=1e-5):
@@ -39,4 +40,4 @@ def assert_close_rel(actual, expected, rtol, context=""):
 def weighted_sum(out, weights):
     """Project a tensor to a scalar with fixed weights so FD checks apply."""
     flat = reshape(mul(out, Tensor(weights)), (1, out.data.size))
-    return reshape(matmul(flat, Tensor(np.ones((out.data.size, 1)))), ())
+    return reshape(linear(flat, Tensor(np.ones((out.data.size, 1)))), ())

@@ -1,9 +1,10 @@
 """Reference ops and scorers: the oracles the package's fused code matches.
 
-``transpose``, ``bmatmul`` (batched matrix product) and ``softmax`` are
-recorded on the gradient tape like the engine's own ops, so the tests
-can compose attention from them; that chain, and its gradients, is the
-reference for the fused :func:`pvit.tensor.attention` node.
+``reshape``, ``transpose``, ``bmatmul`` (batched matrix product) and
+``softmax`` are recorded on the gradient tape like the engine's own ops,
+so the tests can compose attention from them; that chain, and its
+gradients, is the reference for the fused :func:`pvit.tensor.attention`
+node.
 
 The per-vector scorers are the oracle
 :func:`pvit.scoring.score_records` matches.  Each scores one logit
@@ -24,11 +25,24 @@ import numpy as np
 
 from pvit.errors import ShapeError
 from pvit.scoring import PROB_CLAMP, ScoreRecord
-from pvit.tensor import Tensor, _record, _unbroadcast, mul, reshape
+from pvit.tensor import Tensor, _record, _unbroadcast, mul
 
 
 # ---------------------------------------------------------------------------
 # recorded reference ops
+
+
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """``x``'s values in ``shape``, row-major."""
+    try:
+        out = x.data.reshape(shape)
+    except ValueError as exc:
+        raise ShapeError(f"cannot reshape {x.shape} into {shape}: {exc}") from None
+
+    def grad_fn(g):
+        return (g.reshape(x.shape),)
+
+    return _record((x,), out, grad_fn)
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from conftest import central_difference, weighted_sum
-from oracle import bmatmul, cefe_expand, softmax, transpose
+from oracle import bmatmul, cefe_expand, reshape, softmax, transpose
 from pvit.cli import _accuracy, main
 from pvit.data import make_ood, split_dataset, synth_dataset
 from pvit.metrics import auroc, evaluate, fpr_at_tpr
@@ -38,9 +38,7 @@ from pvit.tensor import (
     gelu,
     layer_norm,
     linear,
-    matmul,
     mul,
-    reshape,
 )
 from pvit.train import TrainConfig, train
 from test_metrics import pairwise_auroc, random_instance, sweep_fpr_at_tpr
@@ -114,7 +112,7 @@ def _op_cases(rng):
         ("add", lambda x, y: weighted_sum(add(x, y), w34), (a, add_b)),
         ("mul", lambda x, y: weighted_sum(mul(x, y), w34), (a, mul_b)),
         ("mul-broadcast", lambda x, y: weighted_sum(mul(x, y), w34), (a, v)),
-        ("matmul", lambda x, y: weighted_sum(matmul(x, y), w33), (a, b)),
+        ("linear without bias", lambda x, y: weighted_sum(linear(x, y), w33), (a, b)),
         ("bmatmul", lambda x, y: weighted_sum(bmatmul(x, y), w233), (batched, np.stack([b, b[::-1]]))),
         ("linear", lambda x, y, z: weighted_sum(linear(x, y, z), w33), (a, b, w3)),
         ("linear-batched", lambda x, y, z: weighted_sum(linear(x, y, z), w233), (batched, b, w3)),

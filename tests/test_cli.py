@@ -481,6 +481,22 @@ class TestErrors:
         assert sorted(os.listdir(os.path.join(out, "logits"))) == ["logits_id-test.jsonl", "logits_id-train.jsonl",
                                                                    "logits_ood-inverted.jsonl"]
 
+    def test_idx_train_and_test_images_of_different_shapes_exit_2_before_any_write(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        paths = {}
+        for split, side in (("train", 28), ("test", 14)):
+            (tmp_path / split).mkdir()
+            paths[split] = write_idx_pair(tmp_path / split, rng.integers(0, 256, (12, side, side)), np.arange(12) % 3)
+        cfg, out = write_cfg(tmp_path, data__kind="idx",
+                             data__idx_train_images=paths["train"][0], data__idx_train_labels=paths["train"][1],
+                             data__idx_test_images=paths["test"][0], data__idx_test_labels=paths["test"][1])
+        os.makedirs(out)
+        assert main(["train-prior", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert paths["train"][0] in err and paths["test"][0] in err, err
+        assert "28x28x1" in err and "14x14x1" in err and "Traceback" not in err, err
+        assert os.listdir(out) == []
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("model.width = 64\n")
@@ -662,6 +678,21 @@ class TestErrors:
         assert main(["export-logits", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert path in err and "data.image_size" in err and "Traceback" not in err, err
+        assert os.listdir(out) == ["prior.ckpt"]
+
+    def test_export_logits_with_prior_of_another_idx_image_size_names_the_idx_file(self, tmp_path, capsys):
+        images = np.random.default_rng(0).integers(0, 256, (12, 14, 14))
+        img_path, lbl_path = write_idx_pair(tmp_path, images, np.arange(12) % 3)
+        cfg, out = write_cfg(tmp_path, data__kind="idx",
+                             data__idx_train_images=img_path, data__idx_train_labels=lbl_path,
+                             data__idx_test_images=img_path, data__idx_test_labels=lbl_path)
+        os.makedirs(out)
+        path = os.path.join(out, "prior.ckpt")
+        MLPClassifier(MLPConfig(input_dim=28 * 28, hidden_dim=8, num_classes=3)).save(path)
+        assert main(["export-logits", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert path in err and "784" in err and "196" in err and "Traceback" not in err, err
+        assert "data.idx_test_images" in err and img_path in err and "data.image_size" not in err, err
         assert os.listdir(out) == ["prior.ckpt"]
 
     @pytest.mark.parametrize("command", ["train-pvit", "score", "attention-dump"])

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from conftest import assert_close_rel
-from oracle import composed_attention
+from oracle import composed_attention, reshape
 import pvit
 from pvit import tensor as T
 from pvit.checkpoint import load_checkpoint, save_checkpoint
 from pvit.errors import FormatError, ShapeError
 from pvit.model import PViTConfig, PViTModel, patchify
-from pvit.tensor import Tape, Tensor, backward, matmul, reshape
+from pvit.tensor import Tape, Tensor, backward, linear
 
 
 def tiny_config(**overrides):
@@ -71,7 +71,7 @@ class TestPriorToken:
     def test_alpha_zero_gives_zero_token(self):
         model = PViTModel(tiny_config(), seed=0)
         token = model.make_prior_token([[1.0, -2.0, 0.5]], alpha=0.0)
-        assert token.shape == (1, 16)
+        assert token.shape == (1, 1, 16)
         assert np.all(token.data == 0.0)
 
     def test_linear_in_alpha(self):
@@ -87,7 +87,8 @@ class TestPriorToken:
         token = model.make_prior_token(np.zeros((1, 4)), alpha=2.0)
         expected = np.zeros(8)
         expected[:4] = 2.0 / 4
-        np.testing.assert_allclose(token.data[0], expected, atol=1e-15)
+        assert token.shape == (1, 1, 8)
+        np.testing.assert_allclose(token.data[0, 0], expected, atol=1e-15)
 
     def test_wrong_length_rejected(self):
         model = PViTModel(tiny_config(), seed=0)
@@ -103,7 +104,7 @@ class TestPriorToken:
         model = PViTModel(tiny_config(), seed=3)
         with Tape():
             token = model.make_prior_token([[1.0, 0.0, -1.0]], alpha=1.0)
-            loss = reshape(matmul(token, Tensor(np.ones((16, 1)))), ())
+            loss = reshape(linear(token, Tensor(np.ones((16, 1)))), ())
         backward(loss)
         assert model.params["prior_proj"].grad is not None
         assert np.any(model.params["prior_proj"].grad != 0)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_close_rel, central_difference, weighted_sum
-from oracle import composed_attention, softmax, transpose
+from oracle import composed_attention, reshape, softmax, transpose
 from pvit import tensor as T
 from pvit.errors import ShapeError, TapeError
 from pvit.model import PViTConfig, PViTModel
@@ -33,9 +33,7 @@ from pvit.tensor import (
     gelu,
     layer_norm,
     linear,
-    matmul,
     mul,
-    reshape,
     softmax_rows,
 )
 
@@ -50,14 +48,16 @@ def tape_grad(build, *arrays):
     return [t.grad for t in tensors]
 
 
-class TestMatmul:
+class TestLinearWithoutBias:
+    """``linear`` with no bias is the engine's plain matrix product."""
+
     def test_identity(self):
         b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        out = matmul(Tensor(np.eye(2)), Tensor(b))
+        out = linear(Tensor(np.eye(2)), Tensor(b))
         np.testing.assert_array_equal(out.data, b)
 
     def test_one_by_one(self):
-        out = matmul(Tensor([[2.0]]), Tensor([[3.0]]))
+        out = linear(Tensor([[2.0]]), Tensor([[3.0]]))
         assert out.item() == 6.0
 
     def test_matches_triple_loop_oracle(self):
@@ -69,20 +69,30 @@ class TestMatmul:
             for j in range(2):
                 for k in range(4):
                     expected[i, j] += a[i, k] * b[k, j]
-        out = matmul(Tensor(a), Tensor(b))
+        out = linear(Tensor(a), Tensor(b))
         assert np.max(np.abs(out.data - expected)) <= 1e-12
+
+    def test_equals_the_2d_product_bitwise(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(5, 4))
+        b = rng.normal(size=(4, 3))
+        w = Tensor(b, requires_grad=True)
+        with Tape() as tape:
+            out = linear(Tensor(a), w)
+        assert out.data.tobytes() == (a @ b).tobytes()
+        assert len(tape.nodes) == 1 and len(tape.nodes[0].inputs) == 2
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
         with pytest.raises(ShapeError, match=r"\(2, 2, 3\).*\(2, 3, 4\)"):
-            matmul(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 3, 4))))
+            linear(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 3, 4))))
 
     def test_batched_broadcast(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(2, 3, 4))
         b = rng.normal(size=(4, 5))
-        out = matmul(Tensor(a), Tensor(b))
+        out = linear(Tensor(a), Tensor(b))
         np.testing.assert_allclose(out.data, a @ b, atol=1e-15)
 
     def test_gradient(self):
@@ -90,11 +100,11 @@ class TestMatmul:
         a = rng.uniform(-2, 2, (3, 4))
         b = rng.uniform(-2, 2, (4, 2))
         w = rng.normal(size=(3, 2))
-        ga, gb = tape_grad(lambda x, y: weighted_sum(matmul(x, y), w), a, b)
+        ga, gb = tape_grad(lambda x, y: weighted_sum(linear(x, y), w), a, b)
         fa = central_difference(lambda x: float(np.sum((x @ b) * w)), a)
         fb = central_difference(lambda y: float(np.sum((a @ y) * w)), b)
-        assert_close_rel(ga, fa, 1e-4, "matmul dA")
-        assert_close_rel(gb, fb, 1e-4, "matmul dB")
+        assert_close_rel(ga, fa, 1e-4, "linear dA")
+        assert_close_rel(gb, fb, 1e-4, "linear dB")
 
 
 class TestLinear:
@@ -106,9 +116,9 @@ class TestLinear:
         d_out=st.integers(1, 9),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_matmul_plus_bias_exactly(self, batch, seq, d_in, d_out, seed):
+    def test_matches_product_plus_bias_exactly(self, batch, seq, d_in, d_out, seed):
         """One node, yet bitwise the forward value and all three gradients
-        of the add(matmul(x, W), b) composition."""
+        of the add(linear(x, W), b) composition."""
         rng = np.random.default_rng(seed)
         lead = (batch, seq) if batch else (seq,)
         x = rng.normal(size=lead + (d_in,))
@@ -116,10 +126,10 @@ class TestLinear:
         b = rng.normal(size=(d_out,))
         upstream = rng.normal(size=lead + (d_out,))
         fused = linear(Tensor(x), Tensor(w), Tensor(b))
-        composed = add(matmul(Tensor(x), Tensor(w)), Tensor(b))
+        composed = add(linear(Tensor(x), Tensor(w)), Tensor(b))
         assert fused.data.tobytes() == composed.data.tobytes()
         got = tape_grad(lambda *t: weighted_sum(linear(*t), upstream), x, w, b)
-        want = tape_grad(lambda tx, tw, tb: weighted_sum(add(matmul(tx, tw), tb), upstream), x, w, b)
+        want = tape_grad(lambda tx, tw, tb: weighted_sum(add(linear(tx, tw), tb), upstream), x, w, b)
         for g, h in zip(got, want):
             np.testing.assert_array_equal(g, h)
 
@@ -411,7 +421,7 @@ class TestBackward:
             ta = Tensor(a, requires_grad=True)
             tb = Tensor(b, requires_grad=True)
             with Tape():
-                out = cross_entropy(gelu(matmul(ta, tb)), [0, 1, 2, 3])
+                out = cross_entropy(gelu(linear(ta, tb)), [0, 1, 2, 3])
             backward(out)
             grads.append((ta.grad.copy(), tb.grad.copy()))
         assert grads[0][0].tobytes() == grads[1][0].tobytes()
@@ -459,16 +469,16 @@ def desk_step(model):
 
 
 class TestDeskStep:
-    def test_tape_records_61_nodes(self):
+    def test_tape_records_59_nodes(self):
         """The desk step's tape, node by node: one attention node per layer,
         one linear node per affine map, and every op the engine exports."""
         _, tape = desk_step(PViTModel(PViTConfig(), seed=0))
         ops = Counter(node.grad_fn.__qualname__.split(".", 1)[0] for node in tape.nodes)
         assert ops == {
-            "linear": 26, "layer_norm": 9, "add": 9, "attention": 4, "gelu": 4, "reshape": 2, "concat": 2,
-            "matmul": 1, "mul": 1, "broadcast_to": 1, "_getitem": 1, "cross_entropy": 1,
+            "linear": 27, "layer_norm": 9, "add": 9, "attention": 4, "gelu": 4, "concat": 2,
+            "mul": 1, "broadcast_to": 1, "_getitem": 1, "cross_entropy": 1,
         }
-        assert len(tape.nodes) == 61
+        assert len(tape.nodes) == 59
         engine_ops = {name for name in T.__all__ if name[0].islower()} - {"backward"}
         assert set(ops) - {"_getitem"} == engine_ops, "every op the engine exports is one a step records"
 
@@ -560,12 +570,14 @@ class TestGraphRelease:
 
     def test_parameter_grads_match_unfused_graph_bitwise(self, monkeypatch):
         """Releasing the graph and fusing each affine map into one linear
-        node leave every parameter gradient bitwise as the add(matmul)
-        graph computes it."""
+        node leave every parameter gradient bitwise as the graph of a
+        bias-free linear node and an add computes it."""
         grads = []
+        product = T.linear
         for fused in (True, False):
             if not fused:
-                monkeypatch.setattr(T, "linear", lambda x, w, b: add(matmul(x, w), b))
+                monkeypatch.setattr(T, "linear", lambda x, w, b=None: product(x, w) if b is None
+                                    else add(product(x, w), b))
             model = PViTModel(PViTConfig(), seed=0)
             loss, _ = desk_step(model)
             backward(loss)
