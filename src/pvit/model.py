@@ -10,9 +10,11 @@ appended at the end without positional encoding, giving an N+2 token
 sequence.  A stack of pre-layer-norm encoder blocks (multi-head
 self-attention, then a GELU MLP, both with residual connections)
 processes the sequences; each class token's final representation,
-layer normalized, feeds the classifier head.  The pass also returns
-every layer's attention weights, which the attention kernel computes
-anyway; without a gradient tape they live until the pass returns.
+layer normalized, feeds the classifier head.  Since nothing else of the
+last layer is read, the last block runs past its attention on the class
+row alone.  The pass also returns every layer's attention weights, which
+the attention kernel computes anyway; without a gradient tape they live
+until the pass returns.
 """
 
 from __future__ import annotations
@@ -168,7 +170,13 @@ class PViTModel(Checkpointed):
 
     def _encode(self, seq: Tensor) -> tuple[Tensor, list[np.ndarray]]:
         """Block stack over a (B, S, D) sequence; returns the normalized
-        class-token rows and each layer's (B, H, S, S) attention."""
+        class-token rows and each layer's (B, H, S, S) attention.
+
+        Every layer attends over the full sequence, but only the class
+        row of the last layer's output is read, so after its attention
+        node the last block keeps the class row alone: its out-projection,
+        residual adds and MLP run on B rows instead of B * S.
+        """
         c, p = self.config, self.params
         attentions: list[np.ndarray] = []
         z = seq
@@ -181,6 +189,8 @@ class PViTModel(Checkpointed):
             )
             merged, attn = T.attention(q, k, v, c.heads)
             attentions.append(attn)
+            if i == c.depth - 1:  # only the class row of the last layer is read
+                merged, z = merged[:, :1, :], z[:, :1, :]
             msa = T.linear(merged, p[f"{blk}.attn.out.weight"], p[f"{blk}.attn.out.bias"])
             z = T.add(msa, z)
             normed2 = T.layer_norm(z, p[f"{blk}.ln2.gain"], p[f"{blk}.ln2.bias"])

@@ -22,6 +22,7 @@ otherwise send -log q to infinity and poison downstream AUROC.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 from dataclasses import dataclass, field
 
@@ -151,20 +152,30 @@ def write_scores(path: str, records: list[ScoreRecord], guidance_kind: str, alph
 
 def read_scores(path: str) -> tuple[dict, list[ScoreRecord]]:
     """Header and records of a score file: JSON objects with numbers for
-    scores, one per id, or :class:`FormatError` naming ``file:line``."""
+    scores, one per id, or :class:`FormatError` naming ``file:line``.
+
+    The records form no reference cycles, so the cyclic garbage collector,
+    whose full passes would rescan every record built so far, is paused
+    while they are built and left as it was found afterwards."""
     header, rows = read_jsonl(path)
     records, seen = [], set()
-    for lineno, obj in rows:
-        baselines = obj.get("baselines")
-        if not (type(obj.get("id")) is str and type(obj.get("predicted_class")) is int
-                and {type(obj.get("base")), type(obj.get("guidance")), type(obj.get("pge"))} <= NUMBER_TYPES
-                and type(baselines) is dict and set(map(type, baselines.values())) <= NUMBER_TYPES):
-            raise FormatError(f"{path}:{lineno}: score line lacks a field or has a non-numeric score")
-        if obj["id"] in seen:
-            raise FormatError(f"{path}:{lineno}: duplicate id {obj['id']!r}")
-        seen.add(obj["id"])
-        records.append(ScoreRecord(obj["id"], obj["base"], obj["guidance"], obj["pge"],
-                                   obj["predicted_class"], baselines))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for lineno, obj in rows:
+            baselines = obj.get("baselines")
+            if not (type(obj.get("id")) is str and type(obj.get("predicted_class")) is int
+                    and {type(obj.get("base")), type(obj.get("guidance")), type(obj.get("pge"))} <= NUMBER_TYPES
+                    and type(baselines) is dict and set(map(type, baselines.values())) <= NUMBER_TYPES):
+                raise FormatError(f"{path}:{lineno}: score line lacks a field or has a non-numeric score")
+            if obj["id"] in seen:
+                raise FormatError(f"{path}:{lineno}: duplicate id {obj['id']!r}")
+            seen.add(obj["id"])
+            records.append(ScoreRecord(obj["id"], obj["base"], obj["guidance"], obj["pge"],
+                                       obj["predicted_class"], baselines))
+    finally:
+        if was_enabled:
+            gc.enable()
     return header, records
 
 

@@ -4,7 +4,9 @@
 ``softmax`` are recorded on the gradient tape like the engine's own ops,
 so the tests can compose attention from them; that chain, and its
 gradients, is the reference for the fused :func:`pvit.tensor.attention`
-node.
+node.  :func:`full_encode` runs every encoder block on every row, the
+reference for the model's block stack, whose last block keeps only the
+class row past attention.
 
 The per-vector scorers are the oracle
 :func:`pvit.scoring.score_records` matches.  Each scores one logit
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from pvit import tensor as T
 from pvit.errors import ShapeError
 from pvit.scoring import PROB_CLAMP, ScoreRecord
 from pvit.tensor import Tensor, _record, _unbroadcast, mul
@@ -109,6 +112,30 @@ def composed_attention(q, k, v, heads):
     weights = softmax(mul(bmatmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(hd)), axis=-1)
     ctx = bmatmul(weights, vh)
     return reshape(transpose(ctx, (0, 2, 1, 3)), (b, s, d)), weights.data
+
+
+def full_encode(model, seq):
+    """Reference for :meth:`pvit.model.PViTModel._encode`: every block of
+    ``model`` runs on every row of the (B, S, D) sequence, the last block
+    included, and the class rows are read off the final output.  Returns
+    them layer normalized, with each layer's attention weights."""
+    c, p = model.config, model.params
+    attentions = []
+    z = seq
+    for i in range(c.depth):
+        blk = f"blocks.{i}"
+        normed = T.layer_norm(z, p[f"{blk}.ln1.gain"], p[f"{blk}.ln1.bias"])
+        q, k, v = (
+            T.linear(normed, p[f"{blk}.attn.{proj}.weight"], p[f"{blk}.attn.{proj}.bias"])
+            for proj in ("q", "k", "v")
+        )
+        merged, attn = T.attention(q, k, v, c.heads)
+        attentions.append(attn)
+        z = T.add(T.linear(merged, p[f"{blk}.attn.out.weight"], p[f"{blk}.attn.out.bias"]), z)
+        normed2 = T.layer_norm(z, p[f"{blk}.ln2.gain"], p[f"{blk}.ln2.bias"])
+        hidden = T.gelu(T.linear(normed2, p[f"{blk}.mlp.fc1.weight"], p[f"{blk}.mlp.fc1.bias"]))
+        z = T.add(T.linear(hidden, p[f"{blk}.mlp.fc2.weight"], p[f"{blk}.mlp.fc2.bias"]), z)
+    return T.layer_norm(z[:, 0, :], p["final_norm.gain"], p["final_norm.bias"]), attentions
 
 
 # ---------------------------------------------------------------------------

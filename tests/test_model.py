@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_close_rel
-from oracle import composed_attention, reshape
+from oracle import composed_attention, full_encode, reshape
 import pvit
 from pvit import tensor as T
 from pvit.checkpoint import load_checkpoint, save_checkpoint
@@ -198,6 +198,60 @@ class TestEncoder:
             np.testing.assert_allclose(out.logits.data[i], one.logits.data[0], atol=1e-12)
             for batched, single in zip(out.attentions, one.attentions):
                 np.testing.assert_allclose(batched[i], single[0], atol=1e-12)
+
+
+class TestPrunedLastBlock:
+    """The block stack against :func:`oracle.full_encode`, which runs the
+    last block on every row instead of the class row alone."""
+
+    @staticmethod
+    def run_both(monkeypatch, depth, batch, step):
+        model = PViTModel(PViTConfig(depth=depth), seed=30 + depth)
+        rng = np.random.default_rng(batch)
+        imgs, priors = rng.random((batch, 28, 28, 1)), rng.normal(size=(batch, 4))
+        labels = rng.integers(0, 4, batch)
+        results = []
+        for encode in (PViTModel._encode, full_encode):
+            monkeypatch.setattr(PViTModel, "_encode", encode)
+            results.append(step(model, imgs, labels, priors))
+        return results
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 4])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 32, 64, 65])
+    def test_forward_matches_every_row_reference(self, monkeypatch, depth, batch):
+        """Attention weights are bitwise equal at every batch size, and so
+        are the logits at B >= 32; with fewer rows BLAS picks other GEMM
+        kernels for the class-row products, so they agree to 1e-12."""
+        pruned, full = self.run_both(
+            monkeypatch, depth, batch, lambda model, imgs, _, priors: model.forward_batch(imgs, priors)
+        )
+        assert len(pruned.attentions) == len(full.attentions) == depth
+        for got, want in zip(pruned.attentions, full.attentions):
+            assert got.tobytes() == want.tobytes()
+        if batch >= 32:
+            assert pruned.logits.data.tobytes() == full.logits.data.tobytes()
+        else:
+            assert_close_rel(pruned.logits.data, full.logits.data, 1e-12, "logits")
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 4])
+    @pytest.mark.parametrize("batch", [7, 32])
+    def test_gradients_match_every_row_reference(self, monkeypatch, depth, batch):
+        """The last block's weight gradients sum fewer rows, so they agree
+        to 1e-12 of the largest gradient entry rather than bitwise (the
+        k biases' true gradient is zero; theirs is rounding noise)."""
+
+        def grads(model, imgs, labels, priors):
+            model.zero_grad()
+            with Tape():
+                loss, _ = model.batch_loss(imgs, labels, priors)
+            backward(loss)
+            return {name: p.grad.copy() for name, p in model.params.items()}
+
+        pruned, full = self.run_both(monkeypatch, depth, batch, grads)
+        assert pruned.keys() == full.keys()
+        scale = max(np.abs(g).max() for g in full.values())
+        for name in full:
+            assert np.abs(pruned[name] - full[name]).max() <= 1e-12 * scale, name
 
 
 class TestClassify:

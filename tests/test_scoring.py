@@ -3,6 +3,7 @@ rows of ``score_records``, the path the CLI scores with; the records
 match the per-vector oracle to the last bit; the factored/expanded score
 identity; the threshold decision rule; dataset scoring and score files."""
 
+import gc
 import json
 import math
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from oracle import cefe_expand, guidance_ce, guidance_kl, scalar_record
+import pvit.scoring
 from pvit.data import synth_dataset
 from pvit.errors import FormatError, MissingPriorError, ShapeError
 from pvit.metrics import decide, evaluate
@@ -487,3 +489,49 @@ class TestReadScoresValidation:
     def test_bad_record_names_line(self, tmp_path, line):
         with pytest.raises(FormatError, match=r"scores\.jsonl:3: "):
             read_scores(score_file(tmp_path, self.HEADER, GOOD_SCORE_LINE, line))
+
+
+class TestReadScoresCollector:
+    """read_scores builds its records with the cyclic collector paused and
+    leaves the collector as the caller had it."""
+
+    HEADER = TestReadScoresValidation.HEADER
+
+    @pytest.fixture
+    def collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_paused_while_records_are_built(self, tmp_path, monkeypatch, collector):
+        states = []
+
+        def record(*fields):
+            states.append(gc.isenabled())
+            return ScoreRecord(*fields)
+
+        monkeypatch.setattr(pvit.scoring, "ScoreRecord", record)
+        gc.enable()
+        read_scores(score_file(tmp_path, self.HEADER, GOOD_SCORE_LINE, {**GOOD_SCORE_LINE, "id": "b"}))
+        assert states == [False, False]
+        assert gc.isenabled()
+
+    def test_enabled_again_after_a_format_error(self, tmp_path, collector):
+        gc.enable()
+        with pytest.raises(FormatError, match=r"scores\.jsonl:3: "):
+            read_scores(score_file(tmp_path, self.HEADER, GOOD_SCORE_LINE, "{oops"))
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_a_disabled_collector_stays_disabled(self, tmp_path, collector, bad):
+        gc.disable()
+        path = score_file(tmp_path, self.HEADER, GOOD_SCORE_LINE, "{oops" if bad else {**GOOD_SCORE_LINE, "id": "b"})
+        if bad:
+            with pytest.raises(FormatError):
+                read_scores(path)
+        else:
+            assert len(read_scores(path)[1]) == 2
+        assert not gc.isenabled()

@@ -469,16 +469,19 @@ def desk_step(model):
 
 
 class TestDeskStep:
-    def test_tape_records_59_nodes(self):
+    def test_tape_records_61_nodes(self):
         """The desk step's tape, node by node: one attention node per layer,
-        one linear node per affine map, and every op the engine exports."""
+        one linear node per affine map, two slices to the last layer's class
+        row, and every op the engine exports."""
         _, tape = desk_step(PViTModel(PViTConfig(), seed=0))
         ops = Counter(node.grad_fn.__qualname__.split(".", 1)[0] for node in tape.nodes)
         assert ops == {
             "linear": 27, "layer_norm": 9, "add": 9, "attention": 4, "gelu": 4, "concat": 2,
-            "mul": 1, "broadcast_to": 1, "_getitem": 1, "cross_entropy": 1,
+            "mul": 1, "broadcast_to": 1, "_getitem": 3, "cross_entropy": 1,
         }
-        assert len(tape.nodes) == 59
+        assert len(tape.nodes) == 61
+        gelu_rows = [n.output.shape for n in tape.nodes if n.grad_fn.__qualname__.startswith("gelu")]
+        assert gelu_rows == [(32, 18, 128)] * 3 + [(32, 1, 128)], "the last MLP runs on the class row alone"
         engine_ops = {name for name in T.__all__ if name[0].islower()} - {"backward"}
         assert set(ops) - {"_getitem"} == engine_ops, "every op the engine exports is one a step records"
 
