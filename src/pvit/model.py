@@ -102,48 +102,53 @@ def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
 
 
 class PViTModel(Checkpointed):
-    """Parameter set plus forward passes for the prior-token transformer."""
+    """Parameter set plus forward passes for the prior-token transformer.
+
+    Block i's attention input is one projection, ``blocks.i.attn.qkv``:
+    a (D, 3D) weight, its three (D, D) blocks drawn one after another, and
+    a (3D,) bias, the query, key and value maps side by side.  The bias's
+    key third cannot change any output (the softmax over keys cancels
+    q . b_k); dropping it would take a second bias path into attention.
+    """
 
     KIND = "pvit"
     CONFIG = PViTConfig
 
     def __init__(self, config: PViTConfig, seed: int = 0):
         self.config = config
-        c = config
+        c, d = config, config.embed_dim
         gen = philox(seed, 0x1417)
         params: dict[str, Tensor] = {}
 
-        def param(name: str, shape: tuple[int, ...], init: str = "trunc") -> None:
-            if init == "trunc":
-                value = truncated_normal(gen, shape)
-            elif init == "zeros":
-                value = np.zeros(shape)
-            else:
-                value = np.ones(shape)
+        def param(name: str, value: np.ndarray) -> None:
             params[name] = Tensor(value, requires_grad=True)
 
-        param("patch_embed.weight", (c.patch_dim, c.embed_dim))
-        param("patch_embed.bias", (c.embed_dim,), "zeros")
-        param("cls_token", (1, c.embed_dim))
-        param("pos_embed", (c.num_patches + 1, c.embed_dim))
-        param("prior_proj", (c.num_classes, c.embed_dim))
+        def trunc(*shape: int) -> np.ndarray:
+            return truncated_normal(gen, shape)
+
+        param("patch_embed.weight", trunc(c.patch_dim, d))
+        param("patch_embed.bias", np.zeros(d))
+        param("cls_token", trunc(1, d))
+        param("pos_embed", trunc(c.num_patches + 1, d))
+        param("prior_proj", trunc(c.num_classes, d))
         for i in range(c.depth):
             blk = f"blocks.{i}"
-            param(f"{blk}.ln1.gain", (c.embed_dim,), "ones")
-            param(f"{blk}.ln1.bias", (c.embed_dim,), "zeros")
-            for proj in ("q", "k", "v", "out"):
-                param(f"{blk}.attn.{proj}.weight", (c.embed_dim, c.embed_dim))
-                param(f"{blk}.attn.{proj}.bias", (c.embed_dim,), "zeros")
-            param(f"{blk}.ln2.gain", (c.embed_dim,), "ones")
-            param(f"{blk}.ln2.bias", (c.embed_dim,), "zeros")
-            param(f"{blk}.mlp.fc1.weight", (c.embed_dim, c.mlp_dim))
-            param(f"{blk}.mlp.fc1.bias", (c.mlp_dim,), "zeros")
-            param(f"{blk}.mlp.fc2.weight", (c.mlp_dim, c.embed_dim))
-            param(f"{blk}.mlp.fc2.bias", (c.embed_dim,), "zeros")
-        param("final_norm.gain", (c.embed_dim,), "ones")
-        param("final_norm.bias", (c.embed_dim,), "zeros")
-        param("head.weight", (c.embed_dim, c.num_classes))
-        param("head.bias", (c.num_classes,), "zeros")
+            param(f"{blk}.ln1.gain", np.ones(d))
+            param(f"{blk}.ln1.bias", np.zeros(d))
+            param(f"{blk}.attn.qkv.weight", np.concatenate([trunc(d, d) for _ in "qkv"], axis=1))
+            param(f"{blk}.attn.qkv.bias", np.zeros(3 * d))
+            param(f"{blk}.attn.out.weight", trunc(d, d))
+            param(f"{blk}.attn.out.bias", np.zeros(d))
+            param(f"{blk}.ln2.gain", np.ones(d))
+            param(f"{blk}.ln2.bias", np.zeros(d))
+            param(f"{blk}.mlp.fc1.weight", trunc(d, c.mlp_dim))
+            param(f"{blk}.mlp.fc1.bias", np.zeros(c.mlp_dim))
+            param(f"{blk}.mlp.fc2.weight", trunc(c.mlp_dim, d))
+            param(f"{blk}.mlp.fc2.bias", np.zeros(d))
+        param("final_norm.gain", np.ones(d))
+        param("final_norm.bias", np.zeros(d))
+        param("head.weight", trunc(d, c.num_classes))
+        param("head.bias", np.zeros(c.num_classes))
         self.params = params
 
     # ------------------------------------------------------------------
@@ -183,11 +188,8 @@ class PViTModel(Checkpointed):
         for i in range(c.depth):
             blk = f"blocks.{i}"
             normed = T.layer_norm(z, p[f"{blk}.ln1.gain"], p[f"{blk}.ln1.bias"])
-            q, k, v = (
-                T.linear(normed, p[f"{blk}.attn.{proj}.weight"], p[f"{blk}.attn.{proj}.bias"])
-                for proj in ("q", "k", "v")
-            )
-            merged, attn = T.attention(q, k, v, c.heads)
+            qkv = T.linear(normed, p[f"{blk}.attn.qkv.weight"], p[f"{blk}.attn.qkv.bias"])
+            merged, attn = T.attention(qkv, c.heads)
             attentions.append(attn)
             if i == c.depth - 1:  # only the class row of the last layer is read
                 merged, z = merged[:, :1, :], z[:, :1, :]

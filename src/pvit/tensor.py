@@ -4,8 +4,8 @@ The engine covers the operation set the transformer forward and
 backward passes differentiate: broadcast ``add`` and ``mul``, the one
 matrix product ``linear`` (a 2-D weight, the bias optional),
 ``broadcast_to``, ``concat`` and indexing, multi-head scaled
-dot-product ``attention`` (one node,
-which also returns its (B, H, S, S) weights), layer normalization,
+dot-product ``attention`` (one node over a fused (B, S, 3D) q/k/v
+input, which also returns its (B, H, S, S) weights), layer normalization,
 exact-erf GELU, and cross-entropy.  The tests' reference ops, from which
 they compose attention as the oracle for the fused node, are built on
 :func:`_record` in ``tests/oracle.py``.  :func:`softmax_rows` is plain
@@ -365,60 +365,53 @@ def softmax_rows(z: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def attention(q, k, v, heads: int) -> tuple[Tensor, Array]:
+def attention(qkv, heads: int) -> tuple[Tensor, Array]:
     """Multi-head scaled dot-product attention, recorded as one node.
 
-    ``q``, ``k`` and ``v`` are (B, S, D) projections whose last axis
-    splits into ``heads`` heads of D / heads columns.  Per head,
-    P = softmax(q k^T / sqrt(D / heads)) over the key axis and the
-    context is P v; the heads' contexts merge back into (B, S, D).
+    ``qkv`` is a (B, S, 3D) block, the query, key and value projections
+    side by side; each splits into ``heads`` heads of D / heads columns.
+    Per head, P = softmax(q k^T / sqrt(D / heads)) over the key axis and
+    the context is P v; the heads' contexts merge back into (B, S, D).
     Returns the context and the (B, H, S, S) weights P.  The node keeps
     P for its backward pass, so the weights come back read-only.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(
-            f"attention needs three equal (B, S, D) shapes, got {q.shape}, {k.shape} and {v.shape}"
-        )
-    b, s, d = q.shape
+    qkv = _as_tensor(qkv)
+    if qkv.ndim != 3 or qkv.shape[-1] % 3:
+        raise ShapeError(f"attention needs a (B, S, 3D) input, got shape {qkv.shape}")
+    b, s, d = qkv.shape[0], qkv.shape[1], qkv.shape[2] // 3
     if heads < 1 or d % heads:
         raise ShapeError(f"attention: {d} columns do not split into {heads} heads")
     hd = d // heads
     scale = 1.0 / math.sqrt(hd)
 
-    def split(x: Array) -> Array:  # (B, S, D) -> (B, H, S, D/H), a view
-        return x.reshape(b, s, heads, hd).transpose(0, 2, 1, 3)
+    def split(x: Array, parts: int) -> Array:  # (B, S, parts*D) -> parts x (B, H, S, D/H), views
+        return x.reshape(b, s, parts, heads, hd).transpose(2, 0, 3, 1, 4)
 
-    def merge(x: Array) -> Array:  # (B, H, S, D/H) -> (B, S, D), a copy
-        return x.transpose(0, 2, 1, 3).reshape(b, s, d)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, kh, vh = split(qkv.data, 3)
     probs = qh @ kh.transpose(0, 1, 3, 2)
     probs *= scale
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     probs.flags.writeable = False
-    out = merge(probs @ vh)
+    out = np.empty((b, s, d))
+    np.matmul(probs, vh, out=split(out, 1)[0])
 
     def grad_fn(g):
-        gh = split(g)
-        gq = gk = gv = None
-        if v.requires_grad:
-            gv = merge(probs.transpose(0, 1, 3, 2) @ gh)
-        if q.requires_grad or k.requires_grad:
-            # softmax backward: dS = P * (dP - rowsum(dP * P)), then the scale
-            ds = gh @ vh.transpose(0, 1, 3, 2)
-            ds -= np.einsum("bhij,bhij->bhi", ds, probs)[..., None]
-            ds *= probs
-            ds *= scale
-            if q.requires_grad:
-                gq = merge(ds @ kh)
-            if k.requires_grad:
-                gk = merge(ds.transpose(0, 1, 3, 2) @ qh)
-        return gq, gk, gv
+        (gh,) = split(g, 1)
+        grad = np.empty_like(qkv.data)
+        gq, gk, gv = split(grad, 3)
+        np.matmul(probs.transpose(0, 1, 3, 2), gh, out=gv)
+        # softmax backward: dS = P * (dP - rowsum(dP * P)), then the scale
+        ds = gh @ vh.transpose(0, 1, 3, 2)
+        ds -= np.einsum("bhij,bhij->bhi", ds, probs)[..., None]
+        ds *= probs
+        ds *= scale
+        np.matmul(ds, kh, out=gq)
+        np.matmul(ds.transpose(0, 1, 3, 2), qh, out=gk)
+        return (grad,)
 
-    return _record((q, k, v), out, grad_fn), probs
+    return _record((qkv,), out, grad_fn), probs
 
 
 def layer_norm(x, gain, bias) -> Tensor:

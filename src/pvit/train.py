@@ -104,8 +104,9 @@ def resume_state(path: str, header: dict, moments: dict[str, np.ndarray],
                  params: dict[str, Tensor]) -> tuple[OptimizerState, int]:
     """The training state and epoch count of the checkpoint at ``path``:
     its non-negative integers ``step`` (the state's ``t``) and ``epoch``,
-    and past ``params`` its ``moments``, opt.m./opt.v. pairs each shaped
-    like its parameter; else a FormatError naming ``path`` and the key."""
+    and past ``params`` its ``moments``, opt.m./opt.v. pairs shaped like
+    their parameters, every pair once ``step`` > 0; else a FormatError
+    naming ``path`` and the key."""
     for key in ("step", "epoch"):
         if type(header.get(key)) is not int or header[key] < 0:
             raise FormatError(f"{path}: checkpoint key {key!r} must be a non-negative integer, got {header.get(key)!r}")
@@ -119,6 +120,9 @@ def resume_state(path: str, header: dict, moments: dict[str, np.ndarray],
         partner = ("opt.v." if key.startswith("opt.m.") else "opt.m.") + key[len("opt.m."):]
         if partner not in moments:
             raise FormatError(f"{path}: checkpoint tensor {key!r} has no partner {partner!r}")
+    missing = [key for key in shapes if key not in moments]
+    if header["step"] and missing:
+        raise FormatError(f"{path}: checkpoint at step {header['step']} has no optimizer moment {missing[0]!r}")
     return OptimizerState(moments=moments, t=header["step"]), header["epoch"]
 
 

@@ -99,16 +99,18 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _record((x,), out, grad_fn)
 
 
-def composed_attention(q, k, v, heads):
+def composed_attention(qkv, heads):
     """Reference for the fused op: the attention core composed of plain
-    ops (split heads, scaled q k^T, softmax, weights times v, merge)."""
-    b, s, d = q.shape
+    ops (split the (B, S, 3D) input into q, k and v, split heads, scaled
+    q k^T, softmax, weights times v, merge)."""
+    b, s, d3 = qkv.shape
+    d = d3 // 3
     hd = d // heads
 
     def split(t):
         return transpose(reshape(t, (b, s, heads, hd)), (0, 2, 1, 3))
 
-    qh, kh, vh = split(q), split(k), split(v)
+    qh, kh, vh = (split(qkv[:, :, i * d : (i + 1) * d]) for i in range(3))
     weights = softmax(mul(bmatmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(hd)), axis=-1)
     ctx = bmatmul(weights, vh)
     return reshape(transpose(ctx, (0, 2, 1, 3)), (b, s, d)), weights.data
@@ -125,11 +127,8 @@ def full_encode(model, seq):
     for i in range(c.depth):
         blk = f"blocks.{i}"
         normed = T.layer_norm(z, p[f"{blk}.ln1.gain"], p[f"{blk}.ln1.bias"])
-        q, k, v = (
-            T.linear(normed, p[f"{blk}.attn.{proj}.weight"], p[f"{blk}.attn.{proj}.bias"])
-            for proj in ("q", "k", "v")
-        )
-        merged, attn = T.attention(q, k, v, c.heads)
+        qkv = T.linear(normed, p[f"{blk}.attn.qkv.weight"], p[f"{blk}.attn.qkv.bias"])
+        merged, attn = T.attention(qkv, c.heads)
         attentions.append(attn)
         z = T.add(T.linear(merged, p[f"{blk}.attn.out.weight"], p[f"{blk}.attn.out.bias"]), z)
         normed2 = T.layer_norm(z, p[f"{blk}.ln2.gain"], p[f"{blk}.ln2.bias"])

@@ -103,7 +103,7 @@ def _op_cases(rng):
     batched = np.stack([a, a[::-1]])  # (2, 3, 4)
     w233 = np.stack([w33, w33.T])
     w234 = np.stack([w34, w34[::-1]])
-    keys, values = batched[:, ::-1].copy(), batched[::-1].copy()
+    qkv = np.concatenate([batched, batched[:, ::-1], batched[::-1]], axis=-1)  # (2, 3, 12)
     add_b = rng.uniform(-2, 2, (3, 4))
     rng.uniform(-2, 2, (3, 4))  # unused draw: keeps the later cases' and the model check's inputs as pinned
     mul_b = rng.uniform(-2, 2, (3, 4))
@@ -122,7 +122,7 @@ def _op_cases(rng):
         ("concat", lambda x, y: weighted_sum(concat([x, y], axis=1), w38), (a, a[:, ::-1].copy())),
         ("broadcast_to", lambda x: weighted_sum(broadcast_to(x, (3, 4)), w34), (v,)),
         ("softmax", lambda x: weighted_sum(softmax(x, axis=1), w34), (a,)),
-        ("attention", lambda q, k, v: weighted_sum(attention(q, k, v, 2)[0], w234), (batched, keys, values)),
+        ("attention", lambda x: weighted_sum(attention(x, 2)[0], w234), (qkv,)),
         ("layer_norm", lambda x, g, bb: weighted_sum(layer_norm(x, g, bb), w25), (row, gain, bias)),
         ("gelu", lambda x: weighted_sum(gelu(x), w34), (a,)),
         ("cross_entropy", lambda x: cross_entropy(x, targets), (a,)),

@@ -257,6 +257,8 @@ class TestResume:
         ("opt.v.head.bias", lambda header, tensors: tensors.pop("opt.v.head.bias")),
         ("opt.m.head.weight", lambda header, tensors: tensors.update({"opt.m.head.weight": np.zeros((3, 16))})),
         ("opt.m.head.gain", lambda header, tensors: tensors.update({"opt.m.head.gain": np.zeros(3)})),
+        ("opt.m.patch_embed.weight", lambda header, tensors: [tensors.pop(key) for key in list(tensors)
+                                                              if key.startswith("opt.")]),
         ("step", lambda header, tensors: header.update(step="12")),
         ("step", lambda header, tensors: header.update(step=2.5)),
         ("step", lambda header, tensors: header.update(step=-5)),
@@ -265,11 +267,13 @@ class TestResume:
         ("epoch", lambda header, tensors: header.update(epoch=-1)),
         ("epoch", lambda header, tensors: header.pop("epoch")),
     ], ids=["moment-without-partner", "moment-shaped-unlike-parameter", "moment-of-no-parameter",
-            "string-step", "float-step", "negative-step", "no-step", "string-epoch", "negative-epoch", "no-epoch"])
+            "past-step-0-without-moments", "string-step", "float-step", "negative-step", "no-step", "string-epoch",
+            "negative-epoch", "no-epoch"])
     def test_bad_resume_checkpoint_exits_2_naming_it_and_the_key(self, tmp_path, capsys, key, change):
         """A resumed state is non-negative integer step and epoch counts and
-        opt.m./opt.v. pairs shaped like their parameters; anything else
-        fails before any file is written."""
+        opt.m./opt.v. pairs shaped like their parameters, every pair once
+        the step is past 0 (so Adam never silently restarts from zero
+        moments); anything else fails before any file is written."""
         path = str(tmp_path / "resume.ckpt")
         model = PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=1, heads=2, mlp_dim=24))
         moments = {f"opt.{kind}.{name}": np.ones(p.shape) for name, p in model.params.items() for kind in "mv"}
@@ -396,6 +400,34 @@ class TestCheckpointAgreesWithConfig:
         err = capsys.readouterr().err
         assert path in err and f"{field}={value}" in err and "Traceback" not in err, err
         assert os.listdir(out) == [name]
+
+    def test_checkpoint_with_separate_q_k_v_projections_exits_2_naming_the_fused_weight(self, tmp_path, capsys,
+                                                                                          pipeline):
+        """A ``pvit.ckpt`` of the earlier layout, one ``attn.q``/``k``/``v``
+        weight and bias each per block, is not loaded: ``score`` exits 2
+        naming the file and the first fused tensor it lacks, and writes no
+        score file."""
+        out = str(tmp_path / "out")
+        shutil.copytree(pipeline[1], out)
+        cfg, _ = write_cfg(tmp_path)
+        path = os.path.join(out, "pvit.ckpt")
+        header, tensors = load_checkpoint(path)
+        split = {}
+        for name, value in tensors.items():
+            if ".attn.qkv." in name:
+                for proj, part in zip("qkv", np.split(value, 3, axis=-1)):
+                    split[name.replace(".qkv.", f".{proj}.")] = part
+            else:
+                split[name] = value
+        assert "blocks.0.attn.k.bias" in split and "blocks.0.attn.qkv.weight" not in split
+        save_checkpoint(path, header, split)
+        for name in os.listdir(out):
+            if name.startswith("scores_"):
+                os.remove(os.path.join(out, name))
+        assert main(["score", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert path in err and "'blocks.0.attn.qkv.weight'" in err and "Traceback" not in err, err
+        assert not [name for name in os.listdir(out) if name.startswith("scores_")]
 
 
 class TestOnePriorLookupAndBatchLoop:

@@ -17,6 +17,7 @@ from pvit import tensor as T
 from pvit.checkpoint import load_checkpoint, save_checkpoint
 from pvit.errors import FormatError, ShapeError
 from pvit.model import PViTConfig, PViTModel, patchify
+from pvit.rng import philox, truncated_normal
 from pvit.tensor import Tape, Tensor, backward, linear
 
 
@@ -238,7 +239,8 @@ class TestPrunedLastBlock:
     def test_gradients_match_every_row_reference(self, monkeypatch, depth, batch):
         """The last block's weight gradients sum fewer rows, so they agree
         to 1e-12 of the largest gradient entry rather than bitwise (the
-        k biases' true gradient is zero; theirs is rounding noise)."""
+        key third of each qkv bias has a true gradient of zero; its
+        computed one is rounding noise)."""
 
         def grads(model, imgs, labels, priors):
             model.zero_grad()
@@ -252,6 +254,36 @@ class TestPrunedLastBlock:
         scale = max(np.abs(g).max() for g in full.values())
         for name in full:
             assert np.abs(pruned[name] - full[name]).max() <= 1e-12 * scale, name
+
+
+class TestParameters:
+    def test_qkv_weight_is_three_sequential_draws(self):
+        """Each block's (D, 3D) ``attn.qkv.weight`` is the q, k and v
+        (D, D) truncated-normal draws, taken one after another from the
+        model's generator and laid side by side; the draws that follow
+        are unchanged."""
+        c = tiny_config()
+        d = c.embed_dim
+        model = PViTModel(c, seed=21)
+        gen = philox(21, 0x1417)
+        for shape in [(c.patch_dim, d), (1, d), (c.num_patches + 1, d), (c.num_classes, d)]:
+            truncated_normal(gen, shape)
+        for i in range(c.depth):
+            qkv = np.concatenate([truncated_normal(gen, (d, d)) for _ in "qkv"], axis=1)
+            assert model.params[f"blocks.{i}.attn.qkv.weight"].data.tobytes() == qkv.tobytes()
+            assert model.params[f"blocks.{i}.attn.out.weight"].data.tobytes() == truncated_normal(gen, (d, d)).tobytes()
+            truncated_normal(gen, (d, c.mlp_dim))
+            truncated_normal(gen, (c.mlp_dim, d))
+        assert model.params["head.weight"].data.tobytes() == truncated_normal(gen, (d, c.num_classes)).tobytes()
+
+    def test_desk_model_has_57_tensors_and_one_attention_input_per_block(self):
+        params = PViTModel(PViTConfig(), seed=0).params
+        assert len(params) == 57
+        attn = sorted(name for name in params if name.startswith("blocks.0.attn."))
+        assert attn == ["blocks.0.attn.out.bias", "blocks.0.attn.out.weight",
+                        "blocks.0.attn.qkv.bias", "blocks.0.attn.qkv.weight"]
+        assert params["blocks.0.attn.qkv.weight"].shape == (64, 192)
+        assert params["blocks.0.attn.qkv.bias"].shape == (192,)
 
 
 class TestClassify:

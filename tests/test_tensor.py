@@ -208,25 +208,26 @@ class TestAttention:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_composed_chain(self, batch, seq, heads, head_dim, seed):
-        """Forward value, weights and all three input gradients agree with
-        the composed chain within 1e-12 relative."""
+        """Forward value, weights and the gradient of the fused q/k/v input
+        agree with the composed chain within 1e-12 relative."""
         rng = np.random.default_rng(seed)
-        shape = (batch, seq, heads * head_dim)
-        q, k, v = (rng.normal(scale=2.0, size=shape) for _ in range(3))
-        upstream = rng.normal(size=shape)
-        fused, weights = attention(Tensor(q), Tensor(k), Tensor(v), heads)
-        composed, want_weights = composed_attention(Tensor(q), Tensor(k), Tensor(v), heads)
+        width = heads * head_dim
+        qkv = rng.normal(scale=2.0, size=(batch, seq, 3 * width))
+        upstream = rng.normal(size=(batch, seq, width))
+        fused, weights = attention(Tensor(qkv), heads)
+        composed, want_weights = composed_attention(Tensor(qkv), heads)
         assert_close_rel(fused.data, composed.data, 1e-12, "attention forward")
         assert_close_rel(weights, want_weights, 1e-12, "attention weights")
-        got = tape_grad(lambda *t: weighted_sum(attention(*t, heads)[0], upstream), q, k, v)
-        want = tape_grad(lambda *t: weighted_sum(composed_attention(*t, heads)[0], upstream), q, k, v)
-        for g, h, name in zip(got, want, "qkv"):
-            assert_close_rel(g, h, 1e-12, f"attention d{name}")
+        (got,) = tape_grad(lambda t: weighted_sum(attention(t, heads)[0], upstream), qkv)
+        (want,) = tape_grad(lambda t: weighted_sum(composed_attention(t, heads)[0], upstream), qkv)
+        for i, name in enumerate("qkv"):
+            part = np.s_[..., i * width : (i + 1) * width]
+            assert_close_rel(got[part], want[part], 1e-12, f"attention d{name}")
 
     def test_weights_are_row_stochastic_and_read_only(self):
         rng = np.random.default_rng(13)
-        q, k, v = (Tensor(rng.normal(scale=30.0, size=(2, 5, 6))) for _ in range(3))
-        _, weights = attention(q, k, v, 3)
+        qkv = Tensor(rng.normal(scale=30.0, size=(2, 5, 18)))
+        _, weights = attention(qkv, 3)
         assert weights.shape == (2, 3, 5, 5)
         assert np.all(weights >= 0)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
@@ -234,15 +235,15 @@ class TestAttention:
             weights[0, 0, 0, 0] = 0.5
 
     def test_shape_errors(self):
-        x = Tensor(np.zeros((1, 2, 4)))
+        x = Tensor(np.zeros((1, 2, 12)))
         with pytest.raises(ShapeError, match="heads"):
-            attention(x, x, x, 3)
+            attention(x, 3)
         with pytest.raises(ShapeError, match="heads"):
-            attention(x, x, x, 0)
-        with pytest.raises(ShapeError, match=r"\(1, 2, 4\).*\(1, 3, 4\)"):
-            attention(x, Tensor(np.zeros((1, 3, 4))), x, 2)
-        with pytest.raises(ShapeError):
-            attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))), 2)
+            attention(x, 0)
+        with pytest.raises(ShapeError, match=r"\(B, S, 3D\).*\(1, 2, 4\)"):
+            attention(Tensor(np.zeros((1, 2, 4))), 2)
+        with pytest.raises(ShapeError, match=r"\(B, S, 3D\).*\(2, 12\)"):
+            attention(Tensor(np.zeros((2, 12))), 2)
 
 
 class TestLayerNorm:
@@ -469,17 +470,18 @@ def desk_step(model):
 
 
 class TestDeskStep:
-    def test_tape_records_61_nodes(self):
+    def test_tape_records_53_nodes(self):
         """The desk step's tape, node by node: one attention node per layer,
-        one linear node per affine map, two slices to the last layer's class
-        row, and every op the engine exports."""
+        fed by one fused q/k/v linear node, one linear node per affine map,
+        two slices to the last layer's class row, and every op the engine
+        exports."""
         _, tape = desk_step(PViTModel(PViTConfig(), seed=0))
         ops = Counter(node.grad_fn.__qualname__.split(".", 1)[0] for node in tape.nodes)
         assert ops == {
-            "linear": 27, "layer_norm": 9, "add": 9, "attention": 4, "gelu": 4, "concat": 2,
+            "linear": 19, "layer_norm": 9, "add": 9, "attention": 4, "gelu": 4, "concat": 2,
             "mul": 1, "broadcast_to": 1, "_getitem": 3, "cross_entropy": 1,
         }
-        assert len(tape.nodes) == 61
+        assert len(tape.nodes) == 53
         gelu_rows = [n.output.shape for n in tape.nodes if n.grad_fn.__qualname__.startswith("gelu")]
         assert gelu_rows == [(32, 18, 128)] * 3 + [(32, 1, 128)], "the last MLP runs on the class row alone"
         engine_ops = {name for name in T.__all__ if name[0].islower()} - {"backward"}
