@@ -326,6 +326,9 @@ def _read_columns(path: str, names) -> tuple[dict, dict[str, np.ndarray]]:
         columns = {name: np.array([score_field(r, name) for r in records], dtype=np.float64) for name in names}
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
+    except OverflowError:  # a JSON integer no float64 holds: an infinite score
+        columns = {name: np.array([v if abs(v) <= sys.float_info.max else math.inf for v in
+                                   (score_field(r, name) for r in records)]) for name in names}
     finite = np.logical_and.reduce([np.isfinite(column) for column in columns.values()])
     if not finite.all():
         raise FormatError(f"{path}: record {records[int(np.argmin(finite))].id!r} holds a NaN or infinite "

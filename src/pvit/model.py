@@ -63,8 +63,8 @@ class PViTConfig:
             )
         if self.embed_dim % self.heads:
             raise ShapeError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
-        if self.alpha < 0:
-            raise ShapeError(f"alpha must be nonnegative, got {self.alpha}")
+        if not 0 <= self.alpha < np.inf:
+            raise ShapeError(f"alpha must be finite and nonnegative, got {self}")
 
     @property
     def num_patches(self) -> int:
@@ -177,10 +177,10 @@ class PViTModel(Checkpointed):
         """Block stack over a (B, S, D) sequence; returns the normalized
         class-token rows and each layer's (B, H, S, S) attention.
 
-        Every layer attends over the full sequence, but only the class
-        row of the last layer's output is read, so after its attention
-        node the last block keeps the class row alone: its out-projection,
-        residual adds and MLP run on B rows instead of B * S.
+        Each residual add is the last addend of the linear node that ends
+        its sublayer.  Every layer attends over the full sequence, but only
+        the class row of the last layer's output is read, so after its
+        attention node the last block keeps only that row.
         """
         c, p = self.config, self.params
         attentions: list[np.ndarray] = []
@@ -193,12 +193,10 @@ class PViTModel(Checkpointed):
             attentions.append(attn)
             if i == c.depth - 1:  # only the class row of the last layer is read
                 merged, z = merged[:, :1, :], z[:, :1, :]
-            msa = T.linear(merged, p[f"{blk}.attn.out.weight"], p[f"{blk}.attn.out.bias"])
-            z = T.add(msa, z)
+            z = T.linear(merged, p[f"{blk}.attn.out.weight"], p[f"{blk}.attn.out.bias"], z)
             normed2 = T.layer_norm(z, p[f"{blk}.ln2.gain"], p[f"{blk}.ln2.bias"])
             hidden = T.gelu(T.linear(normed2, p[f"{blk}.mlp.fc1.weight"], p[f"{blk}.mlp.fc1.bias"]))
-            mlp = T.linear(hidden, p[f"{blk}.mlp.fc2.weight"], p[f"{blk}.mlp.fc2.bias"])
-            z = T.add(mlp, z)
+            z = T.linear(hidden, p[f"{blk}.mlp.fc2.weight"], p[f"{blk}.mlp.fc2.bias"], z)
         y = T.layer_norm(z[:, 0, :], p["final_norm.gain"], p["final_norm.bias"])
         return y, attentions
 

@@ -188,7 +188,10 @@ def load_logits(path: str) -> TableSource:
             raise FormatError(f"{path}:{lineno}: logits must be a list of numbers")
         if len(logits) != k:
             raise FormatError(f"{path}:{lineno}: expected {k} logits, got {len(logits)}")
-        values = np.asarray(logits, dtype=np.float64)
+        try:
+            values = np.asarray(logits, dtype=np.float64)
+        except OverflowError:  # a JSON integer no float64 holds
+            values = np.array([np.inf])
         if not np.all(np.isfinite(values)):
             raise FormatError(f"{path}:{lineno}: non-finite logits")
         if sid in records:

@@ -2,7 +2,7 @@
 
 The engine covers the operation set the transformer forward and
 backward passes differentiate: broadcast ``add`` and ``mul``, the one
-matrix product ``linear`` (a 2-D weight, the bias optional),
+matrix product ``linear`` (a 2-D weight, then optional addends),
 ``broadcast_to``, ``concat`` and indexing, multi-head scaled
 dot-product ``attention`` (one node over a fused (B, S, 3D) q/k/v
 input, which also returns its (B, H, S, S) weights), layer normalization,
@@ -270,37 +270,35 @@ def _rows(x: Array) -> Array:
     return x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
 
 
-def linear(x, weight, bias=None) -> Tensor:
-    """Matrix product ``x @ weight``, plus ``bias`` when given, as one node.
+def linear(x, weight, *addends) -> Tensor:
+    """Matrix product ``x @ weight``, plus each addend in turn, as one node.
 
-    ``weight`` is (D_in, D_out) and ``bias``, if any, (D_out,); leading
-    axes of ``x`` are batch axes, flattened so that the forward product
-    and both matrix gradients (dX = dY W^T, dW = X^T dY) are single 2-D
-    GEMMs.  With a bias, values and gradients are bitwise those of
-    ``add(linear(x, weight), bias)``, with one node and no intermediate
-    product kept on the tape.
+    ``weight`` is (D_in, D_out), and each addend is shaped like trailing
+    axes of the output: a (D_out,) bias, or a residual shaped like the
+    output.  Leading axes of ``x`` are batch axes, flattened so that the
+    forward product and both matrix gradients (dX = dY W^T, dW = X^T dY)
+    are single 2-D GEMMs.  Values and gradients are bitwise those of
+    ``add(add(linear(x, weight), b), z)``, with no intermediate on the tape.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
-    bias = None if bias is None else _as_tensor(bias)
-    if x.ndim < 2 or weight.ndim != 2 or (bias is not None and bias.shape != weight.shape[1:]):
-        shapes = ", ".join(str(t.shape) for t in (x, weight, bias) if t is not None)
-        raise ShapeError(f"linear needs rank >= 2 input, a 2-D weight and a matching bias, got shapes {shapes}")
-    if x.shape[-1] != weight.shape[0]:
-        raise ShapeError(f"linear: inner dimensions disagree for shapes {x.shape} and {weight.shape}")
-    out = _rows(x.data) @ weight.data
-    if bias is not None:
-        out += bias.data
+    addends = tuple(map(_as_tensor, addends))
+    out_shape = x.shape[:-1] + weight.shape[1:]
+    if (x.ndim < 2 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]
+            or any(out_shape[len(out_shape) - a.ndim:] != a.shape for a in addends)):
+        shapes = ", ".join(str(t.shape) for t in (x, weight) + addends)
+        raise ShapeError(f"linear needs rank >= 2 input, a 2-D weight with a row per input column and addends "
+                         f"shaped like trailing output axes, got shapes {shapes}")
+    out = (_rows(x.data) @ weight.data).reshape(out_shape)
+    for a in addends:
+        out += a.data
 
     def grad_fn(g):
         g2 = _rows(g)
         gx = (g2 @ weight.data.T).reshape(x.shape) if x.requires_grad else None
         gw = _rows(x.data).T @ g2 if weight.requires_grad else None
-        if bias is None:
-            return gx, gw
-        return gx, gw, _unbroadcast(g, bias.shape) if bias.requires_grad else None
+        return (gx, gw) + tuple(_unbroadcast(g, a.shape) if a.requires_grad else None for a in addends)
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _record(inputs, out.reshape(x.shape[:-1] + weight.shape[1:]), grad_fn)
+    return _record((x, weight) + addends, out, grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -43,12 +43,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.warmup_epochs > self.epochs:
-            raise ShapeError(f"warmup_epochs {self.warmup_epochs} exceeds epochs {self.epochs}")
+        if not 0 <= self.warmup_epochs <= self.epochs:
+            raise ShapeError(f"warmup_epochs {self.warmup_epochs} must be in [0, epochs {self.epochs}]")
         if self.batch_size < 1:
             raise ShapeError("batch_size must be >= 1")
-        if self.base_lr <= 0:
-            raise ShapeError("base_lr must be positive")
+        if not 0 < self.base_lr < math.inf:
+            raise ShapeError(f"base_lr must be finite and positive, got {self.base_lr}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and 0 <= self.weight_decay < math.inf):
+            raise ShapeError(f"beta1 and beta2 must be in [0, 1) and weight_decay finite and nonnegative, got {self}")
 
 
 @dataclass
@@ -103,13 +105,13 @@ def adam_step(
 def resume_state(path: str, header: dict, moments: dict[str, np.ndarray],
                  params: dict[str, Tensor]) -> tuple[OptimizerState, int]:
     """The training state and epoch count of the checkpoint at ``path``:
-    its non-negative integers ``step`` (the state's ``t``) and ``epoch``,
+    its integers in [0, 2**63) ``step`` (the state's ``t``) and ``epoch``,
     and past ``params`` its ``moments``, opt.m./opt.v. pairs shaped like
     their parameters, every pair once ``step`` > 0; else a FormatError
     naming ``path`` and the key."""
     for key in ("step", "epoch"):
-        if type(header.get(key)) is not int or header[key] < 0:
-            raise FormatError(f"{path}: checkpoint key {key!r} must be a non-negative integer, got {header.get(key)!r}")
+        if type(header.get(key)) is not int or not 0 <= header[key] < 2**63:
+            raise FormatError(f"{path}: checkpoint key {key!r} must be an integer in [0, 2**63), got {header.get(key)!r}")
     shapes = {f"opt.{kind}.{name}": p.shape for name, p in params.items() for kind in "mv"}
     for key, moment in moments.items():
         if key not in shapes:

@@ -116,6 +116,8 @@ def _op_cases(rng):
         ("bmatmul", lambda x, y: weighted_sum(bmatmul(x, y), w233), (batched, np.stack([b, b[::-1]]))),
         ("linear", lambda x, y, z: weighted_sum(linear(x, y, z), w33), (a, b, w3)),
         ("linear-batched", lambda x, y, z: weighted_sum(linear(x, y, z), w233), (batched, b, w3)),
+        ("linear with bias and residual", lambda x, y, z, r: weighted_sum(linear(x, y, z, r), w233),
+         (batched, b, w3, w233[::-1].copy())),
         ("reshape", lambda x: weighted_sum(reshape(x, (4, 3)), w34.T), (a,)),
         ("transpose", lambda x: weighted_sum(transpose(x, (1, 0)), w34.T), (a,)),
         ("getitem", lambda x: weighted_sum(x[1:3, :2], w22), (a,)),

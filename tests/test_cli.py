@@ -266,11 +266,13 @@ class TestResume:
         ("epoch", lambda header, tensors: header.update(epoch="2")),
         ("epoch", lambda header, tensors: header.update(epoch=-1)),
         ("epoch", lambda header, tensors: header.pop("epoch")),
+        ("step", lambda header, tensors: header.update(step=10**400)),
+        ("epoch", lambda header, tensors: header.update(epoch=2**63)),
     ], ids=["moment-without-partner", "moment-shaped-unlike-parameter", "moment-of-no-parameter",
             "past-step-0-without-moments", "string-step", "float-step", "negative-step", "no-step", "string-epoch",
-            "negative-epoch", "no-epoch"])
+            "negative-epoch", "no-epoch", "step-no-float-holds", "epoch-past-int64"])
     def test_bad_resume_checkpoint_exits_2_naming_it_and_the_key(self, tmp_path, capsys, key, change):
-        """A resumed state is non-negative integer step and epoch counts and
+        """A resumed state is step and epoch counts, integers in [0, 2**63), and
         opt.m./opt.v. pairs shaped like their parameters, every pair once
         the step is past 0 (so Adam never silently restarts from zero
         moments); anything else fails before any file is written."""
@@ -383,9 +385,10 @@ class TestCheckpointAgreesWithConfig:
         ("score", "pvit.ckpt", "patch_size", 0),
         ("attention-dump", "pvit.ckpt", "depth", -1),
         ("export-logits", "prior.ckpt", "hidden_dim", -16),
+        ("score", "pvit.ckpt", "alpha", float("nan")),
     ])
-    def test_checkpoint_size_that_cannot_work_exits_2_naming_the_file_writing_nothing(self, tmp_path, capsys,
-                                                                                       command, name, field, value):
+    def test_checkpoint_value_that_cannot_work_exits_2_naming_the_file_writing_nothing(self, tmp_path, capsys,
+                                                                                        command, name, field, value):
         cfg, out = write_cfg(tmp_path)
         os.makedirs(out)
         path = os.path.join(out, name)
@@ -779,18 +782,25 @@ class TestEvalInputs:
         assert not os.path.exists(os.path.join(out, "eval_summary.csv"))
 
     @pytest.mark.parametrize("defect,named", [("nan", "'ood-pattern-shift-3' holds a NaN or infinite score"),
-                                               ("header-only", "holds no score records")], ids=["nan", "header-only"])
+                                               ("int-past-float64", "'ood-pattern-shift-3' holds a NaN or infinite score"),
+                                               ("header-only", "holds no score records")],
+                             ids=["nan", "int-past-float64", "header-only"])
     def test_nan_score_exits_2(self, tmp_path, capsys, defect, named):
         """A split after the first OOD set fails eval before any output is
-        written, naming its file."""
+        written, naming its file; a JSON integer too large for a float64
+        is an infinite score."""
         cfg, out = write_cfg(tmp_path)
         write_score_set(out, nan_split="ood-pattern-shift" if defect == "nan" else None)
         path = os.path.join(out, "scores_ood-pattern-shift.jsonl")
+        lines = pathlib.Path(path).read_text().splitlines()
         if defect == "header-only":
-            pathlib.Path(path).write_text(pathlib.Path(path).read_text().splitlines()[0] + "\n")
+            pathlib.Path(path).write_text(lines[0] + "\n")
+        elif defect == "int-past-float64":
+            lines[4] = json.dumps({**json.loads(lines[4]), "pge": 10**400})  # record 3
+            pathlib.Path(path).write_text("\n".join(lines) + "\n")
         assert main(["eval", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert f"{path}: " in err and named in err, err
+        assert f"{path}: " in err and named in err and "Traceback" not in err, err
         assert not [name for name in os.listdir(out) if name.startswith(("metrics_", "hist_", "eval_summary"))]
 
     @pytest.mark.parametrize("key", ["eval.scores", "ood.kinds"])
@@ -868,6 +878,7 @@ class TestLogitsInputs:
             (2, '{"label": 0, "logits": [0.1, 0.2, 0.3]}'),
             (2, '{"id": "a", "logits": [0.1, 0.2, 0.3]}'),
             (3, '{"id": "b", "label": 0}'),
+            (3, '{"id": "b", "label": 0, "logits": [1%s, 0.2, 0.3]}' % ("0" * 400)),  # no float64 holds it
         ],
     )
     @pytest.mark.parametrize("command", ["train-pvit", "score"])
@@ -887,7 +898,9 @@ class TestLogitsInputs:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         assert main([command, "--config", cfg]) == 2
-        assert f"logits_{split}.jsonl:{lineno}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{path}:{lineno}:" in err and "Traceback" not in err, err
+        assert os.listdir(out) == ["logits"]
 
     @pytest.mark.parametrize(
         "lines,message,named",

@@ -42,6 +42,13 @@ def encoder_input(model, images, priors, alpha=None):
     return first.inputs[0].data
 
 
+class TestConfig:
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf"), float("-inf")])
+    def test_alpha_must_be_finite_and_nonnegative(self, alpha):
+        with pytest.raises(ShapeError, match="alpha must be finite and nonnegative"):
+            tiny_config(alpha=alpha)
+
+
 class TestPatchify:
     def test_28x28_p7_shape(self):
         out = patchify(np.zeros((1, 28, 28, 1)), 7)
@@ -439,10 +446,11 @@ class TestCheckpointHeader:
         with pytest.raises(FormatError, match=repr(key)):
             PViTModel.load(path)
 
-    def test_invalid_config_value_is_format_error(self, tmp_path):
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
+    def test_invalid_config_value_is_format_error(self, tmp_path, alpha):
         path = self.saved(tmp_path)
-        rewrite_config(path, alpha=-1.0)
-        with pytest.raises(FormatError, match="alpha"):
+        rewrite_config(path, alpha=alpha)
+        with pytest.raises(FormatError, match="invalid checkpoint config: alpha"):
             PViTModel.load(path)
 
     def test_retired_prior_broadcast_batch_rejected(self, tmp_path):

@@ -1,6 +1,7 @@
 """Autodiff engine tests: forward values against independent oracles,
 gradients against central finite differences, and the graph's lifetime."""
 
+import functools
 import gc
 import math
 import os
@@ -108,6 +109,7 @@ class TestLinearWithoutBias:
 
 
 class TestLinear:
+    @pytest.mark.parametrize("residual", [False, True], ids=["bias", "bias-residual"])
     @settings(max_examples=60, deadline=None)
     @given(
         batch=st.integers(0, 3),  # 0: a 2-D (S, D_in) input
@@ -116,27 +118,31 @@ class TestLinear:
         d_out=st.integers(1, 9),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_product_plus_bias_exactly(self, batch, seq, d_in, d_out, seed):
-        """One node, yet bitwise the forward value and all three gradients
-        of the add(linear(x, W), b) composition."""
+    def test_matches_product_plus_bias_exactly(self, residual, batch, seq, d_in, d_out, seed):
+        """One node, yet bitwise the forward value and every gradient of the
+        add(add(linear(x, W), b), r) composition, the residual r optional."""
         rng = np.random.default_rng(seed)
         lead = (batch, seq) if batch else (seq,)
         x = rng.normal(size=lead + (d_in,))
         w = rng.normal(size=(d_in, d_out))
-        b = rng.normal(size=(d_out,))
+        addends = [rng.normal(size=(d_out,))] + [rng.normal(size=lead + (d_out,))] * residual
         upstream = rng.normal(size=lead + (d_out,))
-        fused = linear(Tensor(x), Tensor(w), Tensor(b))
-        composed = add(linear(Tensor(x), Tensor(w)), Tensor(b))
-        assert fused.data.tobytes() == composed.data.tobytes()
-        got = tape_grad(lambda *t: weighted_sum(linear(*t), upstream), x, w, b)
-        want = tape_grad(lambda tx, tw, tb: weighted_sum(add(linear(tx, tw), tb), upstream), x, w, b)
+
+        def composed(tx, tw, *ta):
+            return functools.reduce(add, ta, linear(tx, tw))
+
+        fused = linear(Tensor(x), Tensor(w), *map(Tensor, addends))
+        assert fused.data.tobytes() == composed(*map(Tensor, [x, w] + addends)).data.tobytes()
+        got = tape_grad(lambda *t: weighted_sum(linear(*t), upstream), x, w, *addends)
+        want = tape_grad(lambda *t: weighted_sum(composed(*t), upstream), x, w, *addends)
+        assert len(got) == len(want) == 2 + len(addends)
         for g, h in zip(got, want):
             np.testing.assert_array_equal(g, h)
 
     def test_records_one_node(self):
         w = Tensor(np.ones((3, 2)), requires_grad=True)
         with Tape() as tape:
-            linear(Tensor(np.ones((4, 3))), w, Tensor(np.zeros(2)))
+            linear(Tensor(np.ones((4, 3))), w, Tensor(np.zeros(2)), Tensor(np.zeros((4, 2))))
         assert len(tape.nodes) == 1
 
     def test_shape_errors(self):
@@ -146,6 +152,8 @@ class TestLinear:
             linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
         with pytest.raises(ShapeError):
             linear(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError, match=r"\(2, 3\), \(3, 2\), \(2,\), \(3, 2\)"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)), Tensor(np.zeros((3, 2))))
 
 
 class TestSoftmax:
@@ -470,18 +478,21 @@ def desk_step(model):
 
 
 class TestDeskStep:
-    def test_tape_records_53_nodes(self):
+    def test_tape_records_45_nodes(self):
         """The desk step's tape, node by node: one attention node per layer,
         fed by one fused q/k/v linear node, one linear node per affine map,
-        two slices to the last layer's class row, and every op the engine
-        exports."""
+        each residual add folded into the projection that ends its
+        sublayer, two slices to the last layer's class row, and every op
+        the engine exports.  The stored bytes are exactly the 45 outputs:
+        a fused node keeps no intermediate."""
         _, tape = desk_step(PViTModel(PViTConfig(), seed=0))
         ops = Counter(node.grad_fn.__qualname__.split(".", 1)[0] for node in tape.nodes)
         assert ops == {
-            "linear": 19, "layer_norm": 9, "add": 9, "attention": 4, "gelu": 4, "concat": 2,
-            "mul": 1, "broadcast_to": 1, "_getitem": 3, "cross_entropy": 1,
+            "linear": 19, "layer_norm": 9, "attention": 4, "gelu": 4, "_getitem": 3, "concat": 2,
+            "add": 1, "mul": 1, "broadcast_to": 1, "cross_entropy": 1,
         }
-        assert len(tape.nodes) == 53
+        assert len(tape.nodes) == 45
+        assert sum(node.output.data.nbytes for node in tape.nodes) == 13_435_912
         gelu_rows = [n.output.shape for n in tape.nodes if n.grad_fn.__qualname__.startswith("gelu")]
         assert gelu_rows == [(32, 18, 128)] * 3 + [(32, 1, 128)], "the last MLP runs on the class row alone"
         engine_ops = {name for name in T.__all__ if name[0].islower()} - {"backward"}
@@ -574,15 +585,14 @@ class TestGraphRelease:
         assert {name: p.grad.tobytes() for name, p in model.params.items()} == kept
 
     def test_parameter_grads_match_unfused_graph_bitwise(self, monkeypatch):
-        """Releasing the graph and fusing each affine map into one linear
-        node leave every parameter gradient bitwise as the graph of a
-        bias-free linear node and an add computes it."""
+        """Releasing the graph and fusing each affine map and residual add
+        into one linear node leave every parameter gradient bitwise as the
+        graph of a bare product node and one add per addend computes it."""
         grads = []
         product = T.linear
         for fused in (True, False):
             if not fused:
-                monkeypatch.setattr(T, "linear", lambda x, w, b=None: product(x, w) if b is None
-                                    else add(product(x, w), b))
+                monkeypatch.setattr(T, "linear", lambda x, w, *addends: functools.reduce(add, addends, product(x, w)))
             model = PViTModel(PViTConfig(), seed=0)
             loss, _ = desk_step(model)
             backward(loss)

@@ -153,6 +153,32 @@ class TestSchedule:
             cfg(epochs=3, warmup_epochs=4)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("changes, named", [
+        (dict(base_lr=math.nan), "base_lr"),
+        (dict(base_lr=math.inf), "base_lr"),
+        (dict(base_lr=0.0), "base_lr"),
+        (dict(beta1=1.5), "beta1"),
+        (dict(beta1=-0.1), "beta1"),
+        (dict(beta2=1.0), "beta2"),
+        (dict(beta2=math.nan), "beta2"),
+        (dict(weight_decay=-1.0), "weight_decay"),
+        (dict(weight_decay=math.inf), "weight_decay"),
+        (dict(epochs=-3, warmup_epochs=-3), "warmup_epochs"),
+        (dict(warmup_epochs=-1), "warmup_epochs"),
+    ], ids=["nan-lr", "inf-lr", "zero-lr", "beta1-above-1", "negative-beta1", "beta2-of-1", "nan-beta2",
+            "negative-decay", "inf-decay", "negative-epochs", "negative-warmup"])
+    def test_rejects_what_the_run_config_schema_rejects(self, changes, named):
+        """A non-finite or non-positive learning rate, a beta outside [0, 1),
+        a negative or non-finite weight decay and a negative epoch count
+        or warmup fail as the run configuration's rules do."""
+        with pytest.raises(ShapeError, match=named):
+            cfg(**changes)
+
+    def test_boundary_values_pass(self):
+        cfg(beta1=0.0, beta2=0.0, weight_decay=0.0, epochs=0, warmup_epochs=0)
+
+
 def tiny_model(seed=0, **overrides):
     base = dict(image_h=8, image_w=8, channels=1, patch_size=4, embed_dim=16,
                 depth=2, heads=2, mlp_dim=24, num_classes=2, alpha=0.1)
