@@ -16,14 +16,18 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import reprlib
 import struct
+import sys
 import typing
-from typing import Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
 from .artifacts import write_artifact
 from .errors import FormatError, ShapeError
+from .rng import philox
+from .tensor import Tensor
 
 MAGIC = b"PVIT"
 FORMAT_VERSION = 1
@@ -83,12 +87,33 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     return header, tensors
 
 
+def zeros(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    return np.zeros(shape)
+
+
+def ones(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    return np.ones(shape)
+
+
 class Checkpointed:
-    """Base of both models: ``__init__(config)`` sets ``config``, a ``CONFIG``
-    dataclass, and ``params``, the named parameter tensors; saved as ``KIND``."""
+    """Base of both models, saved as ``KIND``.  A model states its
+    parameters once, in ``layout(config)``: a lazy run of ``(name, shape,
+    init)`` in draw order, where ``init(gen, shape)`` draws the initial
+    array, such as :func:`pvit.rng.truncated_normal`, :func:`zeros` or
+    :func:`ones`.  ``config`` is a ``CONFIG`` dataclass and ``params`` maps
+    each name to its tensor; a fresh model draws them, a loaded one holds
+    the file's."""
 
     KIND: str
     CONFIG: type
+    STREAM: int  # the Philox stream tag of the initial draw
+    layout: Callable[..., Iterator[tuple[str, tuple[int, ...], Callable]]]
+
+    def __init__(self, config, seed: int = 0):
+        """A fresh model: ``layout(config)`` drawn in order from ``seed``'s ``STREAM``."""
+        gen = philox(seed, self.STREAM)
+        self.config = config
+        self.params = {name: Tensor(init(gen, shape), requires_grad=True) for name, shape, init in self.layout(config)}
 
     def parameters(self) -> dict:
         return self.params
@@ -104,7 +129,10 @@ class Checkpointed:
     @classmethod
     def load(cls, path: str) -> tuple["Checkpointed", dict, dict[str, np.ndarray]]:
         """(model, header, leftover tensors such as optimizer state) from a ``KIND``
-        checkpoint whose config names exactly ``CONFIG``'s fields."""
+        checkpoint whose config names exactly ``CONFIG``'s fields, each an int64
+        or a float64.  The model's parameters are the file's tensors: the layout
+        is walked against them and stops at the first one missing or misshapen,
+        so nothing is drawn and the work is bounded by the file, not the header."""
         header, tensors = load_checkpoint(path)
         if header.get("kind") != cls.KIND:
             raise FormatError(f"{path}: checkpoint kind {header.get('kind')!r} is not {cls.KIND!r}")
@@ -118,14 +146,21 @@ class Checkpointed:
                               f"are not {cls.CONFIG.__name__}'s fields")
         hints = typing.get_type_hints(cls.CONFIG)
         for key in fields:
-            if type(config[key]) not in ((int, float) if hints[key] is float else (hints[key],)):
-                raise FormatError(f"{path}: checkpoint config {key!r} = {config[key]!r} is not a {hints[key].__name__}")
+            value, hint = config[key], hints[key]
+            if type(value) not in ((int, float) if hint is float else (hint,)):
+                raise FormatError(f"{path}: checkpoint config {key!r} = {reprlib.repr(value)} is not a {hint.__name__}")
+            held = abs(value) <= sys.float_info.max if hint is float else -2**63 <= value < 2**63
+            if type(value) is int and not held:
+                raise FormatError(f"{path}: checkpoint config {key!r} = {reprlib.repr(value)} "
+                                  f"does not fit a {hint.__name__}64")
         try:
-            model = cls(cls.CONFIG(**config))
+            config = cls.CONFIG(**config)
         except ShapeError as exc:
             raise FormatError(f"{path}: invalid checkpoint config: {exc}") from None
-        for name, param in model.params.items():
-            if name not in tensors or tensors[name].shape != param.shape:
-                raise FormatError(f"{path}: checkpoint has no tensor {name!r} of shape {param.shape}")
-            param.data = np.ascontiguousarray(tensors.pop(name))
+        model = cls.__new__(cls)
+        model.config, model.params = config, {}
+        for name, shape, _ in cls.layout(config):
+            if name not in tensors or tensors[name].shape != shape:
+                raise FormatError(f"{path}: checkpoint has no tensor {name!r} of shape {shape}")
+            model.params[name] = Tensor(tensors.pop(name), requires_grad=True)
         return model, header, tensors

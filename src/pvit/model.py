@@ -25,9 +25,9 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import Checkpointed
+from .checkpoint import Checkpointed, ones, zeros
 from .errors import ShapeError
-from .rng import philox, truncated_normal
+from .rng import truncated_normal
 from .tensor import Tensor
 
 
@@ -101,8 +101,19 @@ def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
     )
 
 
+def _qkv_weight(gen: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """A (D, 3D) weight: the query, key and value maps, each a (D, D)
+    truncated-normal draw, one after another, side by side."""
+    d = shape[0]
+    return np.concatenate([truncated_normal(gen, (d, d)) for _ in "qkv"], axis=1)
+
+
 class PViTModel(Checkpointed):
     """Parameter set plus forward passes for the prior-token transformer.
+
+    :meth:`layout` states the parameters in draw order: the patch
+    embedding, class token, positions and prior projection, each block's
+    tensors, then the final norm and the head.
 
     Block i's attention input is one projection, ``blocks.i.attn.qkv``:
     a (D, 3D) weight, its three (D, D) blocks drawn one after another, and
@@ -113,43 +124,34 @@ class PViTModel(Checkpointed):
 
     KIND = "pvit"
     CONFIG = PViTConfig
+    STREAM = 0x1417
 
-    def __init__(self, config: PViTConfig, seed: int = 0):
-        self.config = config
+    @staticmethod
+    def layout(config: PViTConfig):
         c, d = config, config.embed_dim
-        gen = philox(seed, 0x1417)
-        params: dict[str, Tensor] = {}
-
-        def param(name: str, value: np.ndarray) -> None:
-            params[name] = Tensor(value, requires_grad=True)
-
-        def trunc(*shape: int) -> np.ndarray:
-            return truncated_normal(gen, shape)
-
-        param("patch_embed.weight", trunc(c.patch_dim, d))
-        param("patch_embed.bias", np.zeros(d))
-        param("cls_token", trunc(1, d))
-        param("pos_embed", trunc(c.num_patches + 1, d))
-        param("prior_proj", trunc(c.num_classes, d))
+        yield "patch_embed.weight", (c.patch_dim, d), truncated_normal
+        yield "patch_embed.bias", (d,), zeros
+        yield "cls_token", (1, d), truncated_normal
+        yield "pos_embed", (c.num_patches + 1, d), truncated_normal
+        yield "prior_proj", (c.num_classes, d), truncated_normal
         for i in range(c.depth):
             blk = f"blocks.{i}"
-            param(f"{blk}.ln1.gain", np.ones(d))
-            param(f"{blk}.ln1.bias", np.zeros(d))
-            param(f"{blk}.attn.qkv.weight", np.concatenate([trunc(d, d) for _ in "qkv"], axis=1))
-            param(f"{blk}.attn.qkv.bias", np.zeros(3 * d))
-            param(f"{blk}.attn.out.weight", trunc(d, d))
-            param(f"{blk}.attn.out.bias", np.zeros(d))
-            param(f"{blk}.ln2.gain", np.ones(d))
-            param(f"{blk}.ln2.bias", np.zeros(d))
-            param(f"{blk}.mlp.fc1.weight", trunc(d, c.mlp_dim))
-            param(f"{blk}.mlp.fc1.bias", np.zeros(c.mlp_dim))
-            param(f"{blk}.mlp.fc2.weight", trunc(c.mlp_dim, d))
-            param(f"{blk}.mlp.fc2.bias", np.zeros(d))
-        param("final_norm.gain", np.ones(d))
-        param("final_norm.bias", np.zeros(d))
-        param("head.weight", trunc(d, c.num_classes))
-        param("head.bias", np.zeros(c.num_classes))
-        self.params = params
+            yield f"{blk}.ln1.gain", (d,), ones
+            yield f"{blk}.ln1.bias", (d,), zeros
+            yield f"{blk}.attn.qkv.weight", (d, 3 * d), _qkv_weight
+            yield f"{blk}.attn.qkv.bias", (3 * d,), zeros
+            yield f"{blk}.attn.out.weight", (d, d), truncated_normal
+            yield f"{blk}.attn.out.bias", (d,), zeros
+            yield f"{blk}.ln2.gain", (d,), ones
+            yield f"{blk}.ln2.bias", (d,), zeros
+            yield f"{blk}.mlp.fc1.weight", (d, c.mlp_dim), truncated_normal
+            yield f"{blk}.mlp.fc1.bias", (c.mlp_dim,), zeros
+            yield f"{blk}.mlp.fc2.weight", (c.mlp_dim, d), truncated_normal
+            yield f"{blk}.mlp.fc2.bias", (d,), zeros
+        yield "final_norm.gain", (d,), ones
+        yield "final_norm.bias", (d,), zeros
+        yield "head.weight", (d, c.num_classes), truncated_normal
+        yield "head.bias", (c.num_classes,), zeros
 
     # ------------------------------------------------------------------
     # forward pass

@@ -30,10 +30,10 @@ import numpy as np
 
 from . import tensor as T
 from .artifacts import NUMBER_TYPES, read_jsonl, write_jsonl
-from .checkpoint import Checkpointed
+from .checkpoint import Checkpointed, zeros
 from .data import Dataset, subset
 from .errors import FormatError, MissingPriorError, ShapeError, TrainingError
-from .rng import philox, truncated_normal
+from .rng import truncated_normal
 from .tensor import Tensor
 from .train import run_training
 
@@ -50,20 +50,19 @@ class MLPConfig:
 
 
 class MLPClassifier(Checkpointed):
-    """Two-layer GELU MLP over flattened pixels; the desk-scale prior model."""
+    """Two-layer GELU MLP over flattened pixels; the desk-scale prior model.
+    :meth:`layout` states its four parameters in draw order."""
 
     KIND = "mlp-prior"
     CONFIG = MLPConfig
+    STREAM = 0x3117
 
-    def __init__(self, config: MLPConfig, seed: int = 0):
-        self.config = config
-        gen = philox(seed, 0x3117)
-        self.params = {
-            "fc1.weight": Tensor(truncated_normal(gen, (config.input_dim, config.hidden_dim)), requires_grad=True),
-            "fc1.bias": Tensor(np.zeros(config.hidden_dim), requires_grad=True),
-            "fc2.weight": Tensor(truncated_normal(gen, (config.hidden_dim, config.num_classes)), requires_grad=True),
-            "fc2.bias": Tensor(np.zeros(config.num_classes), requires_grad=True),
-        }
+    @staticmethod
+    def layout(config: MLPConfig):
+        yield "fc1.weight", (config.input_dim, config.hidden_dim), truncated_normal
+        yield "fc1.bias", (config.hidden_dim,), zeros
+        yield "fc2.weight", (config.hidden_dim, config.num_classes), truncated_normal
+        yield "fc2.bias", (config.num_classes,), zeros
 
     def logits(self, images: np.ndarray) -> Tensor:
         """Batched forward over (B, H, W, C) images (or pre-flattened rows)."""

@@ -18,6 +18,7 @@ parameters unchanged and folds the gradient into the moments.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -111,7 +112,8 @@ def resume_state(path: str, header: dict, moments: dict[str, np.ndarray],
     naming ``path`` and the key."""
     for key in ("step", "epoch"):
         if type(header.get(key)) is not int or not 0 <= header[key] < 2**63:
-            raise FormatError(f"{path}: checkpoint key {key!r} must be an integer in [0, 2**63), got {header.get(key)!r}")
+            raise FormatError(f"{path}: checkpoint key {key!r} must be an integer in [0, 2**63), "
+                              f"got {reprlib.repr(header.get(key))}")
     shapes = {f"opt.{kind}.{name}": p.shape for name, p in params.items() for kind in "mv"}
     for key, moment in moments.items():
         if key not in shapes:

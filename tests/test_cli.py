@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import reprlib
 import shutil
 import struct
 import subprocess
@@ -290,6 +291,7 @@ class TestResume:
         assert main(["train-pvit", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert path in err and f"'{key}'" in err and "Traceback" not in err, err
+        assert len(err.splitlines()) == 1 and len(err) < 300, err  # a rejected value is echoed cut short
         assert os.listdir(out) == []
 
     def test_resume_with_another_architecture_exits_1_naming_keys_and_values(self, tmp_path, capsys):
@@ -386,9 +388,13 @@ class TestCheckpointAgreesWithConfig:
         ("attention-dump", "pvit.ckpt", "depth", -1),
         ("export-logits", "prior.ckpt", "hidden_dim", -16),
         ("score", "pvit.ckpt", "alpha", float("nan")),
+        pytest.param("score", "pvit.ckpt", "alpha", 10**400, id="score-pvit.ckpt-alpha-past-float64"),
+        pytest.param("score", "pvit.ckpt", "mlp_dim", 10**400, id="score-pvit.ckpt-mlp_dim-past-int64"),
     ])
     def test_checkpoint_value_that_cannot_work_exits_2_naming_the_file_writing_nothing(self, tmp_path, capsys,
                                                                                         command, name, field, value):
+        """A config value that cannot work exits 2 naming the file and the
+        value; an integer past int64 is echoed cut short, never whole."""
         cfg, out = write_cfg(tmp_path)
         os.makedirs(out)
         path = os.path.join(out, name)
@@ -401,7 +407,10 @@ class TestCheckpointAgreesWithConfig:
         save_checkpoint(path, header, tensors)
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert path in err and f"{field}={value}" in err and "Traceback" not in err, err
+        big = type(value) is int and value >= 2**63  # echoed cut short, never whole
+        shown = f"{field!r} = {reprlib.repr(value)}" if big else f"{field}={value}"
+        assert path in err and shown in err and "Traceback" not in err, err
+        assert not big or str(value) not in err, err
         assert os.listdir(out) == [name]
 
     def test_checkpoint_with_separate_q_k_v_projections_exits_2_naming_the_fused_weight(self, tmp_path, capsys,

@@ -6,6 +6,9 @@ A single sample is a batch of one; per-sample checks run through
 
 import ast
 import pathlib
+import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from pvit import tensor as T
 from pvit.checkpoint import load_checkpoint, save_checkpoint
 from pvit.errors import FormatError, ShapeError
 from pvit.model import PViTConfig, PViTModel, patchify
+from pvit.priors import MLPClassifier, MLPConfig
 from pvit.rng import philox, truncated_normal
 from pvit.tensor import Tape, Tensor, backward, linear
 
@@ -400,6 +404,28 @@ class TestCheckpoint:
         assert "opt.m.head.weight" in extra
         np.testing.assert_allclose(extra["opt.m.head.weight"], 1.0)
 
+    def test_load_draws_nothing_and_holds_the_saved_values(self, tmp_path, monkeypatch):
+        """A loaded model's parameters are the file's float32 tensors, each
+        a trainable tensor, and loading draws no random number."""
+        saved = []
+        for model in (PViTModel(tiny_config(), seed=23), MLPClassifier(MLPConfig(input_dim=12, hidden_dim=5), seed=23)):
+            path = str(tmp_path / f"{model.KIND}.ckpt")
+            model.save(path)
+            saved.append((type(model), path, {name: p.data.astype(np.float32) for name, p in model.params.items()}))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load drew a random number")
+
+        monkeypatch.setattr(pvit.rng, "gaussian", no_draw)
+        for cls, path, values in saved:
+            loaded, _, extra = cls.load(path)
+            assert type(loaded) is cls and extra == {}
+            assert list(loaded.params) == list(values)
+            for name, value in values.items():
+                param = loaded.params[name]
+                assert param.requires_grad and param.data.dtype == np.float64, name
+                assert np.array_equal(param.data, value), name
+
     def test_generic_container_round_trip(self, tmp_path):
         path = str(tmp_path / "c.ckpt")
         tensors = {"a": np.arange(6, dtype=np.float64).reshape(2, 3), "b": np.array(2.5)}
@@ -439,12 +465,40 @@ class TestCheckpointHeader:
         with pytest.raises(FormatError, match="'heads'"):
             PViTModel.load(path)
 
-    @pytest.mark.parametrize("key,value", [("heads", "2"), ("depth", 2.0), ("alpha", True), ("alpha", None)])
+    @pytest.mark.parametrize("key,value", [
+        ("heads", "2"), ("depth", 2.0), ("alpha", True), ("alpha", None),
+        pytest.param("alpha", 10**400, id="alpha-past-float64"),
+        pytest.param("mlp_dim", 10**400, id="mlp_dim-past-int64"),
+        pytest.param("heads", 2**63, id="heads-past-int64"),
+    ])
     def test_mistyped_config_value_names_key(self, tmp_path, key, value):
+        """A config value of the wrong type, or an integer that the field's
+        int64 or float64 cannot hold, is named with its key and echoed
+        cut short."""
         path = self.saved(tmp_path)
         rewrite_config(path, **{key: value})
-        with pytest.raises(FormatError, match=repr(key)):
+        with pytest.raises(FormatError, match=repr(key)) as info:
             PViTModel.load(path)
+        assert path in str(info.value) and len(str(info.value)) < len(path) + 150
+
+    @pytest.mark.parametrize("depth", [2000, 2**62])
+    def test_header_depth_past_the_file_fails_at_its_first_missing_tensor(self, tmp_path, depth):
+        """Load work is bounded by the file, not by the header: a depth-1
+        checkpoint whose header claims more blocks fails at block 1's first
+        tensor, quickly and without allocating the claimed parameters."""
+        path = str(tmp_path / "m.ckpt")
+        PViTModel(tiny_config(depth=1), seed=19).save(path)
+        rewrite_config(path, depth=depth)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(FormatError, match=re.escape(path) + ".*'blocks\\.1\\.ln1\\.gain'"):
+                PViTModel.load(path)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 2**20, (elapsed, peak)
 
     @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
     def test_invalid_config_value_is_format_error(self, tmp_path, alpha):
@@ -507,8 +561,8 @@ class TestOneCheckpointedBase:
     def test_models_inherit_persistence_and_only_the_checkpoint_module_reads_or_writes_files(self):
         """An AST walk over ``src/pvit``: ``save_checkpoint`` and
         ``load_checkpoint`` are called in ``pvit/checkpoint.py`` alone, and
-        neither model class defines the persistence or parameter methods
-        that ``Checkpointed`` gives both."""
+        neither model class defines the constructor, persistence or
+        parameter methods that ``Checkpointed`` gives both."""
         package = pathlib.Path(pvit.__file__).parent
         callers, defined = set(), {}
         for path in sorted(package.glob("*.py")):
@@ -520,4 +574,4 @@ class TestOneCheckpointedBase:
         assert callers == {"checkpoint.py"}
         assert sorted(defined) == ["MLPClassifier", "PViTModel"]
         for name, methods in defined.items():
-            assert not {"save", "load", "parameters", "zero_grad"} & set(methods), (name, methods)
+            assert not {"__init__", "save", "load", "parameters", "zero_grad"} & set(methods), (name, methods)
