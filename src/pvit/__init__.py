@@ -1,6 +1,7 @@
 """Prior-token vision transformer with energy-based OOD scoring.
 
-A self-contained desk-scale stack: a float64 autodiff engine, the
+A self-contained desk-scale stack: a float64 autodiff engine, whose
+forward pass runs in float32 over a loaded (float32) checkpoint, the
 transformer with a prior-knowledge token, prior-logits providers, Adam
 training with a warmup/linear-decay schedule, the guided energy scoring
 family with MSP / MaxLogit / energy baselines (scored a whole (N, K)

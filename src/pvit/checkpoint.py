@@ -5,8 +5,12 @@ Layout, all integers little-endian u32:
     magic "PVIT" | format version | JSON length | JSON header bytes
     | tensor count | per tensor: name length, name, rank, dims..., f32 data
 
-Compute stays float64; storage is float32, so a save/load round trip
-reproduces model outputs to f32 quantization.  Both models save through
+Storage is float32, and a loaded checkpoint keeps its tensors float32:
+a loaded model computes its forward pass at the precision it is stored
+in (see :mod:`pvit.tensor`), and saving it again writes the same bytes.
+Fresh models and training are float64; the consumers that need float64
+from a file, :func:`pvit.train.resume_state` and ``attention-dump``,
+each upcast once.  Both models save through
 :class:`Checkpointed`, so every JSON header holds exactly the model's
 ``kind``, its ``config`` and the training progress counters ``step`` and ``epoch``.
 """
@@ -49,15 +53,16 @@ def _checkpoint_chunks(blob: bytes, tensors: Mapping[str, np.ndarray]):
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read header and tensors back; values are upcast to float64.  Any
-    defect, a truncated file or trailing bytes included, is a FormatError."""
+    """Read header and tensors back; values are writable float32 arrays, as
+    stored.  Any defect, a truncated file or trailing bytes included, is a
+    FormatError."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = bytearray(fh.read())  # so that each tensor's slice is a writable buffer
     if data[:4] != MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic {data[:4]!r}, expected {MAGIC!r}")
+        raise FormatError(f"{path}: bad checkpoint magic {bytes(data[:4])!r}, expected {MAGIC!r}")
     off = 4
 
-    def take(count: int) -> bytes:
+    def take(count: int) -> bytearray:
         nonlocal off
         if off + count > len(data):
             raise FormatError(f"{path}: truncated checkpoint")
@@ -79,7 +84,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             name = take(read_u32()).decode("utf-8")
             dims = [read_u32() for _ in range(read_u32())]
             raw = take(4 * math.prod(dims))
-            tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims)
+            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims)
     except ValueError as exc:
         raise FormatError(f"{path}: corrupt checkpoint: {exc}") from None
     if off != len(data):
@@ -101,8 +106,8 @@ class Checkpointed:
     init)`` in draw order, where ``init(gen, shape)`` draws the initial
     array, such as :func:`pvit.rng.truncated_normal`, :func:`zeros` or
     :func:`ones`.  ``config`` is a ``CONFIG`` dataclass and ``params`` maps
-    each name to its tensor; a fresh model draws them, a loaded one holds
-    the file's."""
+    each name to its tensor; a fresh model draws them in float64, a loaded
+    one holds the file's float32 tensors."""
 
     KIND: str
     CONFIG: type

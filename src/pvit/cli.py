@@ -10,6 +10,12 @@ attention matrices and the prior-token attention mass.  Priors cross
 commands only as the logits files ``logits_<split>.jsonl``, read through
 ``_split_priors`` alone; inference runs in ``forward_batches`` of 64.
 
+A loaded checkpoint computes in float32, the precision it is stored in:
+``export-logits`` (and the export that ends ``train-prior``) and
+``score`` run the saved models in float32, while ``attention-dump``
+upcasts its model to float64, and a resumed ``train-pvit`` trains in
+float64 from the checkpoint's values, as every training run does.
+
 Every checkpoint a command loads must agree with the config the run
 would build: an image shape or prior pixel count that is not the data's
 exits 2, and a field set by a config key that differs exits 1 naming the
@@ -377,6 +383,8 @@ def cmd_attention_dump(cfg: RunConfig, out: str) -> None:
         raise ConfigError(f"config key 'attention.dataset': no dataset named {split!r}")
     ds = datasets[split]
     model, _, _ = _load_checked(cfg, _ckpt_path(cfg, out, "pvit"), _pvit_config(cfg, datasets))
+    for p in model.params.values():  # the dumped maps are float64, their rows summing to 1 within 1e-9
+        p.data = p.data.astype(np.float64)
     depth, heads = model.config.depth, model.config.heads
     layer = cfg["attention.layer"]
     if not -depth <= layer < depth:

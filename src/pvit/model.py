@@ -163,7 +163,8 @@ class PViTModel(Checkpointed):
         ``prior_logits`` is a finite (B, K) block, one row per sample, and
         token i depends on row i alone.  The projection is a trained
         parameter, so the tokens join the gradient tape; they are exactly
-        linear in alpha.
+        linear in alpha.  The softmax runs in float64, and its weights are
+        cast to the projection's dtype.
         """
         c = self.config
         alpha = c.alpha if alpha is None else float(alpha)
@@ -172,8 +173,9 @@ class PViTModel(Checkpointed):
             raise ShapeError(f"prior logits must be (B, {c.num_classes}), got shape {priors.shape}")
         if not np.all(np.isfinite(priors)):
             raise ShapeError("prior logits must be finite")
-        weights = Tensor(T.softmax_rows(priors)[:, None, :])  # (B, 1, K)
-        return T.mul(T.linear(weights, self.params["prior_proj"]), alpha)
+        proj = self.params["prior_proj"]
+        weights = Tensor(T.softmax_rows(priors)[:, None, :].astype(proj.data.dtype, copy=False))  # (B, 1, K)
+        return T.mul(T.linear(weights, proj), alpha)
 
     def _encode(self, seq: Tensor) -> tuple[Tensor, list[np.ndarray]]:
         """Block stack over a (B, S, D) sequence; returns the normalized
@@ -208,10 +210,13 @@ class PViTModel(Checkpointed):
 
         Each sequence is [class token; patch embeddings] plus positions,
         then the sample's prior token at index N+1 with no positional
-        encoding.
+        encoding.  The pass runs at the parameters' precision: the patches
+        and prior-token weights are cast to their dtype, so a loaded
+        (float32) model returns float32 logits and attention weights.
         """
         c, p = self.config, self.params
-        patches = Tensor(patchify(images, c.patch_size))  # (B, N, P)
+        dtype = p["patch_embed.weight"].data.dtype
+        patches = Tensor(patchify(images, c.patch_size).astype(dtype, copy=False))  # (B, N, P)
         b = patches.shape[0]
         patch_emb = T.linear(patches, p["patch_embed.weight"], p["patch_embed.bias"])
         cls = T.broadcast_to(p["cls_token"], (b, 1, c.embed_dim))

@@ -65,8 +65,9 @@ class MLPClassifier(Checkpointed):
         yield "fc2.bias", (config.num_classes,), zeros
 
     def logits(self, images: np.ndarray) -> Tensor:
-        """Batched forward over (B, H, W, C) images (or pre-flattened rows)."""
-        x = np.asarray(images, dtype=np.float64)
+        """Batched forward over (B, H, W, C) images (or pre-flattened rows),
+        at the parameters' precision: a loaded (float32) prior returns float32."""
+        x = np.asarray(images, dtype=self.params["fc1.weight"].data.dtype)
         flat = x.reshape(x.shape[0], int(np.prod(x.shape[1:])))  # also for zero rows
         if flat.shape[1] != self.config.input_dim:
             raise FormatError(f"prior model expects {self.config.input_dim} pixels, got {flat.shape[1]}")

@@ -41,7 +41,7 @@ GUIDANCE_KINDS = ("ce", "kl", "ed")
 SCORE_FIELDS = ("pge", "base", "guidance", "msp", "max_logit", "energy")
 
 
-@dataclass
+@dataclass(slots=True)
 class ScoreRecord:
     """Per-sample scores; ``pge`` is exactly ``base * guidance``."""
 
@@ -114,13 +114,13 @@ def forward_batches(model, images: np.ndarray, priors: np.ndarray, alpha=None, b
 
 
 def predict_logits(model, images: np.ndarray, priors: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    """(N, K) predicted logits at the model's own alpha, joined from
-    :func:`forward_batches`."""
+    """(N, K) float64 predicted logits at the model's own alpha, joined
+    from :func:`forward_batches` whatever the model's dtype."""
     predicted = [np.empty((0, priors.shape[1]))]
     for _, out in forward_batches(model, images, priors, batch_size=batch_size):
         predicted.append(out.logits.data)
         del out  # the batch's attention weights go before the next batch runs
-    return np.concatenate(predicted)
+    return np.concatenate(predicted, dtype=np.float64)
 
 
 def score_dataset(model, prior_source, dataset: Dataset, guidance_kind: str = "ce",

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float tensors with reverse-mode automatic differentiation.
 
 The engine covers the operation set the transformer forward and
 backward passes differentiate: broadcast ``add`` and ``mul``, the one
@@ -31,7 +31,15 @@ as soon as the caller lets go of the loss.  A tape that never reaches
 backward still holds reference cycles (tensor to tape to node to
 tensor) and is left to Python's cyclic collector.  Tensors are
 value-like once constructed; optimizers mutate parameter buffers in
-place between tapes, never during one.  All computation is float64.
+place between tapes, never during one.
+
+An op computes at its inputs' precision.  A tensor built from float32
+data stays float32, and any other data becomes float64; a non-tensor
+operand of ``add`` or ``mul`` takes the tensor operand's dtype, and the
+arrays an op allocates take its input's.  So a model whose parameters
+are float32, as a loaded checkpoint's are, runs its forward pass in
+float32.  Gradients are float64 only: an op that would record a float32
+output on a tape raises :class:`TapeError`.
 
 The first op a process runs allocates and frees one 16 MiB block, once.
 Under glibc this raises malloc's mmap and trim thresholds, so the
@@ -73,11 +81,14 @@ LAYER_NORM_EPS = 1e-5
 _INV_SQRT2 = float(np.sqrt(0.5))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
+_F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
+
 
 class Tensor:
-    """N-dimensional float64 array, optionally tracked for gradients.
+    """N-dimensional float array, optionally tracked for gradients.
 
-    ``data`` is a contiguous row-major numpy array.  ``grad``, which
+    ``data`` is a contiguous row-major numpy array: float32 when built
+    from float32 data, else float64.  ``grad``, which
     :func:`backward` fills for leaves only, matches ``data``'s shape.
     The shape never changes in place.
     """
@@ -85,7 +96,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "tape")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data, dtype=_F32 if getattr(data, "dtype", None) is _F32 else _F64)
         if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)  # keep rank-0 tensors rank 0
         self.data: Array = arr
@@ -192,8 +203,20 @@ def backward(loss: Tensor) -> None:
         tape.nodes.clear()
 
 
-def _as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+def _as_tensor(value, like=None) -> Tensor:
+    """``value`` as a tensor; a non-tensor takes the dtype of ``like`` if
+    that is a float32 tensor, so a Python scalar does not promote a float32 op."""
+    if isinstance(value, Tensor):
+        return value
+    if isinstance(like, Tensor) and like.data.dtype is _F32:
+        value = np.asarray(value, dtype=_F32)
+    return Tensor(value)
+
+
+def _pair(a, b) -> tuple[Tensor, Tensor]:
+    """The operands of a binary op as tensors, each non-tensor at the other's dtype."""
+    a = _as_tensor(a, b)
+    return a, _as_tensor(b, a)
 
 
 # glibc's malloc serves a block above its mmap threshold (128 KiB at start)
@@ -219,6 +242,9 @@ def _record(inputs: tuple[Tensor, ...], out_data: Array, grad_fn: Callable) -> T
     track = bool(tapes) and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
+        if out.data.dtype is not _F64:
+            op = grad_fn.__qualname__.split(".", 1)[0]
+            raise TapeError(f"{op} would record a {out.data.dtype} output on a gradient tape; training runs in float64")
         out.tape = tapes[-1]
         out.tape.nodes.append(_Node(inputs, out, grad_fn))
     return out
@@ -241,7 +267,8 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    """Elementwise (broadcasting) sum; either side may be a scalar."""
+    a, b = _pair(a, b)
     out = a.data + b.data
 
     def grad_fn(g):
@@ -254,7 +281,7 @@ def add(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     """Elementwise (broadcasting) product; either side may be a scalar."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _pair(a, b)
     out = a.data * b.data
 
     def grad_fn(g):
@@ -392,7 +419,7 @@ def attention(qkv, heads: int) -> tuple[Tensor, Array]:
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     probs.flags.writeable = False
-    out = np.empty((b, s, d))
+    out = np.empty((b, s, d), dtype=qkv.data.dtype)
     np.matmul(probs, vh, out=split(out, 1)[0])
 
     def grad_fn(g):
@@ -427,7 +454,7 @@ def layer_norm(x, gain, bias) -> Tensor:
             f"layer_norm: gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}"
         )
     rows = _rows(x.data)
-    inv_n = np.full(n, 1.0 / n)
+    inv_n = np.full(n, 1.0 / n, dtype=rows.dtype)
     xhat = rows - (rows @ inv_n)[:, None]
     var = np.einsum("ij,ij->i", xhat, xhat) / n
     rstd = (1.0 / np.sqrt(var + LAYER_NORM_EPS))[:, None]

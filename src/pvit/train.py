@@ -109,7 +109,9 @@ def resume_state(path: str, header: dict, moments: dict[str, np.ndarray],
     its integers in [0, 2**63) ``step`` (the state's ``t``) and ``epoch``,
     and past ``params`` its ``moments``, opt.m./opt.v. pairs shaped like
     their parameters, every pair once ``step`` > 0; else a FormatError
-    naming ``path`` and the key."""
+    naming ``path`` and the key.  Training runs in float64, so once the
+    checkpoint checks out, ``params`` are upcast in place and the state's
+    moments are float64 (a loaded checkpoint holds float32)."""
     for key in ("step", "epoch"):
         if type(header.get(key)) is not int or not 0 <= header[key] < 2**63:
             raise FormatError(f"{path}: checkpoint key {key!r} must be an integer in [0, 2**63), "
@@ -127,6 +129,9 @@ def resume_state(path: str, header: dict, moments: dict[str, np.ndarray],
     missing = [key for key in shapes if key not in moments]
     if header["step"] and missing:
         raise FormatError(f"{path}: checkpoint at step {header['step']} has no optimizer moment {missing[0]!r}")
+    for p in params.values():
+        p.data = p.data.astype(np.float64, copy=False)
+    moments = {key: moment.astype(np.float64, copy=False) for key, moment in moments.items()}
     return OptimizerState(moments=moments, t=header["step"]), header["epoch"]
 
 

@@ -19,12 +19,12 @@ import pvit.cli
 from pvit.cli import _pvit_config, _train_config, build_datasets, main
 from pvit.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from pvit.config import RunConfig
-from pvit.data import make_ood, normalize, split_dataset, synth_dataset
+from pvit.data import Dataset, make_ood, normalize, split_dataset, synth_dataset
 from pvit.model import PViTConfig, PViTModel
 from pvit.priors import MLPClassifier, MLPConfig, ModelSource, export_logits, load_logits
 from pvit.scoring import ScoreRecord, file_sha256, forward_batches, read_scores, score_dataset, write_scores
 from pvit.errors import FormatError
-from pvit.train import loss_curve_csv, resume_state, train
+from pvit.train import TrainConfig, loss_curve_csv, resume_state, train
 from recipe import SMALL_CFG, compare
 from test_data import write_idx_pair
 
@@ -253,6 +253,27 @@ class TestResume:
         assert state.t == 7 and epochs == 3
         assert list(state.moments) == list(moments)
         assert all(np.array_equal(state.moments[key], value) for key, value in moments.items())
+
+    def test_resumed_training_gets_float64_parameters_and_moments(self, tmp_path):
+        """A loaded checkpoint holds float32; resume_state hands training its
+        values as float64, so a resumed step records its tape as any step does."""
+        path = str(tmp_path / "resume.ckpt")
+        model = PViTModel(PViTConfig(image_h=8, image_w=8, patch_size=4, num_classes=3, embed_dim=16, depth=1,
+                                     heads=2, mlp_dim=24))
+        moments = {f"opt.{kind}.{name}": np.full(p.shape, 0.3) for name, p in model.params.items() for kind in "mv"}
+        model.save(path, step=2, epoch=1, extra_tensors=moments)
+        loaded, header, tensors = PViTModel.load(path)
+        stored = {name: p.data.copy() for name, p in loaded.params.items()}
+        assert {p.data.dtype for p in loaded.params.values()} == {np.dtype(np.float32)}
+        state, _ = resume_state(path, header, tensors, loaded.params)
+        for name, p in loaded.params.items():
+            assert p.data.dtype == np.float64 and np.array_equal(p.data, stored[name]), name
+        for key, moment in state.moments.items():
+            assert moment.dtype == np.float64 and np.all(moment == np.float32(0.3)), key
+        rng = np.random.default_rng(3)
+        train(loaded, Dataset("two", rng.uniform(0, 1, (2, 8, 8, 1)), np.array([0, 2])), rng.normal(size=(2, 3)),
+              TrainConfig(epochs=1, batch_size=2, warmup_epochs=0), state)
+        assert state.t == 3
 
     @pytest.mark.parametrize("key, change", [
         ("opt.v.head.bias", lambda header, tensors: tensors.pop("opt.v.head.bias")),
@@ -977,6 +998,14 @@ class TestLogitsFilesPerSplit:
         assert pathlib.Path(out, "scores_id-test.jsonl").read_bytes() == scores
 
 
+def load_upcast(path):
+    """The checkpoint's transformer at float64, as attention-dump runs it."""
+    model, _, _ = PViTModel.load(path)
+    for p in model.params.values():
+        p.data = p.data.astype(np.float64)
+    return model
+
+
 class TestAttentionDump:
     def test_negative_layer_dumps_the_last_layer(self, tmp_path, pipeline):
         """``attention.layer = -1`` names and dumps layer depth - 1: every CSV
@@ -985,7 +1014,7 @@ class TestAttentionDump:
         shutil.copytree(pipeline[1], out)
         cfg, _ = write_cfg(tmp_path, attention__layer=-1, attention__head=1, attention__alphas="0.1,1.0")
         assert main(["attention-dump", "--config", cfg]) == 0
-        model, _, _ = PViTModel.load(os.path.join(out, "pvit.ckpt"))
+        model = load_upcast(os.path.join(out, "pvit.ckpt"))
         ds = build_datasets(RunConfig.load(cfg))["id-test"]
         ids = ds.ids[:8]
         priors = load_logits(os.path.join(out, "logits", "logits_id-test.jsonl")).logits_for(ids)
@@ -1017,7 +1046,7 @@ class TestAttentionDump:
         assert main(["attention-dump", "--config", cfg]) == 0
         monkeypatch.undo()
         assert calls == [64, 64, 2] * 2
-        model, _, _ = PViTModel.load(os.path.join(out, "pvit.ckpt"))
+        model = load_upcast(os.path.join(out, "pvit.ckpt"))
         ds = build_datasets(RunConfig.load(cfg))["id-test"]
         ids = ds.ids[:130]
         priors = load_logits(os.path.join(out, "logits", "logits_id-test.jsonl")).logits_for(ids)

@@ -18,10 +18,11 @@ from oracle import composed_attention, full_encode, reshape
 import pvit
 from pvit import tensor as T
 from pvit.checkpoint import load_checkpoint, save_checkpoint
-from pvit.errors import FormatError, ShapeError
+from pvit.errors import FormatError, ShapeError, TapeError
 from pvit.model import PViTConfig, PViTModel, patchify
 from pvit.priors import MLPClassifier, MLPConfig
 from pvit.rng import philox, truncated_normal
+from pvit.scoring import predict_logits
 from pvit.tensor import Tape, Tensor, backward, linear
 
 
@@ -405,8 +406,8 @@ class TestCheckpoint:
         np.testing.assert_allclose(extra["opt.m.head.weight"], 1.0)
 
     def test_load_draws_nothing_and_holds_the_saved_values(self, tmp_path, monkeypatch):
-        """A loaded model's parameters are the file's float32 tensors, each
-        a trainable tensor, and loading draws no random number."""
+        """A loaded model's parameters are the file's float32 tensors, kept
+        float32, each a trainable tensor, and loading draws no random number."""
         saved = []
         for model in (PViTModel(tiny_config(), seed=23), MLPClassifier(MLPConfig(input_dim=12, hidden_dim=5), seed=23)):
             path = str(tmp_path / f"{model.KIND}.ckpt")
@@ -423,8 +424,22 @@ class TestCheckpoint:
             assert list(loaded.params) == list(values)
             for name, value in values.items():
                 param = loaded.params[name]
-                assert param.requires_grad and param.data.dtype == np.float64, name
+                assert param.requires_grad and param.data.dtype == np.float32, name
                 assert np.array_equal(param.data, value), name
+
+    @pytest.mark.parametrize("model", [PViTModel(tiny_config(), seed=29),
+                                       MLPClassifier(MLPConfig(input_dim=12, hidden_dim=5), seed=29)],
+                             ids=["pvit", "mlp-prior"])
+    def test_load_then_save_writes_the_same_bytes(self, tmp_path, model):
+        """A loaded model keeps the file's float32 values, so saving it again,
+        with the leftover tensors, rewrites the file byte for byte."""
+        first, second = str(tmp_path / "first.ckpt"), str(tmp_path / "second.ckpt")
+        moments = {f"opt.m.{name}": np.full(p.shape, 0.1) for name, p in model.params.items()}
+        model.save(first, step=3, epoch=1, extra_tensors=moments)
+        loaded, header, extra = type(model).load(first)
+        loaded.save(second, step=header["step"], epoch=header["epoch"], extra_tensors=extra)
+        assert pathlib.Path(second).read_bytes() == pathlib.Path(first).read_bytes()
+        assert all(p.data.flags.writeable for p in loaded.params.values())
 
     def test_generic_container_round_trip(self, tmp_path):
         path = str(tmp_path / "c.ckpt")
@@ -434,6 +449,65 @@ class TestCheckpoint:
         assert header["kind"] == "test"
         assert list(loaded) == ["a", "b"]
         np.testing.assert_allclose(loaded["a"], tensors["a"], atol=1e-6)
+
+
+class TestFloat32Inference:
+    """A loaded checkpoint computes at the precision it is stored in."""
+
+    @pytest.fixture(scope="class")
+    def desk(self, tmp_path_factory):
+        """A saved desk model (28x28, D=64, depth 4), its float32 load, the
+        float64 forward's model of the same stored values, and 70 inputs."""
+        path = str(tmp_path_factory.mktemp("desk") / "desk.ckpt")
+        PViTModel(PViTConfig(), seed=41).save(path)
+        single, double = PViTModel.load(path)[0], PViTModel.load(path)[0]
+        for p in double.params.values():
+            p.data = p.data.astype(np.float64)
+        rng = np.random.default_rng(42)
+        return single, double, rng.uniform(0, 1, (70, 28, 28, 1)), rng.normal(size=(70, 4))
+
+    def test_logits_and_every_attention_map_are_float32(self, desk):
+        single, double, images, priors = desk
+        out = single.forward_batch(images[:32], priors[:32])
+        assert out.logits.data.dtype == np.float32 and out.logits.shape == (32, 4)
+        assert len(out.attentions) == 4
+        assert all(attn.dtype == np.float32 for attn in out.attentions)
+        assert double.forward_batch(images[:32], priors[:32]).logits.data.dtype == np.float64
+
+    def test_logits_agree_with_the_float64_forward_within_1e_5(self, desk):
+        single, double, images, priors = desk
+        for alpha in (None, 1.0):
+            a = single.forward_batch(images, priors, alpha).logits.data
+            b = double.forward_batch(images, priors, alpha).logits.data
+            assert np.max(np.abs(a.astype(np.float64) - b)) <= 1e-5
+
+    def test_predict_logits_is_float64_for_either_dtype(self, desk):
+        single, double, images, priors = desk
+        for model in (single, double):
+            logits = predict_logits(model, images, priors)
+            assert logits.dtype == np.float64 and logits.shape == (70, 4)
+            empty = predict_logits(model, images[:0], priors[:0])
+            assert empty.dtype == np.float64 and empty.shape == (0, 4)
+
+    def test_a_loaded_model_refuses_a_gradient_tape(self, desk):
+        """Training is float64: the first op of a loaded model's pass on a
+        tape raises, naming the op and the dtype, and records nothing."""
+        single, _, images, priors = desk
+        with Tape() as tape:
+            with pytest.raises(TapeError, match="^linear .*float32"):
+                single.batch_loss(images[:4], [0, 1, 2, 3], priors[:4])
+        assert tape.nodes == []
+
+    def test_a_loaded_prior_computes_in_float32(self, tmp_path):
+        path = str(tmp_path / "prior.ckpt")
+        MLPClassifier(MLPConfig(input_dim=12, hidden_dim=5), seed=3).save(path)
+        single, double = MLPClassifier.load(path)[0], MLPClassifier.load(path)[0]
+        for p in double.params.values():
+            p.data = p.data.astype(np.float64)
+        images = RNG.uniform(0, 1, (9, 2, 2, 3))
+        a, b = single.logits(images).data, double.logits(images).data
+        assert a.dtype == np.float32 and b.dtype == np.float64
+        assert np.max(np.abs(a - b)) <= 1e-5
 
 
 def rewrite_config(path, **changes):

@@ -465,6 +465,81 @@ class TestBackward:
         assert x.grad == 27.0
 
 
+class TestFloat32:
+    """An op computes at its inputs' precision: float32 inputs give float32
+    outputs, nothing silently promotes them, and no tape records them."""
+
+    @staticmethod
+    def f32(*shape, seed=5):
+        return Tensor(np.random.default_rng(seed).normal(size=shape).astype(np.float32))
+
+    def test_float32_data_stays_float32_and_anything_else_becomes_float64(self):
+        assert Tensor(np.ones((2, 3), np.float32)).data.dtype == np.float32
+        assert Tensor(np.float32(2.5)).data.dtype == np.float32
+        for data in ([1.0, 2.0], 3, 2.5, np.ones(2, np.float16), np.arange(3), np.ones(2)):
+            assert Tensor(data).data.dtype == np.float64, data
+
+    def test_every_public_op_on_float32_returns_float32(self):
+        x, w = self.f32(2, 3, 6), self.f32(6, 4)
+        bias, residual = self.f32(4), self.f32(2, 3, 4)
+        gain, shift = self.f32(6), self.f32(6)
+        context, weights = attention(self.f32(2, 3, 12), 2)
+        outputs = {
+            "add": add(x, self.f32(6)),
+            "add by a Python scalar": add(0.5, x),
+            "mul": mul(x, x),
+            "mul by a Python scalar": mul(x, 0.1),
+            "mul of a Python scalar": mul(3, x),
+            "linear": linear(x, w),
+            "linear with a bias": linear(x, w, bias),
+            "linear with a bias and a residual": linear(x, w, bias, residual),
+            "broadcast_to": broadcast_to(self.f32(1, 6), (3, 6)),
+            "concat": concat([x, x], axis=1),
+            "getitem": x[:, :1, :],
+            "getitem of one element": x[0, 0, 0],
+            "attention": context,
+            "layer_norm": layer_norm(x, gain, shift),
+            "gelu": gelu(x),
+            "cross_entropy": cross_entropy(self.f32(3, 4), [0, 3, 1]),
+        }
+        for name, out in outputs.items():
+            assert out.data.dtype == np.float32, name
+        assert weights.dtype == np.float32
+        assert softmax_rows(x.data).dtype == np.float32
+
+    def test_float32_matches_float64_within_float32_precision(self):
+        x, w, bias = self.f32(4, 5, 12), self.f32(12, 12), self.f32(12)
+        gain, shift = self.f32(12), self.f32(12)
+
+        def block(x, w, bias, gain, shift):
+            normed = layer_norm(x, gain, shift)
+            context, _ = attention(linear(normed, w, bias, normed), 4)
+            return gelu(mul(context, 0.1))
+
+        single = block(x, w, bias, gain, shift).data
+        double = block(*(Tensor(t.data.astype(np.float64)) for t in (x, w, bias, gain, shift))).data
+        np.testing.assert_allclose(single, double, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("op, build", [
+        ("mul", lambda t: mul(t, 2.0)),
+        ("linear", lambda t: linear(t, Tensor(np.ones((3, 2), np.float32)))),
+        ("gelu", gelu),
+    ])
+    def test_tape_refuses_a_float32_output_naming_the_op(self, op, build):
+        leaf = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        with Tape() as tape:
+            with pytest.raises(TapeError, match=f"^{op} .*float32"):
+                build(leaf)
+        assert tape.nodes == []
+
+    def test_untracked_float32_ops_run_under_a_tape(self):
+        with Tape() as tape:
+            out = gelu(Tensor(np.ones((2, 3), np.float32)))
+            traced = mul(Tensor(np.ones(3), requires_grad=True), 2.0)
+        assert out.data.dtype == np.float32 and out.tape is None
+        assert [node.output for node in tape.nodes] == [traced]
+
+
 def desk_step(model):
     """One desk-shaped training step's loss (B=32, 28x28, D=64, depth 4)."""
     rng = np.random.default_rng(21)
