@@ -10,7 +10,6 @@ import contextlib
 import itertools
 import json
 import os
-import re
 import stat
 from typing import Iterable, Iterator, Union
 
@@ -20,22 +19,19 @@ NUMBER_TYPES = frozenset({int, float})  # what JSON numbers parse to
 
 
 def write_artifact(path: str, chunks: Union[Iterable[str], Iterable[bytes]]) -> None:
-    """Stream str chunks (UTF-8) or bytes chunks into a temporary file beside
-    ``path``, then ``os.replace`` ``path`` with it: an exception or a crash
-    leaves the previous file or none, never a half-written one (no fsync, so
-    not across a power loss).  A rewrite keeps the target's permission bits;
-    a new file gets a plain ``open``'s mode.  A writer killed mid-write
-    leaves ``<path>.<12 hex digits>.tmp`` beside ``path``.  A process lists
-    such files (12 lowercase hex digits exactly) once per directory, at its
-    first write there, and its first write of ``path`` deletes the ones of
-    ``path`` so listed and no other file; later ones stay for the next
-    process.  Two processes must still not write one ``path`` at once."""
-    for stale in _listed_temps(path):
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(stale)
+    """Stream str chunks (UTF-8) or bytes chunks into ``<path>.tmp``, then
+    ``os.replace`` ``path`` with it: an exception or a crash leaves the
+    previous file or none, never a half-written one (no fsync, so not across
+    a power loss).  A rewrite keeps the target's permission bits; a new file
+    gets a plain ``open``'s mode.  A writer killed mid-write leaves
+    ``<path>.tmp``, which the next write of ``path`` unlinks before it
+    creates its own, so a planted file or symlink there is never written
+    through.  Two processes must not write one ``path`` at once."""
     chunks = iter(chunks)
     first = next(chunks, "")
-    tmp = f"{path}.{os.urandom(6).hex()}.tmp"  # beside path, and named after it in errors
+    tmp = path + ".tmp"  # beside path, and named after it in errors
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(tmp)
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the kernel applies the umask
     try:
         with open(fd, "wb") if isinstance(first, bytes) else open(fd, "w", encoding="utf-8") as fh:
@@ -46,23 +42,6 @@ def write_artifact(path: str, chunks: Union[Iterable[str], Iterable[bytes]]) -> 
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-_TEMP_NAME = re.compile(r"(.+)\.[0-9a-f]{12}\.tmp")  # group 1 is the target's name
-_TEMPS: dict[str, dict[str, list[str]]] = {}  # directory -> target name -> its temporaries as first listed
-
-
-def _listed_temps(path: str) -> list[str]:
-    """``path``'s temporaries in this process's one listing of its directory, each returned once."""
-    directory, name = os.path.split(os.path.abspath(path))
-    if directory not in _TEMPS:
-        _TEMPS[directory] = {}
-        with contextlib.suppress(FileNotFoundError):  # no directory: write_artifact's open names path
-            for entry in os.listdir(directory):
-                match = _TEMP_NAME.fullmatch(entry)
-                if match:
-                    _TEMPS[directory].setdefault(match[1], []).append(entry)
-    return [os.path.join(directory, entry) for entry in _TEMPS[directory].pop(name, [])]
 
 
 def write_jsonl(path: str, header: dict, rows: Iterable[dict]) -> None:

@@ -314,11 +314,16 @@ def cmd_score(cfg: RunConfig, out: str) -> None:
         ids = {split: datasets[split].ids for split in splits}
         priors = _split_priors(cfg, out, ids)
         predicted = {split: predict_logits(model, datasets[split].images, priors[split]) for split in splits}
+    records = {}  # every split scored before the first file is written
     for split in splits:
-        records = score_records(ids[split], predicted[split], priors[split], guidance)
+        try:
+            records[split] = score_records(ids[split], predicted[split], priors[split], guidance)
+        except FormatError as exc:
+            raise FormatError(f"{split}: {exc}") from None
+    for split, split_records in records.items():
         path = _scores_path(out, split)
-        write_scores(path, records, guidance, alpha, source_hash)
-        print(f"scores: {path} ({len(records)} records)")
+        write_scores(path, split_records, guidance, alpha, source_hash)
+        print(f"scores: {path} ({len(split_records)} records)")
 
 
 def _read_columns(path: str, names) -> tuple[dict, dict[str, np.ndarray]]:

@@ -12,6 +12,8 @@ the fraction of (ID, OOD) pairs the score orders correctly.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, asdict
 from typing import Sequence
 
@@ -132,12 +134,17 @@ def histogram_export(
         raise FormatError(f"histogram needs bins >= 2, got {bins}")
     lo = float(min(ids.min(), oods.min()))
     hi = float(max(ids.max(), oods.max()))
-    if lo == hi:  # degenerate range: widen so all mass lands in one bin
-        lo, hi = lo - 0.5, hi + 0.5
-    edges = np.linspace(lo, hi, bins + 1)
+    ulp = math.ulp(max(abs(lo), abs(hi)))
+    if hi / 2 - lo / 2 < bins * ulp:  # under two ULPs a bin (one value, say): widen to distinct edges
+        pad = max(0.5, 2 * bins * ulp)
+        lo, hi = max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
+    with np.errstate(over="ignore"):  # halved, so hi - lo fits; linspace resets its last point
+        edges = np.linspace(lo / 2, hi / 2, bins + 1) * 2
+    edges[0], edges[-1] = lo, hi  # halving a subnormal may round
     id_counts, _ = np.histogram(ids, bins=edges)
     ood_counts, _ = np.histogram(oods, bins=edges)
     lines = ["bin_left,bin_right,id_count,ood_count"]
+    edges = edges.tolist()  # Python floats: repr is a plain number whatever numpy's version
     for i in range(bins):
         lines.append(f"{edges[i]!r},{edges[i + 1]!r},{id_counts[i]},{ood_counts[i]}")
     write_artifact(path, [line + "\n" for line in lines])

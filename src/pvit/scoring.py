@@ -60,10 +60,12 @@ def _finite(z: np.ndarray, what: str) -> np.ndarray:
     return z
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing score raises FormatError instead
 def score_records(ids, predicted, priors, guidance_kind: str = "ce") -> list[ScoreRecord]:
     """One record per row of the (N, K) predicted and prior logit blocks:
     base is the predicted row's logsumexp, the predicted class its argmax
-    (lowest index on ties) and ``pge`` exactly ``base * guidance``."""
+    (lowest index on ties) and ``pge`` exactly ``base * guidance``, finite
+    or :class:`FormatError` naming the first id whose score overflows."""
     if guidance_kind not in GUIDANCE_KINDS:
         raise FormatError(f"unknown guidance kind {guidance_kind!r}; expected one of {GUIDANCE_KINDS}")
     z = _finite(predicted, "predicted logits")
@@ -87,6 +89,9 @@ def score_records(ids, predicted, priors, guidance_kind: str = "ce") -> list[Sco
         else:
             qq = np.maximum(probs, PROB_CLAMP)
             guidance = np.sum(pp * np.log(pp / qq), axis=1)
+    finite = np.isfinite(lse * guidance)  # pge: not finite whenever base or guidance is not
+    if not finite.all():
+        raise FormatError(f"sample {ids[int(np.argmin(finite))]!r}: a score overflows float64; scores must be finite")
     return [
         ScoreRecord(
             id=sid,

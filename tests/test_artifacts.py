@@ -6,7 +6,10 @@ import json
 import os
 import pathlib
 import re
+import signal
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -76,32 +79,68 @@ class TestWriteArtifact:
         write_artifact(str(path), iter(chunks))
         assert path.read_bytes() == b"".join(c if isinstance(c, bytes) else c.encode("utf-8") for c in chunks)
 
-    def test_write_deletes_its_own_stale_temps_and_no_other_file(self, tmp_path):
-        """A killed writer's ``<target>.<12 hex>.tmp`` goes at the target's
-        next write; another target's temp and look-alikes stay."""
-        stale = ["scores.jsonl.0123456789ab.tmp", "scores.jsonl.ffffffffffff.tmp"]
-        kept = ["hist.csv.0123456789ab.tmp", "scores.jsonl.0123456789a.tmp", "scores.jsonl.0123456789AB.tmp",
-                "scores.jsonl.0123456789abc.tmp", "scores.jsonl.0123456789ab.tmp.bak", "xscores.jsonl.0123456789ab.tmp"]
-        for name in stale + kept:
+    def test_write_deletes_its_own_stale_temp_and_no_other_file(self, tmp_path):
+        """A killed writer's ``<target>.tmp`` goes at the target's next
+        write; another target's temp, look-alikes and old-style temps stay."""
+        kept = ["hist.csv.tmp", "scores.jsonl.tmp.bak", "xscores.jsonl.tmp", "scores.jsonl.0123456789ab.tmp"]
+        for name in kept + ["scores.jsonl.tmp"]:
             (tmp_path / name).write_text("partial")
         write_artifact(str(tmp_path / "scores.jsonl"), ["new\n"])
         assert sorted(os.listdir(tmp_path)) == sorted(kept + ["scores.jsonl"])
         assert (tmp_path / "scores.jsonl").read_text() == "new\n"
 
-    def test_a_directory_is_listed_once_and_later_temps_stay(self, tmp_path, monkeypatch):
-        """200 writes into one directory list it once; a stale temp found
-        by that listing goes at its target's write, one made after it stays."""
+    def test_a_planted_temp_symlink_is_removed_not_written_through(self, tmp_path):
+        victim = tmp_path / "victim.txt"
+        victim.write_text("untouched")
+        (tmp_path / "scores.jsonl.tmp").symlink_to(victim)
+        write_artifact(str(tmp_path / "scores.jsonl"), ["new\n"])
+        assert victim.read_text() == "untouched"
+        assert sorted(os.listdir(tmp_path)) == ["scores.jsonl", "victim.txt"]
+
+    def test_no_write_lists_a_directory_and_a_later_temp_goes_at_its_next_write(self, tmp_path, monkeypatch):
+        """200 writes into one directory list it never; a stale temp made
+        after the first write goes at its target's write all the same."""
         listed = []
         listdir = os.listdir
         monkeypatch.setattr(os, "listdir", lambda path=".": listed.append(path) or listdir(path))
-        (tmp_path / "sample-7.csv.0123456789ab.tmp").write_text("partial")
+        (tmp_path / "sample-7.csv.tmp").write_text("partial")
+        (tmp_path / "other.csv.tmp").write_text("another writer's")
         for i in range(200):
             write_artifact(str(tmp_path / f"sample-{i}.csv"), [f"{i}\n"])
             if i == 0:
-                (tmp_path / "sample-9.csv.0123456789ab.tmp").write_text("another writer's")
-        assert listed == [str(tmp_path)]
-        assert sorted(listdir(tmp_path)) == sorted([f"sample-{i}.csv" for i in range(200)]
-                                                   + ["sample-9.csv.0123456789ab.tmp"])
+                (tmp_path / "sample-9.csv.tmp").write_text("partial")
+        assert listed == []
+        assert sorted(listdir(tmp_path)) == sorted([f"sample-{i}.csv" for i in range(200)] + ["other.csv.tmp"])
+
+    def test_a_killed_writers_temp_goes_at_the_targets_next_write(self, tmp_path):
+        """This process writes into the directory first; a writer killed
+        there later leaves ``<target>.tmp``, which the next write removes."""
+        write_artifact(str(tmp_path / "first.csv"), ["1\n"])
+        target = tmp_path / "scores.jsonl"
+        script = ("import sys, time\n"
+                  "from pvit.artifacts import write_artifact\n"
+                  "def chunks():\n"
+                  "    yield 'partial\\n'\n"
+                  "    print('writing', flush=True)\n"
+                  "    time.sleep(60)\n"
+                  "    yield 'never\\n'\n"
+                  "write_artifact(sys.argv[1], chunks())\n")
+        src = str(pathlib.Path(pvit.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        writer = subprocess.Popen([sys.executable, "-c", script, str(target)], stdout=subprocess.PIPE, env=env,
+                                  text=True)
+        try:
+            assert writer.stdout.readline() == "writing\n"
+        finally:
+            writer.kill()
+            writer.wait()
+            writer.stdout.close()
+        assert writer.returncode == -signal.SIGKILL
+        left = sorted(os.listdir(tmp_path))
+        assert left[0] == "first.csv" and len(left) == 2 and left[1].startswith("scores.jsonl.")
+        write_artifact(str(target), ["new\n"])
+        assert sorted(os.listdir(tmp_path)) == ["first.csv", "scores.jsonl"]
+        assert target.read_text() == "new\n"
 
     def test_jsonl_round_trip(self, tmp_path):
         path = str(tmp_path / "rows.jsonl")

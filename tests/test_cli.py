@@ -4,6 +4,7 @@ exit codes, reproducibility, and output formats."""
 import ast
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import reprlib
@@ -100,6 +101,31 @@ class TestPipeline:
         assert header["alpha"] == 0.1
         assert len(header["checkpoint_sha256"]) == 64
         assert len(records) == 30  # 3 classes x 10 test per class
+
+    def test_every_text_artifact_is_plain(self, pipeline):
+        """Every CSV cell outside the text columns is a finite number, and
+        every JSON document or line parses as strict JSON: no NaN or
+        Infinity, no ``np.float64(...)`` wrapper."""
+        def no_constant(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        text_columns = {"ood_dataset", "score", "orientation", "sample_id"}
+        _, out = pipeline
+        checked = set()
+        for path in sorted(pathlib.Path(out).rglob("*")):
+            if path.suffix == ".csv":
+                rows = [line.split(",") for line in path.read_text().splitlines()]
+                header = rows.pop(0) if path.parent.name != "attention" else [""] * len(rows[0])
+                for row in rows:
+                    for name, cell in zip(header, row, strict=True):
+                        assert name in text_columns or math.isfinite(float(cell)), (path, name, cell)
+            elif path.suffix == ".json":
+                json.loads(path.read_text(), parse_constant=no_constant)
+            elif path.suffix == ".jsonl":
+                for line in path.read_text().splitlines():
+                    json.loads(line, parse_constant=no_constant)
+            checked.add(path.suffix)
+        assert {".csv", ".json", ".jsonl"} <= checked
 
 
 def artifact_bytes(out):
@@ -833,6 +859,20 @@ class TestEvalInputs:
         assert f"{path}: " in err and named in err and "Traceback" not in err, err
         assert not [name for name in os.listdir(out) if name.startswith(("metrics_", "hist_", "eval_summary"))]
 
+    def test_score_range_past_float64_evaluates_and_counts_every_score(self, tmp_path):
+        """Finite scores whose range hi - lo overflows float64 still bin."""
+        cfg, out = write_cfg(tmp_path)
+        write_score_set(out)
+        for split, pge in (("id-test", 1e308), ("ood-uniform-noise", -1e308)):
+            path = os.path.join(out, f"scores_{split}.jsonl")
+            header, records = read_scores(path)
+            records[0].pge = pge
+            write_scores(path, records, header["guidance"], header["alpha"], header["checkpoint_sha256"])
+        assert main(["eval", "--config", cfg]) == 0
+        rows = [line.split(",") for line in
+                pathlib.Path(out, "hist_ood-uniform-noise_pge.csv").read_text().splitlines()[1:]]
+        assert sum(int(r[2]) for r in rows) == 6 and sum(int(r[3]) for r in rows) == 6
+
     @pytest.mark.parametrize("key", ["eval.scores", "ood.kinds"])
     def test_empty_list_exits_1_naming_it_and_keeps_the_summary(self, tmp_path, capsys, key):
         """With no score or no OOD set there is nothing to evaluate: eval
@@ -954,6 +994,24 @@ class TestLogitsInputs:
         write_logits_set(os.path.join(out, "logits"), SPLITS)
         assert main(["score", "--config", cfg]) == 2
         assert f"{tmp_path / named / 'logits_id-test.jsonl'}: {message}" in capsys.readouterr().err
+
+    def test_overflowing_score_exits_2_before_any_score_file(self, tmp_path, capsys):
+        """Finite logits whose ED guidance overflows name their split and
+        id; no score file is written or replaced, the earlier splits' neither."""
+        predicted = str(tmp_path / "predicted")
+        write_logits_set(predicted, SPLITS[1:])
+        path = os.path.join(predicted, "logits_ood-pattern-shift.jsonl")
+        lines = pathlib.Path(path).read_text().splitlines()
+        lines[2] = json.dumps({"id": "ood-pattern-shift-1", "label": 1, "logits": [1e200, 0.0, 0.0]})
+        pathlib.Path(path).write_text("\n".join(lines) + "\n")
+        cfg, out = write_cfg(tmp_path, score__predicted_logits=predicted, score__guidance="ed")
+        write_logits_set(os.path.join(out, "logits"), SPLITS)
+        pathlib.Path(out, "scores_id-test.jsonl").write_text("earlier\n")
+        assert main(["score", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "ood-pattern-shift: sample 'ood-pattern-shift-1'" in err and "Traceback" not in err, err
+        assert sorted(os.listdir(out)) == ["logits", "scores_id-test.jsonl"]
+        assert pathlib.Path(out, "scores_id-test.jsonl").read_text() == "earlier\n"
 
     @pytest.mark.parametrize("command", ["train-pvit", "score"])
     def test_missing_logits_file_exits_2(self, tmp_path, capsys, command):

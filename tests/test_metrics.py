@@ -5,6 +5,7 @@ pair is checked against an exhaustive sweep over all observed score
 values.  Random instances deliberately include ties.
 """
 
+import math
 import os
 import pathlib
 import subprocess
@@ -224,6 +225,30 @@ class TestHistogramExport:
         occupied = [r for r in rows if int(r[2]) + int(r[3]) > 0]
         assert len(occupied) == 1
         assert int(occupied[0][2]) == 5 and int(occupied[0][3]) == 3
+
+    @pytest.mark.parametrize("ids, oods", [
+        ([1e308], [-1e308]),  # hi - lo overflows float64
+        ([1e20] * 5, [1e20] * 3),  # one value where +-0.5 vanishes
+        ([sys.float_info.max] * 2, [sys.float_info.max]),
+        ([-sys.float_info.max], [sys.float_info.max]),
+        ([1e20], [math.nextafter(1e20, math.inf)]),  # one ULP apart
+        ([0.0, 5e-324], [1.5e-323]),  # subnormals
+    ])
+    @pytest.mark.parametrize("bins", [2, 3, 8])
+    def test_edges_strictly_increase_and_counts_cover_every_score(self, tmp_path, ids, oods, bins):
+        path = tmp_path / "hist.csv"
+        histogram_export(ids, oods, bins, str(path))
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        edges = [float(r[0]) for r in rows] + [float(rows[-1][1])]
+        assert all(math.isfinite(e) for e in edges)
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+        assert sum(int(r[2]) for r in rows) == len(ids) and sum(int(r[3]) for r in rows) == len(oods)
+
+    def test_edges_are_plain_numbers(self, tmp_path):
+        path = tmp_path / "hist.csv"
+        histogram_export([0.25, 1.0], [0.5], 4, str(path))
+        assert path.read_text().splitlines()[1:] == ["0.25,0.4375,1,0", "0.4375,0.625,0,1",
+                                                     "0.625,0.8125,0,0", "0.8125,1.0,1,0"]
 
     def test_deterministic_bytes(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -409,6 +409,17 @@ class TestScoreRecords:
         with pytest.raises(ShapeError, match="finite"):
             score_records(["a", "b"], block, bad, "kl")
 
+    @pytest.mark.parametrize("row,prior,kind", [
+        ([1e200, 0.0], [0.0, 0.0], "ed"),  # guidance overflows
+        ([1e160, 0.0], [-1e160, 0.0], "ed"),  # base and guidance finite, their product not
+        ([1e308, 0.0], [0.0, 10.0], "ce"),
+    ], ids=["guidance", "pge-ed", "pge-ce"])
+    def test_overflowing_score_names_the_first_such_id(self, row, prior, kind):
+        predicted = np.array([[1.0, 0.0], row, row])
+        priors = np.array([[0.0, 0.0], prior, prior])
+        with pytest.raises(FormatError, match="sample 'b'.*finite"):
+            score_records(["a", "b", "c"], predicted, priors, kind)
+
     def test_mismatched_blocks_rejected(self):
         with pytest.raises(ShapeError):
             score_records(["a", "b"], np.zeros((2, 3)), np.zeros((2, 4)), "ed")
