@@ -8,9 +8,9 @@ Layout, all integers little-endian u32:
 Storage is float32, and a loaded checkpoint keeps its tensors float32:
 a loaded model computes its forward pass at the precision it is stored
 in (see :mod:`pvit.tensor`), and saving it again writes the same bytes.
-Fresh models and training are float64; the consumers that need float64
-from a file, :func:`pvit.train.resume_state` and ``attention-dump``,
-each upcast once.  Both models save through
+Fresh models and training's master weights are float64; the consumers
+that need float64 from a file, :func:`pvit.train.resume_state` and
+``attention-dump``, each upcast once.  Both models save through
 :class:`Checkpointed`, so every JSON header holds exactly the model's
 ``kind``, its ``config`` and the training progress counters ``step`` and ``epoch``.
 """

@@ -13,8 +13,9 @@ commands only as the logits files ``logits_<split>.jsonl``, read through
 A loaded checkpoint computes in float32, the precision it is stored in:
 ``export-logits`` (and the export that ends ``train-prior``) and
 ``score`` run the saved models in float32, while ``attention-dump``
-upcasts its model to float64, and a resumed ``train-pvit`` trains in
-float64 from the checkpoint's values, as every training run does.
+upcasts its model to float64, and a resumed ``train-pvit`` upcasts the
+checkpoint's values to the float64 master weights every training run
+keeps (see :mod:`pvit.train`).
 
 Every checkpoint a command loads must agree with the config the run
 would build: an image shape or prior pixel count that is not the data's

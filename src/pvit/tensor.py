@@ -38,8 +38,10 @@ data stays float32, and any other data becomes float64; a non-tensor
 operand of ``add`` or ``mul`` takes the tensor operand's dtype, and the
 arrays an op allocates take its input's.  So a model whose parameters
 are float32, as a loaded checkpoint's are, runs its forward pass in
-float32.  Gradients are float64 only: an op that would record a float32
-output on a tape raises :class:`TapeError`.
+float32.  A tape records one dtype, the first recorded node's, and its
+gradients come out at that dtype: an op that would record an output of
+another dtype raises :class:`TapeError` naming both, so float32 and
+float64 never mix in one graph.
 
 The first op a process runs allocates and frees one 16 MiB block, once.
 Under glibc this raises malloc's mmap and trim thresholds, so the
@@ -141,13 +143,15 @@ class Tape:
 
     Recording order is execution order, which is a topological order by
     construction (an op's inputs always exist before its output).  A tape
-    belongs to the thread that built it.
+    belongs to the thread that built it, and ``dtype``, set by its first
+    node, is the dtype of every output it records.
     """
 
-    __slots__ = ("nodes", "_consumed")
+    __slots__ = ("nodes", "dtype", "_consumed")
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.dtype: Optional[np.dtype] = None  # set by the first recorded node
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -242,11 +246,15 @@ def _record(inputs: tuple[Tensor, ...], out_data: Array, grad_fn: Callable) -> T
     track = bool(tapes) and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
-        if out.data.dtype is not _F64:
+        tape = tapes[-1]
+        if tape.dtype is None:
+            tape.dtype = out.data.dtype
+        elif out.data.dtype is not tape.dtype:
             op = grad_fn.__qualname__.split(".", 1)[0]
-            raise TapeError(f"{op} would record a {out.data.dtype} output on a gradient tape; training runs in float64")
-        out.tape = tapes[-1]
-        out.tape.nodes.append(_Node(inputs, out, grad_fn))
+            raise TapeError(f"{op} would record a {out.data.dtype} output on a {tape.dtype} tape; "
+                            "a tape records one dtype")
+        out.tape = tape
+        tape.nodes.append(_Node(inputs, out, grad_fn))
     return out
 
 
@@ -475,7 +483,7 @@ def layer_norm(x, gain, bias) -> Tensor:
         if gain.requires_grad:
             ggain = np.einsum("ij,ij->j", g2, xhat)
         if bias.requires_grad:
-            gbias = np.ones(len(g2)) @ g2
+            gbias = np.ones(len(g2), dtype=g2.dtype) @ g2
         return gx, ggain, gbias
 
     return _record((x, gain, bias), out.reshape(x.shape), grad_fn)

@@ -6,6 +6,15 @@ Determinism contract: (seed, data, config) fully determine every weight
 after training.  Batch order comes from a Philox counter-based
 generator, so loss trajectories are reproducible across platforms.
 
+Training is mixed precision (Micikevicius et al. 2018, "Mixed Precision
+Training"): the parameters' float64 arrays are the master weights, and
+each step sets every parameter to a float32 working copy of its master,
+runs the forward and backward pass on one float32 tape, puts the masters
+back, also when the step fails, and hands :func:`adam_step` the float32
+gradients upcast to float64.  The masters, Adam's moments and the
+checkpointed optimizer tensors stay float64; float32's exponent range
+makes loss scaling unnecessary.
+
 The training state is one :class:`OptimizerState`: its ``t`` counts the
 Adam updates applied, which is the training step, and its ``moments``
 are keyed as a checkpoint stores them, so a checkpoint's ``step`` and
@@ -109,9 +118,10 @@ def resume_state(path: str, header: dict, moments: dict[str, np.ndarray],
     its integers in [0, 2**63) ``step`` (the state's ``t``) and ``epoch``,
     and past ``params`` its ``moments``, opt.m./opt.v. pairs shaped like
     their parameters, every pair once ``step`` > 0; else a FormatError
-    naming ``path`` and the key.  Training runs in float64, so once the
-    checkpoint checks out, ``params`` are upcast in place and the state's
-    moments are float64 (a loaded checkpoint holds float32)."""
+    naming ``path`` and the key.  Training keeps float64 master weights
+    and moments, so once the checkpoint checks out, ``params`` are upcast
+    in place and the state's moments are float64 (a loaded checkpoint
+    holds float32)."""
     for key in ("step", "epoch"):
         if type(header.get(key)) is not int or not 0 <= header[key] < 2**63:
             raise FormatError(f"{path}: checkpoint key {key!r} must be an integer in [0, 2**63), "
@@ -189,7 +199,9 @@ def run_training(
     array to a (B, K) prior-logits block (None for models that take no
     priors).  ``state``, updated in place, resumes a previous run: its
     ``t`` is the step the run continues from and its moments carry on.
-    Returns the per-step loss curve; aborts on non-finite loss.
+    Every parameter must be float64, the master weights each step's
+    float32 working copy is cast from.  Returns the per-step loss curve;
+    aborts on non-finite loss.
     """
     if dataset.labels is None:
         raise TrainingError("training needs a labeled dataset")
@@ -201,6 +213,9 @@ def run_training(
     total_steps = steps_per_epoch * config.epochs + state.t
     gen = philox(config.seed, 0x5EED)
     params = trainable.parameters()
+    for name, p in params.items():
+        if p.data.dtype != np.float64:
+            raise TrainingError(f"parameter {name!r} is {p.data.dtype}: training keeps float64 master weights")
     curve: list[CurvePoint] = []
     for epoch in range(config.epochs):
         order = gen.permutation(n)
@@ -211,14 +226,21 @@ def run_training(
             labels = dataset.labels[idx]
             priors = () if priors_for is None else (priors_for(idx),)
             trainable.zero_grad()
-            with Tape():
-                loss, correct = trainable.batch_loss(images, labels, *priors)
-            loss_value = loss.item()
-            if not math.isfinite(loss_value):
-                raise TrainingError(f"non-finite loss {loss_value} at step {state.t + 1}")
-            backward(loss)
+            masters = [p.data for p in params.values()]
+            try:
+                for p in params.values():
+                    p.data = p.data.astype(np.float32)
+                with Tape():
+                    loss, correct = trainable.batch_loss(images, labels, *priors)
+                loss_value = loss.item()
+                if not math.isfinite(loss_value):
+                    raise TrainingError(f"non-finite loss {loss_value} at step {state.t + 1}")
+                backward(loss)
+            finally:
+                for p, master in zip(params.values(), masters):
+                    p.data = master
             lr = lr_at(state.t + 1, total_steps, config)
-            grads = {name: p.grad for name, p in params.items() if p.grad is not None}
+            grads = {name: p.grad.astype(np.float64) for name, p in params.items() if p.grad is not None}
             adam_step(params, grads, state, lr, config)
             seen += len(idx)
             correct_total += correct

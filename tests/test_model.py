@@ -489,14 +489,26 @@ class TestFloat32Inference:
             empty = predict_logits(model, images[:0], priors[:0])
             assert empty.dtype == np.float64 and empty.shape == (0, 4)
 
-    def test_a_loaded_model_refuses_a_gradient_tape(self, desk):
-        """Training is float64: the first op of a loaded model's pass on a
-        tape raises, naming the op and the dtype, and records nothing."""
+    def test_a_loaded_model_records_float32_on_a_fresh_tape(self, desk):
+        """A loaded model's pass on a fresh tape records float32 nodes and
+        fills float32 leaf gradients; on a tape that has recorded a float64
+        node, its first op raises, naming the op and both dtypes, and
+        records nothing."""
         single, _, images, priors = desk
+        single.zero_grad()
         with Tape() as tape:
-            with pytest.raises(TapeError, match="^linear .*float32"):
+            loss, _ = single.batch_loss(images[:4], [0, 1, 2, 3], priors[:4])
+        assert tape.dtype == np.float32 and tape.nodes
+        assert all(node.output.data.dtype == np.float32 for node in tape.nodes)
+        backward(loss)
+        for name, p in single.params.items():
+            assert p.grad is not None and p.grad.dtype == np.float32, name
+        single.zero_grad()
+        with Tape() as tape:
+            traced = T.mul(Tensor(np.ones(3), requires_grad=True), 2.0)
+            with pytest.raises(TapeError, match="^linear .*float32.*float64"):
                 single.batch_loss(images[:4], [0, 1, 2, 3], priors[:4])
-        assert tape.nodes == []
+        assert [node.output for node in tape.nodes] == [traced]
 
     def test_a_loaded_prior_computes_in_float32(self, tmp_path):
         path = str(tmp_path / "prior.ckpt")

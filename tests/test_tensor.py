@@ -467,7 +467,7 @@ class TestBackward:
 
 class TestFloat32:
     """An op computes at its inputs' precision: float32 inputs give float32
-    outputs, nothing silently promotes them, and no tape records them."""
+    outputs, nothing silently promotes them, and a tape records one dtype."""
 
     @staticmethod
     def f32(*shape, seed=5):
@@ -520,17 +520,36 @@ class TestFloat32:
         double = block(*(Tensor(t.data.astype(np.float64)) for t in (x, w, bias, gain, shift))).data
         np.testing.assert_allclose(single, double, rtol=0, atol=1e-6)
 
+    @pytest.mark.parametrize("first, second", [("float64", "float32"), ("float32", "float64")])
     @pytest.mark.parametrize("op, build", [
         ("mul", lambda t: mul(t, 2.0)),
-        ("linear", lambda t: linear(t, Tensor(np.ones((3, 2), np.float32)))),
+        ("linear", lambda t: linear(t, Tensor(np.ones((3, 2), t.data.dtype)))),
         ("gelu", gelu),
     ])
-    def test_tape_refuses_a_float32_output_naming_the_op(self, op, build):
-        leaf = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+    def test_tape_refuses_a_second_dtype_naming_the_op_and_both_dtypes(self, op, build, first, second):
         with Tape() as tape:
-            with pytest.raises(TapeError, match=f"^{op} .*float32"):
+            traced = mul(Tensor(np.ones(3, first), requires_grad=True), 2.0)
+            leaf = Tensor(np.ones((2, 3), second), requires_grad=True)
+            with pytest.raises(TapeError, match=f"^{op} .*{second}.*{first}"):
                 build(leaf)
-        assert tape.nodes == []
+        assert [node.output for node in tape.nodes] == [traced]
+        assert tape.dtype == first
+
+    def test_a_float32_tape_records_float32_and_fills_float32_gradients(self):
+        x, w, bias = self.f32(4, 5, 12), self.f32(12, 12), self.f32(12)
+        gain, shift = self.f32(12), self.f32(12)
+        leaves = (w, bias, gain, shift)
+        for leaf in leaves:
+            leaf.requires_grad = True
+        with Tape() as tape:
+            normed = layer_norm(x, gain, shift)
+            context, _ = attention(linear(normed, w, bias, normed), 4)
+            loss = cross_entropy(gelu(mul(context, 0.1))[:, 0, :], [0, 3, 1, 2])
+        assert tape.dtype == np.float32
+        assert all(node.output.data.dtype == np.float32 for node in tape.nodes)
+        backward(loss)
+        for leaf in leaves:
+            assert leaf.grad.dtype == np.float32 and leaf.grad.shape == leaf.shape
 
     def test_untracked_float32_ops_run_under_a_tape(self):
         with Tape() as tape:

@@ -1,7 +1,9 @@
 """Optimizer and training-loop tests: Adam recurrence against a
-hand-rolled oracle, schedule shape, determinism, overfitting."""
+hand-rolled oracle, schedule shape, determinism, overfitting, and
+mixed-precision steps against a float64 loop."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ import pytest
 from pvit.data import Dataset, synth_dataset
 from pvit.errors import ShapeError, TrainingError
 from pvit.model import PViTConfig, PViTModel
-from pvit.priors import train_prior_model
-from pvit.tensor import Tensor
+from pvit.priors import MLPClassifier, MLPConfig, train_prior_model
+from pvit.rng import philox
+from pvit.tensor import Tape, Tensor, backward
 from pvit.train import (
     ADAM_EPS,
     OptimizerState,
@@ -274,3 +277,98 @@ class TestTrainLoop:
         assert len(lines) == 1 + len(result.curve)
         first = lines[1].split(",")
         assert first[0] == "1" and first[1] == "0"
+
+
+DESK_TRAIN = dict(batch_size=32, base_lr=3e-4, warmup_epochs=1, weight_decay=1e-3, seed=4)
+DESK_MODELS = {
+    "pvit": (lambda: PViTModel(PViTConfig(), seed=19), True),
+    "mlp-prior": (lambda: MLPClassifier(MLPConfig(input_dim=784, hidden_dim=128, num_classes=4), seed=20), False),
+}
+
+
+class TestMixedPrecision:
+    """Each step runs forward and backward on a float32 working copy of the
+    float64 master weights; Adam, its moments and the masters stay float64."""
+
+    @staticmethod
+    def desk_data(n, seed=17):
+        ds = synth_dataset(4, n // 4, size=28, noise_sigma=0.2, seed=seed)
+        return ds, np.random.default_rng(seed).normal(size=(len(ds), 4))
+
+    def test_ten_desk_steps_track_a_float64_loop(self, monkeypatch):
+        ds, priors = self.desk_data(160)
+        config = TrainConfig(epochs=2, **DESK_TRAIN)
+        received = []
+
+        def recording_adam_step(params, grads, state, lr, config):
+            received.append(grads)
+            adam_step(params, grads, state, lr, config)
+
+        # the package's `train` attribute is the function, so reach the module by name
+        monkeypatch.setattr(sys.modules["pvit.train"], "adam_step", recording_adam_step)
+        mixed, state = PViTModel(PViTConfig(), seed=18), OptimizerState()
+        result = train(mixed, ds, priors, config, state)
+        monkeypatch.undo()
+
+        # run_training's batch order and update, every step in float64
+        double, oracle = PViTModel(PViTConfig(), seed=18), OptimizerState()
+        gen = philox(config.seed, 0x5EED)
+        losses = []
+        for _ in range(config.epochs):
+            order = gen.permutation(len(ds))
+            for b in range(5):
+                idx = order[b * 32 : (b + 1) * 32]
+                double.zero_grad()
+                with Tape():
+                    loss, _ = double.batch_loss(ds.images[idx], ds.labels[idx], priors[idx])
+                backward(loss)
+                losses.append(loss.item())
+                grads = {name: p.grad for name, p in double.params.items()}
+                adam_step(double.params, grads, oracle, lr_at(oracle.t + 1, 10, config), config)
+
+        assert len(result.curve) == len(losses) == len(received) == 10
+        assert max(abs(pt.loss - loss) for pt, loss in zip(result.curve, losses)) <= 1e-6
+        for name, p in mixed.params.items():
+            assert p.data.dtype == np.float64, name
+            assert np.max(np.abs(p.data - double.params[name].data)) <= 1e-4, name
+        assert sorted(state.moments) == sorted(oracle.moments)
+        assert all(moment.dtype == np.float64 for moment in state.moments.values())
+        for grads in received:
+            assert sorted(grads) == sorted(mixed.params)
+            for name, g in grads.items():
+                assert g.dtype == np.float64 and np.array_equal(g, g.astype(np.float32)), name
+
+    @pytest.mark.parametrize("model", DESK_MODELS)
+    def test_one_desk_step_fills_float32_leaf_gradients(self, model):
+        make, takes_priors = DESK_MODELS[model]
+        ds, priors = self.desk_data(32)
+        trainable = make()
+        run_training(trainable, ds, TrainConfig(epochs=1, **DESK_TRAIN),
+                     priors_for=(lambda idx: priors[idx]) if takes_priors else None)
+        for name, p in trainable.params.items():
+            assert p.data.dtype == np.float64, name
+            assert p.grad is not None and p.grad.dtype == np.float32, name
+
+    @pytest.mark.parametrize("model", DESK_MODELS)
+    def test_a_non_finite_loss_leaves_the_float64_masters(self, model):
+        make, takes_priors = DESK_MODELS[model]
+        ds, priors = self.desk_data(32)
+        images = ds.images.copy()
+        images[3, 5, 5, 0] = np.inf
+        trainable = make()
+        before = {name: p.data.copy() for name, p in trainable.params.items()}
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="non-finite loss .* at step 1"):
+            run_training(trainable, Dataset("inf", images, ds.labels), TrainConfig(epochs=1, **DESK_TRAIN),
+                         priors_for=(lambda idx: priors[idx]) if takes_priors else None)
+        for name, p in trainable.params.items():
+            assert p.data.dtype == np.float64 and p.data.tobytes() == before[name].tobytes(), name
+
+    def test_a_float32_parameter_is_refused_before_any_step(self):
+        ds = synth_dataset(2, 4, size=8, seed=22)
+        model = tiny_model(seed=23)
+        model.params["head.bias"].data = model.params["head.bias"].data.astype(np.float32)
+        before = {name: p.data.copy() for name, p in model.params.items()}
+        with pytest.raises(TrainingError, match="'head.bias' is float32"):
+            train(model, ds, np.zeros((8, 2)), cfg())
+        for name, p in model.params.items():
+            assert p.data.tobytes() == before[name].tobytes(), name
