@@ -7,25 +7,32 @@ after training.  Batch order comes from a Philox counter-based
 generator, so loss trajectories are reproducible across platforms.
 
 Training is mixed precision (Micikevicius et al. 2018, "Mixed Precision
-Training"): the parameters' float64 arrays are the master weights, and
-each step sets every parameter to a float32 working copy of its master,
-runs the forward and backward pass on one float32 tape, puts the masters
-back, also when the step fails, and hands :func:`adam_step` the float32
-gradients upcast to float64.  The masters, Adam's moments and the
-checkpointed optimizer tensors stay float64; float32's exponent range
-makes loss scaling unnecessary.
+Training"): one contiguous float64 vector holds the master weights, in
+the order of ``parameters()``, and each parameter's ``data`` is a
+reshaped view of it.  Each step copies the masters into one float32
+working vector, points every parameter at its working view, runs the
+forward and backward pass on one float32 tape, points the parameters
+back at their masters, also when the step fails, and hands
+:func:`adam_step` the float32 leaf gradients, which it gathers into one
+float64 gradient vector.  Adam's two moments are float64 vectors too,
+so an update is a handful of whole-vector operations (the flat-parameter
+idiom of fairseq's ``FP16Optimizer``); float32's exponent range makes
+loss scaling unnecessary.
 
 The training state is one :class:`OptimizerState`: its ``t`` counts the
-Adam updates applied, which is the training step, and its ``moments``
-are keyed as a checkpoint stores them, so a checkpoint's ``step`` and
-leftover tensors, read back by :func:`resume_state`, are the state a
-resumed run continues from.  Every step applies an update, even at
-learning rate 0 (the last step of a decaying schedule), which leaves the
-parameters unchanged and folds the gradient into the moments.
+Adam updates applied, which is the training step, its ``flat`` holds the
+vectors, and its ``moments`` are their views keyed as a checkpoint
+stores them, so a checkpoint's ``step`` and leftover tensors, read back
+by :func:`resume_state`, are the state a resumed run continues from.
+Every step applies an update, even at learning rate 0 (the last step of
+a decaying schedule), which leaves the parameters unchanged and folds
+the gradient into the moments.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import reprlib
 from dataclasses import dataclass, field
@@ -63,53 +70,149 @@ class TrainConfig:
             raise ShapeError(f"beta1 and beta2 must be in [0, 1) and weight_decay finite and nonnegative, got {self}")
 
 
+class FlatVectors:
+    """A training run's state as flat vectors in the order of its
+    parameters: float64 ``master`` weights, first and second moments
+    ``m`` and ``v``, and gathered gradient ``grad``, a float32 ``work``
+    copy of the masters and a float64 ``scratch`` vector.  ``masters``,
+    ``ms``, ``vs``, ``grads`` and ``works`` hold each parameter's reshaped
+    view of the vector of that name.
+
+    The vectors start as copies, at their own dtypes, of the parameters'
+    arrays and of ``moments``' ``opt.m.<name>``/``opt.v.<name>`` entries
+    (zeros where one is missing, a ShapeError where one is shaped unlike
+    its parameter); neither is touched until a state adopts the vectors
+    (:meth:`OptimizerState.adopt`)."""
+
+    def __init__(self, params: dict[str, Tensor], moments: dict[str, np.ndarray]):
+        self.names = list(params)
+        self.tensors = list(params.values())
+        shapes = [p.data.shape for p in self.tensors]
+        self.ends = list(itertools.accumulate(p.data.size for p in self.tensors))
+        size = self.ends[-1] if self.ends else 0
+        self.master, self.m, self.v, self.grad, self.scratch = (np.zeros(size) for _ in range(5))
+        self.work = np.empty(size, np.float32)
+
+        def views(vector):
+            return [vector[end - math.prod(shape) : end].reshape(shape) for end, shape in zip(self.ends, shapes)]
+
+        self.masters, self.ms, self.vs, self.grads, self.works = map(
+            views, (self.master, self.m, self.v, self.grad, self.work))
+        for name, p, master, m, v in zip(self.names, self.tensors, self.masters, self.ms, self.vs):
+            np.copyto(master, p.data)
+            for key, view in ((f"opt.m.{name}", m), (f"opt.v.{name}", v)):
+                if key in moments:
+                    if moments[key].shape != view.shape:
+                        raise ShapeError(f"moment {key!r} has shape {moments[key].shape}, parameter is {view.shape}")
+                    np.copyto(view, moments[key])
+
+    def holds(self, params: dict[str, Tensor]) -> bool:
+        """Whether ``params`` are the parameters these vectors were built
+        from, in order, each pointing at its master view."""
+        return list(params) == self.names and all(
+            p is tensor and p.data is master for p, tensor, master in zip(params.values(), self.tensors, self.masters))
+
+    def point(self, views: list[np.ndarray]) -> None:
+        """Set each parameter's ``data`` to its view in ``views``."""
+        for p, view in zip(self.tensors, views):
+            p.data = view
+
+    def gather(self, grads: dict[str, Optional[np.ndarray]]) -> None:
+        """Copy each parameter's gradient into ``grad``, zeros where it has
+        none; a gradient shaped unlike its parameter is a ShapeError."""
+        for name, view in zip(self.names, self.grads):
+            g = grads.get(name)
+            if g is None:
+                view.fill(0.0)
+            elif g.shape != view.shape:
+                raise ShapeError(f"gradient for {name!r} has shape {g.shape}, parameter is {view.shape}")
+            else:
+                np.copyto(view, g)
+
+    def first_false(self, ok: np.ndarray) -> Optional[str]:
+        """The name of the parameter that holds ``ok``'s first False, or
+        None if ``ok`` is all True."""
+        return None if ok.all() else self.names[bisect.bisect_right(self.ends, int(np.argmin(ok)))]
+
+
 @dataclass
 class OptimizerState:
     """The updates applied so far, ``t``, and each parameter's first and
-    second moments, keyed ``opt.m.<param>`` and ``opt.v.<param>``."""
+    second moments, keyed ``opt.m.<param>`` and ``opt.v.<param>``.
+
+    Once the state has stepped, or a training run has started on it,
+    ``flat`` holds the run's vectors, every parameter's ``data`` is a view
+    of its master vector and every moment a view of a moment vector.  A
+    state given other parameters, or parameters pointed elsewhere, builds
+    new vectors from them and its moments."""
 
     moments: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
+    flat: Optional[FlatVectors] = field(default=None, repr=False, compare=False)
+
+    def vectors(self, params: dict[str, Tensor]) -> FlatVectors:
+        """``flat`` if it holds ``params``, else new vectors built from
+        ``params`` and ``moments``, not yet adopted."""
+        if self.flat is not None and self.flat.holds(params):
+            return self.flat
+        return FlatVectors(params, self.moments)
+
+    def adopt(self, flat: FlatVectors) -> None:
+        """Make ``flat`` the state's vectors: if they are new, point each
+        parameter at its master view and set each of its two ``moments``
+        entries to its view (new keys go last, m before v, in parameter
+        order)."""
+        if flat is not self.flat:
+            flat.point(flat.masters)
+            for name, m, v in zip(flat.names, flat.ms, flat.vs):
+                self.moments[f"opt.m.{name}"], self.moments[f"opt.v.{name}"] = m, v
+            self.flat = flat
 
 
 def adam_step(
     params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
+    grads: dict[str, Optional[np.ndarray]],
     state: OptimizerState,
     lr: float,
     config: TrainConfig,
 ) -> None:
-    """One bias-corrected Adam update, in place.
+    """One bias-corrected Adam update, in place, on the state's flat
+    vectors (see :class:`OptimizerState`).
 
     Weight decay is decoupled: parameters shrink by (1 - lr * decay)
     before the gradient step.  At lr 0 the parameters keep their values
-    while ``t`` and the moments advance.  Non-finite gradients abort
-    training.
+    while ``t`` and the moments advance.  A missing gradient counts as
+    zeros.  A gradient shaped unlike its parameter, or a non-finite one,
+    refuses the step before anything in the state or the parameters
+    changes.
     """
     if lr < 0:
         raise ShapeError(f"adam_step needs lr >= 0, got {lr}")
+    flat = state.vectors(params)
+    flat.gather(grads)
+    bad = flat.first_false(np.isfinite(flat.grad))
+    if bad is not None:
+        raise TrainingError(f"non-finite gradient in {bad!r} at step {state.t + 1}")
+    state.adopt(flat)
     state.t += 1
-    correction1 = 1.0 - config.beta1**state.t
-    correction2 = 1.0 - config.beta2**state.t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ShapeError(f"gradient for {name!r} has shape {g.shape}, parameter is {p.data.shape}")
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in {name!r} at step {state.t}")
-        m = state.moments.setdefault(f"opt.m.{name}", np.zeros_like(p.data))
-        v = state.moments.setdefault(f"opt.v.{name}", np.zeros_like(p.data))
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        if config.weight_decay:
-            p.data *= 1.0 - lr * config.weight_decay
-        m_hat = m / correction1
-        v_hat = v / correction2
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    beta1, beta2 = config.beta1, config.beta2
+    g, m, v, p, s = flat.grad, flat.m, flat.v, flat.master, flat.scratch
+    m *= beta1
+    m += np.multiply(1.0 - beta1, g, out=s)
+    v *= beta2
+    np.multiply(g, g, out=s)
+    s *= 1.0 - beta2
+    v += s
+    if config.weight_decay:
+        p *= 1.0 - lr * config.weight_decay
+    # p -= lr * (m / c1) / (sqrt(v / c2) + eps), each op in the per-tensor order, so every rounding matches
+    np.divide(v, 1.0 - beta2**state.t, out=s)
+    np.sqrt(s, out=s)
+    s += ADAM_EPS
+    step = m / (1.0 - beta1**state.t)
+    step *= lr
+    step /= s
+    p -= step
 
 
 def resume_state(path: str, header: dict, moments: dict[str, np.ndarray],
@@ -117,11 +220,13 @@ def resume_state(path: str, header: dict, moments: dict[str, np.ndarray],
     """The training state and epoch count of the checkpoint at ``path``:
     its integers in [0, 2**63) ``step`` (the state's ``t``) and ``epoch``,
     and past ``params`` its ``moments``, opt.m./opt.v. pairs shaped like
-    their parameters, every pair once ``step`` > 0; else a FormatError
-    naming ``path`` and the key.  Training keeps float64 master weights
-    and moments, so once the checkpoint checks out, ``params`` are upcast
-    in place and the state's moments are float64 (a loaded checkpoint
-    holds float32)."""
+    their parameters, every pair once ``step`` > 0; the parameters and
+    moments must be finite and the second moments nonnegative.  Anything
+    else is a FormatError naming ``path`` and the key.  Once the
+    checkpoint checks out, the state's flat float64 vectors hold
+    ``params`` and the moments, each parameter's ``data`` is its master
+    view (a loaded checkpoint holds float32) and the state's ``moments``
+    keep the checkpoint's order."""
     for key in ("step", "epoch"):
         if type(header.get(key)) is not int or not 0 <= header[key] < 2**63:
             raise FormatError(f"{path}: checkpoint key {key!r} must be an integer in [0, 2**63), "
@@ -139,10 +244,16 @@ def resume_state(path: str, header: dict, moments: dict[str, np.ndarray],
     missing = [key for key in shapes if key not in moments]
     if header["step"] and missing:
         raise FormatError(f"{path}: checkpoint at step {header['step']} has no optimizer moment {missing[0]!r}")
-    for p in params.values():
-        p.data = p.data.astype(np.float64, copy=False)
-    moments = {key: moment.astype(np.float64, copy=False) for key, moment in moments.items()}
-    return OptimizerState(moments=moments, t=header["step"]), header["epoch"]
+    state = OptimizerState(moments=dict(moments), t=header["step"])
+    flat = FlatVectors(params, state.moments)
+    for prefix, ok, rule in (("", np.isfinite(flat.master), "finite"),
+                             ("opt.m.", np.isfinite(flat.m), "finite"),
+                             ("opt.v.", np.isfinite(flat.v) & (flat.v >= 0), "finite and nonnegative")):
+        bad = flat.first_false(ok)
+        if bad is not None:
+            raise FormatError(f"{path}: checkpoint tensor {prefix + bad!r} has a value that is not {rule}")
+    state.adopt(flat)
+    return state, header["epoch"]
 
 
 def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:
@@ -199,9 +310,10 @@ def run_training(
     array to a (B, K) prior-logits block (None for models that take no
     priors).  ``state``, updated in place, resumes a previous run: its
     ``t`` is the step the run continues from and its moments carry on.
-    Every parameter must be float64, the master weights each step's
-    float32 working copy is cast from.  Returns the per-step loss curve;
-    aborts on non-finite loss.
+    Every parameter must be float64: the state's master vector takes its
+    values over, and its ``data`` becomes a view of that vector (see the
+    module docstring).  Returns the per-step loss curve; aborts on
+    non-finite loss.
     """
     if dataset.labels is None:
         raise TrainingError("training needs a labeled dataset")
@@ -216,6 +328,8 @@ def run_training(
     for name, p in params.items():
         if p.data.dtype != np.float64:
             raise TrainingError(f"parameter {name!r} is {p.data.dtype}: training keeps float64 master weights")
+    flat = state.vectors(params)
+    state.adopt(flat)
     curve: list[CurvePoint] = []
     for epoch in range(config.epochs):
         order = gen.permutation(n)
@@ -226,10 +340,9 @@ def run_training(
             labels = dataset.labels[idx]
             priors = () if priors_for is None else (priors_for(idx),)
             trainable.zero_grad()
-            masters = [p.data for p in params.values()]
+            np.copyto(flat.work, flat.master)
             try:
-                for p in params.values():
-                    p.data = p.data.astype(np.float32)
+                flat.point(flat.works)
                 with Tape():
                     loss, correct = trainable.batch_loss(images, labels, *priors)
                 loss_value = loss.item()
@@ -237,11 +350,9 @@ def run_training(
                     raise TrainingError(f"non-finite loss {loss_value} at step {state.t + 1}")
                 backward(loss)
             finally:
-                for p, master in zip(params.values(), masters):
-                    p.data = master
+                flat.point(flat.masters)
             lr = lr_at(state.t + 1, total_steps, config)
-            grads = {name: p.grad.astype(np.float64) for name, p in params.items() if p.grad is not None}
-            adam_step(params, grads, state, lr, config)
+            adam_step(params, {name: p.grad for name, p in params.items()}, state, lr, config)
             seen += len(idx)
             correct_total += correct
             point = CurvePoint(state.t, epoch, lr, loss_value, correct_total / seen)

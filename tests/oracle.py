@@ -17,6 +17,10 @@ fields for a whole (N, K) block in one vectorised pass; the tests hold
 it to these functions record by record, to the last bit.
 :func:`cefe_expand` gives both sides of the score-expansion identity.
 
+:func:`adam_step` is Adam one parameter tensor at a time, with its
+moments in a plain dict: the reference :func:`pvit.train.adam_step`'s
+whole-vector update matches to the bit.
+
 Probabilities are clamped at the package's ``PROB_CLAMP`` before any
 log, as ``score_records`` does.
 """
@@ -26,9 +30,10 @@ from __future__ import annotations
 import numpy as np
 
 from pvit import tensor as T
-from pvit.errors import ShapeError
+from pvit.errors import ShapeError, TrainingError
 from pvit.scoring import PROB_CLAMP, ScoreRecord
 from pvit.tensor import Tensor, _record, _unbroadcast, mul
+from pvit.train import ADAM_EPS
 
 
 # ---------------------------------------------------------------------------
@@ -240,3 +245,35 @@ def scalar_record(sid, pred_row, prior_row, kind) -> ScoreRecord:
         guidance = guidance_ed(prior_row, pred_row)
     baselines = {"msp": msp(pred_row), "max_logit": max_logit(pred_row), "energy": -energy(pred_row)}
     return ScoreRecord(sid, base, guidance, pge(base, guidance), k, baselines)
+
+
+# ---------------------------------------------------------------------------
+# optimizer
+
+
+def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], moments: dict[str, np.ndarray],
+              t: int, lr: float, config) -> None:
+    """Update ``t`` (1-based) of bias-corrected Adam with decoupled weight
+    decay, in place, looping over the parameters; a missing gradient is
+    zeros and a missing moment starts at zeros."""
+    correction1 = 1.0 - config.beta1**t
+    correction2 = 1.0 - config.beta2**t
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p.data)
+        if g.shape != p.data.shape:
+            raise ShapeError(f"gradient for {name!r} has shape {g.shape}, parameter is {p.data.shape}")
+        if not np.all(np.isfinite(g)):
+            raise TrainingError(f"non-finite gradient in {name!r} at step {t}")
+        m = moments.setdefault(f"opt.m.{name}", np.zeros_like(p.data))
+        v = moments.setdefault(f"opt.v.{name}", np.zeros_like(p.data))
+        m *= config.beta1
+        m += (1.0 - config.beta1) * g
+        v *= config.beta2
+        v += (1.0 - config.beta2) * (g * g)
+        if config.weight_decay:
+            p.data *= 1.0 - lr * config.weight_decay
+        m_hat = m / correction1
+        v_hat = v / correction2
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

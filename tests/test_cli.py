@@ -316,14 +316,22 @@ class TestResume:
         ("epoch", lambda header, tensors: header.pop("epoch")),
         ("step", lambda header, tensors: header.update(step=10**400)),
         ("epoch", lambda header, tensors: header.update(epoch=2**63)),
+        ("opt.v.head.bias", lambda header, tensors: np.put(tensors["opt.v.head.bias"], 1, np.inf)),
+        ("opt.m.blocks.0.attn.qkv.weight",
+         lambda header, tensors: np.put(tensors["opt.m.blocks.0.attn.qkv.weight"], 7, np.nan)),
+        ("opt.v.pos_embed", lambda header, tensors: np.put(tensors["opt.v.pos_embed"], 0, -1e-6)),
+        ("head.weight", lambda header, tensors: np.put(tensors["head.weight"], 5, -np.inf)),
+        ("cls_token", lambda header, tensors: np.put(tensors["cls_token"], 0, np.nan)),
     ], ids=["moment-without-partner", "moment-shaped-unlike-parameter", "moment-of-no-parameter",
             "past-step-0-without-moments", "string-step", "float-step", "negative-step", "no-step", "string-epoch",
-            "negative-epoch", "no-epoch", "step-no-float-holds", "epoch-past-int64"])
+            "negative-epoch", "no-epoch", "step-no-float-holds", "epoch-past-int64", "infinite-second-moment",
+            "nan-first-moment", "negative-second-moment", "infinite-parameter", "nan-parameter"])
     def test_bad_resume_checkpoint_exits_2_naming_it_and_the_key(self, tmp_path, capsys, key, change):
         """A resumed state is step and epoch counts, integers in [0, 2**63), and
         opt.m./opt.v. pairs shaped like their parameters, every pair once
         the step is past 0 (so Adam never silently restarts from zero
-        moments); anything else fails before any file is written."""
+        moments), with finite parameters and moments and nonnegative second
+        moments; anything else fails before any file is written."""
         path = str(tmp_path / "resume.ckpt")
         model = PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=1, heads=2, mlp_dim=24))
         moments = {f"opt.{kind}.{name}": np.ones(p.shape) for name, p in model.params.items() for kind in "mv"}
@@ -331,9 +339,11 @@ class TestResume:
         header, tensors = load_checkpoint(path)
         change(header, tensors)
         save_checkpoint(path, header, tensors)
-        _, header, tensors = PViTModel.load(path)
+        loaded, header, tensors = PViTModel.load(path)
+        before = {name: p.data for name, p in loaded.params.items()}
         with pytest.raises(FormatError, match=f"'{key}'"):
-            resume_state(path, header, tensors, model.params)
+            resume_state(path, header, tensors, loaded.params)
+        assert all(p.data is before[name] for name, p in loaded.params.items())
         cfg, out = write_cfg(tmp_path, train__resume=path, model__depth=1)  # the checkpoint's one layer
         assert main(["train-pvit", "--config", cfg]) == 2
         err = capsys.readouterr().err

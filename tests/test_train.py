@@ -1,6 +1,7 @@
 """Optimizer and training-loop tests: Adam recurrence against a
-hand-rolled oracle, schedule shape, determinism, overfitting, and
-mixed-precision steps against a float64 loop."""
+hand-rolled oracle, the whole-vector update against the per-tensor
+oracle, schedule shape, determinism, overfitting, and mixed-precision
+steps against a float64 loop."""
 
 import math
 import sys
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import oracle
 from pvit.data import Dataset, synth_dataset
 from pvit.errors import ShapeError, TrainingError
 from pvit.model import PViTConfig, PViTModel
@@ -16,11 +18,13 @@ from pvit.rng import philox
 from pvit.tensor import Tape, Tensor, backward
 from pvit.train import (
     ADAM_EPS,
+    FlatVectors,
     OptimizerState,
     TrainConfig,
     adam_step,
     loss_curve_csv,
     lr_at,
+    resume_state,
     run_training,
     train,
 )
@@ -114,6 +118,103 @@ class TestAdamStep:
         for expected_t in (1, 2, 3):
             adam_step(p, {"x": np.array([0.5])}, state, lr=0.01, config=cfg())
             assert state.t == expected_t
+
+    @pytest.mark.parametrize("stepped", [False, True], ids=["fresh", "stepped"])
+    @pytest.mark.parametrize("bad, error, message", [
+        (np.array([0.5, np.nan, 0.1]), TrainingError, r"^non-finite gradient in 'b' at step \d$"),
+        (np.array([0.5, 0.2]), ShapeError, r"^gradient for 'b' has shape \(2,\), parameter is \(3,\)$"),
+    ], ids=["nan", "misshapen"])
+    def test_a_refused_step_changes_nothing(self, stepped, bad, error, message):
+        """A bad gradient in the second parameter refuses the step before
+        the first parameter, any moment or t changes."""
+        params = {"a": Tensor(np.array([1.0, -2.0]), requires_grad=True),
+                  "b": Tensor(np.array([0.3, 0.4, -0.5]), requires_grad=True)}
+        state = OptimizerState()
+        good = {"a": np.array([0.7, -0.1]), "b": np.array([0.2, 0.0, -0.3])}
+        if stepped:
+            adam_step(params, good, state, lr=0.01, config=cfg(weight_decay=0.01))
+        before = {name: p.data.tobytes() for name, p in params.items()}
+        moments = {key: value.tobytes() for key, value in state.moments.items()}
+        t = state.t
+        with pytest.raises(error, match=message):
+            adam_step(params, {"a": good["a"], "b": bad}, state, lr=0.01, config=cfg(weight_decay=0.01))
+        assert {name: p.data.tobytes() for name, p in params.items()} == before
+        assert {key: value.tobytes() for key, value in state.moments.items()} == moments
+        assert list(state.moments) == list(moments) and state.t == t
+        adam_step(params, good, state, lr=0.01, config=cfg())  # the state is still usable
+        assert state.t == t + 1
+
+
+class TestFlatAdam:
+    """``adam_step`` runs on one flat vector per state, bitwise the
+    per-tensor oracle."""
+
+    @staticmethod
+    def params():
+        model = PViTModel(PViTConfig(), seed=24)
+        return {name: Tensor(p.data.copy(), requires_grad=True) for name, p in model.params.items()}
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    @pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
+    def test_thirty_steps_are_bitwise_the_per_tensor_oracle(self, weight_decay, resumed):
+        """Learning rates vary, lr 0 among them; ``head.bias`` has a
+        gradient on every third step only; a resumed state's moments come
+        from a dict in another order than the parameters."""
+        config = cfg(weight_decay=weight_decay)
+        flat, reference = self.params(), self.params()
+        rng = np.random.default_rng(25)
+        moments, t = {}, 0
+        if resumed:
+            moments = {f"opt.{kind}.{name}": rng.normal(size=p.shape) ** (2 if kind == "v" else 1)
+                       for name, p in reversed(flat.items()) for kind in "mv"}
+            t = 5
+        state = OptimizerState(moments={key: value.copy() for key, value in moments.items()}, t=t)
+        lrs = rng.uniform(0, 1e-2, size=30)
+        lrs[[0, 13, 29]] = 0.0
+        for step, lr in enumerate(lrs):
+            grads = {name: rng.normal(size=p.shape).astype(np.float32) for name, p in flat.items()
+                     if name != "head.bias" or step % 3 == 0}
+            adam_step(flat, grads, state, float(lr), config)
+            t += 1
+            oracle.adam_step(reference, {name: g.astype(np.float64) for name, g in grads.items()},
+                             moments, t, float(lr), config)
+        assert state.t == t
+        for name, p in flat.items():
+            assert p.data.tobytes() == reference[name].data.tobytes(), name
+        assert list(state.moments) == list(moments)
+        for key, value in moments.items():
+            assert state.moments[key].dtype == np.float64 and state.moments[key].tobytes() == value.tobytes(), key
+
+    def test_vectors_are_built_without_touching_params_or_moments(self):
+        params = self.params()
+        arrays = {name: p.data for name, p in params.items()}
+        moments = {"opt.v.head.bias": np.full(params["head.bias"].shape, 0.5)}
+        flat = FlatVectors(params, moments)
+        assert all(p.data is arrays[name] for name, p in params.items())
+        assert list(moments) == ["opt.v.head.bias"]
+        assert np.array_equal(flat.master, np.concatenate([a.ravel() for a in arrays.values()]))
+        assert np.array_equal(flat.vs[-1], moments["opt.v.head.bias"]) and not flat.m.any()
+
+    def test_a_moment_shaped_unlike_its_parameter_is_refused(self):
+        params = {"x": Tensor(np.zeros(3), requires_grad=True)}
+        state = OptimizerState(moments={"opt.m.x": np.zeros(1), "opt.v.x": np.zeros(3)})
+        with pytest.raises(ShapeError, match=r"^moment 'opt.m.x' has shape \(1,\), parameter is \(3,\)$"):
+            adam_step(params, {"x": np.ones(3)}, state, 0.01, cfg())
+        assert state.t == 0 and state.flat is None
+
+    def test_other_parameters_get_new_vectors_and_keep_the_moments(self):
+        """A state handed other parameters, or parameters pointed elsewhere,
+        builds new vectors from them and carries its moments over."""
+        params = self.params()
+        state = OptimizerState()
+        grads = {name: np.ones(p.shape) for name, p in params.items()}
+        adam_step(params, grads, state, 0.01, cfg())
+        first, moments = state.flat, {key: value.copy() for key, value in state.moments.items()}
+        params["head.bias"].data = np.zeros(params["head.bias"].shape)
+        adam_step(params, grads, state, 0.0, cfg())
+        assert state.flat is not first and params["head.bias"].data.base is state.flat.master
+        assert not params["head.bias"].data.any()
+        assert np.array_equal(state.moments["opt.m.head.bias"], 0.9 * moments["opt.m.head.bias"] + (1 - 0.9))
 
 
 class TestSchedule:
@@ -254,6 +355,43 @@ class TestTrainLoop:
         again = train(model, ds, self._priors(ds), cfg(epochs=1, batch_size=4), state)
         assert [pt.step for pt in again.curve] == [7, 8, 9] and state.t == again.final_step == 9
 
+    @staticmethod
+    def assert_views_of_the_flat_vectors(model, state):
+        flat = state.flat
+        for name, p in model.params.items():
+            assert p.data.dtype == np.float64 and p.data.flags["C_CONTIGUOUS"], name
+            assert p.data.base is flat.master, name
+        for key, moment in state.moments.items():
+            assert moment.dtype == np.float64 and moment.base is (flat.m if key.startswith("opt.m.") else flat.v), key
+        offsets = np.cumsum([0] + [p.data.size for p in model.params.values()])
+        assert np.array_equal(flat.master, np.concatenate([p.data.ravel() for p in model.params.values()]))
+        assert [p.data.__array_interface__["data"][0] - flat.master.__array_interface__["data"][0]
+                for p in model.params.values()] == [8 * int(offset) for offset in offsets[:-1]]
+
+    def test_trained_parameters_and_moments_are_views_of_flat_vectors(self):
+        """After training, every parameter is float64, C-contiguous and a view
+        of the master vector, in parameter order, and the moments are views
+        of the moment vectors, keyed m then v per parameter in parameter order."""
+        ds = synth_dataset(2, 4, size=8, seed=26)
+        model, state = tiny_model(seed=27), OptimizerState()
+        train(model, ds, self._priors(ds), cfg(epochs=1, batch_size=4), state)
+        self.assert_views_of_the_flat_vectors(model, state)
+        assert list(state.moments) == [f"opt.{kind}.{name}" for name in model.params for kind in "mv"]
+
+    def test_resumed_moments_keep_the_checkpoint_order(self, tmp_path):
+        ds = synth_dataset(2, 4, size=8, seed=28)
+        model = tiny_model(seed=29)
+        saved = {f"opt.{kind}.{name}": np.full(p.shape, 0.5)
+                 for name, p in reversed(model.params.items()) for kind in "vm"}
+        path = str(tmp_path / "resume.ckpt")
+        model.save(path, step=3, epoch=1, extra_tensors=saved)
+        loaded, header, tensors = PViTModel.load(path)
+        state, _ = resume_state(path, header, tensors, loaded.params)
+        self.assert_views_of_the_flat_vectors(loaded, state)
+        train(loaded, ds, self._priors(ds), cfg(epochs=1, batch_size=4), state)
+        self.assert_views_of_the_flat_vectors(loaded, state)
+        assert list(state.moments) == list(saved) and state.t == 5
+
     @pytest.mark.parametrize("rows", [4, 6])
     def test_prior_block_of_another_length_rejected(self, rows):
         ds = synth_dataset(2, 4, size=8, seed=12)
@@ -301,8 +439,8 @@ class TestMixedPrecision:
         received = []
 
         def recording_adam_step(params, grads, state, lr, config):
-            received.append(grads)
             adam_step(params, grads, state, lr, config)
+            received.append((grads, state.flat.grad.copy()))  # the leaf gradients and what Adam consumed
 
         # the package's `train` attribute is the function, so reach the module by name
         monkeypatch.setattr(sys.modules["pvit.train"], "adam_step", recording_adam_step)
@@ -333,10 +471,11 @@ class TestMixedPrecision:
             assert np.max(np.abs(p.data - double.params[name].data)) <= 1e-4, name
         assert sorted(state.moments) == sorted(oracle.moments)
         assert all(moment.dtype == np.float64 for moment in state.moments.values())
-        for grads in received:
+        for grads, consumed in received:
             assert sorted(grads) == sorted(mixed.params)
-            for name, g in grads.items():
-                assert g.dtype == np.float64 and np.array_equal(g, g.astype(np.float32)), name
+            assert all(g.dtype == np.float32 for g in grads.values())
+            assert consumed.dtype == np.float64 and np.array_equal(consumed, consumed.astype(np.float32))
+            assert np.array_equal(consumed, np.concatenate([grads[name].ravel() for name in mixed.params]))
 
     @pytest.mark.parametrize("model", DESK_MODELS)
     def test_one_desk_step_fills_float32_leaf_gradients(self, model):
