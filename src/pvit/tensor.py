@@ -6,7 +6,8 @@ matrix product ``linear`` (a 2-D weight, then optional addends),
 ``broadcast_to``, ``concat`` and indexing, multi-head scaled
 dot-product ``attention`` (one node over a fused (B, S, 3D) q/k/v
 input, which also returns its (B, H, S, S) weights), layer normalization,
-exact-erf GELU, and cross-entropy.  The tests' reference ops, from which
+GELU (exact erf in float64; in float32 a tanh-polynomial CDF within
+2^-23 of it), and cross-entropy.  The tests' reference ops, from which
 they compose attention as the oracle for the fused node, are built on
 :func:`_record` in ``tests/oracle.py``.  :func:`softmax_rows` is plain
 numpy and records nothing.  Operations executed inside a ``with Tape():``
@@ -82,6 +83,21 @@ LAYER_NORM_EPS = 1e-5
 
 _INV_SQRT2 = float(np.sqrt(0.5))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+
+# The float32 normal CDF is 0.5 (1 + tanh(z P(z^2))) with z = x clipped to
+# +-_CDF32_CLIP, where the float32 CDF is already exactly 0 and 1.
+# P's coefficients, highest power first, are a least-squares fit of
+# atanh(erf(x / sqrt 2)) / x as a degree-9 polynomial in u = x^2: one row
+# at each x = 6.5 cos((2k + 1) pi / 160000), k < 40,000 (the non-negative
+# half of the 80,000 Chebyshev nodes of [-6.5, 6.5]), each row scaled by
+# (1 - erf^2) max(x, 1e-3), how far the CDF moves with the tanh argument;
+# solved in float64 in u / 42.25, scaled back to u and rounded to float32.
+# Its last two are the tanh approximation's sqrt(2/pi) and 0.0447 sqrt(2/pi),
+# refitted.  Degrees 10 and 11 of the same fit are not monotone near the clip.
+_CDF32_CLIP = 6.5
+_CDF32_POLY = np.array([1.8974111e-13, -1.8668501e-11, 7.0701578e-10, -1.1596256e-08, 4.1969130e-09,
+                        3.1986285e-06, -5.3016422e-05, -3.5940495e-05, 3.6335077e-02, 7.9788464e-01],
+                       dtype=np.float32)
 
 _F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
 
@@ -489,17 +505,45 @@ def layer_norm(x, gain, bias) -> Tensor:
     return _record((x, gain, bias), out.reshape(x.shape), grad_fn)
 
 
-def gelu(x) -> Tensor:
-    """Exact-erf GELU, elementwise: 0.5 x (1 + erf(x / sqrt 2))."""
-    # imported here, not at module level: scipy.special is most of the cost
-    # of `import pvit`, and commands that run no model (eval) never need it
-    from scipy.special import erf
-
-    x = _as_tensor(x)
-    cdf = x.data * _INV_SQRT2
-    erf(cdf, out=cdf)
+def _normal_cdf32(x: Array) -> Array:
+    """The normal CDF of float32 ``x``, 0.5 (1 + tanh(z P(z^2))), with P
+    (``_CDF32_POLY``) by Horner's rule in place: about 25 elementwise passes."""
+    z = np.clip(x, -_CDF32_CLIP, _CDF32_CLIP)
+    u = z * z
+    cdf = u * _CDF32_POLY[0]
+    cdf += _CDF32_POLY[1]
+    for c in _CDF32_POLY[2:]:
+        cdf *= u
+        cdf += c
+    cdf *= z
+    np.tanh(cdf, out=cdf)
     cdf += 1.0
-    cdf *= 0.5  # the normal CDF, kept for the backward pass
+    cdf *= 0.5
+    return cdf
+
+
+def gelu(x) -> Tensor:
+    """GELU, elementwise: x times the normal CDF 0.5 (1 + erf(x / sqrt 2)).
+
+    A float64 input takes the CDF from scipy's ``erf``.  A float32 input
+    takes it from :func:`_normal_cdf32`, 0.5 (1 + tanh(z P(z^2))), which is
+    within 2^-23 of the exact CDF, non-decreasing, and exactly 0 and 1 at
+    and beyond +-6.5.  Both keep the CDF for the backward pass, which uses
+    the exact pdf.
+    """
+    x = _as_tensor(x)
+    if x.data.dtype == _F32:
+        cdf = _normal_cdf32(x.data)
+    else:
+        # imported here, not at module level: scipy.special is most of the
+        # cost of `import pvit`, and float32 models (loaded checkpoints,
+        # training's working copy) never need it
+        from scipy.special import erf
+
+        cdf = x.data * _INV_SQRT2
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
     out = x.data * cdf
 
     def grad_fn(g):

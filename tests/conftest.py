@@ -38,6 +38,8 @@ def assert_close_rel(actual, expected, rtol, context=""):
 
 
 def weighted_sum(out, weights):
-    """Project a tensor to a scalar with fixed weights so FD checks apply."""
-    flat = reshape(mul(out, Tensor(weights)), (1, out.data.size))
-    return reshape(linear(flat, Tensor(np.ones((out.data.size, 1)))), ())
+    """Project a tensor to a scalar with fixed weights, at the tensor's
+    dtype, so FD checks apply."""
+    dtype = out.data.dtype
+    flat = reshape(mul(out, Tensor(np.asarray(weights, dtype))), (1, out.data.size))
+    return reshape(linear(flat, Tensor(np.ones((out.data.size, 1), dtype))), ())

@@ -288,5 +288,6 @@ def test_import_does_not_load_scipy_stats():
 
 def test_import_does_not_load_scipy_special():
     """scipy.special is most of the rest of ``import pvit``, and only a
-    model's GELU needs it: a command that runs no model must not pay it."""
+    float64 GELU needs it: a command that runs no float64 model (eval,
+    score, export-logits, train-prior) must not pay it."""
     assert not loaded_by_import_pvit("scipy.special")

@@ -1,6 +1,7 @@
 """Prior-source tests: lookup semantics, MLP training, logits file round trip."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -169,13 +170,14 @@ class TestLogitsFile:
         with pytest.raises(FormatError, match="duplicate id"):
             load_logits(str(path))
 
-    def test_non_finite_logits_rejected(self, tmp_path):
-        path = tmp_path / "inf.jsonl"
+    @pytest.mark.parametrize("bad", ["Infinity", "NaN", str(10**400)], ids=["inf", "nan", "int-beyond-float64"])
+    def test_non_finite_logits_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.jsonl"
         path.write_text(
             json.dumps({"k": 2, "dataset": "d", "model": "m"}) + "\n"
-            + '{"id": "a", "label": null, "logits": [1.0, Infinity]}\n'
+            + f'{{"id": "a", "label": null, "logits": [1.0, {bad}]}}\n'
         )
-        with pytest.raises(FormatError, match="non-finite"):
+        with pytest.raises(FormatError, match=re.escape(f"{path}:2: non-finite logits")):
             load_logits(str(path))
 
     def test_missing_header_rejected(self, tmp_path):
