@@ -11,11 +11,11 @@ commands only as the logits files ``logits_<split>.jsonl``, read through
 ``_split_priors`` alone; inference runs in ``forward_batches`` of 64.
 
 A loaded checkpoint computes in float32, the precision it is stored in:
-``export-logits`` (and the export that ends ``train-prior``) and
-``score`` run the saved models in float32, while ``attention-dump``
-upcasts its model to float64, and a resumed ``train-pvit`` upcasts the
-checkpoint's values to the float64 master weights every training run
-keeps (see :mod:`pvit.train`).
+``export-logits`` (and the export that ends ``train-prior``), ``score``
+and the accuracies that end ``train-pvit`` run the saved models in
+float32, while ``attention-dump`` upcasts its model to float64, and a
+resumed ``train-pvit`` upcasts the checkpoint's values to the float64
+master weights every training run keeps (see :mod:`pvit.train`).
 
 Every checkpoint a command loads must agree with the config the run
 would build: an image shape or prior pixel count that is not the data's
@@ -277,7 +277,8 @@ def cmd_train_pvit(cfg: RunConfig, out: str) -> None:
     ckpt = _ckpt_path(cfg, out, "pvit")
     model.save(ckpt, step=state.t, epoch=epochs_run + config.epochs, extra_tensors=state.moments)
     write_artifact(os.path.join(out, "pvit_loss.csv"), [loss_curve_csv(result.curve)])
-    accuracies = {split: _accuracy(predict_logits(model, datasets[split].images, priors[split]),
+    saved, _, _ = _load_checked(cfg, ckpt, wanted)  # the float32 weights that score runs, not the masters
+    accuracies = {split: _accuracy(predict_logits(saved, datasets[split].images, priors[split]),
                                    datasets[split].labels) for split in priors}
     summary = {
         "checkpoint": ckpt,

@@ -78,7 +78,8 @@ class PViTConfig:
 @dataclass
 class BatchForward:
     """Result of the forward pass: the (B, K) logits and, per layer, the
-    read-only (B, H, S, S) attention weights (``[:, h, 0, -1]`` is head h's
+    (B, H, S, S) attention weights, a read-only, non-contiguous view
+    (``np.ascontiguousarray`` gives C order; ``[:, h, 0, -1]`` is head h's
     class-token mass on the prior token)."""
 
     logits: Tensor

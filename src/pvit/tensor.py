@@ -5,7 +5,9 @@ backward passes differentiate: broadcast ``add`` and ``mul``, the one
 matrix product ``linear`` (a 2-D weight, then optional addends),
 ``broadcast_to``, ``concat`` and indexing, multi-head scaled
 dot-product ``attention`` (one node over a fused (B, S, 3D) q/k/v
-input, which also returns its (B, H, S, S) weights), layer normalization,
+input; its scores are held key-major, (S, B, H, S), so the softmax
+reduces over the outermost axis, and its (B, H, S, S) weights come back
+as a read-only, non-contiguous view of them), layer normalization,
 GELU (exact erf in float64; in float32 a tanh-polynomial CDF within
 2^-23 of it), and cross-entropy.  The tests' reference ops, from which
 they compose attention as the oracle for the fused node, are built on
@@ -421,8 +423,13 @@ def attention(qkv, heads: int) -> tuple[Tensor, Array]:
     side by side; each splits into ``heads`` heads of D / heads columns.
     Per head, P = softmax(q k^T / sqrt(D / heads)) over the key axis and
     the context is P v; the heads' contexts merge back into (B, S, D).
-    Returns the context and the (B, H, S, S) weights P.  The node keeps
-    P for its backward pass, so the weights come back read-only.
+    Returns the context and the (B, H, S, S) weights P.
+
+    The scores are held key-major, in one (S, B, H, S) buffer indexed
+    [key, batch, head, query], so the softmax reduces over the outermost
+    axis: each step is one numpy call over B H S columns.  The weights
+    come back as a read-only, non-contiguous view of that buffer, which
+    the node keeps for its backward pass.
     """
     qkv = _as_tensor(qkv)
     if qkv.ndim != 3 or qkv.shape[-1] % 3:
@@ -436,13 +443,20 @@ def attention(qkv, heads: int) -> tuple[Tensor, Array]:
     def split(x: Array, parts: int) -> Array:  # (B, S, parts*D) -> parts x (B, H, S, D/H), views
         return x.reshape(b, s, parts, heads, hd).transpose(2, 0, 3, 1, 4)
 
+    def key_major(left: Array, right: Array) -> Array:  # left right^T into a new (S, B, H, S) buffer
+        buf = np.empty((s, b, heads, s), dtype=qkv.data.dtype)
+        np.matmul(left, right.transpose(0, 1, 3, 2), out=buf.transpose(1, 2, 0, 3))
+        return buf
+
     qh, kh, vh = split(qkv.data, 3)
-    probs = qh @ kh.transpose(0, 1, 3, 2)
-    probs *= scale
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    probs.flags.writeable = False
+    scores = key_major(kh, qh)
+    cols = scores.reshape(s, -1)
+    cols *= scale
+    cols -= cols.max(axis=0)
+    np.exp(cols, out=cols)
+    cols /= cols.sum(axis=0)
+    scores.flags.writeable = False
+    probs = scores.transpose(1, 2, 3, 0)
     out = np.empty((b, s, d), dtype=qkv.data.dtype)
     np.matmul(probs, vh, out=split(out, 1)[0])
 
@@ -450,14 +464,15 @@ def attention(qkv, heads: int) -> tuple[Tensor, Array]:
         (gh,) = split(g, 1)
         grad = np.empty_like(qkv.data)
         gq, gk, gv = split(grad, 3)
-        np.matmul(probs.transpose(0, 1, 3, 2), gh, out=gv)
-        # softmax backward: dS = P * (dP - rowsum(dP * P)), then the scale
-        ds = gh @ vh.transpose(0, 1, 3, 2)
-        ds -= np.einsum("bhij,bhij->bhi", ds, probs)[..., None]
-        ds *= probs
-        ds *= scale
-        np.matmul(ds, kh, out=gq)
-        np.matmul(ds.transpose(0, 1, 3, 2), qh, out=gk)
+        np.matmul(scores.transpose(1, 2, 0, 3), gh, out=gv)
+        # softmax backward: dS = P * (dP - sum over keys of dP * P), then the scale
+        ds = key_major(vh, gh)
+        dcols = ds.reshape(s, -1)
+        dcols -= (dcols * cols).sum(axis=0)
+        dcols *= cols
+        dcols *= scale
+        np.matmul(ds.transpose(1, 2, 3, 0), kh, out=gq)
+        np.matmul(ds.transpose(1, 2, 0, 3), qh, out=gk)
         return (grad,)
 
     return _record((qkv,), out, grad_fn), probs

@@ -21,7 +21,8 @@ With ``--against REV`` the recipe also runs, in a fresh process, on the
 ``src/pvit`` of git revision REV (a ``git archive`` copy), into
 ``DIR/rev``; each manifest entry is printed as identical, differing or
 found on one side only, and the exit code is 0 only when all are
-identical::
+identical.  Under each differing CSV, indented lines from
+:func:`csv_diff` say how far it moved::
 
     PYTHONPATH=src python tests/recipe.py DIR --against HEAD~1
 """
@@ -112,6 +113,37 @@ def compare(here: dict[str, str], there: dict[str, str], rev: str) -> dict[str, 
     return {key: status(key) for key in sorted(here.keys() | there.keys())}
 
 
+def csv_diff(old: bytes, new: bytes, keyed: bool = False) -> list[str]:
+    """How a CSV moved from ``old`` to ``new``: one line with how many cells
+    differ, the largest |delta| over the numeric ones and how many are not
+    numeric, or a line naming the change of shape.  With ``keyed`` (a header
+    row, then rows named by their first two cells, as in eval_summary.csv)
+    one more line per changed cell: ``<cell 1>,<cell 2> <column>: <old> -> <new>``."""
+    before, after = ([line.split(",") for line in data.decode().splitlines()] for data in (old, new))
+
+    def shape(rows):
+        widths = sorted({len(row) for row in rows}) or [0]
+        return f"{len(rows)} rows of {widths[0]}" + (f"-{widths[-1]}" if len(widths) > 1 else "") + " cells"
+
+    if [len(row) for row in before] != [len(row) for row in after]:
+        return [f"shape changed: {shape(before)} -> {shape(after)}"]
+    changed = [(i, j, a, b) for i, (row_a, row_b) in enumerate(zip(before, after))
+               for j, (a, b) in enumerate(zip(row_a, row_b)) if a != b]
+    deltas = []
+    for _, _, a, b in changed:
+        try:
+            deltas.append(abs(float(b) - float(a)))
+        except ValueError:
+            pass
+    summary = f"{len(changed)} of {sum(map(len, before))} cells differ"
+    if deltas:
+        summary += f", largest |delta| {max(deltas):.3g}"
+    if len(deltas) < len(changed):
+        summary += f", {len(changed) - len(deltas)} not numeric"
+    cells = [f"{before[i][0]},{before[i][1]} {before[0][j]}: {a} -> {b}" for i, j, a, b in changed] if keyed else []
+    return [summary] + cells
+
+
 def run_at_revision(root: str, rev: str) -> dict[str, str]:
     """The manifest of this recipe run in a fresh process on REV's ``src/pvit``."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -140,6 +172,10 @@ if __name__ == "__main__":
     statuses = compare(here, run_at_revision(os.path.join(root, "rev"), args.against), args.against)
     for key, status in statuses.items():
         print(f"{status}: {key}")
+        if status == "differs" and key.endswith(".csv"):
+            old, new = (open(os.path.join(side, key), "rb").read() for side in (os.path.join(root, "rev"), root))
+            for line in csv_diff(old, new, keyed=key.endswith("eval_summary.csv")):
+                print(f"  {line}")
     same = sum(status == "identical" for status in statuses.values())
     print(f"{same} of {len(statuses)} entries identical to {args.against}")
     sys.exit(0 if same == len(statuses) else 1)

@@ -23,10 +23,11 @@ from pvit.config import RunConfig
 from pvit.data import Dataset, make_ood, normalize, split_dataset, synth_dataset
 from pvit.model import PViTConfig, PViTModel
 from pvit.priors import MLPClassifier, MLPConfig, ModelSource, export_logits, load_logits
-from pvit.scoring import ScoreRecord, file_sha256, forward_batches, read_scores, score_dataset, write_scores
+from pvit.scoring import (ScoreRecord, file_sha256, forward_batches, predict_logits, read_scores, score_dataset,
+                          write_scores)
 from pvit.errors import FormatError
 from pvit.train import TrainConfig, loss_curve_csv, resume_state, train
-from recipe import SMALL_CFG, compare
+from recipe import SMALL_CFG, compare, csv_diff
 from test_data import write_idx_pair
 
 
@@ -75,6 +76,33 @@ class TestPipeline:
         assert header["config"]["alpha"] == 0.1
         summary = json.loads(pathlib.Path(out, "pvit_train.json").read_text())
         assert summary["alpha"] == 0.1
+
+    def test_reported_accuracies_are_the_saved_checkpoints(self, pipeline):
+        """pvit_train.json's accuracies are those of pvit.ckpt loaded back as
+        score loads it, float32, not those of the float64 master weights."""
+        cfg, out = pipeline
+        run = RunConfig.load(cfg)
+        datasets = build_datasets(run)
+        model = PViTModel.load(os.path.join(out, "pvit.ckpt"))[0]
+        assert all(p.data.dtype == np.float32 for p in model.params.values())
+        splits = ("id-train", "id-test")
+        priors = pvit.cli._split_priors(run, out, {split: datasets[split].ids for split in splits})
+        summary = json.loads(pathlib.Path(out, "pvit_train.json").read_text())
+        for split in splits:
+            logits = predict_logits(model, datasets[split].images, priors[split])
+            assert summary[f"{split.replace('-', '_')}_accuracy"] == pvit.cli._accuracy(logits, datasets[split].labels)
+
+    def test_train_pvit_does_not_import_scipy_special(self, tmp_path, pipeline):
+        """Training steps and the reported accuracies both run in float32, so
+        a fresh process that runs train-pvit never imports scipy.special."""
+        cfg, _ = write_cfg(tmp_path, paths__logits_dir=os.path.join(pipeline[1], "logits"))
+        script = (f"import sys\nfrom pvit.cli import main\n"
+                  f"print(main(['train-pvit', '--config', {cfg!r}]), 'scipy.special' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pvit.cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        assert done.stdout.splitlines()[-1].split() == ["0", "False"]
 
     def test_eval_writes_one_json_per_ood_set_plus_summary(self, pipeline):
         _, out = pipeline
@@ -221,6 +249,23 @@ class TestRecipe:
         assert compare(here, there, "HEAD~1") == {"<stdout>": "identical", "run/new.csv": "only here",
                                                   "run/old.csv": "only at HEAD~1", "run/pvit.ckpt": "differs"}
         assert set(compare(here, dict(here), "HEAD~1").values()) == {"identical"}
+
+    def test_csv_diff_counts_cells_and_the_largest_numeric_move(self):
+        old = b"ood_dataset,score,auroc,fpr95,threshold,orientation\n" \
+              b"ood-inverted,pge,0.9,0.1,-1.25,higher_is_id\nood-inverted,msp,0.8,0.2,0.5,higher_is_id\n"
+        new = b"ood_dataset,score,auroc,fpr95,threshold,orientation\n" \
+              b"ood-inverted,pge,0.9,0.1,-1.2500001,higher_is_id\nood-inverted,msp,0.8,0.25,0.5,lower_is_id\n"
+        assert csv_diff(old, new) == ["3 of 18 cells differ, largest |delta| 0.05, 1 not numeric"]
+        assert csv_diff(old, new, keyed=True) == [
+            "3 of 18 cells differ, largest |delta| 0.05, 1 not numeric",
+            "ood-inverted,pge threshold: -1.25 -> -1.2500001",
+            "ood-inverted,msp fpr95: 0.2 -> 0.25",
+            "ood-inverted,msp orientation: higher_is_id -> lower_is_id",
+        ]
+        assert csv_diff(old, old, keyed=True) == ["0 of 18 cells differ"]
+        assert csv_diff(b"1,2\n3,4\n", b"1,2\n3,4\n5,6\n") == ["shape changed: 2 rows of 2 cells -> 3 rows of 2 cells"]
+        assert csv_diff(b"1,2\n3,4\n", b"1,2\n3\n") == ["shape changed: 2 rows of 2 cells -> 2 rows of 1-2 cells"]
+        assert csv_diff(b"0.5,1e-3\n", b"0.5,1.5e-3\n") == ["1 of 2 cells differ, largest |delta| 0.0005"]
 
 
 class TestNormalization:

@@ -233,6 +233,9 @@ class TestAttention:
             assert_close_rel(got[part], want[part], 1e-12, f"attention d{name}")
 
     def test_weights_are_row_stochastic_and_read_only(self):
+        """The weights are a read-only (B, H, S, S) array whose rows sum to 1,
+        and ``[:, h, 0, -1]`` is head h's class-token mass on the last (prior)
+        token, as composed."""
         rng = np.random.default_rng(13)
         qkv = Tensor(rng.normal(scale=30.0, size=(2, 5, 18)))
         _, weights = attention(qkv, 3)
@@ -241,6 +244,53 @@ class TestAttention:
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
         with pytest.raises(ValueError):
             weights[0, 0, 0, 0] = 0.5
+        _, want = composed_attention(qkv, 3)
+        for h in range(3):
+            assert_close_rel(weights[:, h, 0, -1], want[:, h, 0, -1], 1e-12, f"head {h} class-to-prior mass")
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_scores_far_beyond_exps_range(self, dtype, rtol):
+        """With the q/k/v input scaled by 300 the scores reach about 1e5, far
+        past where exp overflows; the max shift keeps every weight finite,
+        each row sums to 1, and the weights and context match the composed
+        chain run at the same dtype."""
+        rng = np.random.default_rng(29)
+        qkv = (300.0 * rng.normal(size=(4, 18, 48))).astype(dtype)
+        out, weights = attention(Tensor(qkv), 4)
+        want_out, want = composed_attention(Tensor(qkv), 4)
+        assert weights.dtype == dtype and np.all(np.isfinite(weights)) and np.all(np.isfinite(out.data))
+        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=rtol)
+        assert_close_rel(weights, want, rtol, "weights")
+        assert_close_rel(out.data, want_out.data, rtol, "context")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_sample_is_bitwise_independent_of_its_batch(self, dtype):
+        """At desk size (S = 18, D = 64, 4 heads) a sample's context and
+        weights are bitwise the same in batches of 1, 7, 32, 64 and 65."""
+        rng = np.random.default_rng(31)
+        qkv = rng.normal(size=(65, 18, 192)).astype(dtype)
+        out, weights = attention(Tensor(qkv), 4)
+        for n in (1, 7, 32, 64):
+            part_out, part_weights = attention(Tensor(qkv[:n]), 4)
+            assert np.array_equal(part_out.data, out.data[:n]) and np.array_equal(part_weights, weights[:n]), n
+        for i in (6, 31, 64):
+            one_out, one_weights = attention(Tensor(qkv[i : i + 1]), 4)
+            assert np.array_equal(one_out.data, out.data[i : i + 1]) and np.array_equal(one_weights, weights[i : i + 1]), i
+
+    def test_float32_matches_float64_within_float32_precision(self):
+        """A float32 forward and tape gradient agree with the float64 ones
+        within 1e-6 of the largest float64 value."""
+        rng = np.random.default_rng(37)
+        qkv = rng.normal(size=(8, 18, 192))
+        upstream = rng.normal(size=(8, 18, 64))
+        (out64, w64), (out32, w32) = (attention(Tensor(qkv.astype(dtype)), 4) for dtype in (np.float64, np.float32))
+        assert out32.data.dtype == w32.dtype == np.float32
+        np.testing.assert_allclose(out32.data, out64.data, rtol=0, atol=1e-6 * np.max(np.abs(out64.data)))
+        np.testing.assert_allclose(w32, w64, rtol=0, atol=1e-6)
+        (g64,) = tape_grad(lambda t: weighted_sum(attention(t, 4)[0], upstream), qkv)
+        (g32,) = tape_grad(lambda t: weighted_sum(attention(t, 4)[0], upstream), qkv.astype(np.float32))
+        assert g32.dtype == np.float32
+        np.testing.assert_allclose(g32, g64, rtol=0, atol=1e-6 * np.max(np.abs(g64)))
 
     def test_shape_errors(self):
         x = Tensor(np.zeros((1, 2, 12)))
