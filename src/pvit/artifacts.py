@@ -51,22 +51,40 @@ def write_jsonl(path: str, header: dict, rows: Iterable[dict]) -> None:
 
 def read_jsonl(path: str) -> tuple[dict, Iterator[tuple[int, dict]]]:
     """The header object, and an iterator of ``(lineno, object)`` that parses
-    each later non-blank line as it reaches it.  A line that is not a JSON
-    object raises :class:`FormatError` naming ``file:line``."""
+    each later non-blank line as it reaches it.  A line that is not UTF-8
+    text or not a JSON object raises :class:`FormatError` naming ``file:line``.
+
+    Each line goes through one call of json's C scanner; ``json.loads``
+    runs only for a line the scanner cannot take whole (leading or trailing
+    whitespace other than one final newline, a BOM, extra data, bad JSON),
+    so every line yields what ``json.loads`` yields or raises with its message."""
     objects = _objects(path)
     return next(objects)[1], objects
 
 
+_scan_once = json.JSONDecoder().scan_once  # (value, end) at an index, as json.loads' own scanner
+
+
 def _objects(path: str) -> Iterator[tuple[int, dict]]:
     lineno = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno > 1 and not line.strip():
-                continue
+    with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: malformed JSON: {exc}") from None
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}:{lineno}: not UTF-8 text: {exc}") from None
+            try:
+                obj, end = _scan_once(line, 0)
+                whole = end == len(line) or line[end:] == "\n"
+            except (StopIteration, ValueError, RecursionError):
+                whole = False
+            if not whole:
+                if lineno > 1 and not line.strip():  # a blank line: the scanner never takes one
+                    continue
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int past the digit limit
+                    raise FormatError(f"{path}:{lineno}: malformed JSON: {exc}") from None
             if type(obj) is not dict:
                 raise FormatError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
             yield lineno, obj

@@ -211,7 +211,7 @@ class RunConfig:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     values = cls.from_text(fh.read(), source=path).values
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config {path!r}: {exc}") from None
         for key in overrides or {}:
             if key not in SCHEMA:

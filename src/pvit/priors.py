@@ -23,6 +23,7 @@ Numbers are serialized with full round-trip precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -171,12 +172,13 @@ def load_logits(path: str) -> TableSource:
     """Parse a logits file into a table that keeps ``path``; validates the
     header, field types, per-line K, id uniqueness, and that every logits
     vector is finite: a malformed line raises :class:`FormatError` naming
-    ``file:line``.  Labels are checked, not kept."""
+    ``file:line``.  Labels are checked, not kept.  The table's rows are
+    views of one (N, K) float64 block, built once every line has passed."""
     header, rows = read_jsonl(path)
     k = header.get("k")
     if type(k) is not int or k < 1:
         raise FormatError(f"{path}:1: header 'k' must be a positive integer, got {k!r}")
-    records: dict[str, np.ndarray] = {}
+    lines: dict[str, list] = {}
     for lineno, obj in rows:
         try:
             sid, label, logits = obj["id"], obj["label"], obj["logits"]
@@ -184,17 +186,18 @@ def load_logits(path: str) -> TableSource:
             raise FormatError(f"{path}:{lineno}: line needs id/label/logits fields") from None
         if type(sid) is not str or not (label is None or type(label) is int):
             raise FormatError(f"{path}:{lineno}: id must be a string and label an integer or null")
-        if type(logits) is not list or not set(map(type, logits)) <= NUMBER_TYPES:
+        if type(logits) is not list or not NUMBER_TYPES.issuperset(map(type, logits)):
             raise FormatError(f"{path}:{lineno}: logits must be a list of numbers")
         if len(logits) != k:
             raise FormatError(f"{path}:{lineno}: expected {k} logits, got {len(logits)}")
         try:
-            values = np.asarray(logits, dtype=np.float64)
+            finite = all(map(math.isfinite, logits))
         except OverflowError:  # a JSON integer no float64 holds
-            values = np.array([np.inf])
-        if not np.all(np.isfinite(values)):
+            finite = False
+        if not finite:
             raise FormatError(f"{path}:{lineno}: non-finite logits")
-        if sid in records:
+        if sid in lines:
             raise FormatError(f"{path}:{lineno}: duplicate id {sid!r}")
-        records[sid] = values
+        lines[sid] = logits
+    records = dict(zip(lines, np.array(list(lines.values()), dtype=np.float64).reshape(len(lines), k)))
     return TableSource(records=records, num_classes=k, name=str(header.get("model", "table")), path=path)

@@ -170,8 +170,9 @@ def read_scores(path: str) -> tuple[dict, list[ScoreRecord]]:
         for lineno, obj in rows:
             baselines = obj.get("baselines")
             if not (type(obj.get("id")) is str and type(obj.get("predicted_class")) is int
-                    and {type(obj.get("base")), type(obj.get("guidance")), type(obj.get("pge"))} <= NUMBER_TYPES
-                    and type(baselines) is dict and set(map(type, baselines.values())) <= NUMBER_TYPES):
+                    and type(obj.get("base")) in NUMBER_TYPES and type(obj.get("guidance")) in NUMBER_TYPES
+                    and type(obj.get("pge")) in NUMBER_TYPES
+                    and type(baselines) is dict and NUMBER_TYPES.issuperset(map(type, baselines.values()))):
                 raise FormatError(f"{path}:{lineno}: score line lacks a field or has a non-numeric score")
             if obj["id"] in seen:
                 raise FormatError(f"{path}:{lineno}: duplicate id {obj['id']!r}")

@@ -1,5 +1,6 @@
 """The artifact writer and JSON Lines reader: atomic replacement, file
-permissions, lazy parsing, and that no other module writes files."""
+permissions, lazy parsing, agreement with ``json.loads`` line by line, and
+that no other module writes files."""
 
 import ast
 import json
@@ -12,6 +13,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pvit
 from pvit.artifacts import read_jsonl, write_artifact, write_jsonl
@@ -171,6 +173,90 @@ class TestReadJsonl:
         path.write_text(first + "\n" if first else "")
         with pytest.raises(FormatError, match=r"data\.jsonl(:1:|: empty file)"):
             read_jsonl(str(path))
+
+    def test_crlf_file_reads_as_in_text_mode(self, tmp_path):
+        """Lines ending in CRLF, blank ones among them, give the objects and
+        line numbers a text-mode read with ``json.loads`` per line gives."""
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(b'{"k": 1}\r\n{"id": "a", "x": [1, 2.5]}\r\n\r\n  {"id": "b"} \r\n{"id": "c"}\r\n')
+        header, rows = read_jsonl(str(path))
+        with open(path, encoding="utf-8") as fh:
+            text_mode = [(n, json.loads(line)) for n, line in enumerate(fh, start=1) if line.strip()]
+        assert [(1, header), *rows] == text_mode
+        assert [n for n, _ in text_mode] == [1, 2, 4, 5]
+
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(b'{"k": 1}\n{"id": "a"}\n{"id": "b\xff"}\n{"id": "c"}\n')
+        header, rows = read_jsonl(str(path))
+        assert next(rows) == (2, {"id": "a"})
+        with pytest.raises(FormatError, match=r"data\.jsonl:3: not UTF-8 text: .*0xff"):
+            next(rows)
+
+    @pytest.mark.parametrize("value", ["1" * 5000, "[" * 100_000 + "]" * 100_000],
+                             ids=["int-past-the-digit-limit", "nested-past-the-recursion-limit"])
+    def test_value_json_loads_cannot_build_is_malformed(self, tmp_path, value):
+        """``json.loads`` raises ValueError or RecursionError here, not
+        JSONDecodeError; either is a FormatError naming the line."""
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"k": 1}\n{"x": %s}\n' % value)
+        _, rows = read_jsonl(str(path))
+        with pytest.raises(FormatError, match=r"data\.jsonl:2: malformed JSON: "):
+            next(rows)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**400, 10**400) | st.floats()
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def json_lines(draw):
+    """One line's text, without its newline: ``json.dumps`` of an object (or,
+    now and then, a bare value), sometimes with whitespace or a BOM before
+    it, whitespace or junk after it, or cut short."""
+    value = draw(st.dictionaries(st.text(max_size=6), json_values, max_size=5) | json_values)
+    text = json.dumps(value, ensure_ascii=draw(st.booleans()),
+                      separators=draw(st.sampled_from([None, (",", ":"), (" ,", " : ")])))
+    text = draw(st.sampled_from(["", "", "", " ", "\t", "\r", "\ufeff"])) + text
+    text += draw(st.sampled_from(["", "", "", " ", "\t", "\r", " \r", "x", "}", "{}", ",1"]))
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=json_lines(), last=st.booleans())
+def test_each_line_reads_as_json_loads_reads_it(tmp_path_factory, text, last):
+    """The scanner's fast path changes nothing: each line yields what
+    ``json.loads`` yields, or the FormatError built from its exception, or
+    is skipped as blank; ``last`` leaves the line without its newline."""
+    path = tmp_path_factory.mktemp("jsonl") / "data.jsonl"
+    line = text if last else text + "\n"
+    path.write_bytes(('{"k": 1}\n' + line).encode("utf-8"))
+    _, rows = read_jsonl(str(path))
+    if not line.strip():
+        assert list(rows) == []
+        return
+    try:
+        expected = json.loads(line)
+    except ValueError as exc:
+        with pytest.raises(FormatError) as caught:
+            next(rows)
+        assert str(caught.value) == f"{path}:2: malformed JSON: {exc}"
+        return
+    if type(expected) is not dict:
+        with pytest.raises(FormatError, match=re.escape(f"{path}:2: expected a JSON object")):
+            next(rows)
+        return
+    lineno, got = next(rows)
+    assert lineno == 2 and type(got) is dict
+    assert json.dumps(got) == json.dumps(expected)  # NaN-safe, and tells 1 from 1.0 from True
+    assert list(rows) == []
 
 
 def write_calls(tree):

@@ -667,6 +667,15 @@ class TestErrors:
     def test_missing_config_file(self, capsys):
         assert main(["train-prior", "--config", "/nonexistent/run.cfg"]) == 1
 
+    def test_config_that_is_not_utf8_exits_1_naming_it(self, tmp_path, capsys):
+        cfg, out = write_cfg(tmp_path)
+        with open(cfg, "ab") as fh:
+            fh.write(b"# caf\xe9\n")
+        assert main(["train-prior", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"pvit: usage error: cannot read config {cfg!r}: ") and "Traceback" not in err, err
+        assert not os.path.exists(out)
+
     def test_removed_prior_broadcast_key_exits_1(self, tmp_path, capsys):
         cfg, _ = write_cfg(tmp_path, model__prior_broadcast="sample")
         assert main(["train-prior", "--config", cfg]) == 1
@@ -976,6 +985,17 @@ class TestEvalInputs:
         assert f"scores_{split}.jsonl:{lineno}:" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "eval_summary.csv"))
 
+    def test_score_file_byte_that_is_not_utf8_exits_2_naming_its_line(self, tmp_path, capsys):
+        cfg, out = write_cfg(tmp_path)
+        write_score_set(out)
+        path = os.path.join(out, "scores_ood-inverted.jsonl")
+        data = pathlib.Path(path).read_bytes()
+        pathlib.Path(path).write_bytes(data.replace(b'"ood-inverted-1"', b'"ood-inverted-\xff"'))
+        assert main(["eval", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:3: not UTF-8 text: " in err and "Traceback" not in err, err
+        assert not os.path.exists(os.path.join(out, "eval_summary.csv"))
+
 
 def write_logits_set(directory, splits, k=3):
     """Hand-written ``k``-class logits files, two records each."""
@@ -1025,6 +1045,19 @@ class TestLogitsInputs:
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert f"{path}:{lineno}:" in err and "Traceback" not in err, err
+        assert os.listdir(out) == ["logits"]
+
+    def test_logits_byte_that_is_not_utf8_exits_2_naming_its_line(self, tmp_path, capsys):
+        predicted = str(tmp_path / "predicted")
+        write_logits_set(predicted, SPLITS[1:])
+        cfg, out = write_cfg(tmp_path, score__predicted_logits=predicted)
+        write_logits_set(os.path.join(out, "logits"), SPLITS)
+        path = os.path.join(out, "logits", "logits_id-test.jsonl")
+        data = pathlib.Path(path).read_bytes()
+        pathlib.Path(path).write_bytes(data.replace(b'"id-test-1"', b'"id-test-\xff"'))
+        assert main(["score", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:3: not UTF-8 text: " in err and "Traceback" not in err, err
         assert os.listdir(out) == ["logits"]
 
     @pytest.mark.parametrize(

@@ -180,6 +180,38 @@ class TestLogitsFile:
         with pytest.raises(FormatError, match=re.escape(f"{path}:2: non-finite logits")):
             load_logits(str(path))
 
+    def test_first_bad_line_is_named_whatever_its_fault(self, tmp_path):
+        """Each line is checked whole before the next is read: a NaN on
+        line 3 is reported before line 4 repeats line 2's id."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            json.dumps({"k": 2, "dataset": "d", "model": "m"}) + "\n"
+            + '{"id": "a", "label": null, "logits": [1.0, 2.0]}\n'
+            + '{"id": "b", "label": null, "logits": [NaN, 2.0]}\n'
+            + '{"id": "a", "label": null, "logits": [1.0, 2.0]}\n'
+        )
+        with pytest.raises(FormatError, match=re.escape(f"{path}:3: non-finite logits")):
+            load_logits(str(path))
+
+    def test_rows_are_float64_views_bitwise_equal_to_the_written_block(self, tmp_path):
+        """Signed zeros, subnormals and JSON integers (one past 2**53 too)
+        come back as the bits float64 gives them, each row a (K,) view of
+        one block."""
+        block = np.array([[-0.0, 5e-324, 3.0], [1.0, -2.2250738585072014e-308, 2.0 ** 53]], dtype=np.float64)
+        path = tmp_path / "bits.jsonl"
+        path.write_text(
+            json.dumps({"k": 3, "dataset": "d", "model": "m"}) + "\n"
+            + '{"id": "a", "label": 0, "logits": [-0.0, 5e-324, 3]}\n'
+            + '{"id": "b", "label": 1, "logits": [1, -2.2250738585072014e-308, %d]}\n' % (2 ** 53 + 1)
+        )
+        loaded = load_logits(str(path))
+        rows = [loaded.records["a"], loaded.records["b"]]
+        for row, expected in zip(rows, block):
+            assert row.dtype == np.float64 and row.shape == (3,)
+            assert row.tobytes() == expected.tobytes()
+        assert rows[0].base is not None and rows[0].base is rows[1].base
+        assert loaded.logits_for(["b", "a"]).tobytes() == block[::-1].tobytes()
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "nohdr.jsonl"
         path.write_text("")

@@ -495,6 +495,8 @@ class TestReadScoresValidation:
             {**GOOD_SCORE_LINE, "baselines": [0.5]},
             {**GOOD_SCORE_LINE, "baselines": {"msp": "0.5"}},
             {key: value for key, value in GOOD_SCORE_LINE.items() if key != "pge"},
+            {**GOOD_SCORE_LINE, "baselines": {"msp": True}},
+            {**GOOD_SCORE_LINE, "baselines": {"msp": 0.5, "energy": None}},
         ],
     )
     def test_bad_record_names_line(self, tmp_path, line):
