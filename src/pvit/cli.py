@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .artifacts import write_artifact
-from .config import RunConfig
+from .config import SCHEMA, RunConfig, keyed_fields
 from .data import Dataset, load_idx, make_ood, normalize, split_dataset, synth_dataset
 from .errors import ConfigError, FormatError, PvitError
 from .metrics import evaluate, histogram_export
@@ -135,28 +135,31 @@ def build_datasets(cfg: RunConfig) -> dict[str, Dataset]:
     return datasets
 
 
-# a checkpoint config class -> its model class and, per field, the config key that sets it; the
-# fields not named come from the datasets: the transformer's image shape and the prior's pixel count
-_MODELS = {PViTConfig: (PViTModel, {"patch_size": "model.patch", "embed_dim": "model.dim", "depth": "model.depth",
-                                    "heads": "model.heads", "mlp_dim": "model.mlp_dim",
-                                    "num_classes": "data.classes", "alpha": "model.alpha"}),
-           MLPConfig: (MLPClassifier, {"hidden_dim": "prior.hidden", "num_classes": "data.classes"})}
+# a checkpoint config class -> its model class; the fields no config key sets come from the
+# datasets: the transformer's image shape and the prior's pixel count
+_MODELS = {PViTConfig: PViTModel, MLPConfig: MLPClassifier}
+
+
+def _configured(cls, cfg: RunConfig, section: str = "", **unkeyed):
+    """A ``cls`` whose keyed fields take their keys' values, or ``<section>.<field>``'s where
+    SCHEMA has that key, and whose other fields are ``unkeyed``."""
+    return cls(**{name: cfg[f"{section}.{name}" if f"{section}.{name}" in SCHEMA else key]
+                  for name, key in keyed_fields(cls).items()}, **unkeyed)
 
 
 def _pvit_config(cfg: RunConfig, datasets) -> PViTConfig:
     h, w, c = datasets["id-test"].image_shape
     if h % cfg["model.patch"] or w % cfg["model.patch"]:
         raise ConfigError(f"config key 'model.patch': {cfg['model.patch']} does not divide the {h}x{w} images")
-    return PViTConfig(**{name: cfg[key] for name, key in _MODELS[PViTConfig][1].items()},
-                      image_h=h, image_w=w, channels=c)
+    return _configured(PViTConfig, cfg, image_h=h, image_w=w, channels=c)
 
 
 def _load_checked(cfg: RunConfig, path: str, wanted):
     """The model, header and leftover tensors of the checkpoint at ``path``
     once its config is ``wanted``, the PViTConfig or MLPConfig the run
     builds; commands load checkpoints here alone (see the module docstring)."""
-    model_cls, keys = _MODELS[type(wanted)]
-    model, header, tensors = model_cls.load(path)
+    keys = keyed_fields(type(wanted))
+    model, header, tensors = _MODELS[type(wanted)].load(path)
     shaped = [name for name in vars(wanted) if name not in keys]
     takes, given = ("x".join(str(getattr(config, name)) for name in shaped) for config in (model.config, wanted))
     if takes != given:
@@ -170,10 +173,9 @@ def _load_checked(cfg: RunConfig, path: str, wanted):
     return model, header, tensors
 
 
-def _train_config(cfg: RunConfig, prefix: str) -> TrainConfig:
-    names = ("epochs", "batch_size", "base_lr", "warmup_epochs", "weight_decay")
-    return TrainConfig(**{name: cfg[f"{prefix}.{name}"] for name in names}, beta1=cfg["train.beta1"],
-                       beta2=cfg["train.beta2"], seed=cfg.seed_for(f"{prefix}.seed"))
+def _train_config(cfg: RunConfig, section: str) -> TrainConfig:
+    """``section`` ("prior" or "train") sets each field it has a key for, ``train.*`` the others."""
+    return _configured(TrainConfig, cfg, section, seed=cfg.seed_for(f"{section}.seed"))
 
 
 def _ckpt_path(cfg: RunConfig, out: str, model: str) -> str:
@@ -201,8 +203,7 @@ def _scores_path(out: str, split: str) -> str:
 def _export_all_logits(cfg: RunConfig, out: str, datasets) -> dict[str, np.ndarray]:
     """Write every split's logits file from the prior as loaded back from
     its checkpoint (float32); returns each split's (N, K) block."""
-    wanted = MLPConfig(input_dim=math.prod(datasets["id-test"].image_shape),
-                       **{name: cfg[key] for name, key in _MODELS[MLPConfig][1].items()})
+    wanted = _configured(MLPConfig, cfg, input_dim=math.prod(datasets["id-test"].image_shape))
     source = ModelSource(_load_checked(cfg, _ckpt_path(cfg, out, "prior"), wanted)[0])
     directory = _logits_dir(cfg, out)
     os.makedirs(directory, exist_ok=True)

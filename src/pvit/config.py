@@ -7,6 +7,10 @@ breaking a rule fails loudly, naming the key.  Each command writes its
 fully-resolved configuration next to its outputs, and a run is
 reproducible from that file alone.
 
+A model or training dataclass field that a key sets is the key's
+:func:`setting`, with the key's default, and :func:`check` applies the
+key's rule to it, so each setting is declared here alone.
+
 The global ``seed`` is added to every component seed (data, model,
 prior, training, ood), so overriding it shifts the whole run while the
 components keep distinct streams.  Every seed is a U64, in [0, 2**64).
@@ -16,11 +20,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
 from .data import OOD_KINDS
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .metrics import ORIENTATION_POLICIES
 from .scoring import GUIDANCE_KINDS, SCORE_FIELDS
 
@@ -71,7 +76,7 @@ SCHEMA: dict[str, tuple[str, Any, Optional[tuple]]] = {
     "model.mlp_dim": ("int", 128, _at_least(1)),
     "model.alpha": ("float", 0.1, _at_least(0)),
     "model.seed": ("int", 55, U64),
-    # prior classifier
+    # prior classifier (its Adam takes train.beta1 and train.beta2: there are no prior.beta* keys)
     "prior.hidden": ("int", 128, _at_least(1)),
     "prior.epochs": ("int", 8, _at_least(0)),
     "prior.batch_size": ("int", 64, _at_least(1)),
@@ -115,6 +120,38 @@ RELATIONS = (
 )
 
 
+def _broken(key: str, value) -> Optional[str]:
+    """What ``value``, of ``key`` or an entry of a list key, fails to be under
+    the key's tag and rule, or None."""
+    tag, _, rule = SCHEMA[key]
+    if tag.endswith("float") and not abs(value) <= sys.float_info.max:  # also an int no float64 holds
+        return "finite"
+    return None if rule is None or rule[0](value) else rule[1]
+
+
+def setting(key: str):
+    """A dataclass field that config key ``key`` sets, with the key's default."""
+    return field(default=SCHEMA[key][1], metadata={"key": key})
+
+
+def keyed_fields(cls) -> dict[str, str]:
+    """Each :func:`setting` field of dataclass ``cls``, in field order -> its key."""
+    return {f.name: f.metadata["key"] for f in fields(cls) if "key" in f.metadata}
+
+
+def check(config) -> None:
+    """Apply each keyed field's rule, then each RELATIONS entry whose keys all set fields of dataclass
+    instance ``config``: a break raises ShapeError naming the field and showing ``config``."""
+    names = {key: name for name, key in keyed_fields(type(config)).items()}
+    for key, name in names.items():
+        broken = _broken(key, getattr(config, name))
+        if broken:
+            raise ShapeError(f"{name} must be {broken} (config key {key!r}), got {config!r}")
+    for keys, test, must in RELATIONS:
+        if set(keys) <= names.keys() and not test(*(getattr(config, names[key]) for key in keys)):
+            raise ShapeError(f"{' and '.join(names[key] for key in keys)}: {must}, got {config!r}")
+
+
 def _finite(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -151,11 +188,12 @@ class RunConfig:
     values: dict[str, Any]
 
     def __post_init__(self):
-        for key, (tag, _, rule) in SCHEMA.items():
+        for key, (tag, _, _) in SCHEMA.items():
             entries = self.values[key] if tag.startswith("list_") else [self.values[key]]
             for i, entry in enumerate(entries):
-                if rule and not rule[0](entry):
-                    raise ConfigError(f"config key {key!r}: {entry!r} is not {rule[1]}")
+                broken = _broken(key, entry)
+                if broken:
+                    raise ConfigError(f"config key {key!r}: {entry!r} is not {broken}")
                 if entry in entries[:i]:
                     raise ConfigError(f"config key {key!r}: {entry!r} is repeated")
         for keys, test, must in RELATIONS:

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpointed, ones, zeros
+from .config import check, setting
 from .errors import ShapeError
 from .rng import truncated_normal
 from .tensor import Tensor
@@ -45,26 +46,22 @@ class PViTConfig:
     image_h: int = 28
     image_w: int = 28
     channels: int = 1
-    patch_size: int = 7
-    embed_dim: int = 64
-    depth: int = 4
-    heads: int = 4
-    mlp_dim: int = 128
-    num_classes: int = 4
-    alpha: float = 0.1
+    patch_size: int = setting("model.patch")
+    embed_dim: int = setting("model.dim")
+    depth: int = setting("model.depth")
+    heads: int = setting("model.heads")
+    mlp_dim: int = setting("model.mlp_dim")
+    num_classes: int = setting("data.classes")
+    alpha: float = setting("model.alpha")
 
     def __post_init__(self):
-        sizes = [size for name, size in vars(self).items() if name not in ("alpha", "depth")]
-        if min(sizes) < 1 or self.depth < 0:
-            raise ShapeError(f"sizes must be at least 1 (depth at least 0), got {self}")
+        check(self)
+        if min(self.image_h, self.image_w, self.channels) < 1:
+            raise ShapeError(f"image sides and channels must be at least 1, got {self}")
         if self.image_h % self.patch_size or self.image_w % self.patch_size:
             raise ShapeError(
                 f"image {self.image_h}x{self.image_w} not divisible by patch_size {self.patch_size}"
             )
-        if self.embed_dim % self.heads:
-            raise ShapeError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
-        if not 0 <= self.alpha < np.inf:
-            raise ShapeError(f"alpha must be finite and nonnegative, got {self}")
 
     @property
     def num_patches(self) -> int:

@@ -32,6 +32,7 @@ import numpy as np
 from . import tensor as T
 from .artifacts import NUMBER_TYPES, read_jsonl, write_jsonl
 from .checkpoint import Checkpointed, zeros
+from .config import check, setting
 from .data import Dataset, subset
 from .errors import FormatError, MissingPriorError, ShapeError, TrainingError
 from .rng import truncated_normal
@@ -42,12 +43,13 @@ from .train import run_training
 @dataclass(frozen=True)
 class MLPConfig:
     input_dim: int
-    hidden_dim: int = 128
-    num_classes: int = 4
+    hidden_dim: int = setting("prior.hidden")
+    num_classes: int = setting("data.classes")
 
     def __post_init__(self):
-        if min(vars(self).values()) < 1:
-            raise ShapeError(f"sizes must be at least 1, got {self}")
+        check(self)
+        if self.input_dim < 1:
+            raise ShapeError(f"input_dim must be at least 1, got {self}")
 
 
 class MLPClassifier(Checkpointed):
@@ -132,7 +134,7 @@ def priors_for_indices(source: ModelSource | TableSource, dataset: Dataset, indi
     return source.resolve(subset(dataset, indices))
 
 
-def train_prior_model(train_set: Dataset, config, hidden_dim: int = 128, seed: int = 0,
+def train_prior_model(train_set: Dataset, config, hidden_dim: int = MLPConfig.hidden_dim, seed: int = 0,
                       num_classes: Optional[int] = None):
     """Fit the MLP prior on a labeled dataset; returns (source, result).
 

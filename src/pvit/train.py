@@ -40,6 +40,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from .config import check, setting
 from .data import Dataset
 from .errors import FormatError, ShapeError, TrainingError
 from .rng import philox
@@ -50,24 +51,17 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 10
-    batch_size: int = 32
-    base_lr: float = 3e-4
-    warmup_epochs: int = 1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    weight_decay: float = 1e-3
-    seed: int = 0
+    epochs: int = setting("train.epochs")
+    batch_size: int = setting("train.batch_size")
+    base_lr: float = setting("train.base_lr")
+    warmup_epochs: int = setting("train.warmup_epochs")
+    beta1: float = setting("train.beta1")
+    beta2: float = setting("train.beta2")
+    weight_decay: float = setting("train.weight_decay")
+    seed: int = 0  # the resolved seed: the global seed plus prior.seed or train.seed
 
     def __post_init__(self):
-        if not 0 <= self.warmup_epochs <= self.epochs:
-            raise ShapeError(f"warmup_epochs {self.warmup_epochs} must be in [0, epochs {self.epochs}]")
-        if self.batch_size < 1:
-            raise ShapeError("batch_size must be >= 1")
-        if not 0 < self.base_lr < math.inf:
-            raise ShapeError(f"base_lr must be finite and positive, got {self.base_lr}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and 0 <= self.weight_decay < math.inf):
-            raise ShapeError(f"beta1 and beta2 must be in [0, 1) and weight_decay finite and nonnegative, got {self}")
+        check(self)
 
 
 class FlatVectors:
@@ -260,11 +254,12 @@ def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:
     """Piecewise-linear schedule: 0 to base_lr over the warmup span, then
     base_lr back to 0 at ``total_steps``.
 
-    The warmup span is the warmup-epoch fraction of ``total_steps``.
+    The warmup span is the warmup-epoch fraction of ``total_steps``; a
+    0-epoch schedule has none, so its step 0 is at base_lr.
     """
     if not 0 <= step <= total_steps:
         raise ShapeError(f"step {step} outside [0, {total_steps}]")
-    warmup_steps = (total_steps * config.warmup_epochs) // config.epochs
+    warmup_steps = (total_steps * config.warmup_epochs) // config.epochs if config.epochs else 0
     if step <= warmup_steps and warmup_steps > 0:
         return config.base_lr * step / warmup_steps
     if total_steps == warmup_steps:

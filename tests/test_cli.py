@@ -492,6 +492,8 @@ class TestCheckpointAgreesWithConfig:
         ("score", "pvit.ckpt", "alpha", float("nan")),
         pytest.param("score", "pvit.ckpt", "alpha", 10**400, id="score-pvit.ckpt-alpha-past-float64"),
         pytest.param("score", "pvit.ckpt", "mlp_dim", 10**400, id="score-pvit.ckpt-mlp_dim-past-int64"),
+        ("score", "pvit.ckpt", "num_classes", 1),
+        ("export-logits", "prior.ckpt", "num_classes", 1),
     ])
     def test_checkpoint_value_that_cannot_work_exits_2_naming_the_file_writing_nothing(self, tmp_path, capsys,
                                                                                         command, name, field, value):

@@ -51,13 +51,6 @@ def encoder_input(model, images, priors, alpha=None):
     return first.inputs[0].data
 
 
-class TestConfig:
-    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf"), float("-inf")])
-    def test_alpha_must_be_finite_and_nonnegative(self, alpha):
-        with pytest.raises(ShapeError, match="alpha must be finite and nonnegative"):
-            tiny_config(alpha=alpha)
-
-
 class TestPatchify:
     def test_28x28_p7_shape(self):
         out = patchify(np.zeros((1, 28, 28, 1)), 7)

@@ -10,7 +10,7 @@ from pvit.artifacts import read_jsonl
 from pvit.cli import _accuracy
 from pvit.checkpoint import load_checkpoint, save_checkpoint
 from pvit.data import Dataset
-from pvit.errors import FormatError, MissingPriorError
+from pvit.errors import FormatError, MissingPriorError, ShapeError
 from pvit.priors import (
     MLPClassifier,
     MLPConfig,
@@ -110,6 +110,14 @@ class TestTrainPriorModel:
         src, result = train_prior_model(ds, config, hidden_dim=16, seed=2)
         assert _accuracy(src.resolve(ds), ds.labels) >= 0.99
         assert result.curve[-1].accuracy >= 0.99
+
+    def test_single_label_data_is_refused(self):
+        """One label gives one class, and ``data.classes`` needs at least 2."""
+        ds = blobs_dataset(per_class=5)
+        one_label = Dataset("one-label", ds.images, np.zeros(len(ds), dtype=np.int64))
+        config = TrainConfig(epochs=1, batch_size=5, warmup_epochs=0)
+        with pytest.raises(ShapeError, match=r"^num_classes must be at least 2"):
+            train_prior_model(one_label, config, hidden_dim=4, seed=1)
 
     def test_zero_epochs_is_chance_level(self):
         ds = blobs_dataset(per_class=200, seed=3)
