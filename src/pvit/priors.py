@@ -159,8 +159,14 @@ def train_prior_model(train_set: Dataset, config, hidden_dim: int = MLPConfig.hi
 
 def export_logits(source: ModelSource | TableSource, dataset: Dataset, path: str) -> np.ndarray:
     """Write one logits line per dataset sample, after a k/dataset header;
-    returns the (N, K) block written."""
+    returns the (N, K) block written.  A NaN or infinite logit is a
+    FormatError naming the dataset and the first such sample, raised
+    before anything is written."""
     all_logits = source.resolve(dataset)
+    finite = np.isfinite(all_logits).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"{dataset.name}: sample {dataset.ids[int(np.argmin(finite))]!r} has a NaN or "
+                          "infinite prior logit; logits files must be finite")
     labels = [None] * len(dataset) if dataset.labels is None else dataset.labels.tolist()
     header = {"k": source.num_classes, "dataset": dataset.name, "model": source.name}
     write_jsonl(path, header, (

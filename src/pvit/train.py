@@ -13,17 +13,19 @@ reshaped view of it.  Each step copies the masters into one float32
 working vector, points every parameter at its working view, runs the
 forward and backward pass on one float32 tape, points the parameters
 back at their masters, also when the step fails, and hands
-:func:`adam_step` the float32 leaf gradients, which it gathers into one
-float64 gradient vector.  Adam's two moments are float64 vectors too,
-so an update is a handful of whole-vector operations (the flat-parameter
-idiom of fairseq's ``FP16Optimizer``); float32's exponent range makes
-loss scaling unnecessary.
+:func:`adam_step` the float32 leaf gradients, which it casts into one
+float64 vector for that update alone.  Adam's two moments are float64
+vectors too, so an update is a handful of whole-vector operations (the
+flat-parameter idiom of fairseq's ``FP16Optimizer``); float32's exponent
+range makes loss scaling unnecessary.
 
 The training state is one :class:`OptimizerState`: its ``t`` counts the
-Adam updates applied, which is the training step, its ``flat`` holds the
-vectors, and its ``moments`` are their views keyed as a checkpoint
-stores them, so a checkpoint's ``step`` and leftover tensors, read back
-by :func:`resume_state`, are the state a resumed run continues from.
+Adam updates applied, which is the training step, and its ``moments``
+are keyed as a checkpoint stores them, so a checkpoint's ``step`` and
+leftover tensors, read back by :func:`resume_state`, are the state a
+resumed run continues from.  A state binds to one set of parameters on
+its first update, or when a run starts on it; from then on it holds the
+vectors, its moments are views of them, and it refuses other parameters.
 Every step applies an update, even at learning rate 0 (the last step of
 a decaying schedule), which leaves the parameters unchanged and folds
 the gradient into the moments.
@@ -31,7 +33,6 @@ the gradient into the moments.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import reprlib
@@ -64,103 +65,69 @@ class TrainConfig:
         check(self)
 
 
-class FlatVectors:
-    """A training run's state as flat vectors in the order of its
-    parameters: float64 ``master`` weights, first and second moments
-    ``m`` and ``v``, and gathered gradient ``grad``, a float32 ``work``
-    copy of the masters and a float64 ``scratch`` vector.  ``masters``,
-    ``ms``, ``vs``, ``grads`` and ``works`` hold each parameter's reshaped
-    view of the vector of that name.
-
-    The vectors start as copies, at their own dtypes, of the parameters'
-    arrays and of ``moments``' ``opt.m.<name>``/``opt.v.<name>`` entries
-    (zeros where one is missing, a ShapeError where one is shaped unlike
-    its parameter); neither is touched until a state adopts the vectors
-    (:meth:`OptimizerState.adopt`)."""
-
-    def __init__(self, params: dict[str, Tensor], moments: dict[str, np.ndarray]):
-        self.names = list(params)
-        self.tensors = list(params.values())
-        shapes = [p.data.shape for p in self.tensors]
-        self.ends = list(itertools.accumulate(p.data.size for p in self.tensors))
-        size = self.ends[-1] if self.ends else 0
-        self.master, self.m, self.v, self.grad, self.scratch = (np.zeros(size) for _ in range(5))
-        self.work = np.empty(size, np.float32)
-
-        def views(vector):
-            return [vector[end - math.prod(shape) : end].reshape(shape) for end, shape in zip(self.ends, shapes)]
-
-        self.masters, self.ms, self.vs, self.grads, self.works = map(
-            views, (self.master, self.m, self.v, self.grad, self.work))
-        for name, p, master, m, v in zip(self.names, self.tensors, self.masters, self.ms, self.vs):
-            np.copyto(master, p.data)
-            for key, view in ((f"opt.m.{name}", m), (f"opt.v.{name}", v)):
-                if key in moments:
-                    if moments[key].shape != view.shape:
-                        raise ShapeError(f"moment {key!r} has shape {moments[key].shape}, parameter is {view.shape}")
-                    np.copyto(view, moments[key])
-
-    def holds(self, params: dict[str, Tensor]) -> bool:
-        """Whether ``params`` are the parameters these vectors were built
-        from, in order, each pointing at its master view."""
-        return list(params) == self.names and all(
-            p is tensor and p.data is master for p, tensor, master in zip(params.values(), self.tensors, self.masters))
-
-    def point(self, views: list[np.ndarray]) -> None:
-        """Set each parameter's ``data`` to its view in ``views``."""
-        for p, view in zip(self.tensors, views):
-            p.data = view
-
-    def gather(self, grads: dict[str, Optional[np.ndarray]]) -> None:
-        """Copy each parameter's gradient into ``grad``, zeros where it has
-        none; a gradient shaped unlike its parameter is a ShapeError."""
-        for name, view in zip(self.names, self.grads):
-            g = grads.get(name)
-            if g is None:
-                view.fill(0.0)
-            elif g.shape != view.shape:
-                raise ShapeError(f"gradient for {name!r} has shape {g.shape}, parameter is {view.shape}")
-            else:
-                np.copyto(view, g)
-
-    def first_false(self, ok: np.ndarray) -> Optional[str]:
-        """The name of the parameter that holds ``ok``'s first False, or
-        None if ``ok`` is all True."""
-        return None if ok.all() else self.names[bisect.bisect_right(self.ends, int(np.argmin(ok)))]
-
-
-@dataclass
 class OptimizerState:
     """The updates applied so far, ``t``, and each parameter's first and
     second moments, keyed ``opt.m.<param>`` and ``opt.v.<param>``.
 
-    Once the state has stepped, or a training run has started on it,
-    ``flat`` holds the run's vectors, every parameter's ``data`` is a view
-    of its master vector and every moment a view of a moment vector.  A
-    state given other parameters, or parameters pointed elsewhere, builds
-    new vectors from them and its moments."""
+    Once bound (:meth:`bind`), the state also holds its ``params`` and,
+    in their order, the float64 ``master``, ``m``, ``v`` and ``scratch``
+    vectors and the float32 ``work`` vector, with each parameter's
+    reshaped views of the masters and the work vector in ``masters`` and
+    ``works``.  Every parameter's ``data`` is then its master view and
+    every moment a view of ``m`` or ``v``."""
 
-    moments: dict[str, np.ndarray] = field(default_factory=dict)
-    t: int = 0
-    flat: Optional[FlatVectors] = field(default=None, repr=False, compare=False)
+    params: Optional[dict[str, Tensor]] = None  # None while unbound
 
-    def vectors(self, params: dict[str, Tensor]) -> FlatVectors:
-        """``flat`` if it holds ``params``, else new vectors built from
-        ``params`` and ``moments``, not yet adopted."""
-        if self.flat is not None and self.flat.holds(params):
-            return self.flat
-        return FlatVectors(params, self.moments)
+    def __init__(self, moments: Optional[dict[str, np.ndarray]] = None, t: int = 0):
+        self.moments = {} if moments is None else moments
+        self.t = t
 
-    def adopt(self, flat: FlatVectors) -> None:
-        """Make ``flat`` the state's vectors: if they are new, point each
-        parameter at its master view and set each of its two ``moments``
-        entries to its view (new keys go last, m before v, in parameter
-        order)."""
-        if flat is not self.flat:
-            flat.point(flat.masters)
-            for name, m, v in zip(flat.names, flat.ms, flat.vs):
-                self.moments[f"opt.m.{name}"], self.moments[f"opt.v.{name}"] = m, v
-            self.flat = flat
+    def bind(self, params: dict[str, Tensor]) -> None:
+        """Bind the state to ``params``, or check that it is bound to them.
+
+        An unbound state refuses a moment of no parameter, or one shaped
+        unlike its parameter, with a ShapeError.  Otherwise it copies the
+        parameters and moments (zeros where one is missing) into new
+        vectors and points each parameter at its master view; ``moments``
+        keep their order, and new keys go last, m before v, in parameter
+        order.  A bound state takes only the parameters it holds, in
+        order, each still at its master view; anything else is a
+        TrainingError naming the first parameter that differs.  A refusal
+        changes nothing."""
+        if self.params is not None:
+            given, held = list(params.items()), list(self.params.items())
+            for i in range(max(len(given), len(held))):
+                if given[i : i + 1] != held[i : i + 1] or given[i][1].data is not self.masters[i]:
+                    name = (given[i] if i < len(given) else held[i])[0]
+                    raise TrainingError(f"the training state is bound to other parameters: {name!r} differs")
+            return
+        shapes = {f"opt.{kind}.{name}": p.data.shape for name, p in params.items() for kind in "mv"}
+        for key, moment in self.moments.items():
+            if key not in shapes:
+                raise ShapeError(f"tensor {key!r} is not an opt.m./opt.v. moment of a parameter")
+            if moment.shape != shapes[key]:
+                raise ShapeError(f"tensor {key!r} has shape {moment.shape}, its parameter {shapes[key]}")
+        ends = list(itertools.accumulate(p.data.size for p in params.values()))
+        self.master, self.m, self.v, self.scratch = (np.zeros(ends[-1] if ends else 0) for _ in range(4))
+        self.work = np.empty(self.master.size, np.float32)
+
+        def views(vector):
+            return [vector[end - p.data.size : end].reshape(p.data.shape) for end, p in zip(ends, params.values())]
+
+        self.masters, self.works = views(self.master), views(self.work)
+        for name, p, master, m, v in zip(params, params.values(), self.masters, views(self.m), views(self.v)):
+            np.copyto(master, p.data)
+            for key, view in ((f"opt.m.{name}", m), (f"opt.v.{name}", v)):
+                if key in self.moments:
+                    np.copyto(view, self.moments[key])
+                self.moments[key] = view
+        self.params = dict(params)
+        self.point(self.masters)
+
+    def point(self, views: list[np.ndarray]) -> None:
+        """Set each bound parameter's ``data`` to its view in ``views``."""
+        for p, view in zip(self.params.values(), views):
+            p.data = view
 
 
 def adam_step(
@@ -170,27 +137,30 @@ def adam_step(
     lr: float,
     config: TrainConfig,
 ) -> None:
-    """One bias-corrected Adam update, in place, on the state's flat
-    vectors (see :class:`OptimizerState`).
+    """One bias-corrected Adam update, in place, on the vectors of
+    ``state`` bound to ``params`` (see :class:`OptimizerState`).
 
     Weight decay is decoupled: parameters shrink by (1 - lr * decay)
     before the gradient step.  At lr 0 the parameters keep their values
     while ``t`` and the moments advance.  A missing gradient counts as
     zeros.  A gradient shaped unlike its parameter, or a non-finite one,
     refuses the step before anything in the state or the parameters
-    changes.
+    changes, so a fresh state stays unbound.
     """
     if lr < 0:
         raise ShapeError(f"adam_step needs lr >= 0, got {lr}")
-    flat = state.vectors(params)
-    flat.gather(grads)
-    bad = flat.first_false(np.isfinite(flat.grad))
-    if bad is not None:
+    for name, p in params.items():
+        if grads.get(name) is not None and grads[name].shape != p.data.shape:
+            raise ShapeError(f"gradient for {name!r} has shape {grads[name].shape}, parameter is {p.data.shape}")
+    g = np.concatenate([np.zeros(p.data.size) if grads.get(name) is None else grads[name].ravel()
+                        for name, p in params.items()], dtype=np.float64)
+    if not np.isfinite(g).all():
+        bad = next(name for name in params if grads.get(name) is not None and not np.isfinite(grads[name]).all())
         raise TrainingError(f"non-finite gradient in {bad!r} at step {state.t + 1}")
-    state.adopt(flat)
+    state.bind(params)
     state.t += 1
     beta1, beta2 = config.beta1, config.beta2
-    g, m, v, p, s = flat.grad, flat.m, flat.v, flat.master, flat.scratch
+    m, v, p, s = state.m, state.v, state.master, state.scratch
     m *= beta1
     m += np.multiply(1.0 - beta1, g, out=s)
     v *= beta2
@@ -216,37 +186,34 @@ def resume_state(path: str, header: dict, moments: dict[str, np.ndarray],
     and past ``params`` its ``moments``, opt.m./opt.v. pairs shaped like
     their parameters, every pair once ``step`` > 0; the parameters and
     moments must be finite and the second moments nonnegative.  Anything
-    else is a FormatError naming ``path`` and the key.  Once the
-    checkpoint checks out, the state's flat float64 vectors hold
-    ``params`` and the moments, each parameter's ``data`` is its master
+    else is a FormatError naming ``path`` and the key, and leaves
+    ``params`` as they were.  Once the checkpoint checks out, the state is
+    bound to ``params``: each parameter's ``data`` is its float64 master
     view (a loaded checkpoint holds float32) and the state's ``moments``
     keep the checkpoint's order."""
     for key in ("step", "epoch"):
         if type(header.get(key)) is not int or not 0 <= header[key] < 2**63:
             raise FormatError(f"{path}: checkpoint key {key!r} must be an integer in [0, 2**63), "
                               f"got {reprlib.repr(header.get(key))}")
-    shapes = {f"opt.{kind}.{name}": p.shape for name, p in params.items() for kind in "mv"}
-    for key, moment in moments.items():
-        if key not in shapes:
-            raise FormatError(f"{path}: checkpoint tensor {key!r} is not an opt.m./opt.v. moment of a parameter")
-        if moment.shape != shapes[key]:
-            raise FormatError(f"{path}: checkpoint tensor {key!r} has shape {moment.shape}, "
-                              f"its parameter {shapes[key]}")
+    keys = dict.fromkeys(f"opt.{kind}.{name}" for name in params for kind in "mv")
+    for key in moments:
         partner = ("opt.v." if key.startswith("opt.m.") else "opt.m.") + key[len("opt.m."):]
-        if partner not in moments:
+        if key in keys and partner not in moments:  # a key of no parameter is bind's to refuse
             raise FormatError(f"{path}: checkpoint tensor {key!r} has no partner {partner!r}")
-    missing = [key for key in shapes if key not in moments]
+    missing = [key for key in keys if key not in moments]
     if header["step"] and missing:
         raise FormatError(f"{path}: checkpoint at step {header['step']} has no optimizer moment {missing[0]!r}")
+    for prefix, ok, rule in (("", np.isfinite, "finite"), ("opt.m.", np.isfinite, "finite"),
+                             ("opt.v.", lambda v: np.isfinite(v) & (v >= 0), "finite and nonnegative")):
+        for name, p in params.items():
+            tensor = moments.get(prefix + name) if prefix else p.data
+            if tensor is not None and not ok(tensor).all():
+                raise FormatError(f"{path}: checkpoint tensor {prefix + name!r} has a value that is not {rule}")
     state = OptimizerState(moments=dict(moments), t=header["step"])
-    flat = FlatVectors(params, state.moments)
-    for prefix, ok, rule in (("", np.isfinite(flat.master), "finite"),
-                             ("opt.m.", np.isfinite(flat.m), "finite"),
-                             ("opt.v.", np.isfinite(flat.v) & (flat.v >= 0), "finite and nonnegative")):
-        bad = flat.first_false(ok)
-        if bad is not None:
-            raise FormatError(f"{path}: checkpoint tensor {prefix + bad!r} has a value that is not {rule}")
-    state.adopt(flat)
+    try:
+        state.bind(params)
+    except ShapeError as exc:
+        raise FormatError(f"{path}: checkpoint {exc}") from None
     return state, header["epoch"]
 
 
@@ -305,10 +272,10 @@ def run_training(
     array to a (B, K) prior-logits block (None for models that take no
     priors).  ``state``, updated in place, resumes a previous run: its
     ``t`` is the step the run continues from and its moments carry on.
-    Every parameter must be float64: the state's master vector takes its
-    values over, and its ``data`` becomes a view of that vector (see the
-    module docstring).  Returns the per-step loss curve; aborts on
-    non-finite loss.
+    Every parameter must be float64: the state binds to the parameters,
+    so its master vector takes their values over and each ``data``
+    becomes a view of that vector (see the module docstring).  Returns
+    the per-step loss curve; aborts on non-finite loss.
     """
     if dataset.labels is None:
         raise TrainingError("training needs a labeled dataset")
@@ -323,8 +290,7 @@ def run_training(
     for name, p in params.items():
         if p.data.dtype != np.float64:
             raise TrainingError(f"parameter {name!r} is {p.data.dtype}: training keeps float64 master weights")
-    flat = state.vectors(params)
-    state.adopt(flat)
+    state.bind(params)
     curve: list[CurvePoint] = []
     for epoch in range(config.epochs):
         order = gen.permutation(n)
@@ -335,9 +301,9 @@ def run_training(
             labels = dataset.labels[idx]
             priors = () if priors_for is None else (priors_for(idx),)
             trainable.zero_grad()
-            np.copyto(flat.work, flat.master)
+            np.copyto(state.work, state.master)
             try:
-                flat.point(flat.works)
+                state.point(state.works)
                 with Tape():
                     loss, correct = trainable.batch_loss(images, labels, *priors)
                 loss_value = loss.item()
@@ -345,7 +311,7 @@ def run_training(
                     raise TrainingError(f"non-finite loss {loss_value} at step {state.t + 1}")
                 backward(loss)
             finally:
-                flat.point(flat.masters)
+                state.point(state.masters)
             lr = lr_at(state.t + 1, total_steps, config)
             adam_step(params, {name: p.grad for name, p in params.items()}, state, lr, config)
             seen += len(idx)

@@ -837,6 +837,19 @@ class TestErrors:
         assert path in err and "data.image_size" in err and "Traceback" not in err, err
         assert os.listdir(out) == ["prior.ckpt"]
 
+    def test_export_logits_with_an_infinite_prior_tensor_exits_2(self, tmp_path, capsys):
+        """A checkpoint's values are not checked on load; the infinite
+        logits they give are refused before any logits file is written."""
+        cfg, out = write_cfg(tmp_path)
+        os.makedirs(out)
+        prior = MLPClassifier(MLPConfig(input_dim=28 * 28, hidden_dim=32, num_classes=3))
+        prior.params["fc2.bias"].data[1] = np.inf
+        prior.save(os.path.join(out, "prior.ckpt"))
+        assert main(["export-logits", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "synth-train: sample 'synth-00000' has a NaN or infinite prior logit" in err, err
+        assert "Traceback" not in err and os.listdir(os.path.join(out, "logits")) == [], err
+
     def test_export_logits_with_prior_of_another_idx_image_size_names_the_idx_file(self, tmp_path, capsys):
         images = np.random.default_rng(0).integers(0, 256, (12, 14, 14))
         img_path, lbl_path = write_idx_pair(tmp_path, images, np.arange(12) % 3)

@@ -10,7 +10,7 @@ from pvit.artifacts import read_jsonl
 from pvit.cli import _accuracy
 from pvit.checkpoint import load_checkpoint, save_checkpoint
 from pvit.data import Dataset
-from pvit.errors import FormatError, MissingPriorError, ShapeError
+from pvit.errors import FormatError, MissingPriorError, ShapeError, TrainingError
 from pvit.priors import (
     MLPClassifier,
     MLPConfig,
@@ -119,6 +119,16 @@ class TestTrainPriorModel:
         with pytest.raises(ShapeError, match=r"^num_classes must be at least 2"):
             train_prior_model(one_label, config, hidden_dim=4, seed=1)
 
+    def test_an_empty_dataset_is_refused(self):
+        empty = Dataset("empty", np.zeros((0, 4, 4, 1)), np.zeros(0, dtype=np.int64))
+        with pytest.raises(TrainingError, match="^train_prior_model needs a nonempty dataset$"):
+            train_prior_model(empty, TrainConfig(epochs=1, batch_size=5, warmup_epochs=0), hidden_dim=4)
+
+    def test_an_unlabeled_dataset_is_refused(self):
+        unlabeled = Dataset("unlabeled", blobs_dataset(per_class=5).images, None)
+        with pytest.raises(TrainingError, match="^train_prior_model needs labels$"):
+            train_prior_model(unlabeled, TrainConfig(epochs=1, batch_size=5, warmup_epochs=0), hidden_dim=4)
+
     def test_zero_epochs_is_chance_level(self):
         ds = blobs_dataset(per_class=200, seed=3)
         config = TrainConfig(epochs=0, batch_size=20, base_lr=1e-3, warmup_epochs=0, seed=1)
@@ -155,6 +165,16 @@ class TestLogitsFile:
         header, rows = read_jsonl(path)
         assert header["dataset"] == "blobs"
         assert [obj["label"] for _, obj in rows] == ds.labels.tolist()
+
+    def test_non_finite_logits_are_refused_before_writing(self, tmp_path):
+        """Such a file would hold ``Infinity``/``NaN``, which is not JSON and
+        which load_logits refuses; export names the first such sample."""
+        source = table({"a": [0.0, 1.0, 2.0], "b": [0.0, np.inf, 2.0], "c": [np.nan, 1.0, 2.0]})
+        ds = Dataset("three", np.zeros((3, 1, 1, 1)), None, ids=["a", "b", "c"])
+        path = tmp_path / "logits.jsonl"
+        with pytest.raises(FormatError, match="^three: sample 'b' has a NaN or infinite prior logit"):
+            export_logits(source, ds, str(path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_short_logits_line_names_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"

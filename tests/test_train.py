@@ -18,7 +18,6 @@ from pvit.rng import philox
 from pvit.tensor import Tape, Tensor, backward
 from pvit.train import (
     ADAM_EPS,
-    FlatVectors,
     OptimizerState,
     TrainConfig,
     adam_step,
@@ -35,6 +34,12 @@ def cfg(**kw):
                 beta1=0.9, beta2=0.999, weight_decay=0.0, seed=3)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def repointed(params, name):
+    """``params``, with ``name``'s data now a copy of its array."""
+    params[name].data = params[name].data.copy()
+    return params
 
 
 class TestAdamStep:
@@ -136,8 +141,10 @@ class TestAdamStep:
         before = {name: p.data.tobytes() for name, p in params.items()}
         moments = {key: value.tobytes() for key, value in state.moments.items()}
         t = state.t
+        arrays = {name: p.data for name, p in params.items()}
         with pytest.raises(error, match=message):
             adam_step(params, {"a": good["a"], "b": bad}, state, lr=0.01, config=cfg(weight_decay=0.01))
+        assert all(p.data is arrays[name] for name, p in params.items()) and (state.params is None) == (not stepped)
         assert {name: p.data.tobytes() for name, p in params.items()} == before
         assert {key: value.tobytes() for key, value in state.moments.items()} == moments
         assert list(state.moments) == list(moments) and state.t == t
@@ -186,35 +193,80 @@ class TestFlatAdam:
             assert state.moments[key].dtype == np.float64 and state.moments[key].tobytes() == value.tobytes(), key
 
     def test_vectors_are_built_without_touching_params_or_moments(self):
+        """A new state holds only what it was given; bind copies the
+        parameters and moments into its vectors, leaving the given arrays
+        as they were, and points the parameters at their copies."""
         params = self.params()
         arrays = {name: p.data for name, p in params.items()}
-        moments = {"opt.v.head.bias": np.full(params["head.bias"].shape, 0.5)}
-        flat = FlatVectors(params, moments)
+        copies = {name: a.copy() for name, a in arrays.items()}
+        given = np.full(params["head.bias"].shape, 0.5)
+        moments = {"opt.v.head.bias": given}
+        state = OptimizerState(moments=moments)
+        assert state.params is None and not hasattr(state, "master")
         assert all(p.data is arrays[name] for name, p in params.items())
-        assert list(moments) == ["opt.v.head.bias"]
-        assert np.array_equal(flat.master, np.concatenate([a.ravel() for a in arrays.values()]))
-        assert np.array_equal(flat.vs[-1], moments["opt.v.head.bias"]) and not flat.m.any()
+        assert list(moments) == ["opt.v.head.bias"] and moments["opt.v.head.bias"] is given
+        state.bind(params)
+        assert all(np.array_equal(arrays[name], copies[name]) for name in params) and np.all(given == 0.5)
+        assert np.array_equal(state.master, np.concatenate([a.ravel() for a in arrays.values()]))
+        assert all(p.data.base is state.master for p in params.values())
+        assert state.moments["opt.v.head.bias"].base is state.v
+        assert np.array_equal(state.moments["opt.v.head.bias"], given) and not state.m.any()
+        assert list(state.moments)[:2] == ["opt.v.head.bias", f"opt.m.{next(iter(params))}"]
+
+    @staticmethod
+    def assert_refused_unbound(moments, message):
+        x = np.zeros(3)
+        params = {"x": Tensor(x, requires_grad=True)}
+        state = OptimizerState(moments=dict(moments))
+        with pytest.raises(ShapeError, match=message):
+            adam_step(params, {"x": np.ones(3)}, state, 0.01, cfg())
+        assert state.t == 0 and state.params is None and params["x"].data is x and not x.any()
+        assert list(state.moments) == list(moments) and all(state.moments[k] is v for k, v in moments.items())
 
     def test_a_moment_shaped_unlike_its_parameter_is_refused(self):
-        params = {"x": Tensor(np.zeros(3), requires_grad=True)}
-        state = OptimizerState(moments={"opt.m.x": np.zeros(1), "opt.v.x": np.zeros(3)})
-        with pytest.raises(ShapeError, match=r"^moment 'opt.m.x' has shape \(1,\), parameter is \(3,\)$"):
-            adam_step(params, {"x": np.ones(3)}, state, 0.01, cfg())
-        assert state.t == 0 and state.flat is None
+        self.assert_refused_unbound({"opt.m.x": np.zeros(1), "opt.v.x": np.zeros(3)},
+                                    r"^tensor 'opt.m.x' has shape \(1,\), its parameter \(3,\)$")
 
-    def test_other_parameters_get_new_vectors_and_keep_the_moments(self):
-        """A state handed other parameters, or parameters pointed elsewhere,
-        builds new vectors from them and carries its moments over."""
+    def test_a_moment_of_no_parameter_is_refused(self):
+        """Such a moment would be saved with the state, in a checkpoint
+        that resume_state refuses; the state stays unbound instead."""
+        self.assert_refused_unbound({"opt.m.nope": np.zeros(3)},
+                                    r"^tensor 'opt.m.nope' is not an opt.m./opt.v. moment of a parameter$")
+
+    def test_a_moment_of_no_parameter_is_refused_before_training(self):
+        ds = synth_dataset(2, 4, size=8, seed=22)
+        model = tiny_model(seed=23)
+        before = {name: p.data for name, p in model.params.items()}
+        state = OptimizerState(moments={"opt.m.nope": np.zeros(2), "opt.v.nope": np.zeros(2)})
+        with pytest.raises(ShapeError, match="'opt.m.nope' is not an opt.m./opt.v. moment"):
+            train(model, ds, np.zeros((8, 2)), cfg(), state)
+        assert state.t == 0 and state.params is None
+        assert all(p.data is before[name] for name, p in model.params.items())
+
+    @pytest.mark.parametrize("change, name", [
+        (lambda params: {("head.b" if n == "head.bias" else n): p for n, p in params.items()}, "head.b"),
+        (lambda params: dict(reversed(params.items())), "head.bias"),
+        (lambda params: {n: Tensor(p.data, requires_grad=True) if n == "cls_token" else p
+                         for n, p in params.items()}, "cls_token"),
+        (lambda params: repointed(params, "pos_embed"), "pos_embed"),
+        (lambda params: dict(list(params.items())[:-1]), "head.bias"),
+    ], ids=["renamed", "reordered", "another-tensor", "repointed", "one-fewer"])
+    def test_a_bound_state_refuses_other_parameters(self, change, name):
+        """A bound state takes only the parameters it holds, in order, each
+        at its master view: other parameters are refused, naming the first
+        that differs, before anything changes."""
         params = self.params()
         state = OptimizerState()
-        grads = {name: np.ones(p.shape) for name, p in params.items()}
+        grads = {n: np.ones(p.shape) for n, p in params.items()}
         adam_step(params, grads, state, 0.01, cfg())
-        first, moments = state.flat, {key: value.copy() for key, value in state.moments.items()}
-        params["head.bias"].data = np.zeros(params["head.bias"].shape)
-        adam_step(params, grads, state, 0.0, cfg())
-        assert state.flat is not first and params["head.bias"].data.base is state.flat.master
-        assert not params["head.bias"].data.any()
-        assert np.array_equal(state.moments["opt.m.head.bias"], 0.9 * moments["opt.m.head.bias"] + (1 - 0.9))
+        other = change(params)
+        arrays = {n: p.data for n, p in other.items()}
+        values = {n: a.tobytes() for n, a in arrays.items()}
+        moments = {key: value.tobytes() for key, value in state.moments.items()}
+        with pytest.raises(TrainingError, match=f"^the training state is bound to other parameters: '{name}' differs$"):
+            adam_step(other, {n: np.ones(p.shape) for n, p in other.items()}, state, 0.01, cfg())
+        assert all(p.data is arrays[n] and p.data.tobytes() == values[n] for n, p in other.items())
+        assert {key: value.tobytes() for key, value in state.moments.items()} == moments and state.t == 1
 
 
 class TestSchedule:
@@ -340,15 +392,14 @@ class TestTrainLoop:
 
     @staticmethod
     def assert_views_of_the_flat_vectors(model, state):
-        flat = state.flat
         for name, p in model.params.items():
             assert p.data.dtype == np.float64 and p.data.flags["C_CONTIGUOUS"], name
-            assert p.data.base is flat.master, name
+            assert p.data.base is state.master, name
         for key, moment in state.moments.items():
-            assert moment.dtype == np.float64 and moment.base is (flat.m if key.startswith("opt.m.") else flat.v), key
+            assert moment.dtype == np.float64 and moment.base is (state.m if key.startswith("opt.m.") else state.v), key
         offsets = np.cumsum([0] + [p.data.size for p in model.params.values()])
-        assert np.array_equal(flat.master, np.concatenate([p.data.ravel() for p in model.params.values()]))
-        assert [p.data.__array_interface__["data"][0] - flat.master.__array_interface__["data"][0]
+        assert np.array_equal(state.master, np.concatenate([p.data.ravel() for p in model.params.values()]))
+        assert [p.data.__array_interface__["data"][0] - state.master.__array_interface__["data"][0]
                 for p in model.params.values()] == [8 * int(offset) for offset in offsets[:-1]]
 
     def test_trained_parameters_and_moments_are_views_of_flat_vectors(self):
@@ -422,8 +473,15 @@ class TestMixedPrecision:
         received = []
 
         def recording_adam_step(params, grads, state, lr, config):
+            replayed = {name: Tensor(p.data.copy()) for name, p in params.items()}
+            moments = {key: value.copy() for key, value in state.moments.items()}
             adam_step(params, grads, state, lr, config)
-            received.append((grads, state.flat.grad.copy()))  # the leaf gradients and what Adam consumed
+            # what Adam consumed: the float32 leaf gradients cast to float64, replayed per tensor
+            oracle.adam_step(replayed, {name: g.astype(np.float64) for name, g in grads.items()},
+                             moments, state.t, lr, config)
+            differing = [name for name, p in params.items() if p.data.tobytes() != replayed[name].data.tobytes()]
+            differing += [key for key, m in state.moments.items() if m.tobytes() != moments[key].tobytes()]
+            received.append((grads, differing))
 
         # the package's `train` attribute is the function, so reach the module by name
         monkeypatch.setattr(sys.modules["pvit.train"], "adam_step", recording_adam_step)
@@ -432,7 +490,7 @@ class TestMixedPrecision:
         monkeypatch.undo()
 
         # run_training's batch order and update, every step in float64
-        double, oracle = PViTModel(PViTConfig(), seed=18), OptimizerState()
+        double, reference = PViTModel(PViTConfig(), seed=18), OptimizerState()
         gen = philox(config.seed, 0x5EED)
         losses = []
         for _ in range(config.epochs):
@@ -445,20 +503,19 @@ class TestMixedPrecision:
                 backward(loss)
                 losses.append(loss.item())
                 grads = {name: p.grad for name, p in double.params.items()}
-                adam_step(double.params, grads, oracle, lr_at(oracle.t + 1, 10, config), config)
+                adam_step(double.params, grads, reference, lr_at(reference.t + 1, 10, config), config)
 
         assert len(result.curve) == len(losses) == len(received) == 10
         assert max(abs(pt.loss - loss) for pt, loss in zip(result.curve, losses)) <= 1e-6
         for name, p in mixed.params.items():
             assert p.data.dtype == np.float64, name
             assert np.max(np.abs(p.data - double.params[name].data)) <= 1e-4, name
-        assert sorted(state.moments) == sorted(oracle.moments)
+        assert sorted(state.moments) == sorted(reference.moments)
         assert all(moment.dtype == np.float64 for moment in state.moments.values())
-        for grads, consumed in received:
+        for grads, differing in received:
             assert sorted(grads) == sorted(mixed.params)
             assert all(g.dtype == np.float32 for g in grads.values())
-            assert consumed.dtype == np.float64 and np.array_equal(consumed, consumed.astype(np.float32))
-            assert np.array_equal(consumed, np.concatenate([grads[name].ravel() for name in mixed.params]))
+            assert differing == []
 
     @pytest.mark.parametrize("model", DESK_MODELS)
     def test_one_desk_step_fills_float32_leaf_gradients(self, model):
