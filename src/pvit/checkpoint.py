@@ -22,13 +22,12 @@ import json
 import math
 import reprlib
 import struct
-import sys
-import typing
 from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
 from .artifacts import write_artifact
+from .config import INT64
 from .errors import FormatError, ShapeError
 from .rng import philox
 from .tensor import Tensor
@@ -134,30 +133,24 @@ class Checkpointed:
     @classmethod
     def load(cls, path: str) -> tuple["Checkpointed", dict, dict[str, np.ndarray]]:
         """(model, header, leftover tensors such as optimizer state) from a ``KIND``
-        checkpoint whose config names exactly ``CONFIG``'s fields, each an int64
-        or a float64.  The model's parameters are the file's tensors: the layout
-        is walked against them and stops at the first one missing or misshapen,
-        so nothing is drawn and the work is bounded by the file, not the header."""
+        checkpoint whose config names exactly ``CONFIG``'s fields, each integer
+        an int64, and builds a ``CONFIG``, whose own check tests every value.
+        The model's parameters are the file's tensors: the layout is walked
+        against them and stops at the first one missing or misshapen, so
+        nothing is drawn and the work is bounded by the file, not the header."""
         header, tensors = load_checkpoint(path)
         if header.get("kind") != cls.KIND:
             raise FormatError(f"{path}: checkpoint kind {header.get('kind')!r} is not {cls.KIND!r}")
         config = header.get("config")
         if not isinstance(config, dict):
             raise FormatError(f"{path}: checkpoint header has no config object")
-        fields = [f.name for f in dataclasses.fields(cls.CONFIG)]
-        unknown_or_missing = sorted(set(config) ^ set(fields))
+        unknown_or_missing = sorted(set(config) ^ {f.name for f in dataclasses.fields(cls.CONFIG)})
         if unknown_or_missing:
             raise FormatError(f"{path}: checkpoint config keys {unknown_or_missing} "
                               f"are not {cls.CONFIG.__name__}'s fields")
-        hints = typing.get_type_hints(cls.CONFIG)
-        for key in fields:
-            value, hint = config[key], hints[key]
-            if type(value) not in ((int, float) if hint is float else (hint,)):
-                raise FormatError(f"{path}: checkpoint config {key!r} = {reprlib.repr(value)} is not a {hint.__name__}")
-            held = abs(value) <= sys.float_info.max if hint is float else -2**63 <= value < 2**63
-            if type(value) is int and not held:
-                raise FormatError(f"{path}: checkpoint config {key!r} = {reprlib.repr(value)} "
-                                  f"does not fit a {hint.__name__}64")
+        for key, value in config.items():
+            if type(value) is int and value not in INT64:
+                raise FormatError(f"{path}: checkpoint config {key!r} = {reprlib.repr(value)} does not fit an int64")
         try:
             config = cls.CONFIG(**config)
         except ShapeError as exc:

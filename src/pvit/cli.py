@@ -120,15 +120,9 @@ def build_datasets(cfg: RunConfig) -> dict[str, Dataset]:
                           f"but {cfg['data.idx_test_images']} holds {h}x{w} images")
     datasets = {"id-train": id_train, "id-test": id_test}
     for ood_kind in cfg["ood.kinds"]:
-        datasets[f"ood-{ood_kind}"] = make_ood(
-            ood_kind,
-            cfg["ood.count"],
-            seed=cfg.seed_for("ood.seed"),
-            size=h,
-            channels=c,
-            classes=cfg["data.classes"],
-            source=id_test,
-        )
+        datasets[f"ood-{ood_kind}"] = make_ood(ood_kind, cfg["ood.count"], seed=cfg.seed_for("ood.seed"), size=h,
+                                               channels=c, classes=cfg["data.classes"], source=id_test,
+                                               noise_sigma=cfg["data.noise_sigma"])
     mean, std = cfg["data.normalize_mean"], cfg["data.normalize_std"]
     if mean != 0.0 or std != 1.0:
         datasets = {name: normalize(ds, mean, std) for name, ds in datasets.items()}

@@ -8,8 +8,10 @@ fully-resolved configuration next to its outputs, and a run is
 reproducible from that file alone.
 
 A model or training dataclass field that a key sets is the key's
-:func:`setting`, with the key's default, and :func:`check` applies the
-key's rule to it, so each setting is declared here alone.
+:func:`setting`, with the key's default, and :func:`check` tests every
+field's type and each keyed field's rule, so each setting, and each
+closed set a key's values come from, is declared here alone; this
+module imports nothing of the package but its errors.
 
 The global ``seed`` is added to every component seed (data, model,
 prior, training, ood), so overriding it shifts the whole run while the
@@ -18,16 +20,21 @@ components keep distinct streams.  Every seed is a U64, in [0, 2**64).
 
 from __future__ import annotations
 
-import math
 import operator
+import reprlib
 import sys
 from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
-from .data import OOD_KINDS
 from .errors import ConfigError, ShapeError
-from .metrics import ORIENTATION_POLICIES
-from .scoring import GUIDANCE_KINDS, SCORE_FIELDS
+
+OOD_KINDS = ("uniform-noise", "pattern-shift", "inverted")
+GUIDANCE_KINDS = ("ce", "kl", "ed")
+# every score a record holds: its own fields, then its baselines
+SCORE_FIELDS = ("pge", "base", "guidance", "msp", "max_logit", "energy")
+ORIENTATIONS = ("as-is", "negated")
+# what evaluate's orientation_policy (and eval.orientation) accepts: "auto" picks one of ORIENTATIONS
+ORIENTATION_POLICIES = ORIENTATIONS + ("auto",)
 
 
 def _at_least(low):
@@ -120,11 +127,19 @@ RELATIONS = (
 )
 
 
-def _broken(key: str, value) -> Optional[str]:
-    """What ``value``, of ``key`` or an entry of a list key, fails to be under
-    the key's tag and rule, or None."""
-    tag, _, rule = SCHEMA[key]
-    if tag.endswith("float") and not abs(value) <= sys.float_info.max:  # also an int no float64 holds
+# a tag, or a list tag's entries -> the exact types its values take: a bool is no int, nor a numpy scalar
+_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+INT64 = range(-2**63, 2**63)  # the integers a checkpoint header holds
+
+
+def _broken(tag: str, rule: Optional[tuple], value) -> Optional[str]:
+    """What ``value``, a setting's or an entry of a list setting's, fails to be
+    under the setting's type tag and then its rule (None for none), or None.
+    A float setting takes an int within :data:`INT64`, so that it saves."""
+    kind = tag.removeprefix("list_")
+    if type(value) not in _TYPES[kind] or (kind == "float" and type(value) is int and value not in INT64):
+        return f"{'an' if kind == 'int' else 'a'} {kind}"
+    if kind == "float" and not abs(value) <= sys.float_info.max:
         return "finite"
     return None if rule is None or rule[0](value) else rule[1]
 
@@ -140,31 +155,32 @@ def keyed_fields(cls) -> dict[str, str]:
 
 
 def check(config) -> None:
-    """Apply each keyed field's rule, then each RELATIONS entry whose keys all set fields of dataclass
-    instance ``config``: a break raises ShapeError naming the field and showing ``config``."""
-    names = {key: name for name, key in keyed_fields(type(config)).items()}
-    for key, name in names.items():
-        broken = _broken(key, getattr(config, name))
+    """Test each field of dataclass instance ``config``, in field order, for its annotation's type
+    (``"int"`` or ``"float"``, a SCHEMA tag) and, if a key sets it, the key's rule; then each RELATIONS
+    entry whose keys all set fields.  A break raises ShapeError naming the field and showing ``config``,
+    each value cut short by :mod:`reprlib`."""
+    def shown() -> str:
+        values = ", ".join(f"{f.name}={reprlib.repr(getattr(config, f.name))}" for f in fields(config))
+        return f"{type(config).__name__}({values})"
+
+    for f in fields(config):
+        key = f.metadata.get("key")
+        broken = _broken(f.type, key and SCHEMA[key][2], getattr(config, f.name))
         if broken:
-            raise ShapeError(f"{name} must be {broken} (config key {key!r}), got {config!r}")
+            raise ShapeError(f"{f.name} must be {broken}{f' (config key {key!r})' if key else ''}, got {shown()}")
+    names = {key: name for name, key in keyed_fields(type(config)).items()}
     for keys, test, must in RELATIONS:
         if set(keys) <= names.keys() and not test(*(getattr(config, names[key]) for key in keys)):
-            raise ShapeError(f"{' and '.join(names[key] for key in keys)}: {must}, got {config!r}")
+            raise ShapeError(f"{' and '.join(names[key] for key in keys)}: {must}, got {shown()}")
 
 
-def _finite(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(raw)
-    return value
-
-
+# a value parses here and is tested, finiteness included, as RunConfig is built
 _PARSERS = {
     "int": int,
-    "float": _finite,
+    "float": float,
     "str": str,
     "list_str": lambda raw: [part.strip() for part in raw.split(",") if part.strip()],
-    "list_float": lambda raw: [_finite(part) for part in raw.split(",") if part.strip()],
+    "list_float": lambda raw: [float(part) for part in raw.split(",") if part.strip()],
 }
 
 
@@ -188,10 +204,12 @@ class RunConfig:
     values: dict[str, Any]
 
     def __post_init__(self):
-        for key, (tag, _, _) in SCHEMA.items():
+        for key, (tag, _, rule) in SCHEMA.items():
             entries = self.values[key] if tag.startswith("list_") else [self.values[key]]
+            if type(entries) is not list:
+                raise ConfigError(f"config key {key!r}: {entries!r} is not a list")
             for i, entry in enumerate(entries):
-                broken = _broken(key, entry)
+                broken = _broken(tag, rule, entry)
                 if broken:
                     raise ConfigError(f"config key {key!r}: {entry!r} is not {broken}")
                 if entry in entries[:i]:

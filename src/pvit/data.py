@@ -17,13 +17,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import OOD_KINDS, SCHEMA
 from .errors import FormatError, ShapeError
 from .rng import gaussian, philox
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-
-OOD_KINDS = ("uniform-noise", "pattern-shift", "inverted")
 
 
 @dataclass
@@ -125,9 +124,9 @@ def _stripe_image(size: int, channels: int, freq: float, angle: float, phase: fl
 def synth_dataset(
     classes: int,
     per_class: int,
-    size: int = 28,
-    channels: int = 1,
-    noise_sigma: float = 0.2,
+    size: int = SCHEMA["data.image_size"][1],
+    channels: int = SCHEMA["data.channels"][1],
+    noise_sigma: float = SCHEMA["data.noise_sigma"][1],
     seed: int = 0,
     name: str = "synth",
     shifted: bool = False,
@@ -157,16 +156,18 @@ def make_ood(
     kind: str,
     n: int,
     seed: int = 0,
-    size: int = 28,
-    channels: int = 1,
-    classes: int = 4,
+    size: int = SCHEMA["data.image_size"][1],
+    channels: int = SCHEMA["data.channels"][1],
+    classes: int = SCHEMA["data.classes"][1],
     source: Optional[Dataset] = None,
+    noise_sigma: float = SCHEMA["data.noise_sigma"][1],
 ) -> Dataset:
     """Unlabeled OOD test set of the requested kind, named ``ood-<kind>``.
 
     ``uniform-noise`` draws i.i.d. pixels; ``pattern-shift`` reuses the
-    stripe generator on the disjoint parameter band; ``inverted`` maps
-    x to 1 - x over the images of ``source`` (required for that kind).
+    stripe generator, with the ID sets' pixel noise ``noise_sigma``, on
+    the disjoint parameter band; ``inverted`` maps x to 1 - x over the
+    images of ``source`` (required for that kind).
     """
     name = f"ood-{kind}"
     if kind == "uniform-noise":
@@ -174,16 +175,8 @@ def make_ood(
         images = gen.random((n, size, size, channels))
         return Dataset(name, images, None)
     if kind == "pattern-shift":
-        ds = synth_dataset(
-            classes,
-            (n + classes - 1) // classes,
-            size=size,
-            channels=channels,
-            noise_sigma=0.2,
-            seed=seed,
-            name=name,
-            shifted=True,
-        )
+        ds = synth_dataset(classes, (n + classes - 1) // classes, size=size, channels=channels,
+                           noise_sigma=noise_sigma, seed=seed, name=name, shifted=True)
         return Dataset(name, ds.images[:n], None)
     if kind == "inverted":
         if source is None:

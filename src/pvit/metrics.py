@@ -20,12 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from .artifacts import write_artifact
+from .config import ORIENTATION_POLICIES, ORIENTATIONS
 from .errors import FormatError
+from .scoring import ScoreRecord, score_field
 
-
-ORIENTATIONS = ("as-is", "negated")
-# what evaluate's orientation_policy (and eval.orientation) accepts: "auto" picks one of ORIENTATIONS
-ORIENTATION_POLICIES = ORIENTATIONS + ("auto",)
 TPR_PERCENT = 95  # the ID true-positive rate, in percent, that FPR95 and its threshold are read at
 
 
@@ -103,7 +101,6 @@ def evaluate(id_records, ood_records, score_name: str = "pge", orientation_polic
     Record lists may also be plain score sequences.  The pooled scores
     are ranked once, for both orientations.
     """
-    from .scoring import ScoreRecord, score_field
 
     def extract(records) -> np.ndarray:
         if len(records) and isinstance(records[0], ScoreRecord):

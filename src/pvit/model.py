@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpointed, ones, zeros
-from .config import check, setting
+from .config import SCHEMA, check, setting
 from .errors import ShapeError
 from .rng import truncated_normal
 from .tensor import Tensor
@@ -43,9 +43,9 @@ class PViTConfig:
     agree only to the last bits.
     """
 
-    image_h: int = 28
-    image_w: int = 28
-    channels: int = 1
+    image_h: int = SCHEMA["data.image_size"][1]
+    image_w: int = SCHEMA["data.image_size"][1]
+    channels: int = SCHEMA["data.channels"][1]
     patch_size: int = setting("model.patch")
     embed_dim: int = setting("model.dim")
     depth: int = setting("model.depth")

@@ -10,7 +10,11 @@ algorithm.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+
+from .errors import ShapeError
 
 __all__ = ["philox", "gaussian", "truncated_normal"]
 
@@ -19,12 +23,16 @@ TRUNC_CUTOFF = 2.0
 
 
 def philox(seed: int, *tags: int) -> np.random.Generator:
-    """Counter-based generator for ``seed``, optionally keyed by stream tags.
+    """Counter-based generator for ``seed``, a non-negative integer (else
+    ShapeError), optionally keyed by stream tags.
 
     Distinct ``tags`` give statistically independent streams for the same
     seed (dataset noise vs. shuffling vs. init).
     """
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), *map(int, tags)])))
+    index = operator.index(seed) if hasattr(type(seed), "__index__") else -1
+    if index < 0:
+        raise ShapeError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([index, *map(int, tags)])))
 
 
 def gaussian(gen: np.random.Generator, shape: tuple[int, ...] | int) -> np.ndarray:

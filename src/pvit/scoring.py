@@ -29,16 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import NUMBER_TYPES, read_jsonl, write_jsonl
+from .config import GUIDANCE_KINDS, SCORE_FIELDS
 from .data import Dataset
 from .errors import FormatError, ShapeError
 from .tensor import softmax_rows
 
 PROB_CLAMP = 1e-12
-
-GUIDANCE_KINDS = ("ce", "kl", "ed")
-
-# every score a record holds: its own fields, then its baselines
-SCORE_FIELDS = ("pge", "base", "guidance", "msp", "max_logit", "energy")
 
 
 @dataclass(slots=True)
@@ -150,7 +146,7 @@ def file_sha256(path: str) -> str:
 
 def write_scores(path: str, records: list[ScoreRecord], guidance_kind: str, alpha: float, checkpoint_hash: str = "") -> None:
     header = {"guidance": guidance_kind, "alpha": float(alpha), "checkpoint_sha256": checkpoint_hash}
-    # a dict per line, not vars(rec): that would give every record a lasting __dict__
+    # a dict per line: ScoreRecord has slots and no __dict__, so vars(rec) raises TypeError
     write_jsonl(path, header, ({"id": r.id, "base": r.base, "guidance": r.guidance, "pge": r.pge,
                                 "predicted_class": r.predicted_class, "baselines": r.baselines} for r in records))
 

@@ -268,6 +268,19 @@ class TestRecipe:
         assert csv_diff(b"0.5,1e-3\n", b"0.5,1.5e-3\n") == ["1 of 2 cells differ, largest |delta| 0.0005"]
 
 
+@pytest.mark.parametrize("noise", [0.0, 1.5])
+def test_pattern_shift_set_takes_the_configured_noise(tmp_path, noise):
+    """build_datasets hands data.noise_sigma to the pattern-shift set as to
+    the ID sets, so its stripes are no cleaner or noisier than theirs."""
+    cfg = RunConfig.load(overrides={"data.noise_sigma": noise, "data.classes": 3, "data.train_per_class": 2,
+                                    "data.test_per_class": 2, "ood.count": 9, "out.dir": str(tmp_path)})
+    built = build_datasets(cfg)["ood-pattern-shift"]
+    expected = make_ood("pattern-shift", 9, seed=cfg.seed_for("ood.seed"), classes=3, noise_sigma=noise)
+    np.testing.assert_array_equal(built.images, expected.images)
+    assert not np.array_equal(built.images, make_ood("pattern-shift", 9, seed=cfg.seed_for("ood.seed"),
+                                                     classes=3).images)
+
+
 class TestNormalization:
     def test_train_prior_exports_logits_of_normalized_datasets(self, tmp_path):
         """With data.normalize_* set, every split reaches the prior normalized:

@@ -15,7 +15,7 @@ from pvit.data import (
     stripe_parameters,
     synth_dataset,
 )
-from pvit.errors import FormatError
+from pvit.errors import FormatError, ShapeError
 
 
 def write_idx_pair(tmp_path, images, labels=None):
@@ -126,6 +126,12 @@ class TestSynth:
         ds = synth_dataset(3, 10, size=16, noise_sigma=0.5, seed=3)
         assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "1"])
+    def test_seed_that_is_not_a_non_negative_integer_is_refused(self, seed):
+        """-1 used to end in numpy's bare ValueError, and 1.5 ran as seed 1."""
+        with pytest.raises(ShapeError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            synth_dataset(2, 1, size=4, seed=seed)
+
 
 class TestMakeOod:
     def test_uniform_noise_mean(self):
@@ -143,6 +149,19 @@ class TestMakeOod:
         id_freqs = [stripe_parameters(c, k)[0] for c in range(k)]
         ood_freqs = [stripe_parameters(c, k, shifted=True)[0] for c in range(k)]
         assert max(id_freqs) < min(ood_freqs)
+
+    def test_pattern_shift_takes_the_noise_level(self):
+        """The shifted stripes carry the pixel noise they are given, 0.2 by
+        default as for the ID sets, and none at 0."""
+        clean = make_ood("pattern-shift", 6, seed=4, size=8, classes=2, noise_sigma=0.0)
+        base = synth_dataset(2, 3, size=8, noise_sigma=0.0, shifted=True)
+        np.testing.assert_array_equal(clean.images, base.images)
+        default = make_ood("pattern-shift", 6, seed=4, size=8, classes=2)
+        np.testing.assert_array_equal(default.images, make_ood("pattern-shift", 6, seed=4, size=8, classes=2,
+                                                               noise_sigma=0.2).images)
+        noisy = make_ood("pattern-shift", 6, seed=4, size=8, classes=2, noise_sigma=1.5)
+        spread = [np.abs(ds.images - base.images).mean() for ds in (default, noisy)]
+        assert 0 < spread[0] < spread[1]
 
     def test_unknown_kind(self):
         with pytest.raises(FormatError, match="unknown OOD kind"):

@@ -555,6 +555,12 @@ def rewrite_config(path, **changes):
     save_checkpoint(path, header, tensors)
 
 
+def test_negative_model_seed_is_refused():
+    """It used to end in numpy's bare ValueError."""
+    with pytest.raises(ShapeError, match="seed must be a non-negative integer, got -1"):
+        PViTModel(tiny_config(), seed=-1)
+
+
 class TestCheckpointHeader:
     """Checkpoint files are outside input: every defect is a FormatError."""
 
@@ -579,19 +585,21 @@ class TestCheckpointHeader:
 
     @pytest.mark.parametrize("key,value", [
         ("heads", "2"), ("depth", 2.0), ("alpha", True), ("alpha", None),
+        pytest.param("heads", "2" * 10**6, id="heads-long-string"),
         pytest.param("alpha", 10**400, id="alpha-past-float64"),
         pytest.param("mlp_dim", 10**400, id="mlp_dim-past-int64"),
         pytest.param("heads", 2**63, id="heads-past-int64"),
     ])
     def test_mistyped_config_value_names_key(self, tmp_path, key, value):
-        """A config value of the wrong type, or an integer that the field's
-        int64 or float64 cannot hold, is named with its key and echoed
-        cut short."""
+        """A config value of the wrong type, refused by the config's own
+        check, or an integer past int64, refused by the loader, is named
+        with its key and echoed cut short, the config with it."""
         path = self.saved(tmp_path)
         rewrite_config(path, **{key: value})
-        with pytest.raises(FormatError, match=repr(key)) as info:
+        named = f"{key!r} = " if type(value) is int else f"invalid checkpoint config: {key} must be a"
+        with pytest.raises(FormatError, match=re.escape(named)) as info:
             PViTModel.load(path)
-        assert path in str(info.value) and len(str(info.value)) < len(path) + 150
+        assert path in str(info.value) and len(str(info.value)) < len(path) + 250
 
     @pytest.mark.parametrize("depth", [2000, 2**62])
     def test_header_depth_past_the_file_fails_at_its_first_missing_tensor(self, tmp_path, depth):

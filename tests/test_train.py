@@ -317,6 +317,12 @@ class TestTrainConfig:
     def test_boundary_values_pass(self):
         cfg(beta1=0.0, beta2=0.0, weight_decay=0.0, epochs=0, warmup_epochs=0)
 
+    def test_negative_seed_is_refused_by_training(self):
+        """``TrainConfig(seed=-1)`` used to reach numpy's bare ValueError."""
+        ds = synth_dataset(2, 2, size=8, seed=1)
+        with pytest.raises(ShapeError, match="seed must be a non-negative integer, got -1"):
+            run_training(tiny_model(), ds, cfg(seed=-1), priors_for=lambda idx: np.zeros((len(idx), 2)))
+
 
 def tiny_model(seed=0, **overrides):
     base = dict(image_h=8, image_w=8, channels=1, patch_size=4, embed_dim=16,
