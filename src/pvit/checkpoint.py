@@ -29,7 +29,7 @@ import numpy as np
 from .artifacts import write_artifact
 from .config import INT64
 from .errors import FormatError, ShapeError
-from .rng import philox
+from .rng import philox, sized
 from .tensor import Tensor
 
 MAGIC = b"PVIT"
@@ -114,10 +114,11 @@ class Checkpointed:
     layout: Callable[..., Iterator[tuple[str, tuple[int, ...], Callable]]]
 
     def __init__(self, config, seed: int = 0):
-        """A fresh model: ``layout(config)`` drawn in order from ``seed``'s ``STREAM``."""
+        """A fresh model: ``layout(config)`` drawn in order from ``seed``'s ``STREAM``, each shape :func:`sized`."""
         gen = philox(seed, self.STREAM)
         self.config = config
-        self.params = {name: Tensor(init(gen, shape), requires_grad=True) for name, shape, init in self.layout(config)}
+        self.params = {name: Tensor(init(gen, sized(f"{type(self).__name__} parameter {name!r}", shape)),
+                                    requires_grad=True) for name, shape, init in self.layout(config)}
 
     def parameters(self) -> dict:
         return self.params

@@ -99,10 +99,9 @@ def build_datasets(cfg: RunConfig) -> dict[str, Dataset]:
         train_count = cfg["data.classes"] * cfg["data.train_per_class"]
         id_train, id_test = split_dataset(combined, train_count, seed=cfg.seed_for("data.split_seed"))
     else:
-        train_images = cfg.require_path("data.idx_train_images")
-        train_labels = cfg.require_path("data.idx_train_labels")
+        train_images, train_labels = cfg["data.idx_train_images"], cfg["data.idx_train_labels"]
         id_train = load_idx(train_images, train_labels, name="idx-train")
-        test_images = cfg.require_path("data.idx_test_images")
+        test_images = cfg["data.idx_test_images"]
         test_labels = cfg["data.idx_test_labels"] or None
         id_test = load_idx(test_images, test_labels, name="idx-test")
         if id_train.image_shape != id_test.image_shape:
@@ -379,22 +378,16 @@ def cmd_eval(cfg: RunConfig, out: str) -> None:
 
 
 def cmd_attention_dump(cfg: RunConfig, out: str) -> None:
+    """RELATIONS keep ``attention.*`` within the config's model and datasets, which the checkpoint matches."""
+    if cfg["model.depth"] == 0:
+        raise ConfigError("config key 'model.depth': a model of 0 layers has no attention map to dump")
     datasets = build_datasets(cfg)
     split = cfg["attention.dataset"]
-    if split not in datasets:
-        raise ConfigError(f"config key 'attention.dataset': no dataset named {split!r}")
     ds = datasets[split]
     model, _, _ = _load_checked(cfg, _ckpt_path(cfg, out, "pvit"), _pvit_config(cfg, datasets))
     for p in model.params.values():  # the dumped maps are float64, their rows summing to 1 within 1e-9
         p.data = p.data.astype(np.float64)
-    depth, heads = model.config.depth, model.config.heads
-    layer = cfg["attention.layer"]
-    if not -depth <= layer < depth:
-        raise ConfigError(f"config key 'attention.layer': {layer} is outside the model's {depth} layers")
-    layer %= depth
-    head = cfg["attention.head"]
-    if not 0 <= head < heads:
-        raise ConfigError(f"config key 'attention.head': {head} is outside the model's {heads} heads")
+    layer, head = cfg["attention.layer"] % cfg["model.depth"], cfg["attention.head"]
     alphas = cfg["attention.alphas"] or [model.config.alpha]
     count = min(cfg["attention.max_samples"], len(ds))
     ids, priors = ds.ids[:count], _split_priors(cfg, out, {split: ds.ids})[split][:count]
@@ -439,8 +432,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"pvit: usage error: {exc}", file=sys.stderr)
         return 1
-    except (PvitError, OSError) as exc:
-        print(f"pvit: error: {exc}", file=sys.stderr)
+    except (PvitError, OSError, MemoryError) as exc:  # MemoryError: sizes past the machine's memory
+        print(f"pvit: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -2,10 +2,11 @@
 
 Files hold ``key = value`` lines with ``#`` comments.  :data:`SCHEMA`
 declares every key's type, default and rule, :data:`RELATIONS` the rules
-that tie keys together; an unknown key, a key set twice or a value
-breaking a rule fails loudly, naming the key.  Each command writes its
-fully-resolved configuration next to its outputs, and a run is
-reproducible from that file alone.
+that tie keys together: each rule on the settings alone, tested for
+every command as :class:`RunConfig` is built.  An unknown key, a key set
+twice or a value breaking a rule fails loudly, naming the key.  Each
+command writes its fully-resolved configuration next to its outputs,
+and a run is reproducible from that file alone.
 
 A model or training dataclass field that a key sets is the key's
 :func:`setting`, with the key's default, and :func:`check` tests every
@@ -119,28 +120,41 @@ SCHEMA: dict[str, tuple[str, Any, Optional[tuple]]] = {
     "attention.dataset": ("str", "id-test", None),
 }
 
-# (keys, test over their values, what must hold)
+# (keys, test over their values, what must hold); every command checks them all as RunConfig is built
 RELATIONS = (
     (("model.dim", "model.heads"), lambda dim, heads: dim % heads == 0, "the dim must split evenly into the heads"),
     (("prior.warmup_epochs", "prior.epochs"), operator.le, "warmup cannot outlast training"),
     (("train.warmup_epochs", "train.epochs"), operator.le, "warmup cannot outlast training"),
+    *((("data.kind", key), lambda kind, path: kind != "idx" or path != "", "data.kind = idx reads this file")
+      for key in ("data.idx_train_images", "data.idx_train_labels", "data.idx_test_images")),
+    # a model of depth 0 has no layer to name: attention-dump refuses it
+    (("attention.layer", "model.depth"), lambda layer, depth: depth == 0 or -depth <= layer < depth,
+     "the layer must be one of the model's, from -depth to depth - 1"),
+    (("attention.head", "model.heads"), lambda head, heads: 0 <= head < heads, "the head must be one of the model's"),
+    (("attention.dataset", "ood.kinds"),
+     lambda split, kinds: split in ("id-train", "id-test", *(f"ood-{kind}" for kind in kinds)),
+     "the dataset must be id-train, id-test or ood-<kind> for an ood.kinds entry"),
 )
 
 
-# a tag, or a list tag's entries -> the exact types its values take: a bool is no int, nor a numpy scalar
-_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+# kind -> (its values' exact types, as a bool is no int nor a numpy scalar; parser; writer); list_<kind>: "a,b,..."
+_KINDS = {"int": ((int,), int, str), "float": ((int, float), float, repr), "str": ((str,), str, str)}
 INT64 = range(-2**63, 2**63)  # the integers a checkpoint header holds
 
 
 def _broken(tag: str, rule: Optional[tuple], value) -> Optional[str]:
     """What ``value``, a setting's or an entry of a list setting's, fails to be
     under the setting's type tag and then its rule (None for none), or None.
-    A float setting takes an int within :data:`INT64`, so that it saves."""
+    A float setting takes an int within :data:`INT64`, so that it saves, and a
+    str one what its resolved line reads back (each list of strs is a closed set)."""
     kind = tag.removeprefix("list_")
-    if type(value) not in _TYPES[kind] or (kind == "float" and type(value) is int and value not in INT64):
+    if type(value) not in _KINDS[kind][0] or (kind == "float" and type(value) is int and value not in INT64):
         return f"{'an' if kind == 'int' else 'a'} {kind}"
     if kind == "float" and not abs(value) <= sys.float_info.max:
         return "finite"
+    if kind == "str" and ("#" in value or len(value.splitlines()) > 1 or value != value.strip()
+                          or any("\ud800" <= char <= "\udfff" for char in value)):  # UTF-8 holds no surrogate
+        return "a str that its resolved line reads back: no '#', line break, surrogate or whitespace at either end"
     return None if rule is None or rule[0](value) else rule[1]
 
 
@@ -174,29 +188,20 @@ def check(config) -> None:
             raise ShapeError(f"{' and '.join(names[key] for key in keys)}: {must}, got {shown()}")
 
 
-# a value parses here and is tested, finiteness included, as RunConfig is built
-_PARSERS = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "list_str": lambda raw: [part.strip() for part in raw.split(",") if part.strip()],
-    "list_float": lambda raw: [float(part) for part in raw.split(",") if part.strip()],
-}
-
-
 def _parse_value(key: str, tag: str, raw: str):
+    """A value as its line holds it; RunConfig tests it, finiteness included."""
+    parse = _KINDS[tag.removeprefix("list_")][1]
     try:
-        return _PARSERS[tag](raw.strip())
+        if tag.startswith("list_"):
+            return [parse(part.strip()) for part in raw.split(",") if part.strip()]
+        return parse(raw.strip())
     except ValueError:
         raise ConfigError(f"config key {key!r}: {raw.strip()!r} is not a valid {tag}") from None
 
 
 def _format_value(tag: str, value) -> str:
-    if tag in ("list_str", "list_float"):
-        return ",".join(repr(v) if tag == "list_float" else str(v) for v in value)
-    if tag == "float":
-        return repr(value)
-    return str(value)
+    write = _KINDS[tag.removeprefix("list_")][2]
+    return ",".join(map(write, value)) if tag.startswith("list_") else write(value)
 
 
 @dataclass
@@ -220,16 +225,7 @@ class RunConfig:
                 raise ConfigError(f"config keys {named}: {must}")
 
     def __getitem__(self, key: str):
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
         return self.values[key]
-
-    def require_path(self, key: str) -> str:
-        """Value of a path-valued key, rejecting empty with the key named."""
-        value = self[key]
-        if not value:
-            raise ConfigError(f"config key {key!r} is required for this command but is empty")
-        return value
 
     def seed_for(self, component_key: str) -> int:
         return int(self.values["seed"]) + int(self.values[component_key])

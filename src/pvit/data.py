@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import OOD_KINDS, SCHEMA
 from .errors import FormatError, ShapeError
-from .rng import gaussian, philox
+from .rng import gaussian, philox, sized
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -139,7 +139,7 @@ def synth_dataset(
     if classes < 2 or per_class < 1:
         raise FormatError(f"synth_dataset needs classes >= 2 and per_class >= 1, got {classes}/{per_class}")
     gen = philox(seed, 0xDA7A)
-    images = np.empty((classes * per_class, size, size, channels), dtype=np.float64)
+    images = np.empty(sized("synth_dataset", (classes * per_class, size, size, channels)), dtype=np.float64)
     labels = np.empty(classes * per_class, dtype=np.int64)
     i = 0
     for c in range(classes):
@@ -172,7 +172,7 @@ def make_ood(
     name = f"ood-{kind}"
     if kind == "uniform-noise":
         gen = philox(seed, 0x00D)
-        images = gen.random((n, size, size, channels))
+        images = gen.random(sized(name, (n, size, size, channels)))
         return Dataset(name, images, None)
     if kind == "pattern-shift":
         ds = synth_dataset(classes, (n + classes - 1) // classes, size=size, channels=channels,

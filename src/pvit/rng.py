@@ -10,13 +10,14 @@ algorithm.
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
 
 from .errors import ShapeError
 
-__all__ = ["philox", "gaussian", "truncated_normal"]
+__all__ = ["philox", "sized", "gaussian", "truncated_normal"]
 
 TRUNC_STD = 0.02
 TRUNC_CUTOFF = 2.0
@@ -33,6 +34,13 @@ def philox(seed: int, *tags: int) -> np.random.Generator:
     if index < 0:
         raise ShapeError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([index, *map(int, tags)])))
+
+
+def sized(what: str, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """``shape``, if numpy can count the bytes of a float64 array of it; else ShapeError naming ``what``."""
+    if math.prod(shape) > np.iinfo(np.intp).max // 8:
+        raise ShapeError(f"{what}: no array takes shape {shape}")
+    return shape
 
 
 def gaussian(gen: np.random.Generator, shape: tuple[int, ...] | int) -> np.ndarray:

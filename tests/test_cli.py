@@ -726,11 +726,19 @@ class TestErrors:
         ("attention-dump", "attention.head", 2),
         ("train-prior", "data.kind", "npz"),
         ("attention-dump", "attention.dataset", "ood-sideways"),
+        ("train-prior", "attention.head", 2),
+        ("train-prior", "attention.layer", 1),
+        ("train-prior", "attention.dataset", "ood-nowhere"),
+        ("eval", "data.kind", "idx"),
+        ("score", "attention.head", -1),
+        ("train-pvit", "attention.layer", -2),
+        ("export-logits", "attention.dataset", "ood-sideways"),
     ])
     def test_bad_closed_set_value_exits_1_before_writing(self, tmp_path, capsys, command, key, value):
         cfg, out = write_cfg(tmp_path, model__depth=1, **{key.replace(".", "__"): value})
         write_score_set(out)
-        # attention-dump checks attention.layer and attention.head against this one-layer, two-head model
+        # attention.layer and attention.head must name one of the config's one layer and two heads,
+        # which this checkpoint has; every command checks them, as it checks data.kind's IDX files
         PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=1, heads=2, mlp_dim=24)).save(
             os.path.join(out, "pvit.ckpt"))
         before = sorted(os.listdir(out))
@@ -810,6 +818,41 @@ class TestErrors:
         path.write_text(f"out.dir = {out}\nseed = 5\n")
         cfg = RunConfig.load(str(path), {"seed": 9, "out.dir": str(tmp_path / "other")})
         assert (cfg["seed"], cfg["out.dir"]) == (9, str(tmp_path / "other"))
+
+    def test_attention_dump_of_a_model_without_layers_exits_1(self, tmp_path, capsys):
+        cfg, out = write_cfg(tmp_path, model__depth=0)
+        os.makedirs(out)
+        PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=0, heads=2, mlp_dim=24)).save(
+            os.path.join(out, "pvit.ckpt"))
+        assert main(["attention-dump", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "'model.depth'" in err and "Traceback" not in err, err
+        assert os.listdir(out) == ["pvit.ckpt"]
+
+    @pytest.mark.parametrize("command, key, value, named", [
+        ("train-prior", "data.train_per_class", 10**15, "no array takes shape (3000000000000030, 28, 28, 1)"),
+        ("train-pvit", "model.dim", 10**12, "Unable to allocate"),
+    ], ids=["past-numpy-sizes", "past-memory"])
+    def test_oversized_setting_exits_2_without_traceback(self, tmp_path, capsys, command, key, value, named):
+        """Sizes whose first array numpy refuses at once: one it cannot
+        count the bytes of, one far past any machine's memory (178 TiB)."""
+        cfg, out = write_cfg(tmp_path, model__heads=1, **{key.replace(".", "__"): value})
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pvit: error: ") and named in err and "Traceback" not in err, err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("name", ["a#b", "x\ny = 1", " spaced ", os.fsdecode(b"runs\xff")])
+    def test_out_flag_its_resolved_line_would_not_read_back_exits_1(self, tmp_path, capsys, name):
+        """The resolved configuration would record another directory than the
+        one used, or, for a byte that is not UTF-8, fail to be written once
+        the command's outputs are."""
+        cfg, _ = write_cfg(tmp_path)
+        out = str(tmp_path / name)
+        assert main(["eval", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "config key 'out.dir'" in err and "reads back" in err and "Traceback" not in err, err
+        assert os.listdir(tmp_path) == ["run.cfg"]
 
     def test_out_flag_overrides_the_config_directory(self, tmp_path):
         cfg, out = write_cfg(tmp_path)

@@ -273,3 +273,45 @@ def test_every_accepted_pvit_config_saves_and_loads_back_equal(fields, loose):
                                      "num_classes": st.integers(2, 5)}), loose=loosened(MLPConfig))
 def test_every_accepted_mlp_config_saves_and_loads_back_equal(fields, loose):
     assert_round_trip(MLPConfig, MLPClassifier, {**fields, **loose})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("out.dir", "runs/a#b"),
+    ("out.dir", "runs/x\ny = 1"),
+    ("out.dir", "  spaced  "),
+    ("train.resume", "runs/a\u2028b.ckpt"),
+    ("ood.kinds", ["inverted", " pattern-shift"]),
+    ("out.dir", "runs/\udcff"),
+])
+def test_a_str_its_resolved_line_would_not_read_back_is_refused(key, value):
+    """These read back from ``key = value`` as ``runs/a``, as ``runs/x``
+    plus the unknown key ``y``, as ``spaced``, as two lines and as
+    ``pattern-shift``; the last, a non-UTF-8 byte as ``--out`` decodes it,
+    cannot be written to the UTF-8 file at all."""
+    entry = value[-1] if type(value) is list else value
+    with pytest.raises(ConfigError) as info:
+        RunConfig.load(overrides={key: value})
+    assert str(info.value) == (f"config key {key!r}: {entry!r} is not a str that its resolved line reads back: "
+                               "no '#', line break, surrogate or whitespace at either end")
+
+
+# every closed-set name a str key or list entry takes, then text rich in what a config line parses
+NAMES = st.sampled_from(["synth", "idx", "id-train", "id-test", *pvit.config.OOD_KINDS,
+                         *(f"ood-{kind}" for kind in pvit.config.OOD_KINDS), *pvit.config.GUIDANCE_KINDS,
+                         *pvit.config.SCORE_FIELDS, *pvit.config.ORIENTATION_POLICIES])
+TEXT = NAMES | st.text(st.sampled_from("ab/.=,# \t\n\r\x0b\x0c\x85\u2028") | st.characters(), max_size=12)
+NUMBER = st.floats() | st.integers(-2, 8) | st.integers(-2**65, 2**65)
+VALUES = {"int": st.integers(-2, 8) | st.integers(-2**65, 2**65), "float": NUMBER, "str": TEXT,
+          "list_str": st.lists(TEXT, max_size=4), "list_float": st.lists(NUMBER, max_size=4)}
+OVERRIDE = st.sampled_from(list(SCHEMA)).flatmap(lambda key: st.tuples(st.just(key), VALUES[SCHEMA[key][0]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(overrides=st.lists(OVERRIDE, max_size=5).map(dict))
+def test_every_accepted_config_reads_back_from_its_resolved_text(overrides):
+    """What a command writes as its resolved configuration is the run it made."""
+    try:
+        cfg = RunConfig.load(overrides=overrides)
+    except ConfigError:
+        return
+    assert RunConfig.from_text(cfg.resolved_text()).values == cfg.values

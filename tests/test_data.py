@@ -1,5 +1,6 @@
 """Dataset loaders and generators: format errors, determinism, OOD construction."""
 
+import re
 import struct
 import tracemalloc
 
@@ -131,6 +132,17 @@ class TestSynth:
         """-1 used to end in numpy's bare ValueError, and 1.5 ran as seed 1."""
         with pytest.raises(ShapeError, match=f"seed must be a non-negative integer, got {seed!r}"):
             synth_dataset(2, 1, size=4, seed=seed)
+
+    @pytest.mark.parametrize("build, shape", [
+        (lambda: synth_dataset(4, 10**15), (4 * 10**15, 28, 28, 1)),
+        (lambda: make_ood("pattern-shift", 10**16, classes=2), (10**16, 28, 28, 1)),
+        (lambda: make_ood("uniform-noise", 10**16), (10**16, 28, 28, 1)),
+    ], ids=["synth", "pattern-shift", "uniform-noise"])
+    def test_a_shape_no_array_takes_is_refused_naming_it(self, build, shape):
+        """numpy refuses these sizes before allocating anything: its bare
+        "array is too big" ValueError used to escape."""
+        with pytest.raises(ShapeError, match=re.escape(f"no array takes shape {shape}")):
+            build()
 
 
 class TestMakeOod:

@@ -695,3 +695,19 @@ class TestOneCheckpointedBase:
         assert sorted(defined) == ["MLPClassifier", "PViTModel"]
         for name, methods in defined.items():
             assert not {"__init__", "save", "load", "parameters", "zero_grad"} & set(methods), (name, methods)
+
+    @pytest.mark.parametrize("build, named", [
+        (lambda: MLPClassifier(MLPConfig(input_dim=2**63 - 1, hidden_dim=2**63 - 1)),
+         "MLPClassifier parameter 'fc1.weight': no array takes shape (9223372036854775807, 9223372036854775807)"),
+        (lambda: MLPClassifier(MLPConfig(input_dim=2**63 - 1)),
+         "MLPClassifier parameter 'fc1.weight': no array takes shape (9223372036854775807, 128)"),
+        (lambda: PViTModel(tiny_config(embed_dim=2**61, heads=1, depth=0)),
+         "PViTModel parameter 'patch_embed.weight': no array takes shape (16, 2305843009213693952)"),
+    ], ids=["mlp-both-past-int64", "mlp-input-past-int64", "pvit-dim-2**61"])
+    def test_a_shape_no_array_takes_is_refused_naming_parameter_and_shape(self, build, named):
+        """Sizes the config rules accept but whose float64 bytes numpy cannot
+        count: numpy's bare ValueError used to escape (the first case read
+        "cannot reshape array of size 1 into shape ...")."""
+        with pytest.raises(ShapeError) as info:
+            build()
+        assert str(info.value) == named
