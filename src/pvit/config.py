@@ -140,16 +140,26 @@ RELATIONS = (
 # kind -> (its values' exact types, as a bool is no int nor a numpy scalar; parser; writer); list_<kind>: "a,b,..."
 _KINDS = {"int": ((int,), int, str), "float": ((int, float), float, repr), "str": ((str,), str, str)}
 INT64 = range(-2**63, 2**63)  # the integers a checkpoint header holds
+WRITABLE_INTS = range(1 - 10**4300, 10**4300)  # the integers Python writes in decimal: at most 4,300 digits
+
+
+def _shown(value, show=repr) -> str:
+    """``show(value)``, or the size of an int too long to write in decimal."""
+    return show(value) if type(value) is not int or value in WRITABLE_INTS else f"<an int of {value.bit_length()} bits>"
 
 
 def _broken(tag: str, rule: Optional[tuple], value) -> Optional[str]:
     """What ``value``, a setting's or an entry of a list setting's, fails to be
     under the setting's type tag and then its rule (None for none), or None.
-    A float setting takes an int within :data:`INT64`, so that it saves, and a
-    str one what its resolved line reads back (each list of strs is a closed set)."""
+    A float setting takes an int within :data:`INT64`, so that it saves, an int
+    setting one within :data:`WRITABLE_INTS`, so that its resolved line can be
+    written, and a str one what its resolved line reads back (each list of
+    strs is a closed set)."""
     kind = tag.removeprefix("list_")
     if type(value) not in _KINDS[kind][0] or (kind == "float" and type(value) is int and value not in INT64):
         return f"{'an' if kind == 'int' else 'a'} {kind}"
+    if kind == "int" and value not in WRITABLE_INTS:
+        return "an int of at most 4300 digits"
     if kind == "float" and not abs(value) <= sys.float_info.max:
         return "finite"
     if kind == "str" and ("#" in value or len(value.splitlines()) > 1 or value != value.strip()
@@ -174,7 +184,7 @@ def check(config) -> None:
     entry whose keys all set fields.  A break raises ShapeError naming the field and showing ``config``,
     each value cut short by :mod:`reprlib`."""
     def shown() -> str:
-        values = ", ".join(f"{f.name}={reprlib.repr(getattr(config, f.name))}" for f in fields(config))
+        values = ", ".join(f"{f.name}={_shown(getattr(config, f.name), reprlib.repr)}" for f in fields(config))
         return f"{type(config).__name__}({values})"
 
     for f in fields(config):
@@ -216,7 +226,7 @@ class RunConfig:
             for i, entry in enumerate(entries):
                 broken = _broken(tag, rule, entry)
                 if broken:
-                    raise ConfigError(f"config key {key!r}: {entry!r} is not {broken}")
+                    raise ConfigError(f"config key {key!r}: {_shown(entry)} is not {broken}")
                 if entry in entries[:i]:
                     raise ConfigError(f"config key {key!r}: {entry!r} is repeated")
         for keys, test, must in RELATIONS:

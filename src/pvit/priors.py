@@ -24,6 +24,7 @@ Numbers are serialized with full round-trip precision.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -176,6 +177,10 @@ def export_logits(source: ModelSource | TableSource, dataset: Dataset, path: str
     return all_logits
 
 
+# the widest (N, K) float64 block numpy makes, even at N = 0
+MAX_K = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
+
 def load_logits(path: str) -> TableSource:
     """Parse a logits file into a table that keeps ``path``; validates the
     header, field types, per-line K, id uniqueness, and that every logits
@@ -184,8 +189,8 @@ def load_logits(path: str) -> TableSource:
     views of one (N, K) float64 block, built once every line has passed."""
     header, rows = read_jsonl(path)
     k = header.get("k")
-    if type(k) is not int or k < 1:
-        raise FormatError(f"{path}:1: header 'k' must be a positive integer, got {k!r}")
+    if type(k) is not int or not 1 <= k <= MAX_K:
+        raise FormatError(f"{path}:1: header 'k' must be an integer in [1, {MAX_K}], got {reprlib.repr(k)}")
     lines: dict[str, list] = {}
     for lineno, obj in rows:
         try:

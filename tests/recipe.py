@@ -1,5 +1,12 @@
-"""The byte-identity recipe: every command of the CLI, run in one process
-into a directory, and a sha256 manifest of what the run wrote.
+"""The in-process runner, and the byte-identity recipe built on it.
+
+:func:`write_cfg` writes a config file from a base text and the keys a
+test sets; :func:`run_cli` runs commands on it through
+:func:`pvit.cli.main` in this process.  Every test that expects a
+command to succeed runs it through them.
+
+The recipe is every command of the CLI, run in one process into a
+directory, and a sha256 manifest of what the run wrote.
 
 The main run, in ``DIR/run``, is train-prior, train-pvit, score, eval
 (pge, msp and energy) and attention-dump (alphas 0.1 and 1.0) at the CLI
@@ -33,6 +40,7 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -75,20 +83,39 @@ def steps(root: str):
     ]
 
 
+def write_cfg(tmp_path, text=SMALL_CFG, name="run.cfg", **extra):
+    """``text`` with each ``extra`` key (``__`` for ``.``) set on its own
+    line, in place of the line that set it there: a file sets a key once."""
+    out = str(tmp_path / "out")
+    lines = {line.split("=")[0].strip(): line for line in text.format(out=out).splitlines() if line.strip()}
+    for key, value in extra.items():
+        lines[key.replace("__", ".")] = f"{key.replace('__', '.')} = {value}"
+    path = tmp_path / name
+    path.write_text("\n".join(lines.values()) + "\n")
+    return str(path), out
+
+
+def run_cli(cfg: str, *commands: str, flags=()) -> str:
+    """Run each command through :func:`pvit.cli.main` in this process, with
+    ``--config cfg`` and then ``flags``, and return what they printed; a
+    command that exits other than 0 raises AssertionError naming it and its code."""
+    stdout = io.StringIO()
+    for command in commands:
+        with contextlib.redirect_stdout(stdout):
+            code = main([command, "--config", cfg, *flags])
+        if code != 0:
+            raise AssertionError(f"{command} --config {cfg} exited {code}")
+    return stdout.getvalue()
+
+
 def run_recipe(root: str) -> dict[str, str]:
     """Run every step into ``root`` and return the manifest (see the module docstring)."""
-    stdout = io.StringIO()
+    printed = ""
     for number, (out, extra, commands) in enumerate(steps(root)):
         os.makedirs(out, exist_ok=True)
-        cfg = os.path.join(root, f"step{number}.cfg")
-        with open(cfg, "w") as fh:
-            fh.write(SMALL_CFG.format(out=out) + "".join(f"{k} = {v}\n" for k, v in {**RECIPE_KEYS, **extra}.items()))
-        for command in commands:
-            with contextlib.redirect_stdout(stdout):
-                code = main([command, "--config", cfg])
-            if code != 0:
-                raise SystemExit(f"recipe: {command} in {out} exited {code}")
-    manifest = {"<stdout>": stdout.getvalue().encode()}
+        cfg, _ = write_cfg(pathlib.Path(root), name=f"step{number}.cfg", out__dir=out, **RECIPE_KEYS, **extra)
+        printed += run_cli(cfg, *commands)
+    manifest = {"<stdout>": printed.encode()}
     for top in ("run", "ablation"):
         for directory, _, names in os.walk(os.path.join(root, top)):
             for name in names:

@@ -7,6 +7,11 @@ identities, prior-token linearity, bytewise training determinism, a
 seed-fixed end-to-end detection experiment, the logits-file ablation
 harness, and checkpoint round-trip fidelity.  Tolerances are pinned in
 the assertions.
+
+The determinism, end-to-end and ablation criteria run commands through
+``pvit.cli.main`` with ``recipe.run_cli``, as users run them.  The
+end-to-end experiment runs train-prior, train-pvit, score and eval at
+the default desk config and reads every figure from their outputs.
 """
 
 import functools
@@ -20,12 +25,12 @@ import numpy as np
 
 from conftest import central_difference, weighted_sum
 from oracle import bmatmul, cefe_expand, reshape, softmax, transpose
-from pvit.cli import _accuracy, main
-from pvit.data import make_ood, split_dataset, synth_dataset
-from pvit.metrics import auroc, evaluate, fpr_at_tpr
+from pvit.checkpoint import load_checkpoint
+from pvit.data import synth_dataset
+from pvit.metrics import auroc, fpr_at_tpr
 from pvit.model import PViTConfig, PViTModel
 from pvit.priors import train_prior_model
-from pvit.scoring import predict_logits, read_scores, score_dataset, score_records
+from pvit.scoring import read_scores, score_records
 from pvit.tensor import (
     Tape,
     Tensor,
@@ -41,6 +46,7 @@ from pvit.tensor import (
     mul,
 )
 from pvit.train import TrainConfig, train
+from recipe import run_cli, write_cfg
 from test_metrics import pairwise_auroc, random_instance, sweep_fpr_at_tpr
 
 
@@ -265,114 +271,8 @@ def test_prior_token_linearity():
 # 6. training determinism (bytewise)
 
 
-DETERMINISM_CFG = """
-out.dir = {out}
-seed = 5
-data.classes = 3
-data.train_per_class = 30
-data.test_per_class = 10
-ood.count = 20
-model.dim = 32
-model.depth = 2
-model.heads = 2
-model.mlp_dim = 48
-prior.hidden = 32
-prior.epochs = 3
-prior.base_lr = 1e-2
-train.epochs = 2
-train.batch_size = 16
-paths.prior_checkpoint = {prior_ckpt}
-paths.logits_dir = {logits_dir}
-"""
-
-
-@criterion("determinism (two train-pvit runs: byte-identical checkpoint and loss CSV)")
-def test_training_determinism(tmp_path):
-    shared_prior = str(tmp_path / "prior.ckpt")
-    shared_logits = str(tmp_path / "logits")
-    outputs = []
-    for run in ("a", "b"):
-        out = str(tmp_path / run)
-        cfg_path = tmp_path / f"{run}.cfg"
-        cfg_path.write_text(
-            DETERMINISM_CFG.format(out=out, prior_ckpt=shared_prior, logits_dir=shared_logits)
-        )
-        if run == "a":
-            assert main(["train-prior", "--config", str(cfg_path)]) == 0
-        assert main(["train-pvit", "--config", str(cfg_path)]) == 0
-        outputs.append(
-            (
-                pathlib.Path(out, "pvit.ckpt").read_bytes(),
-                pathlib.Path(out, "pvit_loss.csv").read_bytes(),
-            )
-        )
-    assert outputs[0][0] == outputs[1][0], "checkpoints differ"
-    assert outputs[0][1] == outputs[1][1], "loss CSVs differ"
-
-
-# ---------------------------------------------------------------------------
-# 7. end-to-end desk experiment
-
-
-@criterion("end-to-end detection (prior >= 0.90; model within 5 pts; "
-           "PGE-CE >= 0.85 vs noise and > MSP; >= 0.70 vs pattern shift; <= 10 min)")
-def test_end_to_end_desk_experiment():
-    start = time.monotonic()
-    combined = synth_dataset(4, 600, size=28, noise_sigma=0.2, seed=11, name="synth")
-    id_train, id_test = split_dataset(combined, 2000, seed=12)
-    assert len(id_train) == 2000 and len(id_test) == 400
-    noise = make_ood("uniform-noise", 400, seed=99, size=28, classes=4)
-    shift = make_ood("pattern-shift", 400, seed=99, size=28, classes=4)
-
-    prior, _ = train_prior_model(
-        id_train,
-        TrainConfig(epochs=8, batch_size=64, base_lr=3e-3, warmup_epochs=1,
-                    weight_decay=0.0, seed=21),
-        hidden_dim=128,
-        seed=22,
-    )
-    prior_acc = _accuracy(prior.resolve(id_test), id_test.labels)
-    assert prior_acc >= 0.90, f"prior test accuracy {prior_acc}"
-
-    model = PViTModel(PViTConfig(num_classes=4, alpha=0.1), seed=55)
-    assert model.config.embed_dim == 64 and model.config.depth == 4
-    assert model.config.heads == 4 and model.config.alpha == 0.1
-    train(model, id_train, prior.resolve(id_train),
-          TrainConfig(epochs=10, batch_size=32, base_lr=3e-4, warmup_epochs=1,
-                      weight_decay=1e-3, seed=33))
-
-    model_acc = _accuracy(predict_logits(model, id_test.images, prior.resolve(id_test)), id_test.labels)
-    assert model_acc >= prior_acc - 0.05, f"model {model_acc} vs prior {prior_acc}"
-
-    id_records = score_dataset(model, prior, id_test, "ce")
-    noise_records = score_dataset(model, prior, noise, "ce")
-    shift_records = score_dataset(model, prior, shift, "ce")
-
-    pge_noise = evaluate(id_records, noise_records, "pge", "auto")
-    msp_noise = evaluate(id_records, noise_records, "msp", "auto")
-    pge_shift = evaluate(id_records, shift_records, "pge", "auto")
-
-    assert pge_noise.auroc >= 0.85, f"PGE vs noise auroc {pge_noise.auroc}"
-    assert pge_noise.auroc > msp_noise.auroc, (
-        f"PGE {pge_noise.auroc} does not exceed MSP {msp_noise.auroc}"
-    )
-    assert pge_shift.auroc >= 0.70, f"PGE vs pattern shift auroc {pge_shift.auroc}"
-
-    elapsed = time.monotonic() - start
-    assert elapsed <= 600.0, f"experiment took {elapsed:.0f}s"
-    print(
-        f"  prior={prior_acc:.3f} model={model_acc:.3f} "
-        f"pge-noise={pge_noise.auroc:.4f} ({pge_noise.orientation}) "
-        f"msp-noise={msp_noise.auroc:.4f} pge-shift={pge_shift.auroc:.4f} "
-        f"elapsed={elapsed:.0f}s"
-    )
-
-
-# ---------------------------------------------------------------------------
-# 8. ablation harness
-
-
-ABLATION_CFG = """
+# the determinism and ablation runs' config: each test sets its own keys on it
+CLI_CFG = """
 out.dir = {out}
 seed = 5
 data.classes = 3
@@ -391,43 +291,96 @@ train.batch_size = 16
 """
 
 
+@criterion("determinism (two train-pvit runs: byte-identical checkpoint and loss CSV)")
+def test_training_determinism(tmp_path):
+    outputs = []
+    for run in ("a", "b"):
+        out = str(tmp_path / run)
+        cfg, _ = write_cfg(tmp_path, CLI_CFG, f"{run}.cfg", out__dir=out, data__test_per_class=10, ood__count=20,
+                           paths__prior_checkpoint=tmp_path / "prior.ckpt", paths__logits_dir=tmp_path / "logits")
+        run_cli(cfg, *(["train-prior"] if run == "a" else []), "train-pvit")
+        outputs.append((pathlib.Path(out, "pvit.ckpt").read_bytes(), pathlib.Path(out, "pvit_loss.csv").read_bytes()))
+    assert outputs[0][0] == outputs[1][0], "checkpoints differ"
+    assert outputs[0][1] == outputs[1][1], "loss CSVs differ"
+
+
+# ---------------------------------------------------------------------------
+# 7. end-to-end desk experiment
+
+
+def _read_json(out, name):
+    return json.loads(pathlib.Path(out, name).read_text())
+
+
+@criterion("end-to-end detection (prior >= 0.90; model within 5 pts; "
+           "PGE-CE >= 0.85 vs noise and > MSP; >= 0.70 vs pattern shift; <= 10 min)")
+def test_end_to_end_desk_experiment(tmp_path):
+    start = time.monotonic()
+    cfg, out = write_cfg(tmp_path, "out.dir = {out}", ood__kinds="uniform-noise,pattern-shift", eval__scores="pge,msp")
+    run_cli(cfg, "train-prior", "train-pvit", "score", "eval")
+    logits = {split: pathlib.Path(out, "logits", f"logits_{split}.jsonl").read_text().splitlines()[1:]
+              for split in ("id-train", "id-test")}
+    assert len(logits["id-train"]) == 2000 and len(logits["id-test"]) == 400
+
+    records = [json.loads(line) for line in logits["id-test"]]
+    prior_acc = sum(int(np.argmax(r["logits"])) == r["label"] for r in records) / len(records)
+    assert prior_acc >= 0.90, f"prior test accuracy {prior_acc}"
+
+    config = load_checkpoint(os.path.join(out, "pvit.ckpt"))[0]["config"]
+    assert config["embed_dim"] == 64 and config["depth"] == 4
+    assert config["heads"] == 4 and config["alpha"] == 0.1
+    model_acc = _read_json(out, "pvit_train.json")["id_test_accuracy"]
+    assert model_acc >= prior_acc - 0.05, f"model {model_acc} vs prior {prior_acc}"
+
+    pge_noise, msp_noise, pge_shift = (_read_json(out, f"metrics_ood-{name}.json") for name in
+                                       ("uniform-noise_pge", "uniform-noise_msp", "pattern-shift_pge"))
+    assert pge_noise["auroc"] >= 0.85, f"PGE vs noise auroc {pge_noise['auroc']}"
+    assert pge_noise["auroc"] > msp_noise["auroc"], (
+        f"PGE {pge_noise['auroc']} does not exceed MSP {msp_noise['auroc']}"
+    )
+    assert pge_shift["auroc"] >= 0.70, f"PGE vs pattern shift auroc {pge_shift['auroc']}"
+
+    elapsed = time.monotonic() - start
+    assert elapsed <= 600.0, f"experiment took {elapsed:.0f}s"
+    print(
+        f"  prior={prior_acc:.3f} model={model_acc:.3f} "
+        f"pge-noise={pge_noise['auroc']:.4f} ({pge_noise['orientation']}) "
+        f"msp-noise={msp_noise['auroc']:.4f} pge-shift={pge_shift['auroc']:.4f} "
+        f"elapsed={elapsed:.0f}s"
+    )
+
+
+# ---------------------------------------------------------------------------
+# 8. ablation harness
+
+
 @criterion("ablation harness (logits-only scoring for CE/KL/ED; alpha sweep attention dump)")
 def test_ablation_harness(tmp_path):
     out = str(tmp_path / "run")
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(ABLATION_CFG.format(out=out))
-    assert main(["train-prior", "--config", str(cfg_path)]) == 0
-    assert main(["train-pvit", "--config", str(cfg_path)]) == 0
+
+    def cfg(name, run=out, **keys):
+        return write_cfg(tmp_path, CLI_CFG, f"{name}.cfg", out__dir=run, **keys)[0]
+
+    run_cli(cfg("run"), "train-prior", "train-pvit")
 
     # a second classifier stands in for an external model's predicted logits
     other_out = str(tmp_path / "other")
-    other_cfg = tmp_path / "other.cfg"
-    other_cfg.write_text(ABLATION_CFG.format(out=other_out) + "\nprior.seed = 4242\n")
-    assert main(["train-prior", "--config", str(other_cfg)]) == 0
+    run_cli(cfg("other", other_out, prior__seed=4242), "train-prior")
 
     # no-prior-token ablation: two logits files, no transformer involved
     for kind in ("ce", "kl", "ed"):
-        ablate_cfg = tmp_path / f"ablate_{kind}.cfg"
-        ablate_cfg.write_text(
-            ABLATION_CFG.format(out=out)
-            + f"\nscore.predicted_logits = {other_out}/logits\nscore.guidance = {kind}\n"
-        )
-        assert main(["score", "--config", str(ablate_cfg)]) == 0
+        ablate_cfg = cfg(f"ablate_{kind}", score__predicted_logits=f"{other_out}/logits", score__guidance=kind)
+        run_cli(ablate_cfg, "score")
         header, records = read_scores(os.path.join(out, "scores_id-test.jsonl"))
         assert header["guidance"] == kind
         assert len(records) == 45
-        assert main(["eval", "--config", str(ablate_cfg)]) == 0
-        metrics = json.loads(pathlib.Path(out, "metrics_ood-uniform-noise_pge.json").read_text())
+        run_cli(ablate_cfg, "eval")
+        metrics = _read_json(out, "metrics_ood-uniform-noise_pge.json")
         assert 0.0 <= metrics["auroc"] <= 1.0
         assert 0.0 <= metrics["fpr95"] <= 1.0
 
     # alpha sweep attention dump on fixed weights
-    sweep_cfg = tmp_path / "sweep.cfg"
-    sweep_cfg.write_text(
-        ABLATION_CFG.format(out=out)
-        + "\nattention.alphas = 0.1,1,10\nattention.max_samples = 4\n"
-    )
-    assert main(["attention-dump", "--config", str(sweep_cfg)]) == 0
+    run_cli(cfg("sweep", attention__alphas="0.1,1,10", attention__max_samples=4), "attention-dump")
     summary_lines = pathlib.Path(out, "attention_summary.csv").read_text().strip().splitlines()
     assert len(summary_lines) == 1 + 3 * 4
     alphas_seen = {line.split(",")[0] for line in summary_lines[1:]}

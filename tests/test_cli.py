@@ -27,23 +27,11 @@ from pvit.scoring import (ScoreRecord, file_sha256, forward_batches, predict_log
                           write_scores)
 from pvit.errors import FormatError
 from pvit.train import TrainConfig, loss_curve_csv, resume_state, train
-from recipe import SMALL_CFG, compare, csv_diff
+from recipe import compare, csv_diff, run_cli, write_cfg
 from test_data import write_idx_pair
 
 
 SPLITS = ["id-train", "id-test", "ood-uniform-noise", "ood-pattern-shift", "ood-inverted"]
-
-
-def write_cfg(tmp_path, text=SMALL_CFG, name="run.cfg", **extra):
-    """``text`` with each ``extra`` key (``__`` for ``.``) set on its own
-    line, in place of the line that set it there: a file sets a key once."""
-    out = str(tmp_path / "out")
-    lines = {line.split("=")[0].strip(): line for line in text.format(out=out).splitlines() if line.strip()}
-    for key, value in extra.items():
-        lines[key.replace("__", ".")] = f"{key.replace('__', '.')} = {value}"
-    path = tmp_path / name
-    path.write_text("\n".join(lines.values()) + "\n")
-    return str(path), out
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +39,7 @@ def pipeline(tmp_path_factory):
     """One fully-run pipeline shared by the read-only assertions."""
     tmp_path = tmp_path_factory.mktemp("pipeline")
     cfg, out = write_cfg(tmp_path)
-    for command in ("train-prior", "train-pvit", "score", "eval", "attention-dump"):
-        assert main([command, "--config", cfg]) == 0, command
+    run_cli(cfg, "train-prior", "train-pvit", "score", "eval", "attention-dump")
     return cfg, out
 
 
@@ -96,13 +83,14 @@ class TestPipeline:
         """Training steps and the reported accuracies both run in float32, so
         a fresh process that runs train-pvit never imports scipy.special."""
         cfg, _ = write_cfg(tmp_path, paths__logits_dir=os.path.join(pipeline[1], "logits"))
-        script = (f"import sys\nfrom pvit.cli import main\n"
-                  f"print(main(['train-pvit', '--config', {cfg!r}]), 'scipy.special' in sys.modules)")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(pvit.cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = (f"import sys\nfrom recipe import run_cli\n"
+                  f"run_cli({cfg!r}, 'train-pvit')\nprint('scipy.special' in sys.modules)")
+        paths = [os.path.dirname(os.path.dirname(os.path.abspath(pvit.cli.__file__))),  # src/, and tests/ for recipe
+                 os.path.dirname(os.path.abspath(__file__)), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                               timeout=120, check=True)
-        assert done.stdout.splitlines()[-1].split() == ["0", "False"]
+        assert done.stdout == "False\n"
 
     def test_eval_writes_one_json_per_ood_set_plus_summary(self, pipeline):
         _, out = pipeline
@@ -175,10 +163,9 @@ class TestPriorOnlyThroughLogitsFiles:
         """Past train-prior, commands read priors from the logits files
         alone: with prior.ckpt deleted, the pipeline writes the same bytes."""
         cfg, out = write_cfg(tmp_path)
-        assert main(["train-prior", "--config", cfg]) == 0
+        run_cli(cfg, "train-prior")
         os.remove(os.path.join(out, "prior.ckpt"))
-        for command in ("train-pvit", "score", "eval", "attention-dump"):
-            assert main([command, "--config", cfg]) == 0, command
+        run_cli(cfg, "train-pvit", "score", "eval", "attention-dump")
         expected = artifact_bytes(pipeline[1])
         del expected["prior.ckpt"]
         got = artifact_bytes(out)
@@ -191,12 +178,12 @@ class TestPriorOnlyThroughLogitsFiles:
 class TestReproducibility:
     def test_rerun_train_prior_identical_logits_bytes(self, tmp_path):
         cfg, out = write_cfg(tmp_path)
-        assert main(["train-prior", "--config", cfg]) == 0
+        run_cli(cfg, "train-prior")
         first = {
             split: pathlib.Path(out, "logits", f"logits_{split}.jsonl").read_bytes()
             for split in SPLITS
         }
-        assert main(["train-prior", "--config", cfg]) == 0
+        run_cli(cfg, "train-prior")
         for split in SPLITS:
             again = pathlib.Path(out, "logits", f"logits_{split}.jsonl").read_bytes()
             assert first[split] == again, split
@@ -204,26 +191,26 @@ class TestReproducibility:
     def test_export_logits_after_train_prior_is_identical(self, tmp_path):
         """train-prior exports from the saved checkpoint, as export-logits does."""
         cfg, out = write_cfg(tmp_path)
-        assert main(["train-prior", "--config", cfg]) == 0
+        run_cli(cfg, "train-prior")
         paths = [os.path.join(out, "logits", f"logits_{split}.jsonl") for split in SPLITS]
         first = [pathlib.Path(path).read_bytes() for path in paths]
-        assert main(["export-logits", "--config", cfg]) == 0
+        run_cli(cfg, "export-logits")
         assert [pathlib.Path(path).read_bytes() for path in paths] == first
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg, out = write_cfg(tmp_path)
-        assert main(["train-prior", "--config", cfg]) == 0
+        run_cli(cfg, "train-prior")
         baseline = pathlib.Path(out, "logits", "logits_id-test.jsonl").read_bytes()
-        assert main(["train-prior", "--config", cfg, "--seed", "99"]) == 0
+        run_cli(cfg, "train-prior", flags=["--seed", "99"])
         shifted = pathlib.Path(out, "logits", "logits_id-test.jsonl").read_bytes()
         assert baseline != shifted
 
     def test_resolved_config_alone_reproduces_run(self, tmp_path):
         cfg, out = write_cfg(tmp_path)
-        assert main(["train-prior", "--config", cfg]) == 0
+        run_cli(cfg, "train-prior")
         baseline = pathlib.Path(out, "logits", "logits_id-test.jsonl").read_bytes()
         resolved = os.path.join(out, "train-prior.resolved.cfg")
-        assert main(["train-prior", "--config", resolved]) == 0
+        run_cli(resolved, "train-prior")
         again = pathlib.Path(out, "logits", "logits_id-test.jsonl").read_bytes()
         assert baseline == again
 
@@ -286,7 +273,7 @@ class TestNormalization:
         """With data.normalize_* set, every split reaches the prior normalized:
         the logits files equal export_logits over the library's normalize()."""
         cfg_path, out = write_cfg(tmp_path, data__normalize_mean=0.1, data__normalize_std=0.9)
-        assert main(["train-prior", "--config", cfg_path]) == 0
+        run_cli(cfg_path, "train-prior")
         cfg = RunConfig.load(cfg_path)
         combined = synth_dataset(classes=3, per_class=30, size=28, noise_sigma=0.2,
                                  seed=cfg.seed_for("data.seed"), name="synth")
@@ -298,7 +285,7 @@ class TestNormalization:
         prior = ModelSource(MLPClassifier.load(os.path.join(out, "prior.ckpt"))[0])
         (tmp_path / "plain").mkdir()
         plain_cfg, plain_out = write_cfg(tmp_path / "plain")
-        assert main(["train-prior", "--config", plain_cfg]) == 0
+        run_cli(plain_cfg, "train-prior")
         for split in SPLITS:
             expected = str(tmp_path / f"expected_{split}.jsonl")
             export_logits(prior, normalize(datasets[split], 0.1, 0.9), expected)
@@ -310,8 +297,7 @@ class TestNormalization:
 class TestResume:
     def test_resume_continues_step_counter(self, tmp_path):
         cfg, out = write_cfg(tmp_path)
-        assert main(["train-prior", "--config", cfg]) == 0
-        assert main(["train-pvit", "--config", cfg]) == 0
+        run_cli(cfg, "train-prior", "train-pvit")
         header, _ = load_checkpoint(os.path.join(out, "pvit.ckpt"))
         first_steps = header["step"]
         assert first_steps > 0 and header["epoch"] == 2
@@ -319,7 +305,7 @@ class TestResume:
         resume_cfg, _ = write_cfg(
             tmp_path, name="resume.cfg", train__resume=os.path.join(out, "pvit.ckpt")
         )
-        assert main(["train-pvit", "--config", resume_cfg]) == 0
+        run_cli(resume_cfg, "train-pvit")
         header2, tensors = load_checkpoint(os.path.join(out, "pvit.ckpt"))
         assert header2["step"] == 2 * first_steps
         assert header2["epoch"] == 4
@@ -411,8 +397,7 @@ class TestResume:
 
     def test_resume_with_another_architecture_exits_1_naming_keys_and_values(self, tmp_path, capsys):
         cfg, out = write_cfg(tmp_path)
-        assert main(["train-prior", "--config", cfg]) == 0
-        assert main(["train-pvit", "--config", cfg]) == 0
+        run_cli(cfg, "train-prior", "train-pvit")
         ckpt = os.path.join(out, "pvit.ckpt")
         before, ckpt_bytes = sorted(os.listdir(out)), pathlib.Path(ckpt).read_bytes()
         resume_cfg, _ = write_cfg(tmp_path, name="resume.cfg", train__resume=ckpt, model__dim=32, model__alpha=5.0)
@@ -579,13 +564,11 @@ class TestOnePriorLookupAndBatchLoop:
 class TestGuidanceSwitch:
     def test_ce_vs_ed_same_base_different_guidance(self, tmp_path):
         cfg, out = write_cfg(tmp_path)
-        assert main(["train-prior", "--config", cfg]) == 0
-        assert main(["train-pvit", "--config", cfg]) == 0
-        assert main(["score", "--config", cfg]) == 0
+        run_cli(cfg, "train-prior", "train-pvit", "score")
         _, ce = read_scores(os.path.join(out, "scores_id-test.jsonl"))
 
         ed_cfg, _ = write_cfg(tmp_path, name="ed.cfg", score__guidance="ed")
-        assert main(["score", "--config", ed_cfg]) == 0
+        run_cli(ed_cfg, "score")
         _, ed = read_scores(os.path.join(out, "scores_id-test.jsonl"))
         assert [r.base for r in ce] == [r.base for r in ed]
         assert [r.guidance for r in ce] != [r.guidance for r in ed]
@@ -638,7 +621,7 @@ class TestErrors:
         assert "'ood.kinds'" in err and img_path in err and "14x21" in err and "Traceback" not in err, err
         assert os.listdir(out) == []
         cfg, out = write_cfg(tmp_path, ood__kinds="inverted", **idx_keys)
-        assert main(["train-prior", "--config", cfg]) == 0
+        run_cli(cfg, "train-prior")
         assert sorted(os.listdir(os.path.join(out, "logits"))) == ["logits_id-test.jsonl", "logits_id-train.jsonl",
                                                                    "logits_ood-inverted.jsonl"]
 
@@ -858,7 +841,7 @@ class TestErrors:
         cfg, out = write_cfg(tmp_path)
         other = str(tmp_path / "other")
         write_score_set(other)
-        assert main(["eval", "--config", cfg, "--out", other]) == 0
+        run_cli(cfg, "eval", flags=["--out", other])
         assert os.path.exists(os.path.join(other, "eval_summary.csv"))
         assert f"out.dir = {other}\n" in pathlib.Path(other, "eval.resolved.cfg").read_text()
         assert not os.path.exists(out)
@@ -962,7 +945,7 @@ class TestEvalInputs:
     def test_hand_written_score_set_evaluates(self, tmp_path):
         cfg, out = write_cfg(tmp_path)
         write_score_set(out)
-        assert main(["eval", "--config", cfg]) == 0
+        run_cli(cfg, "eval")
 
     def test_score_a_record_lacks_exits_2_naming_file_and_record(self, tmp_path, capsys):
         cfg, out = write_cfg(tmp_path, eval__scores="pge,energy")
@@ -1003,7 +986,7 @@ class TestEvalInputs:
             header, records = read_scores(path)
             records[0].pge = pge
             write_scores(path, records, header["guidance"], header["alpha"], header["checkpoint_sha256"])
-        assert main(["eval", "--config", cfg]) == 0
+        run_cli(cfg, "eval")
         rows = [line.split(",") for line in
                 pathlib.Path(out, "hist_ood-uniform-noise_pge.csv").read_text().splitlines()[1:]]
         assert sum(int(r[2]) for r in rows) == 6 and sum(int(r[3]) for r in rows) == 6
@@ -1014,7 +997,7 @@ class TestEvalInputs:
         fails before it reads or writes anything, and an earlier summary stays."""
         cfg, out = write_cfg(tmp_path)
         write_score_set(out)
-        assert main(["eval", "--config", cfg]) == 0
+        run_cli(cfg, "eval")
         before = {name: pathlib.Path(out, name).read_bytes() for name in os.listdir(out)}
         cfg, _ = write_cfg(tmp_path, name="empty.cfg", **{key.replace(".", "__"): ""})
         assert main(["eval", "--config", cfg]) == 1
@@ -1131,6 +1114,18 @@ class TestLogitsInputs:
         assert f"{path}:3: not UTF-8 text: " in err and "Traceback" not in err, err
         assert os.listdir(out) == ["logits"]
 
+    def test_header_k_no_array_takes_exits_2_naming_the_file(self, tmp_path, capsys):
+        predicted = str(tmp_path / "predicted")
+        write_logits_set(predicted, SPLITS[1:])
+        path = os.path.join(predicted, "logits_id-test.jsonl")
+        pathlib.Path(path).write_text('{"k": 100000000000000000000000000000}\n')
+        cfg, out = write_cfg(tmp_path, score__predicted_logits=predicted)
+        write_logits_set(os.path.join(out, "logits"), SPLITS)
+        assert main(["score", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:1: header 'k'" in err and "Traceback" not in err, err
+        assert os.listdir(out) == ["logits"]
+
     @pytest.mark.parametrize(
         "lines,message,named",
         [
@@ -1230,7 +1225,7 @@ class TestAttentionDump:
         out = str(tmp_path / "out")
         shutil.copytree(pipeline[1], out)
         cfg, _ = write_cfg(tmp_path, attention__layer=-1, attention__head=1, attention__alphas="0.1,1.0")
-        assert main(["attention-dump", "--config", cfg]) == 0
+        run_cli(cfg, "attention-dump")
         model = load_upcast(os.path.join(out, "pvit.ckpt"))
         ds = build_datasets(RunConfig.load(cfg))["id-test"]
         ids = ds.ids[:8]
@@ -1252,7 +1247,7 @@ class TestAttentionDump:
         shutil.copytree(pipeline[1], out)
         cfg, _ = write_cfg(tmp_path, data__test_per_class=50, attention__max_samples=130,
                            attention__alphas="0.1,1.0")
-        assert main(["export-logits", "--config", cfg]) == 0  # the copied prior's logits for 150 id-test samples
+        run_cli(cfg, "export-logits")  # the copied prior's logits for 150 id-test samples
         calls, forward_batch = [], PViTModel.forward_batch
 
         def spy(self, images, prior_logits, alpha=None):
@@ -1260,7 +1255,7 @@ class TestAttentionDump:
             return forward_batch(self, images, prior_logits, alpha)
 
         monkeypatch.setattr(PViTModel, "forward_batch", spy)
-        assert main(["attention-dump", "--config", cfg]) == 0
+        run_cli(cfg, "attention-dump")
         monkeypatch.undo()
         assert calls == [64, 64, 2] * 2
         model = load_upcast(os.path.join(out, "pvit.ckpt"))
@@ -1284,8 +1279,7 @@ class TestPvitCheckpointPath:
         ckpt = str(tmp_path / "elsewhere" / "model.ckpt")
         os.makedirs(os.path.dirname(ckpt))
         cfg, out = write_cfg(tmp_path, paths__pvit_checkpoint=ckpt)
-        for command in ("train-prior", "train-pvit", "score", "attention-dump"):
-            assert main([command, "--config", cfg]) == 0, command
+        run_cli(cfg, "train-prior", "train-pvit", "score", "attention-dump")
         assert os.path.exists(ckpt) and not os.path.exists(os.path.join(out, "pvit.ckpt"))
         assert json.loads(pathlib.Path(out, "pvit_train.json").read_text())["checkpoint"] == ckpt
         header, _ = read_scores(os.path.join(out, "scores_id-test.jsonl"))
@@ -1320,8 +1314,7 @@ class TestLogitsPriorInterchangeability:
         """Table-backed (CLI) and model-backed (library) priors train alike:
         the start of the loss trajectory agrees (the test below pins every byte)."""
         cfg, out = write_cfg(tmp_path, paths__prior_checkpoint=str(tmp_path / "prior.ckpt"))
-        assert main(["train-prior", "--config", cfg]) == 0
-        assert main(["train-pvit", "--config", cfg]) == 0
+        run_cli(cfg, "train-prior", "train-pvit")
         table_curve = pathlib.Path(out, "pvit_loss.csv").read_text().splitlines()
 
         library_run(cfg, str(tmp_path / "library"))
@@ -1331,7 +1324,7 @@ class TestLogitsPriorInterchangeability:
         for a, b in zip(model_curve[1:4], table_curve[1:4]):
             loss_a, loss_b = float(a.split(",")[3]), float(b.split(",")[3])
             assert abs(loss_a - loss_b) <= 1e-9
-        assert main(["score", "--config", cfg]) == 0
+        run_cli(cfg, "score")
 
     def test_model_and_logits_pipelines_write_identical_artifacts(self, tmp_path):
         """The logits files hold what the saved prior resolves each split to,
@@ -1344,12 +1337,11 @@ class TestLogitsPriorInterchangeability:
             run_dir.mkdir()
             cfg, out = write_cfg(run_dir, **shared)
             if source == "model":
-                assert main(["train-prior", "--config", cfg]) == 0
+                run_cli(cfg, "train-prior")
                 library_run(cfg, out)
             else:
-                for command in ("train-pvit", "score"):
-                    assert main([command, "--config", cfg]) == 0, command
-            assert main(["eval", "--config", cfg]) == 0, source
+                run_cli(cfg, "train-pvit", "score")
+            run_cli(cfg, "eval")
             outs.append(out)
         names = ["pvit.ckpt", "pvit_loss.csv", "eval_summary.csv"]
         names += [f"scores_{split}.jsonl" for split in SPLITS[1:]]

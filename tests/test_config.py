@@ -217,6 +217,20 @@ def test_run_config_refuses_a_value_of_another_type(key, value, named):
     assert str(info.value) == named
 
 
+def test_an_int_too_long_to_write_in_decimal_is_refused_by_its_size():
+    """Past 4,300 digits Python writes no int in decimal, so a resolved
+    line or a refusal showing it whole would raise; a resolved seed (two
+    U64s added) stays well within."""
+    huge, named = 4 * 10**5000, "'model.dim': <an int of 16612 bits> is not an int of at most 4300 digits"
+    for overrides in ({"model.dim": huge}, {"model.dim": huge, "model.heads": 3}):
+        with pytest.raises(ConfigError, match=f"^config key {named}$"):
+            RunConfig.load(overrides=overrides)
+    with pytest.raises(ShapeError, match=r"^embed_dim must be an int of at most 4300 digits \(config key "
+                                         r"'model.dim'\), got PViTConfig\(.*embed_dim=<an int of 16612 bits>, depth"):
+        PViTConfig(embed_dim=huge, heads=3)
+    assert TrainConfig(seed=2**65 - 2).seed == 2**65 - 2
+
+
 @pytest.mark.parametrize("text, named", [
     ("model.alpha = nan", "config key 'model.alpha': nan is not finite"),
     ("train.base_lr = 1e400", "config key 'train.base_lr': inf is not finite"),
@@ -301,7 +315,7 @@ NAMES = st.sampled_from(["synth", "idx", "id-train", "id-test", *pvit.config.OOD
                          *pvit.config.SCORE_FIELDS, *pvit.config.ORIENTATION_POLICIES])
 TEXT = NAMES | st.text(st.sampled_from("ab/.=,# \t\n\r\x0b\x0c\x85\u2028") | st.characters(), max_size=12)
 NUMBER = st.floats() | st.integers(-2, 8) | st.integers(-2**65, 2**65)
-VALUES = {"int": st.integers(-2, 8) | st.integers(-2**65, 2**65), "float": NUMBER, "str": TEXT,
+VALUES = {"int": st.integers(-2, 8) | st.integers(-2**65, 2**65) | st.just(4 * 10**5000), "float": NUMBER, "str": TEXT,
           "list_str": st.lists(TEXT, max_size=4), "list_float": st.lists(NUMBER, max_size=4)}
 OVERRIDE = st.sampled_from(list(SCHEMA)).flatmap(lambda key: st.tuples(st.just(key), VALUES[SCHEMA[key][0]]))
 

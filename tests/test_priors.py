@@ -191,6 +191,15 @@ class TestLogitsFile:
         src = load_logits(str(path))
         assert src.records == {} and src.num_classes == 4
 
+    @pytest.mark.parametrize("k", [2**60, 10**29], ids=["past-numpy-bytes", "past-numpy-dims"])
+    def test_header_k_no_float64_block_takes_is_refused_at_line_1(self, tmp_path, k):
+        """A header-only file checks no row's length against ``k``: the
+        header check itself refuses a width no (N, k) float64 array takes."""
+        path = tmp_path / "wide.jsonl"
+        path.write_text(json.dumps({"k": k}) + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:1: header 'k' must be an integer in [1, ")):
+            load_logits(str(path))
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         line = json.dumps({"id": "a", "label": None, "logits": [0.0, 0.0]})
