@@ -9,10 +9,12 @@ Storage is float32, and a loaded checkpoint keeps its tensors float32:
 a loaded model computes its forward pass at the precision it is stored
 in (see :mod:`pvit.tensor`), and saving it again writes the same bytes.
 Fresh models and training's master weights are float64; the consumers
-that need float64 from a file, :func:`pvit.train.resume_state` and
-``attention-dump``, each upcast once.  Both models save through
+that need float64 from a file, a resumed run's :class:`pvit.train.OptimizerState`
+and ``attention-dump``, each upcast once.  Both models save through
 :class:`Checkpointed`, so every JSON header holds exactly the model's
-``kind``, its ``config`` and the training progress counters ``step`` and ``epoch``.
+``kind``, its ``config`` and the training progress counters ``step`` and
+``epoch``, and both load through it, so every rule on what a file holds
+is :meth:`Checkpointed.load`'s.
 """
 
 from __future__ import annotations
@@ -136,9 +138,12 @@ class Checkpointed:
         """(model, header, leftover tensors such as optimizer state) from a ``KIND``
         checkpoint whose config names exactly ``CONFIG``'s fields, each integer
         an int64, and builds a ``CONFIG``, whose own check tests every value.
-        The model's parameters are the file's tensors: the layout is walked
-        against them and stops at the first one missing or misshapen, so
-        nothing is drawn and the work is bounded by the file, not the header."""
+        The counters ``step`` and ``epoch`` are ints in [0, 2**63) and every
+        tensor, parameter or leftover, is finite.  The model's parameters are
+        the file's tensors: the layout is walked against them and stops at
+        the first one missing or misshapen, so nothing is drawn and the work
+        is bounded by the file, not the header.  Each refusal is a
+        FormatError naming ``path`` and the key."""
         header, tensors = load_checkpoint(path)
         if header.get("kind") != cls.KIND:
             raise FormatError(f"{path}: checkpoint kind {header.get('kind')!r} is not {cls.KIND!r}")
@@ -156,6 +161,13 @@ class Checkpointed:
             config = cls.CONFIG(**config)
         except ShapeError as exc:
             raise FormatError(f"{path}: invalid checkpoint config: {exc}") from None
+        for key in ("step", "epoch"):
+            if type(header.get(key)) is not int or not 0 <= header[key] < 2**63:
+                raise FormatError(f"{path}: checkpoint key {key!r} must be an integer in [0, 2**63), "
+                                  f"got {reprlib.repr(header.get(key))}")
+        for name, tensor in tensors.items():
+            if not np.isfinite(tensor).all():
+                raise FormatError(f"{path}: checkpoint tensor {name!r} has a value that is not finite")
         model = cls.__new__(cls)
         model.config, model.params = config, {}
         for name, shape, _ in cls.layout(config):

@@ -43,12 +43,12 @@ import numpy as np
 from .artifacts import write_artifact
 from .config import SCHEMA, RunConfig, keyed_fields
 from .data import Dataset, load_idx, make_ood, normalize, split_dataset, synth_dataset
-from .errors import ConfigError, FormatError, PvitError
+from .errors import ConfigError, FormatError, PvitError, ShapeError
 from .metrics import evaluate, histogram_export
 from .model import PViTConfig, PViTModel
 from .priors import MLPClassifier, MLPConfig, ModelSource, TableSource, export_logits, load_logits, train_prior_model
 from .scoring import file_sha256, forward_batches, predict_logits, read_scores, score_field, score_records, write_scores
-from .train import OptimizerState, TrainConfig, loss_curve_csv, resume_state, train
+from .train import OptimizerState, TrainConfig, loss_curve_csv, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -262,7 +262,11 @@ def cmd_train_pvit(cfg: RunConfig, out: str) -> None:
     wanted = _pvit_config(cfg, datasets)
     if cfg["train.resume"]:
         model, header, moments = _load_checked(cfg, cfg["train.resume"], wanted)
-        state, epochs_run = resume_state(cfg["train.resume"], header, moments, model.params)
+        state, epochs_run = OptimizerState(moments, t=header["step"]), header["epoch"]
+        try:  # binding upcasts the parameters to their float64 masters
+            state.bind(model.params)
+        except ShapeError as exc:
+            raise FormatError(f"{cfg['train.resume']}: checkpoint {exc}") from None
     else:
         model, state, epochs_run = PViTModel(wanted, seed=cfg.seed_for("model.seed")), OptimizerState(), 0
     priors = _split_priors(cfg, out, {split: datasets[split].ids for split in ("id-train", "id-test")})

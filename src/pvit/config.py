@@ -151,13 +151,16 @@ def _shown(value, show=repr) -> str:
 def _broken(tag: str, rule: Optional[tuple], value) -> Optional[str]:
     """What ``value``, a setting's or an entry of a list setting's, fails to be
     under the setting's type tag and then its rule (None for none), or None.
-    A float setting takes an int within :data:`INT64`, so that it saves, an int
-    setting one within :data:`WRITABLE_INTS`, so that its resolved line can be
-    written, and a str one what its resolved line reads back (each list of
-    strs is a closed set)."""
+    A float setting takes an int within :data:`INT64`, so that it saves, and
+    one that a float64 holds exactly, so that its resolved line reads back;
+    an int setting one within :data:`WRITABLE_INTS`, so that its resolved
+    line can be written; and a str one what its resolved line reads back
+    (each list of strs is a closed set)."""
     kind = tag.removeprefix("list_")
     if type(value) not in _KINDS[kind][0] or (kind == "float" and type(value) is int and value not in INT64):
         return f"{'an' if kind == 'int' else 'a'} {kind}"
+    if kind == "float" and type(value) is int and float(value) != value:
+        return "a float or an int that a float64 holds exactly"
     if kind == "int" and value not in WRITABLE_INTS:
         return "an int of at most 4300 digits"
     if kind == "float" and not abs(value) <= sys.float_info.max:

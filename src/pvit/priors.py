@@ -158,11 +158,12 @@ def train_prior_model(train_set: Dataset, config, hidden_dim: int = MLPConfig.hi
 # logits file round trip
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a prior whose forward pass overflows is refused below
 def export_logits(source: ModelSource | TableSource, dataset: Dataset, path: str) -> np.ndarray:
     """Write one logits line per dataset sample, after a k/dataset header;
-    returns the (N, K) block written.  A NaN or infinite logit is a
-    FormatError naming the dataset and the first such sample, raised
-    before anything is written."""
+    returns the (N, K) block written.  A NaN or infinite logit, such as a
+    forward pass that overflows gives, is a FormatError naming the dataset
+    and the first such sample, raised before anything is written."""
     all_logits = source.resolve(dataset)
     finite = np.isfinite(all_logits).all(axis=1)
     if not finite.all():

@@ -49,27 +49,26 @@ class ScoreRecord:
     baselines: dict[str, float] = field(default_factory=dict)
 
 
-def _finite(z: np.ndarray, what: str) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise ShapeError(f"{what} must be finite")
-    return z
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing score raises FormatError instead
 def score_records(ids, predicted, priors, guidance_kind: str = "ce") -> list[ScoreRecord]:
     """One record per row of the (N, K) predicted and prior logit blocks:
     base is the predicted row's logsumexp, the predicted class its argmax
     (lowest index on ties) and ``pge`` exactly ``base * guidance``, finite
-    or :class:`FormatError` naming the first id whose score overflows."""
+    or :class:`FormatError` naming the first id whose predicted logits are
+    not finite or whose score overflows."""
     if guidance_kind not in GUIDANCE_KINDS:
         raise FormatError(f"unknown guidance kind {guidance_kind!r}; expected one of {GUIDANCE_KINDS}")
-    z = _finite(predicted, "predicted logits")
-    p = _finite(priors, "prior logits")
+    z, p = np.asarray(predicted, dtype=np.float64), np.asarray(priors, dtype=np.float64)
+    if not np.isfinite(p).all():
+        raise ShapeError("prior logits must be finite")
     if z.ndim != 2 or z.shape != p.shape or len(z) != len(ids):
         raise ShapeError(
             f"need matching (N, K) logit blocks for {len(ids)} ids, got {z.shape} and {p.shape}"
         )
+    finite = np.isfinite(z).all(axis=1)
+    if not finite.all():  # a model whose forward pass overflows
+        raise FormatError(f"sample {ids[int(np.argmin(finite))]!r}: a predicted logit is NaN or infinite; "
+                          "scores must be finite")
     pred_class = np.argmax(z, axis=1)
     top = z.max(axis=1)
     e = np.exp(z - top[:, None])
@@ -114,9 +113,11 @@ def forward_batches(model, images: np.ndarray, priors: np.ndarray, alpha=None, b
         yield rows, model.forward_batch(images[rows], priors[rows], alpha)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing forward pass is score_records' to refuse
 def predict_logits(model, images: np.ndarray, priors: np.ndarray, batch_size: int = 64) -> np.ndarray:
     """(N, K) float64 predicted logits at the model's own alpha, joined
-    from :func:`forward_batches` whatever the model's dtype."""
+    from :func:`forward_batches` whatever the model's dtype; a forward
+    pass that overflows gives NaN or infinite logits without a warning."""
     predicted = [np.empty((0, priors.shape[1]))]
     for _, out in forward_batches(model, images, priors, batch_size=batch_size):
         predicted.append(out.logits.data)

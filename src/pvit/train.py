@@ -22,10 +22,12 @@ range makes loss scaling unnecessary.
 The training state is one :class:`OptimizerState`: its ``t`` counts the
 Adam updates applied, which is the training step, and its ``moments``
 are keyed as a checkpoint stores them, so a checkpoint's ``step`` and
-leftover tensors, read back by :func:`resume_state`, are the state a
-resumed run continues from.  A state binds to one set of parameters on
-its first update, or when a run starts on it; from then on it holds the
-vectors, its moments are views of them, and it refuses other parameters.
+leftover tensors, as :meth:`pvit.checkpoint.Checkpointed.load` reads them
+back, are the state a resumed run continues from:
+``OptimizerState(moments, t=header["step"])``, bound to the loaded
+parameters.  A state binds to one set of parameters on its first update,
+or when a run starts on it; from then on it holds the vectors, its
+moments are views of them, and it refuses other parameters.
 Every step applies an update, even at learning rate 0 (the last step of
 a decaying schedule), which leaves the parameters unchanged and folds
 the gradient into the moments.
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import reprlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from .config import check, setting
 from .data import Dataset
-from .errors import FormatError, ShapeError, TrainingError
+from .errors import ShapeError, TrainingError
 from .rng import philox
 from .tensor import Tape, Tensor, backward
 
@@ -85,8 +86,11 @@ class OptimizerState:
     def bind(self, params: dict[str, Tensor]) -> None:
         """Bind the state to ``params``, or check that it is bound to them.
 
-        An unbound state refuses a moment of no parameter, or one shaped
-        unlike its parameter, with a ShapeError.  Otherwise it copies the
+        An unbound state refuses, with a ShapeError naming the key, a moment
+        of no parameter, one shaped unlike its parameter, one without its
+        partner (``opt.m.`` and ``opt.v.`` go in pairs), a missing moment
+        once ``t`` is past 0 (so Adam never silently restarts from zero
+        moments) and a negative second moment.  Otherwise it copies the
         parameters and moments (zeros where one is missing) into new
         vectors and points each parameter at its master view; ``moments``
         keep their order, and new keys go last, m before v, in parameter
@@ -107,6 +111,14 @@ class OptimizerState:
                 raise ShapeError(f"tensor {key!r} is not an opt.m./opt.v. moment of a parameter")
             if moment.shape != shapes[key]:
                 raise ShapeError(f"tensor {key!r} has shape {moment.shape}, its parameter {shapes[key]}")
+            partner = ("opt.v." if key.startswith("opt.m.") else "opt.m.") + key[len("opt.m."):]
+            if partner not in self.moments:
+                raise ShapeError(f"tensor {key!r} has no partner {partner!r}")
+            if key.startswith("opt.v.") and (moment < 0).any():
+                raise ShapeError(f"tensor {key!r} has a negative value; a second moment is nonnegative")
+        missing = [key for key in shapes if key not in self.moments]
+        if self.t and missing:
+            raise ShapeError(f"tensor {missing[0]!r} is missing at step {self.t}; past step 0 Adam needs every moment")
         ends = list(itertools.accumulate(p.data.size for p in params.values()))
         self.master, self.m, self.v, self.scratch = (np.zeros(ends[-1] if ends else 0) for _ in range(4))
         self.work = np.empty(self.master.size, np.float32)
@@ -177,44 +189,6 @@ def adam_step(
     step *= lr
     step /= s
     p -= step
-
-
-def resume_state(path: str, header: dict, moments: dict[str, np.ndarray],
-                 params: dict[str, Tensor]) -> tuple[OptimizerState, int]:
-    """The training state and epoch count of the checkpoint at ``path``:
-    its integers in [0, 2**63) ``step`` (the state's ``t``) and ``epoch``,
-    and past ``params`` its ``moments``, opt.m./opt.v. pairs shaped like
-    their parameters, every pair once ``step`` > 0; the parameters and
-    moments must be finite and the second moments nonnegative.  Anything
-    else is a FormatError naming ``path`` and the key, and leaves
-    ``params`` as they were.  Once the checkpoint checks out, the state is
-    bound to ``params``: each parameter's ``data`` is its float64 master
-    view (a loaded checkpoint holds float32) and the state's ``moments``
-    keep the checkpoint's order."""
-    for key in ("step", "epoch"):
-        if type(header.get(key)) is not int or not 0 <= header[key] < 2**63:
-            raise FormatError(f"{path}: checkpoint key {key!r} must be an integer in [0, 2**63), "
-                              f"got {reprlib.repr(header.get(key))}")
-    keys = dict.fromkeys(f"opt.{kind}.{name}" for name in params for kind in "mv")
-    for key in moments:
-        partner = ("opt.v." if key.startswith("opt.m.") else "opt.m.") + key[len("opt.m."):]
-        if key in keys and partner not in moments:  # a key of no parameter is bind's to refuse
-            raise FormatError(f"{path}: checkpoint tensor {key!r} has no partner {partner!r}")
-    missing = [key for key in keys if key not in moments]
-    if header["step"] and missing:
-        raise FormatError(f"{path}: checkpoint at step {header['step']} has no optimizer moment {missing[0]!r}")
-    for prefix, ok, rule in (("", np.isfinite, "finite"), ("opt.m.", np.isfinite, "finite"),
-                             ("opt.v.", lambda v: np.isfinite(v) & (v >= 0), "finite and nonnegative")):
-        for name, p in params.items():
-            tensor = moments.get(prefix + name) if prefix else p.data
-            if tensor is not None and not ok(tensor).all():
-                raise FormatError(f"{path}: checkpoint tensor {prefix + name!r} has a value that is not {rule}")
-    state = OptimizerState(moments=dict(moments), t=header["step"])
-    try:
-        state.bind(params)
-    except ShapeError as exc:
-        raise FormatError(f"{path}: checkpoint {exc}") from None
-    return state, header["epoch"]
 
 
 def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:

@@ -25,8 +25,8 @@ from pvit.model import PViTConfig, PViTModel
 from pvit.priors import MLPClassifier, MLPConfig, ModelSource, export_logits, load_logits
 from pvit.scoring import (ScoreRecord, file_sha256, forward_batches, predict_logits, read_scores, score_dataset,
                           write_scores)
-from pvit.errors import FormatError
-from pvit.train import TrainConfig, loss_curve_csv, resume_state, train
+from pvit.errors import FormatError, ShapeError
+from pvit.train import OptimizerState, TrainConfig, loss_curve_csv, train
 from recipe import compare, csv_diff, run_cli, write_cfg
 from test_data import write_idx_pair
 
@@ -319,14 +319,16 @@ class TestResume:
         moments = {f"opt.{kind}.{name}": np.full(p.shape, 0.25) for name, p in model.params.items() for kind in "mv"}
         model.save(path, step=7, epoch=3, extra_tensors=moments)
         _, header, tensors = PViTModel.load(path)
-        state, epochs = resume_state(path, header, tensors, model.params)
-        assert state.t == 7 and epochs == 3
+        state = OptimizerState(tensors, t=header["step"])
+        state.bind(model.params)
+        assert state.t == 7 and header["epoch"] == 3
         assert list(state.moments) == list(moments)
         assert all(np.array_equal(state.moments[key], value) for key, value in moments.items())
 
     def test_resumed_training_gets_float64_parameters_and_moments(self, tmp_path):
-        """A loaded checkpoint holds float32; resume_state hands training its
-        values as float64, so a resumed step records its tape as any step does."""
+        """A loaded checkpoint holds float32; binding the resumed state hands
+        training its values as float64, so a resumed step records its tape as
+        any step does."""
         path = str(tmp_path / "resume.ckpt")
         model = PViTModel(PViTConfig(image_h=8, image_w=8, patch_size=4, num_classes=3, embed_dim=16, depth=1,
                                      heads=2, mlp_dim=24))
@@ -335,7 +337,8 @@ class TestResume:
         loaded, header, tensors = PViTModel.load(path)
         stored = {name: p.data.copy() for name, p in loaded.params.items()}
         assert {p.data.dtype for p in loaded.params.values()} == {np.dtype(np.float32)}
-        state, _ = resume_state(path, header, tensors, loaded.params)
+        state = OptimizerState(tensors, t=header["step"])
+        state.bind(loaded.params)
         for name, p in loaded.params.items():
             assert p.data.dtype == np.float64 and np.array_equal(p.data, stored[name]), name
         for key, moment in state.moments.items():
@@ -375,7 +378,9 @@ class TestResume:
         opt.m./opt.v. pairs shaped like their parameters, every pair once
         the step is past 0 (so Adam never silently restarts from zero
         moments), with finite parameters and moments and nonnegative second
-        moments; anything else fails before any file is written."""
+        moments: the loader refuses bad counters and values that are not
+        finite, naming the file, and binding the state refuses the rest,
+        changing nothing; either fails before any file is written."""
         path = str(tmp_path / "resume.ckpt")
         model = PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=1, heads=2, mlp_dim=24))
         moments = {f"opt.{kind}.{name}": np.ones(p.shape) for name, p in model.params.items() for kind in "mv"}
@@ -383,11 +388,18 @@ class TestResume:
         header, tensors = load_checkpoint(path)
         change(header, tensors)
         save_checkpoint(path, header, tensors)
-        loaded, header, tensors = PViTModel.load(path)
-        before = {name: p.data for name, p in loaded.params.items()}
-        with pytest.raises(FormatError, match=f"'{key}'"):
-            resume_state(path, header, tensors, loaded.params)
-        assert all(p.data is before[name] for name, p in loaded.params.items())
+        try:
+            loaded, header, tensors = PViTModel.load(path)
+        except FormatError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+            refusal = exc
+        else:
+            before = {name: p.data for name, p in loaded.params.items()}
+            with pytest.raises(ShapeError) as info:
+                OptimizerState(tensors, t=header["step"]).bind(loaded.params)
+            assert all(p.data is before[name] for name, p in loaded.params.items())
+            refusal = info.value
+        assert f"'{key}'" in str(refusal), refusal
         cfg, out = write_cfg(tmp_path, train__resume=path, model__depth=1)  # the checkpoint's one layer
         assert main(["train-pvit", "--config", cfg]) == 2
         err = capsys.readouterr().err
@@ -542,6 +554,56 @@ class TestCheckpointAgreesWithConfig:
         err = capsys.readouterr().err
         assert path in err and "'blocks.0.attn.qkv.weight'" in err and "Traceback" not in err, err
         assert not [name for name in os.listdir(out) if name.startswith("scores_")]
+
+
+class TestCheckpointValuesAreCheckedOnLoad:
+    """Every command that loads a checkpoint refuses one whose ``step`` or
+    ``epoch`` is not an integer in [0, 2**63) or that holds a NaN or
+    infinite tensor: it exits 2 naming the file and the key, in one line,
+    and writes nothing."""
+
+    @pytest.mark.parametrize("defect", ["non-finite-parameter", "string-step"])
+    @pytest.mark.parametrize("command", ["score", "attention-dump", "export-logits", "train-pvit"])
+    def test_bad_checkpoint_exits_2_naming_the_file_and_the_key(self, tmp_path, capsys, command, defect):
+        name = "prior.ckpt" if command == "export-logits" else "pvit.ckpt"
+        path = str(tmp_path / name)
+        cfg, out = write_cfg(tmp_path, train__resume=path, paths__pvit_checkpoint=path, paths__prior_checkpoint=path)
+        if name == "prior.ckpt":
+            MLPClassifier(MLPConfig(input_dim=28 * 28, hidden_dim=32, num_classes=3)).save(path)
+            tensor, value = "fc1.weight", np.nan
+        else:
+            PViTModel(PViTConfig(num_classes=3, embed_dim=16, depth=2, heads=2, mlp_dim=24)).save(path)
+            tensor, value = "blocks.0.attn.qkv.weight", np.inf
+        header, tensors = load_checkpoint(path)
+        if defect == "string-step":
+            key = "step"
+            header["step"] = "12"
+        else:
+            key = tensor
+            tensors[tensor].flat[3] = value
+        save_checkpoint(path, header, tensors)
+        before = pathlib.Path(path).read_bytes()
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"pvit: error: {path}: checkpoint ") and f"'{key}'" in err, err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+        assert os.listdir(out) == [] and pathlib.Path(path).read_bytes() == before
+
+    def test_finite_weights_whose_forward_pass_overflows_exit_2_naming_the_split_and_sample(self, tmp_path, capsys,
+                                                                                           pipeline):
+        """``score`` over a transformer whose float32 head overflows names
+        the split and its first sample in one line, without numpy's overflow
+        warning, and writes no score file."""
+        path = str(tmp_path / "pvit.ckpt")
+        header, tensors = load_checkpoint(os.path.join(pipeline[1], "pvit.ckpt"))
+        tensors["head.weight"][...] = tensors["head.bias"][...] = 3e38
+        save_checkpoint(path, header, tensors)
+        cfg, out = write_cfg(tmp_path, paths__pvit_checkpoint=path, paths__logits_dir=os.path.join(pipeline[1], "logits"))
+        assert main(["score", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == ("pvit: error: id-test: sample 'synth-00004': a predicted logit is NaN or infinite; "
+                       "scores must be finite\n"), err
+        assert os.listdir(out) == []
 
 
 class TestOnePriorLookupAndBatchLoop:
@@ -876,18 +938,28 @@ class TestErrors:
         assert path in err and "data.image_size" in err and "Traceback" not in err, err
         assert os.listdir(out) == ["prior.ckpt"]
 
-    def test_export_logits_with_an_infinite_prior_tensor_exits_2(self, tmp_path, capsys):
-        """A checkpoint's values are not checked on load; the infinite
-        logits they give are refused before any logits file is written."""
+    @pytest.mark.parametrize("values, named", [
+        ({"fc2.bias": np.inf}, "{path}: checkpoint tensor 'fc2.bias' has a value that is not finite"),
+        ({"fc2.weight": 3e38, "fc2.bias": 3e38},
+         "synth-train: sample 'synth-00000' has a NaN or infinite prior logit; logits files must be finite"),
+    ], ids=["infinite-tensor", "finite-weights-that-overflow"])
+    def test_export_logits_with_an_infinite_prior_tensor_exits_2(self, tmp_path, capsys, values, named):
+        """The loader refuses an infinite tensor, naming the file and the
+        key; finite weights whose forward pass overflows give infinite
+        logits, which export_logits refuses, naming the dataset and the
+        first such sample, without numpy's overflow warning.  Either way no
+        logits file is written."""
         cfg, out = write_cfg(tmp_path)
         os.makedirs(out)
+        path = os.path.join(out, "prior.ckpt")
         prior = MLPClassifier(MLPConfig(input_dim=28 * 28, hidden_dim=32, num_classes=3))
-        prior.params["fc2.bias"].data[1] = np.inf
-        prior.save(os.path.join(out, "prior.ckpt"))
+        for name, value in values.items():
+            prior.params[name].data[...] = value
+        prior.save(path)
         assert main(["export-logits", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert "synth-train: sample 'synth-00000' has a NaN or infinite prior logit" in err, err
-        assert "Traceback" not in err and os.listdir(os.path.join(out, "logits")) == [], err
+        assert err == f"pvit: error: {named.format(path=path)}\n", err
+        assert [name for _, _, names in os.walk(out) for name in names] == ["prior.ckpt"]
 
     def test_export_logits_with_prior_of_another_idx_image_size_names_the_idx_file(self, tmp_path, capsys):
         images = np.random.default_rng(0).integers(0, 256, (12, 14, 14))

@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pvit.config
 from pvit.config import SCHEMA, RunConfig, keyed_fields
@@ -179,7 +179,10 @@ def test_each_field_refuses_a_value_of_another_type(cls, name, value):
      "embed_dim must be an int (config key 'model.dim')"),
     (TrainConfig, dict(epochs=2.5), "epochs must be an int (config key 'train.epochs')"),
     (PViTConfig, dict(alpha=2**63), "alpha must be a float (config key 'model.alpha')"),
-], ids=["alpha-bool", "embed_dim-float", "depth-str", "embed_dim-numpy", "epochs-float", "alpha-int-past-int64"])
+    (PViTConfig, dict(alpha=2**63 - 1),
+     "alpha must be a float or an int that a float64 holds exactly (config key 'model.alpha')"),
+], ids=["alpha-bool", "embed_dim-float", "depth-str", "embed_dim-numpy", "epochs-float", "alpha-int-past-int64",
+        "alpha-int-no-float64-holds"])
 def test_a_mistyped_value_is_refused_naming_its_field(cls, changes, named):
     """Each of these was accepted, or failed with a bare TypeError, or
     later, at save or in training."""
@@ -189,8 +192,8 @@ def test_a_mistyped_value_is_refused_naming_its_field(cls, changes, named):
 
 
 def test_a_float_field_takes_an_int_within_int64():
-    """Within int64, as a checkpoint header holds it."""
-    assert PViTConfig(alpha=2**63 - 1).alpha == 2**63 - 1 and TrainConfig(base_lr=1).base_lr == 1
+    """Within int64, as a checkpoint header holds it, and held exactly by a float64."""
+    assert PViTConfig(alpha=2**63 - 1024).alpha == 2**63 - 1024 and TrainConfig(base_lr=1).base_lr == 1
 
 
 def test_a_refused_value_is_echoed_cut_short():
@@ -215,6 +218,16 @@ def test_run_config_refuses_a_value_of_another_type(key, value, named):
     with pytest.raises(ConfigError) as info:
         RunConfig.load(overrides={key: value})
     assert str(info.value) == named
+
+
+@pytest.mark.parametrize("key, value", [("train.base_lr", 2**53 + 1), ("attention.alphas", [0.5, 2**53 + 1])])
+def test_a_float_setting_refuses_an_int_that_no_float64_holds(key, value):
+    """Its resolved line would write the int and read back the float
+    nearest it, 2**53, so the resolved config would not be the run."""
+    with pytest.raises(ConfigError) as info:
+        RunConfig.load(overrides={key: value})
+    assert str(info.value) == (f"config key {key!r}: 9007199254740993 is not a float or an int that a float64 "
+                               "holds exactly")
 
 
 def test_an_int_too_long_to_write_in_decimal_is_refused_by_its_size():
@@ -247,14 +260,15 @@ LOOSE = st.integers(-1, 4) | st.floats() | st.booleans() | st.sampled_from([np.i
 
 
 def valid_pvit_fields():
-    """Small PViTConfig fields, alpha an int or a float; only an alpha past int64 is refused."""
+    """Small PViTConfig fields, alpha an int or a float; only an alpha past int64, or an int no float64
+    holds, is refused."""
     return st.builds(
         lambda patch, across, channels, heads, width, depth, mlp_dim, classes, alpha: dict(
             image_h=patch * across[0], image_w=patch * across[1], channels=channels, patch_size=patch,
             embed_dim=heads * width, depth=depth, heads=heads, mlp_dim=mlp_dim, num_classes=classes, alpha=alpha),
         st.integers(1, 3), st.tuples(st.integers(1, 2), st.integers(1, 2)), st.integers(1, 2), st.integers(1, 3),
         st.integers(1, 3), st.integers(0, 2), st.integers(1, 6), st.integers(2, 4),
-        st.floats(0, 1e300) | st.integers(0, 10**6) | st.sampled_from([2**63 - 1, 2**63]))
+        st.floats(0, 1e300) | st.integers(0, 10**6) | st.sampled_from([2**63 - 1024, 2**63 - 1, 2**63]))
 
 
 def loosened(cls):
@@ -322,6 +336,7 @@ OVERRIDE = st.sampled_from(list(SCHEMA)).flatmap(lambda key: st.tuples(st.just(k
 
 @settings(max_examples=200, deadline=None)
 @given(overrides=st.lists(OVERRIDE, max_size=5).map(dict))
+@example(overrides={"train.base_lr": 2**53 + 1})
 def test_every_accepted_config_reads_back_from_its_resolved_text(overrides):
     """What a command writes as its resolved configuration is the run it made."""
     try:

@@ -67,7 +67,7 @@ class TestEnergy:
         assert abs(shifted.baselines["energy"] - (plain.baselines["energy"] + c)) <= 1e-10
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ShapeError, match="finite"):
+        with pytest.raises(FormatError, match="^sample 's0': a predicted logit is NaN or infinite"):
             row([1.0, np.inf], [0.0, 0.0])
 
 
@@ -401,10 +401,13 @@ class TestScoreRecords:
         assert rec.predicted_class == 0
 
     def test_non_finite_logits_rejected(self):
+        """A predicted row that is not finite, as a model whose forward pass
+        overflows gives, names its sample; prior logits come from checked
+        files, so a non-finite prior block is a caller's error."""
         block = np.zeros((2, 3))
         bad = block.copy()
         bad[1, 2] = np.nan
-        with pytest.raises(ShapeError, match="finite"):
+        with pytest.raises(FormatError, match="^sample 'b': a predicted logit is NaN or infinite"):
             score_records(["a", "b"], bad, block, "ce")
         with pytest.raises(ShapeError, match="finite"):
             score_records(["a", "b"], block, bad, "kl")

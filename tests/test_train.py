@@ -23,7 +23,6 @@ from pvit.train import (
     adam_step,
     loss_curve_csv,
     lr_at,
-    resume_state,
     run_training,
     train,
 )
@@ -199,37 +198,51 @@ class TestFlatAdam:
         params = self.params()
         arrays = {name: p.data for name, p in params.items()}
         copies = {name: a.copy() for name, a in arrays.items()}
-        given = np.full(params["head.bias"].shape, 0.5)
-        moments = {"opt.v.head.bias": given}
+        given, partner = np.full(params["head.bias"].shape, 0.5), np.full(params["head.bias"].shape, 0.25)
+        moments = {"opt.v.head.bias": given, "opt.m.head.bias": partner}
         state = OptimizerState(moments=moments)
         assert state.params is None and not hasattr(state, "master")
         assert all(p.data is arrays[name] for name, p in params.items())
-        assert list(moments) == ["opt.v.head.bias"] and moments["opt.v.head.bias"] is given
+        assert list(moments) == ["opt.v.head.bias", "opt.m.head.bias"] and moments["opt.v.head.bias"] is given
         state.bind(params)
-        assert all(np.array_equal(arrays[name], copies[name]) for name in params) and np.all(given == 0.5)
+        assert all(np.array_equal(arrays[name], copies[name]) for name in params)
+        assert np.all(given == 0.5) and np.all(partner == 0.25)
         assert np.array_equal(state.master, np.concatenate([a.ravel() for a in arrays.values()]))
         assert all(p.data.base is state.master for p in params.values())
-        assert state.moments["opt.v.head.bias"].base is state.v
-        assert np.array_equal(state.moments["opt.v.head.bias"], given) and not state.m.any()
-        assert list(state.moments)[:2] == ["opt.v.head.bias", f"opt.m.{next(iter(params))}"]
+        assert state.moments["opt.v.head.bias"].base is state.v and state.moments["opt.m.head.bias"].base is state.m
+        assert np.array_equal(state.moments["opt.v.head.bias"], given)
+        assert np.array_equal(state.moments["opt.m.head.bias"], partner) and np.count_nonzero(state.m) == partner.size
+        assert list(state.moments)[:3] == ["opt.v.head.bias", "opt.m.head.bias", f"opt.m.{next(iter(params))}"]
 
     @staticmethod
-    def assert_refused_unbound(moments, message):
+    def assert_refused_unbound(moments, message, t=0):
         x = np.zeros(3)
         params = {"x": Tensor(x, requires_grad=True)}
-        state = OptimizerState(moments=dict(moments))
+        state = OptimizerState(moments=dict(moments), t=t)
         with pytest.raises(ShapeError, match=message):
             adam_step(params, {"x": np.ones(3)}, state, 0.01, cfg())
-        assert state.t == 0 and state.params is None and params["x"].data is x and not x.any()
+        assert state.t == t and state.params is None and params["x"].data is x and not x.any()
         assert list(state.moments) == list(moments) and all(state.moments[k] is v for k, v in moments.items())
 
     def test_a_moment_shaped_unlike_its_parameter_is_refused(self):
         self.assert_refused_unbound({"opt.m.x": np.zeros(1), "opt.v.x": np.zeros(3)},
                                     r"^tensor 'opt.m.x' has shape \(1,\), its parameter \(3,\)$")
 
+    @pytest.mark.parametrize("moments, t, message", [
+        ({"opt.v.x": np.ones(3)}, 0, r"^tensor 'opt.v.x' has no partner 'opt.m.x'$"),
+        ({}, 4, r"^tensor 'opt.m.x' is missing at step 4; past step 0 Adam needs every moment$"),
+        ({"opt.m.x": np.zeros(3), "opt.v.x": np.array([0.0, -1e-6, 0.0])}, 4,
+         r"^tensor 'opt.v.x' has a negative value; a second moment is nonnegative$"),
+    ], ids=["moment-without-partner", "past-step-0-without-moments", "negative-second-moment"])
+    def test_a_state_adam_cannot_continue_from_is_refused(self, moments, t, message):
+        """A moment goes with its partner, every moment is there once a step
+        was taken, so Adam never silently restarts from zero moments, and a
+        second moment is nonnegative."""
+        self.assert_refused_unbound(moments, message, t)
+
     def test_a_moment_of_no_parameter_is_refused(self):
         """Such a moment would be saved with the state, in a checkpoint
-        that resume_state refuses; the state stays unbound instead."""
+        that a resumed run refuses; the state stays unbound instead."""
         self.assert_refused_unbound({"opt.m.nope": np.zeros(3)},
                                     r"^tensor 'opt.m.nope' is not an opt.m./opt.v. moment of a parameter$")
 
@@ -426,7 +439,8 @@ class TestTrainLoop:
         path = str(tmp_path / "resume.ckpt")
         model.save(path, step=3, epoch=1, extra_tensors=saved)
         loaded, header, tensors = PViTModel.load(path)
-        state, _ = resume_state(path, header, tensors, loaded.params)
+        state = OptimizerState(tensors, t=header["step"])
+        state.bind(loaded.params)
         self.assert_views_of_the_flat_vectors(loaded, state)
         train(loaded, ds, self._priors(ds), cfg(epochs=1, batch_size=4), state)
         self.assert_views_of_the_flat_vectors(loaded, state)
