@@ -50,11 +50,12 @@ POSITIVE = (lambda value: value > 0), "greater than 0"
 FRACTION = (lambda value: 0 <= value < 1), "in [0, 1)"
 NONZERO = (lambda value: value != 0), "not 0"
 U64 = (lambda value: 0 <= value < 2**64), "a U64, in [0, 2**64)"
+NONEMPTY = (lambda value: value != ""), "a nonempty path"
 
 # key -> (type tag, default, rule or None).  Tags: int, float (finite), str, list_str, list_float;
 # a rule is (test that every value or list entry must pass, what passing values are); list entries differ.
 SCHEMA: dict[str, tuple[str, Any, Optional[tuple]]] = {
-    "out.dir": ("str", "runs", None),
+    "out.dir": ("str", "runs", NONEMPTY),
     "seed": ("int", 7, U64),
     # dataset construction
     "data.kind": ("str", "synth", _one_of(("synth", "idx"))),

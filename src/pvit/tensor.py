@@ -8,14 +8,15 @@ dot-product ``attention`` (one node over a fused (B, S, 3D) q/k/v
 input; its scores are held key-major, (S, B, H, S), so the softmax
 reduces over the outermost axis, and its (B, H, S, S) weights come back
 as a read-only, non-contiguous view of them), layer normalization,
-GELU (exact erf in float64; in float32 a tanh-polynomial CDF within
-2^-23 of it), and cross-entropy.  The tests' reference ops, from which
-they compose attention as the oracle for the fused node, are built on
-:func:`_record` in ``tests/oracle.py``.  :func:`softmax_rows` is plain
-numpy and records nothing.  Operations executed inside a ``with Tape():``
-block, in the thread that opened it, are recorded on that tape, and each
-recorded output's ``tape`` names it; :func:`backward` replays the tape
-in reverse and accumulates total derivatives into leaf tensors' ``grad``.
+GELU (one tanh-polynomial CDF at either precision, within 2^-23 of the
+exact one in float32 and 2^-26 in float64), and cross-entropy.  The
+tests' reference ops, from which they compose attention as the oracle
+for the fused node, are built on :func:`_record` in ``tests/oracle.py``.
+:func:`softmax_rows` is plain numpy and records nothing.  Operations
+executed inside a ``with Tape():`` block, in the thread that opened it,
+are recorded on that tape, and each recorded output's ``tape`` names
+it; :func:`backward` replays the tape in reverse and accumulates total
+derivatives into leaf tensors' ``grad``.
 
 Usage sketch::
 
@@ -83,11 +84,10 @@ Array = np.ndarray
 
 LAYER_NORM_EPS = 1e-5
 
-_INV_SQRT2 = float(np.sqrt(0.5))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
-# The float32 normal CDF is 0.5 (1 + tanh(z P(z^2))) with z = x clipped to
-# +-_CDF32_CLIP, where the float32 CDF is already exactly 0 and 1.
+# The normal CDF is 0.5 (1 + tanh(z P(z^2))) with z = x clipped to
+# +-_CDF_CLIP, where the CDF is already exactly 0 and 1 in float32 and float64.
 # P's coefficients, highest power first, are a least-squares fit of
 # atanh(erf(x / sqrt 2)) / x as a degree-9 polynomial in u = x^2: one row
 # at each x = 6.5 cos((2k + 1) pi / 160000), k < 40,000 (the non-negative
@@ -96,10 +96,10 @@ _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 # solved in float64 in u / 42.25, scaled back to u and rounded to float32.
 # Its last two are the tanh approximation's sqrt(2/pi) and 0.0447 sqrt(2/pi),
 # refitted.  Degrees 10 and 11 of the same fit are not monotone near the clip.
-_CDF32_CLIP = 6.5
-_CDF32_POLY = np.array([1.8974111e-13, -1.8668501e-11, 7.0701578e-10, -1.1596256e-08, 4.1969130e-09,
-                        3.1986285e-06, -5.3016422e-05, -3.5940495e-05, 3.6335077e-02, 7.9788464e-01],
-                       dtype=np.float32)
+_CDF_CLIP = 6.5
+_CDF_POLY = np.array([1.8974111e-13, -1.8668501e-11, 7.0701578e-10, -1.1596256e-08, 4.1969130e-09,
+                      3.1986285e-06, -5.3016422e-05, -3.5940495e-05, 3.6335077e-02, 7.9788464e-01],
+                     dtype=np.float32)
 
 _F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
 
@@ -520,14 +520,14 @@ def layer_norm(x, gain, bias) -> Tensor:
     return _record((x, gain, bias), out.reshape(x.shape), grad_fn)
 
 
-def _normal_cdf32(x: Array) -> Array:
-    """The normal CDF of float32 ``x``, 0.5 (1 + tanh(z P(z^2))), with P
-    (``_CDF32_POLY``) by Horner's rule in place: about 25 elementwise passes."""
-    z = np.clip(x, -_CDF32_CLIP, _CDF32_CLIP)
+def _normal_cdf(x: Array) -> Array:
+    """The normal CDF of ``x``, 0.5 (1 + tanh(z P(z^2))), at ``x``'s dtype, with P
+    (``_CDF_POLY``) by Horner's rule in place: about 25 elementwise passes."""
+    z = np.clip(x, -_CDF_CLIP, _CDF_CLIP)
     u = z * z
-    cdf = u * _CDF32_POLY[0]
-    cdf += _CDF32_POLY[1]
-    for c in _CDF32_POLY[2:]:
+    cdf = u * _CDF_POLY[0]
+    cdf += _CDF_POLY[1]
+    for c in _CDF_POLY[2:]:
         cdf *= u
         cdf += c
     cdf *= z
@@ -540,25 +540,13 @@ def _normal_cdf32(x: Array) -> Array:
 def gelu(x) -> Tensor:
     """GELU, elementwise: x times the normal CDF 0.5 (1 + erf(x / sqrt 2)).
 
-    A float64 input takes the CDF from scipy's ``erf``.  A float32 input
-    takes it from :func:`_normal_cdf32`, 0.5 (1 + tanh(z P(z^2))), which is
-    within 2^-23 of the exact CDF, non-decreasing, and exactly 0 and 1 at
-    and beyond +-6.5.  Both keep the CDF for the backward pass, which uses
-    the exact pdf.
+    The CDF comes from :func:`_normal_cdf`, 0.5 (1 + tanh(z P(z^2))), at
+    the input's dtype: within 2^-23 of the exact CDF in float32 and 2^-26
+    in float64, non-decreasing, and exactly 0 and 1 at and beyond +-6.5.
+    The backward pass keeps that CDF and uses the exact pdf.
     """
     x = _as_tensor(x)
-    if x.data.dtype == _F32:
-        cdf = _normal_cdf32(x.data)
-    else:
-        # imported here, not at module level: scipy.special is most of the
-        # cost of `import pvit`, and float32 models (loaded checkpoints,
-        # training's working copy) never need it
-        from scipy.special import erf
-
-        cdf = x.data * _INV_SQRT2
-        erf(cdf, out=cdf)
-        cdf += 1.0
-        cdf *= 0.5
+    cdf = _normal_cdf(x.data)
     out = x.data * cdf
 
     def grad_fn(g):

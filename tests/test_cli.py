@@ -79,19 +79,6 @@ class TestPipeline:
             logits = predict_logits(model, datasets[split].images, priors[split])
             assert summary[f"{split.replace('-', '_')}_accuracy"] == pvit.cli._accuracy(logits, datasets[split].labels)
 
-    def test_train_pvit_does_not_import_scipy_special(self, tmp_path, pipeline):
-        """Training steps and the reported accuracies both run in float32, so
-        a fresh process that runs train-pvit never imports scipy.special."""
-        cfg, _ = write_cfg(tmp_path, paths__logits_dir=os.path.join(pipeline[1], "logits"))
-        script = (f"import sys\nfrom recipe import run_cli\n"
-                  f"run_cli({cfg!r}, 'train-pvit')\nprint('scipy.special' in sys.modules)")
-        paths = [os.path.dirname(os.path.dirname(os.path.abspath(pvit.cli.__file__))),  # src/, and tests/ for recipe
-                 os.path.dirname(os.path.abspath(__file__)), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                              timeout=120, check=True)
-        assert done.stdout == "False\n"
-
     def test_eval_writes_one_json_per_ood_set_plus_summary(self, pipeline):
         _, out = pipeline
         jsons = [f for f in os.listdir(out) if f.startswith("metrics_") and f.endswith(".json")]
@@ -229,6 +216,41 @@ class TestRecipe:
         first, second = (json.loads(output) for output in outputs)
         assert len(first) == 89  # 55 files of the main run, 33 of the ablation, and stdout
         assert first == second
+
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        """pvit runs on numpy alone: in a fresh interpreter whose every import
+        of ``scipy`` or ``scipy.*`` raises ImportError, each pvit module
+        imports and the recipe (every command, attention-dump's float64
+        forward and the ablation included) plus export-logits exits 0, and
+        nothing so much as tries to import scipy."""
+        script = f"""if True:
+            import importlib, importlib.abc, pathlib, pkgutil, sys
+            assert not any(name.split(".")[0] == "scipy" for name in sys.modules)
+            tried = []
+
+            class BlockScipy(importlib.abc.MetaPathFinder):
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "scipy":
+                        tried.append(name)
+                        raise ImportError("scipy is blocked")
+                    return None
+
+            sys.meta_path.insert(0, BlockScipy())
+            import pvit
+            for module in pkgutil.iter_modules(pvit.__path__):
+                importlib.import_module(f"pvit.{{module.name}}")
+            from recipe import run_cli, run_recipe
+            root = {str(tmp_path)!r}
+            run_recipe(root)
+            run_cli(str(pathlib.Path(root, "step0.cfg")), "export-logits")
+            print(tried)
+            """
+        paths = [os.path.dirname(os.path.dirname(os.path.abspath(pvit.cli.__file__))),  # src/, and tests/ for recipe
+                 os.path.dirname(os.path.abspath(__file__)), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout == "[]\n"
 
     def test_compare_reports_each_entry_of_either_manifest(self):
         here = {"<stdout>": "aa", "run/pvit.ckpt": "bb", "run/new.csv": "cc"}
@@ -897,6 +919,16 @@ class TestErrors:
         assert main(["eval", "--config", cfg, "--out", out]) == 1
         err = capsys.readouterr().err
         assert "config key 'out.dir'" in err and "reads back" in err and "Traceback" not in err, err
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_empty_out_dir_exits_1_naming_the_key(self, tmp_path, capsys, where):
+        """An empty output directory is a usage error, refused before anything is made."""
+        cfg, _ = write_cfg(tmp_path, **({"out__dir": ""} if where == "config" else {}))
+        flags = ["--out", ""] if where == "flag" else []
+        assert main(["eval", "--config", cfg, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pvit: usage error: config key 'out.dir': '' is not a nonempty path"), err
         assert os.listdir(tmp_path) == ["run.cfg"]
 
     def test_out_flag_overrides_the_config_directory(self, tmp_path):

@@ -6,15 +6,12 @@ values.  Random instances deliberately include ties.
 """
 
 import math
-import os
 import pathlib
-import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-import pvit
 from pvit.errors import FormatError
 from pvit.metrics import OODMetrics, auroc, evaluate, fpr_at_tpr, histogram_export
 from pvit.scoring import ScoreRecord
@@ -270,24 +267,3 @@ class TestHistogramExport:
         with pytest.raises(FormatError, match="finite"):
             histogram_export([1.0], [2.0, -np.inf], 4, str(path))
         assert not path.exists()
-
-
-def loaded_by_import_pvit(module: str) -> bool:
-    """Whether a fresh interpreter has ``module`` loaded after ``import pvit``."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(pvit.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys, pvit; print({module!r} in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return result.stdout.strip() == "True"
-
-
-def test_import_does_not_load_scipy_stats():
-    """scipy.stats costs most of a second to import; pvit's startup must not pay it."""
-    assert not loaded_by_import_pvit("scipy.stats")
-
-
-def test_import_does_not_load_scipy_special():
-    """scipy.special is most of the rest of ``import pvit``, and only a
-    float64 GELU needs it: a command that runs no float64 model (eval,
-    score, export-logits, train-prior) must not pay it."""
-    assert not loaded_by_import_pvit("scipy.special")

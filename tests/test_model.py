@@ -5,12 +5,8 @@ A single sample is a batch of one; per-sample checks run through
 ``forward_batch`` with B=1 and compare against B=n."""
 
 import ast
-import os
 import pathlib
 import re
-import subprocess
-import sys
-import textwrap
 import time
 import tracemalloc
 
@@ -470,35 +466,6 @@ class TestFloat32Inference:
         assert len(out.attentions) == 4
         assert all(attn.dtype == np.float32 for attn in out.attentions)
         assert double.forward_batch(images[:32], priors[:32]).logits.data.dtype == np.float64
-
-    def test_a_float32_forward_does_not_import_scipy_special(self, tmp_path):
-        """Only a float64 GELU needs scipy's erf: a fresh process that loads
-        a saved checkpoint and runs its forward pass never imports
-        scipy.special, and a float64 forward in the same process does."""
-        path = str(tmp_path / "desk.ckpt")
-        PViTModel(PViTConfig(), seed=41).save(path)
-        script = textwrap.dedent(
-            f"""
-            import sys
-            import numpy as np
-            from pvit.model import PViTModel
-
-            model = PViTModel.load({path!r})[0]
-            rng = np.random.default_rng(0)
-            images, priors = rng.uniform(0, 1, (8, 28, 28, 1)), rng.normal(size=(8, 4))
-            model.forward_batch(images, priors)
-            print("scipy.special" in sys.modules)
-            for p in model.params.values():
-                p.data = p.data.astype(np.float64)
-            model.forward_batch(images, priors)
-            print("scipy.special" in sys.modules)
-            """
-        )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(pvit.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                              timeout=120, check=True)
-        assert done.stdout.split() == ["False", "True"]
 
     def test_logits_agree_with_the_float64_forward_within_1e_5(self, desk):
         single, double, images, priors = desk

@@ -362,13 +362,11 @@ class TestGelu:
         (g,) = tape_grad(lambda t: weighted_sum(gelu(t), w), x)
         assert_close_rel(g, central_difference(f, x), 1e-4, "gelu")
 
-    def test_float64_values_and_gradients_are_the_erf_formula_bitwise(self):
-        from scipy.special import erf
-
+    def test_float64_values_and_gradients_are_the_kernel_formula_bitwise(self):
         rng = np.random.default_rng(9)
         x = rng.normal(scale=3.0, size=(6, 50))
         w = rng.normal(size=x.shape)
-        cdf = 0.5 * (1.0 + erf(x * math.sqrt(0.5)))
+        cdf = T._normal_cdf(x)
         pdf_x = np.exp(x * x * -0.5) * (1.0 / math.sqrt(2.0 * math.pi)) * x
         assert np.array_equal(gelu(Tensor(x)).data, x * cdf)
         (g,) = tape_grad(lambda t: weighted_sum(gelu(t), w), x)
@@ -384,28 +382,36 @@ class TestGelu:
         np.testing.assert_allclose(g32, g64, rtol=0, atol=1e-6 * np.max(np.abs(w)))
 
 
-class TestNormalCdf32:
-    """The float32 GELU's normal CDF, 0.5 (1 + tanh(z P(z^2))) with z clipped
-    to +-6.5, against the exact CDF over all of float32's interesting range."""
+class TestNormalCdf:
+    """GELU's normal CDF, 0.5 (1 + tanh(z P(z^2))) with z clipped to +-6.5,
+    at float32 and at float64, against the exact CDF over all of each
+    dtype's interesting range."""
+
+    BOUND = {np.float32: 2.0**-23, np.float64: 2.0**-26}
+
+    @pytest.fixture(scope="class", params=[np.float32, np.float64], ids=["float32", "float64"])
+    def dtype(self, request):
+        return request.param
 
     @pytest.fixture(scope="class")
-    def grid(self):
-        """2^22 + 1 evenly spaced float32 points on [-12, 12] and the edge
-        cases, sorted, with the kernel's CDF at each."""
-        clip = np.float32(6.5)
-        edges = [np.nextafter(clip, np.float32(0)), clip, np.nextafter(clip, np.float32(np.inf))]
-        special = [0.0, -0.0, 1e-30, -1e-30, np.finfo(np.float32).smallest_subnormal, np.inf, -np.inf]
-        special = np.array(special + edges + [-e for e in edges], np.float32)
-        x = np.sort(np.concatenate([np.linspace(-12, 12, 2**22 + 1, dtype=np.float32), special]))
-        return x, T._normal_cdf32(x)
+    def grid(self, dtype):
+        """2^22 + 1 evenly spaced points on [-12, 12] and the edge cases,
+        sorted, at ``dtype``, with the kernel's CDF at each."""
+        clip = dtype(6.5)
+        edges = [np.nextafter(clip, dtype(0)), clip, np.nextafter(clip, dtype(np.inf))]
+        special = [0.0, -0.0, 1e-30, -1e-30, np.finfo(dtype).smallest_subnormal, np.inf, -np.inf]
+        special = np.array(special + edges + [-e for e in edges], dtype)
+        x = np.sort(np.concatenate([np.linspace(-12, 12, 2**22 + 1, dtype=dtype), special]))
+        return x, T._normal_cdf(x)
 
-    def test_within_2_to_the_minus_23_of_the_exact_cdf(self, grid):
+    def test_within_its_bound_of_the_exact_cdf(self, dtype, grid):
+        """2^-23 in float32, 2^-26 in float64."""
         from scipy.special import erf
 
         x, cdf = grid
-        assert cdf.dtype == np.float32
+        assert cdf.dtype == dtype
         exact = 0.5 * (1.0 + erf(x.astype(np.float64) / math.sqrt(2.0)))
-        assert np.max(np.abs(cdf - exact)) <= 2.0**-23
+        assert np.max(np.abs(cdf - exact)) <= self.BOUND[dtype]
 
     def test_non_decreasing(self, grid):
         assert np.all(np.diff(grid[1]) >= 0)
@@ -415,18 +421,18 @@ class TestNormalCdf32:
         assert np.count_nonzero(x >= 6.5) > 1000 and np.all(cdf[x >= 6.5] == 1.0)
         assert np.count_nonzero(x <= -6.5) > 1000 and np.all(cdf[x <= -6.5] == 0.0)
 
-    def test_nan_gives_nan(self):
-        x = np.array([np.nan, 0.5, -np.nan], np.float32)
-        assert np.isnan(T._normal_cdf32(x)).tolist() == [True, False, True]
+    def test_nan_gives_nan(self, dtype):
+        x = np.array([np.nan, 0.5, -np.nan], dtype)
+        assert np.isnan(T._normal_cdf(x)).tolist() == [True, False, True]
         assert np.isnan(gelu(Tensor(x)).data).tolist() == [True, False, True]
 
-    def test_gelu_of_a_large_negative_is_negative_zero(self):
-        (y,) = gelu(Tensor(np.array([-1e4], np.float32))).data
-        assert y == 0.0 and np.signbit(y)
+    def test_gelu_of_a_large_negative_is_negative_zero(self, dtype):
+        (y,) = gelu(Tensor(np.array([-1e4], dtype))).data
+        assert y.dtype == dtype and y == 0.0 and np.signbit(y)
 
-    def test_gelu_is_x_times_the_kernel(self):
-        x = np.random.default_rng(11).normal(scale=4.0, size=(3, 7, 9)).astype(np.float32)
-        assert np.array_equal(gelu(Tensor(x)).data, x * T._normal_cdf32(x))
+    def test_gelu_is_x_times_the_kernel(self, dtype):
+        x = np.random.default_rng(11).normal(scale=4.0, size=(3, 7, 9)).astype(dtype)
+        assert np.array_equal(gelu(Tensor(x)).data, x * T._normal_cdf(x))
 
 
 class TestCrossEntropy:
