@@ -3,11 +3,10 @@ ID TPR of :data:`TPR_PERCENT`), threshold calibration, score-distribution
 export.
 
 Convention: higher score means in-distribution, and the threshold test
-is inclusive (score >= gamma is ID); :func:`decide` is that rule, and
-:func:`fpr_at_tpr` counts false positives through it.  AUROC uses the
-rank (Mann-Whitney) formulation with ties counted half, so it equals
-the fraction of (ID, OOD) pairs the score orders correctly.
-"""
+is inclusive (score >= gamma is ID); :func:`decide` is that rule.  AUROC
+is the Mann-Whitney U over n * m, ties half, summed from the ID scores'
+placement counts in the OOD column; each column is sorted once, so every
+metric costs O((n + m) log(n + m))."""
 
 from __future__ import annotations
 
@@ -41,14 +40,32 @@ class OODMetrics:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
+def _floats(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array, or a FormatError naming ``what``: each
+    must be a real number, finite in float64 (an int past its range is
+    infinite, as ``eval`` reads it)."""
+    try:
+        a = np.asarray(values)
+        if a.dtype.kind not in "biufO":
+            raise TypeError(f"got {a.dtype} values")
+        a = a.astype(np.float64, copy=False)
+    except OverflowError:
+        raise FormatError(f"{what} must be finite; found an int past float64") from None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{what} must be real numbers: {exc}") from None
+    if not np.isfinite(a).all():
+        raise FormatError(f"{what} must be finite; found NaN or infinity")
+    return a
+
+
 def _validate(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(id_scores, dtype=np.float64).ravel()
-    b = np.asarray(ood_scores, dtype=np.float64).ravel()
-    if a.size == 0 or b.size == 0:
-        raise FormatError("metrics need nonempty ID and OOD score lists")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise FormatError("metrics need finite scores; found NaN or infinity")
-    return a, b
+    """Both score lists as float64 columns; FormatError unless each is a
+    nonempty 1-D sequence of finite real numbers."""
+    ids, oods = _floats(id_scores, "ID scores"), _floats(ood_scores, "OOD scores")
+    for side, column in (("ID", ids), ("OOD", oods)):
+        if column.ndim != 1 or column.size == 0:
+            raise FormatError(f"metrics need a nonempty 1-D list of {side} scores, got shape {column.shape}")
+    return ids, oods
 
 
 def decide(scores, threshold: float, orientation: str = "as-is") -> np.ndarray:
@@ -56,28 +73,30 @@ def decide(scores, threshold: float, orientation: str = "as-is") -> np.ndarray:
 
     ``OODMetrics.threshold`` and ``.orientation`` plug in as they are.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(s)):
-        raise FormatError("decide needs finite scores; found NaN or infinity")
+    s = _floats(scores, "decide's scores")
+    gamma = float(_floats(threshold, "decide's threshold"))
     if orientation not in ORIENTATIONS:
         raise FormatError(f"unknown orientation {orientation!r}; expected one of {ORIENTATIONS}")
-    return (-s if orientation == "negated" else s) >= threshold
+    return (-s if orientation == "negated" else s) >= gamma
 
 
 def _mann_whitney_u(ids: np.ndarray, oods: np.ndarray) -> float:
-    """(ID, OOD) pairs whose ID score is the larger, ties half: a sum of half-integers,
-    so exact, and the negated scores' count is exactly ``len(ids) * len(oods) - u``."""
-    pooled = np.sort(np.concatenate([ids, oods]))
-    # 1-based midranks of the ID scores in the pooled sample: ties share
-    # the average of the ranks they span
-    ranks = (np.searchsorted(pooled, ids, "left") + np.searchsorted(pooled, ids, "right") + 1) / 2
-    return ranks.sum() - len(ids) * (len(ids) + 1) / 2.0
+    """(ID, OOD) pairs whose ID score is the larger, ties half, for sorted columns: each ID score's
+    placement count, #OOD below it plus #OOD at or below it, is twice its share, so U is an integer
+    sum halved, exact for n * m < 2**53, and the negated scores' count is exactly ``n * m - u``."""
+    return (np.searchsorted(oods, ids, "left").sum() + np.searchsorted(oods, ids, "right").sum()) / 2
+
+
+def _fpr_at_tpr(ids: np.ndarray, oods: np.ndarray) -> tuple[float, float]:
+    """:func:`fpr_at_tpr` for sorted ``ids``: the false positives are the OOD scores decide() marks ID."""
+    gamma = float(ids[len(ids) - (TPR_PERCENT * len(ids) + 99) // 100])  # the ceil(0.95 n)-th largest, exactly
+    return float(np.count_nonzero(oods >= gamma) / len(oods)), gamma
 
 
 def auroc(id_scores: Sequence[float], ood_scores: Sequence[float]) -> float:
     """Probability a random ID score exceeds a random OOD score, ties half."""
     ids, oods = _validate(id_scores, ood_scores)
-    return float(_mann_whitney_u(ids, oods) / (len(ids) * len(oods)))
+    return float(_mann_whitney_u(np.sort(ids), np.sort(oods)) / (len(ids) * len(oods)))
 
 
 def fpr_at_tpr(id_scores: Sequence[float], ood_scores: Sequence[float]) -> tuple[float, float]:
@@ -87,10 +106,7 @@ def fpr_at_tpr(id_scores: Sequence[float], ood_scores: Sequence[float]) -> tuple
     the largest value whose inclusive count still reaches 95 %.
     """
     ids, oods = _validate(id_scores, ood_scores)
-    n = len(ids)
-    m = (TPR_PERCENT * n + 99) // 100  # ceil(0.95 n) in exact integers, so 1 <= m <= n
-    gamma = float(np.sort(ids)[n - m])
-    return float(np.mean(decide(oods, gamma))), gamma
+    return _fpr_at_tpr(np.sort(ids), oods)
 
 
 def evaluate(id_records, ood_records, score_name: str = "pge", orientation_policy: str = "auto") -> OODMetrics:
@@ -98,26 +114,27 @@ def evaluate(id_records, ood_records, score_name: str = "pge", orientation_polic
 
     ``orientation_policy``: "as-is" and "negated" apply that orientation;
     "auto" picks whichever gives AUROC >= 0.5 and reports the choice.
-    Record lists may also be plain score sequences.  The pooled scores
-    are ranked once, for both orientations.
+    Record lists may also be plain score sequences.  They are validated
+    once, and U, counted on the sorted columns, serves both orientations.
     """
 
-    def extract(records) -> np.ndarray:
+    def extract(records):
         if len(records) and isinstance(records[0], ScoreRecord):
             return np.asarray([score_field(r, score_name) for r in records])
-        return np.asarray(records, dtype=np.float64)
+        return records
 
     if orientation_policy not in ORIENTATION_POLICIES:
         raise FormatError(f"unknown orientation policy {orientation_policy!r}")
     ids, oods = _validate(extract(id_records), extract(ood_records))
     pairs = len(ids) * len(oods)
-    u = _mann_whitney_u(ids, oods)
+    sorted_ids = np.sort(ids)
+    u = _mann_whitney_u(sorted_ids, np.sort(oods))
     orientation = orientation_policy
     if orientation_policy == "auto":
         orientation = "as-is" if u / pairs >= 0.5 else "negated"
-    if orientation == "negated":
-        ids, oods, u = -ids, -oods, pairs - u
-    fpr, gamma = fpr_at_tpr(ids, oods)
+    if orientation == "negated":  # -ids sorted afresh, so a threshold at -0.0 or 0.0 keeps the sign it has there
+        oods, sorted_ids, u = -oods, np.sort(-ids), pairs - u
+    fpr, gamma = _fpr_at_tpr(sorted_ids, oods)
     return OODMetrics(auroc=float(u / pairs), fpr95=fpr, threshold=gamma, n_id=len(ids), n_ood=len(oods),
                       orientation=orientation)
 

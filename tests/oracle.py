@@ -23,6 +23,10 @@ whole-vector update matches to the bit.
 
 Probabilities are clamped at the package's ``PROB_CLAMP`` before any
 log, as ``score_records`` does.
+
+:func:`mann_whitney_u` counts U from midranks in the pooled, sorted ID
+and OOD scores: the reference the placement counts of
+:func:`pvit.metrics.evaluate` match bit for bit.
 """
 
 from __future__ import annotations
@@ -277,3 +281,17 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], moments: 
         m_hat = m / correction1
         v_hat = v / correction2
         p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+# ---------------------------------------------------------------------------
+# ranking
+
+
+def mann_whitney_u(ids: np.ndarray, oods: np.ndarray) -> float:
+    """(ID, OOD) pairs whose ID score is the larger, ties half: a sum of half-integers,
+    so exact, and the negated scores' count is exactly ``len(ids) * len(oods) - u``."""
+    pooled = np.sort(np.concatenate([ids, oods]))
+    # 1-based midranks of the ID scores in the pooled sample: ties share
+    # the average of the ranks they span
+    ranks = (np.searchsorted(pooled, ids, "left") + np.searchsorted(pooled, ids, "right") + 1) / 2
+    return ranks.sum() - len(ids) * (len(ids) + 1) / 2.0

@@ -29,7 +29,9 @@ With ``--against REV`` the recipe also runs, in a fresh process, on the
 ``DIR/rev``; each manifest entry is printed as identical, differing or
 found on one side only, and the exit code is 0 only when all are
 identical.  Under each differing CSV, indented lines from
-:func:`csv_diff` say how far it moved::
+:func:`csv_diff` say how far it moved, and under each differing
+``metrics_*.json`` lines from :func:`json_diff` name the fields that
+changed::
 
     PYTHONPATH=src python tests/recipe.py DIR --against HEAD~1
 """
@@ -171,6 +173,19 @@ def csv_diff(old: bytes, new: bytes, keyed: bool = False) -> list[str]:
     return [summary] + cells
 
 
+def json_diff(old: bytes, new: bytes) -> list[str]:
+    """How a JSON object, such as a metrics_*.json, moved from ``old`` to
+    ``new``: one ``<key>: <old> -> <new>`` line per field that differs, in key
+    order, each value as JSON text and ``(absent)`` where a side lacks the key."""
+    before, after = json.loads(old), json.loads(new)
+
+    def text(side, key):
+        return json.dumps(side[key]) if key in side else "(absent)"
+
+    return [f"{key}: {text(before, key)} -> {text(after, key)}" for key in sorted(before.keys() | after.keys())
+            if text(before, key) != text(after, key)]
+
+
 def run_at_revision(root: str, rev: str) -> dict[str, str]:
     """The manifest of this recipe run in a fresh process on REV's ``src/pvit``."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -199,9 +214,11 @@ if __name__ == "__main__":
     statuses = compare(here, run_at_revision(os.path.join(root, "rev"), args.against), args.against)
     for key, status in statuses.items():
         print(f"{status}: {key}")
-        if status == "differs" and key.endswith(".csv"):
+        name = os.path.basename(key)
+        if status == "differs" and (name.endswith(".csv") or name.startswith("metrics_") and name.endswith(".json")):
             old, new = (open(os.path.join(side, key), "rb").read() for side in (os.path.join(root, "rev"), root))
-            for line in csv_diff(old, new, keyed=key.endswith("eval_summary.csv")):
+            keyed = name == "eval_summary.csv"
+            for line in csv_diff(old, new, keyed) if name.endswith(".csv") else json_diff(old, new):
                 print(f"  {line}")
     same = sum(status == "identical" for status in statuses.values())
     print(f"{same} of {len(statuses)} entries identical to {args.against}")

@@ -27,8 +27,10 @@ from pvit.scoring import (ScoreRecord, file_sha256, forward_batches, predict_log
                           write_scores)
 from pvit.errors import FormatError, ShapeError
 from pvit.train import OptimizerState, TrainConfig, loss_curve_csv, train
-from recipe import compare, csv_diff, run_cli, write_cfg
+from oracle import mann_whitney_u
+from recipe import compare, csv_diff, json_diff, run_cli, write_cfg
 from test_data import write_idx_pair
+from test_metrics import sweep_fpr_at_tpr
 
 
 SPLITS = ["id-train", "id-test", "ood-uniform-noise", "ood-pattern-shift", "ood-inverted"]
@@ -275,6 +277,15 @@ class TestRecipe:
         assert csv_diff(b"1,2\n3,4\n", b"1,2\n3,4\n5,6\n") == ["shape changed: 2 rows of 2 cells -> 3 rows of 2 cells"]
         assert csv_diff(b"1,2\n3,4\n", b"1,2\n3\n") == ["shape changed: 2 rows of 2 cells -> 2 rows of 1-2 cells"]
         assert csv_diff(b"0.5,1e-3\n", b"0.5,1.5e-3\n") == ["1 of 2 cells differ, largest |delta| 0.0005"]
+
+    def test_json_diff_names_each_changed_field(self):
+        old = b'{\n  "auroc": 0.875,\n  "fpr95": 0.25,\n  "orientation": "as-is",\n  "threshold": -0.0\n}\n'
+        new = b'{\n  "auroc": 0.8750000000000001,\n  "fpr95": 0.25,\n  "n_id": 3,\n  "orientation": "negated",\n' \
+              b'  "threshold": 0.0\n}\n'
+        assert json_diff(old, new) == ["auroc: 0.875 -> 0.8750000000000001", "n_id: (absent) -> 3",
+                                       'orientation: "as-is" -> "negated"', "threshold: -0.0 -> 0.0"]
+        assert json_diff(new, old)[1] == "n_id: 3 -> (absent)"
+        assert json_diff(old, old) == []
 
 
 @pytest.mark.parametrize("noise", [0.0, 1.5])
@@ -1094,6 +1105,35 @@ class TestEvalInputs:
         rows = [line.split(",") for line in
                 pathlib.Path(out, "hist_ood-uniform-noise_pge.csv").read_text().splitlines()[1:]]
         assert sum(int(r[2]) for r in rows) == 6 and sum(int(r[3]) for r in rows) == 6
+
+    def test_thirty_thousand_tied_records_a_side_match_the_oracles(self, tmp_path):
+        """eval at scale: hand-written score files of 30,000 records a side,
+        scores rounded to 2 decimals so that ties abound.  Each summary row's
+        AUROC is the pooled-midrank U's, in the orientation ``auto`` picks
+        from it, and its FPR95 and threshold are the exhaustive sweep's."""
+        n, names = 30_000, ["pge", "msp", "energy"]
+        cfg, out = write_cfg(tmp_path, ood__kinds="inverted", eval__scores=",".join(names))
+        os.makedirs(out)
+        rng = np.random.default_rng(15)
+        columns = {}
+        for split, shifts in (("id-test", (0.3, -0.3, 0.0)), ("ood-inverted", (0.0, 0.0, 0.0))):
+            columns[split] = dict(zip(names, np.round(rng.normal(shifts, 1.0, (n, 3)).T, 2)))
+            pge, msp, energy = (columns[split][name].tolist() for name in names)
+            records = [ScoreRecord(f"{split}-{i}", pge[i], 1.0, pge[i], 0, {"msp": msp[i], "energy": energy[i]})
+                       for i in range(n)]
+            write_scores(os.path.join(out, f"scores_{split}.jsonl"), records, "ce", 0.1, "ab" * 32)
+        run_cli(cfg, "eval")
+        rows = pathlib.Path(out, "eval_summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["ood-inverted", name] for name in names]
+        for row, name in zip(rows, names):
+            ids, oods = columns["id-test"][name], columns["ood-inverted"][name]
+            orientation = "as-is" if mann_whitney_u(ids, oods) / n**2 >= 0.5 else "negated"
+            if orientation == "negated":
+                ids, oods = -ids, -oods
+            fpr, gamma = sweep_fpr_at_tpr(ids, oods)
+            auc = float(mann_whitney_u(ids, oods) / n**2)
+            assert row.split(",")[2:] == [repr(auc), repr(fpr), repr(gamma), orientation]
+        assert [row.rsplit(",", 1)[1] for row in rows[:2]] == ["as-is", "negated"]  # both orientations ran
 
     @pytest.mark.parametrize("key", ["eval.scores", "ood.kinds"])
     def test_empty_list_exits_1_naming_it_and_keeps_the_summary(self, tmp_path, capsys, key):

@@ -1,8 +1,9 @@
 """Evaluation-metric tests against brute-force oracles.
 
-AUROC is checked against the O(n^2) pairwise count; the FPR/threshold
-pair is checked against an exhaustive sweep over all observed score
-values.  Random instances deliberately include ties.
+AUROC is checked against the O(n^2) pairwise count and, bit for bit,
+against the pooled-midrank U of :func:`oracle.mann_whitney_u`; the
+FPR/threshold pair is checked against an exhaustive sweep over all
+observed score values.  Random instances deliberately include ties.
 """
 
 import math
@@ -12,8 +13,9 @@ import sys
 import numpy as np
 import pytest
 
+from oracle import mann_whitney_u
 from pvit.errors import FormatError
-from pvit.metrics import OODMetrics, auroc, evaluate, fpr_at_tpr, histogram_export
+from pvit.metrics import OODMetrics, _mann_whitney_u, auroc, decide, evaluate, fpr_at_tpr, histogram_export
 from pvit.scoring import ScoreRecord
 
 
@@ -68,7 +70,7 @@ class TestAuroc:
         rng = np.random.default_rng(0)
         for _ in range(100):
             ids, oods = random_instance(rng)
-            assert abs(auroc(ids, oods) - pairwise_auroc(ids, oods)) <= 1e-12
+            assert auroc(ids, oods) == pairwise_auroc(ids, oods)
 
     def test_empty_rejected(self):
         with pytest.raises(FormatError):
@@ -99,6 +101,60 @@ class TestAuroc:
             auroc([0.1, bad, 0.5], [0.2, 0.3])
         with pytest.raises(FormatError, match="finite"):
             auroc([0.1, 0.5], [0.2, bad])
+
+
+def bits(x) -> str:
+    return float(x).hex()
+
+
+class TestExactCounts:
+    """U from placement counts, and the FPR from one count, are the oracles' to the bit."""
+
+    def test_u_equals_the_pooled_midrank_oracle_in_both_orientations(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            ids, oods = random_instance(rng)
+            pairs = len(ids) * len(oods)
+            for orientation, a, b in (("as-is", ids, oods), ("negated", -ids, -oods)):
+                want = mann_whitney_u(a, b)
+                assert bits(_mann_whitney_u(np.sort(a), np.sort(b))) == bits(want), (ids, oods)
+                assert bits(evaluate(ids, oods, orientation_policy=orientation).auroc) == bits(want / pairs)
+
+    def test_u_is_exact_for_two_to_the_seventeen_tied_scores_a_side(self):
+        rng = np.random.default_rng(13)
+        ids, oods = np.round(rng.normal(0.2, 1.0, 2**17), 2), np.round(rng.normal(0.0, 1.0, 2**17), 2)
+        for a, b in ((ids, oods), (-ids, -oods)):
+            assert bits(_mann_whitney_u(np.sort(a), np.sort(b))) == bits(mann_whitney_u(a, b))
+        same = np.full(2**17, 0.25)
+        assert auroc(same, same) == 0.5
+        assert evaluate(same, same, orientation_policy="auto").auroc == 0.5
+
+    def test_fpr_is_the_mean_of_decide_at_the_threshold(self):
+        rng = np.random.default_rng(14)
+        instances = [random_instance(rng) for _ in range(100)]
+        instances.append((np.round(rng.normal(0.2, 1.0, 2**17), 2), np.round(rng.normal(0.0, 1.0, 2**17), 2)))
+        for ids, oods in instances:
+            fpr, gamma = fpr_at_tpr(ids, oods)
+            assert bits(fpr) == bits(np.mean(decide(oods, gamma)))
+
+
+class TestMalformedScores:
+    """A score list that is not a nonempty 1-D list of finite real numbers is a
+    FormatError from every metric, never a plausible number or a bare error."""
+
+    @pytest.mark.parametrize("metric", [auroc, fpr_at_tpr, evaluate], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("ids, oods, match", [
+        ([10**400], [1.0], "finite; found an int past float64"),
+        ([1.0], [-10**400], "finite; found an int past float64"),
+        (["a"], [1.0], "real numbers"),
+        ([[1.0, 2.0], [3.0]], [1.0], "real numbers"),
+        ([[1.0, 2.0]], [1.0], "1-D"),
+        ([[1, 2], [3, 4]], [2.5], "1-D"),
+        ([1.0, 2.0], [[0.5]], "1-D"),
+    ], ids=["int-past-float64", "ood-int-past-float64", "string", "ragged", "2-D", "2-D-ints", "2-D-ood"])
+    def test_refused(self, metric, ids, oods, match):
+        with pytest.raises(FormatError, match=match):
+            metric(ids, oods)
 
 
 class TestFprAtTpr:

@@ -273,6 +273,11 @@ class TestDecide:
         with pytest.raises(FormatError, match="finite"):
             decide([0.5, bad], 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -10**400], ids=["nan", "inf", "int-past-float64"])
+    def test_non_finite_threshold_rejected(self, bad):
+        with pytest.raises(FormatError, match="threshold must be finite"):
+            decide([1.0, 2.0], bad)
+
     def test_unknown_orientation_rejected(self):
         with pytest.raises(FormatError, match="orientation"):
             decide([0.5], 0.0, "auto")
