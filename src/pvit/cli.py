@@ -44,10 +44,10 @@ from .artifacts import write_artifact
 from .config import SCHEMA, RunConfig, keyed_fields
 from .data import Dataset, load_idx, make_ood, normalize, split_dataset, synth_dataset
 from .errors import ConfigError, FormatError, PvitError, ShapeError
-from .metrics import evaluate, histogram_export
+from .metrics import evaluate, histogram_lines
 from .model import PViTConfig, PViTModel
 from .priors import MLPClassifier, MLPConfig, ModelSource, TableSource, export_logits, load_logits, train_prior_model
-from .scoring import file_sha256, forward_batches, predict_logits, read_scores, score_field, score_records, write_scores
+from .scoring import file_sha256, forward_batches, predict_logits, read_scores, score_column, score_records, write_scores
 from .train import OptimizerState, TrainConfig, loss_curve_csv, train
 
 
@@ -326,6 +326,16 @@ def cmd_score(cfg: RunConfig, out: str) -> None:
         print(f"scores: {path} ({len(split_records)} records)")
 
 
+def _float_column(values: list) -> np.ndarray:
+    """A score file's column as float64; a JSON integer no float64 holds reads as infinite."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        column = np.array(values, dtype=object)
+        column[~(np.abs(column) <= sys.float_info.max)] = math.inf
+        return column.astype(np.float64)
+
+
 def _read_columns(path: str, names) -> tuple[dict, dict[str, np.ndarray]]:
     """A score file's header and its columns ``names``; FormatError naming
     the file when it holds no records, a record lacks one of the scores,
@@ -334,12 +344,9 @@ def _read_columns(path: str, names) -> tuple[dict, dict[str, np.ndarray]]:
     if not records:
         raise FormatError(f"{path}: holds no score records; metrics need nonempty ID and OOD score lists")
     try:
-        columns = {name: np.array([score_field(r, name) for r in records], dtype=np.float64) for name in names}
+        columns = {name: _float_column(score_column(records, name)) for name in names}
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    except OverflowError:  # a JSON integer no float64 holds: an infinite score
-        columns = {name: np.array([v if abs(v) <= sys.float_info.max else math.inf for v in
-                                   (score_field(r, name) for r in records)]) for name in names}
     finite = np.logical_and.reduce([np.isfinite(column) for column in columns.values()])
     if not finite.all():
         raise FormatError(f"{path}: record {records[int(np.argmin(finite))].id!r} holds a NaN or infinite "
@@ -348,8 +355,8 @@ def _read_columns(path: str, names) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def cmd_eval(cfg: RunConfig, out: str) -> None:
-    """Every score file is read and checked, and every report computed,
-    before the first file is written."""
+    """Every score file is read and checked, and every report and
+    histogram computed, before the first file is written."""
     for key in ("eval.scores", "ood.kinds"):
         if not cfg[key]:
             raise ConfigError(f"config key {key!r} is empty: eval has nothing to evaluate")
@@ -364,14 +371,14 @@ def cmd_eval(cfg: RunConfig, out: str) -> None:
         if differ:
             raise FormatError(f"{path} and {id_path} disagree on {', '.join(differ)}: "
                               "eval compares scores of one checkpoint, guidance and alpha")
-    reports = {(split, name): evaluate(id_columns[name], ood_columns[split][name], name, cfg["eval.orientation"])
+    reports = {(split, name): (evaluate(id_columns[name], ood_columns[split][name], name, cfg["eval.orientation"]),
+                               histogram_lines(id_columns[name], ood_columns[split][name], cfg["eval.bins"]))
                for split in ood_splits for name in names}
 
     summary = ["ood_dataset,score,auroc,fpr95,threshold,orientation"]
-    for (split, score_name), metrics in reports.items():
+    for (split, score_name), (metrics, histogram) in reports.items():
         write_artifact(os.path.join(out, f"metrics_{split}_{score_name}.json"), [metrics.to_json()])
-        histogram_export(id_columns[score_name], ood_columns[split][score_name], cfg["eval.bins"],
-                         os.path.join(out, f"hist_{split}_{score_name}.csv"))
+        write_artifact(os.path.join(out, f"hist_{split}_{score_name}.csv"), histogram)
         summary.append(f"{split},{score_name},{metrics.auroc!r},{metrics.fpr95!r},"
                        f"{metrics.threshold!r},{metrics.orientation}")
         print(

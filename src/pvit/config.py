@@ -36,10 +36,16 @@ SCORE_FIELDS = ("pge", "base", "guidance", "msp", "max_logit", "energy")
 ORIENTATIONS = ("as-is", "negated")
 # what evaluate's orientation_policy (and eval.orientation) accepts: "auto" picks one of ORIENTATIONS
 ORIENTATION_POLICIES = ORIENTATIONS + ("auto",)
+# the most histogram bins eval takes: it holds every histogram's lines before it writes one
+MAX_BINS = 100_000
 
 
 def _at_least(low):
     return (lambda value: value >= low), f"at least {low}"
+
+
+def _in_range(low, high):
+    return (lambda value: low <= value <= high), f"in [{low}, {high}]"
 
 
 def _one_of(allowed):
@@ -112,7 +118,7 @@ SCHEMA: dict[str, tuple[str, Any, Optional[tuple]]] = {
     "score.predicted_logits": ("str", "", None),  # dir of logits files: no-prior-token ablation
     "eval.scores": ("list_str", ["pge"], _one_of(SCORE_FIELDS)),
     "eval.orientation": ("str", "auto", _one_of(ORIENTATION_POLICIES)),
-    "eval.bins": ("int", 30, _at_least(2)),
+    "eval.bins": ("int", 30, _in_range(2, MAX_BINS)),
     # attention dumps
     "attention.layer": ("int", -1, None),
     "attention.head": ("int", 0, None),

@@ -21,7 +21,7 @@ import numpy as np
 from .artifacts import write_artifact
 from .config import ORIENTATION_POLICIES, ORIENTATIONS
 from .errors import FormatError
-from .scoring import ScoreRecord, score_field
+from .scoring import ScoreRecord, score_column
 
 TPR_PERCENT = 95  # the ID true-positive rate, in percent, that FPR95 and its threshold are read at
 
@@ -120,7 +120,7 @@ def evaluate(id_records, ood_records, score_name: str = "pge", orientation_polic
 
     def extract(records):
         if len(records) and isinstance(records[0], ScoreRecord):
-            return np.asarray([score_field(r, score_name) for r in records])
+            return score_column(records, score_name)
         return records
 
     if orientation_policy not in ORIENTATION_POLICIES:
@@ -139,10 +139,8 @@ def evaluate(id_records, ood_records, score_name: str = "pge", orientation_polic
                       orientation=orientation)
 
 
-def histogram_export(
-    id_scores: Sequence[float], ood_scores: Sequence[float], bins: int, path: str
-) -> None:
-    """CSV of shared bin edges and per-class counts over [min, max]."""
+def histogram_lines(id_scores: Sequence[float], ood_scores: Sequence[float], bins: int) -> list[str]:
+    """The lines of :func:`histogram_export`'s CSV, each ending in a newline."""
     ids, oods = _validate(id_scores, ood_scores)
     if bins < 2:
         raise FormatError(f"histogram needs bins >= 2, got {bins}")
@@ -157,8 +155,15 @@ def histogram_export(
     edges[0], edges[-1] = lo, hi  # halving a subnormal may round
     id_counts, _ = np.histogram(ids, bins=edges)
     ood_counts, _ = np.histogram(oods, bins=edges)
-    lines = ["bin_left,bin_right,id_count,ood_count"]
+    lines = ["bin_left,bin_right,id_count,ood_count\n"]
     edges = edges.tolist()  # Python floats: repr is a plain number whatever numpy's version
     for i in range(bins):
-        lines.append(f"{edges[i]!r},{edges[i + 1]!r},{id_counts[i]},{ood_counts[i]}")
-    write_artifact(path, [line + "\n" for line in lines])
+        lines.append(f"{edges[i]!r},{edges[i + 1]!r},{id_counts[i]},{ood_counts[i]}\n")
+    return lines
+
+
+def histogram_export(
+    id_scores: Sequence[float], ood_scores: Sequence[float], bins: int, path: str
+) -> None:
+    """CSV of shared bin edges and per-class counts over [min, max]."""
+    write_artifact(path, histogram_lines(id_scores, ood_scores, bins))

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import reprlib
 import shutil
 import struct
@@ -19,7 +20,7 @@ import pytest
 import pvit.cli
 from pvit.cli import _pvit_config, _train_config, build_datasets, main
 from pvit.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
-from pvit.config import RunConfig
+from pvit.config import MAX_BINS, RunConfig
 from pvit.data import Dataset, make_ood, normalize, split_dataset, synth_dataset
 from pvit.model import PViTConfig, PViTModel
 from pvit.priors import MLPClassifier, MLPConfig, ModelSource, export_logits, load_logits
@@ -1090,6 +1091,30 @@ class TestEvalInputs:
         assert main(["eval", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert f"{path}: " in err and named in err and "Traceback" not in err, err
+        assert not [name for name in os.listdir(out) if name.startswith(("metrics_", "hist_", "eval_summary"))]
+
+    def test_missing_score_after_an_int_past_float64_names_the_file(self, tmp_path):
+        """A record's int past float64 in one column and a baseline it lacks in
+        a later one: the missing score is named with its file, as it is alone."""
+        path = str(tmp_path / "scores.jsonl")
+        write_scores(path, [ScoreRecord("a", 0.5, 1.0, 0.5, 0, {}), ScoreRecord("b", 0.5, 1.0, 0.5, 0, {})],
+                     "ce", 0.1)
+        lines = pathlib.Path(path).read_text().splitlines()
+        lines[1] = lines[1].replace('"base": 0.5', '"base": 1' + "0" * 400)
+        pathlib.Path(path).write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(path)}: record 'a' holds no score 'msp'$"):
+            pvit.cli._read_columns(path, ["base", "msp"])
+
+    @pytest.mark.parametrize("bins", [10**11, 2**62, 2**63 - 1], ids=["1e11", "2**62", "2**63-1"])
+    def test_huge_bins_exit_1_before_any_file_is_read(self, tmp_path, capsys, monkeypatch, bins):
+        """eval.bins past MAX_BINS is a config error: nothing is read, allocated or written."""
+        cfg, out = write_cfg(tmp_path, eval__bins=bins)
+        write_score_set(out)
+        for name in ("read_scores", "histogram_lines"):
+            monkeypatch.setattr(pvit.cli, name, lambda *args, name=name: pytest.fail(f"eval reached {name}"))
+        assert main(["eval", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"config key 'eval.bins': {bins} is not in [2, {MAX_BINS}]" in err and "Traceback" not in err, err
         assert not [name for name in os.listdir(out) if name.startswith(("metrics_", "hist_", "eval_summary"))]
 
     def test_score_range_past_float64_evaluates_and_counts_every_score(self, tmp_path):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from oracle import mann_whitney_u
+from pvit.config import ORIENTATION_POLICIES, SCORE_FIELDS
 from pvit.errors import FormatError
 from pvit.metrics import OODMetrics, _mann_whitney_u, auroc, decide, evaluate, fpr_at_tpr, histogram_export
 from pvit.scoring import ScoreRecord
@@ -156,6 +157,25 @@ class TestMalformedScores:
         with pytest.raises(FormatError, match=match):
             metric(ids, oods)
 
+    @pytest.mark.parametrize("name", ["pge", "msp"])
+    @pytest.mark.parametrize("bad", ["a", 10**400], ids=["string", "int-past-float64"])
+    @pytest.mark.parametrize("side", ["ID", "OOD"])
+    def test_refused_in_records_as_in_lists(self, name, bad, side):
+        """A record holding a string or an int past float64, in a field or a
+        baseline, raises the FormatError that the same value in a list does."""
+        def records(value):
+            return [ScoreRecord("r0", 1.0, 1.0, 1.0, 0, {"msp": 0.5}),
+                    ScoreRecord("r1", 1.0, 1.0, value if name == "pge" else 1.0, 0, {"msp": value})]
+
+        lists, recs = ([1.0, bad], [1.0, 0.5]), (records(bad), records(0.5))
+        if side == "OOD":
+            lists, recs = lists[::-1], recs[::-1]
+        with pytest.raises(FormatError) as from_list:
+            evaluate(*lists)
+        with pytest.raises(FormatError) as from_records:
+            evaluate(*recs, name)
+        assert str(from_records.value) == str(from_list.value)
+
 
 class TestFprAtTpr:
     def test_perfect_separation(self):
@@ -237,6 +257,22 @@ class TestEvaluate:
             orientation_policy="auto",
         )
         assert via_field == manual
+
+    @pytest.mark.parametrize("policy", ORIENTATION_POLICIES)
+    @pytest.mark.parametrize("name", SCORE_FIELDS)
+    def test_records_equal_their_extracted_columns(self, name, policy):
+        """evaluate on ScoreRecord lists reports what it reports on the named
+        column pulled out of them, field for field."""
+        rng = np.random.default_rng(8)
+        columns, records = [], []
+        for n, shift, tag in ((40, 0.5, "i"), (30, 0.0, "o")):
+            scores = dict(zip(SCORE_FIELDS, np.round(rng.normal(shift, 1.0, (6, n)), 1)))  # rounded: ties
+            pge, base, guidance, *baselines = (scores[field].tolist() for field in SCORE_FIELDS)
+            records.append([ScoreRecord(f"{tag}{i}", base[i], guidance[i], pge[i], 0,
+                                        {field: column[i] for field, column in zip(SCORE_FIELDS[3:], baselines)})
+                            for i in range(n)])
+            columns.append(scores[name])
+        assert evaluate(*records, name, policy) == evaluate(*columns, name, policy)
 
     @pytest.mark.parametrize("decimals", [None, 2, 0])
     def test_negated_area_equals_reranked_auroc(self, decimals):

@@ -13,6 +13,7 @@ import pytest
 
 from oracle import cefe_expand, guidance_ce, guidance_kl, scalar_record
 import pvit.scoring
+from pvit.config import SCORE_FIELDS
 from pvit.data import synth_dataset
 from pvit.errors import FormatError, MissingPriorError, ShapeError
 from pvit.metrics import decide, evaluate
@@ -22,6 +23,7 @@ from pvit.scoring import (
     ScoreRecord,
     predict_logits,
     read_scores,
+    score_column,
     score_dataset,
     score_field,
     score_records,
@@ -453,6 +455,20 @@ class TestScoreFile:
         assert score_field(rec, "msp") == 0.7
         with pytest.raises(FormatError):
             score_field(rec, "mahalanobis")
+
+    @pytest.mark.parametrize("name", SCORE_FIELDS)
+    def test_score_column_is_score_field_per_record(self, name):
+        records = score_records(["a", "b", "c"], np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 3.0]]),
+                                np.zeros((3, 2)))
+        assert score_column(records, name) == [score_field(r, name) for r in records]
+
+    def test_missing_baseline_names_the_first_record_lacking_it(self):
+        ids = [ScoreRecord("i0", 1.0, 1.0, 1.0, 0, {"msp": 0.9})]
+        oods = [ScoreRecord(f"o{i}", 0.0, 1.0, 0.0, 0, {"msp": 0.1} if i < 2 else {}) for i in range(5)]
+        for lookup in (lambda: score_field(oods[2], "msp"), lambda: score_column(oods, "msp"),
+                       lambda: evaluate(ids, oods, "msp")):
+            with pytest.raises(FormatError, match="^record 'o2' holds no score 'msp'$"):
+                lookup()
 
 
 GOOD_SCORE_LINE = {"id": "a", "base": 1.5, "guidance": 2, "pge": 3.0, "predicted_class": 0,
